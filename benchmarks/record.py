@@ -67,12 +67,12 @@ FIG13_BACKENDS = {
 }
 
 
-def _median_engine_row(k, mode, values, repeats):
+def _median_engine_row(k, values, repeats):
     samples = []
     gc.disable()
     try:
         for _ in range(repeats):
-            steps, dt = pump_once(k, mode, values=values)
+            steps, dt = pump_once(k, values=values)
             samples.append(dt / steps * 1e9)
     finally:
         gc.enable()
@@ -87,11 +87,9 @@ def _median_engine_row(k, mode, values, repeats):
 
 
 def record_engine_scaling(values, repeats):
-    rows = {}
-    for k in LANES:
-        for mode in ("global", "regions"):
-            rows[f"{mode}/{k}"] = _median_engine_row(k, mode, values, repeats)
-    return rows
+    return {
+        f"regions/{k}": _median_engine_row(k, values, repeats) for k in LANES
+    }
 
 
 def record_fig12(window_s, repeats):
@@ -207,7 +205,7 @@ def check(baseline_path: pathlib.Path) -> int:
     # overall min before declaring a regression.
     best = None
     for _attempt in range(3):
-        now = _median_engine_row(1, "regions", values=300, repeats=5)
+        now = _median_engine_row(1, values=300, repeats=5)
         best = (now["ns_per_step_min"] if best is None
                 else min(best, now["ns_per_step_min"]))
         if best / pinned <= REGRESSION_BUDGET:
@@ -387,12 +385,12 @@ def main(argv=None) -> int:
         return check(args.out)
     doc = record(args.out, quick=args.quick, repeats=args.repeats)
     scaling = doc["engine_scaling"]
-    speedup = (scaling["regions/4"]["steps_per_s"]
-               / scaling["global/4"]["steps_per_s"])
+    growth = (scaling[f"regions/{LANES[-1]}"]["ns_per_step"]
+              / scaling["regions/1"]["ns_per_step"])
     print(f"wrote {args.out} "
           f"({len(scaling)} engine rows, "
           f"{len(doc['fig12_connectors'])} connector rows; "
-          f"4-region speedup {speedup:.2f}x)")
+          f"ns/step grows {growth:.2f}x from 1 to {LANES[-1]} regions)")
     return 0
 
 

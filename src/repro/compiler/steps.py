@@ -20,8 +20,8 @@ Pipeline position (docs/COMPILER.md has the full walkthrough)::
 The :class:`~repro.automata.simplify.FiringPlan` is the compile IR: the
 emitted body is a straight-line transcription of its guards, slot assigns,
 checks, effects, and deliveries, plus the enabledness probe and operation
-completion that :meth:`CoordinatorEngine._fire_one` performs around the
-plan.  Semantics are identical by construction — the differential-fuzzing
+completion that :meth:`CoordinatorEngine._fire_one_interp` performs around
+the plan.  Semantics are identical by construction — the differential-fuzzing
 modes ``regions-compiled``/``global-compiled`` (:mod:`repro.fuzz.harness`)
 hold the two tiers to trace equivalence.
 

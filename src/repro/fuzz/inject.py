@@ -25,8 +25,8 @@ def rr_window(conn) -> None:
     for region in conn.engine.regions:
         orig = region.candidates
 
-        def doctored(pending, _orig=orig):
-            return _orig(pending)[:-1]
+        def doctored(_orig=orig):
+            return _orig()[:-1]
 
         # Instance attribute shadows the bound method for this region only.
         region.candidates = doctored

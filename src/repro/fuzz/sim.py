@@ -125,8 +125,8 @@ class RefSim:
     def enabled(self, offers: dict, recvs) -> list:
         """Every step enabled at the current state given ``offers`` (vertex
         → value for pending sends) and ``recvs`` (vertices with a pending
-        receive).  Mirrors the engine's ``_fire_one`` enabledness test:
-        boundary label vertices need a matching pending operation, internal
+        receive).  Mirrors the engine's ``_fire_one_interp`` enabledness
+        test: boundary label vertices need a matching pending operation, internal
         label vertices are free, and the firing plan's buffer guards must
         hold."""
         out = []

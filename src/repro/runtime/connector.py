@@ -35,8 +35,9 @@ linked to outports/inports), and execution options:
   off (single-branch hot-path guards, see docs/INTERNALS.md §8);
 * ``concurrency`` — ``"regions"`` (default: per-region locking, so the
   independent regions a partitioned connector compiles to fire on multiple
-  OS threads concurrently), ``"global"`` (the single-lock serial engine,
-  kept as the honest baseline for ``benchmarks/bench_engine_scaling.py``),
+  OS threads concurrently), ``"global"`` (the same scheduler with every
+  region sharing one lock — the reference schedule of the fuzz oracle and
+  the checkpoint matrix, see docs/DECISIONS.md),
   or ``"workers"`` (region drain loops in separate OS processes over
   shared-memory port buffers — real CPU parallelism past the GIL; see
   docs/PARALLEL.md).  ``workers=N`` bounds the process count for the

@@ -32,9 +32,9 @@ that independence:
   marking them *dirty* and chasing them afterwards (one lock at a time) —
   independent regions fire concurrently on separate OS threads;
 * **incremental candidate scanning**: each region maintains its
-  pending-vertex set (``region.pend``) as ops enqueue/dequeue, so
-  :meth:`_fire_one` never rebuilds a global pending list, and a region
-  whose dirty flag is clear is skipped without any scan at all;
+  pending-vertex set (``region.pend``) as ops enqueue/dequeue, so a
+  firing attempt never rebuilds a global pending list, and a region whose
+  dirty flag is clear is skipped without any scan at all;
 * **per-party wakeup slots**: every blocked operation carries its own
   :class:`threading.Event`, set when a firing completes (or fails) exactly
   that operation — no global ``notify_all`` thundering herd.
@@ -48,10 +48,12 @@ taking ``_lock`` plus every region lock, which is also what lets the
 deadlock detector aggregate a consistent snapshot across regions without
 deadlocking against the hot path.
 
-``concurrency="global"`` preserves the pre-region-parallel engine — one
-shared lock, a global rescan per firing attempt, condition-variable
-broadcasts — as an honest same-workload baseline for
-``benchmarks/bench_engine_scaling.py``.
+``concurrency="global"`` is the same scheduler with a one-lock *region
+group*: every region is handed the same lock, so all firing is mutually
+exclusive while routing, incremental scanning, the chase and the wakeup
+slots are exactly the code above.  It is kept as the oracle-reference
+value (fuzz ``global-*`` modes, the cross-backend checkpoint matrix), not
+as a second implementation — see docs/DECISIONS.md.
 
 Fault tolerance
 ---------------
@@ -124,11 +126,11 @@ _WAIT_TICK = 0.1
 _LAT_MASK = LATENCY_STRIDE - 1
 assert LATENCY_STRIDE & _LAT_MASK == 0, "LATENCY_STRIDE must be a power of two"
 
-#: Stand-in pending dict for serial mode: compiled step functions always
-#: do their ``pending.pop(v, None)`` bookkeeping, and in serial mode (which
-#: rebuilds the pending list per attempt) popping this shared empty dict is
-#: a harmless no-op.
-_NULL_PEND: dict = {}
+#: What :meth:`CoordinatorEngine._enqueue` does with an operation its
+#: submission drain left unresolved: a post stays queued, a ``try_*`` probe
+#: is withdrawn, a blocking submit installs its wakeup slot and parks.  The
+#: overload policy applies to the two that stay.
+_LEAVE, _WITHDRAW, _PARK = range(3)
 
 #: Per-region cap on the number of control states the compiled tier keeps
 #: specialized step tables for (JIT regions compile per visited state).
@@ -182,6 +184,41 @@ class _Party:
         self.steps_active = 0
 
 
+def stuck_error(threshold: int, *, pending_sends: dict[str, int],
+                pending_recvs: dict[str, int], region_states, parties,
+                blocked: int, tracer, peer_failures) -> Exception:
+    """The error delivered to all blocked parties once a deadlock is
+    confirmed (shared with the workers backend): a PeerFailedError blaming
+    the first crashed peer when supervision recorded one, else a
+    DeadlockError with a full diagnostic dump.  ``parties`` is the engine's
+    party registry, ``pending_*`` its non-empty queue depths by vertex."""
+    diagnostic = render_deadlock_diagnostic(
+        pending_sends=pending_sends,
+        pending_recvs=pending_recvs,
+        region_states=region_states,
+        parties={
+            (p.name or f"party{i}"): sorted(p.vertices)
+            for i, p in enumerate(parties.values())
+        },
+        blocked=blocked,
+        events=tracer.events[-8:] if tracer is not None else (),
+    )
+    if peer_failures:
+        first = peer_failures[0]
+        return PeerFailedError(
+            first.task,
+            first.cause,
+            message=(
+                f"peer task {first.task!r} failed ({first.cause!r}); "
+                f"all remaining parties blocked\n{diagnostic}"
+            ),
+        )
+    return DeadlockError(
+        f"all {threshold} parties blocked with no enabled transition",
+        diagnostic=diagnostic,
+    )
+
+
 class _RegionRuntime:
     """Runtime fields the engine stamps onto every region it adopts.
 
@@ -227,7 +264,7 @@ class EagerRegion(_RegionRuntime):
         self.automaton = automaton
         self.index = GlobalIndex(automaton)
         self.state: int = automaton.initial
-        # Per-state round-robin cursors for fairness (see _fire_one): a
+        # Per-state round-robin cursors for fairness (see _drain_region): a
         # cursor is an index into one state's candidate list, so sharing a
         # single cursor across states aliases lists of different length and
         # order — which is exactly what starved a competing sender behind a
@@ -245,7 +282,7 @@ class EagerRegion(_RegionRuntime):
     def outgoing(self):
         return self.automaton.outgoing(self.state)
 
-    def candidates(self, pending_vertices):
+    def candidates(self):
         """The state's outgoing transitions, in automaton order.
 
         Dense enumeration deliberately matches the compiled step tier's
@@ -288,7 +325,7 @@ class LazyRegion(_RegionRuntime):
     def outgoing(self):
         return self.lazy.outgoing(self.state)
 
-    def candidates(self, pending_vertices):
+    def candidates(self):
         return self.lazy.outgoing(self.state)
 
     def advance(self, step) -> None:
@@ -315,9 +352,9 @@ class CoordinatorEngine:
       because it tracks party exits precisely.
 
     ``default_timeout`` bounds every blocking operation that does not pass
-    its own ``timeout``.  ``concurrency`` selects ``"regions"`` (per-region
-    locking, the default) or ``"global"`` (the single-lock baseline); see
-    the module docstring.
+    its own ``timeout``.  ``concurrency`` selects ``"regions"`` (one lock
+    per region, the default) or ``"global"`` (one lock shared by every
+    region); see the module docstring.
     """
 
     def __init__(
@@ -345,7 +382,6 @@ class CoordinatorEngine:
                 f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
             )
         self.concurrency = concurrency
-        self._serial = concurrency == "global"
         self.buffers = buffers
         self.sources = sources
         self.sinks = sinks
@@ -374,12 +410,10 @@ class CoordinatorEngine:
         # registry, the blocked-waiter count, and the deadlock suspect;
         # cold paths additionally take every region lock under it.
         self._lock = threading.Lock()
-        # Shared firing lock + condvar for concurrency="global" (None in
-        # region mode, where each blocked op has its own Event).
-        self._shared_lock = threading.Lock() if self._serial else None
-        self._cond = (
-            threading.Condition(self._shared_lock) if self._serial else None
-        )
+        # concurrency="global": the one lock every region is handed (it
+        # outlives reconfigure, so the group stays one group).  None means
+        # a fresh lock per region.
+        self._group_lock = threading.Lock() if concurrency == "global" else None
         # Leaf locks: shared metric structures (latency histogram, shed /
         # rejected memo dicts) and cross-region trace causality.
         self._stat_lock = threading.Lock()
@@ -519,90 +553,15 @@ class CoordinatorEngine:
         in the submission drain is shed or rejected immediately.
         """
         op = _Op(vertex, value)
-        self._post(self._pending_send[vertex], op, policy, True)
+        self._enqueue(self._pending_send[vertex], op, True, policy, _LEAVE)
         return op
 
     def post_recv(self, vertex: str):
         """Asynchronous receive; see :meth:`post_send`.  The delivered value
         appears as ``handle.value`` once ``handle.done`` is true."""
         op = _Op(vertex)
-        self._post(self._pending_recv[vertex], op, None, False)
+        self._enqueue(self._pending_recv[vertex], op, False, None, _LEAVE)
         return op
-
-    def _post(self, queue: deque, op: _Op, policy, is_send: bool) -> None:
-        if self._serial:
-            with self._cond:
-                self._check_open(op.vertex)
-                if is_send and self._draining:
-                    raise PortClosedError(
-                        f"vertex {op.vertex!r} rejected: connector draining"
-                    )
-                op.t_enq = time.monotonic()
-                op.steps_enq = self._steps_approx
-                self._mark_active(op.vertex, op.t_enq)
-                mx = self._metrics
-                if mx is not None:
-                    child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                    if child is not None:
-                        child.value += 1.0
-                queue.append(op)
-                self._drain_serial()
-                if op.done or op.error is not None:
-                    return
-                pol = policy if policy is not None else self._policies.get(op.vertex)
-                if (
-                    pol is not None
-                    and pol.kind != "block"
-                    and len(queue) > pol.max_pending
-                ):
-                    self._overflow(queue, op, pol)
-            return
-        spill: list = []
-        try:
-            region = self._acquire_owner(op.vertex)
-            if region is None:
-                raise KeyError(op.vertex)
-            try:
-                self._check_open(op.vertex)
-                if is_send and self._draining:
-                    raise PortClosedError(
-                        f"vertex {op.vertex!r} rejected: connector draining"
-                    )
-                if self._observing or self._parties:
-                    # Timing stamps and liveness marks feed metrics, the
-                    # tracer's wait spans, and the watchdog; with none of
-                    # those attached, skip the clock reads.  No wakeup
-                    # Event is installed on this path at all — a post
-                    # handle is polled (``done``/``error``), never waited
-                    # on, and allocating an Event per post dominated the
-                    # single-threaded firing cost.
-                    op.t_enq = time.monotonic()
-                    op.steps_enq = self._steps_approx
-                    self._mark_active(op.vertex, op.t_enq)
-                    mx = self._metrics
-                    if mx is not None:
-                        child = (mx.sub_send if is_send
-                                 else mx.sub_recv).get(op.vertex)
-                        if child is not None:
-                            child.value += 1.0
-                queue.append(op)
-                region.pend[op.vertex] = None
-                region.dirty = True
-                self._drain_region(region, spill)
-                if not op.done and op.error is None:
-                    pol = (policy if policy is not None
-                           else self._policies.get(op.vertex))
-                    if (
-                        pol is not None
-                        and pol.kind != "block"
-                        and len(queue) > pol.max_pending
-                    ):
-                        self._overflow(queue, op, pol, region)
-            finally:
-                region.lock.release()
-        finally:
-            if spill:
-                self._chase(spill)
 
     def register_party(self, key, name: str = "", vertex: str | None = None) -> None:
         """Declare a party (task) of this protocol instance.
@@ -712,7 +671,7 @@ class CoordinatorEngine:
         watchers: dict[str, list] = {}
         for i, r in enumerate(self.regions):
             r.idx = i
-            r.lock = self._shared_lock if self._serial else threading.Lock()
+            r.lock = self._group_lock or threading.Lock()
             r.pend = {}
             r.dirty = False
             r.live = True
@@ -789,7 +748,7 @@ class CoordinatorEngine:
                     # refusals demote before the first firing.
                     r.ctable = {
                         r.state: compiler.compile_state(
-                            r.candidates(None), r.state, lazy=True
+                            r.candidates(), r.state, lazy=True
                         )
                     }
             except CompileError:
@@ -825,12 +784,9 @@ class CoordinatorEngine:
             region.lock.release()
 
     def _wake_all_locked(self) -> None:
-        """Wake every parked submitter (all region locks held): broadcast
-        in serial mode, per-op events in region mode.  Spurious wakes are
-        fine — waiters re-check their op and the deadlock detector."""
-        if self._serial:
-            self._cond.notify_all()
-            return
+        """Wake every parked submitter (all region locks held).  Spurious
+        wakes are fine — waiters re-check their op and the deadlock
+        detector."""
         for qmap in (self._pending_send, self._pending_recv):
             for q in qmap.values():
                 for op in q:
@@ -863,10 +819,6 @@ class CoordinatorEngine:
         """Candidates examined before fired steps (advanced only when
         metered, see :mod:`repro.runtime.metrics`)."""
         return self._scan_base + sum(r.scanned for r in self.regions)
-
-    # Pre-region-parallel name, kept for compatibility (tests and the
-    # metrics docstrings reference it).
-    _scan_count = scan_total
 
     @property
     def quiescent(self) -> bool:
@@ -1057,10 +1009,12 @@ class CoordinatorEngine:
         survivors that were parked mid-barrier.
 
         Locking: the world stops under ``_lock`` plus every *old* region
-        lock; the new regions' fresh locks are additionally taken before the
-        new routing table is published, so a concurrent submitter that
-        resolves the new route parks on its region lock until the swap —
-        including the closing drain — has completed.
+        lock; the new regions' locks that are not already held (all of them
+        fresh under ``"regions"``, none under ``"global"``, whose one group
+        lock is old and new at once) are additionally taken before the new
+        routing table is published, so a concurrent submitter that resolves
+        the new route parks on its region lock until the swap — including
+        the closing drain — has completed.
         """
         with self._lock:
             old_locks = self._all_locks
@@ -1130,12 +1084,13 @@ class CoordinatorEngine:
                 self._suspect = None
                 self._plans.clear()
                 self._adopt_regions(regions)
-                if not self._serial:
-                    # Fresh locks, unreachable until now: acquiring them under
-                    # the old locks cannot deadlock.  (Serial mode reuses the
-                    # shared lock, which is already held.)
-                    self._acquire(self._all_locks)
-                    new_acquired = self._all_locks
+                # Fresh locks, unreachable until now: acquiring them under
+                # the old locks cannot deadlock.
+                fresh = tuple(
+                    lock for lock in self._all_locks if lock not in old_locks
+                )
+                self._acquire(fresh)
+                new_acquired = fresh
                 for qmap in (self._pending_send, self._pending_recv):
                     for v, q in qmap.items():
                         if q:
@@ -1195,58 +1150,17 @@ class CoordinatorEngine:
 
     # ------------------------------------------------- submission hot path
 
-    def _try_submit(self, queue: deque, op: _Op, is_send: bool = False) -> bool:
-        if self._serial:
-            return self._try_submit_serial(queue, op, is_send)
-        spill: list = []
-        try:
-            region = self._acquire_owner(op.vertex)
-            if region is None:
-                raise KeyError(op.vertex)
-            try:
-                self._check_open(op.vertex)
-                if is_send and self._draining:
-                    raise PortClosedError(
-                        f"vertex {op.vertex!r} rejected: connector draining"
-                    )
-                self._mark_active(op.vertex)
-                mx = self._metrics
-                if mx is not None:
-                    child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                    if child is not None:  # vertex unknown only mid-reconfigure
-                        child.value += 1.0
-                queue.append(op)
-                region.pend[op.vertex] = None
-                region.dirty = True
-                self._drain_region(region, spill)
-                if op.done:
-                    return True
-                if op.error is not None:
-                    raise op.error
-                queue.remove(op)
-                if not queue:
-                    region.pend.pop(op.vertex, None)
-                self._count_withdrawn(op.vertex, is_send)
-                return False
-            finally:
-                region.lock.release()
-        finally:
-            if spill:
-                self._chase(spill)
+    def _enqueue(self, queue: deque, op: _Op, is_send: bool, policy,
+                 unresolved: int) -> None:
+        """The submission prologue every public entry point shares: take
+        the owner region's lock, admit and stamp the op, enqueue it, drain
+        the region, release, and chase the regions that drain signalled.
 
-    def _submit(
-        self,
-        queue: deque,
-        op: _Op,
-        timeout: float | None,
-        policy: OverloadPolicy | None = None,
-        is_send: bool = False,
-    ) -> None:
-        if self._serial:
-            return self._submit_serial(queue, op, timeout, policy, is_send)
-        if timeout is None:
-            timeout = self.default_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
+        ``unresolved`` (``_LEAVE``/``_WITHDRAW``/``_PARK``) says what
+        becomes of an op the drain neither completed nor failed — decided
+        under the owner lock, so a later firing or failure is guaranteed to
+        see the outcome.
+        """
         vertex = op.vertex
         spill: list = []
         try:
@@ -1259,37 +1173,72 @@ class CoordinatorEngine:
                     raise PortClosedError(
                         f"vertex {vertex!r} rejected: connector draining"
                     )
-                op.t_enq = time.monotonic()
-                op.steps_enq = self._steps_approx
-                self._mark_active(vertex, op.t_enq)
-                mx = self._metrics
-                if mx is not None:
-                    child = (mx.sub_send if is_send else mx.sub_recv).get(vertex)
-                    if child is not None:  # vertex unknown only mid-reconfigure
-                        child.value += 1.0
+                if unresolved != _LEAVE or self._observing or self._parties:
+                    # Timing stamps and liveness marks feed metrics, the
+                    # tracer's wait spans, and the watchdog; a post with
+                    # none of those attached skips the clock read.  A
+                    # ``try_*`` probe stays unstamped (it never waits, and
+                    # the latency histogram reads 0.0 for it).
+                    now = time.monotonic()
+                    if unresolved != _WITHDRAW:
+                        op.t_enq = now
+                        op.steps_enq = self._steps_approx
+                    self._mark_active(vertex, now)
+                    mx = self._metrics
+                    if mx is not None:
+                        child = (mx.sub_send if is_send
+                                 else mx.sub_recv).get(vertex)
+                        if child is not None:  # unknown only mid-reconfigure
+                            child.value += 1.0
                 queue.append(op)
                 region.pend[vertex] = None
                 region.dirty = True
                 self._drain_region(region, spill)
-                if not op.done and op.error is None:
-                    pol = (policy if policy is not None
-                           else self._policies.get(vertex))
-                    if (
-                        pol is not None
-                        and pol.kind != "block"
-                        and len(queue) > pol.max_pending
-                    ):
-                        self._overflow(queue, op, pol, region)
-                    if not op.done and op.error is None:
-                        # Park: install the op's private wakeup slot while
-                        # still under the region lock, so any later firing
-                        # or failure is guaranteed to see it.
-                        op.event = threading.Event()
+                if op.done or op.error is not None:
+                    return
+                if unresolved == _WITHDRAW:
+                    queue.remove(op)
+                    if not queue:
+                        region.pend.pop(vertex, None)
+                    self._count_withdrawn(vertex, is_send)
+                    return
+                pol = policy if policy is not None else self._policies.get(vertex)
+                if (
+                    pol is not None
+                    and pol.kind != "block"
+                    and len(queue) > pol.max_pending
+                ):
+                    self._overflow(queue, op, pol, region)
+                if unresolved == _PARK and not op.done:
+                    # Install the op's private wakeup slot while still
+                    # under the region lock.  A post handle is polled, never
+                    # waited on, and allocating an Event per post dominated
+                    # the single-threaded firing cost.
+                    op.event = threading.Event()
             finally:
                 region.lock.release()
         finally:
             if spill:
                 self._chase(spill)
+
+    def _try_submit(self, queue: deque, op: _Op, is_send: bool = False) -> bool:
+        self._enqueue(queue, op, is_send, None, _WITHDRAW)
+        if op.error is not None:
+            raise op.error
+        return op.done
+
+    def _submit(
+        self,
+        queue: deque,
+        op: _Op,
+        timeout: float | None,
+        policy: OverloadPolicy | None = None,
+        is_send: bool = False,
+    ) -> None:
+        if timeout is None:
+            timeout = self.default_timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._enqueue(queue, op, is_send, policy, _PARK)
         if op.done:
             return
         if op.error is not None:
@@ -1347,7 +1296,7 @@ class CoordinatorEngine:
             region.lock.release()
 
     def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
-                  region=None) -> None:
+                  region) -> None:
         """Apply a non-``block`` policy to an over-bound queue (owner lock
         held).
 
@@ -1358,7 +1307,7 @@ class CoordinatorEngine:
         """
         if pol.kind == "fail_fast":
             queue.remove(op)
-            if region is not None and not queue:
+            if not queue:
                 region.pend.pop(op.vertex, None)
             if self._metrics is not None:
                 with self._stat_lock:
@@ -1369,7 +1318,7 @@ class CoordinatorEngine:
             queue.remove(op)
         else:  # shed_oldest: drop-head; the incoming op takes the freed slot
             victim = queue.popleft()
-        if region is not None and not queue:
+        if not queue:
             region.pend.pop(op.vertex, None)
         self.dead.capture(
             victim.vertex, victim.value, pol.kind, self.steps,
@@ -1380,105 +1329,9 @@ class CoordinatorEngine:
                 self._metrics.shed(victim.vertex, pol.kind)
         victim.done = True
         if victim is not op:
-            if self._serial:
-                self._cond.notify_all()
-            else:
-                ev = victim.event
-                if ev is not None:
-                    ev.set()
-
-    # --------------------------------------------- serial (global) baseline
-
-    def _try_submit_serial(self, queue: deque, op: _Op, is_send: bool) -> bool:
-        with self._cond:
-            self._check_open(op.vertex)
-            if is_send and self._draining:
-                raise PortClosedError(
-                    f"vertex {op.vertex!r} rejected: connector draining"
-                )
-            self._mark_active(op.vertex)
-            mx = self._metrics
-            if mx is not None:
-                child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                if child is not None:
-                    child.value += 1.0
-            queue.append(op)
-            self._drain_serial()
-            if op.done:
-                return True
-            if op.error is not None:
-                raise op.error
-            queue.remove(op)
-            self._count_withdrawn(op.vertex, is_send)
-            return False
-
-    def _submit_serial(
-        self,
-        queue: deque,
-        op: _Op,
-        timeout: float | None,
-        policy: OverloadPolicy | None,
-        is_send: bool,
-    ) -> None:
-        if timeout is None:
-            timeout = self.default_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            self._check_open(op.vertex)
-            if is_send and self._draining:
-                raise PortClosedError(
-                    f"vertex {op.vertex!r} rejected: connector draining"
-                )
-            op.t_enq = time.monotonic()
-            op.steps_enq = self._steps_approx
-            self._mark_active(op.vertex, op.t_enq)
-            mx = self._metrics
-            if mx is not None:
-                child = (mx.sub_send if is_send else mx.sub_recv).get(op.vertex)
-                if child is not None:
-                    child.value += 1.0
-            queue.append(op)
-            self._drain_serial()
-            if op.done:
-                return
-            pol = policy if policy is not None else self._policies.get(op.vertex)
-            if (
-                pol is not None
-                and pol.kind != "block"
-                and len(queue) > pol.max_pending
-            ):
-                self._overflow(queue, op, pol)
-                if op.done:
-                    return
-            with self._lock:
-                self._blocked += 1
-            try:
-                while not op.done and op.error is None:
-                    self._maybe_deadlock_serial()
-                    if op.done or op.error is not None:
-                        break
-                    tick = _WAIT_TICK
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            # Cancel: withdraw the pending operation so no
-                            # stale queue entry survives the timeout.  (The
-                            # lock is held continuously since the last done
-                            # check, so the op cannot complete concurrently.)
-                            try:
-                                queue.remove(op)
-                            except ValueError:
-                                pass
-                            else:
-                                self._count_withdrawn(op.vertex, is_send)
-                            raise ProtocolTimeoutError(op.vertex, timeout)
-                        tick = min(tick, remaining)
-                    self._cond.wait(tick)
-            finally:
-                with self._lock:
-                    self._blocked -= 1
-            if op.error is not None:
-                raise op.error
+            ev = victim.event
+            if ev is not None:
+                ev.set()
 
     # ------------------------------------------------------ overload layer
 
@@ -1576,19 +1429,21 @@ class CoordinatorEngine:
     # -------------------------------------------------- deadlock detection
 
     def _maybe_deadlock(self) -> None:
-        """Region-mode detection — caller holds *no* locks.  Takes the
+        """Deadlock detection — caller holds *no* locks.  Takes the
         registry lock, then every region lock, for a globally consistent
         snapshot of queues, blocked waiters, and region states."""
         with self._lock:
             if self._parties:
-                threshold = len(self._parties)
-                grace = self.detection_grace
+                threshold, grace = len(self._parties), self.detection_grace
             elif self.expected_parties is not None:
-                threshold = self.expected_parties
+                threshold, grace = self.expected_parties, 0.0
             else:
                 return
-            if not self._parties:
-                grace = 0.0
+            if threshold <= 0:
+                # Zero declared parties (e.g. after reconfigure subtracted
+                # the last one) means nobody to wait for, not "everyone is
+                # blocked": leave lone waiters to their timeouts.
+                return
             locks = self._all_locks
             self._acquire(locks)
             try:
@@ -1624,7 +1479,20 @@ class CoordinatorEngine:
                         return
                     if now - self._suspect[1] < grace:
                         return
-                err = self._stuck_error(threshold)
+                err = stuck_error(
+                    threshold,
+                    pending_sends={
+                        v: len(q) for v, q in self._pending_send.items() if q
+                    },
+                    pending_recvs={
+                        v: len(q) for v, q in self._pending_recv.items() if q
+                    },
+                    region_states=[r.state for r in self.regions],
+                    parties=self._parties,
+                    blocked=self._blocked,
+                    tracer=self.tracer,
+                    peer_failures=self._peer_failures,
+                )
                 for qmap, was_send in (
                     (self._pending_send, True),
                     (self._pending_recv, False),
@@ -1643,157 +1511,138 @@ class CoordinatorEngine:
             finally:
                 self._release(locks)
 
-    def _maybe_deadlock_serial(self) -> None:
-        """Serial-mode detection — caller holds the shared firing lock
-        (exactly the pre-region-parallel behaviour)."""
-        if self._parties:
-            threshold = len(self._parties)
-            grace = self.detection_grace
-        elif self.expected_parties is not None:
-            threshold = self.expected_parties
-            grace = 0.0
-        else:
-            return
-        stuck = self._pending_count()
-        if stuck < threshold or self._blocked < threshold:
-            self._suspect = None
-            return
-        if grace > 0.0:
-            mark = (self.steps, self._party_gen, stuck)
-            now = time.monotonic()
-            if self._suspect is None or self._suspect[0] != mark:
-                self._suspect = (mark, now)
-                return
-            if now - self._suspect[1] < grace:
-                return
-        err = self._stuck_error(threshold)
-        for qmap, was_send in (
-            (self._pending_send, True),
-            (self._pending_recv, False),
-        ):
-            for q in qmap.values():
-                for op in q:
-                    op.error = err
-                    self._count_withdrawn(op.vertex, was_send)
-                q.clear()
-        self._suspect = None
-        self._cond.notify_all()
-
-    def _stuck_error(self, threshold: int) -> Exception:
-        """The error delivered to all blocked parties: a PeerFailedError
-        blaming the first crashed peer when supervision recorded one, else a
-        DeadlockError with a full diagnostic dump."""
-        diagnostic = render_deadlock_diagnostic(
-            pending_sends={v: len(q) for v, q in self._pending_send.items() if q},
-            pending_recvs={v: len(q) for v, q in self._pending_recv.items() if q},
-            region_states=[r.state for r in self.regions],
-            parties={
-                (p.name or f"party{i}"): sorted(p.vertices)
-                for i, p in enumerate(self._parties.values())
-            },
-            blocked=self._blocked,
-            events=self.tracer.events[-8:] if self.tracer is not None else (),
-        )
-        if self._peer_failures:
-            first = self._peer_failures[0]
-            return PeerFailedError(
-                first.task,
-                first.cause,
-                message=(
-                    f"peer task {first.task!r} failed ({first.cause!r}); "
-                    f"all remaining parties blocked\n{diagnostic}"
-                ),
-            )
-        return DeadlockError(
-            f"all {threshold} parties blocked with no enabled transition",
-            diagnostic=diagnostic,
-        )
-
     # ------------------------------------------------------- firing engine
 
-    def _pending_vertices(self):
-        out = []
-        for v, q in self._pending_send.items():
-            if q:
-                out.append(v)
-        for v, q in self._pending_recv.items():
-            if q:
-                out.append(v)
-        return out
+    def _drain_region(self, region, spill: list | None) -> None:
+        """Fire ``region`` until quiescent (its lock held) — the one drain
+        loop.  Regions whose shared buffers changed are marked dirty and
+        appended to ``spill`` for the caller to chase after releasing this
+        lock; ``None`` means the caller holds every region lock and
+        consults the dirty flags itself.
 
-    def _drain_serial(self) -> None:
-        """Fire enabled transitions until quiescence (shared lock held) —
-        the pre-region-parallel global rescan, kept as the benchmark
-        baseline."""
-        fired = True
-        while fired:
-            fired = False
-            for region in self.regions:
-                while self._fire_one(region, None, None):
-                    fired = True
-
-    def _drain_region(self, region, spill: list) -> None:
-        """Fire ``region`` until quiescent (its lock held).  Regions whose
-        shared buffers changed are marked dirty and appended to ``spill``
-        for the caller to chase after releasing this lock."""
+        The loop is fused around the compiled step tier
+        (:mod:`repro.compiler.steps`, docs/COMPILER.md): the per-fire
+        invariants (observability probes, trace lock, watcher map) are
+        hoisted so they are paid once per drain, not once per step.  A
+        control state with no specialized table — region demoted or
+        ``compiled="off"``, a newly visited lazy state that refuses to
+        compile, or the state-table cap — is interpreted for one step with
+        identical behaviour, and the table is tried again at the successor
+        state.  Cursors, fired counters, watcher spill and the
+        observability epilogue are bit-for-bit the same in both tiers, so
+        checkpoints and traces round-trip across them."""
         region.dirty = False
         pend = region.pend
-        if (
-            region.compiled
-            and not self._observing
-            and not self._vertex_party
-            and not self._serial
-        ):
-            # Unobserved fast path: fuse the whole drain into one loop so
-            # the per-fire dispatch prologue (metrics/tracer/trace-lock
-            # probing in _fire_compiled) is paid once per drain, not once
-            # per step.  Falls through when the region demotes mid-drain.
-            if self._drain_compiled(region, pend, spill):
-                return
-        while self._fire_one(region, pend, spill):
-            pass
-
-    def _drain_compiled(self, region, pend, spill) -> bool:
-        """Drain a compiled region to quiescence with per-fire invariants
-        hoisted (no metrics, tracer, or watchdog parties attached — the
-        caller checked).  Returns ``False`` if the region demoted (or hit
-        the state-table cap) mid-drain; the caller then finishes
-        interpretively.  Bookkeeping is identical to :meth:`_fire_compiled`
-        minus the observability epilogue that cannot apply here."""
-        ctable = region.ctable
         cursors = region.cursors
         watchers = self._watchers
-        while True:
-            state = region.state
-            entries = ctable.get(state)
-            if entries is None:
-                entries = self._compile_region_state(region)
+        obs = self._observing or self._vertex_party
+        # Cross-region trace causality: holding the trace lock from probe to
+        # record means a consumer region can only observe (and record) a
+        # value strictly after its producer's record — the tracer's sequence
+        # numbers then respect buffer causality even across OS threads.
+        # Held across the whole drain: coarser than it need be, but the
+        # untraced path then pays two ``is None`` tests per drain, not per
+        # step.
+        trace_lock = self._trace_lock if self.tracer is not None else None
+        if trace_lock is not None:
+            trace_lock.acquire()
+        try:
+            while True:
+                state = region.state
+                entries = None
+                if region.compiled:
+                    entries = region.ctable.get(state)
+                    if entries is None:
+                        entries = self._compile_region_state(region)
                 if entries is None:
-                    return False
-            n = len(entries)
-            if n == 0:
-                return True
-            start = cursors.get(state, 0) % n
-            for k in range(n):
-                e = entries[(start + k) % n]
-                if e.fire(pend, False) is None:
-                    continue
-                region.state = e.target
-                cursors[state] = (start + k + 1) % n
-                region.fired += 1
-                self._steps_approx += 1
-                if watchers:
-                    for b in e.touched:
-                        ws = watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                break
-            else:
-                return True
+                    if self._fire_one_interp(region, spill, obs):
+                        continue
+                    return
+                n = len(entries)
+                if n == 0:
+                    return
+                start = cursors.get(state, 0) % n
+                for k in range(n):
+                    e = entries[(start + k) % n]
+                    r = e.fire(pend, obs)
+                    if r is None:
+                        continue
+                    region.state = e.target
+                    cursors[state] = (start + k + 1) % n
+                    region.fired += 1
+                    self._steps_approx += 1
+                    if watchers:
+                        self._signal_watchers(region, e.touched, spill)
+                    if r is not True:
+                        self._observe_firing(region, e.label, k, *r)
+                    break
+                else:
+                    return
+        finally:
+            if trace_lock is not None:
+                trace_lock.release()
+
+    def _signal_watchers(self, region, touched, spill) -> None:
+        """Mark the other regions watching a buffer this firing mutated
+        dirty (pushes/pops only — guard probes don't change contents) and
+        hand them to the caller's chase list.  Callers skip the call when
+        ``_watchers`` is empty, i.e. on every single-region connector."""
+        watchers = self._watchers
+        for b in touched:
+            ws = watchers.get(b)
+            if ws:
+                for w in ws:
+                    if w is not region and not w.dirty:
+                        w.dirty = True
+                        if spill is not None:
+                            spill.append(w)
+
+    def _observe_firing(self, region, label, k, completed_sends,
+                        completed_recvs, deliveries, enq) -> None:
+        """Post-firing observability epilogue of both step tiers (region
+        lock held; trace lock too when tracing).  ``k`` is the fired
+        candidate's scan position, ``enq`` the ``(vertex, t_enq)`` of every
+        operation the firing completed.  One clock read per fired step,
+        shared by liveness stamping, the latency histogram, and the
+        tracer."""
+        t = time.monotonic()
+        if self._vertex_party:
+            for v in completed_sends:
+                self._mark_active(v, t)
+            for v in completed_recvs:
+                self._mark_active(v, t)
+        mx = self._metrics
+        if mx is not None:
+            # Plain ints and attribute adds, no further call frames:
+            # pull-sampled (with engine.steps) at collect time, and at a few
+            # µs/step the metric budget is a few hundred ns
+            # (bench_observe.py).
+            region.scanned += k + 1
+            done = mx.done
+            for v, _te in enq:
+                child = done.get(v)
+                if child is not None:
+                    child.value += 1.0
+            # The latency histogram samples every LATENCY_STRIDE-th fired
+            # step (region.fired was already advanced): a full observe per
+            # step is the single largest metric cost, and the distribution
+            # doesn't need every step.
+            if enq and (region.fired - 1) & _LAT_MASK == 0:
+                # Age of the oldest completed op; 0.0 when every completed
+                # op was non-blocking (t_enq unstamped).
+                min_te = min((te for _v, te in enq if te), default=0.0)
+                with self._stat_lock:
+                    mx.latency_child.observe(t - min_te if min_te else 0.0)
+        if self.tracer is not None:
+            self.tracer.record(
+                region.idx,
+                label,
+                completed_sends,
+                completed_recvs,
+                deliveries,
+                t=t,
+                waits=[(v, t - te if te else 0.0) for v, te in enq],
+            )
 
     def _chase(self, spill: list) -> None:
         """Drain the regions a firing signalled, one lock at a time (no
@@ -1816,42 +1665,13 @@ class CoordinatorEngine:
     def _drain_all_locked(self) -> None:
         """Drain every dirty region to quiescence (all region locks held —
         construction, restore, reconfigure, and detection self-heal)."""
-        if self._serial:
-            self._drain_serial()
-            return
         again = True
         while again:
             again = False
             for region in self.regions:
                 if region.dirty:
                     again = True
-                    region.dirty = False
-                    while self._fire_one(region, region.pend, None):
-                        pass
-
-    def _fire_one(self, region, pending, spill) -> bool:
-        """Try to fire one transition of ``region`` (its lock held).
-
-        Dispatches to the compiled step tier when this region's current
-        control state has a specialized table (see
-        :mod:`repro.compiler.steps` and docs/COMPILER.md), otherwise to the
-        interpretive engine — including mid-run, per state: a lazy region
-        whose newly visited state fails to compile demotes and keeps
-        running interpreted, with identical behaviour.
-
-        ``pending`` is the region's incrementally maintained pending-vertex
-        set, or ``None`` in serial mode (which rebuilds the global list per
-        attempt, as the baseline always did).  ``spill`` collects regions
-        signalled through shared buffers; ``None`` means the caller holds
-        every region lock and will consult dirty flags directly.
-        """
-        if region.compiled:
-            entries = region.ctable.get(region.state)
-            if entries is None:
-                entries = self._compile_region_state(region)
-            if entries is not None:
-                return self._fire_compiled(region, entries, pending, spill)
-        return self._fire_one_interp(region, pending, spill)
+                    self._drain_region(region, None)
 
     def _compile_region_state(self, region):
         """JIT-compile the region's current control state (lazy regions
@@ -1862,7 +1682,7 @@ class CoordinatorEngine:
             return None
         try:
             entries = self._step_compiler.compile_state(
-                region.candidates(None),
+                region.candidates(),
                 region.state,
                 lazy=isinstance(region, LazyRegion),
             )
@@ -1875,118 +1695,18 @@ class CoordinatorEngine:
         region.ctable[region.state] = entries
         return entries
 
-    def _fire_compiled(self, region, entries, pending, spill) -> bool:
-        """Compiled twin of :meth:`_fire_one_interp`: round-robin over the
-        state's specialized step functions, then the same bookkeeping and
-        observability epilogue the interpreter performs — cursors, fired
-        counters, watcher spill, liveness stamps, metrics, and tracer
-        records are bit-for-bit identical so checkpoints and traces round-
-        trip across tiers."""
-        n = len(entries)
-        if n == 0:
-            return False
-        mx = self._metrics
-        tracing = self.tracer is not None
-        serial = self._serial
-        obs = mx is not None or tracing or bool(self._vertex_party)
-        trace_lock = self._trace_lock if (tracing and not serial) else None
-        if pending is None:
-            pending = _NULL_PEND
-        state0 = region.state
-        start = region.cursors.get(state0, 0) % n
-        # Coarser than the interpreter's per-candidate critical section
-        # (held across the probe loop, not just probe→record), which
-        # preserves the same cross-region causality guarantee.
-        if trace_lock is not None:
-            trace_lock.acquire()
-        try:
-            for k in range(n):
-                e = entries[(start + k) % n]
-                r = e.fire(pending, obs)
-                if r is None:
-                    continue
-                # Fired.
-                region.state = e.target
-                region.cursors[state0] = (start + k + 1) % n
-                region.fired += 1
-                self._steps_approx += 1
-                if self._watchers:
-                    for b in e.touched:
-                        ws = self._watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                if r is not True:
-                    cs, cr, dl, enq = r
-                    t = time.monotonic()
-                    if self._vertex_party:
-                        for v in cs:
-                            self._mark_active(v, t)
-                        for v in cr:
-                            self._mark_active(v, t)
-                    if mx is not None:
-                        region.scanned += k + 1
-                        done = mx.done
-                        for v in cs:
-                            child = done.get(v)
-                            if child is not None:
-                                child.value += 1.0
-                        for v in cr:
-                            child = done.get(v)
-                            if child is not None:
-                                child.value += 1.0
-                        # region.fired was already advanced: sample the
-                        # same strided steps the interpreter does.
-                        if enq and (region.fired - 1) & _LAT_MASK == 0:
-                            min_te = 0.0
-                            for _v, te in enq:
-                                if te and (not min_te or te < min_te):
-                                    min_te = te
-                            with self._stat_lock:
-                                mx.latency_child.observe(
-                                    t - min_te if min_te else 0.0)
-                    if tracing:
-                        self.tracer.record(
-                            region.idx,
-                            e.label,
-                            list(cs),
-                            list(cr),
-                            dl,
-                            t=t,
-                            waits=tuple(
-                                (v, t - te if te else 0.0) for v, te in enq
-                            ),
-                        )
-                if serial:
-                    self._cond.notify_all()
-                return True
-            return False
-        finally:
-            if trace_lock is not None:
-                trace_lock.release()
-
-    def _fire_one_interp(self, region, pending, spill) -> bool:
-        """The interpretive firing engine — the always-correct tier every
-        region can fall back to (plan evaluation via
-        :class:`~repro.automata.simplify.FiringPlan`)."""
-        if pending is None:
-            pending = self._pending_vertices()
-        steps = region.candidates(pending)
+    def _fire_one_interp(self, region, spill, obs) -> bool:
+        """Try to fire one transition of ``region`` on the interpretive
+        firing engine — the always-correct tier every region can fall back
+        to (plan evaluation via
+        :class:`~repro.automata.simplify.FiringPlan`).  Called from
+        :meth:`_drain_region` only (region lock held; trace lock too when
+        tracing); ``obs`` is its hoisted "anything observing" probe."""
+        steps = region.candidates()
         n = len(steps)
         if n == 0:
             return False
-        mx = self._metrics
-        tracing = self.tracer is not None
-        observing = mx is not None or tracing
-        serial = self._serial
-        # Cross-region trace causality: holding the trace lock from probe to
-        # record means a consumer region can only observe (and record) a
-        # value strictly after its producer's record — the tracer's sequence
-        # numbers then respect buffer causality even across OS threads.
-        trace_lock = self._trace_lock if (tracing and not serial) else None
+        pending = region.pend
         # Fairness: round-robin over the candidate list, with one cursor
         # *per control state*.  A cursor is an index into this state's
         # candidate list; the old engine shared one cursor per region, so a
@@ -2023,112 +1743,44 @@ class CoordinatorEngine:
             if not enabled:
                 continue
             plan = self._plan_for(step)
-            if trace_lock is not None:
-                trace_lock.acquire()
-            try:
-                slots = plan.evaluate(offers or {}, self.buffers)
-                if slots is None:
-                    continue
-                # Fire!
-                deliveries = plan.commit(self.buffers, slots)
-                completed_sends: list[str] = []
-                completed_recvs: list[str] = []
-                enq = [] if tracing else None
-                # The latency histogram samples every LATENCY_STRIDE-th
-                # fired step: a full observe per step is the single largest
-                # metric cost, and the distribution doesn't need every step.
-                want_lat = mx is not None and region.fired & _LAT_MASK == 0
-                nops = 0
-                min_te = 0.0  # oldest t_enq among completed stamped ops
-                for v in label:
-                    sq = self._pending_send.get(v)
-                    if sq is not None:
-                        op = sq.popleft()
-                        op.done = True
-                        ev = op.event
-                        if ev is not None:
-                            ev.set()
-                        completed_sends.append(v)
-                        if not serial and not sq:
-                            pending.pop(v, None)
-                    else:
-                        rq = self._pending_recv.get(v)
-                        if rq is None:
-                            continue
-                        op = rq.popleft()
-                        op.value = deliveries.get(v)
-                        op.done = True
-                        ev = op.event
-                        if ev is not None:
-                            ev.set()
-                        completed_recvs.append(v)
-                        if not serial and not rq:
-                            pending.pop(v, None)
-                    if mx is not None:
-                        # Inline (no call frames): at ~10 µs/step the metric
-                        # budget is a few hundred ns (bench_observe.py).
-                        child = mx.done.get(v)
-                        if child is not None:
-                            child.value += 1.0
-                        if want_lat:
-                            nops += 1
-                            te = op.t_enq
-                            if te and (not min_te or te < min_te):
-                                min_te = te
-                    if enq is not None:
-                        enq.append((v, op.t_enq))
-                region.advance(step)
-                region.cursors[state0] = (start + k + 1) % n
-                region.fired += 1
-                self._steps_approx += 1
-                # Signal regions watching a buffer this firing mutated
-                # (pushes/pops only — guard probes don't change contents).
-                if self._watchers:
-                    for b in plan.touched:
-                        ws = self._watchers.get(b)
-                        if ws:
-                            for w in ws:
-                                if w is not region and not w.dirty:
-                                    w.dirty = True
-                                    if spill is not None:
-                                        spill.append(w)
-                if observing or self._vertex_party:
-                    # One clock read per fired step, shared by liveness
-                    # stamping, the latency histogram, and the tracer.
-                    t = time.monotonic()
-                    if self._vertex_party:
-                        for v in completed_sends:
-                            self._mark_active(v, t)
-                        for v in completed_recvs:
-                            self._mark_active(v, t)
-                    if mx is not None:
-                        # Plain int: pull-sampled (with engine.steps) at
-                        # collect time, so step totals cost the hot path
-                        # nothing beyond this add.
-                        region.scanned += k + 1
-                        if nops:
-                            # Age of the oldest completed op; 0.0 when every
-                            # completed op was non-blocking (t_enq unstamped).
-                            with self._stat_lock:
-                                mx.latency_child.observe(
-                                    t - min_te if min_te else 0.0)
-                    if tracing:
-                        self.tracer.record(
-                            region.idx,
-                            label,
-                            completed_sends,
-                            completed_recvs,
-                            tuple(deliveries.items()),
-                            t=t,
-                            waits=tuple(
-                                (v, t - te if te else 0.0) for v, te in enq
-                            ),
-                        )
-            finally:
-                if trace_lock is not None:
-                    trace_lock.release()
-            if serial:
-                self._cond.notify_all()
+            slots = plan.evaluate(offers or {}, self.buffers)
+            if slots is None:
+                continue
+            # Fire!
+            deliveries = plan.commit(self.buffers, slots)
+            completed_sends: list[str] = []
+            completed_recvs: list[str] = []
+            enq: list[tuple[str, float]] = []
+            for v in label:
+                queue = self._pending_send.get(v)
+                if queue is not None:
+                    op = queue.popleft()
+                    completed_sends.append(v)
+                else:
+                    queue = self._pending_recv.get(v)
+                    if queue is None:
+                        continue
+                    op = queue.popleft()
+                    op.value = deliveries.get(v)
+                    completed_recvs.append(v)
+                op.done = True
+                ev = op.event
+                if ev is not None:
+                    ev.set()
+                if not queue:
+                    pending.pop(v, None)
+                enq.append((v, op.t_enq))
+            region.advance(step)
+            region.cursors[state0] = (start + k + 1) % n
+            region.fired += 1
+            self._steps_approx += 1
+            if self._watchers:
+                self._signal_watchers(region, plan.touched, spill)
+            if obs:
+                self._observe_firing(
+                    region, label, k, completed_sends, completed_recvs,
+                    deliveries.items(), enq,
+                )
             return True
         return False
 
@@ -2175,13 +1827,6 @@ class CoordinatorEngine:
             if r.live and not name_set.isdisjoint(r.buffer_names())
         ]
         if not targets:
-            return
-        if self._serial:
-            with self._cond:
-                for r in targets:
-                    r.dirty = True
-                self._drain_serial()
-                self._cond.notify_all()
             return
         spill: list = []
         for r in targets:

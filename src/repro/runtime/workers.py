@@ -73,10 +73,12 @@ from repro.runtime.engine import (  # noqa: F401 (engine pre-import, see above)
     CoordinatorEngine,
     EagerRegion,
     LazyRegion,
+    _Party,
+    stuck_error,
 )
 from repro.runtime.overload import DeadLetterBuffer, OverloadPolicy
 from repro.runtime.recovery import Checkpoint, RegionState
-from repro.runtime.trace import TraceRecorder, render_deadlock_diagnostic
+from repro.runtime.trace import TraceRecorder
 from repro.util.errors import (
     CheckpointError,
     DeadlockError,
@@ -830,17 +832,6 @@ class _POp:
         self.wid = wid
         self.acked = False
         self.resubmit = False
-
-
-class _Party:
-    __slots__ = ("name", "refs", "vertices", "last_active", "steps_active")
-
-    def __init__(self, name=""):
-        self.name = name
-        self.refs = 0
-        self.vertices = set()
-        self.last_active = time.monotonic()
-        self.steps_active = 0
 
 
 class _Handle:
@@ -1686,30 +1677,15 @@ class WorkerCoordinatorEngine:
         for op in self._ops.values():
             table = pending_sends if op.is_send else pending_recvs
             table[op.vertex] = table.get(op.vertex, 0) + 1
-        diagnostic = render_deadlock_diagnostic(
+        return stuck_error(
+            threshold,
             pending_sends=pending_sends,
             pending_recvs=pending_recvs,
             region_states=[],
-            parties={
-                (p.name or f"party{i}"): sorted(p.vertices)
-                for i, p in enumerate(self._parties.values())
-            },
+            parties=self._parties,
             blocked=self._blocked,
-            events=self.tracer.events[-8:] if self.tracer is not None else (),
-        )
-        if self._peer_failures:
-            first = self._peer_failures[0]
-            return PeerFailedError(
-                first.task,
-                first.cause,
-                message=(
-                    f"peer task {first.task!r} failed ({first.cause!r}); "
-                    f"all remaining parties blocked\n{diagnostic}"
-                ),
-            )
-        return DeadlockError(
-            f"all {threshold} parties blocked with no enabled transition",
-            diagnostic=diagnostic,
+            tracer=self.tracer,
+            peer_failures=self._peer_failures,
         )
 
     # ------------------------------------------------------------- parties

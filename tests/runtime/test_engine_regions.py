@@ -1,6 +1,7 @@
 """Region-parallel engine: routing, dirty-region signalling, wakeup slots,
-the serial baseline, and the recovery/overload cold paths under per-region
-locking (docs/INTERNALS.md §"Engine concurrency model")."""
+and the recovery/overload cold paths under per-region locking — and under
+``concurrency="global"``, the same scheduler with every region sharing one
+lock (docs/INTERNALS.md §"Engine concurrency model")."""
 
 import threading
 
@@ -16,6 +17,11 @@ from repro.runtime.tasks import TaskGroup
 from repro.util.errors import DeadlockError, ProtocolTimeoutError
 
 OP_TIMEOUT = 5.0
+
+
+def assert_lock_layout(engine, concurrency):
+    locks = {id(r.lock) for r in engine.regions}
+    assert len(locks) == (1 if concurrency == "global" else len(engine.regions))
 
 
 def lanes_connector(k: int, depth: int = 2, **options):
@@ -86,15 +92,18 @@ def test_lanes_pump_concurrently(concurrency):
         assert got[i] == [(i, j) for j in range(m)]
 
 
-def test_cross_region_dirty_signalling_tau_flow():
+def test_cross_region_dirty_signalling_tau_flow(concurrency="regions"):
     """A partitioned chain couples its regions only through decoupled-fifo
     buffers: a send into the first region must propagate to the last via
     the dirty-region chase (internal τ-steps), with no task at the far end
     driving it."""
-    conn = library.connector("FifoChain", 3, use_partitioning=True)
+    conn = library.connector(
+        "FifoChain", 3, use_partitioning=True, concurrency=concurrency
+    )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
     assert len(conn.engine.regions) >= 2
+    assert_lock_layout(conn.engine, concurrency)
     assert conn.engine._watchers  # chain pieces share decoupled buffers
     # Capacity 3 is only reachable if values shift to the tail buffers
     # across region boundaries as soon as they are pushed.
@@ -114,10 +123,11 @@ def test_unknown_vertex_rejected_in_region_mode():
     conn.close()
 
 
-def test_timeout_withdraws_and_protocol_survives():
+def test_timeout_withdraws_and_protocol_survives(concurrency="regions"):
     """A timed-out receive is withdrawn under its region lock; the lane is
     not poisoned for later operations."""
-    conn = lanes_connector(2, default_timeout=OP_TIMEOUT)
+    conn = lanes_connector(2, default_timeout=OP_TIMEOUT,
+                           concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
     with pytest.raises(ProtocolTimeoutError):
@@ -127,11 +137,12 @@ def test_timeout_withdraws_and_protocol_survives():
     conn.close()
 
 
-def test_deadlock_detection_aggregates_across_regions():
+def test_deadlock_detection_aggregates_across_regions(concurrency="regions"):
     """Registered-party detection must take a consistent snapshot across
     all region locks: two parties blocked on *different* regions of a
     multi-region connector is a real deadlock when nothing is enabled."""
-    conn = lanes_connector(2, depth=1, default_timeout=OP_TIMEOUT)
+    conn = lanes_connector(2, depth=1, default_timeout=OP_TIMEOUT,
+                           concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
     ins[0].set_owner(object(), name="r0")
@@ -177,7 +188,7 @@ def test_concurrency_option_validated():
 
 
 def test_global_mode_stats_and_steps_match_semantics():
-    """The serial baseline is the same engine observable-wise: exact step
+    """The one-lock layout is the same engine observable-wise: exact step
     counts, same stats shape."""
     results = {}
     for mode in ("regions", "global"):
@@ -194,10 +205,11 @@ def test_global_mode_stats_and_steps_match_semantics():
     assert results["global"][1] == "global"
 
 
-def test_wakeup_slots_complete_blocked_parties():
+def test_wakeup_slots_complete_blocked_parties(concurrency="regions"):
     """A blocked submitter parks on its own event; a firing driven by the
-    *other* side must wake exactly it (no condvar in region mode)."""
-    conn = lanes_connector(1, default_timeout=OP_TIMEOUT)
+    *other* side must wake exactly it (no condvar under either layout)."""
+    conn = lanes_connector(1, default_timeout=OP_TIMEOUT,
+                           concurrency=concurrency)
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
     got = []
@@ -214,11 +226,14 @@ def test_wakeup_slots_complete_blocked_parties():
     conn.close()
 
 
-def test_leave_reparametrizes_under_region_locking():
+def test_leave_reparametrizes_under_region_locking(concurrency="regions"):
     """Re-parametrization swaps the region set; survivors keep working and
-    late chasers cannot fire replaced (dead) regions."""
+    late chasers cannot fire replaced (dead) regions.  The new region set
+    keeps the lock layout it was built with — under ``"global"`` the one
+    group lock is old and new at once."""
     conn = library.connector(
-        "Merger", 3, default_timeout=OP_TIMEOUT, use_partitioning=True
+        "Merger", 3, default_timeout=OP_TIMEOUT, use_partitioning=True,
+        concurrency=concurrency,
     )
     outs, ins = mkports(3, 1)
     conn.connect(outs, ins)
@@ -232,9 +247,27 @@ def test_leave_reparametrizes_under_region_locking():
     conn.leave(outs[2], task="C")
     assert all(not r.live for r in old_regions)
     assert all(r.live for r in conn.engine.regions)
+    assert_lock_layout(conn.engine, concurrency)
     t = threading.Thread(target=lambda: got.append(ins[0].recv()))
     t.start()
     outs[0].send("c")
     t.join(OP_TIMEOUT)
     assert got == ["a", "b", "c"]
     conn.close()
+
+
+@pytest.mark.parametrize("scenario", [
+    test_cross_region_dirty_signalling_tau_flow,
+    test_timeout_withdraws_and_protocol_survives,
+    test_deadlock_detection_aggregates_across_regions,
+    test_wakeup_slots_complete_blocked_parties,
+    test_leave_reparametrizes_under_region_locking,
+])
+def test_threaded_scenarios_with_one_group_lock(scenario):
+    """The multi-region threaded scenarios above, re-run with every region
+    sharing one lock: the group lock surviving ``reconfigure`` and
+    ``_chase`` re-taking it only show with real threads and more than one
+    region (the fuzz ``global-*`` modes are unpartitioned).  Kept as one
+    extra test rather than a ``concurrency`` parameter on each scenario so
+    the scenarios keep their established test ids."""
+    scenario(concurrency="global")

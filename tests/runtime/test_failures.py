@@ -8,7 +8,11 @@ from repro.compiler import compile_source
 from repro.connectors import library
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
-from repro.util.errors import DeadlockError, PortClosedError
+from repro.util.errors import (
+    DeadlockError,
+    PortClosedError,
+    ProtocolTimeoutError,
+)
 
 pytestmark = pytest.mark.fault_stress
 
@@ -152,6 +156,29 @@ def test_no_spurious_deadlock_from_nonblocking_probes():
     assert h.join(10) is True
     assert ins[0].recv() == 1
     conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["regions", "global", "workers"])
+def test_zero_expected_parties_is_not_a_deadlock(concurrency):
+    """``expected_parties=0`` (what ``reconfigure`` leaves behind when the
+    last declared party departs) declares nobody to wait for — it must not
+    read as "all 0 parties blocked": a lone blocking recv waits out its
+    timeout on every backend."""
+    conn = library.connector(
+        "FifoChain", 2, expected_parties=0, concurrency=concurrency,
+        use_partitioning=True,
+    )
+    outs, ins = mkports(1, 1)
+    conn.connect(outs, ins)
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolTimeoutError):
+            ins[0].recv(timeout=0.3)
+        assert time.monotonic() - t0 >= 0.3
+        outs[0].send("still alive")
+        assert ins[0].recv(timeout=10) == "still alive"
+    finally:
+        conn.close()
 
 
 def test_deadlock_error_carries_diagnostic_dump():

@@ -207,7 +207,7 @@ def test_disabled_by_default_zero_writes():
         outs[0].send(j)
         ins[0].recv()
     assert conn.engine._metrics is None
-    assert conn.engine._scan_count == 0  # only ever advanced when metered
+    assert conn.engine.scan_total == 0  # only ever advanced when metered
     assert conn.steps > 0
     conn.close()
 

@@ -63,7 +63,7 @@ def sample_value(registry, name, labels):
 
 
 @pytest.mark.parametrize("seed", [11, 23])
-def test_checkpoint_drain_hammer_conservation(seed):
+def test_checkpoint_drain_hammer_conservation(seed, concurrency="regions"):
     """k lanes fire region-parallel under seeded fault delays while one
     thread hammers checkpoint() and the main thread finishes with a drain;
     the books must balance exactly afterwards."""
@@ -74,6 +74,7 @@ def test_checkpoint_drain_hammer_conservation(seed):
         default_timeout=OP_TIMEOUT,
         metrics=registry,
         overload=OverloadPolicy(kind="shed_oldest", max_pending=4),
+        concurrency=concurrency,
     )
     outs, ins = mkports(k, k)
     conn.connect(outs, ins)
@@ -149,7 +150,7 @@ def test_checkpoint_drain_hammer_conservation(seed):
 
 
 @pytest.mark.parametrize("seed", [7])
-def test_leave_quarantine_concurrent_with_firing(seed):
+def test_leave_quarantine_concurrent_with_firing(seed, concurrency="regions"):
     """A supervised farm on a partitioned merger: one producer stalls (the
     watchdog quarantines it → leave() re-parametrizes mid-traffic), the
     rest keep firing region-parallel; every surviving value arrives."""
@@ -158,6 +159,7 @@ def test_leave_quarantine_concurrent_with_firing(seed):
         "EarlyAsyncMerger", n,
         default_timeout=OP_TIMEOUT,
         use_partitioning=True,
+        concurrency=concurrency,
     )
     outs, (result_in,) = mkports(n, 1)
     conn.connect(outs, [result_in])
@@ -218,3 +220,16 @@ def test_leave_quarantine_concurrent_with_firing(seed):
     assert sorted(survivors) == sorted(
         (i, j) for i in range(n - 1) for j in range(m)
     ), f"seed {seed}: lost survivor values"
+
+
+@pytest.mark.parametrize("scenario, seed", [
+    (test_checkpoint_drain_hammer_conservation, 11),
+    (test_checkpoint_drain_hammer_conservation, 23),
+    (test_leave_quarantine_concurrent_with_firing, 7),
+])
+def test_stress_scenarios_with_one_group_lock(scenario, seed):
+    """Both scenarios again under ``concurrency="global"`` — the same
+    scheduler with every region sharing one lock, which must survive the
+    stop-the-world hammer and a mid-traffic ``reconfigure`` (one extra test
+    rather than a second parameter, so the scenarios keep their ids)."""
+    scenario(seed, concurrency="global")
