@@ -12,7 +12,12 @@ implement both: :class:`UnboundedCache` (the paper's behaviour) and three
 bounded caches (:class:`LRUCache`, :class:`FIFOCache`, :class:`RandomCache`)
 whose eviction merely drops an expansion, which is recomputed on the next
 visit — "the disadvantage is the possible need to recompute states …; the
-advantage is that arbitrarily large state spaces can be handled".
+advantage is that arbitrarily large state spaces can be handled".  A cache
+is anything with ``get``/``put``/``clear``/``__len__``.
+
+Recomputing a state is cheap: the product keeps what it learnt about local
+neighbourhoods in a :class:`~repro.automata.product.ComposeMemo`, which no
+eviction touches.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from collections import OrderedDict
 from typing import Sequence
 
 from repro.automata.automaton import BufferSpec, ConstraintAutomaton
-from repro.automata.product import ComposedStep, compose_outgoing, merged_buffers
+from repro.automata.product import (
+    ComposedStep,
+    ComposeMemo,
+    compose_outgoing,
+    merged_buffers,
+)
 from repro.util.errors import CompileError
 
 
@@ -45,6 +55,9 @@ class UnboundedCache:
 
     def put(self, key, value) -> None:
         self._data[key] = value
+
+    def clear(self) -> None:
+        self._data.clear()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -76,6 +89,9 @@ class _BoundedCache:
             self._evict()
             self.evictions += 1
         self._data[key] = value
+
+    def clear(self) -> None:
+        self._data.clear()
 
     def _on_hit(self, key) -> None:  # pragma: no cover - overridden
         pass
@@ -121,6 +137,12 @@ class LazyProduct:
 
     States are tuples of component states.  ``outgoing(state)`` returns the
     composed steps from that state, consulting/filling the cache.
+
+    The cache is keyed on global states and may be bounded; beside it the
+    product owns a :class:`~repro.automata.product.ComposeMemo`, keyed on
+    local neighbourhoods, which makes expanding a state cost what is new in
+    it — and re-expanding an evicted state cost a few dictionary lookups.
+    ``expansions`` counts global states expanded, memo or not.
     """
 
     def __init__(
@@ -133,6 +155,7 @@ class LazyProduct:
         self.mode = mode
         self.cache = cache if cache is not None else UnboundedCache()
         self._buffers = merged_buffers(self.automata)
+        self._memo = ComposeMemo(self.automata)
         self.expansions = 0
         self.initial: tuple[int, ...] = tuple(a.initial for a in self.automata)
         # Expand the initial state up front, as §IV.D prescribes.
@@ -152,10 +175,19 @@ class LazyProduct:
     def outgoing(self, state: tuple[int, ...]) -> list[ComposedStep]:
         steps = self.cache.get(state)
         if steps is None:
-            steps = compose_outgoing(self.automata, state, mode=self.mode)
+            steps = compose_outgoing(
+                self.automata, state, mode=self.mode, memo=self._memo
+            )
             self.cache.put(state, steps)
             self.expansions += 1
         return steps
+
+    def release(self) -> None:
+        """Drop every expansion and memoised closure (the owning connector
+        closed).  The product stays usable — states are expanded again on
+        demand — and ``expansions`` keeps its count."""
+        self.cache.clear()
+        self._memo.clear()
 
     def successor(self, state: tuple[int, ...], step: ComposedStep) -> tuple[int, ...]:
         return step.successor(state)

@@ -13,7 +13,8 @@ Two enumeration modes are provided:
   Independent local transitions interleave instead of additionally producing
   every joint combination.  This is observationally equivalent (any joint
   step of independent parts equals a sequence of minimal steps) and avoids
-  the per-state transition blow-up.
+  the per-state transition blow-up.  Its cost per global state is
+  proportional to what is new in that state: see :class:`ComposeMemo`.
 * ``mode="maximal"``: the textbook product, which also contains every joint
   firing of independent parts.  This faithfully reproduces the behaviour the
   paper reports in §V.C point 3 — "some states with a number of transitions
@@ -69,14 +70,80 @@ class ComposedStep:
         return frozenset(self.parts.items())
 
 
+class ComposeMemo:
+    """What :func:`compose_outgoing` has already worked out about one list
+    of automata, kept between calls so a global state pays only for what is
+    new in it (docs/INTERNALS.md §3).
+
+    A global state of a wide product is a tuple over many small components,
+    and its outgoing steps are the same few local transition sets met in
+    every other global state.  Three things are remembered, none of them
+    keyed on a global state:
+
+    * ``owners`` — vertex → owning components;
+    * ``seeds`` — per seed transition, the steps grown from it, keyed on
+      the components the closure *consulted* (enumerated the outgoing
+      transitions of) and their local states.  The closure reads nothing
+      else of the global state, so an equal key means an equal result;
+    * ``steps`` — one :class:`ComposedStep` per set of local transitions,
+      so the same step met from different global states (or under
+      different neighbourhoods) is the same object.  Steps are immutable
+      and :meth:`ComposedStep.successor` takes the state as an argument;
+      the compiled tier emits one function per such object.
+
+    A memo belongs to the automata list it was built for — a
+    :class:`~repro.automata.lazy.LazyProduct` owns one for its lifetime,
+    :func:`product` one per call — and is used by one thread at a time (the
+    lazy product's region lock).  ``seeds`` is bounded by :data:`MEMO_CAP`
+    entries: a product whose neighbourhoods are as wide as the product
+    itself (a barrier) would otherwise grow it with every visited state
+    behind a bounded state cache.  Over the cap everything is dropped and
+    rebuilt on demand; that is invisible apart from the time it costs.
+    """
+
+    __slots__ = ("owners", "local", "seeds", "steps", "entries")
+
+    def __init__(self, automata: Sequence[ConstraintAutomaton]):
+        self.owners = _vertex_owners(automata)
+        #: per component, local state → its outgoing transitions, equal
+        #: ones dropped (so that no two enumerated steps are equal and the
+        #: enumeration needs no duplicate filter of its own)
+        self.local: list[dict[int, tuple[Transition, ...]]] = [
+            {} for _ in automata
+        ]
+        self.clear()
+
+    def clear(self) -> None:
+        #: per component, local state → per outgoing transition (the seed):
+        #: ``(seed, {consulted components: {their local states: steps}})``
+        self.seeds: list[dict[int, list[tuple[Transition, dict]]]] = [
+            {} for _ in self.local
+        ]
+        self.steps: dict[tuple, ComposedStep] = {}
+        #: memoised closures: one per seed and neighbourhood met
+        self.entries = 0
+
+
+#: Bound on :class:`ComposeMemo` entries (closures, a few steps each).
+MEMO_CAP = 1 << 16
+
+
 def compose_outgoing(
     automata: Sequence[ConstraintAutomaton],
     local_states: Sequence[int],
     mode: str = "minimal",
+    memo: ComposeMemo | None = None,
 ) -> list[ComposedStep]:
-    """Enumerate the global steps available from a tuple of local states."""
+    """Enumerate the global steps available from a tuple of local states.
+
+    ``memo`` carries work over from earlier calls on the same ``automata``
+    (see :class:`ComposeMemo`); it changes neither the steps nor their
+    order.  ``mode="maximal"`` has no use for it."""
     if mode == "minimal":
-        return _compose_minimal(automata, local_states)
+        return _compose_minimal(
+            automata, local_states,
+            memo if memo is not None else ComposeMemo(automata),
+        )
     if mode == "maximal":
         return _compose_maximal(automata, local_states)
     raise CompileError(f"unknown composition mode {mode!r}")
@@ -93,18 +160,71 @@ def _vertex_owners(automata: Sequence[ConstraintAutomaton]) -> dict[str, list[in
 def _compose_minimal(
     automata: Sequence[ConstraintAutomaton],
     local_states: Sequence[int],
+    memo: ComposeMemo,
 ) -> list[ComposedStep]:
     """Minimal closed sets of compatible local transitions.
 
     Starting from each seed transition, components that own a vertex of the
     current union label are *forced* to participate; we branch over their
     compatible local transitions until the set is closed.  Minimality is by
-    construction (only forced components are added); duplicates produced
-    from different seeds are removed by key.
+    construction (only forced components are added).
+
+    Each closed set is grown from its smallest component only (the
+    *canonical seed*): the forced components of a set are connected
+    through shared vertices, so the set is reachable from every one of its
+    members as seed, and seeds are taken in component order — a branch that
+    forces a component below the seed can only rediscover what that
+    component's own seeds already produced, and is cut.  Together with
+    :attr:`ComposeMemo.local` this makes every enumerated step distinct,
+    in the order the uncut enumeration first met them.
     """
-    owners = _vertex_owners(automata)
-    seen: set[frozenset] = set()
+    if memo.entries > MEMO_CAP:
+        memo.clear()
     steps: list[ComposedStep] = []
+    for i, s in enumerate(local_states):
+        seeds = memo.seeds[i].get(s)
+        if seeds is None:
+            seeds = memo.seeds[i][s] = [
+                (t, {}) for t in _local_outgoing(automata, memo, i, s)
+            ]
+        for t, table in seeds:
+            for comps, by_states in table.items():
+                found = by_states.get(tuple([local_states[j] for j in comps]))
+                if found is not None:
+                    break
+            else:
+                comps, found = _grow(automata, local_states, memo, i, t)
+                table.setdefault(comps, {})[
+                    tuple([local_states[j] for j in comps])
+                ] = found
+                memo.entries += 1
+            steps.extend(found)
+    return steps
+
+
+def _local_outgoing(automata, memo: ComposeMemo, j: int, s: int) -> tuple:
+    ts = memo.local[j].get(s)
+    if ts is None:
+        kept: list[Transition] = []
+        for t in automata[j].outgoing(s):
+            if t not in kept:
+                kept.append(t)
+        ts = memo.local[j][s] = tuple(kept)
+    return ts
+
+
+def _grow(
+    automata: Sequence[ConstraintAutomaton],
+    local_states: Sequence[int],
+    memo: ComposeMemo,
+    seed: int,
+    t: Transition,
+) -> tuple[tuple[int, ...], list[ComposedStep]]:
+    """The steps whose smallest component is ``seed``, firing ``t`` there,
+    and the components whose local state the search looked at."""
+    owners = memo.owners
+    consulted: dict[int, None] = {}
+    found: list[ComposedStep] = []
 
     def close(parts: dict[int, Transition], label: set[str]) -> None:
         # Find a component that must participate but has not been decided.
@@ -118,26 +238,28 @@ def _compose_minimal(
                 break
         if pending is None:
             # Closed: check full agreement (L ∩ V_i == label(t_i)).
-            for i, t in parts.items():
-                if (frozenset(label) & automata[i].vertices) != t.label:
+            for i, ti in parts.items():
+                if (frozenset(label) & automata[i].vertices) != ti.label:
                     return
-            key = frozenset(parts.items())
-            if key not in seen:
-                seen.add(key)
-                steps.append(ComposedStep(dict(parts)))
+            key = tuple(sorted((i, id(ti)) for i, ti in parts.items()))
+            step = memo.steps.get(key)
+            if step is None:
+                step = memo.steps[key] = ComposedStep(dict(parts))
+            found.append(step)
             return
         j = pending
+        if j < seed:
+            return  # canonical seed: component j's own seeds grow this set
+        consulted[j] = None
         need = frozenset(label) & automata[j].vertices
-        for t in automata[j].outgoing(local_states[j]):
-            if t.label >= need:
-                parts[j] = t
-                close(parts, label | set(t.label))
+        for tj in _local_outgoing(automata, memo, j, local_states[j]):
+            if tj.label >= need:
+                parts[j] = tj
+                close(parts, label | set(tj.label))
                 del parts[j]
 
-    for i, a in enumerate(automata):
-        for t in a.outgoing(local_states[i]):
-            close({i: t}, set(t.label))
-    return steps
+    close({seed: t}, set(t.label))
+    return tuple(consulted), found
 
 
 def _compose_maximal(
@@ -228,6 +350,7 @@ def product(
     order: list[tuple[int, ...]] = [init]
     transitions: list[Transition] = []
     frontier = [init]
+    memo = ComposeMemo(automata)
     while frontier:
         src = frontier.pop()
         sid = ids[src]
@@ -238,7 +361,7 @@ def product(
                 f"composition exceeded the {time_budget_s}s time budget "
                 f"after {len(order)} states",
             )
-        for step in compose_outgoing(automata, src, mode=mode):
+        for step in compose_outgoing(automata, src, mode=mode, memo=memo):
             tgt = step.successor(src)
             tid = ids.get(tgt)
             if tid is None:

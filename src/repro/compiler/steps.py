@@ -173,6 +173,20 @@ class StepCompiler:
         self._sinks = sinks
         self._registry = registry
         self._closed = closed_vertices
+        #: One emission per distinct step: ``(label, id(atoms),
+        #: id(effects))`` → ``(fire, source, touched)`` plus the two tuples
+        #: themselves, so their ids stay theirs.  See
+        #: :meth:`compile_transition`.
+        self._emitted: dict[tuple, tuple] = {}
+
+    @property
+    def emitted_steps(self) -> int:
+        """Distinct step functions built so far."""
+        return len(self._emitted)
+
+    def release(self) -> None:
+        """Forget every emitted function (the engine closed)."""
+        self._emitted.clear()
 
     # ------------------------------------------------------------------
 
@@ -203,14 +217,46 @@ class StepCompiler:
     # ------------------------------------------------------------------
 
     def compile_transition(self, step, target) -> CompiledStep:
-        """Emit and ``exec`` the specialized step function for one
-        transition (a :class:`~repro.automata.automaton.Transition` or a
-        :class:`~repro.automata.product.ComposedStep`)."""
-        label = step.label
+        """The specialized step function for one transition (a
+        :class:`~repro.automata.automaton.Transition` or a
+        :class:`~repro.automata.product.ComposedStep`) leading to
+        ``target``.
+
+        The function depends on the step's label and constraint and on this
+        compiler's bound objects, never on source or target state, so it is
+        emitted and ``exec``-uted once per distinct step and only the
+        :class:`CompiledStep` wrapper is built per state.  "Distinct" is by
+        label and by *identity* of the ``atoms`` and ``effects`` tuples: a
+        lazy product hands out one
+        :class:`~repro.automata.product.ComposedStep` per set of local
+        transitions however many global states share it, an eager product's
+        transitions carry that step's tuples on (``hide`` rewrites only the
+        label), and identity costs no walk over frozen dataclasses per
+        lookup.  Equal-but-not-identical constraints are merely emitted
+        twice.
+
+        A refusal is not remembered: a refusing step raises every time it
+        is compiled, exactly as if nothing were memoised.  Regions compiling
+        under different locks share the dictionary safely — lookups and
+        stores are atomic, and two threads can only race on a key whose
+        emissions are interchangeable.
+        """
+        label, atoms, effects = step.label, step.atoms, step.effects
+        key = (label, id(atoms), id(effects))
+        hit = self._emitted.get(key)
+        if hit is None:
+            hit = self._emitted[key] = (
+                *self._emit(label, self._plan(label, atoms, effects)),
+                atoms, effects,  # kept alive so their ids stay theirs
+            )
+        fire, source, touched = hit[:3]
+        return CompiledStep(label, target, touched, fire, source)
+
+    def _plan(self, label, atoms, effects) -> FiringPlan:
         # Late-registration probe: commandify would raise KeyError here,
         # but the interpreter resolves names at first fire — demote so a
         # registration between connect and first fire keeps working.
-        functions, predicates = _constraint_names(step.atoms, step.effects)
+        functions, predicates = _constraint_names(atoms, effects)
         for name in sorted(functions):
             if self._registry.try_function(name) is None:
                 raise CompileError(
@@ -222,19 +268,19 @@ class StepCompiler:
                     f"predicate {name!r} not registered at compile time"
                 )
         try:
-            plan = commandify(
-                label, step.atoms, step.effects,
+            return commandify(
+                label, atoms, effects,
                 self._sources, self._sinks, self._registry,
             )
         except ConstraintError as exc:
             # The interpreter would surface this at first fire; demoting
             # the region preserves that behaviour exactly.
             raise CompileError(f"unplannable constraint: {exc}") from exc
-        return self._emit(label, target, plan)
 
     # ------------------------------------------------------------------
 
-    def _emit(self, label, target, plan: FiringPlan) -> CompiledStep:
+    def _emit(self, label, plan: FiringPlan) -> tuple:
+        """Emit and ``exec`` one step function: ``(fire, source, touched)``."""
         ns: dict = {}  # exec namespace: closure bindings by stable name
         lines: list[str] = ["def _fire(pending, obs):"]
         body: list[str] = []
@@ -362,8 +408,10 @@ class StepCompiler:
         source = "\n".join(lines) + "\n"
         code = compile(source, f"<compiled step {sorted(label)}>", "exec")
         exec(code, ns)  # noqa: S102 - the whole point of this module
-        fire = ns["_fire"]
-        return CompiledStep(label, target, plan.touched, fire, source)
+        # Popped, not read: ``fire.__globals__`` is ``ns``, and a namespace
+        # that names its own function is a reference cycle per step, which
+        # only the cyclic collector could free.
+        return ns.pop("_fire"), source, plan.touched
 
 
 def region_sources(engine) -> list[tuple[int, object, str, str]]:

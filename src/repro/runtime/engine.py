@@ -643,7 +643,15 @@ class CoordinatorEngine:
 
     def close(self) -> None:
         """Shut the whole connector down; all blocked tasks get
-        :class:`PortClosedError`."""
+        :class:`PortClosedError`.
+
+        Also frees what the engine built at run time — every region's
+        compiled table and lazy state cache with its compose memo, and the
+        step compiler's emitted functions — so that a closed connector dies
+        by reference count here instead of leaving tens of thousands of
+        objects to whichever later allocation trips the cyclic collector.
+        Nothing fires after ``close()``, but the regions stay well-formed:
+        a late chaser would find empty tables and fill them on demand."""
         with self._lock:
             locks = self._all_locks
             self._acquire(locks)
@@ -655,6 +663,12 @@ class CoordinatorEngine:
                     self._fail_queue(q, is_send=False)
                 for r in self.regions:
                     r.pend.clear()
+                    if r.ctable is not None:
+                        r.ctable = {}
+                    if isinstance(r, LazyRegion):
+                        r.lazy.release()
+                if self._step_compiler is not None:
+                    self._step_compiler.release()
                 self._wake_all_locked()
             finally:
                 self._release(locks)
@@ -1868,6 +1882,16 @@ class CoordinatorEngine:
     # ------------------------------------------------------------- stats
 
     def stats(self) -> dict:
+        """Counters and sizes, readable at any time, ``close()`` included.
+
+        ``steps`` and ``expansions`` (global states expanded by the lazy
+        products, however cheaply) only ever count up.  ``cached_states``
+        (expansions resident in the state caches), ``compiled_states``
+        (control states holding a compiled table) and ``emitted_steps``
+        (distinct step functions behind those tables — one per distinct
+        composed step, not one per state and transition) describe what is
+        installed now: they restart with ``reconfigure`` and read 0 after
+        ``close()``, which frees all three."""
         out = {
             "steps": self.steps,
             "plans": len(self._plans),
@@ -1894,6 +1918,8 @@ class CoordinatorEngine:
         out["cached_states"] = cache_len
         out["compiled_regions"] = compiled_regions
         out["compiled_states"] = compiled_states
+        compiler = self._step_compiler
+        out["emitted_steps"] = compiler.emitted_steps if compiler else 0
         return out
 
 

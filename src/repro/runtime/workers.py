@@ -2177,10 +2177,12 @@ class WorkerCoordinatorEngine:
             "cached_states": 0,
             "compiled_regions": 0,
             "compiled_states": 0,
+            "emitted_steps": 0,
         }
         for h in self._handles:
             for key in ("plans", "expansions", "cached_states",
-                        "compiled_regions", "compiled_states"):
+                        "compiled_regions", "compiled_states",
+                        "emitted_steps"):
                 out[key] += h.ready_stats.get(key, 0)
         return out
 

@@ -6,11 +6,17 @@ agrees with the eager product on the reachable fragment — for *arbitrary*
 small automata, not just the library's.
 """
 
+import itertools
+import random
+import sys
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.automaton import ConstraintAutomaton, Transition
-from repro.automata.lazy import LazyProduct
-from repro.automata.product import product
+from repro.automata.lazy import LazyProduct, LRUCache
+from repro.automata.product import ComposedStep, compose_outgoing, product
+from repro.connectors import library
 
 # A small universe of vertex names; overlap between automata is what makes
 # composition interesting.
@@ -134,3 +140,189 @@ def test_maximal_traces_contain_minimal(a1, a2):
     init_max = {t.label for t in maximal.outgoing(0)}
     assert init_min <= init_max
     assert min_labels  is not None
+
+
+# -- enumeration is pinned, order included ----------------------------------
+#
+# ``compose_outgoing`` cuts non-canonical seeds and memoises closures per
+# local neighbourhood.  Round-robin cursors, checkpoints and fuzz traces
+# index its result by position, so it must return exactly what the plain
+# enumeration returns, in the same order.  The plain enumeration is kept
+# here, verbatim, as the reference.
+
+STATE_CAP = 2000
+
+
+def reference_outgoing(automata, local_states):
+    owners = {}
+    for i, a in enumerate(automata):
+        for v in a.vertices:
+            owners.setdefault(v, []).append(i)
+    seen = set()
+    steps = []
+
+    def close(parts, label):
+        pending = None
+        for v in label:
+            for j in owners[v]:
+                if j not in parts:
+                    pending = j
+                    break
+            if pending is not None:
+                break
+        if pending is None:
+            for i, t in parts.items():
+                if (frozenset(label) & automata[i].vertices) != t.label:
+                    return
+            key = frozenset(parts.items())
+            if key not in seen:
+                seen.add(key)
+                steps.append(ComposedStep(dict(parts)))
+            return
+        j = pending
+        need = frozenset(label) & automata[j].vertices
+        for t in automata[j].outgoing(local_states[j]):
+            if t.label >= need:
+                parts[j] = t
+                close(parts, label | set(t.label))
+                del parts[j]
+
+    for i, a in enumerate(automata):
+        for t in a.outgoing(local_states[i]):
+            close({i: t}, set(t.label))
+    return steps
+
+
+def reference_product_transitions(automata):
+    """``product()``'s exploration over the reference enumeration."""
+    init = tuple(a.initial for a in automata)
+    ids = {init: 0}
+    frontier = [init]
+    out = []
+    while frontier:
+        src = frontier.pop()
+        for step in reference_outgoing(automata, src):
+            tgt = step.successor(src)
+            if tgt not in ids:
+                ids[tgt] = len(ids)
+                frontier.append(tgt)
+            out.append(
+                Transition(ids[src], step.label, ids[tgt], step.atoms, step.effects)
+            )
+    return tuple(out)
+
+
+def keys(steps):
+    return [s.key() for s in steps]
+
+
+def check_enumeration(automata_list, states):
+    """``states`` in visiting order; every route to ``compose_outgoing``
+    must agree with the reference on each."""
+    expected = {s: keys(reference_outgoing(automata_list, s)) for s in set(states)}
+    fresh = LazyProduct(automata_list)
+    for s in states:
+        assert keys(compose_outgoing(automata_list, s)) == expected[s]
+        assert keys(fresh.outgoing(s)) == expected[s]
+    # a four-state cache evicts nearly everything: the second round
+    # re-expands through the memo alone
+    bounded = LazyProduct(automata_list, cache=LRUCache(4))
+    for s in states + states:
+        assert keys(bounded.outgoing(s)) == expected[s]
+    assert bounded.cache.evictions or len(set(states)) <= 4
+
+
+def reachable(automata_list, cap):
+    init = tuple(a.initial for a in automata_list)
+    order, seen, queue = [], {init}, [init]
+    while queue and len(order) < cap:
+        s = queue.pop(0)
+        order.append(s)
+        for step in reference_outgoing(automata_list, s):
+            t = step.successor(s)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return order, not queue
+
+
+@pytest.mark.parametrize("n", (2, 3, 8))
+@pytest.mark.parametrize("name", library.names())
+def test_enumeration_matches_reference_over_reachable_states(name, n):
+    autos = library.connector(name, n).automata
+    states, complete = reachable(autos, STATE_CAP)
+    check_enumeration(autos, states)
+    if complete and len(autos) > 1:
+        eager = product(autos, state_budget=STATE_CAP)
+        assert eager.transitions == reference_product_transitions(autos)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("EarlyAsyncMerger", 16), ("LateAsyncRouter", 16),
+    ("LateAsyncReplicator", 12), ("EarlyAsyncBarrierMerger", 8),
+])
+def test_enumeration_matches_reference_on_a_wide_random_walk(name, n):
+    autos = library.connector(name, n).automata
+    rng = random.Random(f"{name}/{n}")
+    state = tuple(a.initial for a in autos)
+    states = []
+    for _ in range(500):
+        states.append(state)
+        steps = reference_outgoing(autos, state)
+        if not steps:
+            break
+        state = rng.choice(steps).successor(state)
+    check_enumeration(autos, states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(automata(), min_size=2, max_size=4))
+def test_enumeration_matches_reference_on_arbitrary_automata(autos):
+    """Vertices with three and four owners, repeated transitions, components
+    that can never agree: nothing the library's connectors contain."""
+    check_enumeration(
+        autos, list(itertools.product(*(range(a.n_states) for a in autos)))
+    )
+
+
+def test_composed_steps_are_shared_between_global_states():
+    """One ``ComposedStep`` object per set of local transitions, whatever
+    global state it is met from — the compiled tier emits per object."""
+    autos = library.connector("EarlyAsyncMerger", 8).automata
+    lp = LazyProduct(autos)
+    states, _ = reachable(autos, 200)
+    by_key = {}
+    for s in states:
+        for step in lp.outgoing(s):
+            assert by_key.setdefault(step.key(), step) is step
+    assert len(by_key) < sum(len(lp.outgoing(s)) for s in states) / 4
+
+
+def test_equal_local_transitions_are_enumerated_once():
+    """The one case where canonical seeds alone would repeat a step: an
+    automaton listing the same transition twice."""
+    t = Transition(0, frozenset({"a"}), 0)
+    twice = ConstraintAutomaton(1, 0, frozenset({"a"}), (t, Transition(0, frozenset({"a"}), 0)))
+    other = ConstraintAutomaton(1, 0, frozenset({"a", "b"}), (
+        Transition(0, frozenset({"a", "b"}), 0), Transition(0, frozenset({"b"}), 0),
+    ))
+    for autos in ([twice, other], [other, twice]):
+        assert keys(compose_outgoing(autos, (0, 0))) == keys(
+            reference_outgoing(autos, (0, 0))
+        )
+
+
+def test_compose_memo_is_bounded(monkeypatch):
+    # (the package re-exports the function under the module's name)
+    monkeypatch.setattr(sys.modules["repro.automata.product"], "MEMO_CAP", 8)
+    autos = library.connector("EarlyAsyncBarrierMerger", 8).automata
+    lp = LazyProduct(autos, cache=LRUCache(2))
+    states, _ = reachable(autos, 256)
+    per_call = sum(
+        max(len(a.outgoing(s)) for s in range(a.n_states)) for a in autos
+    )
+    sizes = []
+    for s in states:
+        assert keys(lp.outgoing(s)) == keys(reference_outgoing(autos, s))
+        sizes.append(lp._memo.entries)
+    assert max(sizes) <= 8 + per_call  # left alone it reaches 65 > 8 + 45

@@ -246,3 +246,237 @@ def test_region_sources_rows():
         assert source.startswith("def _fire(")
         compile(source, f"<recheck {label}>", "exec")  # stays valid Python
     conn.close()
+
+
+# -- one emission per distinct step -----------------------------------------
+
+
+def random_posts(conn, posts=200, seed=0):
+    """A seeded random schedule over ``post_send``/``post_recv`` from a cold
+    connector (what ``benchmarks/suite/random_posted.py`` does): wide state
+    spaces, a new control state every few posts."""
+    import random
+
+    engine = conn.engine
+    heads, tails = list(conn.head_vertices), list(conn.tail_vertices)
+    vertices = heads + tails
+    handles = dict.fromkeys(vertices)
+    rng = random.Random(seed)
+    for k in range(posts):
+        free = [v for v in vertices if handles[v] is None or handles[v].done]
+        v = rng.choice(free)
+        handles[v] = (engine.post_recv(v) if v in heads
+                      else engine.post_send(v, k))
+
+
+def connected(name, n, **options):
+    conn = library.connector(name, n, **options)
+    conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
+    return conn
+
+
+def installed(engine):
+    """Every ``(state, CompiledStep)`` currently in a region table."""
+    return [(state, e) for r in engine.regions if r.ctable
+            for state, entries in r.ctable.items() for e in entries]
+
+
+def test_step_functions_are_shared_between_states():
+    """The emitted function depends on the composed step, not on the state
+    it leaves or reaches: states that share a step share one ``fire`` and
+    differ only in the wrapper's ``target``."""
+    conn = connected("EarlyAsyncMerger", 16, compiled="require")
+    random_posts(conn)
+    entries = installed(conn.engine)
+    stats = conn.stats()
+    fires = {id(e.fire) for _s, e in entries}
+    assert len(entries) > 400
+    assert len(fires) < 100
+    assert stats["emitted_steps"] == len(fires)
+    assert stats["compiled_states"] == len({s for s, _e in entries})
+    by_fire = {}
+    for state, e in entries:
+        by_fire.setdefault(id(e.fire), []).append((state, e))
+    (s1, e1), (s2, e2) = max(by_fire.values(), key=len)[:2]
+    assert s1 != s2 and e1.fire is e2.fire
+    assert e1.target != e2.target and e1.source == e2.source
+    conn.close()
+
+
+def test_region_sources_keep_one_row_per_state_and_transition():
+    from repro.compiler.steps import region_sources
+
+    conn = connected("EarlyAsyncMerger", 8, compiled="require")
+    random_posts(conn, posts=60)
+    rows = region_sources(conn.engine)
+    assert len(rows) == len(installed(conn.engine))
+    assert len(rows) > conn.stats()["emitted_steps"]
+    assert all(source.startswith("def _fire(") for *_, source in rows)
+    conn.close()
+
+
+# -- what must not outlive what: the memo's lifetime ------------------------
+
+
+def test_leave_starts_a_fresh_compiler_and_fresh_functions():
+    """``leave`` re-adopts regions over new queues: nothing emitted for the
+    old ones may be reused, and the count starts again."""
+    conn = connected("EarlyAsyncMerger", 4, compiled="require")
+    random_posts(conn, posts=40)
+    old_compiler = conn.engine._step_compiler
+    old = [e.fire for _s, e in installed(conn.engine)]  # kept alive: no id reuse
+    assert conn.stats()["emitted_steps"] > 4
+    conn.leave(conn._outports[3])
+    assert conn.engine._step_compiler is not old_compiler
+    assert conn.stats()["emitted_steps"] <= len(installed(conn.engine))
+    random_posts(conn, posts=40)
+    assert not {id(f) for f in old} & {id(e.fire) for _s, e in installed(conn.engine)}
+    # ...and the survivors' traffic went through the new functions
+    assert conn.stats()["compiled_regions"] == len(conn.engine.regions)
+    conn.close()
+
+
+def test_restore_onto_a_warm_connector_keeps_its_functions():
+    """``restore`` mutates buffers in place and keeps tables, so the
+    memoised functions stay valid — and see the restored contents."""
+    conn = connected("EarlyAsyncMerger", 3, compiled="require")
+    outs, ins = conn._outports, conn._inports
+    outs[0].send("a")
+    cp = conn.checkpoint()
+    assert ins[0].recv() == "a"
+    outs[1].send("b")
+    assert ins[0].recv() == "b"
+    before = {s: tuple(e.fire for e in es)
+              for r in conn.engine.regions for s, es in r.ctable.items()}
+    emitted = conn.stats()["emitted_steps"]
+    conn.restore(cp)
+    after = {s: tuple(e.fire for e in es)
+             for r in conn.engine.regions for s, es in r.ctable.items()}
+    assert after == before and conn.stats()["emitted_steps"] == emitted
+    assert ins[0].recv() == "a"  # the restored value, through a kept function
+    conn.close()
+
+
+LATE = "T(a;b) = Fifo1(a;m) mult Transform<late>(m;b)"
+
+
+def test_refusal_after_the_first_state_demotes_and_late_registration_works():
+    """The initial state compiles; the state holding the ``<late>`` step
+    refuses, the region is demoted, and the interpreter resolves the name
+    at first fire."""
+    reg = DEFAULT_REGISTRY.merged_with(None)
+    conn = compile_source(LATE).instantiate_connector(
+        "T", registry=reg, compiled="auto")
+    conn.connect(*mkports(1, 1))
+    assert conn.stats()["compiled_regions"] == 1
+    engine = conn.engine
+    engine.post_send(conn.tail_vertices[0], 4)
+    assert conn.stats()["compiled_regions"] == 0  # demoted on the new state
+    reg.register_function("late", lambda x: x * 10)
+    op = engine.post_recv(conn.head_vertices[0])
+    assert op.done and op.value == 40
+    conn.close()
+
+
+def test_refusal_is_not_memoised_under_require():
+    """A refusing step refuses every time it is compiled, not only on the
+    first miss — and compiles once the name is there."""
+    reg = DEFAULT_REGISTRY.merged_with(None)
+    conn = compile_source(LATE).instantiate_connector(
+        "T", registry=reg, compiled="require")
+    conn.connect(*mkports(1, 1))
+    engine = conn.engine
+    with pytest.raises(CompileError, match="late"):
+        engine.post_send(conn.tail_vertices[0], 4)
+    for _ in range(2):
+        with pytest.raises(CompileError, match="late"):
+            engine.post_recv(conn.head_vertices[0])
+    reg.register_function("late", lambda x: x * 10)
+    engine.post_recv(conn.head_vertices[0])
+    assert conn.stats()["compiled_regions"] == 1
+    conn.close()
+
+
+def test_two_regions_compile_concurrently_under_their_own_locks():
+    """Partitioned regions share one ``StepCompiler``; each thread expands
+    and compiles its own region's states under that region's lock only."""
+    import sys
+    import threading
+
+    from repro.compiler.fromgraph import connector_from_graph
+    from repro.connectors.graph import Arc, ConnectorGraph
+    from repro.connectors.library import BuiltConnector
+
+    lanes, k, rounds = 4, 8, 5
+    graph = ConnectorGraph()
+    tails = []
+    for lane in range(lanes):
+        mids = tuple(f"l{lane}m{i}" for i in range(k))
+        for i in range(k):
+            graph = graph.add(Arc("sync", (f"l{lane}t{i}",), (mids[i],), ()))
+            tails.append(f"l{lane}t{i}")
+        graph = graph.add(Arc("seq", mids, (), ()))
+    conn = connector_from_graph(
+        BuiltConnector(graph, tuple(tails), ()), name="SeqLanes",
+        use_partitioning=True, compiled="require", default_timeout=10.0)
+    outs, _ = mkports(lanes * k, 0)
+    conn.connect(outs, [])
+    assert len(conn.engine.regions) == lanes
+    assert len({id(r.lock) for r in conn.engine.regions}) == lanes
+    start = threading.Barrier(lanes)
+    errors = []
+
+    def drive(lane):
+        try:
+            start.wait()
+            for r in range(rounds):
+                for i in range(k):
+                    outs[lane * k + i].send((lane, r, i))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drive, args=(lane,))
+                   for lane in range(lanes)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    stats = conn.stats()
+    assert stats["steps"] == lanes * k * rounds
+    assert stats["compiled_regions"] == lanes
+    assert stats["compiled_states"] == lanes * k
+    assert stats["emitted_steps"] == lanes * k  # one per step, none lost
+    conn.close()
+
+
+# -- close() frees what the engine built ------------------------------------
+
+
+def test_closed_connector_leaves_little_for_the_cyclic_collector():
+    """Tables, caches and memos die by reference count inside ``close()``:
+    tens of thousands of objects left to the generational collector would
+    turn up as a pause in whatever allocates next."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        conn = connected("EarlyAsyncMerger", 16)
+        random_posts(conn)
+        assert conn.stats()["compiled_states"] > 20
+        conn.close()
+        after = conn.stats()
+        del conn
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage < 5000
+    assert after["steps"] > 100 and after["expansions"] > 20
+    assert (after["cached_states"], after["compiled_states"],
+            after["emitted_steps"]) == (0, 0, 0)

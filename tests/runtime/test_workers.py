@@ -66,6 +66,18 @@ def test_replicator_roundtrip_and_close():
         outs[0].send("y")
 
 
+def test_stats_sum_the_workers_compiled_tier():
+    """``emitted_steps`` is aggregated like ``compiled_states``: summed over
+    the workers' own engines as of their ready handshake."""
+    conn = workers_connector("Replicator", 2, compiled="require")
+    outs, ins = mkports(1, 2)
+    conn.connect(outs, ins)
+    stats = conn.stats()
+    conn.close()
+    assert stats["compiled_regions"] >= 1
+    assert 1 <= stats["emitted_steps"] and 1 <= stats["compiled_states"]
+
+
 def test_pipeline_crosses_worker_boundary():
     """An EarlyAsyncRouter's regions are split round-robin across two
     workers, so values flow through the touched/kick relay between

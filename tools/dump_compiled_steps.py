@@ -40,7 +40,8 @@ def main(argv=None) -> int:
         stats = conn.stats()
         print(f"# {name}/{n}: {stats['compiled_regions']} compiled "
               f"region(s), {stats['compiled_states']} state(s), "
-              f"{len(rows)} step function(s)")
+              f"{len(rows)} compiled transition(s) sharing "
+              f"{stats['emitted_steps']} step function(s)")
         if not rows:
             print("# (no compiled steps — every region demoted; "
                   "see docs/COMPILER.md §3)")
