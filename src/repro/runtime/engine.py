@@ -57,6 +57,9 @@ as a second implementation — see docs/DECISIONS.md.
 
 Fault tolerance
 ---------------
+(The party registry, the blocked-wait loop, the detector and the admin
+validation described here and below are :class:`~repro.runtime.host.EngineHost`'s,
+shared with the workers backend; this module supplies its hooks.)
 Blocking operations take an optional ``timeout``; a timed-out operation is
 *withdrawn* from its queue before :class:`ProtocolTimeoutError` is raised,
 so it can never enable a transition on behalf of a task that gave up.
@@ -99,27 +102,15 @@ from typing import Sequence
 
 from repro.automata.analysis import GlobalIndex
 from repro.automata.automaton import ConstraintAutomaton
-from repro.automata.constraint import DEFAULT_REGISTRY, FunctionRegistry
+from repro.automata.constraint import FunctionRegistry
 from repro.automata.lazy import LazyProduct
 from repro.automata.simplify import FiringPlan, commandify
 from repro.runtime.buffers import BufferStore
+from repro.runtime.host import EngineHost
 from repro.runtime.metrics import LATENCY_STRIDE
-from repro.runtime.overload import DeadLetterBuffer, OverloadPolicy
+from repro.runtime.overload import OverloadPolicy
 from repro.runtime.recovery import Checkpoint, RegionState
-from repro.runtime.trace import render_deadlock_diagnostic
-from repro.util.errors import (
-    CheckpointError,
-    CompileError,
-    DeadlockError,
-    OverloadError,
-    PeerFailedError,
-    PortClosedError,
-    ProtocolTimeoutError,
-    RuntimeProtocolError,
-)
-
-#: How long a blocked operation waits between deadlock/timeout re-checks.
-_WAIT_TICK = 0.1
+from repro.util.errors import CompileError, OverloadError, PortClosedError
 
 #: Bitmask for the sampled latency histogram (LATENCY_STRIDE is a power
 #: of two; ``steps & mask == 0`` is measurably cheaper than ``%``).
@@ -163,62 +154,6 @@ class _Op:
         self.event: threading.Event | None = None
 
 
-class _Party:
-    """One registered party (task) of the engine, refcounted by port.
-
-    ``last_active``/``steps_active`` record the party's last *protocol
-    activity* — submitting an operation or having one completed by a firing
-    — as a wall-clock instant and an engine step count.  A party that stays
-    inactive while the step count advances is stalled or pathologically
-    slow (watchdog material); one that stays inactive while nothing moves
-    anywhere is deadlock material.
-    """
-
-    __slots__ = ("name", "refs", "vertices", "last_active", "steps_active")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.refs = 0
-        self.vertices: set[str] = set()
-        self.last_active = time.monotonic()
-        self.steps_active = 0
-
-
-def stuck_error(threshold: int, *, pending_sends: dict[str, int],
-                pending_recvs: dict[str, int], region_states, parties,
-                blocked: int, tracer, peer_failures) -> Exception:
-    """The error delivered to all blocked parties once a deadlock is
-    confirmed (shared with the workers backend): a PeerFailedError blaming
-    the first crashed peer when supervision recorded one, else a
-    DeadlockError with a full diagnostic dump.  ``parties`` is the engine's
-    party registry, ``pending_*`` its non-empty queue depths by vertex."""
-    diagnostic = render_deadlock_diagnostic(
-        pending_sends=pending_sends,
-        pending_recvs=pending_recvs,
-        region_states=region_states,
-        parties={
-            (p.name or f"party{i}"): sorted(p.vertices)
-            for i, p in enumerate(parties.values())
-        },
-        blocked=blocked,
-        events=tracer.events[-8:] if tracer is not None else (),
-    )
-    if peer_failures:
-        first = peer_failures[0]
-        return PeerFailedError(
-            first.task,
-            first.cause,
-            message=(
-                f"peer task {first.task!r} failed ({first.cause!r}); "
-                f"all remaining parties blocked\n{diagnostic}"
-            ),
-        )
-    return DeadlockError(
-        f"all {threshold} parties blocked with no enabled transition",
-        diagnostic=diagnostic,
-    )
-
-
 class _RegionRuntime:
     """Runtime fields the engine stamps onto every region it adopts.
 
@@ -259,6 +194,8 @@ class _RegionRuntime:
 
 class EagerRegion(_RegionRuntime):
     """Region backed by a fully composed automaton + global index."""
+
+    kind = "eager"  # RegionState.kind of this region's checkpoints
 
     def __init__(self, automaton: ConstraintAutomaton):
         self.automaton = automaton
@@ -302,9 +239,18 @@ class EagerRegion(_RegionRuntime):
     def advance(self, step) -> None:
         self.state = step.target
 
+    def validate_state(self, state) -> int:
+        """``state`` as a control state of this region, or ValueError."""
+        n = self.automaton.n_states
+        if not isinstance(state, int) or not (0 <= state < n):
+            raise ValueError(f"state {state!r} out of range for {n}-state region")
+        return state
+
 
 class LazyRegion(_RegionRuntime):
     """Region backed by a just-in-time product."""
+
+    kind = "lazy"
 
     def __init__(self, lazy: LazyProduct):
         self.lazy = lazy
@@ -331,8 +277,11 @@ class LazyRegion(_RegionRuntime):
     def advance(self, step) -> None:
         self.state = step.successor(self.state)
 
+    def validate_state(self, state):
+        return self.lazy.validate_state(state)
 
-class CoordinatorEngine:
+
+class CoordinatorEngine(EngineHost):
     """Reactive state machine driving one protocol instance.
 
     ``sources`` are boundary vertices bound to outports (tasks send there);
@@ -377,79 +326,32 @@ class CoordinatorEngine:
             raise ValueError(
                 f"concurrency must be 'regions' or 'global', not {concurrency!r}"
             )
-        if compiled not in ("auto", "off", "require"):
-            raise ValueError(
-                f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
-            )
-        self.concurrency = concurrency
+        super().__init__(
+            concurrency, sources, sinks, registry, expected_parties, tracer,
+            default_timeout, detection_grace, overload, metrics, compiled,
+            buffers,
+        )
         self.buffers = buffers
-        self.sources = sources
-        self.sinks = sinks
-        self.registry = registry or DEFAULT_REGISTRY
-        self.expected_parties = expected_parties
-        self.tracer = tracer
-        # ConnectorMetrics hook bundle (repro.runtime.metrics) or None.
-        # Every hot-path use is guarded by one `is not None` check, so an
-        # unobserved engine runs the pre-observability code path.
-        self._metrics = metrics
         # Timing stamps and liveness marks on the post path exist for the
         # observability layer and the watchdog; with neither attached they
         # are skipped (parties arriving later re-enable them dynamically —
         # see _post).
         self._observing = metrics is not None or tracer is not None
-        self.default_timeout = default_timeout
-        self.detection_grace = detection_grace
-        # Compiled step tier (repro.compiler.steps): "auto" compiles what it
-        # can and demotes the rest to the interpretive engine, "off" forces
-        # interpretation everywhere, "require" raises CompileError instead
-        # of demoting (tests and tooling).
-        self._compiled = compiled
         self._step_compiler = None
 
-        # Registry lock — outermost in the lock order.  Guards the party
-        # registry, the blocked-waiter count, and the deadlock suspect;
-        # cold paths additionally take every region lock under it.
-        self._lock = threading.Lock()
         # concurrency="global": the one lock every region is handed (it
         # outlives reconfigure, so the group stays one group).  None means
         # a fresh lock per region.
         self._group_lock = threading.Lock() if concurrency == "global" else None
-        # Leaf locks: shared metric structures (latency histogram, shed /
-        # rejected memo dicts) and cross-region trace causality.
-        self._stat_lock = threading.Lock()
+        # Leaf lock for cross-region trace causality.
         self._trace_lock = threading.Lock()
 
         self._pending_send: dict[str, deque[_Op]] = {v: deque() for v in sources}
         self._pending_recv: dict[str, deque[_Op]] = {v: deque() for v in sinks}
-        self._closed_vertices: set[str] = set()
-        self._vertex_errors: dict[str, Exception] = {}
-        self._closed = False
-        self._blocked = 0
-
-        self._policies = self._normalize_policies(overload, sources, sinks)
-        self.dead = DeadLetterBuffer()
-        self._draining = False
-        # Baseline buffered-value count: token-ring connectors permanently
-        # hold protocol tokens, so "drained" means back *down to* this
-        # occupancy, not necessarily empty.
-        self._initial_occupancy = sum(
-            buffers.occupancy(n) for n in buffers.names()
-        )
-
-        self._parties: dict[object, _Party] = {}
-        self._vertex_party: dict[str, _Party] = {}
-        self._party_gen = 0  # bumped on every (un)registration
-        self._peer_failures: list[PeerFailedError] = []
-        # Candidate deadlock sighting awaiting confirmation:
-        # ((steps, party_gen, stuck), first_seen_monotonic).
-        self._suspect: tuple | None = None
 
         self._plans: dict[tuple, FiringPlan] = {}
-        # steps/scan totals are summed over the live regions plus a base
-        # carried across restore/reconfigure; _steps_approx is a racily
-        # maintained shortcut for hot-path liveness stamps.
-        self._steps_base = 0
-        self._scan_base = 0
+        # _steps_approx is a racily maintained shortcut to ``steps`` for
+        # hot-path liveness stamps.
         self._steps_approx = 0
 
         self._adopt_regions(regions)
@@ -459,46 +361,12 @@ class CoordinatorEngine:
 
         # Fire anything enabled from the very start (e.g. token rings with
         # initialized fifos feeding internal vertices).
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                for r in self.regions:
-                    r.dirty = True
-                self._drain_all_locked()
-            finally:
-                self._release(locks)
+        with self._world_stopped():
+            for r in self.regions:
+                r.dirty = True
+            self._drain_all_locked()
 
     # ------------------------------------------------------------------ API
-
-    @staticmethod
-    def _normalize_policies(
-        overload, sources: frozenset[str], sinks: frozenset[str]
-    ) -> dict[str, OverloadPolicy]:
-        """Expand the ``overload`` option into a per-vertex policy map.
-
-        A bare :class:`OverloadPolicy` applies to every *source* vertex
-        (shedding a receive is meaningless — there is no value to capture);
-        a dict maps vertex names explicitly and may put ``block`` or
-        ``fail_fast`` on sinks too.
-        """
-        if overload is None:
-            return {}
-        if isinstance(overload, OverloadPolicy):
-            return {v: overload for v in sources}
-        policies: dict[str, OverloadPolicy] = {}
-        for vertex, pol in overload.items():
-            if vertex not in sources and vertex not in sinks:
-                raise RuntimeProtocolError(
-                    f"overload policy for unknown boundary vertex {vertex!r}"
-                )
-            if pol.sheds and vertex in sinks:
-                raise RuntimeProtocolError(
-                    f"policy {pol.kind!r} on sink vertex {vertex!r}: shedding "
-                    "applies to sends only (a receive has no value to capture)"
-                )
-            policies[vertex] = pol
-        return policies
 
     def submit_send(
         self,
@@ -563,83 +431,21 @@ class CoordinatorEngine:
         self._enqueue(self._pending_recv[vertex], op, False, None, _LEAVE)
         return op
 
-    def register_party(self, key, name: str = "", vertex: str | None = None) -> None:
-        """Declare a party (task) of this protocol instance.
-
-        One registration per (party, port); re-registrations are refcounted.
-        While any parties are registered, precise deadlock detection is
-        armed: all registered parties blocked + quiescent engine (stable for
-        ``detection_grace`` seconds) fails every blocked operation.
-        """
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                party = self._parties.get(key)
-                if party is None:
-                    party = self._parties[key] = _Party(name)
-                party.refs += 1
-                if name and not party.name:
-                    party.name = name
-                if vertex is not None:
-                    party.vertices.add(vertex)
-                    self._vertex_party[vertex] = party
-                party.last_active = time.monotonic()
-                party.steps_active = self._steps_approx
-                self._party_gen += 1
-                self._suspect = None
-            finally:
-                self._release(locks)
-
-    def unregister_party(self, key, vertex: str | None = None) -> None:
-        """Drop one registration of ``key`` (a party exits, or one of its
-        ports closes).  Wakes blocked waiters so detection re-evaluates
-        against the smaller party set."""
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                party = self._parties.get(key)
-                if party is None:
-                    return
-                if vertex is not None:
-                    party.vertices.discard(vertex)
-                    if self._vertex_party.get(vertex) is party:
-                        del self._vertex_party[vertex]
-                party.refs -= 1
-                if party.refs <= 0:
-                    del self._parties[key]
-                self._party_gen += 1
-                self._suspect = None
-                self._wake_all_locked()
-            finally:
-                self._release(locks)
-
     def close_vertex(self, vertex: str, error: Exception | None = None) -> None:
         """Close one boundary vertex.  Pending and future operations on it
         fail with ``error`` (default :class:`PortClosedError`); a
         :class:`PeerFailedError` is additionally remembered so that peers
         detected as stuck later blame the dead task, not a bare deadlock."""
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                self._closed_vertices.add(vertex)
-                if error is not None:
-                    self._vertex_errors[vertex] = error
-                    if isinstance(error, PeerFailedError):
-                        self._peer_failures.append(error)
-                self._fail_queue(self._pending_send.get(vertex), error,
-                                 is_send=True)
-                self._fail_queue(self._pending_recv.get(vertex), error,
-                                 is_send=False)
-                region = self._route.get(vertex)
-                if region is not None:
-                    region.pend.pop(vertex, None)
-                self._suspect = None
-                self._wake_all_locked()
-            finally:
-                self._release(locks)
+        with self._world_stopped():
+            self._note_closed(vertex, error)
+            self._fail_queue(self._pending_send.get(vertex), error,
+                             is_send=True)
+            self._fail_queue(self._pending_recv.get(vertex), error,
+                             is_send=False)
+            region = self._route.get(vertex)
+            if region is not None:
+                region.pend.pop(vertex, None)
+            self._wake_all_locked()
 
     def close(self) -> None:
         """Shut the whole connector down; all blocked tasks get
@@ -652,26 +458,21 @@ class CoordinatorEngine:
         objects to whichever later allocation trips the cyclic collector.
         Nothing fires after ``close()``, but the regions stay well-formed:
         a late chaser would find empty tables and fill them on demand."""
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                self._closed = True
-                for q in self._pending_send.values():
-                    self._fail_queue(q, is_send=True)
-                for q in self._pending_recv.values():
-                    self._fail_queue(q, is_send=False)
-                for r in self.regions:
-                    r.pend.clear()
-                    if r.ctable is not None:
-                        r.ctable = {}
-                    if isinstance(r, LazyRegion):
-                        r.lazy.release()
-                if self._step_compiler is not None:
-                    self._step_compiler.release()
-                self._wake_all_locked()
-            finally:
-                self._release(locks)
+        with self._world_stopped():
+            self._closed = True
+            for q in self._pending_send.values():
+                self._fail_queue(q, is_send=True)
+            for q in self._pending_recv.values():
+                self._fail_queue(q, is_send=False)
+            for r in self.regions:
+                r.pend.clear()
+                if r.ctable is not None:
+                    r.ctable = {}
+                if isinstance(r, LazyRegion):
+                    r.lazy.release()
+            if self._step_compiler is not None:
+                self._step_compiler.release()
+            self._wake_all_locked()
 
     # --------------------------------------------------- region plumbing
 
@@ -773,15 +574,11 @@ class CoordinatorEngine:
                 continue
             r.compiled = True
 
-    @staticmethod
-    def _acquire(locks) -> None:
-        for lock in locks:
-            lock.acquire()
-
-    @staticmethod
-    def _release(locks) -> None:
-        for lock in reversed(locks):
-            lock.release()
+    def _freeze(self) -> tuple:
+        """Host hook (``_lock`` held): take every region lock."""
+        locks = self._all_locks
+        self._acquire(locks)
+        return locks
 
     def _acquire_owner(self, vertex: str):
         """Lock and return the region owning ``vertex``, re-resolving the
@@ -815,6 +612,13 @@ class CoordinatorEngine:
             len(q) for q in self._pending_recv.values()
         )
 
+    def _pending_ops(self, vertices):
+        """Host hook (all region locks held)."""
+        for v in vertices:
+            for q in (self._pending_send.get(v), self._pending_recv.get(v)):
+                if q:
+                    yield from q
+
     @property
     def steps(self) -> int:
         """Global execution steps fired (the Fig. 12 metric) — the sum of
@@ -837,34 +641,8 @@ class CoordinatorEngine:
     @property
     def quiescent(self) -> bool:
         """True when no operation is pending and no party is blocked."""
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                return self._pending_count() == 0 and self._blocked == 0
-            finally:
-                self._release(locks)
-
-    def _require_quiescent(self, action: str) -> None:
-        """Caller holds ``_lock`` and every region lock."""
-        pending = self._pending_count()
-        if pending or self._blocked:
-            raise CheckpointError(
-                f"{action} requires a quiescent engine: {pending} pending "
-                f"operation(s), {self._blocked} blocked waiter(s)"
-            )
-        if self._closed or self._closed_vertices:
-            raise CheckpointError(
-                f"{action} requires a fully open connector: "
-                + ("engine closed" if self._closed
-                   else f"closed vertices {sorted(self._closed_vertices)}")
-            )
-        if self._draining:
-            raise CheckpointError(
-                f"{action} rejected: connector is draining (a drain ends in "
-                "close, so the snapshot could never be resumed here — "
-                "checkpoint at a quiescent point before draining instead)"
-            )
+        with self._world_stopped():
+            return self._pending_count() == 0 and self._blocked == 0
 
     def checkpoint(self, name: str = "") -> Checkpoint:
         """Snapshot the complete protocol state at a quiescent point.
@@ -876,44 +654,22 @@ class CoordinatorEngine:
         nothing closed) — a mid-firing snapshot would not be a protocol
         state at all.
         """
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                self._require_quiescent("checkpoint")
-                # regions are snapshotted in idx order (identical to list
-                # order by construction — see _adopt_regions).  ``rr``
-                # carries the per-state fairness cursor table so a restored
-                # run makes the same nondeterministic choices the original
-                # would have.
-                regions = tuple(
-                    RegionState(
-                        "eager", r.state, tuple(sorted(r.cursors.items()))
-                    )
-                    if isinstance(r, EagerRegion)
-                    else RegionState(
-                        "lazy", tuple(r.state),
-                        tuple(sorted(r.cursors.items())),
-                    )
-                    for r in self.regions
+        with self._world_stopped():
+            self._require_quiescent("checkpoint")
+            # regions are snapshotted in idx order (identical to list
+            # order by construction — see _adopt_regions).  ``rr``
+            # carries the per-state fairness cursor table so a restored
+            # run makes the same nondeterministic choices the original
+            # would have.
+            regions = [
+                RegionState(
+                    r.kind,
+                    r.state if isinstance(r, EagerRegion) else tuple(r.state),
+                    tuple(sorted(r.cursors.items())),
                 )
-                parties = tuple(
-                    (p.name or f"party{i}", tuple(sorted(p.vertices)))
-                    for i, p in enumerate(self._parties.values())
-                )
-                return Checkpoint(
-                    connector=name,
-                    regions=regions,
-                    buffers=self.buffers.snapshot(),
-                    steps=self.steps,
-                    parties=parties,
-                    boundary=(
-                        tuple(sorted(self.sources)),
-                        tuple(sorted(self.sinks)),
-                    ),
-                )
-            finally:
-                self._release(locks)
+                for r in self.regions
+            ]
+            return self._checkpoint_of(name, regions, self.buffers.snapshot())
 
     def restore(self, cp: Checkpoint) -> None:
         """Restore a checkpoint into this engine (same or structurally
@@ -925,77 +681,22 @@ class CoordinatorEngine:
         restore (e.g. a fresh connector's constructor drain) predate the
         restored state.
         """
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                self._require_quiescent("restore")
-                if cp.boundary:
-                    here = (
-                        tuple(sorted(self.sources)),
-                        tuple(sorted(self.sinks)),
-                    )
-                    if tuple(cp.boundary) != here:
-                        raise CheckpointError(
-                            "checkpoint boundary signature "
-                            f"{tuple(cp.boundary)!r} does not match engine "
-                            f"{here!r} — the snapshot was taken from a "
-                            "structurally different connector (e.g. before "
-                            "a re-parametrization)"
-                        )
-                if len(cp.regions) != len(self.regions):
-                    raise CheckpointError(
-                        f"checkpoint has {len(cp.regions)} regions, engine has "
-                        f"{len(self.regions)}"
-                    )
-                validated = []
-                for rs, region in zip(cp.regions, self.regions):
-                    if isinstance(region, EagerRegion):
-                        if rs.kind != "eager":
-                            raise CheckpointError(
-                                f"region kind mismatch: checkpoint {rs.kind!r}, "
-                                "engine 'eager' (same composition mode required)"
-                            )
-                        n = region.automaton.n_states
-                        if not isinstance(rs.state, int) or not (0 <= rs.state < n):
-                            raise CheckpointError(
-                                f"state {rs.state!r} out of range for "
-                                f"{n}-state region"
-                            )
-                        validated.append(rs.state)
-                    else:
-                        if rs.kind != "lazy":
-                            raise CheckpointError(
-                                f"region kind mismatch: checkpoint {rs.kind!r}, "
-                                "engine 'lazy' (same composition mode required)"
-                            )
-                        try:
-                            validated.append(region.lazy.validate_state(rs.state))
-                        except ValueError as exc:
-                            raise CheckpointError(str(exc)) from None
-                try:
-                    self.buffers.restore(cp.buffers)
-                except Exception as exc:
-                    raise CheckpointError(f"buffer restore failed: {exc}") from exc
-                for region, rs, state in zip(self.regions, cp.regions, validated):
-                    region.state = state
-                    # int accepted for hand-built pre-cursor-table states.
-                    region.cursors = (
-                        {} if isinstance(rs.rr, int) else dict(rs.rr)
-                    )
-                self.steps = cp.steps
-                self._suspect = None
-                if self.tracer is not None:
-                    self.tracer.clear()
-                # A quiescent-point snapshot has no internal transition
-                # enabled, so this drain is a no-op in the normal case — it
-                # only matters if a caller restores a hand-built checkpoint.
-                for r in self.regions:
-                    r.dirty = True
-                self._drain_all_locked()
-                self._wake_all_locked()
-            finally:
-                self._release(locks)
+        with self._world_stopped():
+            self._require_quiescent("restore")
+            validated = self._validate_checkpoint(cp, self.regions, self.buffers)
+            self.buffers.restore(cp.buffers)
+            self._install_states(cp, self.regions, validated)
+            self.steps = cp.steps
+            self._suspect = None
+            if self.tracer is not None:
+                self.tracer.clear()
+            # A quiescent-point snapshot has no internal transition
+            # enabled, so this drain is a no-op in the normal case — it
+            # only matters if a caller restores a hand-built checkpoint.
+            for r in self.regions:
+                r.dirty = True
+            self._drain_all_locked()
+            self._wake_all_locked()
 
     def reconfigure(
         self,
@@ -1031,8 +732,7 @@ class CoordinatorEngine:
         the closing drain — has completed.
         """
         with self._lock:
-            old_locks = self._all_locks
-            self._acquire(old_locks)
+            old_locks = self._freeze()
             new_acquired: tuple = ()
             try:
                 self._steps_base = self.steps
@@ -1041,8 +741,6 @@ class CoordinatorEngine:
                 for r in self.regions:
                     r.live = False
                 self.buffers = buffers
-                self.sources = sources
-                self.sinks = sinks
                 self._pending_send = {v: deque() for v in sources}
                 self._pending_recv = {v: deque() for v in sinks}
                 for old_map, new_map, was_send in (
@@ -1063,39 +761,8 @@ class CoordinatorEngine:
                         for op in q:
                             op.vertex = nv
                         new_map[nv] = q  # reuse the deque: see docstring
-                self._closed_vertices = {
-                    vertex_map[v] for v in self._closed_vertices if v in vertex_map
-                }
-                self._vertex_errors = {
-                    vertex_map[v]: e
-                    for v, e in self._vertex_errors.items()
-                    if v in vertex_map
-                }
-                self._peer_failures.clear()
-                self._vertex_party = {}
-                for party in self._parties.values():
-                    party.vertices = {
-                        vertex_map[v] for v in party.vertices if v in vertex_map
-                    }
-                    for v in party.vertices:
-                        self._vertex_party[v] = party
-                if self.expected_parties is not None:
-                    self.expected_parties = max(
-                        0, self.expected_parties - expected_delta
-                    )
-                self._policies = {
-                    vertex_map[v]: p
-                    for v, p in self._policies.items()
-                    if v in vertex_map
-                }
-                self.dead.remap(vertex_map)
-                if initial_occupancy is not None:
-                    # The re-instantiated connector's token baseline (captured
-                    # by the caller *before* buffer migration) replaces the
-                    # old one.
-                    self._initial_occupancy = initial_occupancy
-                self._party_gen += 1
-                self._suspect = None
+                self._remap_boundary(vertex_map, sources, sinks,
+                                     expected_delta, initial_occupancy)
                 self._plans.clear()
                 self._adopt_regions(regions)
                 # Fresh locks, unreachable until now: acquiring them under
@@ -1125,15 +792,6 @@ class CoordinatorEngine:
 
     # ------------------------------------------------------------ internals
 
-    def _mark_active(self, vertex: str, now: float | None = None) -> None:
-        """Record protocol activity for the party owning ``vertex`` (owner
-        region lock held): submitting an op or having one completed by a
-        firing."""
-        party = self._vertex_party.get(vertex)
-        if party is not None:
-            party.last_active = now if now is not None else time.monotonic()
-            party.steps_active = self._steps_approx
-
     def _count_withdrawn(self, vertex: str, is_send: bool) -> None:
         """Count one submitted-but-never-completed operation (timeout,
         failed try_* probe, or failure delivery).  Callers hold the owning
@@ -1155,12 +813,6 @@ class CoordinatorEngine:
             ev = op.event
             if ev is not None:
                 ev.set()
-
-    def _check_open(self, vertex: str) -> None:
-        if self._closed or vertex in self._closed_vertices:
-            raise self._vertex_errors.get(vertex) or PortClosedError(
-                f"vertex {vertex!r} closed"
-            )
 
     # ------------------------------------------------- submission hot path
 
@@ -1259,34 +911,6 @@ class CoordinatorEngine:
             raise op.error
         self._wait_blocked(queue, op, timeout, deadline, is_send)
 
-    def _wait_blocked(self, queue: deque, op: _Op, timeout, deadline,
-                      is_send: bool = False) -> None:
-        """Blocked-submitter loop (no locks held): tick between the op's
-        event, the deadline, and the deadlock detector."""
-        ev = op.event
-        with self._lock:
-            self._blocked += 1
-        try:
-            while True:
-                self._maybe_deadlock()
-                if op.done:
-                    return
-                if op.error is not None:
-                    raise op.error
-                tick = _WAIT_TICK
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        if self._withdraw_expired(queue, op, is_send):
-                            raise ProtocolTimeoutError(op.vertex, timeout)
-                        continue  # resolved concurrently with the expiry
-                    tick = min(tick, remaining)
-                ev.wait(tick)
-                ev.clear()
-        finally:
-            with self._lock:
-                self._blocked -= 1
-
     def _withdraw_expired(self, queue: deque, op: _Op, is_send: bool) -> bool:
         """Cancel a timed-out op under its owner region's lock; ``False``
         when a firing or failure resolved it first (the caller's loop then
@@ -1309,6 +933,24 @@ class CoordinatorEngine:
         finally:
             region.lock.release()
 
+    @staticmethod
+    def _shed_victim(queue: deque, op: _Op, pol: OverloadPolicy, region):
+        """The queue half of a non-``block`` policy on an over-bound queue
+        (owner lock held): take the loser out and keep ``region.pend`` in
+        step.  Returns the op whose value is shed — ``op`` under
+        ``shed_newest``, the head under ``shed_oldest`` (``op`` takes the
+        freed slot) — or ``None`` when ``fail_fast`` rejected ``op``.  The
+        books (dead letter, metrics, wake-up) are the caller's half:
+        :meth:`_overflow` here, the response stream on the workers backend."""
+        if pol.kind == "shed_oldest":
+            victim = queue.popleft()
+        else:
+            queue.remove(op)
+            victim = op if pol.kind == "shed_newest" else None
+        if not queue:
+            region.pend.pop(op.vertex, None)
+        return victim
+
     def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
                   region) -> None:
         """Apply a non-``block`` policy to an over-bound queue (owner lock
@@ -1319,28 +961,12 @@ class CoordinatorEngine:
         sent — the protocol never sees a shed value, but the submitter is
         released rather than parked (degrade predictably, don't fall over).
         """
-        if pol.kind == "fail_fast":
-            queue.remove(op)
-            if not queue:
-                region.pend.pop(op.vertex, None)
-            if self._metrics is not None:
-                with self._stat_lock:
-                    self._metrics.rejected(op.vertex)
+        victim = self._shed_victim(queue, op, pol, region)
+        if victim is None:
+            self._record_rejected(op.vertex)
             raise OverloadError(op.vertex, pol.max_pending)
-        if pol.kind == "shed_newest":
-            victim = op
-            queue.remove(op)
-        else:  # shed_oldest: drop-head; the incoming op takes the freed slot
-            victim = queue.popleft()
-        if not queue:
-            region.pend.pop(op.vertex, None)
-        self.dead.capture(
-            victim.vertex, victim.value, pol.kind, self.steps,
-            pol.dead_letter_capacity,
-        )
-        if self._metrics is not None:
-            with self._stat_lock:
-                self._metrics.shed(victim.vertex, pol.kind)
+        self._record_shed(victim.vertex, victim.value, pol.kind,
+                          pol.dead_letter_capacity)
         victim.done = True
         if victim is not op:
             ev = victim.event
@@ -1349,14 +975,6 @@ class CoordinatorEngine:
 
     # ------------------------------------------------------ overload layer
 
-    def dead_letters(self, vertex: str | None = None):
-        """Shed values retained per vertex (or all, in shed order)."""
-        return self.dead.of(vertex) if vertex is not None else self.dead.all()
-
-    def shed_count(self, vertex: str | None = None) -> int:
-        """Exact count of values ever shed (survives dead-letter eviction)."""
-        return self.dead.count(vertex)
-
     def begin_drain(self) -> None:
         """Stop admitting new sends; receives keep flushing buffered values.
 
@@ -1364,18 +982,9 @@ class CoordinatorEngine:
         ``send``/``try_send`` calls raise :class:`PortClosedError` so
         producers see a clean close instead of a hang.
         """
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                self._draining = True
-                self._wake_all_locked()
-            finally:
-                self._release(locks)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+        with self._world_stopped():
+            self._draining = True
+            self._wake_all_locked()
 
     @property
     def drained(self) -> bool:
@@ -1394,136 +1003,38 @@ class CoordinatorEngine:
         finally:
             self._release(locks)
 
-    def party_progress(self) -> tuple[list[dict], int]:
-        """Watchdog probe: one row per registered party.
-
-        Each row reports the party's pending-operation count, how long its
-        *oldest* pending op has waited (``waited``), how long since the
-        party's last protocol activity (``idle`` — a submitted op or a
-        firing that completed one), and how many global steps the engine
-        fired since that activity (``steps_since_active``).  ``idle`` high
-        while ``steps_since_active > 0`` is the stall signature: this party
-        went quiet while its peers kept firing — covering both a task
-        wedged in application code (no pending op at all) and one starved
-        behind an old pending op.  When nothing fires anywhere the step
-        count freezes too, and that case belongs to the deadlock detector.
-        Returns ``(rows, engine_steps)``.
-        """
-        with self._lock:
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                now = time.monotonic()
-                steps = self.steps
-                rows = []
-                for i, party in enumerate(self._parties.values()):
-                    pending = 0
-                    oldest_t: float | None = None
-                    for v in party.vertices:
-                        for q in (self._pending_send.get(v),
-                                  self._pending_recv.get(v)):
-                            if not q:
-                                continue
-                            for o in q:
-                                pending += 1
-                                if oldest_t is None or o.t_enq < oldest_t:
-                                    oldest_t = o.t_enq
-                    rows.append({
-                        "name": party.name or f"party{i}",
-                        "vertices": tuple(sorted(party.vertices)),
-                        "pending": pending,
-                        "waited": (now - oldest_t) if oldest_t is not None else 0.0,
-                        "idle": now - party.last_active,
-                        "steps_since_active": steps - party.steps_active,
-                    })
-                return rows, steps
-            finally:
-                self._release(locks)
-
     # -------------------------------------------------- deadlock detection
 
-    def _maybe_deadlock(self) -> None:
-        """Deadlock detection — caller holds *no* locks.  Takes the
-        registry lock, then every region lock, for a globally consistent
-        snapshot of queues, blocked waiters, and region states."""
-        with self._lock:
-            if self._parties:
-                threshold, grace = len(self._parties), self.detection_grace
-            elif self.expected_parties is not None:
-                threshold, grace = self.expected_parties, 0.0
-            else:
-                return
-            if threshold <= 0:
-                # Zero declared parties (e.g. after reconfigure subtracted
-                # the last one) means nobody to wait for, not "everyone is
-                # blocked": leave lone waiters to their timeouts.
-                return
-            locks = self._all_locks
-            self._acquire(locks)
-            try:
-                # Self-heal: finish any signalled-but-unchased cross-region
-                # work first (a chaser that died mid-exception leaves dirty
-                # flags behind; draining them here keeps detection sound).
-                for r in self.regions:
-                    if r.dirty:
-                        self._drain_all_locked()
-                        break
-                # ``stuck`` counts committed (queued, not-yet-completed)
-                # operations; completed operations are popped at firing time,
-                # and withdrawn (timed-out / non-blocking) operations are
-                # removed under their region lock, so each remaining entry
-                # belongs to exactly one blocked waiter.  Requiring the
-                # blocked-waiter count to agree means a non-blocking probe
-                # or an about-to-block submitter can never inflate the count
-                # into a spurious detection.
-                stuck = self._pending_count()
-                if stuck < threshold or self._blocked < threshold:
-                    self._suspect = None
-                    return
-                if grace > 0.0:
-                    # Confirmation window: a party that has not *registered*
-                    # yet (e.g. a task the group is still spawning) must get
-                    # a chance to appear before we conclude the registered
-                    # set is complete.  Any firing or (un)registration resets
-                    # the sighting.
-                    mark = (self.steps, self._party_gen, stuck)
-                    now = time.monotonic()
-                    if self._suspect is None or self._suspect[0] != mark:
-                        self._suspect = (mark, now)
-                        return
-                    if now - self._suspect[1] < grace:
-                        return
-                err = stuck_error(
-                    threshold,
-                    pending_sends={
-                        v: len(q) for v, q in self._pending_send.items() if q
-                    },
-                    pending_recvs={
-                        v: len(q) for v, q in self._pending_recv.items() if q
-                    },
-                    region_states=[r.state for r in self.regions],
-                    parties=self._parties,
-                    blocked=self._blocked,
-                    tracer=self.tracer,
-                    peer_failures=self._peer_failures,
-                )
-                for qmap, was_send in (
-                    (self._pending_send, True),
-                    (self._pending_recv, False),
-                ):
-                    for q in qmap.values():
-                        for op in q:
-                            op.error = err
-                            self._count_withdrawn(op.vertex, was_send)
-                            ev = op.event
-                            if ev is not None:
-                                ev.set()
-                        q.clear()
-                for r in self.regions:
-                    r.pend.clear()
-                self._suspect = None
-            finally:
-                self._release(locks)
+    def _stuck_count(self) -> int:
+        """Host hook (all locks held): the detector's pending count."""
+        # Self-heal: finish any signalled-but-unchased cross-region work
+        # first (a chaser that died mid-exception leaves dirty flags
+        # behind; draining them here keeps detection sound).
+        for r in self.regions:
+            if r.dirty:
+                self._drain_all_locked()
+                break
+        return self._pending_count()
+
+    def _stuck_state(self) -> dict:
+        return {
+            "pending_sends": {
+                v: len(q) for v, q in self._pending_send.items() if q
+            },
+            "pending_recvs": {
+                v: len(q) for v, q in self._pending_recv.items() if q
+            },
+            "region_states": [r.state for r in self.regions],
+        }
+
+    def _deliver_deadlock(self, err: Exception) -> None:
+        """Host hook (all locks held): fail every queue in place."""
+        for q in self._pending_send.values():
+            self._fail_queue(q, err, is_send=True)
+        for q in self._pending_recv.values():
+            self._fail_queue(q, err, is_send=False)
+        for r in self.regions:
+            r.pend.clear()
 
     # ------------------------------------------------------- firing engine
 

@@ -69,15 +69,9 @@ from repro.runtime.buffers import BufferStore
 # Imported at module level on purpose: children enter _worker_main via
 # fork, and importing runtime/compiler modules *after* the fork could
 # deadlock on import locks held by other coordinator threads at fork time.
-from repro.runtime.engine import (  # noqa: F401 (engine pre-import, see above)
-    CoordinatorEngine,
-    EagerRegion,
-    LazyRegion,
-    _Party,
-    stuck_error,
-)
-from repro.runtime.overload import DeadLetterBuffer, OverloadPolicy
-from repro.runtime.recovery import Checkpoint, RegionState
+from repro.runtime.engine import CoordinatorEngine
+from repro.runtime.host import _WAIT_TICK, EngineHost
+from repro.runtime.recovery import Checkpoint
 from repro.runtime.trace import TraceRecorder
 from repro.util.errors import (
     CheckpointError,
@@ -97,9 +91,6 @@ except Exception:  # pragma: no cover - compiler layer absent/broken
 #: Fork start method: children inherit the shm mappings, the fifo locks
 #: and the already-imported module graph — nothing is pickled at spawn.
 _FORK = multiprocessing.get_context("fork")
-
-#: Blocked-submitter poll tick (mirrors engine._WAIT_TICK).
-_WAIT_TICK = 0.1
 
 #: Sentinel returned by ShmRing.get when no record is available.
 RING_EMPTY = object()
@@ -541,7 +532,6 @@ class _Worker:
         # op_id -> (handle, is_send, vertex); mirrors the coordinator table.
         self.live: dict[int, tuple] = {}
         self.by_handle: dict[int, int] = {}  # id(handle) -> op_id
-        self.shedded: set[int] = set()
         self.trace_mark = 0
         self.touch_marks = {n: f.local_ops for n, f in spec.fifos.items()}
 
@@ -559,8 +549,6 @@ class _Worker:
         if self.live:
             resolved = []
             for op_id, (h, is_send, vertex) in self.live.items():
-                if op_id in self.shedded:
-                    continue
                 if h.error is not None:
                     self.emit(("fail", op_id, _freeze_exc(h.error)))
                     resolved.append((op_id, h))
@@ -617,8 +605,7 @@ class _Worker:
             queue = (inner._pending_send if is_send
                      else inner._pending_recv)[vertex]
             if len(queue) > policy.max_pending:
-                status, payload = self._overflow(
-                    queue, h, policy, is_send, vertex)
+                status, payload = self._overflow(queue, h, policy, vertex)
         if status is None:
             if h.error is not None:
                 status, payload = "error", _freeze_exc(h.error)
@@ -630,36 +617,19 @@ class _Worker:
                 self.by_handle[id(h)] = op_id
         self.ack(op_id, status, payload)
 
-    def _overflow(self, queue, h, pol, is_send, vertex):
-        """Worker-side replica of the thread engine's ``_overflow`` —
-        adjudicated here (not in the inner engine) so the shed/reject
-        outcome rides the ordered response stream and the coordinator can
-        keep the conservation counters exact."""
-        region = self.inner._route.get(vertex)
-        if pol.kind == "fail_fast":
-            try:
-                queue.remove(h)
-            except ValueError:  # pragma: no cover - h was just appended
-                pass
-            if region is not None and not queue:
-                region.pend.pop(vertex, None)
+    def _overflow(self, queue, h, pol, vertex):
+        """The thread engine's queue decision (``_shed_victim``) with the
+        outcome put on the ordered response stream instead of booked here,
+        so the coordinator keeps the conservation counters exact."""
+        victim = self.inner._shed_victim(
+            queue, h, pol, self.inner._route[vertex])
+        if victim is None:
             return "reject", (vertex, pol.max_pending)
-        if pol.kind == "shed_newest":
-            victim = h
-            try:
-                queue.remove(h)
-            except ValueError:  # pragma: no cover
-                pass
-        else:  # shed_oldest: drop-head, the incoming op takes the slot
-            victim = queue.popleft()
-        if region is not None and not queue:
-            region.pend.pop(vertex, None)
         victim.done = True
         if victim is h:
             return "shedded", (pol.kind, pol.dead_letter_capacity)
         vid = self.by_handle.pop(id(victim), None)
         if vid is not None:
-            self.shedded.discard(vid)
             del self.live[vid]
             self.emit(("shedded", vid, pol.kind, pol.dead_letter_capacity))
         return "pending", None
@@ -775,8 +745,8 @@ def _worker_main(spec: _WorkerSpec) -> None:
     try:
         worker = _Worker(spec)
         # Startup hand-off complete (constructor drain included): the ready
-        # ack carries the inner stats so the coordinator's stats() can
-        # report compiled-tier facts without a live round-trip.
+        # ack carries the inner stats, which the coordinator's stats() falls
+        # back to once this worker can no longer be asked.
         worker.ack(-1, "ready", worker.inner.stats())
         spins = 0
         while True:
@@ -815,7 +785,7 @@ class _POp:
 
     __slots__ = ("id", "vertex", "value", "is_send", "done", "error",
                  "raised", "event", "t_enq", "steps_enq", "timeout", "wid",
-                 "acked", "resubmit")
+                 "acked", "resubmit", "withdrawing")
 
     def __init__(self, op_id, vertex, value, is_send, wid):
         self.id = op_id
@@ -832,6 +802,7 @@ class _POp:
         self.wid = wid
         self.acked = False
         self.resubmit = False
+        self.withdrawing = False  # a withdraw request is on its way
 
 
 class _Handle:
@@ -893,10 +864,12 @@ class _WorkerBuffers:
         )
 
 
-class WorkerCoordinatorEngine:
+class WorkerCoordinatorEngine(EngineHost):
     """The ``concurrency="workers"`` backend: the full
     :class:`~repro.runtime.engine.CoordinatorEngine` surface, with region
-    drains executed by forked worker processes (module docstring).
+    drains executed by forked worker processes (module docstring).  Towards
+    the tasks it is the same :class:`~repro.runtime.host.EngineHost`; this
+    class adds its hooks plus transport, placement and crash supervision.
 
     Construction forks the workers and performs the initial region
     hand-off; :meth:`close` (or garbage collection) reaps them and unlinks
@@ -929,59 +902,35 @@ class WorkerCoordinatorEngine:
             raise RuntimeProtocolError(
                 "concurrency='workers' needs fork-capable multiprocessing"
             )
-        self.concurrency = "workers"
+        super().__init__(
+            "workers", sources, sinks, registry, expected_parties, tracer,
+            default_timeout, detection_grace, overload, metrics, compiled,
+            buffers,
+        )
         self.workers = workers
-        self.sources = sources
-        self.sinks = sinks
-        self.registry = registry
-        self.expected_parties = expected_parties
-        self.tracer = tracer
-        self.default_timeout = default_timeout
-        self.detection_grace = detection_grace
-        self._metrics = metrics
-        self._compiled = compiled
         self._ring_bytes = ring_bytes
         self._fifo_bytes = fifo_bytes
 
         self._regions_template = list(regions)
         self._store_template = buffers
-        self._policies = CoordinatorEngine._normalize_policies(
-            overload, sources, sinks)
-        self.dead = DeadLetterBuffer()
         self.buffers = _WorkerBuffers(self)
 
         # Admin lock (outermost): serializes lifecycle operations and the
         # brief routing+enqueue prelude of every submission against them.
-        # _lock (inner) guards all mutable bookkeeping; receiver threads
-        # take only _lock, so lifecycle ops may wait for acks while holding
-        # _admin without deadlocking the stream.
+        # The host's _lock (inner) guards all mutable bookkeeping; receiver
+        # threads take only _lock, so lifecycle ops may wait for acks while
+        # holding _admin without deadlocking the stream.
         self._admin = threading.RLock()
-        self._lock = threading.Lock()
 
         self._ops: dict[int, _POp] = {}
         self._next_op = 0
-        self._blocked = 0
         self._inflight = 0
         self._quiet = threading.Event()
         self._quiet.set()
 
-        self._closed = False
-        self._closed_vertices: set[str] = set()
-        self._vertex_errors: dict[str, Exception] = {}
-        self._draining = False
-        self._parties: dict[object, _Party] = {}
-        self._vertex_party: dict[str, _Party] = {}
-        self._party_gen = 0
-        self._peer_failures: list[PeerFailedError] = []
-        self._suspect = None
         self._clearing = False
         self._clear_error: Exception | None = None
         self._clear_token = 0
-
-        self._steps_base = 0
-        self._scan_base = 0
-        self._initial_occupancy = sum(
-            buffers.occupancy(n) for n in buffers.names())
 
         self._handles: list[_Handle] = []
         self._fifos: dict[str, ShmFifo] = {}
@@ -1158,11 +1107,7 @@ class WorkerCoordinatorEngine:
         self._steps_base += fired_total
         with self._lock:
             for h in handles:
-                self._inflight -= h.inflight
-                h.inflight = 0
-            if self._inflight <= 0:
-                self._inflight = 0
-                self._quiet.set()
+                self._dec_inflight_locked(h, h.inflight)
         for h in handles:
             if h.receiver is not None and h.receiver.is_alive():
                 h.receiver.join(timeout=2.0)
@@ -1222,29 +1167,20 @@ class WorkerCoordinatorEngine:
             except Exception:  # pragma: no cover - keep the stream alive
                 pass
 
-    def _dec_inflight_locked(self, h: _Handle) -> None:
-        h.inflight -= 1
-        self._inflight -= 1
+    def _dec_inflight_locked(self, h: _Handle, n: int = 1) -> None:
+        """``n`` of ``h``'s requests are no longer in flight (acked, or
+        written off with the worker)."""
+        h.inflight -= n
+        self._inflight -= n
         if self._inflight <= 0:
             self._inflight = 0
             self._quiet.set()
 
-    def _mx_child(self, table_name: str, vertex: str):
-        mx = self._metrics
-        if mx is None:
-            return None
-        return getattr(mx, table_name).get(vertex)
-
     def _bump(self, table_name: str, vertex: str) -> None:
-        child = self._mx_child(table_name, vertex)
+        mx = self._metrics
+        child = getattr(mx, table_name).get(vertex) if mx is not None else None
         if child is not None:
             child.value += 1.0
-
-    def _mark_active(self, vertex: str) -> None:
-        party = self._vertex_party.get(vertex)
-        if party is not None:
-            party.last_active = time.monotonic()
-            party.steps_active = self.steps
 
     def _resolve_done(self, op: _POp, value) -> None:
         if not op.is_send:
@@ -1261,32 +1197,26 @@ class WorkerCoordinatorEngine:
         self._bump("wd_send" if op.is_send else "wd_recv", op.vertex)
         op.event.set()
 
+    def _resolve_shed(self, op: _POp, kind: str, capacity) -> None:
+        """The coordinator half of a shed the worker adjudicated."""
+        self._record_shed(op.vertex, op.value, kind, capacity)
+        op.done = True
+        self._ops.pop(op.id, None)
+        op.event.set()
+
     def _handle_record(self, h: _Handle, rec) -> None:
         tag = rec[0]
-        if tag == "done":
-            _, op_id, value = rec
+        if tag in ("done", "fail", "shedded"):
             with self._lock:
-                op = self._ops.get(op_id)
-                if op is not None:
-                    self._resolve_done(op, value)
-        elif tag == "fail":
-            _, op_id, wire = rec
-            with self._lock:
-                op = self._ops.get(op_id)
-                if op is not None:
-                    self._resolve_error(op, _thaw_exc(wire))
-        elif tag == "shedded":
-            _, op_id, kind, cap = rec
-            with self._lock:
-                op = self._ops.get(op_id)
-                if op is not None:
-                    self.dead.capture(op.vertex, op.value, kind,
-                                      self.steps, cap)
-                    if self._metrics is not None:
-                        self._metrics.shed(op.vertex, kind)
-                    op.done = True
-                    self._ops.pop(op_id, None)
-                    op.event.set()
+                op = self._ops.get(rec[1])
+                if op is None:
+                    return  # already resolved (withdrawn, cleared, crashed)
+                if tag == "done":
+                    self._resolve_done(op, rec[2])
+                elif tag == "fail":
+                    self._resolve_error(op, _thaw_exc(rec[2]))
+                else:
+                    self._resolve_shed(op, rec[2], rec[3])
         elif tag == "trace":
             if self.tracer is not None:
                 for (region, label, sends, recvs, deliveries,
@@ -1305,24 +1235,9 @@ class WorkerCoordinatorEngine:
                 if wid != from_wid:
                     targets.setdefault(wid, []).append(name)
         for wid, batch in targets.items():
-            target = next((x for x in self._handles if x.wid == wid), None)
-            if target is None or target.crashed or target.stopping:
-                continue
-            with self._lock:
-                if target.crashed:
-                    continue
-                target.inflight += 1
-                self._inflight += 1
-                self._quiet.clear()
-            try:
-                with target.req_lock:
-                    target.req.put(
-                        ("kick", batch),
-                        abort=lambda t=target: t.proc.exitcode is not None,
-                    )
-            except Exception:
-                with self._lock:
-                    self._dec_inflight_locked(target)
+            target = self._handle(wid)
+            if target is not None and not target.stopping:
+                self._put(target, ("kick", batch))
 
     def _handle_ack(self, h: _Handle, rec) -> None:
         _, req_id, status, payload = rec
@@ -1372,7 +1287,7 @@ class WorkerCoordinatorEngine:
         if status == "pending":
             # Stays in the table; a later record resolves it.  The event
             # still fires so the submitter stops waiting for the ack (post
-            # returns its handle, submit moves on to _wait_op) — resolution
+            # returns its handle, submit goes on to _wait_blocked) — resolution
             # records set op.done/op.error *before* re-setting the event,
             # so the wake cannot be lost to the submitter's clear().
             op.event.set()
@@ -1381,33 +1296,23 @@ class WorkerCoordinatorEngine:
             self._resolve_done(op, payload)
         elif status == "tried":
             ok, value = payload
-            self._ops.pop(op.id, None)
             if ok:
-                op.done = True
-                if not op.is_send:
-                    op.value = value
-                self._bump("done", op.vertex)
-            else:
+                self._resolve_done(op, value)
+            else:  # a probe that found nothing is withdrawn, not failed
+                self._ops.pop(op.id, None)
                 self._bump("wd_send" if op.is_send else "wd_recv",
                            op.vertex)
-            op.event.set()
+                op.event.set()
         elif status == "error":
             self._resolve_error(op, _thaw_exc(payload))
         elif status == "reject":
             vertex, max_pending = payload
-            if self._metrics is not None:
-                self._metrics.rejected(vertex)
+            self._record_rejected(vertex)
             op.raised = OverloadError(vertex, max_pending)
             self._ops.pop(op.id, None)
             op.event.set()
         elif status == "shedded":
-            kind, cap = payload
-            self.dead.capture(op.vertex, op.value, kind, self.steps, cap)
-            if self._metrics is not None:
-                self._metrics.shed(op.vertex, kind)
-            op.done = True
-            self._ops.pop(op.id, None)
-            op.event.set()
+            self._resolve_shed(op, *payload)
         elif status == "withdrawn":
             timeout = op.timeout if op.timeout is not None else 0.0
             self._resolve_error(
@@ -1427,33 +1332,27 @@ class WorkerCoordinatorEngine:
             for op in list(self._ops.values()):
                 if op.wid == h.wid:
                     self._resolve_error(op, error)
-            self._inflight -= h.inflight
-            h.inflight = 0
-            if self._inflight <= 0:
-                self._inflight = 0
-                self._quiet.set()
+            self._dec_inflight_locked(h, h.inflight)
             self._suspect = None
-        # Wake everything parked: remaining waiters re-run detection and
-        # blame the dead worker via _peer_failures.
-        for op in list(self._ops.values()):
-            op.event.set()
+            # Remaining waiters re-run detection and blame the dead worker
+            # via _peer_failures.
+            self._wake_all_locked()
 
     # --------------------------------------------------------- submissions
+
+    def _handle(self, wid: int) -> "_Handle | None":
+        """The live generation's handle for worker ``wid`` (handles are
+        created in wid order), ``None`` between generations."""
+        return self._handles[wid] if 0 <= wid < len(self._handles) else None
 
     def _handle_for(self, vertex: str) -> _Handle:
         wid = self._vertex_wid.get(vertex)
         if wid is None:
             raise KeyError(vertex)
-        for h in self._handles:
-            if h.wid == wid:
-                return h
-        raise PortClosedError(f"vertex {vertex!r} closed")
-
-    def _check_open(self, vertex: str) -> None:
-        if self._closed or vertex in self._closed_vertices:
-            raise self._vertex_errors.get(vertex) or PortClosedError(
-                f"vertex {vertex!r} closed"
-            )
+        h = self._handle(wid)
+        if h is None:
+            raise PortClosedError(f"vertex {vertex!r} closed")
+        return h
 
     def _dead_worker_error(self, h: _Handle) -> PeerFailedError:
         """A worker-is-dead error carrying the recorded root cause (the
@@ -1466,30 +1365,42 @@ class WorkerCoordinatorEngine:
             message=f"region worker {h.wid} is dead",
         )
 
-    def _enqueue(self, op: _POp, rec, *, count_inflight: bool = True) -> _Handle:
-        h = self._handle_for(op.vertex)
+    def _put(self, h: _Handle, rec, op: "_POp | None" = None):
+        """Send one request down ``h``'s ring — the only writer of request
+        rings.  The request is counted in flight *before* it is written, so
+        ``_wait_quiet`` covers it and everything it cascades into; ``op``
+        (the operation the request submits) enters the table under the same
+        lock hold, so its ack always finds it.  A ring that stays full
+        aborts when the worker exits.  Returns ``None``, or — count and
+        table rolled back — the :class:`PeerFailedError` saying why the
+        worker could not be reached."""
         with self._lock:
             if h.crashed:
-                raise self._dead_worker_error(h)
-            op.wid = h.wid
-            self._ops[op.id] = op
-            if count_inflight:
-                h.inflight += 1
-                self._inflight += 1
-                self._quiet.clear()
+                return self._dead_worker_error(h)
+            if op is not None:
+                op.wid = h.wid
+                self._ops[op.id] = op
+            h.inflight += 1
+            self._inflight += 1
+            self._quiet.clear()
         try:
             with h.req_lock:
                 h.req.put(rec, abort=lambda: h.proc.exitcode is not None)
         except Exception as exc:
             with self._lock:
-                self._ops.pop(op.id, None)
-                if count_inflight:
-                    self._dec_inflight_locked(h)
-            raise PeerFailedError(
+                if op is not None:
+                    self._ops.pop(op.id, None)
+                self._dec_inflight_locked(h)
+            return PeerFailedError(
                 f"region-worker-{h.wid}", cause=exc,
                 message=f"lost contact with region worker {h.wid}: {exc}",
-            ) from exc
-        return h
+            )
+        return None
+
+    def _enqueue(self, op: _POp, rec) -> None:
+        error = self._put(self._handle_for(op.vertex), rec, op)
+        if error is not None:
+            raise error
 
     def _new_op(self, vertex: str, value, is_send: bool) -> _POp:
         with self._lock:
@@ -1503,7 +1414,7 @@ class WorkerCoordinatorEngine:
         """Common admission prelude + request enqueue (+ ack wait)."""
         with self._admin:
             self._check_open(vertex)
-            if is_send and self._draining and kind != "withdraw":
+            if is_send and self._draining:
                 raise PortClosedError(
                     f"vertex {vertex!r} rejected: connector draining"
                 )
@@ -1553,200 +1464,95 @@ class WorkerCoordinatorEngine:
         return (op.done, op.value if op.done else None)
 
     def submit_send(self, vertex: str, value, timeout=None, policy=None):
-        op = self._send_request(vertex, value, True, policy)
-        self._wait_op(op, timeout)
+        self._submit(vertex, value, True, policy, timeout)
 
     def submit_recv(self, vertex: str, timeout=None):
-        op = self._send_request(vertex, None, False, None)
-        self._wait_op(op, timeout)
-        return op.value
+        return self._submit(vertex, None, False, None, timeout).value
 
-    def _wait_op(self, op: _POp, timeout) -> None:
-        if op.done:
-            return
+    def _submit(self, vertex, value, is_send, policy, timeout) -> _POp:
+        op = self._send_request(vertex, value, is_send, policy)
         if op.error is not None:
             raise op.error
-        if timeout is None:
-            timeout = self.default_timeout
-        op.timeout = timeout
-        deadline = (None if timeout is None
-                    else op.t_enq + timeout)
-        withdraw_sent = False
-        with self._lock:
-            self._blocked += 1
-        try:
-            while True:
-                self._maybe_deadlock()
-                if op.done:
-                    return
-                if op.error is not None:
-                    raise op.error
-                tick = _WAIT_TICK
-                if deadline is not None and not withdraw_sent:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._request_withdraw(op)
-                        withdraw_sent = True
-                    else:
-                        tick = min(tick, remaining)
-                op.event.wait(tick)
-                op.event.clear()
-        finally:
-            with self._lock:
-                self._blocked -= 1
+        if not op.done:
+            if timeout is None:
+                timeout = self.default_timeout
+            op.timeout = timeout
+            deadline = None if timeout is None else op.t_enq + timeout
+            self._wait_blocked(None, op, timeout, deadline, is_send)
+        return op
 
-    def _request_withdraw(self, op: _POp) -> None:
-        h = next((x for x in self._handles if x.wid == op.wid), None)
-        if h is None or h.crashed:
-            return
-        with self._lock:
-            if h.crashed:
-                return
-            h.inflight += 1
-            self._inflight += 1
-            self._quiet.clear()
-        try:
-            with h.req_lock:
-                h.req.put(("withdraw", op.id),
-                          abort=lambda: h.proc.exitcode is not None)
-        except Exception:
-            with self._lock:
-                self._dec_inflight_locked(h)
+    def _withdraw_expired(self, _queue, op: _POp, _is_send) -> bool:
+        """Host hook: ask the op's worker, once, to withdraw it.  Never
+        ``True`` — the answer rides the ordered stream, where a completion
+        that raced ahead wins (``stale``) and ``withdrawn`` resolves the op
+        with its :class:`ProtocolTimeoutError` — so park here until the op
+        is resolved or the next detector tick is due."""
+        if not op.withdrawing:
+            op.withdrawing = True
+            h = self._handle(op.wid)
+            if h is not None:
+                self._put(h, ("withdraw", op.id))
+        op.event.wait(_WAIT_TICK)
+        op.event.clear()
+        return False
 
-    # ------------------------------------------------- deadlock detection
+    # ----------------------------------------------------------- host hooks
 
-    def _maybe_deadlock(self) -> None:
-        with self._lock:
-            if self._clearing or self._closed:
-                return
-            if self._parties:
-                threshold, grace = len(self._parties), self.detection_grace
-            elif self.expected_parties:
-                threshold, grace = self.expected_parties, 0.0
-            else:
-                return
-            if threshold <= 0:
-                return
-            stuck = len(self._ops)
-            if (stuck < threshold or self._blocked < threshold
-                    or self._inflight):
-                self._suspect = None
-                return
-            mark = (self.steps, self._party_gen, stuck)
-            now = time.monotonic()
-            if self._suspect is None or self._suspect[0] != mark:
-                self._suspect = (mark, now)
-                return
-            if now - self._suspect[1] < grace:
-                return
-            # Confirmed: this waiter initiates the clear.
-            self._clearing = True
-            self._clear_error = self._stuck_error(threshold)
-            self._clear_token += 1
-            token = self._clear_token
-            targets = [h for h in self._handles
-                       if not h.crashed and not h.stopping]
-            for h in targets:
-                h.inflight += 1
-                self._inflight += 1
-            self._quiet.clear()
-        completed = []
-        try:
-            for h in targets:
-                try:
-                    with h.req_lock:
-                        h.req.put(("clear", token),
-                                  abort=lambda: h.proc.exitcode is not None)
-                    completed.append(h)
-                except Exception:
-                    with self._lock:
-                        self._dec_inflight_locked(h)
-        finally:
-            # The cleared acks drain through the receivers; once quiet,
-            # re-arm detection.
-            def _rearm():
-                self._wait_quiet()
-                with self._lock:
-                    self._clearing = False
-                    self._suspect = None
-            threading.Thread(target=_rearm, daemon=True).start()
+    def _freeze(self) -> tuple:
+        return ()  # the operation table stands still under _lock alone
 
-    def _stuck_error(self, threshold: int) -> Exception:
-        pending_sends: dict[str, int] = {}
-        pending_recvs: dict[str, int] = {}
+    @property
+    def _steps_approx(self) -> int:
+        return self.steps
+
+    def _pending_count(self) -> int:
+        return len(self._ops)
+
+    def _pending_ops(self, vertices):
+        return [op for op in self._ops.values() if op.vertex in vertices]
+
+    def _wake_all_locked(self) -> None:
         for op in self._ops.values():
-            table = pending_sends if op.is_send else pending_recvs
-            table[op.vertex] = table.get(op.vertex, 0) + 1
-        return stuck_error(
-            threshold,
-            pending_sends=pending_sends,
-            pending_recvs=pending_recvs,
-            region_states=[],
-            parties=self._parties,
-            blocked=self._blocked,
-            tracer=self.tracer,
-            peer_failures=self._peer_failures,
-        )
-
-    # ------------------------------------------------------------- parties
-
-    def register_party(self, key, name: str = "", vertex=None) -> None:
-        with self._lock:
-            party = self._parties.get(key)
-            if party is None:
-                party = self._parties[key] = _Party(name)
-            party.refs += 1
-            if name and not party.name:
-                party.name = name
-            if vertex is not None:
-                party.vertices.add(vertex)
-                self._vertex_party[vertex] = party
-            party.last_active = time.monotonic()
-            party.steps_active = self.steps
-            self._party_gen += 1
-            self._suspect = None
-
-    def unregister_party(self, key, vertex=None) -> None:
-        with self._lock:
-            party = self._parties.get(key)
-            if party is None:
-                return
-            if vertex is not None:
-                party.vertices.discard(vertex)
-                if self._vertex_party.get(vertex) is party:
-                    del self._vertex_party[vertex]
-            party.refs -= 1
-            if party.refs <= 0:
-                del self._parties[key]
-            self._party_gen += 1
-            self._suspect = None
-            ops = list(self._ops.values())
-        for op in ops:
             op.event.set()
 
-    def party_progress(self):
+    def _stuck_count(self) -> int:
+        """The table is a consistent reading only with nothing in flight
+        (every request acked, every record before its ack applied) and no
+        clear round under way."""
+        if self._clearing or self._closed or self._inflight:
+            return 0
+        return len(self._ops)
+
+    def _stuck_state(self) -> dict:
+        depths: dict = {"pending_sends": {}, "pending_recvs": {},
+                        "region_states": []}
+        for op in self._ops.values():
+            table = depths["pending_sends" if op.is_send else "pending_recvs"]
+            table[op.vertex] = table.get(op.vertex, 0) + 1
+        return depths
+
+    def _deliver_deadlock(self, err: Exception):
+        """Start a clear round (``_lock`` held): every live worker withdraws
+        what it still holds and acks the ids, and exactly those fail with
+        ``err`` (``cleared`` in ``_handle_ack``).  The requests go out after
+        the lock drops; once their acks have drained, detection re-arms."""
+        self._clearing = True
+        self._clear_error = err
+        self._clear_token += 1
+        token = self._clear_token
+        targets = [h for h in self._handles if not h.stopping]
+
+        def clear_round():
+            for h in targets:
+                self._put(h, ("clear", token))
+            threading.Thread(target=self._rearm, daemon=True).start()
+        return clear_round
+
+    def _rearm(self) -> None:
+        self._wait_quiet()
         with self._lock:
-            now = time.monotonic()
-            steps = self.steps
-            rows = []
-            for i, party in enumerate(self._parties.values()):
-                pending = 0
-                oldest_t = None
-                for op in self._ops.values():
-                    if op.vertex in party.vertices:
-                        pending += 1
-                        if oldest_t is None or op.t_enq < oldest_t:
-                            oldest_t = op.t_enq
-                rows.append({
-                    "name": party.name or f"party{i}",
-                    "vertices": tuple(sorted(party.vertices)),
-                    "pending": pending,
-                    "waited": (now - oldest_t) if oldest_t is not None
-                              else 0.0,
-                    "idle": now - party.last_active,
-                    "steps_since_active": steps - party.steps_active,
-                })
-            return rows, steps
+            self._clearing = False
+            self._suspect = None
 
     # ------------------------------------------------------------ admin ops
 
@@ -1776,19 +1582,9 @@ class WorkerCoordinatorEngine:
     def close_vertex(self, vertex: str, error=None) -> None:
         with self._admin:
             with self._lock:
-                self._closed_vertices.add(vertex)
-                if error is not None:
-                    self._vertex_errors[vertex] = error
-                    if isinstance(error, PeerFailedError):
-                        self._peer_failures.append(error)
-                self._suspect = None
-                ops = list(self._ops.values())
-            h = None
-            wid = self._vertex_wid.get(vertex)
-            if wid is not None:
-                h = next((x for x in self._handles
-                          if x.wid == wid and not x.crashed), None)
-            if h is not None:
+                self._note_closed(vertex, error)
+            h = self._handle(self._vertex_wid.get(vertex, -1))
+            if h is not None and not h.crashed:
                 try:
                     self._admin_call(h, (
                         "close_vertex", vertex,
@@ -1797,26 +1593,21 @@ class WorkerCoordinatorEngine:
                 except PeerFailedError:
                     pass
                 self._wait_quiet()
-            for op in ops:
-                op.event.set()
+            with self._lock:
+                self._wake_all_locked()
 
     def begin_drain(self) -> None:
         with self._admin:
             with self._lock:
                 self._draining = True
-                ops = list(self._ops.values())
             for h in self._handles:
                 if not h.crashed:
                     try:
                         self._admin_call(h, ("drain",))
                     except PeerFailedError:
                         pass
-            for op in ops:
-                op.event.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+            with self._lock:
+                self._wake_all_locked()
 
     @property
     def drained(self) -> bool:
@@ -1839,14 +1630,9 @@ class WorkerCoordinatorEngine:
                 return
             with self._lock:
                 self._closed = True
-                ops = list(self._ops.values())
-                self._ops.clear()
-            for op in ops:
-                op.error = PortClosedError(
-                    f"vertex {op.vertex!r} closed")
-                self._bump("wd_send" if op.is_send else "wd_recv",
-                           op.vertex)
-                op.event.set()
+                for op in list(self._ops.values()):
+                    self._resolve_error(
+                        op, PortClosedError(f"vertex {op.vertex!r} closed"))
             try:
                 self._final_snapshot = self._snapshot_live()
             except Exception:
@@ -1855,30 +1641,13 @@ class WorkerCoordinatorEngine:
 
     # ------------------------------------------------- checkpoint / restore
 
-    def _require_quiescent(self, action: str) -> None:
+    def _quiesce(self, action: str) -> None:
+        """``_require_quiescent`` across the process boundary: let the
+        stream drain first, and refuse a generation with a dead worker (its
+        regions' state is gone)."""
         self._wait_quiet()
         with self._lock:
-            pending = len(self._ops)
-            if pending or self._blocked:
-                raise CheckpointError(
-                    f"{action} requires a quiescent engine: {pending} "
-                    f"pending operation(s), {self._blocked} blocked "
-                    "waiter(s)"
-                )
-            if self._closed or self._closed_vertices:
-                raise CheckpointError(
-                    f"{action} requires a fully open connector: "
-                    + ("engine closed" if self._closed
-                       else f"closed vertices "
-                            f"{sorted(self._closed_vertices)}")
-                )
-            if self._draining:
-                raise CheckpointError(
-                    f"{action} rejected: connector is draining (a drain "
-                    "ends in close, so the snapshot could never be resumed "
-                    "here — checkpoint at a quiescent point before "
-                    "draining instead)"
-                )
+            self._require_quiescent(action)
         for h in self._handles:
             if h.crashed:
                 raise CheckpointError(
@@ -1916,7 +1685,7 @@ class WorkerCoordinatorEngine:
 
     def checkpoint(self, name: str = "") -> Checkpoint:
         with self._admin:
-            self._require_quiescent("checkpoint")
+            self._quiesce("checkpoint")
             region_states: list = [None] * len(self._regions_template)
             buffers: dict = {}
             for h in self._handles:
@@ -1933,21 +1702,7 @@ class WorkerCoordinatorEngine:
                     "worker checkpoint hand-off missed a region"
                 )
             with self._lock:
-                parties = tuple(
-                    (p.name or f"party{i}", tuple(sorted(p.vertices)))
-                    for i, p in enumerate(self._parties.values())
-                )
-            return Checkpoint(
-                connector=name,
-                regions=tuple(region_states),
-                buffers=buffers,
-                steps=self.steps,
-                parties=parties,
-                boundary=(
-                    tuple(sorted(self.sources)),
-                    tuple(sorted(self.sinks)),
-                ),
-            )
+                return self._checkpoint_of(name, region_states, buffers)
 
     def restore(self, cp: Checkpoint) -> None:
         """Restore = re-migrate every region through the hand-off path:
@@ -1955,65 +1710,11 @@ class WorkerCoordinatorEngine:
         the checkpointed control state onto the templates, and fork a
         fresh generation."""
         with self._admin:
-            self._require_quiescent("restore")
-            if cp.boundary:
-                here = (tuple(sorted(self.sources)),
-                        tuple(sorted(self.sinks)))
-                if tuple(cp.boundary) != here:
-                    raise CheckpointError(
-                        "checkpoint boundary signature "
-                        f"{tuple(cp.boundary)!r} does not match engine "
-                        f"{here!r} — the snapshot was taken from a "
-                        "structurally different connector (e.g. before a "
-                        "re-parametrization)"
-                    )
-            if len(cp.regions) != len(self._regions_template):
-                raise CheckpointError(
-                    f"checkpoint has {len(cp.regions)} regions, engine "
-                    f"has {len(self._regions_template)}"
-                )
-            validated = []
-            for rs, region in zip(cp.regions, self._regions_template):
-                if isinstance(region, EagerRegion):
-                    if rs.kind != "eager":
-                        raise CheckpointError(
-                            f"region kind mismatch: checkpoint {rs.kind!r}"
-                            ", engine 'eager' (same composition mode "
-                            "required)"
-                        )
-                    n = region.automaton.n_states
-                    if not isinstance(rs.state, int) or not 0 <= rs.state < n:
-                        raise CheckpointError(
-                            f"state {rs.state!r} out of range for "
-                            f"{n}-state region"
-                        )
-                    validated.append(rs.state)
-                else:
-                    if rs.kind != "lazy":
-                        raise CheckpointError(
-                            f"region kind mismatch: checkpoint {rs.kind!r}"
-                            ", engine 'lazy' (same composition mode "
-                            "required)"
-                        )
-                    try:
-                        validated.append(region.lazy.validate_state(rs.state))
-                    except ValueError as exc:
-                        raise CheckpointError(str(exc)) from None
-            names = set(self._store_template.names())
-            if set(cp.buffers) != names:
-                missing = sorted(names - set(cp.buffers))
-                extra = sorted(set(cp.buffers) - names)
-                raise CheckpointError(
-                    f"buffer snapshot does not match store (missing "
-                    f"{missing}, unknown {extra})"
-                )
+            self._quiesce("restore")
+            validated = self._validate_checkpoint(
+                cp, self._regions_template, self._store_template)
             self._teardown_workers()
-            for region, rs, state in zip(self._regions_template,
-                                         cp.regions, validated):
-                region.state = state
-                region.cursors = (
-                    {} if isinstance(rs.rr, int) else dict(rs.rr)
-                )
+            self._install_states(cp, self._regions_template, validated)
             self._steps_base = cp.steps
             with self._lock:
                 self._suspect = None
@@ -2038,54 +1739,20 @@ class WorkerCoordinatorEngine:
             self._teardown_workers()
             self._regions_template = list(regions)
             self._store_template = buffers
-            new_sources, new_sinks = frozenset(sources), frozenset(sinks)
             with self._lock:
-                self._closed_vertices = {
-                    vertex_map.get(v, v) for v in self._closed_vertices
-                    if vertex_map.get(v, v) in new_sources | new_sinks
-                }
-                self._vertex_errors = {
-                    vertex_map.get(v, v): e
-                    for v, e in self._vertex_errors.items()
-                    if vertex_map.get(v, v) in new_sources | new_sinks
-                }
-                self._policies = {
-                    vertex_map.get(v, v): p
-                    for v, p in self._policies.items()
-                    if vertex_map.get(v, v) in new_sources | new_sinks
-                }
-                for party in self._parties.values():
-                    party.vertices = {
-                        vertex_map.get(v, v) for v in party.vertices
-                        if vertex_map.get(v, v) in new_sources | new_sinks
-                    }
-                self._vertex_party = {
-                    v: p for p in self._parties.values() for v in p.vertices
-                }
-                self._peer_failures.clear()
-                if self.expected_parties is not None:
-                    self.expected_parties = max(
-                        0, self.expected_parties - expected_delta)
-                self._party_gen += 1
-                self._suspect = None
-            self.sources, self.sinks = new_sources, new_sinks
-            if initial_occupancy is not None:
-                self._initial_occupancy = initial_occupancy
-            self.dead.remap(vertex_map)
+                self._remap_boundary(
+                    vertex_map, frozenset(sources), frozenset(sinks),
+                    expected_delta, initial_occupancy)
             self._start_workers(handoff=buffers.snapshot())
-            boundary = new_sources | new_sinks
+            boundary = self.sources | self.sinks
             for op in held:
                 if op.done or op.error is not None:
                     continue
-                new_vertex = vertex_map.get(op.vertex, op.vertex)
+                new_vertex = vertex_map.get(op.vertex)
                 if new_vertex not in boundary:
                     with self._lock:
-                        op.error = PortClosedError(
-                            f"vertex {op.vertex!r} left the protocol"
-                        )
-                        self._bump("wd_send" if op.is_send else "wd_recv",
-                                   op.vertex)
-                    op.event.set()
+                        self._resolve_error(op, PortClosedError(
+                            f"vertex {op.vertex!r} left the protocol"))
                     continue
                 op.vertex = new_vertex
                 op.acked = False
@@ -2102,13 +1769,6 @@ class WorkerCoordinatorEngine:
     @property
     def steps(self) -> int:
         return self._steps_base + sum(
-            h.steps_occupancy()[0] for h in self._handles)
-
-    @steps.setter
-    def steps(self, value: int) -> None:
-        # Only meaningful between generations (restore sets it there); with
-        # live workers the per-worker counters cannot be zeroed remotely.
-        self._steps_base = value - sum(
             h.steps_occupancy()[0] for h in self._handles)
 
     @property
@@ -2129,12 +1789,6 @@ class WorkerCoordinatorEngine:
 
     def buffered_total(self) -> int:
         return sum(h.steps_occupancy()[1] for h in self._handles)
-
-    def dead_letters(self, vertex=None):
-        return self.dead.of(vertex) if vertex is not None else self.dead.all()
-
-    def shed_count(self, vertex=None) -> int:
-        return self.dead.count(vertex)
 
     def precompile_plans(self) -> int:
         total = 0
@@ -2161,7 +1815,21 @@ class WorkerCoordinatorEngine:
                 return True
         return False
 
+    def _worker_stats(self, h: _Handle) -> dict:
+        """What worker ``h``'s engine counts now, or — once it can no
+        longer be asked — what it counted at its ready handshake."""
+        if not h.crashed and not h.stopping:
+            try:
+                return self._admin_call(h, ("stats",))
+            except (PeerFailedError, RuntimeProtocolError):
+                pass
+        return h.ready_stats
+
     def stats(self) -> dict:
+        """The thread engine's keys, the per-worker ones summed over the
+        live generation (asked over the control channel, so a JIT
+        connector's ``expansions`` and ``compiled_states`` grow with
+        traffic); all of them read 0 after ``close()``."""
         out = {
             "steps": self.steps,
             "plans": 0,
@@ -2179,11 +1847,13 @@ class WorkerCoordinatorEngine:
             "compiled_states": 0,
             "emitted_steps": 0,
         }
-        for h in self._handles:
-            for key in ("plans", "expansions", "cached_states",
-                        "compiled_regions", "compiled_states",
-                        "emitted_steps"):
-                out[key] += h.ready_stats.get(key, 0)
+        with self._admin:
+            for h in self._handles:
+                stats = self._worker_stats(h)
+                for key in ("plans", "expansions", "cached_states",
+                            "compiled_regions", "compiled_states",
+                            "emitted_steps"):
+                    out[key] += stats.get(key, 0)
         return out
 
 

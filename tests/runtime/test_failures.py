@@ -7,9 +7,10 @@ import pytest
 from repro.compiler import compile_source
 from repro.connectors import library
 from repro.runtime.ports import mkports
-from repro.runtime.tasks import spawn
+from repro.runtime.tasks import SupervisedTaskGroup, spawn
 from repro.util.errors import (
     DeadlockError,
+    PeerFailedError,
     PortClosedError,
     ProtocolTimeoutError,
 )
@@ -17,8 +18,8 @@ from repro.util.errors import (
 pytestmark = pytest.mark.fault_stress
 
 
-def test_close_connector_fails_all_blocked_parties():
-    conn = library.connector("Barrier", 2)
+def test_close_connector_fails_all_blocked_parties(concurrency="regions"):
+    conn = library.connector("Barrier", 2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
 
@@ -38,8 +39,10 @@ def test_close_connector_fails_all_blocked_parties():
     assert h1.join(5) and h2.join(5)
 
 
-def test_close_single_vertex_blocks_only_that_port():
-    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector("P")
+def test_close_single_vertex_blocks_only_that_port(concurrency="regions"):
+    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
+        "P", concurrency=concurrency
+    )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
     outs[0].send(1)
@@ -60,11 +63,11 @@ def test_send_after_connector_close():
         outs[0].send(1)
 
 
-def test_deadlock_detection_two_receivers():
+def test_deadlock_detection_two_receivers(concurrency="regions"):
     """Two parties both receiving on an empty fifo = deadlock (when the
     engine knows how many parties there are)."""
     conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", expected_parties=2
+        "P", expected_parties=2, concurrency=concurrency
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
@@ -107,9 +110,10 @@ def test_no_false_deadlock_when_progress_possible():
     conn.close()
 
 
-def test_deadlock_in_barrier_wrong_usage():
+def test_deadlock_in_barrier_wrong_usage(concurrency="regions"):
     """A Barrier(2) where only one pair participates deadlocks."""
-    conn = library.connector("Barrier", 2, expected_parties=2)
+    conn = library.connector(
+        "Barrier", 2, expected_parties=2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
 
@@ -129,13 +133,13 @@ def test_deadlock_in_barrier_wrong_usage():
     conn.close()
 
 
-def test_no_spurious_deadlock_from_nonblocking_probes():
+def test_no_spurious_deadlock_from_nonblocking_probes(concurrency="regions"):
     """Detection counts *blocked parties*, not queued ops: probes from a
     non-blocking (or about-to-block) submitter transiently inflate a vertex
     queue past ``expected_parties`` while only one party is truly blocked —
     that must never be declared a deadlock."""
     conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", expected_parties=2
+        "P", expected_parties=2, concurrency=concurrency
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
@@ -181,8 +185,9 @@ def test_zero_expected_parties_is_not_a_deadlock(concurrency):
         conn.close()
 
 
-def test_deadlock_error_carries_diagnostic_dump():
-    conn = library.connector("Barrier", 2, expected_parties=2)
+def test_deadlock_error_carries_diagnostic_dump(concurrency="regions"):
+    conn = library.connector(
+        "Barrier", 2, expected_parties=2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
 
@@ -204,6 +209,69 @@ def test_deadlock_error_carries_diagnostic_dump():
     assert err.diagnostic
     assert "pending sends" in str(err)
     assert "region states" in str(err)
+    conn.close()
+
+
+BACKENDS = ["regions", "global", "workers"]
+
+
+@pytest.mark.parametrize("concurrency", BACKENDS[1:])
+@pytest.mark.parametrize("scenario", [
+    test_close_connector_fails_all_blocked_parties,
+    test_close_single_vertex_blocks_only_that_port,
+    test_deadlock_detection_two_receivers,
+    test_deadlock_in_barrier_wrong_usage,
+    test_no_spurious_deadlock_from_nonblocking_probes,
+    test_deadlock_error_carries_diagnostic_dump,
+], ids=lambda f: f.__name__)
+def test_failure_scenarios_on_every_backend(scenario, concurrency):
+    """The detector, its error and the closed-vertex books are the host's
+    (``runtime/host.py``); a backend only delivers.  One extra test rather
+    than a parameter on each, so the scenarios keep their ids."""
+    scenario(concurrency)
+
+
+@pytest.mark.parametrize("concurrency", BACKENDS)
+def test_detection_grace_is_waited_out_then_delivered(concurrency):
+    """Registered parties: a sighting must stand for ``detection_grace``
+    before it is believed, and is then delivered within a few ticks."""
+    grace = 0.3
+    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
+        "P", detection_grace=grace, concurrency=concurrency
+    )
+    outs, ins = mkports(1, 1)
+    conn.connect(outs, ins)
+    g = SupervisedTaskGroup()
+    t0 = time.monotonic()
+    h = g.spawn(ins[0].recv, ports=[ins[0]], name="lone-consumer")
+    h.thread.join(10)
+    elapsed = time.monotonic() - t0
+    assert not h.alive and isinstance(h.exception, DeadlockError)
+    assert grace <= elapsed < grace + 2.0
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", BACKENDS)
+def test_stuck_parties_blame_the_crashed_peer(concurrency):
+    """A supervised crash closes the dead task's vertex with a
+    PeerFailedError; the parties later found stuck get that blame — task
+    name and cause — not a bare DeadlockError."""
+    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
+        "P", concurrency=concurrency
+    )
+    outs, ins = mkports(1, 1)
+    conn.connect(outs, ins)
+
+    def producer():
+        raise ValueError("producer exploded")
+
+    g = SupervisedTaskGroup()
+    g.spawn(producer, ports=[outs[0]], name="producer")
+    h = g.spawn(ins[0].recv, ports=[ins[0]], name="consumer")
+    h.thread.join(10)
+    assert not h.alive and isinstance(h.exception, PeerFailedError)
+    assert h.exception.task == "producer"
+    assert isinstance(h.exception.cause, ValueError)
     conn.close()
 
 

@@ -7,6 +7,7 @@ uninterrupted run; (2) when the restart budget is exhausted, the connector
 re-parametrizes to n−1 parties and the survivors drain without deadlock.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -290,9 +291,12 @@ def test_restart_jitter_is_reproducible_end_to_end(seed):
 # --------------------------------------------------------------------------
 
 
-def test_exhausted_retries_reparametrize_merger():
+def test_exhausted_retries_reparametrize_merger(concurrency="regions"):
     n, k = 3, 4
-    conn = library.connector("Merger", n, default_timeout=OP_TIMEOUT)
+    conn = library.connector(
+        "Merger", n, default_timeout=OP_TIMEOUT, concurrency=concurrency,
+        use_partitioning=True,
+    )
     outs, ins = mkports(n, 1)
     conn.connect(outs, ins)
     got: list = []
@@ -329,6 +333,47 @@ def test_exhausted_retries_reparametrize_merger():
     assert report.task == "p2" and len(report.removed_vertices) == 1
     assert outs[2].closed and not outs[0].closed
     conn.close()
+
+
+def test_leave_after_close_vertex_spares_the_renamed_survivor(
+        concurrency="regions"):
+    """The supervised crash path closes the dead party's vertex, then
+    leaves: ``t@1`` departs *closed*, and survivor ``t@2`` is renamed onto
+    ``t@1``.  What was recorded about the departed vertex goes with it —
+    the survivor must not inherit its closure or its error."""
+    conn = library.connector(
+        "Merger", 3, default_timeout=OP_TIMEOUT, concurrency=concurrency,
+        use_partitioning=True,
+    )
+    outs, ins = mkports(3, 1)
+    conn.connect(outs, ins)
+    try:
+        dying = outs[0]._vertex
+        conn.engine.close_vertex(
+            dying, PeerFailedError("A", message="A died"))
+        conn.leave(outs[0])
+        assert outs[1]._vertex == dying  # renamed onto the departed name
+        assert conn.engine._closed_vertices == set()
+        assert conn.engine._vertex_errors == {}
+        sender = threading.Thread(target=outs[1].send, args=("b",))
+        sender.start()
+        assert ins[0].recv() == "b"
+        sender.join(JOIN_TIMEOUT)
+        assert not sender.is_alive()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["global", "workers"])
+@pytest.mark.parametrize("scenario", [
+    test_exhausted_retries_reparametrize_merger,
+    test_leave_after_close_vertex_spares_the_renamed_survivor,
+], ids=lambda f: f.__name__)
+def test_departure_scenarios_on_every_backend(scenario, concurrency):
+    """Both departure scenarios again on the other two backends (one extra
+    test rather than a parameter on each, so the scenarios keep their ids):
+    the boundary remap is the host's, so all three must agree."""
+    scenario(concurrency)
 
 
 def test_departed_consumer_unblocks_replicator_producer():
@@ -571,22 +616,47 @@ def test_checkpoint_restores_into_fresh_instance():
     b.close()
 
 
-def test_checkpoint_structural_mismatch_rejected():
-    a = library.connector("FifoChain", 2, default_timeout=OP_TIMEOUT)
+def test_checkpoint_structural_mismatch_rejected(
+        concurrency="regions", bad="arity"):
+    """``bad`` is what is wrong with the checkpoint: taken at another
+    ``arity``, or one buffer holding more values than its ``capacity``."""
+    a = library.connector(
+        "FifoChain", 2 if bad == "arity" else 3, default_timeout=OP_TIMEOUT,
+        use_partitioning=True,
+    )
     outs_a, ins_a = mkports(1, 1)
     a.connect(outs_a, ins_a)
     cp = a.checkpoint()
     a.close()
+    if bad == "capacity":
+        first = sorted(cp.buffers)[0]
+        cp = dataclasses.replace(
+            cp, buffers={**cp.buffers, first: ("x", "y", "z")})
 
-    b = library.connector("FifoChain", 3, default_timeout=OP_TIMEOUT)
+    b = library.connector(
+        "FifoChain", 3, default_timeout=OP_TIMEOUT, concurrency=concurrency,
+        use_partitioning=True,
+    )
     outs_b, ins_b = mkports(1, 1)
     b.connect(outs_b, ins_b)
-    with pytest.raises(CheckpointError):
-        b.restore(cp)
-    # A failed restore leaves the target untouched and usable.
-    outs_b[0].send("still works")
-    assert ins_b[0].recv() == "still works"
-    b.close()
+    try:
+        before = b.engine.buffers.snapshot()
+        with pytest.raises(CheckpointError):
+            b.restore(cp)
+        # A failed restore leaves the target untouched and usable.
+        assert b.engine.buffers.snapshot() == before
+        outs_b[0].send("still works")
+        assert ins_b[0].recv() == "still works"
+    finally:
+        b.close()
+
+
+@pytest.mark.parametrize("concurrency", ["regions", "global", "workers"])
+@pytest.mark.parametrize("bad", ["arity", "capacity"])
+def test_rejected_restore_leaves_every_backend_running(bad, concurrency):
+    """Validation is the host's and comes before anything is torn down, so
+    a bad checkpoint costs no backend its regions, buffers or workers."""
+    test_checkpoint_structural_mismatch_rejected(concurrency, bad)
 
 
 def test_checkpoint_on_unconnected_connector():

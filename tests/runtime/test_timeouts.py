@@ -17,8 +17,8 @@ def pipe(**options):
     return conn, outs[0], ins[0]
 
 
-def test_recv_timeout_on_empty_fifo():
-    conn, out, inp = pipe()
+def test_recv_timeout_on_empty_fifo(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency)
     t0 = time.monotonic()
     with pytest.raises(ProtocolTimeoutError) as ei:
         inp.recv(timeout=0.15)
@@ -28,8 +28,8 @@ def test_recv_timeout_on_empty_fifo():
     conn.close()
 
 
-def test_send_timeout_on_full_fifo():
-    conn, out, inp = pipe()
+def test_send_timeout_on_full_fifo(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency)
     out.send(1)  # fifo1 now full
     with pytest.raises(ProtocolTimeoutError):
         out.send(2, timeout=0.15)
@@ -45,10 +45,10 @@ def test_timeout_error_is_both_timeout_and_repro_error():
     conn.close()
 
 
-def test_timed_out_recv_leaves_no_stale_queue_entry():
+def test_timed_out_recv_leaves_no_stale_queue_entry(concurrency="regions"):
     """After a recv times out, a later send must NOT be consumed by the
     withdrawn operation — the value stays available to the next receiver."""
-    conn, out, inp = pipe()
+    conn, out, inp = pipe(concurrency=concurrency)
     with pytest.raises(ProtocolTimeoutError):
         inp.recv(timeout=0.1)
     out.send("kept")
@@ -57,9 +57,9 @@ def test_timed_out_recv_leaves_no_stale_queue_entry():
     conn.close()
 
 
-def test_timed_out_send_leaves_no_stale_queue_entry():
+def test_timed_out_send_leaves_no_stale_queue_entry(concurrency="regions"):
     """After a send times out, a later recv must NOT observe its value."""
-    conn, out, inp = pipe()
+    conn, out, inp = pipe(concurrency=concurrency)
     out.send("first")  # fills the fifo
     with pytest.raises(ProtocolTimeoutError):
         out.send("stale", timeout=0.1)
@@ -70,15 +70,15 @@ def test_timed_out_send_leaves_no_stale_queue_entry():
     conn.close()
 
 
-def test_connector_default_timeout():
-    conn, out, inp = pipe(default_timeout=0.1)
+def test_connector_default_timeout(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency, default_timeout=0.1)
     with pytest.raises(ProtocolTimeoutError):
         inp.recv()
     conn.close()
 
 
-def test_per_call_timeout_overrides_default():
-    conn, out, inp = pipe(default_timeout=30.0)
+def test_per_call_timeout_overrides_default(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency, default_timeout=30.0)
     t0 = time.monotonic()
     with pytest.raises(ProtocolTimeoutError):
         inp.recv(timeout=0.1)
@@ -86,8 +86,8 @@ def test_per_call_timeout_overrides_default():
     conn.close()
 
 
-def test_completion_before_timeout_wins():
-    conn, out, inp = pipe()
+def test_completion_before_timeout_wins(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency)
 
     def late_producer():
         time.sleep(0.05)
@@ -99,10 +99,30 @@ def test_completion_before_timeout_wins():
     conn.close()
 
 
-def test_timeout_attributes():
-    conn, out, inp = pipe()
+def test_timeout_attributes(concurrency="regions"):
+    conn, out, inp = pipe(concurrency=concurrency)
     with pytest.raises(ProtocolTimeoutError) as ei:
         inp.recv(timeout=0.05)
     assert ei.value.timeout == 0.05
     assert ei.value.vertex  # names the boundary vertex it waited on
     conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["global", "workers"])
+@pytest.mark.parametrize("scenario", [
+    test_recv_timeout_on_empty_fifo,
+    test_send_timeout_on_full_fifo,
+    test_timed_out_recv_leaves_no_stale_queue_entry,
+    test_timed_out_send_leaves_no_stale_queue_entry,
+    test_connector_default_timeout,
+    test_per_call_timeout_overrides_default,
+    test_completion_before_timeout_wins,
+    test_timeout_attributes,
+], ids=lambda f: f.__name__)
+def test_timeout_scenarios_on_every_backend(scenario, concurrency):
+    """The blocked-wait loop and its deadline are the host's; only *how* an
+    expired operation is withdrawn differs (under the owner region's lock
+    in-process, a ``withdraw`` request over the ring for workers).  One
+    extra test rather than a parameter on each, so the scenarios keep their
+    ids."""
+    scenario(concurrency)

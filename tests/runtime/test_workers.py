@@ -68,7 +68,9 @@ def test_replicator_roundtrip_and_close():
 
 def test_stats_sum_the_workers_compiled_tier():
     """``emitted_steps`` is aggregated like ``compiled_states``: summed over
-    the workers' own engines as of their ready handshake."""
+    the workers' own engines, asked live over the control channel — so a
+    JIT connector's figures grow with traffic instead of staying at what
+    the ready handshake carried."""
     conn = workers_connector("Replicator", 2, compiled="require")
     outs, ins = mkports(1, 2)
     conn.connect(outs, ins)
@@ -76,6 +78,20 @@ def test_stats_sum_the_workers_compiled_tier():
     conn.close()
     assert stats["compiled_regions"] >= 1
     assert 1 <= stats["emitted_steps"] and 1 <= stats["compiled_states"]
+
+    # Unpartitioned, so the one region's product has states left to find.
+    conn = workers_connector(
+        "FifoChain", 3, composition="jit", use_partitioning=False)
+    outs, ins = mkports(1, 1)
+    conn.connect(outs, ins)
+    at_start = conn.stats()
+    for i in range(4):
+        outs[0].send(i)
+        assert ins[0].recv() == i
+    after = conn.stats()
+    conn.close()
+    assert after["expansions"] > at_start["expansions"]
+    assert after["compiled_states"] > at_start["compiled_states"]
 
 
 def test_pipeline_crosses_worker_boundary():
