@@ -229,21 +229,6 @@ class FunctionRegistry:
         except KeyError:
             raise KeyError(f"predicate {name!r} not registered") from None
 
-    def try_function(self, name: str) -> Callable[[object], object] | None:
-        """Like :meth:`function` but returns ``None`` when unregistered.
-
-        The step compiler (:mod:`repro.compiler.steps`) probes with this to
-        *demote* a region whose constraints reference names that are not
-        registered yet, instead of failing the connect: the interpretive
-        engine resolves names lazily at first fire, so a late registration
-        keeps working there.
-        """
-        return self._functions.get(name)
-
-    def try_predicate(self, name: str) -> Callable[[object], bool] | None:
-        """Like :meth:`predicate` but returns ``None`` when unregistered."""
-        return self._predicates.get(name)
-
     def merged_with(self, other: "FunctionRegistry | None") -> "FunctionRegistry":
         """A new registry containing this registry's entries plus ``other``'s."""
         out = FunctionRegistry()

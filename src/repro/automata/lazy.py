@@ -13,7 +13,10 @@ bounded caches (:class:`LRUCache`, :class:`FIFOCache`, :class:`RandomCache`)
 whose eviction merely drops an expansion, which is recomputed on the next
 visit — "the disadvantage is the possible need to recompute states …; the
 advantage is that arbitrarily large state spaces can be handled".  A cache
-is anything with ``get``/``put``/``clear``/``__len__``.
+is anything with ``get``/``put``/``clear``/``items``/``__len__`` (and
+optionally ``lookup``) that does not look at its values: a connector's
+compiled step tier keeps in it the step functions it specialised from a
+state's steps (:meth:`LazyProduct.expand`) instead of the steps.
 
 Recomputing a state is cheap: the product keeps what it learnt about local
 neighbourhoods in a :class:`~repro.automata.product.ComposeMemo`, which no
@@ -53,36 +56,45 @@ class UnboundedCache:
             self.hits += 1
         return value
 
+    @property
+    def lookup(self):
+        """``get`` with only the side effects the eviction policy needs —
+        here none — for the engine, which reads the table on every drain."""
+        return self._data.get
+
     def put(self, key, value) -> None:
         self._data[key] = value
 
     def clear(self) -> None:
         self._data.clear()
 
+    def items(self):
+        return self._data.items()
+
     def __len__(self) -> int:
         return len(self._data)
 
 
-class _BoundedCache:
-    """Shared machinery for the bounded caches."""
+class _BoundedCache(UnboundedCache):
+    """Shared machinery for the bounded caches: a capacity and an eviction
+    rule on top of the unbounded one."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise CompileError("cache capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._data = OrderedDict()
 
     def get(self, key):
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._on_hit(key)
+        value = super().get(key)
+        if value is not None:
+            self._on_hit(key)
         return value
+
+    @property
+    def lookup(self):
+        return self.get  # a hit may matter to the policy
 
     def put(self, key, value) -> None:
         if key not in self._data and len(self._data) >= self.capacity:
@@ -90,17 +102,11 @@ class _BoundedCache:
             self.evictions += 1
         self._data[key] = value
 
-    def clear(self) -> None:
-        self._data.clear()
-
     def _on_hit(self, key) -> None:  # pragma: no cover - overridden
         pass
 
     def _evict(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 class LRUCache(_BoundedCache):
@@ -175,12 +181,17 @@ class LazyProduct:
     def outgoing(self, state: tuple[int, ...]) -> list[ComposedStep]:
         steps = self.cache.get(state)
         if steps is None:
-            steps = compose_outgoing(
-                self.automata, state, mode=self.mode, memo=self._memo
-            )
+            steps = self.expand(state)
             self.cache.put(state, steps)
-            self.expansions += 1
         return steps
+
+    def expand(self, state: tuple[int, ...]) -> list[ComposedStep]:
+        """Compose ``state``'s steps through the memo, past the cache: for
+        the engine's compiled tier, which stores what it derives from them."""
+        self.expansions += 1
+        return compose_outgoing(
+            self.automata, state, mode=self.mode, memo=self._memo
+        )
 
     def release(self) -> None:
         """Drop every expansion and memoised closure (the owning connector

@@ -33,13 +33,13 @@ affected region to the always-correct interpretive tier (nothing else
 catches that type — see docs/COMPILER.md "When compilation refuses").
 Genuine refusals:
 
-* a constraint referencing a function/predicate name not registered yet —
-  the interpreter resolves names at *first fire*, so late registration must
-  keep working (the compiled tier would have to resolve at connect time);
-* a constraint :func:`~repro.automata.simplify.commandify` itself rejects
-  (e.g. a push of an undetermined value) — the interpreter surfaces that
-  :class:`~repro.util.errors.ConstraintError` at first fire, and demotion
-  preserves exactly that behaviour;
+* a constraint the engine cannot plan yet — the compiler asks the engine's
+  plan cache, the call the interpreter makes at *first fire*, and demotes
+  on what that call raises: ``KeyError`` for a function/predicate name not
+  registered (late registration must keep working), or the
+  :class:`~repro.util.errors.ConstraintError` of a constraint
+  :func:`~repro.automata.simplify.commandify` rejects (e.g. a push of an
+  undetermined value), which the interpreter then surfaces as before;
 * a region over the compile budget (:data:`TRANSITION_BUDGET`) — emitting
   and ``exec``-ing tens of thousands of functions would cost more than it
   saves.
@@ -69,27 +69,19 @@ the closure binds whichever buffer object the worker's
 
 from __future__ import annotations
 
-from repro.automata.constraint import (
-    App,
-    FunctionRegistry,
-    Pred,
-    Push,
-    Term,
-)
 from repro.automata.simplify import (
     _APPLY,
     _CONST,
     _PEEK,
     _SEND,
     FiringPlan,
-    commandify,
 )
 from repro.util.errors import CompileError, ConstraintError
 
 #: Per-region bound on transitions compiled ahead of time.  An eager region
 #: beyond this is demoted wholesale (exec-ing that many functions would
 #: dwarf any firing speedup); lazy regions compile per *visited* state and
-#: are bounded by the engine's state-table cap instead.
+#: are bounded by their state cache instead.
 TRANSITION_BUDGET = 20_000
 
 
@@ -121,37 +113,12 @@ class CompiledStep:
         self.source = source
 
 
-def _constraint_names(atoms, effects) -> tuple[set[str], set[str]]:
-    """Function/predicate names a transition's constraint references."""
-    functions: set[str] = set()
-    predicates: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            functions.add(t.func)
-            walk(t.arg)
-
-    for a in atoms:
-        if isinstance(a, Pred):
-            predicates.add(a.pred)
-            walk(a.arg)
-        else:
-            for attr in ("left", "right"):
-                term = getattr(a, attr, None)
-                if term is not None:
-                    walk(term)
-    for e in effects:
-        if isinstance(e, Push):
-            walk(e.term)
-    return functions, predicates
-
-
 class StepCompiler:
     """Specializes transitions against one engine's concrete run-time state.
 
     Bound (at construction) to the engine's pending-op queue maps, buffer
-    store, boundary signature, registry, and closed-vertex set — the exact
-    objects the emitted closures capture.  The engine builds a fresh
+    store, boundary signature, closed-vertex set — the exact objects the
+    emitted closures capture — and plan cache.  The engine builds a fresh
     compiler in ``_adopt_regions`` so construction *and* reconfigure bind
     current objects.
     """
@@ -163,16 +130,17 @@ class StepCompiler:
         buffers,
         sources: frozenset[str],
         sinks: frozenset[str],
-        registry: FunctionRegistry,
         closed_vertices: set,
+        plan_for,
     ):
         self._pending_send = pending_send
         self._pending_recv = pending_recv
         self._buffers = buffers
         self._sources = sources
         self._sinks = sinks
-        self._registry = registry
         self._closed = closed_vertices
+        #: The engine's plan cache, shared with the interpretive tier.
+        self._plan_for = plan_for
         #: One emission per distinct step: ``(label, id(atoms),
         #: id(effects))`` → ``(fire, source, touched)`` plus the two tuples
         #: themselves, so their ids stay theirs.  See
@@ -246,35 +214,22 @@ class StepCompiler:
         hit = self._emitted.get(key)
         if hit is None:
             hit = self._emitted[key] = (
-                *self._emit(label, self._plan(label, atoms, effects)),
+                *self._emit(label, self._plan(step)),
                 atoms, effects,  # kept alive so their ids stay theirs
             )
         fire, source, touched = hit[:3]
         return CompiledStep(label, target, touched, fire, source)
 
-    def _plan(self, label, atoms, effects) -> FiringPlan:
-        # Late-registration probe: commandify would raise KeyError here,
-        # but the interpreter resolves names at first fire — demote so a
-        # registration between connect and first fire keeps working.
-        functions, predicates = _constraint_names(atoms, effects)
-        for name in sorted(functions):
-            if self._registry.try_function(name) is None:
-                raise CompileError(
-                    f"function {name!r} not registered at compile time"
-                )
-        for name in sorted(predicates):
-            if self._registry.try_predicate(name) is None:
-                raise CompileError(
-                    f"predicate {name!r} not registered at compile time"
-                )
+    def _plan(self, step) -> FiringPlan:
+        """The step's plan, from the very call the interpreter would make
+        at first fire; what that call raises there is a refusal here."""
         try:
-            return commandify(
-                label, atoms, effects,
-                self._sources, self._sinks, self._registry,
-            )
+            return self._plan_for(step)
+        except KeyError as exc:
+            # A name not registered yet: demoting keeps a registration
+            # between connect and first fire working.
+            raise CompileError(f"{exc.args[0]} at compile time") from exc
         except ConstraintError as exc:
-            # The interpreter would surface this at first fire; demoting
-            # the region preserves that behaviour exactly.
             raise CompileError(f"unplannable constraint: {exc}") from exc
 
     # ------------------------------------------------------------------
@@ -420,11 +375,11 @@ def region_sources(engine) -> list[tuple[int, object, str, str]]:
     ``tools/dump_compiled_steps.py`` (CI artifacts) and docs examples."""
     rows: list[tuple[int, object, str, str]] = []
     for region in engine.regions:
-        table = getattr(region, "ctable", None)
-        if not table:
-            continue
-        for state in sorted(table, key=repr):
-            for entry in table[state]:
+        if not region.compiled:
+            continue  # its table, if any, holds steps, not compiled entries
+        for state, entries in sorted(region.table.items(),
+                                     key=lambda kv: repr(kv[0])):
+            for entry in entries:
                 rows.append(
                     (region.idx, state,
                      "{" + ",".join(sorted(entry.label)) + "}",

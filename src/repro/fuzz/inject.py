@@ -34,8 +34,7 @@ def rr_window(conn) -> None:
         # never consult candidates() at fire time, which would render the
         # injected bug invisible (and the oracle toothless) under a
         # compiled mode.
-        region.compiled = False
-        region.ctable = None
+        region.demote()
 
 
 #: Registry used by the CLI's ``--inject`` flag and replay files.

@@ -4,8 +4,7 @@ One :class:`CoordinatorEngine` drives one connected protocol instance.  It
 holds one or more *regions* (see :mod:`repro.automata.partition`); each
 region is either
 
-* an :class:`EagerRegion` — a fully composed "large automaton" with the
-  transition-global :class:`~repro.automata.analysis.GlobalIndex` (the
+* an :class:`EagerRegion` — a fully composed "large automaton" (the
   existing compilation approach, ahead-of-time composition), or
 * a :class:`LazyRegion` — a :class:`~repro.automata.lazy.LazyProduct`
   expanded just-in-time (the new approach, §IV.D).
@@ -100,7 +99,6 @@ import time
 from collections import deque
 from typing import Sequence
 
-from repro.automata.analysis import GlobalIndex
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import FunctionRegistry
 from repro.automata.lazy import LazyProduct
@@ -122,12 +120,6 @@ assert LATENCY_STRIDE & _LAT_MASK == 0, "LATENCY_STRIDE must be a power of two"
 #: is withdrawn, a blocking submit installs its wakeup slot and parks.  The
 #: overload policy applies to the two that stay.
 _LEAVE, _WITHDRAW, _PARK = range(3)
-
-#: Per-region cap on the number of control states the compiled tier keeps
-#: specialized step tables for (JIT regions compile per visited state).
-#: States beyond the cap are simply interpreted — correctness never depends
-#: on a table hit.
-_STATE_TABLE_CAP = 4096
 
 
 class _Op:
@@ -184,22 +176,30 @@ class _RegionRuntime:
         #: Candidates examined before fired steps (metrics; advanced only
         #: when metered, like the pre-region ``_scan_count``).
         self.scanned = 0
-        #: Compiled step tier (repro.compiler.steps): ``ctable`` maps a
-        #: control state to its tuple of specialized CompiledStep functions;
-        #: ``compiled`` is False when this region was demoted to the
-        #: interpretive engine (compile refusal, or ``compiled="off"``).
+        #: Compiled step tier (repro.compiler.steps): True while the
+        #: region's ``table`` maps a control state to its tuple of
+        #: specialized CompiledStep functions; False when the region runs on
+        #: the interpretive engine (compile refusal, or ``compiled="off"``).
         self.compiled = False
-        self.ctable: dict | None = None
+
+    def demote(self) -> None:
+        """Hand this region to the interpretive tier, which refills a
+        lazy region's ``table`` with steps and never reads an eager one's."""
+        self.compiled = False
+        self.table.clear()
 
 
 class EagerRegion(_RegionRuntime):
-    """Region backed by a fully composed automaton + global index."""
+    """Region backed by a fully composed automaton."""
 
     kind = "eager"  # RegionState.kind of this region's checkpoints
 
     def __init__(self, automaton: ConstraintAutomaton):
         self.automaton = automaton
-        self.index = GlobalIndex(automaton)
+        #: ``{state: (CompiledStep, ...)}`` for every state, prefilled by
+        #: the adopting engine; empty while the region is interpreted.
+        self.table: dict = {}
+        self.lookup = self.table.get
         self.state: int = automaton.initial
         # Per-state round-robin cursors for fairness (see _drain_region): a
         # cursor is an index into one state's candidate list, so sharing a
@@ -216,9 +216,6 @@ class EagerRegion(_RegionRuntime):
     def buffer_names(self) -> frozenset[str]:
         return frozenset(b.name for b in self.automaton.buffers)
 
-    def outgoing(self):
-        return self.automaton.outgoing(self.state)
-
     def candidates(self):
         """The state's outgoing transitions, in automaton order.
 
@@ -228,11 +225,7 @@ class EagerRegion(_RegionRuntime):
         :class:`~repro.runtime.recovery.RegionState`) index a candidate
         list by position, so a checkpoint written under one tier restores
         the same fairness choices under the other only if both tiers
-        enumerate identically.  The pending-filtered per-vertex dispatch of
-        :class:`~repro.automata.analysis.GlobalIndex` (§V.B point 2) is
-        superseded on the hot path by the compiled tables, which specialize
-        per state rather than per (state, vertex) — the index remains
-        available (``self.index``) for analyses and tests.
+        enumerate identically.
         """
         return self.automaton.outgoing(self.state)
 
@@ -248,12 +241,19 @@ class EagerRegion(_RegionRuntime):
 
 
 class LazyRegion(_RegionRuntime):
-    """Region backed by a just-in-time product."""
+    """Region backed by a just-in-time product.
+
+    ``table`` is the product's state cache and the region's only store of
+    expanded states: composed steps while interpreted, ``CompiledStep``
+    tuples while compiled — what the cache evicts is gone whole."""
 
     kind = "lazy"
 
     def __init__(self, lazy: LazyProduct):
         self.lazy = lazy
+        self.table = lazy.cache
+        # The drain loop's read: the default cache's is its dict's ``get``.
+        self.lookup = getattr(self.table, "lookup", self.table.get)
         self.state = lazy.initial
         self.cursors: dict = {}  # per-state fairness cursors (see EagerRegion)
         self._init_runtime()
@@ -267,9 +267,6 @@ class LazyRegion(_RegionRuntime):
         for a in self.lazy.automata:
             names.update(b.name for b in a.buffers)
         return frozenset(names)
-
-    def outgoing(self):
-        return self.lazy.outgoing(self.state)
 
     def candidates(self):
         return self.lazy.outgoing(self.state)
@@ -349,6 +346,8 @@ class CoordinatorEngine(EngineHost):
         self._pending_send: dict[str, deque[_Op]] = {v: deque() for v in sources}
         self._pending_recv: dict[str, deque[_Op]] = {v: deque() for v in sinks}
 
+        #: Both tiers' plan cache: the interpreter evaluates the plans, the
+        #: step compiler emits from them (see :meth:`_plan_for`).
         self._plans: dict[tuple, FiringPlan] = {}
         # _steps_approx is a racily maintained shortcut to ``steps`` for
         # hot-path liveness stamps.
@@ -452,8 +451,8 @@ class CoordinatorEngine(EngineHost):
         :class:`PortClosedError`.
 
         Also frees what the engine built at run time — every region's
-        compiled table and lazy state cache with its compose memo, and the
-        step compiler's emitted functions — so that a closed connector dies
+        per-state table, a lazy product's compose memo, and the step
+        compiler's emitted functions — so that a closed connector dies
         by reference count here instead of leaving tens of thousands of
         objects to whichever later allocation trips the cyclic collector.
         Nothing fires after ``close()``, but the regions stay well-formed:
@@ -466,10 +465,10 @@ class CoordinatorEngine(EngineHost):
                 self._fail_queue(q, is_send=False)
             for r in self.regions:
                 r.pend.clear()
-                if r.ctable is not None:
-                    r.ctable = {}
                 if isinstance(r, LazyRegion):
-                    r.lazy.release()
+                    r.lazy.release()  # the table (its cache) and the memo
+                else:
+                    r.table.clear()
             if self._step_compiler is not None:
                 self._step_compiler.release()
             self._wake_all_locked()
@@ -485,15 +484,9 @@ class CoordinatorEngine(EngineHost):
         route: dict[str, EagerRegion | LazyRegion] = {}
         watchers: dict[str, list] = {}
         for i, r in enumerate(self.regions):
+            r._init_runtime()
             r.idx = i
             r.lock = self._group_lock or threading.Lock()
-            r.pend = {}
-            r.dirty = False
-            r.live = True
-            r.fired = 0
-            r.scanned = 0
-            r.compiled = False
-            r.ctable = None
             for v in r.vertices:
                 route[v] = r
             for b in r.buffer_names():
@@ -546,8 +539,8 @@ class CoordinatorEngine(EngineHost):
             self.buffers,
             self.sources,
             self.sinks,
-            self.registry,
             self._closed_vertices,
+            self._plan_for,
         )
         self._step_compiler = compiler
         for r in self.regions:
@@ -556,23 +549,22 @@ class CoordinatorEngine(EngineHost):
                     # Eager regions are fully known: compile every state now
                     # (the existing approach's compile-time share, like
                     # precompile_plans).
-                    r.ctable = compiler.compile_automaton(r.automaton)
+                    r.table.update(compiler.compile_automaton(r.automaton))
                 else:
                     # Lazy regions specialize per visited state, starting
-                    # with the initial one — an up-front probe so obvious
+                    # with the current one — an up-front probe so obvious
                     # refusals demote before the first firing.
-                    r.ctable = {
-                        r.state: compiler.compile_state(
-                            r.candidates(), r.state, lazy=True
-                        )
-                    }
+                    entries = compiler.compile_state(
+                        r.candidates(), r.state, lazy=True
+                    )
+                    r.table.clear()  # the initial state's steps
+                    r.table.put(r.state, entries)
             except CompileError:
                 if self._compiled == "require":
                     raise
-                r.ctable = None
-                r.compiled = False
-                continue
-            r.compiled = True
+                # "auto": stays interpreted; its table was not touched.
+            else:
+                r.compiled = True
 
     def _freeze(self) -> tuple:
         """Host hook (``_lock`` held): take every region lock."""
@@ -1049,14 +1041,15 @@ class CoordinatorEngine(EngineHost):
         (:mod:`repro.compiler.steps`, docs/COMPILER.md): the per-fire
         invariants (observability probes, trace lock, watcher map) are
         hoisted so they are paid once per drain, not once per step.  A
-        control state with no specialized table — region demoted or
-        ``compiled="off"``, a newly visited lazy state that refuses to
-        compile, or the state-table cap — is interpreted for one step with
-        identical behaviour, and the table is tried again at the successor
-        state.  Cursors, fired counters, watcher spill and the
-        observability epilogue are bit-for-bit the same in both tiers, so
-        checkpoints and traces round-trip across them."""
+        compiled region fires from its table, filling in a lazy state the
+        table does not hold (new, or evicted); a region that is not
+        compiled — ``compiled="off"``, or demoted, possibly by that very
+        fill — is interpreted step by step with identical behaviour.
+        Cursors, fired counters, watcher spill and the observability
+        epilogue are bit-for-bit the same in both tiers, so checkpoints and
+        traces round-trip across them."""
         region.dirty = False
+        lookup = region.lookup
         pend = region.pend
         cursors = region.cursors
         watchers = self._watchers
@@ -1076,7 +1069,7 @@ class CoordinatorEngine(EngineHost):
                 state = region.state
                 entries = None
                 if region.compiled:
-                    entries = region.ctable.get(state)
+                    entries = lookup(state)
                     if entries is None:
                         entries = self._compile_region_state(region)
                 if entries is None:
@@ -1199,25 +1192,21 @@ class CoordinatorEngine(EngineHost):
                     self._drain_region(region, None)
 
     def _compile_region_state(self, region):
-        """JIT-compile the region's current control state (lazy regions
-        reach states discovered only at run time).  Returns the new table
-        entry, or ``None`` after demoting the region / hitting the state
-        cap — the caller then interprets."""
-        if len(region.ctable) >= _STATE_TABLE_CAP:
-            return None
+        """Fill a compiled lazy region's table at its current control state
+        (discovered only now, or evicted since): compose once, specialize
+        once, store once.  Returns the new table entry, or ``None`` after
+        demoting the region — the caller then interprets."""
+        state = region.state
         try:
             entries = self._step_compiler.compile_state(
-                region.candidates(),
-                region.state,
-                lazy=isinstance(region, LazyRegion),
+                region.lazy.expand(state), state, lazy=True
             )
         except CompileError:
             if self._compiled == "require":
                 raise
-            region.compiled = False
-            region.ctable = None
+            region.demote()
             return None
-        region.ctable[region.state] = entries
+        region.table.put(state, entries)
         return entries
 
     def _fire_one_interp(self, region, spill, obs) -> bool:
@@ -1325,12 +1314,13 @@ class CoordinatorEngine(EngineHost):
         return plan
 
     def precompile_plans(self) -> int:
-        """Compile plans for every transition of every eager region now
-        (the existing approach's compile-time share).  Returns the number of
-        plans compiled."""
+        """Plan every transition of every eager region the interpretive
+        tier will run, now (the existing approach's compile-time share; a
+        compiled region's transitions were planned when its table was
+        emitted).  Returns the number of transitions visited."""
         count = 0
         for region in self.regions:
-            if isinstance(region, EagerRegion):
+            if isinstance(region, EagerRegion) and not region.compiled:
                 for t in region.automaton.transitions:
                     self._plan_for(t)
                     count += 1
@@ -1397,12 +1387,13 @@ class CoordinatorEngine(EngineHost):
 
         ``steps`` and ``expansions`` (global states expanded by the lazy
         products, however cheaply) only ever count up.  ``cached_states``
-        (expansions resident in the state caches), ``compiled_states``
-        (control states holding a compiled table) and ``emitted_steps``
-        (distinct step functions behind those tables — one per distinct
-        composed step, not one per state and transition) describe what is
-        installed now: they restart with ``reconfigure`` and read 0 after
-        ``close()``, which frees all three."""
+        (states resident in the lazy regions' tables), ``compiled_states``
+        (states whose table entry is compiled — the same states again on a
+        compiled lazy region) and ``emitted_steps`` (distinct step
+        functions behind those entries — one per distinct composed step,
+        not one per state and transition) describe what is installed now:
+        they restart with ``reconfigure`` and read 0 after ``close()``,
+        which frees all three."""
         out = {
             "steps": self.steps,
             "plans": len(self._plans),
@@ -1421,10 +1412,10 @@ class CoordinatorEngine(EngineHost):
         for r in self.regions:
             if isinstance(r, LazyRegion):
                 expansions += r.lazy.expansions
-                cache_len += len(r.lazy.cache)
+                cache_len += len(r.table)
             if r.compiled:
                 compiled_regions += 1
-                compiled_states += len(r.ctable)
+                compiled_states += len(r.table)
         out["expansions"] = expansions
         out["cached_states"] = cache_len
         out["compiled_regions"] = compiled_regions

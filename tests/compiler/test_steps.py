@@ -277,8 +277,8 @@ def connected(name, n, **options):
 
 def installed(engine):
     """Every ``(state, CompiledStep)`` currently in a region table."""
-    return [(state, e) for r in engine.regions if r.ctable
-            for state, entries in r.ctable.items() for e in entries]
+    return [(state, e) for r in engine.regions if r.compiled
+            for state, entries in r.table.items() for e in entries]
 
 
 def test_step_functions_are_shared_between_states():
@@ -347,11 +347,11 @@ def test_restore_onto_a_warm_connector_keeps_its_functions():
     outs[1].send("b")
     assert ins[0].recv() == "b"
     before = {s: tuple(e.fire for e in es)
-              for r in conn.engine.regions for s, es in r.ctable.items()}
+              for r in conn.engine.regions for s, es in r.table.items()}
     emitted = conn.stats()["emitted_steps"]
     conn.restore(cp)
     after = {s: tuple(e.fire for e in es)
-             for r in conn.engine.regions for s, es in r.ctable.items()}
+             for r in conn.engine.regions for s, es in r.table.items()}
     assert after == before and conn.stats()["emitted_steps"] == emitted
     assert ins[0].recv() == "a"  # the restored value, through a kept function
     conn.close()
@@ -480,3 +480,71 @@ def test_closed_connector_leaves_little_for_the_cyclic_collector():
     assert after["steps"] > 100 and after["expansions"] > 20
     assert (after["cached_states"], after["compiled_states"],
             after["emitted_steps"]) == (0, 0, 0)
+
+
+# -- one per-state table per JIT region -------------------------------------
+
+
+def merger_walk(conn, posts, seed=7, each=None):
+    """A seeded walk over an EarlyAsyncMerger that keeps finding new states
+    (the probe of docs/DECISIONS.md row 4): every post goes to the head with
+    probability ½, else to a tail drawn from those with nothing outstanding,
+    so the buffers neither fill nor drain.  ``each`` sees ``stats()`` after
+    every post.  Returns the head's delivery stream."""
+    import random
+
+    engine = conn.engine
+    (head,) = conn.head_vertices
+    handles = dict.fromkeys([*conn.tail_vertices, head])
+    rng = random.Random(seed)
+    recvs = []
+    for k in range(posts):
+        free = [v for v in conn.tail_vertices
+                if handles[v] is None or handles[v].done]
+        head_free = handles[head] is None or handles[head].done
+        if head_free and (not free or rng.random() < 0.5):
+            handles[head] = engine.post_recv(head)
+            recvs.append(handles[head])
+        elif free:
+            v = rng.choice(free)
+            handles[v] = engine.post_send(v, k)
+        if each is not None:
+            each(conn.stats())
+    return [h.value for h in recvs if h.done]
+
+
+def test_a_bounded_cache_bounds_the_compiled_entries_too():
+    """``cache_factory`` bounds the region's one table, whichever tier fills
+    it: eviction drops a state's compiled entry with it, a re-visit expands
+    again (a memo walk), and nothing observable changes."""
+    from repro.automata.lazy import LRUCache
+
+    def bounded(stats):
+        assert stats["cached_states"] <= 8 and stats["compiled_states"] <= 8
+
+    free = connected("EarlyAsyncMerger", 8)
+    small = connected("EarlyAsyncMerger", 8, cache_factory=lambda: LRUCache(8))
+    want = merger_walk(free, 600)
+    got = merger_walk(small, 600, each=bounded)
+    visited = free.stats()["expansions"]
+    assert visited > 8 and small.stats()["expansions"] > visited
+    assert small.stats()["compiled_regions"] == 1
+    assert got == want and len(got) > 100
+    free.close()
+    small.close()
+
+
+def test_the_compiled_tier_has_no_state_cliff():
+    """Every state a compiled JIT region visits is stored once, compiled,
+    however many there are — no constant decides which states stay
+    interpreted."""
+    import repro.runtime.engine as engine_module
+
+    conn = connected("EarlyAsyncMerger", 16)
+    merger_walk(conn, 24_000)
+    stats = conn.stats()
+    assert stats["expansions"] > 4096
+    assert (stats["compiled_states"] == stats["cached_states"]
+            == stats["expansions"])
+    assert not hasattr(engine_module, "_STATE_TABLE_CAP")
+    conn.close()
