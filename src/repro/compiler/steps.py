@@ -76,6 +76,7 @@ from repro.automata.simplify import (
     _SEND,
     FiringPlan,
 )
+from repro.runtime.host import wake
 from repro.util.errors import CompileError, ConstraintError
 
 #: Per-region bound on transitions compiled ahead of time.  An eager region
@@ -236,7 +237,8 @@ class StepCompiler:
 
     def _emit(self, label, plan: FiringPlan) -> tuple:
         """Emit and ``exec`` one step function: ``(fire, source, touched)``."""
-        ns: dict = {}  # exec namespace: closure bindings by stable name
+        # exec namespace: closure bindings by stable name
+        ns: dict = {"_wake": wake}
         lines: list[str] = ["def _fire(pending, obs):"]
         body: list[str] = []
 
@@ -342,7 +344,7 @@ class StepCompiler:
                 body.append(f"{op}.done = True")
                 body.append(f"_e = {op}.event")
                 body.append("if _e is not None:")
-                body.append("    _e.set()")
+                body.append("    _wake(_e)")
                 body.append(f"if not {qvar[v]}:")
                 body.append(f"    pending.pop({v!r}, None)")
 

@@ -35,8 +35,9 @@ that independence:
   firing attempt never rebuilds a global pending list, and a region whose
   dirty flag is clear is skipped without any scan at all;
 * **per-party wakeup slots**: every blocked operation carries its own
-  :class:`threading.Event`, set when a firing completes (or fails) exactly
-  that operation — no global ``notify_all`` thundering herd.
+  wake slot (:func:`repro.runtime.host.wake_slot`, a raw lock), released
+  when a firing completes (or fails) exactly that operation — no global
+  ``notify_all`` thundering herd.
 
 Lock order (outermost first): the registry lock ``_lock`` → region locks in
 ascending ``region.idx`` → leaf locks (tracer, dead-letter buffer, the
@@ -104,7 +105,7 @@ from repro.automata.constraint import FunctionRegistry
 from repro.automata.lazy import LazyProduct
 from repro.automata.simplify import FiringPlan, commandify
 from repro.runtime.buffers import BufferStore
-from repro.runtime.host import EngineHost
+from repro.runtime.host import EngineHost, wake, wake_slot
 from repro.runtime.metrics import LATENCY_STRIDE
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.recovery import Checkpoint, RegionState
@@ -128,9 +129,10 @@ class _Op:
     ``t_enq``/``steps_enq`` record when the op entered its queue (wall
     clock and engine step count) — the watchdog's raw material for telling
     a *stalled* party (old op, engine still firing) from a deadlock.
-    ``event`` is the op's private wakeup slot: installed only when the
-    submitter actually blocks, set exactly when a firing (or a failure)
-    resolves this op.
+    ``event`` is the op's private wake slot
+    (:func:`~repro.runtime.host.wake_slot`): installed only when the
+    submitter actually blocks, woken when a firing (or a failure) resolves
+    this op.
     """
 
     __slots__ = ("vertex", "value", "done", "error", "t_enq", "steps_enq",
@@ -143,7 +145,7 @@ class _Op:
         self.error: Exception | None = None
         self.t_enq = 0.0
         self.steps_enq = 0
-        self.event: threading.Event | None = None
+        self.event = None
 
 
 class _RegionRuntime:
@@ -593,9 +595,8 @@ class CoordinatorEngine(EngineHost):
         for qmap in (self._pending_send, self._pending_recv):
             for q in qmap.values():
                 for op in q:
-                    ev = op.event
-                    if ev is not None:
-                        ev.set()
+                    if op.event is not None:
+                        wake(op.event)
 
     # ------------------------------------------------------- recovery layer
 
@@ -802,9 +803,8 @@ class CoordinatorEngine(EngineHost):
             op = queue.popleft()
             op.error = error or PortClosedError(f"vertex {op.vertex!r} closed")
             self._count_withdrawn(op.vertex, is_send)
-            ev = op.event
-            if ev is not None:
-                ev.set()
+            if op.event is not None:
+                wake(op.event)
 
     # ------------------------------------------------- submission hot path
 
@@ -868,11 +868,10 @@ class CoordinatorEngine(EngineHost):
                 ):
                     self._overflow(queue, op, pol, region)
                 if unresolved == _PARK and not op.done:
-                    # Install the op's private wakeup slot while still
-                    # under the region lock.  A post handle is polled, never
-                    # waited on, and allocating an Event per post dominated
-                    # the single-threaded firing cost.
-                    op.event = threading.Event()
+                    # Install the op's private wake slot while still under
+                    # the region lock.  A post handle is polled, never
+                    # waited on, and gets none.
+                    op.event = wake_slot()
             finally:
                 region.lock.release()
         finally:
@@ -960,10 +959,8 @@ class CoordinatorEngine(EngineHost):
         self._record_shed(victim.vertex, victim.value, pol.kind,
                           pol.dead_letter_capacity)
         victim.done = True
-        if victim is not op:
-            ev = victim.event
-            if ev is not None:
-                ev.set()
+        if victim is not op and victim.event is not None:
+            wake(victim.event)
 
     # ------------------------------------------------------ overload layer
 
@@ -1278,9 +1275,8 @@ class CoordinatorEngine(EngineHost):
                     op.value = deliveries.get(v)
                     completed_recvs.append(v)
                 op.done = True
-                ev = op.event
-                if ev is not None:
-                    ev.set()
+                if op.event is not None:
+                    wake(op.event)
                 if not queue:
                     pending.pop(v, None)
                 enq.append((v, op.t_enq))
@@ -1385,7 +1381,8 @@ class CoordinatorEngine(EngineHost):
     def stats(self) -> dict:
         """Counters and sizes, readable at any time, ``close()`` included.
 
-        ``steps`` and ``expansions`` (global states expanded by the lazy
+        ``steps``, ``parks`` (blocking submits that had to wait on their
+        wake slot) and ``expansions`` (global states expanded by the lazy
         products, however cheaply) only ever count up.  ``cached_states``
         (states resident in the lazy regions' tables), ``compiled_states``
         (states whose table entry is compiled — the same states again on a
@@ -1400,6 +1397,7 @@ class CoordinatorEngine(EngineHost):
             "regions": len(self.regions),
             "parties": len(self._parties),
             "blocked": self._blocked,
+            "parks": self._parks,
             "shed": self.dead.count(),
             "draining": self._draining,
             "concurrency": self.concurrency,

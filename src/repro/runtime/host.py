@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from _thread import allocate_lock
 from contextlib import contextmanager
 
 from repro.automata.constraint import DEFAULT_REGISTRY
@@ -56,6 +57,27 @@ from repro.util.errors import (
 
 #: How long a blocked operation waits between deadlock/timeout re-checks.
 _WAIT_TICK = 0.1
+
+
+def wake_slot():
+    """A one-shot wake slot, armed: a raw lock created held.  The waiter
+    parks in ``slot.acquire(True, tick)`` — which, succeeding, leaves the
+    slot armed again for its next wait — and :func:`wake` releases it.
+    Whoever resolves an operation sets ``done``/``error`` first, then wakes
+    its slot, so a waiter tests those after every wake.  (A raw lock hands
+    off in 19 µs on the dev box, a ``threading.Event`` allocated per park
+    in 47: EXPERIMENTS.md E12.)"""
+    slot = allocate_lock()
+    slot.acquire()
+    return slot
+
+
+def wake(slot) -> None:
+    """Wake the waiter parked on ``slot`` — now, or when it next parks."""
+    try:
+        slot.release()
+    except RuntimeError:
+        pass  # already woken (a spurious wake-all came first): one is enough
 
 
 class _Party:
@@ -120,6 +142,7 @@ class EngineHost:
         self._vertex_errors: dict[str, Exception] = {}
         self._closed = False
         self._blocked = 0
+        self._parks = 0  # blocking waits ever entered: stats()["parks"]
 
         self._policies = self._normalize_policies(overload, sources, sinks)
         self.dead = DeadLetterBuffer()
@@ -329,28 +352,39 @@ class EngineHost:
 
     def _wait_blocked(self, queue, op, timeout, deadline,
                       is_send: bool = False) -> None:
-        """Blocked-submitter loop (no locks held): tick between the op's
-        event, the deadline, and the deadlock detector."""
-        ev = op.event
+        """Blocked-submitter loop (no locks held): park on the op's wake
+        slot until it is resolved or its deadline passes.  The detector is
+        consulted when this waiter is the one that brings the blocked count
+        up to the party count, and after any wait that ended — tick expired,
+        or a wake-all — with the op unresolved; a park that a firing
+        resolves costs the two registry-lock trips below and nothing else."""
+        slot = op.event
         with self._lock:
             self._blocked += 1
+            self._parks += 1
+            threshold = len(self._parties) or self.expected_parties or 0
+            # The detector's own two conditions, read without its freeze: a
+            # woken peer still counts as blocked until it runs again, which
+            # under a GIL is after its waker parks — but its operation has
+            # left the queues.  In a deadlock nothing moves and both hold.
+            detect = (0 < threshold <= self._blocked
+                      and threshold <= self._pending_count())
         try:
             while True:
-                self._maybe_deadlock()
+                if detect:
+                    self._maybe_deadlock()
                 if op.done:
                     return
                 if op.error is not None:
                     raise op.error
                 tick = _WAIT_TICK
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        if self._withdraw_expired(queue, op, is_send):
-                            raise ProtocolTimeoutError(op.vertex, timeout)
-                        continue  # resolved concurrently with the expiry
-                    tick = min(tick, remaining)
-                ev.wait(tick)
-                ev.clear()
+                    tick = min(tick, deadline - time.monotonic())
+                if tick > 0:
+                    slot.acquire(True, tick)
+                elif self._withdraw_expired(queue, op, is_send):
+                    raise ProtocolTimeoutError(op.vertex, timeout)
+                detect = not op.done and op.error is None
         finally:
             with self._lock:
                 self._blocked -= 1

@@ -70,7 +70,7 @@ from repro.runtime.buffers import BufferStore
 # fork, and importing runtime/compiler modules *after* the fork could
 # deadlock on import locks held by other coordinator threads at fork time.
 from repro.runtime.engine import CoordinatorEngine
-from repro.runtime.host import _WAIT_TICK, EngineHost
+from repro.runtime.host import _WAIT_TICK, EngineHost, wake, wake_slot
 from repro.runtime.recovery import Checkpoint
 from repro.runtime.trace import TraceRecorder
 from repro.util.errors import (
@@ -632,7 +632,7 @@ class _Worker:
         if vid is not None:
             del self.live[vid]
             self.emit(("shedded", vid, pol.kind, pol.dead_letter_capacity))
-        return "pending", None
+        return None, None  # ``h`` took the freed slot: pending like any other
 
     def do_try(self, op_id, is_send, vertex, value) -> None:
         try:
@@ -795,7 +795,7 @@ class _POp:
         self.done = False
         self.error = None
         self.raised = None   # admission-time exception (nothing counted)
-        self.event = threading.Event()
+        self.event = wake_slot()  # waited on twice: ack, then resolution
         self.t_enq = 0.0
         self.steps_enq = 0
         self.timeout = None
@@ -1189,20 +1189,20 @@ class WorkerCoordinatorEngine(EngineHost):
         self._ops.pop(op.id, None)
         self._bump("done", op.vertex)
         self._mark_active(op.vertex)
-        op.event.set()
+        wake(op.event)
 
     def _resolve_error(self, op: _POp, error: Exception) -> None:
         op.error = error
         self._ops.pop(op.id, None)
         self._bump("wd_send" if op.is_send else "wd_recv", op.vertex)
-        op.event.set()
+        wake(op.event)
 
     def _resolve_shed(self, op: _POp, kind: str, capacity) -> None:
         """The coordinator half of a shed the worker adjudicated."""
         self._record_shed(op.vertex, op.value, kind, capacity)
         op.done = True
         self._ops.pop(op.id, None)
-        op.event.set()
+        wake(op.event)
 
     def _handle_record(self, h: _Handle, rec) -> None:
         tag = rec[0]
@@ -1279,18 +1279,19 @@ class WorkerCoordinatorEngine(EngineHost):
         if status == "raise":
             op.raised = _thaw_exc(payload)
             self._ops.pop(op.id, None)
-            op.event.set()
+            wake(op.event)
             return
         if admission and not op.resubmit:
             self._bump("sub_send" if op.is_send else "sub_recv", op.vertex)
             self._mark_active(op.vertex)
         if status == "pending":
-            # Stays in the table; a later record resolves it.  The event
-            # still fires so the submitter stops waiting for the ack (post
-            # returns its handle, submit goes on to _wait_blocked) — resolution
-            # records set op.done/op.error *before* re-setting the event,
-            # so the wake cannot be lost to the submitter's clear().
-            op.event.set()
+            # Stays in the table; a later record resolves it.  The slot is
+            # still woken so the submitter stops waiting for the ack (post
+            # returns its handle, submit goes on to _wait_blocked, the
+            # acquire that took this wake having re-armed the slot) —
+            # resolution records set op.done/op.error *before* waking, so
+            # a wake that lands first is seen by _wait_blocked's first test.
+            wake(op.event)
             return
         if status == "done":
             self._resolve_done(op, payload)
@@ -1302,7 +1303,7 @@ class WorkerCoordinatorEngine(EngineHost):
                 self._ops.pop(op.id, None)
                 self._bump("wd_send" if op.is_send else "wd_recv",
                            op.vertex)
-                op.event.set()
+                wake(op.event)
         elif status == "error":
             self._resolve_error(op, _thaw_exc(payload))
         elif status == "reject":
@@ -1310,7 +1311,7 @@ class WorkerCoordinatorEngine(EngineHost):
             self._record_rejected(vertex)
             op.raised = OverloadError(vertex, max_pending)
             self._ops.pop(op.id, None)
-            op.event.set()
+            wake(op.event)
         elif status == "shedded":
             self._resolve_shed(op, *payload)
         elif status == "withdrawn":
@@ -1426,10 +1427,9 @@ class WorkerCoordinatorEngine(EngineHost):
             else:
                 rec = ("try", op.id, is_send, vertex, value)
             self._enqueue(op, rec)
-        while not op.event.wait(_WAIT_TICK):
+        while not op.event.acquire(True, _WAIT_TICK):
             if op.acked or op.done or op.error or op.raised:
                 break
-        op.event.clear()
         # The ack always arrives (crash resolves via _on_crash), so at this
         # point the op is acked or terminally resolved.
         if op.raised is not None:
@@ -1492,8 +1492,7 @@ class WorkerCoordinatorEngine(EngineHost):
             h = self._handle(op.wid)
             if h is not None:
                 self._put(h, ("withdraw", op.id))
-        op.event.wait(_WAIT_TICK)
-        op.event.clear()
+        op.event.acquire(True, _WAIT_TICK)
         return False
 
     # ----------------------------------------------------------- host hooks
@@ -1513,7 +1512,7 @@ class WorkerCoordinatorEngine(EngineHost):
 
     def _wake_all_locked(self) -> None:
         for op in self._ops.values():
-            op.event.set()
+            wake(op.event)
 
     def _stuck_count(self) -> int:
         """The table is a consistent reading only with nothing in flight
@@ -1836,6 +1835,7 @@ class WorkerCoordinatorEngine(EngineHost):
             "regions": len(self._regions_template),
             "parties": len(self._parties),
             "blocked": self._blocked,
+            "parks": self._parks,
             "shed": self.dead.count(),
             "draining": self._draining,
             "concurrency": "workers",

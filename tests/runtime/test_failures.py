@@ -6,6 +6,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.connectors import library
+from repro.runtime.host import _WAIT_TICK
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup, spawn
 from repro.util.errors import (
@@ -272,6 +273,69 @@ def test_stuck_parties_blame_the_crashed_peer(concurrency):
     assert not h.alive and isinstance(h.exception, PeerFailedError)
     assert h.exception.task == "producer"
     assert isinstance(h.exception.cause, ValueError)
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", BACKENDS)
+def test_the_last_party_to_block_detects_on_entry(concurrency):
+    """Declared parties, no grace: the waiter that completes the blocked
+    set consults the detector before it parks, not a tick later."""
+    conn = library.connector(
+        "Merger", 2, expected_parties=2, detection_grace=0.0,
+        concurrency=concurrency)
+    outs, ins = mkports(2, 1)
+    conn.connect(outs, ins)
+
+    def first():
+        with pytest.raises(DeadlockError):
+            ins[0].recv()
+        return True
+
+    h = spawn(first)
+    deadline = time.monotonic() + 5
+    while conn.stats()["blocked"] < 1 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    t0 = time.monotonic()
+    with pytest.raises(DeadlockError):
+        ins[0].recv()
+    assert time.monotonic() - t0 < _WAIT_TICK / 2
+    assert h.join(10)
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", BACKENDS[:2])
+def test_progress_never_freezes_the_regions(concurrency):
+    """Two registered parties in a 2 000-step rendezvous: every step parks
+    one of them — and while the other is being woken both count as blocked
+    — yet as long as operations keep resolving nobody consults the
+    detector, so nobody stops the world.  (The workers backend has nothing
+    to freeze: its operation table stands still under the registry lock.)"""
+    steps = 2_000
+    conn = library.connector("Merger", 2, concurrency=concurrency)
+    outs, ins = mkports(2, 1)
+    conn.connect(outs, ins)
+    engine = conn.engine
+    engine.register_party("producer", name="producer")
+    engine.register_party("consumer", name="consumer")
+    freeze, calls = engine._freeze, []
+
+    def counted():
+        calls.append("freeze")
+        return freeze()
+
+    engine._freeze = counted
+
+    def produce():
+        for i in range(steps):
+            outs[i % 2].send(i)
+
+    h = spawn(produce)
+    got = [ins[0].recv(timeout=10) for _ in range(steps)]
+    h.join(10)
+    engine._freeze = freeze
+    assert got == list(range(steps))
+    assert conn.stats()["parks"] >= steps // 2
+    assert calls == []
     conn.close()
 
 

@@ -11,9 +11,13 @@ backend cannot quietly grow its own copy back.
 import ast
 import pathlib
 
+from repro.compiler import steps
+from repro.compiler.steps import region_sources
+from repro.connectors import library
 from repro.runtime import engine, host, workers
 from repro.runtime.engine import CoordinatorEngine
 from repro.runtime.host import EngineHost
+from repro.runtime.ports import mkports
 from repro.runtime.workers import WorkerCoordinatorEngine
 
 SHARED = (
@@ -62,3 +66,47 @@ def test_workers_imports_the_tick_and_nothing_of_the_registry():
         for target in node.targets if isinstance(target, ast.Name)
     ]
     assert "_WAIT_TICK" not in assigned
+
+
+def test_one_wake_primitive_and_no_event_per_operation():
+    """A parked operation's wake slot is ``host.wake_slot()`` in both
+    backends and in emitted steps: engine.py names no ``Event`` at all, and
+    the only two ``threading.Event()`` left in workers.py are per worker
+    (``ready``) and per engine (``_quiet``) — never per operation."""
+    for module in (engine, workers, steps):
+        assert module.wake is host.wake
+    assert engine.wake_slot is workers.wake_slot is host.wake_slot
+
+    def event_calls(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        homes = []
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    for node in ast.walk(fn):
+                        if (isinstance(node, ast.Attribute)
+                                and node.attr == "Event"):
+                            homes.append(f"{cls.name}.{fn.name}")
+        return homes
+
+    assert "Event" not in pathlib.Path(engine.__file__).read_text()
+    assert event_calls(workers) == [
+        "_Handle.__init__", "WorkerCoordinatorEngine.__init__"]
+
+    conn = library.connector("Merger", 2, compiled="require")
+    conn.connect(*mkports(2, 1))
+    sources = [source for *_row, source in region_sources(conn.engine)]
+    conn.close()
+    assert sources and all("_wake(_e)" in source for source in sources)
+    assert not [s for s in sources if "Event" in s or ".set()" in s]
+
+
+def test_a_wake_slot_is_one_shot_rearmed_by_the_wait():
+    slot = host.wake_slot()
+    assert not slot.acquire(False)  # armed: a waiter would park
+    host.wake(slot)
+    host.wake(slot)  # a second wake before the waiter ran: swallowed
+    assert slot.acquire(True, 1.0)  # the wait returns at once ...
+    assert not slot.acquire(False)  # ... and has re-armed the slot
+    host.wake(slot)
+    assert slot.acquire(True, 1.0)
