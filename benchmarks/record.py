@@ -33,6 +33,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from bench_engine_scaling import LANES, pump_once  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 DEFAULT_OUT = ROOT / "BENCH_engine.json"
 
 #: bench-smoke fails when single-region ns/step exceeds baseline × this.
@@ -131,6 +132,68 @@ def record_fig12_steps(backlog, repeats):
             "geomean_speedup": round(geomean_speedup(rows), 2)}
 
 
+#: Second-instance cycles, µs on the dev box (2 cores, CPython 3.11.7, GIL,
+#: one core pinned, min of 25) at the parent commit 485293a, where every
+#: instance re-derived automata, plans and step code.  ISSUE 22 shares them
+#: per process; ``--check`` holds each row under REINSTANTIATE_CEILING of
+#: these absolute figures (the change reads 0.16–0.29 of them), so a path
+#: that derives per instance again fails on any host not 2× slower.
+REINSTANTIATE_PARENT_US = {
+    "Replicator/2": 465.1, "Replicator/4": 783.2, "Replicator/8": 1261.4,
+    "Replicator/16": 2383.4, "EarlyAsyncMerger/2": 1114.2,
+    "EarlyAsyncMerger/4": 2329.4, "EarlyAsyncMerger/8": 5091.8,
+    "EarlyAsyncMerger/16": 11984.3, "Pipe/1": 671.1,
+}
+REINSTANTIATE_CEILING = 0.6
+REINSTANTIATE_HOST = "dev box: 2 cores, x86_64, CPython 3.11.7 (GIL)"
+
+
+def record_reinstantiate(repeats):
+    """build → connect → two lock-step rounds → close of a definition this
+    process has instantiated before (``tools/fig13_gap.py``'s cycle): what
+    each further instance costs."""
+    from fig13_gap import best_ms, cycle  # tools/; pulls in numpy
+
+    from repro.connectors import library
+    from repro.npb.common import make_pipe
+
+    rows = {}
+    cpu = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, cpu[:1])
+    gc.disable()
+    try:
+        for key, parent_us in REINSTANTIATE_PARENT_US.items():
+            name, n = key.split("/")
+            make = make_pipe if name == "Pipe" else (
+                lambda name=name, n=int(n): library.connector(name, n))
+            cycle([make])  # the first instance
+            rows[key] = {
+                "us": round(1e3 * best_ms(lambda: cycle([make]), repeats), 1),
+                "parent_us": parent_us,
+                "ceiling_us": round(REINSTANTIATE_CEILING * parent_us, 1),
+            }
+    finally:
+        gc.enable()
+        os.sched_setaffinity(0, cpu)
+    return {"host": REINSTANTIATE_HOST, "rows": rows}
+
+
+def _check_reinstantiate() -> int:
+    """The compile-once gate: every second-instance cycle under its
+    absolute ceiling (µs, measured on the host the message names)."""
+    now = record_reinstantiate(repeats=15)["rows"]
+    over = {k: r for k, r in now.items() if r["us"] > r["ceiling_us"]}
+    worst = max(now.values(), key=lambda r: r["us"] / r["ceiling_us"])
+    print(f"reinstantiate: {len(now)} second-instance cycles, worst at "
+          f"{worst['us']:.0f} µs of a {worst['ceiling_us']:.0f} µs ceiling "
+          f"({REINSTANTIATE_CEILING:.1f} × the parent on the "
+          f"{REINSTANTIATE_HOST})")
+    for key, row in over.items():
+        print(f"FAIL: {key} second instance {row['us']:.0f} µs over "
+              f"{row['ceiling_us']:.0f} µs — derived per instance again?")
+    return 1 if over else 0
+
+
 def _fig13_secs(fn, repeats):
     secs = []
     gc.disable()
@@ -184,6 +247,7 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         "fig12_steps": record_fig12_steps(
             backlog=500 if quick else 2000, repeats=repeats
         ),
+        "reinstantiate": record_reinstantiate(repeats=5 * repeats),
     }
     if not quick:
         doc["fig13_npb"] = record_fig13(repeats=repeats)
@@ -220,6 +284,9 @@ def check(baseline_path: pathlib.Path) -> int:
         print("FAIL: single-region hot path regressed beyond budget")
         return 1
     rc = _check_steps(baseline.get("fig12_steps"))
+    if rc:
+        return rc
+    rc = _check_reinstantiate()
     if rc:
         return rc
     rc = _check_fig13(baseline.get("fig13_npb"))

@@ -80,6 +80,7 @@ class FiringPlan:
         "never",
         "n_slots",
         "touched",
+        "template",
     )
 
     def __init__(self) -> None:
@@ -98,6 +99,16 @@ class FiringPlan:
         # regions coupled through a shared decoupled-fifo buffer; guard
         # probes and peeks don't change contents and don't appear here.
         self.touched: tuple[str, ...] = ()
+        # The step compiler's source text and code object emitted from this
+        # plan (repro.compiler.steps): shared wherever the plan is.
+        self.template: tuple | None = None
+
+    @property
+    def resolved(self) -> bool:
+        """Whether planning resolved a registry name: such a plan holds
+        that registry's callables as of now and is nobody else's."""
+        return any(a[1] == _APPLY for a in self.assigns) or any(
+            c[0] == "pred" for c in self.checks)
 
     def evaluate(self, offers, buffers):
         """Check guards/constraints; return slot values or None."""
@@ -352,4 +363,34 @@ def commandify(
     plan.touched = tuple(
         dict.fromkeys(plan.pops + [b for b, _ in plan.pushes])
     )
+    # Frozen from here on: engines share plans (see shared_plan).
+    for name in ("guards", "assigns", "checks", "pops", "pushes", "deliveries"):
+        setattr(plan, name, tuple(getattr(plan, name)))
+    return plan
+
+
+#: Bound on the process-wide plan table; over it everything is dropped and
+#: planned again on demand, like ``product.MEMO_CAP``.
+SHARED_PLAN_CAP = 1 << 13
+_shared_plans: dict[tuple, FiringPlan] = {}
+
+
+def shared_plan(label, atoms, effects, source_vertices, sink_vertices,
+                registry: FunctionRegistry) -> FiringPlan:
+    """:func:`commandify`, once per process for equal arguments: a plan
+    that resolved no registry name depends on nothing else, so every engine
+    with this step gets the same frozen object, and with it the step code
+    emitted from it.  A plan that did resolve one is made afresh for each
+    caller, and so is a refusal — a re-registration, a second registry or a
+    late registration is never served a stale answer.  Lock-free: ``get``
+    and item assignment are atomic, and two threads racing on one key
+    derive interchangeable plans."""
+    key = (label, atoms, effects, source_vertices, sink_vertices)
+    plan = _shared_plans.get(key)
+    if plan is None:
+        plan = commandify(*key, registry)
+        if not plan.resolved:
+            if len(_shared_plans) >= SHARED_PLAN_CAP:
+                _shared_plans.clear()
+            _shared_plans[key] = plan
     return plan

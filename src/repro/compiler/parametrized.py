@@ -64,10 +64,23 @@ def compile_program(program: ast.Program) -> CompiledProgram:
     return CompiledProgram(protocols, program)
 
 
+#: Bound on :func:`compile_source`'s memo (distinct source texts); over it
+#: everything is dropped and recompiled on demand, like ``product.MEMO_CAP``.
+PROGRAM_CAP = 256
+_programs: dict[str, CompiledProgram] = {}
+
+
 def compile_source(source: str) -> CompiledProgram:
     """Parse and compile DSL ``source`` (the paper's text-to-code compiler,
-    Python edition)."""
-    return compile_program(parse(source))
+    Python edition), once per process and source text — "only one
+    compilation was necessary" (§V.B); the program owns what is derived
+    from it per arity (:meth:`CompiledProtocol.automata_for`)."""
+    program = _programs.get(source)
+    if program is None:
+        if len(_programs) >= PROGRAM_CAP:
+            _programs.clear()
+        program = _programs[source] = compile_program(parse(source))
+    return program
 
 
 def shrink_bindings(

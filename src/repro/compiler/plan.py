@@ -32,6 +32,10 @@ from repro.util.unionfind import UnionFind
 #: a handful of primitives — so this is generous.
 TEMPLATE_STATE_BUDGET = 4096
 
+#: Bound on one protocol's memo of instantiated automata (distinct bindings
+#: × granularity); over it the memo is dropped and refilled on demand.
+AUTOMATA_CAP = 32
+
 
 def resolve_name(
     ne: NameExpr, env: Env, ports: dict[str, str | list[str]]
@@ -256,6 +260,7 @@ class CompiledProtocol:
         self.tails = tails
         self.heads = heads
         self.plan = plan
+        self._automata: dict[tuple, tuple[ConstraintAutomaton, ...]] = {}
 
     @property
     def params(self) -> tuple[ast.Param, ...]:
@@ -318,15 +323,26 @@ class CompiledProtocol:
         bindings: dict[str, str | list[str]],
         granularity: str = "medium",
     ) -> list[ConstraintAutomaton]:
-        """Evaluate the plan: the run-time share of parametrized compilation."""
-        out: list[ConstraintAutomaton] = []
-        self.plan.instantiate(self._env_for(bindings), bindings, granularity, out)
-        if not out:
-            raise CompilationError(
-                f"{self.name}: instantiation produced no constituents "
-                "(all conditionals false?)"
-            )
-        return out
+        """Evaluate the plan: the run-time share of parametrized compilation,
+        once per ``(bindings, granularity)``.  The automata are immutable, so
+        instances share them (``leave()``'s reduced arity is one more key);
+        the memo lives and dies with this protocol."""
+        key = (granularity, *(
+            (k, tuple(v) if isinstance(v, list) else v)
+            for k, v in bindings.items()))
+        hit = self._automata.get(key)
+        if hit is None:
+            out: list[ConstraintAutomaton] = []
+            self.plan.instantiate(self._env_for(bindings), bindings, granularity, out)
+            if not out:
+                raise CompilationError(
+                    f"{self.name}: instantiation produced no constituents "
+                    "(all conditionals false?)"
+                )
+            if len(self._automata) >= AUTOMATA_CAP:
+                self._automata.clear()
+            hit = self._automata[key] = tuple(out)
+        return list(hit)
 
     def instantiate_connector(
         self,

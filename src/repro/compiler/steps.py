@@ -69,6 +69,8 @@ the closure binds whichever buffer object the worker's
 
 from __future__ import annotations
 
+from types import FunctionType
+
 from repro.automata.simplify import (
     _APPLY,
     _CONST,
@@ -134,14 +136,15 @@ class StepCompiler:
         closed_vertices: set,
         plan_for,
     ):
-        self._pending_send = pending_send
-        self._pending_recv = pending_recv
         self._buffers = buffers
         self._sources = sources
         self._sinks = sinks
         self._closed = closed_vertices
         #: The engine's plan cache, shared with the interpretive tier.
         self._plan_for = plan_for
+        #: A template's bind kinds here (``"k"``/``"f"`` are themselves).
+        self._resolve = {"sq": pending_send.get, "rq": pending_recv.get,
+                         "b": buffers.queue}
         #: One emission per distinct step: ``(label, id(atoms),
         #: id(effects))`` → ``(fire, source, touched)`` plus the two tuples
         #: themselves, so their ids stay theirs.  See
@@ -236,26 +239,55 @@ class StepCompiler:
     # ------------------------------------------------------------------
 
     def _emit(self, label, plan: FiringPlan) -> tuple:
-        """Emit and ``exec`` one step function: ``(fire, source, touched)``."""
-        # exec namespace: closure bindings by stable name
-        ns: dict = {"_wake": wake}
+        """Bind one step function: ``(fire, source, touched)``.
+
+        Source text, code object and what each emitted name stands for are
+        the plan's *template*: instance-independent, derived once, kept on
+        the plan and so shared wherever the plan is
+        (:func:`~repro.automata.simplify.shared_plan`); per instance only a
+        function is made, over this compiler's objects.  A template embeds
+        one thing its plan does not determine, the capacities under its
+        not-full guards, and is replaced should those differ.  Racing
+        threads each use the template they read or made: interchangeable.
+        """
+        caps = tuple(
+            self._buffers.capacity(g.buffer) for g in plan.guards if g.not_full
+        )
+        template = plan.template
+        if template is None or template[0] != caps:
+            template = plan.template = (caps, *self._template(label, plan))
+        _, code, source, binds = template
+        resolve = self._resolve
+        ns = {"_wake": wake, "_closed": self._closed}
+        for name, kind, what in binds:
+            ns[name] = resolve[kind](what) if kind in resolve else what
+        # Over a copy of the code object: CPython keeps a function's inline
+        # caches (``LOAD_GLOBAL``'s) in its code, and instances firing in
+        # turn through one code object would evict each other's.  ``ns``
+        # does not name the function, so the two are no reference cycle.
+        return FunctionType(code.replace(), ns), source, plan.touched
+
+    def _template(self, label, plan: FiringPlan) -> tuple:
+        """Emit and compile one step function: ``(its code object, source,
+        binds)``, ``binds`` listing ``(emitted name, kind, what)``."""
+        binds: list[tuple[str, str, object]] = []
         lines: list[str] = ["def _fire(pending, obs):"]
         body: list[str] = []
 
-        def bind(prefix: str, obj, memo: dict) -> str:
-            key = id(obj)
+        def bind(kind: str, what, memo: dict) -> str:
+            # vertices and buffers by name, constants and callables by id
+            key = (kind, what) if kind in self._resolve else id(what)
             name = memo.get(key)
             if name is None:
-                name = f"_{prefix}{len(memo)}"
-                memo[key] = name
-                ns[name] = obj
+                name = memo[key] = f"_{kind}{len(memo)}"
+                binds.append((name, kind, what))
             return name
 
         buf_memo: dict = {}
         misc_memo: dict = {}
 
         def buf(name: str) -> str:
-            return bind("b", self._buffers.queue(name), buf_memo)
+            return bind("b", name, buf_memo)
 
         if plan.never:
             body.append("return None")  # statically false constraint
@@ -270,19 +302,18 @@ class StepCompiler:
                         if v in self._sources or v in self._sinks]
             if boundary:
                 probe = " or ".join(f"{v!r} in _closed" for v in boundary)
-                ns["_closed"] = self._closed
                 body.append("if _closed:")
                 body.append(f"    if {probe}:")
                 body.append("        return None")
             for v in label:
                 if v in self._sources:
-                    q = bind("sq", self._pending_send[v], misc_memo)
+                    q = bind("sq", v, misc_memo)
                     sends.append(v)
                     qvar[v] = q
                     body.append(f"if not {q}:")
                     body.append("    return None")
                 elif v in self._sinks:
-                    q = bind("rq", self._pending_recv[v], misc_memo)
+                    q = bind("rq", v, misc_memo)
                     recvs.append(v)
                     qvar[v] = q
                     body.append(f"if not {q}:")
@@ -363,12 +394,9 @@ class StepCompiler:
 
         lines.extend("    " + b for b in body)
         source = "\n".join(lines) + "\n"
-        code = compile(source, f"<compiled step {sorted(label)}>", "exec")
-        exec(code, ns)  # noqa: S102 - the whole point of this module
-        # Popped, not read: ``fire.__globals__`` is ``ns``, and a namespace
-        # that names its own function is a reference cycle per step, which
-        # only the cyclic collector could free.
-        return ns.pop("_fire"), source, plan.touched
+        ns: dict = {}
+        exec(compile(source, f"<compiled step {sorted(label)}>", "exec"), ns)
+        return ns["_fire"].__code__, source, tuple(binds)
 
 
 def region_sources(engine) -> list[tuple[int, object, str, str]]:

@@ -378,11 +378,6 @@ BUILDERS: dict[str, Callable[[int], BuiltConnector]] = {
 }
 
 
-#: Compiled-program cache: the parametrized approach compiles once per
-#: connector, not once per n.
-_compiled_cache: dict[tuple, object] = {}
-
-
 def names() -> tuple[str, ...]:
     """The 18 connector names, in DESIGN.md order."""
     return tuple(BUILDERS)
@@ -427,16 +422,12 @@ def connector(name: str, n: int, from_dsl: bool = True, **options):
     """
     if from_dsl:
         # The parametrized approach compiles once for all n ("with the new
-        # compiler, only one compilation was necessary", §V.B) — cache the
-        # compiled program.  FifoChain's source is per-depth (see
-        # dsl_source), so its cache key includes n.
-        key = (name, n) if name == "FifoChain" else (name, None)
-        program = _compiled_cache.get(key)
-        if program is None:
-            from repro.compiler import compile_source
+        # compiler, only one compilation was necessary", §V.B):
+        # compile_source memoises by source text, and FifoChain's text is
+        # per-depth (see dsl_source).
+        from repro.compiler import compile_source
 
-            program = compile_source(dsl_source(name, n))
-            _compiled_cache[key] = program
+        program = compile_source(dsl_source(name, n))
         return program.instantiate_connector(name=name, sizes=n, **options)
     from repro.compiler.fromgraph import connector_from_graph
 

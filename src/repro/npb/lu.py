@@ -283,7 +283,7 @@ def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
         gather = make_gather(nprocs, **options)
         g_out, g_in = mkports(nprocs, 1)
         gather.connect(g_out, g_in)
-        pipes = []
+        pipes, ups = [], []
         pipe_ports = []
         up_ports = []
         for _ in range(nprocs - 1):
@@ -295,7 +295,7 @@ def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
             up = make_pipe(**options)
             uouts, uins = mkports(1, 1)
             up.connect(uouts, uins)
-            pipes.append(up)
+            ups.append(up)
             up_ports.append((uouts[0], uins[0]))
         try:
             with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
@@ -334,8 +334,12 @@ def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
             value = master.result
         finally:
             gather.close()
-            for pipe in pipes:
+            for pipe in pipes + ups:
                 pipe.close()
+    extra = {"gather": gather.stats()}  # a stats() dict per connector
+    extra.update((f"pipe{i}", c.stats()) for i, c in enumerate(pipes))
+    extra.update((f"up{i}", c.stats()) for i, c in enumerate(ups))
     return BenchResult(
-        "lu", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "lu", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz),
+        extra,
     )

@@ -103,7 +103,7 @@ from typing import Sequence
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import FunctionRegistry
 from repro.automata.lazy import LazyProduct
-from repro.automata.simplify import FiringPlan, commandify
+from repro.automata.simplify import FiringPlan, shared_plan
 from repro.runtime.buffers import BufferStore
 from repro.runtime.host import EngineHost, wake, wake_slot
 from repro.runtime.metrics import LATENCY_STRIDE
@@ -1298,15 +1298,10 @@ class CoordinatorEngine(EngineHost):
         key = (step.label, step.atoms, step.effects)
         plan = self._plans.get(key)
         if plan is None:
-            plan = commandify(
-                step.label,
-                step.atoms,
-                step.effects,
-                self.sources,
-                self.sinks,
-                self.registry,
+            # Not met by this engine yet: by the process, usually.
+            plan = self._plans[key] = shared_plan(
+                *key, self.sources, self.sinks, self.registry
             )
-            self._plans[key] = plan
         return plan
 
     def precompile_plans(self) -> int:

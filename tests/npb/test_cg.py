@@ -54,3 +54,12 @@ def test_classes_ladder():
     nas = [cg.CLASSES[c]["na"] for c in ("S", "W", "A", "B", "C")]
     assert nas == sorted(nas)
     assert len(set(nas)) == 5
+
+
+@pytest.mark.parametrize("clazz", ["S", "W"])
+def test_reo_connector_steps_are_exact(clazz):
+    """Fig. 13's ``npb.connector_steps`` at N = 2: cg 1951 a run in either
+    class (lu adds 116, tests/npb/test_lu.py)."""
+    r = cg.run_reo(clazz, 2)
+    assert {k: s["steps"] for k, s in r.extra.items()} == {
+        "bcast": 391, "gather": 1560}

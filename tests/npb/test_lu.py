@@ -51,3 +51,31 @@ def test_sweep_is_gauss_seidel_vertically():
     # each row's new value depends on the (already updated) row above.
     assert not np.allclose(u[0], u[1])
     assert np.array_equal(bottom, u[2])
+
+
+@pytest.mark.parametrize("clazz", ["S", "W"])
+def test_reo_reports_one_stats_dict_per_connector(clazz):
+    """``extra`` is what ``cg`` attaches: a plain ``stats()`` dict per
+    connector, read after the timer (the frozen suite sums ``steps`` and
+    ``expansions`` over its values).  The step counts are exact: every
+    value is two steps, into its fifo and out of it."""
+    p = lu.CLASSES[clazz]
+    r = lu.run_reo(clazz, 2)
+    assert r.verified and list(r.extra) == ["gather", "pipe0", "up0"]
+    assert {k: s["steps"] for k, s in r.extra.items()} == {
+        "gather": 2 * (2 * p["nsweeps"] + 2),  # a delta per sweep, a block
+        "pipe0": 2 * p["nchunks"] * p["nsweeps"],  # a bottom row per chunk
+        "up0": 2 * p["nsweeps"],  # the old top row, once a sweep
+    }
+    assert sum(s["steps"] for s in r.extra.values()) == 116
+    # a pipe has 2 states; the gather's two fifos are seldom both full
+    assert [r.extra[k]["expansions"] for k in ("pipe0", "up0")] == [2, 2]
+    assert r.extra["gather"]["expansions"] in (3, 4)
+    # read after close(), outside the timer: the tables are freed by then
+    assert all(s["compiled_states"] == 0 for s in r.extra.values())
+
+
+def test_reo_extra_names_every_link():
+    r = lu.run_reo("S", 4)
+    assert list(r.extra) == [
+        "gather", "pipe0", "pipe1", "pipe2", "up0", "up1", "up2"]
