@@ -14,7 +14,7 @@ whose eviction merely drops an expansion, which is recomputed on the next
 visit — "the disadvantage is the possible need to recompute states …; the
 advantage is that arbitrarily large state spaces can be handled".  A cache
 is anything with ``get``/``put``/``clear``/``items``/``__len__`` (and
-optionally ``lookup``) that does not look at its values: a connector's
+optionally ``evicts``) that does not look at its values: a connector's
 compiled step tier keeps in it the step functions it specialised from a
 state's steps (:meth:`LazyProduct.expand`) instead of the steps.
 
@@ -42,6 +42,10 @@ from repro.util.errors import CompileError
 class UnboundedCache:
     """Keep every expansion forever (the paper's current runtime)."""
 
+    #: Whether ``put`` may drop another key's value (taken to be so of a
+    #: cache without the attribute): the engine then memoises no value.
+    evicts = False
+
     def __init__(self) -> None:
         self._data: dict = {}
         self.hits = 0
@@ -55,12 +59,6 @@ class UnboundedCache:
         else:
             self.hits += 1
         return value
-
-    @property
-    def lookup(self):
-        """``get`` with only the side effects the eviction policy needs —
-        here none — for the engine, which reads the table on every drain."""
-        return self._data.get
 
     def put(self, key, value) -> None:
         self._data[key] = value
@@ -79,6 +77,8 @@ class _BoundedCache(UnboundedCache):
     """Shared machinery for the bounded caches: a capacity and an eviction
     rule on top of the unbounded one."""
 
+    evicts = True
+
     def __init__(self, capacity: int):
         if capacity < 1:
             raise CompileError("cache capacity must be >= 1")
@@ -91,10 +91,6 @@ class _BoundedCache(UnboundedCache):
         if value is not None:
             self._on_hit(key)
         return value
-
-    @property
-    def lookup(self):
-        return self.get  # a hit may matter to the policy
 
     def put(self, key, value) -> None:
         if key not in self._data and len(self._data) >= self.capacity:

@@ -28,6 +28,7 @@ product in :mod:`repro.automata.lazy` call it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from repro.automata.automaton import BufferSpec, ConstraintAutomaton, Transition
@@ -188,18 +189,26 @@ def _compose_minimal(
                 (t, {}) for t in _local_outgoing(automata, memo, i, s)
             ]
         for t, table in seeds:
-            for comps, by_states in table.items():
-                found = by_states.get(tuple([local_states[j] for j in comps]))
+            for comps, (key_of, by_states) in table.items():
+                found = by_states.get(key_of(local_states))
                 if found is not None:
                     break
             else:
                 comps, found = _grow(automata, local_states, memo, i, t)
-                table.setdefault(comps, {})[
-                    tuple([local_states[j] for j in comps])
-                ] = found
+                key_of, by_states = table.setdefault(
+                    comps, (_states_of(comps), {}))
+                by_states[key_of(local_states)] = found
                 memo.entries += 1
             steps.extend(found)
     return steps
+
+
+def _states_of(comps: tuple[int, ...]):
+    """``local_states`` → the states of components ``comps``, as a dict key
+    (built in C: this runs once per seed of every state composed)."""
+    if len(comps) > 1:
+        return itemgetter(*comps)
+    return itemgetter(comps[0]) if comps else (lambda _states: ())
 
 
 def _local_outgoing(automata, memo: ComposeMemo, j: int, s: int) -> tuple:

@@ -89,7 +89,8 @@ TRANSITION_BUDGET = 20_000
 
 
 class CompiledStep:
-    """One transition's specialized step function plus its firing metadata.
+    """One distinct step's specialized function plus its firing metadata —
+    shared by every state (and region) that has the step as a candidate.
 
     ``fire(pending, obs)`` runs probe → guards → checks → effects →
     operation completion and returns
@@ -100,20 +101,57 @@ class CompiledStep:
       fired with ``obs`` truthy; the engine drives the observability
       epilogue (metrics, liveness stamps, tracer record) from it.
 
-    ``target`` is the precomputed successor control state (an ``int`` for
-    eager regions, a state tuple for lazy ones); ``touched`` the buffers a
-    firing mutates (for cross-region signalling); ``source`` the emitted
-    Python text (artifact uploads, docs, ``tools/dump_compiled_steps.py``).
+    ``touched`` are the buffers a firing mutates (for cross-region
+    signalling); ``boundary`` the label's vertices whose queues ``fire``
+    probes; ``source`` the emitted Python text (artifact uploads, docs,
+    ``tools/dump_compiled_steps.py``).  Where the step leads depends on
+    the state it fires from: the :class:`StateRow` knows.
     """
 
-    __slots__ = ("label", "target", "touched", "fire", "source")
+    __slots__ = ("label", "touched", "fire", "source", "boundary")
 
-    def __init__(self, label, target, touched, fire, source):
+    def __init__(self, label, touched, fire, source, boundary):
         self.label = label
-        self.target = target
         self.touched = touched
         self.fire = fire
         self.source = source
+        self.boundary = boundary
+
+
+class StateRow:
+    """What a region's table holds for one compiled control state: all the
+    drain loop needs there, so a warm iteration hashes no control state
+    (docs/COMPILER.md §4).
+
+    ``steps`` are the candidate transitions and ``entries`` their
+    :class:`CompiledStep`, in candidate order.  ``links[i]`` is the row
+    candidate ``i`` leads to, once memoised (never, where the table can
+    evict); the successor *state* comes from ``steps[i]`` when the
+    candidate first fires, not when the row is built.  ``cursor`` caches
+    ``region.cursors[state]`` (``None``: no entry); a *changed* value is
+    written through, so ``region.cursors`` stays what checkpoints carry.
+    ``by_vertex`` — ``None`` until :meth:`index` — maps a boundary vertex to
+    the least boundary width among the candidates naming it: a post on it
+    enables none of them while fewer vertices than that are pending.
+    """
+
+    __slots__ = ("state", "steps", "entries", "links", "cursor", "by_vertex",
+                 "__weakref__")
+
+    def __init__(self, state, steps, entries: tuple):
+        self.state = state
+        self.steps = steps
+        self.entries = entries
+        self.links: list = [None] * len(entries)
+        self.cursor = None
+        self.by_vertex = None
+
+    def index(self) -> None:
+        least = self.by_vertex = {}
+        for e in self.entries:
+            width = len(e.boundary)
+            for v in e.boundary:
+                least[v] = min(least.get(v, width), width)
 
 
 class StepCompiler:
@@ -146,7 +184,7 @@ class StepCompiler:
         self._resolve = {"sq": pending_send.get, "rq": pending_recv.get,
                          "b": buffers.queue}
         #: One emission per distinct step: ``(label, id(atoms),
-        #: id(effects))`` → ``(fire, source, touched)`` plus the two tuples
+        #: id(effects))`` → its :class:`CompiledStep`, plus the two tuples
         #: themselves, so their ids stay theirs.  See
         #: :meth:`compile_transition`.
         self._emitted: dict[tuple, tuple] = {}
@@ -162,44 +200,40 @@ class StepCompiler:
 
     # ------------------------------------------------------------------
 
-    def compile_state(self, steps, state, lazy: bool) -> tuple:
+    def compile_state(self, steps, state) -> StateRow:
         """Compile one control state's candidate transitions, in candidate
         order (round-robin cursors index this list identically in both
         tiers).  Raises :class:`CompileError` on the first refusal — the
         caller demotes the whole region, per the module contract."""
-        out = []
-        for step in steps:
-            target = step.successor(state) if lazy else step.target
-            out.append(self.compile_transition(step, target))
-        return tuple(out)
+        return StateRow(
+            state, steps, tuple(map(self.compile_transition, steps)))
 
     def compile_automaton(self, automaton) -> dict:
         """Compile every state of an eager region's large automaton into a
-        ``{state: (CompiledStep, ...)}`` table."""
+        ``{state: StateRow}`` table."""
         if len(automaton.transitions) > TRANSITION_BUDGET:
             raise CompileError(
                 f"region has {len(automaton.transitions)} transitions, over "
                 f"the step-compile budget of {TRANSITION_BUDGET}"
             )
         return {
-            s: self.compile_state(automaton.outgoing(s), s, lazy=False)
+            s: self.compile_state(automaton.outgoing(s), s)
             for s in range(automaton.n_states)
         }
 
     # ------------------------------------------------------------------
 
-    def compile_transition(self, step, target) -> CompiledStep:
+    def compile_transition(self, step) -> CompiledStep:
         """The specialized step function for one transition (a
         :class:`~repro.automata.automaton.Transition` or a
-        :class:`~repro.automata.product.ComposedStep`) leading to
-        ``target``.
+        :class:`~repro.automata.product.ComposedStep`).
 
         The function depends on the step's label and constraint and on this
         compiler's bound objects, never on source or target state, so it is
-        emitted and ``exec``-uted once per distinct step and only the
-        :class:`CompiledStep` wrapper is built per state.  "Distinct" is by
-        label and by *identity* of the ``atoms`` and ``effects`` tuples: a
-        lazy product hands out one
+        emitted and ``exec``-uted once per distinct step, and the one
+        :class:`CompiledStep` serves every state that has the step.
+        "Distinct" is by label and by *identity* of the ``atoms`` and
+        ``effects`` tuples: a lazy product hands out one
         :class:`~repro.automata.product.ComposedStep` per set of local
         transitions however many global states share it, an eager product's
         transitions carry that step's tuples on (``hide`` rewrites only the
@@ -217,12 +251,15 @@ class StepCompiler:
         key = (label, id(atoms), id(effects))
         hit = self._emitted.get(key)
         if hit is None:
+            fire, source, touched = self._emit(label, self._plan(step))
             hit = self._emitted[key] = (
-                *self._emit(label, self._plan(step)),
+                CompiledStep(
+                    label, touched, fire, source,
+                    tuple(v for v in label
+                          if v in self._sources or v in self._sinks)),
                 atoms, effects,  # kept alive so their ids stay theirs
             )
-        fire, source, touched = hit[:3]
-        return CompiledStep(label, target, touched, fire, source)
+        return hit[0]
 
     def _plan(self, step) -> FiringPlan:
         """The step's plan, from the very call the interpreter would make
@@ -407,9 +444,9 @@ def region_sources(engine) -> list[tuple[int, object, str, str]]:
     for region in engine.regions:
         if not region.compiled:
             continue  # its table, if any, holds steps, not compiled entries
-        for state, entries in sorted(region.table.items(),
-                                     key=lambda kv: repr(kv[0])):
-            for entry in entries:
+        for state, row in sorted(region.table.items(),
+                                 key=lambda kv: repr(kv[0])):
+            for entry in row.entries:
                 rows.append(
                     (region.idx, state,
                      "{" + ",".join(sorted(entry.label)) + "}",

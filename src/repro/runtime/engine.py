@@ -166,10 +166,15 @@ class _RegionRuntime:
         #: Incrementally maintained pending-vertex set (insertion-ordered
         #: dict used as an ordered set, for deterministic candidate order).
         self.pend: dict[str, None] = {}
-        #: Set when this region may have a newly enabled transition
-        #: (an op enqueued, or a shared buffer changed); cleared by the
-        #: drain that scans it.  A clean region is skipped without a scan.
+        #: Set when this region may have a newly enabled transition for a
+        #: reason other than the post being submitted (docs/INTERNALS.md §4
+        #: lists them); cleared by the drain that scans it.  A clean region
+        #: has nothing enabled: a chaser skips it, and so does a post that
+        #: no candidate can answer.
         self.dirty = False
+        #: The table's row for ``state``, or ``None`` — interpreted region,
+        #: evicting table, or a write outside the drain loop (``reseat``).
+        self.row = None
         #: False once a reconfigure replaced this region — a late chaser
         #: must not fire on discarded protocol structure.
         self.live = True
@@ -179,16 +184,32 @@ class _RegionRuntime:
         #: when metered, like the pre-region ``_scan_count``).
         self.scanned = 0
         #: Compiled step tier (repro.compiler.steps): True while the
-        #: region's ``table`` maps a control state to its tuple of
+        #: region's ``table`` maps a control state to its StateRow of
         #: specialized CompiledStep functions; False when the region runs on
         #: the interpretive engine (compile refusal, or ``compiled="off"``).
         self.compiled = False
 
+    def reseat(self) -> None:
+        """``state`` or ``cursors`` was written outside the drain loop:
+        forget the current row; every row takes its cursor again."""
+        self.row = None
+        if self.compiled:
+            for state, row in self.table.items():
+                row.cursor = self.cursors.get(state)
+
+    def drop_rows(self) -> None:
+        """Empty the table; links undone first, rows die by refcount."""
+        self.row = None
+        if self.compiled:
+            for _, row in self.table.items():
+                row.links.clear()
+        self.table.clear()
+
     def demote(self) -> None:
         """Hand this region to the interpretive tier, which refills a
         lazy region's ``table`` with steps and never reads an eager one's."""
+        self.drop_rows()
         self.compiled = False
-        self.table.clear()
 
 
 class EagerRegion(_RegionRuntime):
@@ -198,10 +219,10 @@ class EagerRegion(_RegionRuntime):
 
     def __init__(self, automaton: ConstraintAutomaton):
         self.automaton = automaton
-        #: ``{state: (CompiledStep, ...)}`` for every state, prefilled by
-        #: the adopting engine; empty while the region is interpreted.
+        #: ``{state: StateRow}`` for every state, prefilled by the adopting
+        #: engine; empty while the region is interpreted.
         self.table: dict = {}
-        self.lookup = self.table.get
+        self.links = True  # nothing evicts a dict: see LazyRegion
         self.state: int = automaton.initial
         # Per-state round-robin cursors for fairness (see _drain_region): a
         # cursor is an index into one state's candidate list, so sharing a
@@ -246,16 +267,18 @@ class LazyRegion(_RegionRuntime):
     """Region backed by a just-in-time product.
 
     ``table`` is the product's state cache and the region's only store of
-    expanded states: composed steps while interpreted, ``CompiledStep``
-    tuples while compiled — what the cache evicts is gone whole."""
+    expanded states: composed steps while interpreted, a ``StateRow`` of
+    ``CompiledStep`` while compiled — what the cache evicts is gone whole."""
 
     kind = "lazy"
 
     def __init__(self, lazy: LazyProduct):
         self.lazy = lazy
         self.table = lazy.cache
-        # The drain loop's read: the default cache's is its dict's ``get``.
-        self.lookup = getattr(self.table, "lookup", self.table.get)
+        #: Whether rows may be referenced outside the table (``row``,
+        #: ``StateRow.links``): memos of ``table.get``, sound where nothing
+        #: evicts — a bounded cache must see every visit, its evictions die.
+        self.links = not getattr(self.table, "evicts", True)
         self.state = lazy.initial
         self.cursors: dict = {}  # per-state fairness cursors (see EagerRegion)
         self._init_runtime()
@@ -467,10 +490,9 @@ class CoordinatorEngine(EngineHost):
                 self._fail_queue(q, is_send=False)
             for r in self.regions:
                 r.pend.clear()
+                r.drop_rows()
                 if isinstance(r, LazyRegion):
-                    r.lazy.release()  # the table (its cache) and the memo
-                else:
-                    r.table.clear()
+                    r.lazy.release()  # the compose memo
             if self._step_compiler is not None:
                 self._step_compiler.release()
             self._wake_all_locked()
@@ -556,17 +578,16 @@ class CoordinatorEngine(EngineHost):
                     # Lazy regions specialize per visited state, starting
                     # with the current one — an up-front probe so obvious
                     # refusals demote before the first firing.
-                    entries = compiler.compile_state(
-                        r.candidates(), r.state, lazy=True
-                    )
+                    row = compiler.compile_state(r.candidates(), r.state)
                     r.table.clear()  # the initial state's steps
-                    r.table.put(r.state, entries)
+                    r.table.put(r.state, row)
             except CompileError:
                 if self._compiled == "require":
                     raise
                 # "auto": stays interpreted; its table was not touched.
             else:
                 r.compiled = True
+                r.reseat()  # an adopted region may come with cursors
 
     def _freeze(self) -> tuple:
         """Host hook (``_lock`` held): take every region lock."""
@@ -850,8 +871,7 @@ class CoordinatorEngine(EngineHost):
                             child.value += 1.0
                 queue.append(op)
                 region.pend[vertex] = None
-                region.dirty = True
-                self._drain_region(region, spill)
+                self._drain_region(region, spill, vertex)
                 if op.done or op.error is not None:
                     return
                 if unresolved == _WITHDRAW:
@@ -867,6 +887,8 @@ class CoordinatorEngine(EngineHost):
                     and len(queue) > pol.max_pending
                 ):
                     self._overflow(queue, op, pol, region)
+                    if region.dirty:  # shed_oldest: see _shed_victim
+                        self._drain_region(region, spill)
                 if unresolved == _PARK and not op.done:
                     # Install the op's private wake slot while still under
                     # the region lock.  A post handle is polled, never
@@ -910,19 +932,26 @@ class CoordinatorEngine(EngineHost):
         if region is None:
             # The vertex left the signature; reconfigure failed the op.
             return op.error is None and not op.done
+        spill: list = []
         try:
             if op.done or op.error is not None:
                 return False
+            was_head = bool(queue) and queue[0] is op
             try:
                 queue.remove(op)
             except ValueError:
                 pass
+            self._count_withdrawn(op.vertex, is_send)
             if not queue:
                 region.pend.pop(op.vertex, None)
-            self._count_withdrawn(op.vertex, is_send)
+            elif was_head:
+                # The new head may pass a data guard this one failed.
+                region.dirty = True
+                spill.append(region)
             return True
         finally:
             region.lock.release()
+            self._chase(spill)
 
     @staticmethod
     def _shed_victim(queue: deque, op: _Op, pol: OverloadPolicy, region):
@@ -932,9 +961,12 @@ class CoordinatorEngine(EngineHost):
         ``shed_newest``, the head under ``shed_oldest`` (``op`` takes the
         freed slot) — or ``None`` when ``fail_fast`` rejected ``op``.  The
         books (dead letter, metrics, wake-up) are the caller's half:
-        :meth:`_overflow` here, the response stream on the workers backend."""
+        :meth:`_overflow` here, the response stream on the workers backend
+        — and draining the region, which ``shed_oldest`` leaves *dirty*: the
+        head it exposes may pass a data guard the shed one failed."""
         if pol.kind == "shed_oldest":
             victim = queue.popleft()
+            region.dirty = True
         else:
             queue.remove(op)
             victim = op if pol.kind == "shed_newest" else None
@@ -1027,7 +1059,7 @@ class CoordinatorEngine(EngineHost):
 
     # ------------------------------------------------------- firing engine
 
-    def _drain_region(self, region, spill: list | None) -> None:
+    def _drain_region(self, region, spill: list | None, posted=None) -> None:
         """Fire ``region`` until quiescent (its lock held) — the one drain
         loop.  Regions whose shared buffers changed are marked dirty and
         appended to ``spill`` for the caller to chase after releasing this
@@ -1038,16 +1070,31 @@ class CoordinatorEngine(EngineHost):
         (:mod:`repro.compiler.steps`, docs/COMPILER.md): the per-fire
         invariants (observability probes, trace lock, watcher map) are
         hoisted so they are paid once per drain, not once per step.  A
-        compiled region fires from its table, filling in a lazy state the
-        table does not hold (new, or evicted); a region that is not
+        compiled region fires from its state's
+        :class:`~repro.compiler.steps.StateRow` — candidates, cursor and
+        successor links, so a warm iteration hashes no control state — and
+        asks :meth:`_row_of` where it holds none; a region that is not
         compiled — ``compiled="off"``, or demoted, possibly by that very
-        fill — is interpreted step by step with identical behaviour.
+        call — is interpreted step by step with identical behaviour.
         Cursors, fired counters, watcher spill and the observability
         epilogue are bit-for-bit the same in both tiers, so checkpoints and
-        traces round-trip across them."""
-        region.dirty = False
-        lookup = region.lookup
+        traces round-trip across them.
+
+        ``posted`` is the vertex whose post this drain serves.  On a *clean*
+        region only that post has happened since a scan found nothing
+        enabled: no scan if no candidate names the vertex, or the narrowest
+        that does needs more pending vertices than there are.  ``dirty`` is
+        then left alone — a watcher signal landing meanwhile is about
+        candidates nobody looked at, and must stay set for its chaser."""
+        row = region.row
         pend = region.pend
+        if posted is not None and row is not None and not region.dirty:
+            widths = row.by_vertex  # None until the state is revisited
+            if widths is not None:
+                least = widths.get(posted)
+                if least is None or least > len(pend):
+                    return
+        region.dirty = False
         cursors = region.cursors
         watchers = self._watchers
         obs = self._observing or self._vertex_party
@@ -1061,29 +1108,33 @@ class CoordinatorEngine(EngineHost):
         trace_lock = self._trace_lock if self.tracer is not None else None
         if trace_lock is not None:
             trace_lock.acquire()
+        came = at = None  # row and candidate that led to ``region.state``
         try:
             while True:
-                state = region.state
-                entries = None
-                if region.compiled:
-                    entries = lookup(state)
-                    if entries is None:
-                        entries = self._compile_region_state(region)
-                if entries is None:
-                    if self._fire_one_interp(region, spill, obs):
-                        continue
-                    return
+                if row is None:
+                    if region.compiled:
+                        row = self._row_of(region, came, at)
+                    if row is None:
+                        if self._fire_one_interp(region, spill, obs):
+                            continue
+                        return
+                entries = row.entries
                 n = len(entries)
-                if n == 0:
-                    return
-                start = cursors.get(state, 0) % n
+                start = row.cursor or 0
                 for k in range(n):
-                    e = entries[(start + k) % n]
+                    at = (start + k) % n
+                    e = entries[at]
                     r = e.fire(pend, obs)
                     if r is None:
                         continue
-                    region.state = e.target
-                    cursors[state] = (start + k + 1) % n
+                    after = (at + 1) % n
+                    if after != row.cursor:
+                        row.cursor = cursors[row.state] = after
+                    came, row = row, row.links[at]
+                    if row is None:
+                        region.advance(came.steps[at])
+                    else:
+                        region.state = row.state
                     region.fired += 1
                     self._steps_approx += 1
                     if watchers:
@@ -1093,9 +1144,31 @@ class CoordinatorEngine(EngineHost):
                     break
                 else:
                     return
+        except BaseException:
+            region.dirty = True  # cleared, yet quiescence was not reached
+            raise
         finally:
+            if region.links:
+                region.row = row
             if trace_lock is not None:
                 trace_lock.release()
+
+    def _row_of(self, region, came, at):
+        """The row of a compiled region's state, for a drain that holds
+        none.  A state the table lacks (new, or evicted) is compiled, which
+        may demote the region: ``None``.  One it has is being *revisited*:
+        where nothing evicts, that is when the row is indexed by vertex and
+        memoised as where candidate ``at`` of row ``came`` leads — a state
+        seen once pays for neither."""
+        row = region.table.get(region.state)
+        if row is None:
+            return self._compile_region_state(region)
+        if region.links:
+            if row.by_vertex is None:
+                row.index()
+            if came is not None:
+                came.links[at] = row
+        return row
 
     def _signal_watchers(self, region, touched, spill) -> None:
         """Mark the other regions watching a buffer this firing mutated
@@ -1195,16 +1268,17 @@ class CoordinatorEngine(EngineHost):
         demoting the region — the caller then interprets."""
         state = region.state
         try:
-            entries = self._step_compiler.compile_state(
-                region.lazy.expand(state), state, lazy=True
+            row = self._step_compiler.compile_state(
+                region.lazy.expand(state), state
             )
         except CompileError:
             if self._compiled == "require":
                 raise
             region.demote()
             return None
-        region.table.put(state, entries)
-        return entries
+        row.cursor = region.cursors.get(state)
+        region.table.put(state, row)
+        return row
 
     def _fire_one_interp(self, region, spill, obs) -> bool:
         """Try to fire one transition of ``region`` on the interpretive

@@ -563,6 +563,7 @@ class EngineHost:
             region.state = state
             # int accepted for hand-built pre-cursor-table states.
             region.cursors = {} if isinstance(rs.rr, int) else dict(rs.rr)
+            region.reseat()
 
     def _remap_boundary(self, vertex_map: dict[str, str],
                         sources: frozenset[str], sinks: frozenset[str],

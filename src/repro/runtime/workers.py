@@ -621,8 +621,8 @@ class _Worker:
         """The thread engine's queue decision (``_shed_victim``) with the
         outcome put on the ordered response stream instead of booked here,
         so the coordinator keeps the conservation counters exact."""
-        victim = self.inner._shed_victim(
-            queue, h, pol, self.inner._route[vertex])
+        region = self.inner._route[vertex]
+        victim = self.inner._shed_victim(queue, h, pol, region)
         if victim is None:
             return "reject", (vertex, pol.max_pending)
         victim.done = True
@@ -632,6 +632,7 @@ class _Worker:
         if vid is not None:
             del self.live[vid]
             self.emit(("shedded", vid, pol.kind, pol.dead_letter_capacity))
+        self.inner._chase([region])  # left dirty: a new head is exposed
         return None, None  # ``h`` took the freed slot: pending like any other
 
     def do_try(self, op_id, is_send, vertex, value) -> None:

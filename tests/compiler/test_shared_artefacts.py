@@ -171,8 +171,8 @@ def test_instances_share_the_template_but_not_the_code_object():
     a, b = build("Merger", 2), build("Merger", 2)
 
     def fires(conn):
-        return [entry.fire for _, entries in sorted(
-            conn.engine.regions[0].table.items()) for entry in entries]
+        return [entry.fire for _, row in sorted(
+            conn.engine.regions[0].table.items()) for entry in row.entries]
 
     templates = {p.template[1] for p in simplify._shared_plans.values()}
     for fa, fb in zip(fires(a), fires(b), strict=True):

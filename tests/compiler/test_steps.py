@@ -278,13 +278,13 @@ def connected(name, n, **options):
 def installed(engine):
     """Every ``(state, CompiledStep)`` currently in a region table."""
     return [(state, e) for r in engine.regions if r.compiled
-            for state, entries in r.table.items() for e in entries]
+            for state, row in r.table.items() for e in row.entries]
 
 
 def test_step_functions_are_shared_between_states():
     """The emitted function depends on the composed step, not on the state
-    it leaves or reaches: states that share a step share one ``fire`` and
-    differ only in the wrapper's ``target``."""
+    it leaves or reaches: states that share a step share its one
+    ``CompiledStep``; where it leads from each is the row's to know."""
     conn = connected("EarlyAsyncMerger", 16, compiled="require")
     random_posts(conn)
     entries = installed(conn.engine)
@@ -298,8 +298,12 @@ def test_step_functions_are_shared_between_states():
     for state, e in entries:
         by_fire.setdefault(id(e.fire), []).append((state, e))
     (s1, e1), (s2, e2) = max(by_fire.values(), key=len)[:2]
-    assert s1 != s2 and e1.fire is e2.fire
-    assert e1.target != e2.target and e1.source == e2.source
+    assert s1 != s2 and e1 is e2
+    (region,) = conn.engine.regions
+    r1, r2 = region.table.get(s1), region.table.get(s2)
+    step = r1.steps[r1.entries.index(e1)]
+    assert step is r2.steps[r2.entries.index(e2)]
+    assert step.successor(s1) != step.successor(s2)
     conn.close()
 
 
@@ -346,12 +350,12 @@ def test_restore_onto_a_warm_connector_keeps_its_functions():
     assert ins[0].recv() == "a"
     outs[1].send("b")
     assert ins[0].recv() == "b"
-    before = {s: tuple(e.fire for e in es)
-              for r in conn.engine.regions for s, es in r.table.items()}
+    before = {s: tuple(e.fire for e in row.entries)
+              for r in conn.engine.regions for s, row in r.table.items()}
     emitted = conn.stats()["emitted_steps"]
     conn.restore(cp)
-    after = {s: tuple(e.fire for e in es)
-             for r in conn.engine.regions for s, es in r.table.items()}
+    after = {s: tuple(e.fire for e in row.entries)
+             for r in conn.engine.regions for s, row in r.table.items()}
     assert after == before and conn.stats()["emitted_steps"] == emitted
     assert ins[0].recv() == "a"  # the restored value, through a kept function
     conn.close()
