@@ -49,22 +49,6 @@ replaces such an object must recompile or mutate in place:
 ``reconfigure`` swaps queues and the closed-vertex set, and recompiles via
 ``_adopt_regions``; ``BufferStore.set_contents`` (checkpoint restore)
 mutates its deques in place for precisely this reason.
-
-Crossing a process boundary
----------------------------
-For the same reason the closures are **not picklable** — they capture live
-deques, sets, and resolved callables, none of which survive a pickle round
-trip meaningfully.  The multiprocess backend (``concurrency="workers"``,
-:mod:`repro.runtime.workers`) therefore never ships compiled steps across
-the fork: each worker adopts its regions via the ordinary checkpoint
-hand-off and *re-emits* the step functions in-worker from the region's
-:class:`~repro.automata.simplify.FiringPlan` IR — the IR, unlike the
-emitted closure, is process-independent.  The emitted body needs no
-changes to run there because it only speaks the deque protocol
-(``append``/``popleft``/``[0]``/truth), which
-:class:`~repro.runtime.workers.ShmFifo` implements over shared memory;
-the closure binds whichever buffer object the worker's
-:class:`~repro.runtime.buffers.BufferStore` holds at compile time.
 """
 
 from __future__ import annotations

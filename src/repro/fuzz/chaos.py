@@ -18,7 +18,7 @@ crash-then-recover, flood), at the price of a weaker oracle:
   deadlock false-positive, or unexpected error is a failure regardless of
   values.
 
-Each scenario runs under all four connector modes; because the outcome
+Each scenario runs under every unhosted connector mode; because the outcome
 (under these oracles) is mode-independent, any disagreement is reported
 exactly like a harness divergence.
 """

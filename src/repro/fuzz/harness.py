@@ -70,16 +70,6 @@ MODES = {
                              use_partitioning=True, compiled="auto"),
     "global-compiled": dict(concurrency="global", composition="aot",
                             use_partitioning=False, compiled="auto"),
-    # The multiprocess backend (repro.runtime.workers): region drain loops
-    # in forked worker processes over shared-memory port buffers, with the
-    # dirty-region spill protocol relayed over SPSC rings.  post_*/try_*
-    # wait for the cross-worker kick cascade to quiesce, which is what
-    # makes these modes comparable under the exact-equality oracle.
-    "workers-jit": dict(concurrency="workers", workers=2, composition="jit",
-                        use_partitioning=True, compiled="off"),
-    "workers-compiled": dict(concurrency="workers", workers=2,
-                             composition="jit", use_partitioning=True,
-                             compiled="auto"),
 }
 
 

@@ -69,27 +69,6 @@ class BufferStore:
     def names(self) -> tuple[str, ...]:
         return tuple(self._queues)
 
-    def specs(self) -> tuple[BufferSpec, ...]:
-        """Re-derive declaration specs (current contents as ``initial``) —
-        how the workers backend rebuilds group-local stores in a forked
-        child from the coordinator's template."""
-        return tuple(
-            BufferSpec(name, self._capacity[name], tuple(q))
-            for name, q in self._queues.items()
-        )
-
-    def adopt_shared(self, name: str, fifo) -> None:
-        """Swap buffer ``name``'s deque for a shared-memory fifo
-        (:class:`repro.runtime.workers.ShmFifo`).
-
-        The replacement object implements the full deque surface the
-        engine and the compiled step closures use, so neither tier can
-        tell — but it must happen *before* the step compiler binds queue
-        objects (i.e. before an engine adopts this store)."""
-        if name not in self._queues:
-            raise RuntimeProtocolError(f"unknown buffer {name!r}")
-        self._queues[name] = fifo
-
     def snapshot(self) -> dict[str, tuple]:
         """Immutable view of all buffer contents (debugging/tests)."""
         return {name: tuple(q) for name, q in self._queues.items()}

@@ -37,11 +37,8 @@ linked to outports/inports), and execution options:
   independent regions a partitioned connector compiles to fire on multiple
   OS threads concurrently), ``"global"`` (the same scheduler with every
   region sharing one lock — the reference schedule of the fuzz oracle and
-  the checkpoint matrix, see docs/DECISIONS.md),
-  or ``"workers"`` (region drain loops in separate OS processes over
-  shared-memory port buffers — real CPU parallelism past the GIL; see
-  docs/PARALLEL.md).  ``workers=N`` bounds the process count for the
-  multiprocess backend; see docs/INTERNALS.md §"Engine concurrency model";
+  the checkpoint matrix, see docs/DECISIONS.md); see docs/INTERNALS.md
+  §"Engine concurrency model";
 * ``compiled`` — the specialized step tier (docs/COMPILER.md): ``"auto"``
   (default) emits a specialized Python step function per transition at
   connect time and silently demotes anything uncompilable to the
@@ -63,12 +60,7 @@ from repro.automata.lazy import LazyProduct
 from repro.automata.partition import partition_automata
 from repro.automata.product import merged_buffers, product
 from repro.runtime.buffers import BufferStore
-from repro.runtime.engine import (
-    CoordinatorEngine,
-    EagerRegion,
-    LazyRegion,
-    make_engine,
-)
+from repro.runtime.engine import CoordinatorEngine, EagerRegion, LazyRegion
 from repro.runtime.metrics import ConnectorMetrics, MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import Inport, Outport
@@ -105,15 +97,13 @@ class RuntimeConnector(Connector):
         metrics: MetricsRegistry | None = None,
         name: str = "",
         concurrency: str = "regions",
-        workers: int = 2,
         compiled: str = "auto",
     ):
         if composition not in ("jit", "aot"):
             raise ValueError(f"composition must be 'jit' or 'aot', not {composition!r}")
-        if concurrency not in ("regions", "global", "workers"):
+        if concurrency not in ("regions", "global"):
             raise ValueError(
-                f"concurrency must be 'regions', 'global' or 'workers', "
-                f"not {concurrency!r}"
+                f"concurrency must be 'regions' or 'global', not {concurrency!r}"
             )
         if compiled not in ("auto", "off", "require"):
             raise ValueError(
@@ -134,7 +124,6 @@ class RuntimeConnector(Connector):
         self.detection_grace = detection_grace
         self.overload = overload
         self.concurrency = concurrency
-        self.workers = workers
         self.compiled = compiled
         self.metrics = metrics
         self._metrics = (
@@ -201,7 +190,7 @@ class RuntimeConnector(Connector):
         sinks = frozenset(self.head_vertices)
         regions, store = self._build_regions(self.automata, sources, sinks)
 
-        self.engine = make_engine(
+        self.engine = CoordinatorEngine(
             regions,
             store,
             sources,
@@ -214,7 +203,6 @@ class RuntimeConnector(Connector):
             overload=self.overload,
             metrics=self._metrics,
             concurrency=self.concurrency,
-            workers=self.workers,
             compiled=self.compiled,
         )
         if self.composition == "aot":

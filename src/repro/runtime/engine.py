@@ -58,8 +58,8 @@ as a second implementation — see docs/DECISIONS.md.
 Fault tolerance
 ---------------
 (The party registry, the blocked-wait loop, the detector and the admin
-validation described here and below are :class:`~repro.runtime.host.EngineHost`'s,
-shared with the workers backend; this module supplies its hooks.)
+validation described here and below are :class:`~repro.runtime.host.EngineHost`'s;
+this module supplies its hooks.)
 Blocking operations take an optional ``timeout``; a timed-out operation is
 *withdrawn* from its queue before :class:`ProtocolTimeoutError` is raised,
 so it can never enable a transition on behalf of a task that gave up.
@@ -622,6 +622,7 @@ class CoordinatorEngine(EngineHost):
     # ------------------------------------------------------- recovery layer
 
     def _pending_count(self) -> int:
+        """Host hook (all region locks held): operations queued now."""
         return sum(len(q) for q in self._pending_send.values()) + sum(
             len(q) for q in self._pending_recv.values()
         )
@@ -887,7 +888,7 @@ class CoordinatorEngine(EngineHost):
                     and len(queue) > pol.max_pending
                 ):
                     self._overflow(queue, op, pol, region)
-                    if region.dirty:  # shed_oldest: see _shed_victim
+                    if region.dirty:  # shed_oldest: see _overflow
                         self._drain_region(region, spill)
                 if unresolved == _PARK and not op.done:
                     # Install the op's private wake slot while still under
@@ -953,17 +954,20 @@ class CoordinatorEngine(EngineHost):
             region.lock.release()
             self._chase(spill)
 
-    @staticmethod
-    def _shed_victim(queue: deque, op: _Op, pol: OverloadPolicy, region):
-        """The queue half of a non-``block`` policy on an over-bound queue
-        (owner lock held): take the loser out and keep ``region.pend`` in
-        step.  Returns the op whose value is shed — ``op`` under
-        ``shed_newest``, the head under ``shed_oldest`` (``op`` takes the
-        freed slot) — or ``None`` when ``fail_fast`` rejected ``op``.  The
-        books (dead letter, metrics, wake-up) are the caller's half:
-        :meth:`_overflow` here, the response stream on the workers backend
-        — and draining the region, which ``shed_oldest`` leaves *dirty*: the
-        head it exposes may pass a data guard the shed one failed."""
+    def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
+                  region) -> None:
+        """Apply a non-``block`` policy to an over-bound queue (owner lock
+        held), keeping ``region.pend`` in step.
+
+        ``fail_fast`` withdraws ``op`` and raises; the shed kinds capture a
+        value into the dead-letter buffer and complete its operation as if
+        sent — ``op`` under ``shed_newest``, the head under ``shed_oldest``
+        (``op`` takes the freed slot) — so the protocol never sees a shed
+        value, but the submitter is released rather than parked (degrade
+        predictably, don't fall over).  ``shed_oldest`` leaves the region
+        *dirty* for the caller to drain: the head it exposes may pass a data
+        guard the shed one failed.
+        """
         if pol.kind == "shed_oldest":
             victim = queue.popleft()
             region.dirty = True
@@ -972,19 +976,6 @@ class CoordinatorEngine(EngineHost):
             victim = op if pol.kind == "shed_newest" else None
         if not queue:
             region.pend.pop(op.vertex, None)
-        return victim
-
-    def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
-                  region) -> None:
-        """Apply a non-``block`` policy to an over-bound queue (owner lock
-        held).
-
-        ``fail_fast`` withdraws ``op`` and raises; the shed kinds capture a
-        value into the dead-letter buffer and complete its operation as if
-        sent — the protocol never sees a shed value, but the submitter is
-        released rather than parked (degrade predictably, don't fall over).
-        """
-        victim = self._shed_victim(queue, op, pol, region)
         if victim is None:
             self._record_rejected(op.vertex)
             raise OverloadError(op.vertex, pol.max_pending)
@@ -1038,6 +1029,8 @@ class CoordinatorEngine(EngineHost):
         return self._pending_count()
 
     def _stuck_state(self) -> dict:
+        """Host hook (all locks held): non-empty queue depths by vertex and
+        the region states, for the deadlock diagnostic."""
         return {
             "pending_sends": {
                 v: len(q) for v, q in self._pending_send.items() if q
@@ -1391,35 +1384,6 @@ class CoordinatorEngine(EngineHost):
                     count += 1
         return count
 
-    def kick_buffers(self, names) -> None:
-        """Mark every region watching ``names`` dirty and drain the cascade.
-
-        The ingress half of the cross-process τ-flow relay (see
-        :mod:`repro.runtime.workers`): a peer process changed these shared
-        buffers, so the regions reading them must re-scan exactly as if a
-        local firing had touched them.  Built from ``buffer_names()``
-        directly rather than ``_watchers`` — that map only carries buffers
-        shared by >1 *local* region, while a kicked buffer's other watcher
-        lives in a different process."""
-        name_set = frozenset(names)
-        targets = [
-            r for r in self.regions
-            if r.live and not name_set.isdisjoint(r.buffer_names())
-        ]
-        if not targets:
-            return
-        spill: list = []
-        for r in targets:
-            r.dirty = True
-            spill.append(r)
-        self._chase(spill)
-
-    def routing_table(self) -> dict[str, int]:
-        """Vertex → region-index map (exported so the workers backend can
-        replicate the adoption-time routing across processes, and for
-        diagnostics)."""
-        return {v: r.idx for v, r in self._route.items()}
-
     # ------------------------------------------------------------- sampling
 
     def pending_depths(self) -> list[tuple[str, str, int]]:
@@ -1490,25 +1454,3 @@ class CoordinatorEngine(EngineHost):
         compiler = self._step_compiler
         out["emitted_steps"] = compiler.emitted_steps if compiler else 0
         return out
-
-
-def make_engine(regions, buffers, sources, sinks, *, concurrency="regions",
-                workers=2, **kwargs):
-    """Backend-selecting engine factory.
-
-    ``"regions"`` and ``"global"`` build the in-process
-    :class:`CoordinatorEngine`; ``"workers"`` builds the multiprocess
-    :class:`~repro.runtime.workers.WorkerCoordinatorEngine` (imported
-    lazily — it forks at construction, which callers on the thread
-    backends should never pay for).  ``workers`` is only meaningful for
-    the multiprocess backend.
-    """
-    if concurrency == "workers":
-        from repro.runtime.workers import WorkerCoordinatorEngine
-
-        return WorkerCoordinatorEngine(
-            regions, buffers, sources, sinks, workers=workers, **kwargs
-        )
-    return CoordinatorEngine(
-        regions, buffers, sources, sinks, concurrency=concurrency, **kwargs
-    )

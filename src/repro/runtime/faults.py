@@ -42,15 +42,6 @@ Fault kinds (``FaultSpec.kind``):
   ``(spec.seed, port, at_op)``, so the whole jitter sequence is exactly
   reproducible in operation order; the drawn delays are recorded on the
   wrapped port (``.spikes``) for regression assertions.
-* ``"worker_kill"`` — SIGKILL the region-worker *process* that owns this
-  port's vertex, immediately before the operation (the
-  ``concurrency="workers"`` backend's crash mode, see
-  :mod:`repro.runtime.workers`); supervision must surface the loss as
-  :class:`~repro.util.errors.PeerFailedError` on every operation routed to
-  the dead worker.  Deterministic because the plan counts the port's
-  operations, not wall clock.  A documented no-op on the thread backends
-  (their engines have no worker processes to kill), so mixed-backend test
-  matrices can share one seeded plan.
 
 Like ``"crash_then_recover"``, the overload and jitter kinds are opt-in for
 :meth:`FaultPlan.random` (pass them via ``kinds=``), keeping existing
@@ -83,7 +74,7 @@ KINDS = ("delay", "drop", "crash", "close")
 #: the overload kinds, and the jitter kind, which tests opt into explicitly
 #: (``kinds=("delay", "crash_then_recover", "flood", "latency_spike")``).
 ALL_KINDS = KINDS + ("crash_then_recover", "slow_task", "flood",
-                     "latency_spike", "worker_kill")
+                     "latency_spike")
 
 #: The persistent kinds: armed once at their ``at_op``, then affecting
 #: every subsequent operation on the port.
@@ -286,22 +277,7 @@ class _FaultyPort:
         if spec.kind == "close":
             self._port.close()
             return None  # the delegated operation now raises PortClosedError
-        if spec.kind == "worker_kill":
-            self._kill_owning_worker()
-            return None  # the delegated op now meets a dead worker
         return spec.kind  # "drop" / "flood"
-
-    def _kill_owning_worker(self) -> None:
-        """SIGKILL the region worker owning this port's vertex (workers
-        backend); silently a no-op on thread engines, which have no worker
-        processes — the operation then simply proceeds."""
-        engine = getattr(self._port, "_engine", None)
-        vertex = getattr(self._port, "_vertex", None)
-        if engine is None or not hasattr(engine, "kill_worker"):
-            return
-        wid = engine.routing_table().get(vertex)
-        if wid is not None:
-            engine.kill_worker(wid)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<faulty {self._port!r}>"

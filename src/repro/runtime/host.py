@@ -1,38 +1,16 @@
-"""The submitting-process half of an engine, written once.
+"""The task-facing half of the engine.
 
-Both backends — the in-process :class:`~repro.runtime.engine.CoordinatorEngine`
-and the multiprocess
-:class:`~repro.runtime.workers.WorkerCoordinatorEngine` — face the tasks the
-same way: parties register, blocked submitters tick between their wakeup
-slot, their deadline and the deadlock detector, admin operations validate
-before they mutate, and a re-parametrization renames everything kept per
-boundary vertex.  :class:`EngineHost` is that protocol.  A backend adds
-where pending operations live and how a decision reaches them, through
-these hooks (docs/INTERNALS.md §13 tabulates them with the lock each shared
-piece runs under in each backend):
-
-``_freeze()``
-    With ``_lock`` held, take whatever else must be held for the pending
-    operations to stand still; returns the locks for :meth:`_release`.
-``_steps_approx``
-    Cheap step count for liveness stamps — an attribute, not a call:
-    :meth:`_mark_active` is on the in-process firing path.
-``_pending_count()``, ``_pending_ops(vertices)``
-    How many operations are pending; those pending on a set of vertices.
-``_stuck_count()``
-    The detector's reading of ``_pending_count()``; a backend's own guards
-    go here (0 vetoes the sighting).
-``_stuck_state()``
-    ``pending_sends``/``pending_recvs`` (non-empty queue depths by vertex)
-    and ``region_states`` for the deadlock diagnostic.
-``_deliver_deadlock(err)``
-    Fail every pending operation with ``err``; may return a callable to run
-    once all locks are dropped.
-``_wake_all_locked()``
-    Wake every parked submitter.
-``_withdraw_expired(queue, op, is_send)``
-    A blocked operation's deadline passed: ``True`` if it was withdrawn
-    here and now, ``False`` if its resolution will show on the operation.
+:class:`EngineHost` is how :class:`~repro.runtime.engine.CoordinatorEngine`
+faces the tasks: parties register, blocked submitters tick between their
+wakeup slot, their deadline and the deadlock detector, admin operations
+validate before they mutate, and a re-parametrization renames everything
+kept per boundary vertex.  It is a module of its own so that this protocol
+and the firing engine each stay a reviewable size (docs/DECISIONS.md row
+13).  The engine supplies the pending-operation side — ``_freeze()``,
+``_steps_approx``, ``_pending_count()``, ``_pending_ops(vertices)``,
+``_stuck_count()``, ``_stuck_state()``, ``_deliver_deadlock(err)``,
+``_wake_all_locked()`` and ``_withdraw_expired(queue, op, is_send)`` —
+each documented where ``engine.py`` defines it.
 """
 
 from __future__ import annotations
@@ -102,10 +80,10 @@ class _Party:
 
 
 class EngineHost:
-    """State and protocol common to both engine backends (module
-    docstring).  ``_lock`` is the registry lock, outermost in either
-    backend's lock order below its admin serialization: it guards the party
-    registry, the blocked-waiter count and the deadlock suspect."""
+    """The engine's task-facing state and protocol (module docstring).
+    ``_lock`` is the registry lock, outermost in the engine's lock order:
+    it guards the party registry, the blocked-waiter count and the deadlock
+    suspect."""
 
     def __init__(self, concurrency: str, sources: frozenset[str],
                  sinks: frozenset[str], registry, expected_parties, tracer,
@@ -395,7 +373,6 @@ class EngineHost:
         """Deadlock detection — caller holds *no* locks.  Takes the
         registry lock, then ``_freeze()``, for a consistent snapshot of
         pending operations and blocked waiters."""
-        after = None
         with self._lock:
             if self._parties:
                 threshold, grace = len(self._parties), self.detection_grace
@@ -435,12 +412,10 @@ class EngineHost:
                         return
                     if now - self._suspect[1] < grace:
                         return
-                after = self._deliver_deadlock(self._stuck_error(threshold))
+                self._deliver_deadlock(self._stuck_error(threshold))
                 self._suspect = None
             finally:
                 self._release(locks)
-        if after is not None:
-            after()
 
     def _stuck_error(self, threshold: int) -> Exception:
         """The error delivered to all blocked parties once a deadlock is

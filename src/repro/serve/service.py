@@ -168,8 +168,6 @@ class CoordinatorService:
         service_time: float = 0.0,
         registry: MetricsRegistry | None = None,
         default_timeout: float = ADMIN_TIMEOUT,
-        concurrency: str = "regions",
-        engine_workers: int | None = None,
     ) -> FarmSession:
         """Admit and open one session for ``tenant``.
 
@@ -208,8 +206,6 @@ class CoordinatorService:
                 default_timeout=default_timeout,
                 durability=durability,
                 auto_checkpoint=self.auto_checkpoint,
-                concurrency=concurrency,
-                engine_workers=engine_workers,
             )
             session.open()
             shard = self._shard_for(session)
@@ -229,7 +225,11 @@ class CoordinatorService:
         newest valid snapshot; the protocol state and exactly-once
         delivery book come from :meth:`FarmSession.open`'s recovery path.
         Returns the recovered session names (sorted).  Sessions already
-        open under the same name are skipped (recovery is idempotent)."""
+        open under the same name are skipped (recovery is idempotent).
+        Keys this code does not read are ignored: metadata written when a
+        session could pick its engine backend and process count recovers
+        under the default engine, which restores the same checkpoint bytes
+        (docs/DECISIONS.md row 13)."""
         if self.durable is None:
             return []
         recovered = []
@@ -250,8 +250,6 @@ class CoordinatorService:
                 policy=policy,
                 service_time=meta.get("service_time", 0.0),
                 default_timeout=meta.get("default_timeout", ADMIN_TIMEOUT),
-                concurrency=meta.get("concurrency", "regions"),
-                engine_workers=meta.get("engine_workers"),
             )
             recovered.append(name)
         return sorted(recovered)

@@ -480,7 +480,7 @@ def test_racing_instantiations_all_verify():
 @pytest.mark.fuzz
 @pytest.mark.parametrize("cleared", [False, True], ids=["warm", "cleared"])
 def test_fuzz_slice_on_warm_and_on_cleared_tables(cleared):
-    """Forty seeds of the ten-mode sweep in one process: later seeds run on
+    """Forty seeds of the full-mode sweep in one process: later seeds run on
     tables the earlier ones filled — or on none, cleared before each.  (The
     200-seed runs, both ways, are recorded in CHANGES.md; this is their
     always-on slice.)"""

@@ -3,6 +3,7 @@ and the recovery/overload cold paths under per-region locking — and under
 ``concurrency="global"``, the same scheduler with every region sharing one
 lock (docs/INTERNALS.md §"Engine concurrency model")."""
 
+import importlib.util
 import threading
 
 import pytest
@@ -12,6 +13,8 @@ from repro.compiler.fromgraph import connector_from_graph
 from repro.connectors import library
 from repro.connectors.graph import Arc, ConnectorGraph
 from repro.connectors.library import BuiltConnector
+from repro.runtime.buffers import BufferStore
+from repro.runtime.engine import CoordinatorEngine
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import TaskGroup
 from repro.util.errors import DeadlockError, ProtocolTimeoutError
@@ -185,6 +188,28 @@ def test_checkpoint_restore_multi_region():
 def test_concurrency_option_validated():
     with pytest.raises(ValueError):
         lanes_connector(1, concurrency="both")
+
+
+def _engine(**options):
+    return CoordinatorEngine([], BufferStore(), frozenset(), frozenset(),
+                             **options)
+
+
+@pytest.mark.parametrize("build", [
+    lambda **o: lanes_connector(1, **o),
+    lambda **o: library.connector("Merger", 2, **o),
+    _engine,
+], ids=["RuntimeConnector", "library.connector", "CoordinatorEngine"])
+def test_the_multiprocess_backend_is_refused(build):
+    """``concurrency`` has two values (docs/DECISIONS.md row 13); the one
+    that selected the removed multiprocess backend is refused where it used
+    to be accepted, naming the two that remain."""
+    with pytest.raises(ValueError, match="'regions' or 'global'"):
+        build(**{"concurrency": "workers"})
+
+
+def test_the_multiprocess_backend_module_is_gone():
+    assert importlib.util.find_spec("repro.runtime.workers") is None
 
 
 def test_global_mode_stats_and_steps_match_semantics():

@@ -163,7 +163,7 @@ def test_no_spurious_deadlock_from_nonblocking_probes(concurrency="regions"):
     conn.close()
 
 
-@pytest.mark.parametrize("concurrency", ["regions", "global", "workers"])
+@pytest.mark.parametrize("concurrency", ["regions", "global"])
 def test_zero_expected_parties_is_not_a_deadlock(concurrency):
     """``expected_parties=0`` (what ``reconfigure`` leaves behind when the
     last declared party departs) declares nobody to wait for — it must not
@@ -213,7 +213,7 @@ def test_deadlock_error_carries_diagnostic_dump(concurrency="regions"):
     conn.close()
 
 
-BACKENDS = ["regions", "global", "workers"]
+BACKENDS = ["regions", "global"]
 
 
 @pytest.mark.parametrize("concurrency", BACKENDS[1:])
@@ -226,9 +226,10 @@ BACKENDS = ["regions", "global", "workers"]
     test_deadlock_error_carries_diagnostic_dump,
 ], ids=lambda f: f.__name__)
 def test_failure_scenarios_on_every_backend(scenario, concurrency):
-    """The detector, its error and the closed-vertex books are the host's
-    (``runtime/host.py``); a backend only delivers.  One extra test rather
-    than a parameter on each, so the scenarios keep their ids."""
+    """The detector, its error and the closed-vertex books
+    (``runtime/host.py``) again with every region handed one lock.  One
+    extra test rather than a parameter on each, so the scenarios keep their
+    ids."""
     scenario(concurrency)
 
 
@@ -303,13 +304,12 @@ def test_the_last_party_to_block_detects_on_entry(concurrency):
     conn.close()
 
 
-@pytest.mark.parametrize("concurrency", BACKENDS[:2])
+@pytest.mark.parametrize("concurrency", BACKENDS)
 def test_progress_never_freezes_the_regions(concurrency):
     """Two registered parties in a 2 000-step rendezvous: every step parks
     one of them — and while the other is being woken both count as blocked
     — yet as long as operations keep resolving nobody consults the
-    detector, so nobody stops the world.  (The workers backend has nothing
-    to freeze: its operation table stands still under the registry lock.)"""
+    detector, so nobody stops the world."""
     steps = 2_000
     conn = library.connector("Merger", 2, concurrency=concurrency)
     outs, ins = mkports(2, 1)

@@ -364,15 +364,15 @@ def test_leave_after_close_vertex_spares_the_renamed_survivor(
         conn.close()
 
 
-@pytest.mark.parametrize("concurrency", ["global", "workers"])
+@pytest.mark.parametrize("concurrency", ["global"])
 @pytest.mark.parametrize("scenario", [
     test_exhausted_retries_reparametrize_merger,
     test_leave_after_close_vertex_spares_the_renamed_survivor,
 ], ids=lambda f: f.__name__)
 def test_departure_scenarios_on_every_backend(scenario, concurrency):
-    """Both departure scenarios again on the other two backends (one extra
-    test rather than a parameter on each, so the scenarios keep their ids):
-    the boundary remap is the host's, so all three must agree."""
+    """Both departure scenarios again with every region handed one lock (one
+    extra test rather than a parameter on each, so the scenarios keep their
+    ids): the boundary remap is the host's, so both layouts must agree."""
     scenario(concurrency)
 
 
@@ -651,11 +651,11 @@ def test_checkpoint_structural_mismatch_rejected(
         b.close()
 
 
-@pytest.mark.parametrize("concurrency", ["regions", "global", "workers"])
+@pytest.mark.parametrize("concurrency", ["regions", "global"])
 @pytest.mark.parametrize("bad", ["arity", "capacity"])
 def test_rejected_restore_leaves_every_backend_running(bad, concurrency):
-    """Validation is the host's and comes before anything is torn down, so
-    a bad checkpoint costs no backend its regions, buffers or workers."""
+    """Validation is the host's and comes before anything is touched, so a
+    bad checkpoint costs neither lock layout its regions or buffers."""
     test_checkpoint_structural_mismatch_rejected(concurrency, bad)
 
 

@@ -108,7 +108,7 @@ def test_timeout_attributes(concurrency="regions"):
     conn.close()
 
 
-@pytest.mark.parametrize("concurrency", ["global", "workers"])
+@pytest.mark.parametrize("concurrency", ["global"])
 @pytest.mark.parametrize("scenario", [
     test_recv_timeout_on_empty_fifo,
     test_send_timeout_on_full_fifo,
@@ -120,9 +120,7 @@ def test_timeout_attributes(concurrency="regions"):
     test_timeout_attributes,
 ], ids=lambda f: f.__name__)
 def test_timeout_scenarios_on_every_backend(scenario, concurrency):
-    """The blocked-wait loop and its deadline are the host's; only *how* an
-    expired operation is withdrawn differs (under the owner region's lock
-    in-process, a ``withdraw`` request over the ring for workers).  One
-    extra test rather than a parameter on each, so the scenarios keep their
-    ids."""
+    """The blocked-wait loop, its deadline and the withdrawal again with
+    every region handed one lock.  One extra test rather than a parameter on
+    each, so the scenarios keep their ids."""
     scenario(concurrency)

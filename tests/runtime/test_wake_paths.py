@@ -48,8 +48,7 @@ def parked(conn, n=1, within=5.0):
 
 def test_park_resolved_by_a_compiled_firing(concurrency="regions"):
     conn, outs, inp = merger(concurrency)
-    if concurrency != "workers":  # a worker compiles in its own process
-        assert conn.stats()["compiled_regions"] == 1
+    assert conn.stats()["compiled_regions"] == 1
     h = spawn(inp.recv)
     parked(conn)
     outs[0].send("v")
@@ -166,23 +165,6 @@ def test_spurious_wakes_then_the_real_resolution(concurrency="regions"):
     conn.close()
 
 
-def test_workers_slot_is_waited_on_twice():
-    """On the workers backend one slot serves both waits of a submit: the
-    admission ack, then the resolution.  The acquire that took the ack's
-    wake re-armed it, so the parked submitter is parked — not spinning on
-    a slot left released — and the resolution's wake gets through."""
-    conn, outs, inp = merger("workers")
-    h = spawn(inp.recv)
-    parked(conn)
-    (op,) = conn.engine._ops.values()
-    assert op.acked and not op.done and op.event.locked()
-    time.sleep(0.05)
-    assert conn.stats()["parks"] == 1 and h.alive
-    outs[0].send("v")
-    assert h.join(JOIN) == "v"
-    conn.close()
-
-
 def total(registry, family):
     fam = {f.name: f for f in registry.collect()}[family]
     return sum(value for _labels, value in fam.samples())
@@ -274,7 +256,7 @@ def test_more_waiters_than_cores_under_a_short_switch_interval(concurrency):
     conn.close()
 
 
-@pytest.mark.parametrize("concurrency", ["global", "workers"])
+@pytest.mark.parametrize("concurrency", ["global"])
 @pytest.mark.parametrize("scenario", [
     test_park_resolved_by_a_compiled_firing,
     test_park_resolved_by_an_interpreted_firing,
@@ -286,12 +268,6 @@ def test_more_waiters_than_cores_under_a_short_switch_interval(concurrency):
     test_rendezvous_with_a_racing_timeout_conserves,
 ], ids=lambda f: f.__name__)
 def test_wake_scenarios_on_every_backend(scenario, concurrency):
-    """The slot, the wait loop and ``parks`` are the host's; a backend only
-    says who wakes (the firing thread under the region lock in-process, the
-    receiver thread applying the worker's records for workers).  One extra
+    """Each scenario again with every region handed one lock.  One extra
     test rather than a parameter on each, so the scenarios keep their ids."""
-    if scenario is test_rendezvous_with_a_racing_timeout_conserves:
-        # A rendezvous is two ring round trips on the workers backend.
-        scenario(concurrency, rounds=10_000 if concurrency == "global" else 2_000)
-    else:
-        scenario(concurrency)
+    scenario(concurrency)

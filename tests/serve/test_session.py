@@ -109,26 +109,6 @@ def test_farm_delivers_and_accounts():
     assert conservation_violations(s.registry) == []
 
 
-@pytest.mark.fault_stress
-def test_farm_on_workers_backend_delivers_and_records_meta():
-    """Opt-in multiprocess engine backend: the farm's router regions run
-    in worker processes, and the backend choice survives into the durable
-    metadata so ``recover_sessions`` rebuilds like-for-like."""
-    s = FarmSession("pfarm", workers=2, policy=POLICY,
-                    concurrency="workers", engine_workers=2,
-                    default_timeout=15.0).open()
-    try:
-        for j in range(10):
-            assert s.submit(f"v{j}", timeout=15.0) == "ok"
-        assert _drain_to(s, 10, timeout=30.0) == 10
-        meta = s._durable_meta()
-        assert meta["concurrency"] == "workers"
-        assert meta["engine_workers"] == 2
-    finally:
-        s.close()
-    assert sorted(s.delivered) == sorted(f"v{j}" for j in range(10))
-
-
 def test_rolling_restart_is_exactly_once_under_load():
     s = FarmSession("roll", workers=2, policy=POLICY,
                     service_time=0.002).open()
