@@ -27,6 +27,7 @@ import pathlib
 import platform
 import statistics
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -261,6 +262,134 @@ def _check_lockstep_scaling() -> int:
     return 1 if over() else 0
 
 
+#: Port-operation rows — µs per un-parked ``send`` + ``recv`` through ports
+#: (EarlyAsyncMerger/2, FifoChain/1), or per Replicator/2 round (a posted
+#: receive on each head, then the port ``send`` that fires them), one
+#: thread, one core pinned, best sample — each beside the same work through
+#: ``post_*``.  PORT_PAIR_PARENT_US holds (port, post) on the dev box at the
+#: parent commit bd82934, where every port operation resolved its vertex
+#: per call: route lookup, owner lock and re-check, open, policy and party
+#: lookups, and a clock read.  A port now binds its vertex at connect;
+#: ``--check`` holds the two pair rows under PORT_PAIR_CEILING × the
+#: parent's port figure (the change reads 0.69–0.73 of it), so a port path
+#: that goes back to per-call resolution fails on any host not 1.2× faster.
+#: The Replicator round is two posts and one port operation — reference
+#: only, not gated.
+PORT_PAIR_PARENT_US = {
+    "EarlyAsyncMerger/2": (5.737, 4.488),
+    "FifoChain/1": (5.019, 3.914),
+    "Replicator/2": (4.743, 4.198),
+}
+PORT_PAIR_CEILING = 0.85
+PORT_PAIR_GATED = ("EarlyAsyncMerger/2", "FifoChain/1")
+PORT_PAIR_HOST = REINSTANTIATE_HOST
+
+
+def _port_sample(conn, outs, ins, path, k=2000) -> float:
+    """µs per round of ``k`` through ``path`` (``"port"`` or ``"post"``)."""
+    engine = conn.engine
+    tail, heads = conn.tail_vertices[0], conn.head_vertices
+    post_send, post_recv = engine.post_send, engine.post_recv
+    send, recv = outs[0].send, ins[0].recv
+    t0 = time.perf_counter()
+    if len(heads) > 1:  # every receive posted, then the send that fires
+        if path == "port":
+            for j in range(k):
+                for h in heads:
+                    post_recv(h)
+                send(j)
+        else:
+            for j in range(k):
+                for h in heads:
+                    post_recv(h)
+                post_send(tail, j)
+    elif path == "port":
+        for j in range(k):
+            send(j)
+            recv()
+    else:
+        for j in range(k):
+            post_send(tail, j)
+            post_recv(heads[0])
+    return (time.perf_counter() - t0) / k * 1e6
+
+
+def _port_pair_pass(keys, best):
+    """Four timed samples per row in ``keys`` and path, on a fresh connector
+    each after 200 warm-up rounds, gc off, one core pinned; ``best`` keeps
+    each (row, path)'s least."""
+    from repro.connectors import library
+    from repro.runtime.ports import mkports
+
+    cpu = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, cpu[:1])
+    gc.disable()
+    try:
+        for key in keys:
+            name, n = key.split("/")
+            for path in ("port", "post"):
+                conn = library.connector(name, int(n))
+                outs, ins = mkports(len(conn.tail_vertices),
+                                    len(conn.head_vertices))
+                conn.connect(outs, ins)
+                _port_sample(conn, outs, ins, path, 200)
+                us = min(_port_sample(conn, outs, ins, path)
+                         for _ in range(4))
+                conn.close()
+                best[key, path] = min(us, best.get((key, path), us))
+    finally:
+        gc.enable()
+        os.sched_setaffinity(0, cpu)
+
+
+def record_port_pair(passes):
+    """Best sample per row and path over ``passes`` passes of all rows: the
+    samples of a row are spread over passes, as in
+    :func:`record_lockstep_scaling`."""
+    best: dict = {}
+    for _ in range(passes):
+        _port_pair_pass(PORT_PAIR_PARENT_US, best)
+    return {"host": PORT_PAIR_HOST, "rows": {
+        key: {
+            "port_us": round(best[key, "port"], 3),
+            "post_us": round(best[key, "post"], 3),
+            "parent_port_us": port, "parent_post_us": post,
+            "ceiling_us": (round(PORT_PAIR_CEILING * port, 3)
+                           if key in PORT_PAIR_GATED else None),
+        }
+        for key, (port, post) in PORT_PAIR_PARENT_US.items()
+    }}
+
+
+def _check_port_pair() -> int:
+    """The bound-port gate: every port row under its absolute ceiling (µs,
+    measured on the host the message names).  Rows over it are measured
+    again, up to three more passes: noise only adds."""
+    now = record_port_pair(passes=3)["rows"]
+    best = {(key, "port"): row["port_us"] for key, row in now.items()}
+
+    def over():
+        return [key for key in PORT_PAIR_GATED
+                if best[key, "port"] > now[key]["ceiling_us"]]
+
+    for _ in range(3):
+        if not over():
+            break
+        _port_pair_pass(over(), best)
+    for key, row in now.items():
+        ceiling = (f"a {row['ceiling_us']:.2f} µs ceiling, "
+                   f"{PORT_PAIR_CEILING:.2f} × the parent's port figure on "
+                   f"the {PORT_PAIR_HOST}" if row["ceiling_us"]
+                   else "reference only")
+        print(f"port_pair: {key} port {best[key, 'port']:.2f} µs, post "
+              f"{row['post_us']:.2f} ({ceiling})")
+    for key in over():
+        print(f"FAIL: {key} port {best[key, 'port']:.2f} µs over "
+              f"{now[key]['ceiling_us']:.2f} — resolving the vertex per "
+              "call again?")
+    return 1 if over() else 0
+
+
 def _fig13_secs(fn, repeats):
     secs = []
     gc.disable()
@@ -305,6 +434,7 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         ),
         "reinstantiate": record_reinstantiate(repeats=5 * repeats),
         "lockstep_scaling": record_lockstep_scaling(passes=repeats),
+        "port_pair": record_port_pair(passes=repeats),
     }
     if not quick:
         doc["fig13_npb"] = record_fig13(repeats=repeats)
@@ -347,6 +477,9 @@ def check(baseline_path: pathlib.Path) -> int:
     if rc:
         return rc
     rc = _check_lockstep_scaling()
+    if rc:
+        return rc
+    rc = _check_port_pair()
     if rc:
         return rc
     rc = _check_fig13(baseline.get("fig13_npb"))

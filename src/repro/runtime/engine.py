@@ -24,8 +24,8 @@ interact only through the buffers of decoupled fifo halves, and each such
 buffer has exactly one pushing and one popping region.  The engine exploits
 that independence:
 
-* a **vertex→region routing table** (``_route``, built at construction)
-  sends every submission straight to the owning region;
+* a **binding** per boundary vertex (built at construction, rebuilt on
+  reconfigure) sends every submission straight to its queue and region;
 * **per-region locks**: a submission takes only its region's lock, drains
   only its region, and signals regions coupled through a shared buffer by
   marking them *dirty* and chasing them afterwards (one lock at a time) —
@@ -126,17 +126,16 @@ _LEAVE, _WITHDRAW, _PARK = range(3)
 class _Op:
     """One pending send/receive operation.
 
-    ``t_enq``/``steps_enq`` record when the op entered its queue (wall
-    clock and engine step count) — the watchdog's raw material for telling
-    a *stalled* party (old op, engine still firing) from a deadlock.
+    ``t_enq`` is when the op entered its queue — stamped at submission while
+    anything observes, else when it parks — the watchdog's raw material for
+    telling a *stalled* party (old op, engine still firing) from a deadlock.
     ``event`` is the op's private wake slot
     (:func:`~repro.runtime.host.wake_slot`): installed only when the
     submitter actually blocks, woken when a firing (or a failure) resolves
     this op.
     """
 
-    __slots__ = ("vertex", "value", "done", "error", "t_enq", "steps_enq",
-                 "event")
+    __slots__ = ("vertex", "value", "done", "error", "t_enq", "event")
 
     def __init__(self, vertex: str, value=None):
         self.vertex = vertex
@@ -144,8 +143,23 @@ class _Op:
         self.done = False
         self.error: Exception | None = None
         self.t_enq = 0.0
-        self.steps_enq = 0
         self.event = None
+
+
+class _Binding:
+    """A boundary vertex resolved once for submission: its queue, owner
+    region and overload policy (docs/DECISIONS.md row 14).  Current while
+    ``epoch`` is the engine's; the reconfigure that moves the epoch points
+    ``successor`` at the binding of the party's renamed vertex (``None``:
+    the vertex left)."""
+
+    __slots__ = ("vertex", "is_send", "queue", "region", "policy", "epoch",
+                 "successor")
+
+    def __init__(self, vertex, is_send, queue, region, policy, epoch):
+        self.vertex, self.is_send, self.queue = vertex, is_send, queue
+        self.region, self.policy, self.epoch = region, policy, epoch
+        self.successor = None
 
 
 class _RegionRuntime:
@@ -377,6 +391,8 @@ class CoordinatorEngine(EngineHost):
         # _steps_approx is a racily maintained shortcut to ``steps`` for
         # hot-path liveness stamps.
         self._steps_approx = 0
+        # Bumped by _adopt_regions: a _Binding is current while it matches.
+        self._epoch = 0
 
         self._adopt_regions(regions)
 
@@ -392,47 +408,24 @@ class CoordinatorEngine(EngineHost):
 
     # ------------------------------------------------------------------ API
 
-    def submit_send(
-        self,
-        vertex: str,
-        value,
-        timeout: float | None = None,
-        policy: OverloadPolicy | None = None,
-    ) -> None:
-        """Blocking send; raises :class:`ProtocolTimeoutError` when
-        ``timeout`` (or the engine's ``default_timeout``) elapses first.
-        ``policy`` overrides the vertex's configured overload policy for
-        this one operation."""
-        op = _Op(vertex, value)
-        self._submit(self._pending_send[vertex], op, timeout,
-                     policy=policy, is_send=True)
+    def binding(self, vertex: str) -> _Binding:
+        """The current binding of boundary vertex ``vertex``, which a port
+        resolves at connect and submits through (``KeyError``: none)."""
+        return self._sending.get(vertex) or self._receiving[vertex]
 
-    def try_submit_send(self, vertex: str, value) -> bool:
-        """Non-blocking send: complete only if a transition fires with it
-        immediately; otherwise withdraw the offer and return ``False``."""
-        op = _Op(vertex, value)
-        return self._try_submit(self._pending_send[vertex], op, is_send=True)
-
-    def submit_recv(self, vertex: str, timeout: float | None = None):
-        """Blocking receive returning the delivered value; raises
-        :class:`ProtocolTimeoutError` when the timeout elapses first."""
-        op = _Op(vertex)
-        self._submit(self._pending_recv[vertex], op, timeout)
-        return op.value
-
-    def try_submit_recv(self, vertex: str) -> tuple[bool, object]:
-        """Non-blocking receive; returns ``(completed, value)``."""
-        op = _Op(vertex)
-        ok = self._try_submit(self._pending_recv[vertex], op)
-        return (ok, op.value if ok else None)
+    def try_submit(self, b: _Binding, value=None) -> tuple[bool, object]:
+        """Non-blocking send or receive through binding ``b``: complete it
+        if a transition fires at once, else withdraw it.  ``(done, value)``"""
+        op = self._enqueue(b, value, None, None, _WITHDRAW)
+        return op.done, op.value
 
     def post_send(self, vertex: str, value, policy: "OverloadPolicy | None" = None):
         """Asynchronous send: enqueue the operation, drain, and return its
         handle without ever blocking the caller.
 
-        Unlike :meth:`try_submit_send` the offer is *not* withdrawn when no
+        Unlike :meth:`try_submit` the offer is *not* withdrawn when no
         transition fires immediately — it stays pending, exactly as a
-        blocked :meth:`submit_send` would, and completes when a later
+        blocked :meth:`submit` would, and completes when a later
         firing consumes it.  The returned handle exposes ``done`` /
         ``value`` / ``error``.  This is what lets a single OS thread drive
         all parties of a synchronous step (the differential-fuzzing
@@ -444,16 +437,14 @@ class CoordinatorEngine(EngineHost):
         exactly as in the blocking path: a posted send that cannot complete
         in the submission drain is shed or rejected immediately.
         """
-        op = _Op(vertex, value)
-        self._enqueue(self._pending_send[vertex], op, True, policy, _LEAVE)
-        return op
+        return self._enqueue(self._sending[vertex], value, policy, None,
+                             _LEAVE)
 
     def post_recv(self, vertex: str):
         """Asynchronous receive; see :meth:`post_send`.  The delivered value
         appears as ``handle.value`` once ``handle.done`` is true."""
-        op = _Op(vertex)
-        self._enqueue(self._pending_recv[vertex], op, False, None, _LEAVE)
-        return op
+        return self._enqueue(self._receiving[vertex], None, None, None,
+                             _LEAVE)
 
     def close_vertex(self, vertex: str, error: Exception | None = None) -> None:
         """Close one boundary vertex.  Pending and future operations on it
@@ -499,11 +490,14 @@ class CoordinatorEngine(EngineHost):
 
     # --------------------------------------------------- region plumbing
 
-    def _adopt_regions(self, regions: Sequence[EagerRegion | LazyRegion]) -> None:
+    def _adopt_regions(self, regions: Sequence[EagerRegion | LazyRegion],
+                       held: tuple | None = None) -> tuple:
         """Stamp runtime fields onto ``regions`` and rebuild the routing
-        table, the shared-buffer watcher map, and the ordered lock list.
-        Callers other than ``__init__`` hold ``_lock`` plus every *old*
-        region lock."""
+        table, the shared-buffer watcher map, the ordered lock list and,
+        under a new epoch, the bindings.  Callers other than ``__init__``
+        hold ``_lock`` plus every *old* region lock, passed as ``held``: the
+        new locks not among them are taken before any binding is published,
+        and returned."""
         self.regions = list(regions)
         route: dict[str, EagerRegion | LazyRegion] = {}
         watchers: dict[str, list] = {}
@@ -542,6 +536,16 @@ class CoordinatorEngine(EngineHost):
         # construction and reconfigure land here, so the emitted closures
         # always bind the engine's *current* queues/buffers/closed set.
         self._compile_regions()
+        fresh = () if held is None else tuple(
+            lock for lock in ordered if lock not in held)
+        self._acquire(fresh)
+        self._epoch = epoch = self._epoch + 1
+        pol = self._policies.get
+        self._sending = {v: _Binding(v, True, q, route[v], pol(v), epoch)
+                         for v, q in self._pending_send.items()}
+        self._receiving = {v: _Binding(v, False, q, route[v], pol(v), epoch)
+                           for v, q in self._pending_recv.items()}
+        return fresh
 
     def _compile_regions(self) -> None:
         """Install specialized step tables on every region that compiles
@@ -595,19 +599,18 @@ class CoordinatorEngine(EngineHost):
         self._acquire(locks)
         return locks
 
-    def _acquire_owner(self, vertex: str):
-        """Lock and return the region owning ``vertex``, re-resolving the
-        route until it is stable (a reconfigure may swap regions between
-        the lookup and the acquire).  Returns ``None`` when the vertex left
-        the signature."""
-        while True:
-            region = self._route.get(vertex)
-            if region is None:
-                return None
-            region.lock.acquire()
-            if self._route.get(vertex) is region:
-                return region
-            region.lock.release()
+    def _lock_owner(self, b: _Binding) -> _Binding | None:
+        """Lock ``b``'s region and return ``b``, or the successor a reconfigure
+        left, followed until current (``None``, nothing locked: it left).  The
+        epoch is read under the lock it names, which a reconfigure holds."""
+        while b is not None:
+            lock = b.region.lock
+            lock.acquire()
+            if b.epoch == self._epoch:
+                return b
+            lock.release()
+            b = b.successor
+        return None
 
     def _wake_all_locked(self) -> None:
         """Wake every parked submitter (all region locks held).  Spurious
@@ -742,9 +745,9 @@ class CoordinatorEngine(EngineHost):
         lock; the new regions' locks that are not already held (all of them
         fresh under ``"regions"``, none under ``"global"``, whose one group
         lock is old and new at once) are additionally taken before the new
-        routing table is published, so a concurrent submitter that resolves
-        the new route parks on its region lock until the swap — including
-        the closing drain — has completed.
+        bindings are published: a submitter resolving one parks on its lock
+        until the swap, closing drain included, is over; one holding an old
+        binding then follows its ``successor``.
         """
         with self._lock:
             old_locks = self._freeze()
@@ -753,6 +756,7 @@ class CoordinatorEngine(EngineHost):
                 self._steps_base = self.steps
                 self._scan_base = self.scan_total
                 old_send, old_recv = self._pending_send, self._pending_recv
+                old_bound = {**self._sending, **self._receiving}
                 for r in self.regions:
                     r.live = False
                 self.buffers = buffers
@@ -779,20 +783,15 @@ class CoordinatorEngine(EngineHost):
                 self._remap_boundary(vertex_map, sources, sinks,
                                      expected_delta, initial_occupancy)
                 self._plans.clear()
-                self._adopt_regions(regions)
                 # Fresh locks, unreachable until now: acquiring them under
                 # the old locks cannot deadlock.
-                fresh = tuple(
-                    lock for lock in self._all_locks if lock not in old_locks
-                )
-                self._acquire(fresh)
-                new_acquired = fresh
-                for qmap in (self._pending_send, self._pending_recv):
-                    for v, q in qmap.items():
-                        if q:
-                            owner = self._route.get(v)
-                            if owner is not None:
-                                owner.pend[v] = None
+                new_acquired = self._adopt_regions(regions, old_locks)
+                for v, b in old_bound.items():
+                    b.successor = (self._sending if b.is_send else
+                                   self._receiving).get(vertex_map.get(v))
+                for b in (*self._sending.values(), *self._receiving.values()):
+                    if b.queue:
+                        b.region.pend[b.vertex] = None
                 if self._metrics is not None:
                     # The boundary signature changed: rebind the per-vertex
                     # metric children and sampled gauges to the new vertex set.
@@ -830,58 +829,68 @@ class CoordinatorEngine(EngineHost):
 
     # ------------------------------------------------- submission hot path
 
-    def _enqueue(self, queue: deque, op: _Op, is_send: bool, policy,
-                 unresolved: int) -> None:
-        """The submission prologue every public entry point shares: take
-        the owner region's lock, admit and stamp the op, enqueue it, drain
-        the region, release, and chase the regions that drain signalled.
-
-        ``unresolved`` (``_LEAVE``/``_WITHDRAW``/``_PARK``) says what
-        becomes of an op the drain neither completed nor failed — decided
-        under the owner lock, so a later firing or failure is guaranteed to
-        see the outcome.
-        """
-        vertex = op.vertex
-        spill: list = []
+    def _enqueue(self, b: _Binding, value=None,
+                 policy: OverloadPolicy | None = None,
+                 timeout: float | None = None, unresolved: int = _PARK) -> _Op:
+        """The submission prologue of every entry point, through binding
+        ``b`` (a port's own, a post's looked up): lock the owner region,
+        admit, enqueue and return the op, drain the region, release, chase
+        the regions that drain signalled.  Unobserved, no clock is read but
+        for a park.  ``unresolved`` (``_LEAVE``/``_WITHDRAW``/``_PARK``) says
+        what becomes of an op the drain neither completed nor failed —
+        decided under the owner lock, so a later firing or failure is sure
+        to see it.  A probe and a blocking submit raise the op's error; the
+        latter parks until the op is resolved or ``timeout`` (else
+        ``default_timeout``) has passed since its enqueue stamp."""
+        owner = b
+        region = b.region
+        region.lock.acquire()
+        if b.epoch != self._epoch:  # superseded: see _lock_owner
+            region.lock.release()
+            owner = self._lock_owner(b)
+            if owner is None:
+                raise PortClosedError(
+                    f"vertex {b.vertex!r} left the protocol signature")
+            region = owner.region
+        queue, vertex = owner.queue, owner.vertex
+        op = _Op(vertex, value)
+        spill = [] if self._watchers else None
         try:
-            region = self._acquire_owner(vertex)
-            if region is None:
-                raise KeyError(vertex)
             try:
-                self._check_open(vertex)
-                if is_send and self._draining:
+                if self._closed or vertex in self._closed_vertices:
+                    raise self._vertex_errors.get(vertex) or PortClosedError(
+                        f"vertex {vertex!r} closed")
+                if owner.is_send and self._draining:
                     raise PortClosedError(
                         f"vertex {vertex!r} rejected: connector draining"
                     )
-                if unresolved != _LEAVE or self._observing or self._parties:
+                if self._observing or self._parties:
                     # Timing stamps and liveness marks feed metrics, the
-                    # tracer's wait spans, and the watchdog; a post with
-                    # none of those attached skips the clock read.  A
-                    # ``try_*`` probe stays unstamped (it never waits, and
-                    # the latency histogram reads 0.0 for it).
+                    # tracer's wait spans, and the watchdog.  A ``try_*``
+                    # probe stays unstamped (it never waits, and the
+                    # latency histogram reads 0.0 for it).
                     now = time.monotonic()
                     if unresolved != _WITHDRAW:
                         op.t_enq = now
-                        op.steps_enq = self._steps_approx
                     self._mark_active(vertex, now)
                     mx = self._metrics
                     if mx is not None:
-                        child = (mx.sub_send if is_send
+                        child = (mx.sub_send if owner.is_send
                                  else mx.sub_recv).get(vertex)
                         if child is not None:  # unknown only mid-reconfigure
                             child.value += 1.0
                 queue.append(op)
                 region.pend[vertex] = None
                 self._drain_region(region, spill, vertex)
-                if op.done or op.error is not None:
-                    return
+                if op.done:
+                    return op
                 if unresolved == _WITHDRAW:
                     queue.remove(op)
                     if not queue:
                         region.pend.pop(vertex, None)
-                    self._count_withdrawn(vertex, is_send)
-                    return
-                pol = policy if policy is not None else self._policies.get(vertex)
+                    self._count_withdrawn(vertex, owner.is_send)
+                    return op
+                pol = policy if policy is not None else owner.policy
                 if (
                     pol is not None
                     and pol.kind != "block"
@@ -892,47 +901,39 @@ class CoordinatorEngine(EngineHost):
                         self._drain_region(region, spill)
                 if unresolved == _PARK and not op.done:
                     # Install the op's private wake slot while still under
-                    # the region lock.  A post handle is polled, never
-                    # waited on, and gets none.
+                    # the region lock, and stamp an op nothing stamped yet:
+                    # a party registered while it waits must see a real
+                    # ``waited``.  A post handle is polled, never waited
+                    # on, and gets neither.
                     op.event = wake_slot()
+                    if not op.t_enq:
+                        op.t_enq = time.monotonic()
             finally:
                 region.lock.release()
         finally:
             if spill:
                 self._chase(spill)
-
-    def _try_submit(self, queue: deque, op: _Op, is_send: bool = False) -> bool:
-        self._enqueue(queue, op, is_send, None, _WITHDRAW)
+        if op.done or unresolved == _LEAVE:
+            return op
         if op.error is not None:
             raise op.error
-        return op.done
+        if unresolved == _PARK:
+            timeout = self.default_timeout if timeout is None else timeout
+            self._wait_blocked(owner, op, timeout,
+                               None if timeout is None else op.t_enq + timeout)
+        return op
 
-    def _submit(
-        self,
-        queue: deque,
-        op: _Op,
-        timeout: float | None,
-        policy: OverloadPolicy | None = None,
-        is_send: bool = False,
-    ) -> None:
-        if timeout is None:
-            timeout = self.default_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._enqueue(queue, op, is_send, policy, _PARK)
-        if op.done:
-            return
-        if op.error is not None:
-            raise op.error
-        self._wait_blocked(queue, op, timeout, deadline, is_send)
+    submit = _enqueue  # a port's send/recv: one call from its region lock
 
-    def _withdraw_expired(self, queue: deque, op: _Op, is_send: bool) -> bool:
+    def _withdraw_expired(self, b: _Binding, op: _Op) -> bool:
         """Cancel a timed-out op under its owner region's lock; ``False``
         when a firing or failure resolved it first (the caller's loop then
         observes the resolution)."""
-        region = self._acquire_owner(op.vertex)
-        if region is None:
+        b = self._lock_owner(b)
+        if b is None:
             # The vertex left the signature; reconfigure failed the op.
             return op.error is None and not op.done
+        region, queue = b.region, b.queue
         spill: list = []
         try:
             if op.done or op.error is not None:
@@ -942,7 +943,7 @@ class CoordinatorEngine(EngineHost):
                 queue.remove(op)
             except ValueError:
                 pass
-            self._count_withdrawn(op.vertex, is_send)
+            self._count_withdrawn(op.vertex, b.is_send)
             if not queue:
                 region.pend.pop(op.vertex, None)
             elif was_head:
@@ -1056,8 +1057,8 @@ class CoordinatorEngine(EngineHost):
         """Fire ``region`` until quiescent (its lock held) — the one drain
         loop.  Regions whose shared buffers changed are marked dirty and
         appended to ``spill`` for the caller to chase after releasing this
-        lock; ``None`` means the caller holds every region lock and
-        consults the dirty flags itself.
+        lock; ``None`` means no buffer is watched across regions, or the
+        caller holds every region lock and consults the dirty flags itself.
 
         The loop is fused around the compiled step tier
         (:mod:`repro.compiler.steps`, docs/COMPILER.md): the per-fire

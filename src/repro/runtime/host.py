@@ -9,8 +9,8 @@ and the firing engine each stay a reviewable size (docs/DECISIONS.md row
 13).  The engine supplies the pending-operation side — ``_freeze()``,
 ``_steps_approx``, ``_pending_count()``, ``_pending_ops(vertices)``,
 ``_stuck_count()``, ``_stuck_state()``, ``_deliver_deadlock(err)``,
-``_wake_all_locked()`` and ``_withdraw_expired(queue, op, is_send)`` —
-each documented where ``engine.py`` defines it.
+``_wake_all_locked()`` and ``_withdraw_expired(binding, op)`` — each
+documented where ``engine.py`` defines it.
 """
 
 from __future__ import annotations
@@ -286,12 +286,6 @@ class EngineHost:
 
     # ------------------------------------------------------ closing and overload
 
-    def _check_open(self, vertex: str) -> None:
-        if self._closed or vertex in self._closed_vertices:
-            raise self._vertex_errors.get(vertex) or PortClosedError(
-                f"vertex {vertex!r} closed"
-            )
-
     def _note_closed(self, vertex: str, error: Exception | None) -> None:
         """Book one closed vertex (``_lock`` held); a peer failure is kept
         for the detector to blame."""
@@ -328,8 +322,7 @@ class EngineHost:
 
     # --------------------------------------------------------- blocking wait
 
-    def _wait_blocked(self, queue, op, timeout, deadline,
-                      is_send: bool = False) -> None:
+    def _wait_blocked(self, binding, op, timeout, deadline) -> None:
         """Blocked-submitter loop (no locks held): park on the op's wake
         slot until it is resolved or its deadline passes.  The detector is
         consulted when this waiter is the one that brings the blocked count
@@ -360,7 +353,7 @@ class EngineHost:
                     tick = min(tick, deadline - time.monotonic())
                 if tick > 0:
                     slot.acquire(True, tick)
-                elif self._withdraw_expired(queue, op, is_send):
+                elif self._withdraw_expired(binding, op):
                     raise ProtocolTimeoutError(op.vertex, timeout)
                 detect = not op.done and op.error is None
         finally:

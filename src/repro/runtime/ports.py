@@ -33,6 +33,7 @@ class _Port:
         self._connector = None  # set by RuntimeConnector.connect (for leave())
         self._vertex: str | None = None
         self._closed = False
+        self._bound = None  # the engine's binding of _vertex while usable
         self._lock = threading.Lock()
         self._owner = None  # party key registered with the engine
         self._owner_name = ""
@@ -48,25 +49,27 @@ class _Port:
                 )
             self._engine = engine
             self._vertex = vertex
+            if not self._closed:
+                self._bound = engine.binding(vertex)
             owner, owner_name = self._owner, self._owner_name
         if owner is not None:
             engine.register_party(owner, name=owner_name, vertex=vertex)
 
-    def _require_bound(self):
-        engine, vertex = self._engine, self._vertex
-        if engine is None:
+    def _unusable(self):
+        """Raise why this port has no binding: never connected, or closed."""
+        if self._engine is None:
             raise RuntimeProtocolError(
                 f"port {self.name!r} is not connected to any connector"
             )
-        if self._closed:
-            raise PortClosedError(f"port {self.name!r} is closed")
-        return engine, vertex
+        raise PortClosedError(f"port {self.name!r} is closed")
 
     def _rebind_vertex(self, vertex: str) -> None:
         """Point this port at a renamed boundary vertex (re-parametrization:
         the engine object survives, only the vertex names shift)."""
         with self._lock:
             self._vertex = vertex
+            if self._bound is not None:
+                self._bound = self._engine.binding(vertex)
 
     def _detach(self) -> None:
         """Remove this port from its protocol *without* poisoning peers.
@@ -79,6 +82,7 @@ class _Port:
         """
         with self._lock:
             self._closed = True
+            self._bound = None
         self.release_owner()
 
     @property
@@ -127,6 +131,7 @@ class _Port:
             if self._closed:
                 return
             self._closed = True
+            self._bound = None
             engine, vertex = self._engine, self._vertex
         if engine is not None:
             engine.close_vertex(vertex, error=error)
@@ -158,14 +163,14 @@ class Outport(_Port):
         :class:`~repro.runtime.overload.OverloadPolicy`) overrides the
         vertex's configured overload policy for this one operation — e.g.
         shed a low-priority message that would otherwise queue."""
-        engine, vertex = self._require_bound()
-        engine.submit_send(vertex, value, timeout=timeout, policy=policy)
+        b = self._bound or self._unusable()
+        self._engine.submit(b, value, policy, timeout)
 
     def try_send(self, value) -> bool:
         """Non-blocking send: complete the operation only if a transition
         can fire with it immediately; otherwise withdraw the offer."""
-        engine, vertex = self._require_bound()
-        return engine.try_submit_send(vertex, value)
+        b = self._bound or self._unusable()
+        return self._engine.try_submit(b, value)[0]
 
 
 class Inport(_Port):
@@ -173,13 +178,13 @@ class Inport(_Port):
     available through the connector."""
 
     def recv(self, timeout: float | None = None):
-        engine, vertex = self._require_bound()
-        return engine.submit_recv(vertex, timeout=timeout)
+        b = self._bound or self._unusable()
+        return self._engine.submit(b, None, None, timeout).value
 
     def try_recv(self) -> tuple[bool, object]:
         """Non-blocking receive; returns ``(completed, value)``."""
-        engine, vertex = self._require_bound()
-        return engine.try_submit_recv(vertex)
+        b = self._bound or self._unusable()
+        return self._engine.try_submit(b)
 
 
 def mkports(n_out: int, n_in: int, prefix: str = "") -> tuple[list[Outport], list[Inport]]:

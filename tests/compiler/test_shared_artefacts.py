@@ -68,9 +68,9 @@ def cycle(name, n, **options):
     for i in range(200):
         v = vertices[int(rng.random() * len(vertices))]
         if v in heads:
-            engine.try_submit_recv(v)
+            engine.try_submit(engine.binding(v))
         else:
-            engine.try_submit_send(v, i)
+            engine.try_submit(engine.binding(v), i)
     checkpoint = json.dumps(checkpoint_to_data(conn.checkpoint()),
                             sort_keys=True).encode()
     handles = dict.fromkeys(vertices)
@@ -155,7 +155,8 @@ def test_first_instance_checkpoint_restores_into_a_second(name, n):
     rng = random.Random(7)
     tails = first.tail_vertices
     for i in range(20):
-        first.engine.try_submit_send(tails[int(rng.random() * len(tails))], i)
+        v = tails[int(rng.random() * len(tails))]
+        first.engine.try_submit(first.engine.binding(v), i)
     cp = first.checkpoint()
     second.restore(cp)
     assert checkpoint_to_data(second.checkpoint()) == checkpoint_to_data(cp)

@@ -58,10 +58,7 @@ class Posted:
         engine = self.conn.engine
         for v in sorted(self.waiting):
             number, op = self.waiting[v]
-            is_send = v in engine._pending_send
-            queue = (engine._pending_send if is_send
-                     else engine._pending_recv)[v]
-            if engine._withdraw_expired(queue, op, is_send):
+            if engine._withdraw_expired(engine.binding(v), op):
                 self.log.append(("withdrawn", number, v))
             self.collect()  # the head behind it may have fired
         self.collect()

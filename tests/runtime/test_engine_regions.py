@@ -122,7 +122,7 @@ def test_unknown_vertex_rejected_in_region_mode():
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
     with pytest.raises(KeyError):
-        conn.engine.submit_send("nope", 1)
+        conn.engine.post_send("nope", 1)
     conn.close()
 
 

@@ -123,10 +123,10 @@ def test_timeout_racing_a_firing_delivers_the_value(concurrency="regions"):
     engine = conn.engine
     withdraw, answers = engine._withdraw_expired, []
 
-    def fire_first(queue, op, is_send):
+    def fire_first(binding, op):
         if not answers:
             outs[0].send("just in time")
-        answers.append(withdraw(queue, op, is_send))
+        answers.append(withdraw(binding, op))
         return answers[-1]
 
     engine._withdraw_expired = fire_first
