@@ -65,17 +65,24 @@ zero-duplication contract the crash harness audits — including across
 *repeated* crashes, because every recovery immediately commits a fresh
 snapshot carrying the remaining suppress/resubmit state forward.
 
-Durability scope: ``fsync`` on every journal append is configurable
-(``fsync=True``) and off by default — an OS-buffered write already
-survives ``SIGKILL`` (the failure model of the crash harness); per-append
-fsync buys power-loss durability at ~10–100× the append cost.  Snapshot
-commits always fsync.
+Durability scope: a journal is a preallocated ``MAP_SHARED`` file mapping,
+so an append is a copy into the page cache with no system call — and no
+GIL release inside the durability lock.  A store into a shared mapping is
+in the page cache when the copy returns, so it survives ``SIGKILL`` (the
+failure model of the crash harness) exactly as a flushed ``write()`` does.
+The unwritten rest of the mapping reads as NUL bytes: a NUL-only suffix is
+the preallocation, not a tear, and ``close()`` truncates it away.
+``fsync`` on every journal append is configurable (``fsync=True``) and off
+by default: it flushes the touched pages with ``msync`` (plus an ``fsync``
+when the file grew) and buys power-loss durability at ~10–100× the append
+cost.  Snapshot commits always fsync; snapshots are never padded.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import mmap
 import os
 import pickle
 import threading
@@ -110,6 +117,10 @@ _JOURNAL_FMT = "journal-{:08d}.wal"
 #: Journal record kinds (the ``kind`` label of
 #: ``repro_durable_journal_records_total``).
 JOURNAL_KINDS = ("submit", "deliver", "abort")
+
+#: Bytes a journal file grows by at a time.  The mapping an append copies
+#: into is the whole file; what no record has reached yet reads as NULs.
+JOURNAL_CHUNK = 1 << 20
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +242,19 @@ def _unframe(line: bytes) -> dict | None:
     return record if isinstance(record, dict) else None
 
 
-def _read_framed(path: Path) -> tuple[list[dict], bool]:
-    """All leading valid records of ``path`` and whether the file had an
-    invalid suffix (``torn=True``).  Reading stops at the first bad line —
-    nothing after a framing failure can be trusted."""
+def strip_padding(data: bytes) -> bytes:
+    """A journal file's bytes without the unwritten NUL preallocation at
+    its end.  A frame never holds a NUL byte (its payload is ASCII JSON),
+    so the logical end is the last non-NUL byte: after an intact record a
+    newline, after a torn one part of a frame."""
+    return data.rstrip(b"\0")
+
+
+def _read_framed(data: bytes) -> tuple[list[dict], bool]:
+    """All leading valid records of ``data`` and whether it had an invalid
+    suffix (``torn=True``).  Reading stops at the first bad line — nothing
+    after a framing failure can be trusted."""
     records: list[dict] = []
-    data = path.read_bytes()
     pos = 0
     while pos < len(data):
         nl = data.find(b"\n", pos)
@@ -324,7 +342,9 @@ class SessionStore:
         self.fsync = fsync
         self.dir = Path(root) / urllib.parse.quote(name, safe="-._")
         self.dir.mkdir(parents=True, exist_ok=True)
-        self._journal_fh = None
+        self._journal_fh = None  # owns the journal's file descriptor
+        self._journal_mm: mmap.mmap | None = None
+        self._journal_end = 0  # the write cursor: the journal's logical size
         self._journal_gen: int | None = None
 
     # -- paths and generations ----------------------------------------------
@@ -426,7 +446,7 @@ class SessionStore:
         """
         path = self._snapshot_path(gen)
         try:
-            records, torn = _read_framed(path)
+            records, torn = _read_framed(path.read_bytes())
         except OSError as exc:
             raise SnapshotCorruptError(f"{path}: unreadable: {exc}") from exc
         if not records:
@@ -527,39 +547,70 @@ class SessionStore:
 
     def _open_journal(self, gen: int, snapshot_seq: int) -> None:
         self.close()
-        path = self._journal_path(gen)
-        fh = open(path, "ab")
-        fh.write(_frame({
-            "magic": MAGIC, "version": SCHEMA_VERSION, "kind": "journal",
-            "session": self.name, "generation": gen,
-            "snapshot_seq": snapshot_seq,
-        }))
-        fh.flush()
-        os.fsync(fh.fileno())
+        fh = open(self._journal_path(gen), "a+b")
+        try:
+            fh.write(_frame({
+                "magic": MAGIC, "version": SCHEMA_VERSION, "kind": "journal",
+                "session": self.name, "generation": gen,
+                "snapshot_seq": snapshot_seq,
+            }))
+            fh.flush()
+            os.fsync(fh.fileno())
+            end = fh.tell()
+            os.ftruncate(fh.fileno(), end + JOURNAL_CHUNK)
+            mm = mmap.mmap(fh.fileno(), end + JOURNAL_CHUNK)
+        except OSError:
+            fh.close()
+            raise
         self._journal_fh = fh
+        self._journal_mm = mm
+        self._journal_end = end
         self._journal_gen = gen
 
+    def _grow(self, need: int) -> mmap.mmap:
+        """Extend the journal file by whole chunks until ``need`` bytes fit
+        and map it again (a new mapping, not ``mmap.resize``: that has no
+        ``mremap`` to use on macOS).  The old mapping stays valid until the
+        new one exists."""
+        size = len(self._journal_mm)
+        while size < need:
+            size += JOURNAL_CHUNK
+        fd = self._journal_fh.fileno()
+        os.ftruncate(fd, size)
+        if self.fsync:
+            os.fsync(fd)  # the new size, durably
+        mm = mmap.mmap(fd, size)
+        self._journal_mm.close()
+        self._journal_mm = mm
+        return mm
+
     def append(self, kind: str, seq: int, value=None) -> None:
-        """Append one write-ahead record and flush it to the OS (plus
-        ``fsync`` when the store was opened with ``fsync=True``)."""
+        """Append one write-ahead record: copy its frame into the shared
+        mapping at the write cursor (plus an ``msync`` of the touched pages
+        when the store was opened with ``fsync=True``)."""
         if kind not in JOURNAL_KINDS:
             raise DurabilityError(f"unknown journal record kind {kind!r}")
-        if self._journal_fh is None:
+        mm = self._journal_mm
+        if mm is None:
             raise DurabilityError(
                 f"session {self.name!r} has no open journal "
                 "(save_snapshot first)"
             )
+        frame = _frame({"kind": kind, "seq": seq, "value": encode(value)})
+        start = self._journal_end
+        end = start + len(frame)
         try:
-            self._journal_fh.write(_frame(
-                {"kind": kind, "seq": seq, "value": encode(value)}
-            ))
-            self._journal_fh.flush()
+            if end > len(mm):
+                mm = self._grow(end)
+            mm[start:end] = frame
             if self.fsync:
-                os.fsync(self._journal_fh.fileno())
+                page = start - start % mmap.PAGESIZE
+                mm.flush(page, end - page)
         except OSError as exc:
             raise DurabilityError(
                 f"cannot append to journal of session {self.name!r}: {exc}"
             ) from exc
+        self._journal_end = end
 
     def read_journal(self, gen: int) -> tuple[list[dict], bool]:
         """The valid records of one journal (header excluded) and whether
@@ -568,7 +619,7 @@ class SessionStore:
         path = self._journal_path(gen)
         if not path.exists():
             return [], False
-        records, torn = _read_framed(path)
+        records, torn = _read_framed(strip_padding(path.read_bytes()))
         if not records:
             return [], True
         header = records[0]
@@ -684,13 +735,19 @@ class SessionStore:
         )
 
     def close(self) -> None:
-        if self._journal_fh is not None:
-            try:
-                self._journal_fh.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._journal_fh = None
-            self._journal_gen = None
+        """Unmap the journal and truncate its file to the written records:
+        a cleanly closed journal carries no NUL padding."""
+        fh, mm = self._journal_fh, self._journal_mm
+        if fh is None:
+            return
+        self._journal_fh = self._journal_mm = self._journal_gen = None
+        try:
+            mm.close()
+            os.ftruncate(fh.fileno(), self._journal_end)
+        except OSError:  # pragma: no cover
+            pass
+        finally:
+            fh.close()
 
 
 class DurableStore:
@@ -750,7 +807,7 @@ class SessionDurability:
         self._last_commit: float | None = None
         self._journal_since_commit = 0
         # metric children (bound by bind())
-        self._m_records = None
+        self._m_submit = self._m_deliver = self._m_abort = None
         self._m_recoveries = None
         self._m_bytes = None
         self._m_duration = None
@@ -763,9 +820,10 @@ class SessionDurability:
         if registry is None:
             return
         label = self.store.name
-        self._m_records = registry.counter(
-            "repro_durable_journal_records_total"
-        )
+        records = registry.counter("repro_durable_journal_records_total")
+        self._m_submit = records.labels(label, "submit")
+        self._m_deliver = records.labels(label, "deliver")
+        self._m_abort = records.labels(label, "abort")
         self._m_recoveries = registry.counter("repro_durable_recoveries_total")
         self._m_bytes = registry.gauge(
             "repro_durable_snapshot_bytes"
@@ -856,8 +914,8 @@ class SessionDurability:
             seq = self._seq
             self.store.append("submit", seq, value)
             self._journal_since_commit += 1
-        if self._m_records is not None:
-            self._m_records.labels(self.store.name, "submit").inc()
+            if self._m_submit is not None:
+                self._m_submit.inc()
         return seq
 
     def on_abort(self, seq: int, value) -> None:
@@ -866,27 +924,30 @@ class SessionDurability:
         with self._lock:
             self.store.append("abort", seq, value)
             self._journal_since_commit += 1
-        if self._m_records is not None:
-            self._m_records.labels(self.store.name, "abort").inc()
+            if self._m_abort is not None:
+                self._m_abort.inc()
 
     def on_delivered(self, value) -> bool:
         """Journal one delivery — unless it is a suppressed re-emission of
         an already-acknowledged delivery, in which case ``False`` is
         returned and the caller must *not* acknowledge it again."""
         with self._lock:
-            key = canon(value)
-            if self._suppress.get(key, 0) > 0:
-                self._suppress[key] -= 1
-                if self._suppress[key] == 0:
-                    del self._suppress[key]
-                    self._suppress_values.pop(key, None)
-                return False
+            # the suppress multiset is empty except right after a recovery:
+            # only then is the canonical key worth computing
+            if self._suppress:
+                key = canon(value)
+                if self._suppress.get(key, 0) > 0:
+                    self._suppress[key] -= 1
+                    if self._suppress[key] == 0:
+                        del self._suppress[key]
+                        self._suppress_values.pop(key, None)
+                    return False
             self._seq += 1
             self.store.append("deliver", self._seq, value)
             self._book.append((self._seq, value))
             self._journal_since_commit += 1
-        if self._m_records is not None:
-            self._m_records.labels(self.store.name, "deliver").inc()
+            if self._m_deliver is not None:
+                self._m_deliver.inc()
         return True
 
     # -- introspection -------------------------------------------------------

@@ -371,33 +371,41 @@ def torn_write(path, seed: int) -> dict:
     * ``bitflip`` — flip one random bit inside the final record's line
       (silent media corruption; CRC32 catches every single-bit flip).
 
+    The final record is the last one before the NUL padding of a journal
+    left by a crash (:func:`~repro.runtime.durable.strip_padding`); a
+    truncation drops the padding with it.
+
     Mutates the file in place and returns a report dict
-    (``{"path", "mode", "size", "removed" | "offset"/"bit"}``).  A missing
-    or empty file is a no-op (``mode="skip"``).
+    (``{"path", "mode", "size", "padding", "removed" | "offset"/"bit"}``,
+    ``padding`` the NUL bytes found after the final record).  A missing or
+    empty (or all-NUL) file is a no-op (``mode="skip"``).
     """
     import os as _os
+
+    from repro.runtime.durable import strip_padding
 
     path = str(path)
     try:
         size = _os.path.getsize(path)
     except OSError:
         return {"path": path, "mode": "skip", "size": 0}
-    if size == 0:
-        return {"path": path, "mode": "skip", "size": 0}
     with open(path, "r+b") as fh:
         data = fh.read()
+        end = len(strip_padding(data))
+        if end == 0:
+            return {"path": path, "mode": "skip", "size": size}
         rng = random.Random(f"torn:{seed}:{len(data)}")
         # the last line region: everything after the penultimate newline
-        cut = data[:-1].rfind(b"\n") + 1
-        tail_len = max(1, len(data) - cut)
+        cut = data[:end - 1].rfind(b"\n") + 1
+        tail_len = max(1, end - cut)
         if rng.random() < 0.5:
             removed = rng.randint(1, tail_len)
-            fh.truncate(len(data) - removed)
+            fh.truncate(end - removed)
             return {"path": path, "mode": "truncate", "size": size,
-                    "removed": removed}
+                    "padding": size - end, "removed": removed}
         offset = cut + rng.randrange(tail_len)
         bit = rng.randrange(8)
         fh.seek(offset)
         fh.write(bytes([data[offset] ^ (1 << bit)]))
         return {"path": path, "mode": "bitflip", "size": size,
-                "offset": offset, "bit": bit}
+                "padding": size - end, "offset": offset, "bit": bit}

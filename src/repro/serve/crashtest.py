@@ -48,6 +48,7 @@ import sys
 import threading
 import time
 
+from repro.runtime.durable import strip_padding
 from repro.runtime.faults import torn_write
 
 #: Auto-checkpoint interval handed to the daemon under test: aggressive,
@@ -133,9 +134,10 @@ def _journal_tear_is_safe(path: pathlib.Path, acked: set) -> bool:
     moment earlier — legitimate only if that record's operation was never
     acknowledged to the client (a ``deliver``, or a ``submit`` whose value
     is not in the acked set).  Tearing an acked submit or an abort would
-    simulate loss of fsync-durable data instead."""
+    simulate loss of fsync-durable data instead.  A live journal's last
+    record is the last one before its NUL padding."""
     try:
-        last = path.read_bytes().splitlines()[-1]
+        last = strip_padding(path.read_bytes()).splitlines()[-1]
         record = json.loads(last.split(b" ", 1)[1])
     except (OSError, IndexError, ValueError):
         return False

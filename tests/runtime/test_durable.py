@@ -8,16 +8,24 @@ families.  The process-level half — real ``SIGKILL`` at seeded points —
 lives in ``repro.serve.crashtest`` (CI's crash-recovery-smoke job).
 """
 
+import mmap
 import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from repro.connectors import library
+from repro.runtime import durable
 from repro.runtime.durable import (
+    MAGIC,
+    SCHEMA_VERSION,
     DurableStore,
     SessionDurability,
     SessionStore,
+    _frame,
     canon,
     checkpoint_to_data,
     decode,
@@ -29,7 +37,7 @@ from repro.runtime.errors import (
     SnapshotCorruptError,
 )
 from repro.runtime.faults import torn_write
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import MetricFamily, MetricsRegistry
 from repro.runtime.ports import Inport, Outport
 
 OP_TIMEOUT = 10.0
@@ -272,6 +280,164 @@ def test_append_requires_open_journal(tmp_path):
     store.close()
 
 
+# -- the mapped journal -----------------------------------------------------
+
+APPENDS = [("submit", 1, "a"), ("deliver", 2, ("t", 1)),
+           ("submit", 3, {"k": [1, 2]}), ("abort", 3, {"k": [1, 2]})]
+
+
+def journal_bytes(store, gen, snapshot_seq, appends):
+    """What a closed journal holds: its header and one frame per append,
+    each framed by ``_frame`` as every writer of the format frames it."""
+    return _frame({
+        "magic": MAGIC, "version": SCHEMA_VERSION, "kind": "journal",
+        "session": store.name, "generation": gen,
+        "snapshot_seq": snapshot_seq,
+    }) + b"".join(
+        _frame({"kind": kind, "seq": seq, "value": encode(value)})
+        for kind, seq, value in appends
+    )
+
+
+#: Appends ``pairs`` submit/deliver pairs, then leaves the way SIGKILL
+#: would: ``os._exit``, no ``close()``, the preallocation still on disk.
+_CRASHING_WRITER = """
+import os, sys
+from repro.connectors import library
+from repro.runtime.durable import SessionStore
+from repro.runtime.ports import Inport, Outport
+
+conn = library.connector("Merger", 2)
+conn.connect([Outport("o0"), Outport("o1")], [Inport("i0")])
+cp = conn.checkpoint()
+conn.close()
+store = SessionStore(sys.argv[1], "s0")
+store.save_snapshot(cp, seq=0)
+for i in range(int(sys.argv[2])):
+    store.append("submit", 2 * i + 1, f"v{i}")
+    store.append("deliver", 2 * i + 2, f"v{i}")
+os._exit(0)
+"""
+
+
+def crashed_journal(tmp_path, pairs):
+    """A store whose live journal was left by a process that never closed
+    it; returns the store and that journal's path."""
+    src = str(pathlib.Path(durable.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", _CRASHING_WRITER, str(tmp_path),
+                    str(pairs)], check=True, timeout=60, env=env)
+    store = SessionStore(tmp_path, "s0")
+    path = store._journal_path(store._journal_generations()[-1])
+    assert path.read_bytes().endswith(b"\0" * 1024)  # still preallocated
+    return store, path
+
+
+def test_closed_journal_is_exactly_its_frames(tmp_path):
+    store = SessionStore(tmp_path, "s0")
+    gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+    for record in APPENDS:
+        store.append(*record)
+    store.close()
+    data = store._journal_path(gen).read_bytes()
+    assert data == journal_bytes(store, gen, 0, APPENDS)
+    assert data.endswith(b"\n")
+
+
+def test_nul_tail_after_an_intact_record_is_not_torn(tmp_path):
+    store = SessionStore(tmp_path, "s0")
+    try:
+        gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+        for record in APPENDS:
+            store.append(*record)
+        # read while live: the unwritten rest of the chunk is NULs
+        assert store._journal_path(gen).read_bytes().endswith(b"\0" * 1024)
+        records, torn = store.read_journal(gen)
+    finally:
+        store.close()
+    assert not torn
+    assert [(r["kind"], r["seq"], decode(r["value"])) for r in records] \
+        == APPENDS
+
+
+def test_partial_record_before_a_nul_tail_is_torn(tmp_path):
+    store = SessionStore(tmp_path, "s0")
+    gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+    store.append("deliver", 1, "kept")
+    store.close()
+    partial = _frame({"kind": "deliver", "seq": 2, "value": "torn-away"})
+    with open(store._journal_path(gen), "ab") as fh:
+        fh.write(partial[:len(partial) // 2] + b"\0" * 4096)
+    records, torn = store.read_journal(gen)
+    assert torn
+    assert [r["value"] for r in records] == ["kept"]
+
+
+def test_appends_round_trip_across_growth(tmp_path, monkeypatch):
+    monkeypatch.setattr(durable, "JOURNAL_CHUNK", 256)
+    store = SessionStore(tmp_path, "s0")
+    gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+    appends = [("deliver", i + 1, f"value-{i}") for i in range(200)]
+    try:
+        for record in appends:
+            store.append(*record)
+        live, torn = store.read_journal(gen)
+    finally:
+        store.close()
+    assert not torn and [r["seq"] for r in live] == list(range(1, 201))
+    data = store._journal_path(gen).read_bytes()
+    assert len(data) > 20 * 256  # it grew, chunk by chunk
+    assert data == journal_bytes(store, gen, 0, appends)
+
+
+@pytest.mark.parametrize("fsync", [False, True])
+def test_an_append_is_a_copy_and_fsync_flushes_once(tmp_path, monkeypatch,
+                                                     fsync):
+    calls = Counter()
+
+    class CountingMap(mmap.mmap):
+        def flush(self, *args):
+            calls["flush"] += 1
+            return super().flush(*args)
+
+    real_write, real_fsync = os.write, os.fsync
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(mmap, "mmap", CountingMap)
+    store = SessionStore(tmp_path, "s0", fsync=fsync)
+    try:
+        gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+        monkeypatch.setattr(os, "write", counted("write", real_write))
+        monkeypatch.setattr(os, "fsync", counted("fsync", real_fsync))
+        for i in range(50):
+            store.append("deliver", i + 1, f"v{i}")
+        monkeypatch.undo()
+        records, torn = store.read_journal(gen)
+    finally:
+        store.close()
+    assert calls["write"] == 0 and calls["fsync"] == 0
+    assert calls["flush"] == (50 if fsync else 0)
+    assert len(records) == 50 and not torn
+
+
+def test_journal_left_by_os_exit_recovers_every_record(tmp_path):
+    store, _ = crashed_journal(tmp_path, pairs=20)
+    try:
+        rec = store.recover()
+    finally:
+        store.close()
+    assert rec.outcome == "restored" and not rec.torn
+    assert rec.delivered == [(2 * i + 2, f"v{i}") for i in range(20)]
+    assert rec.resubmit == [] and rec.suppress == Counter()
+    assert rec.seq == 40
+
+
 # -- retention GC -----------------------------------------------------------
 
 
@@ -385,6 +551,37 @@ def test_session_durability_recovery_metrics(tmp_path):
         d.close()
 
 
+def test_steady_path_computes_no_key_and_looks_up_no_child(tmp_path,
+                                                           monkeypatch):
+    keys = []
+    real_canon = durable.canon
+    monkeypatch.setattr(durable, "canon",
+                        lambda value: keys.append(value) or real_canon(value))
+    reg = MetricsRegistry()
+    d = SessionDurability(SessionStore(tmp_path, "s0"))
+    d.bind(reg)
+    try:
+        assert d.recover() is None
+        d.commit(make_checkpoint())
+        lookups = []
+        real_labels = MetricFamily.labels
+        monkeypatch.setattr(
+            MetricFamily, "labels",
+            lambda fam, *lv: lookups.append(lv) or real_labels(fam, *lv))
+        for i in range(100):
+            seq = d.on_submit(i)
+            assert d.on_delivered(i) is True
+        d.on_abort(seq, "x")
+        monkeypatch.setattr(MetricFamily, "labels", real_labels)
+        counts = dict(reg.counter(
+            "repro_durable_journal_records_total").samples())
+    finally:
+        d.close()
+    assert keys == [] and lookups == []
+    assert counts == {("s0", "submit"): 100, ("s0", "deliver"): 100,
+                      ("s0", "abort"): 1}
+
+
 # -- torn_write fault -------------------------------------------------------
 
 
@@ -428,3 +625,26 @@ def test_torn_write_only_damages_the_tail_record(tmp_path):
 
 def test_torn_write_missing_file_skips(tmp_path):
     assert torn_write(tmp_path / "nope", 0)["mode"] == "skip"
+
+
+def test_torn_write_tears_the_last_record_of_a_padded_journal(tmp_path):
+    store, path = crashed_journal(tmp_path, pairs=5)
+    gen = store._journal_generations()[-1]
+    pristine = path.read_bytes()
+    modes = set()
+    for seed in range(8):  # both modes
+        path.write_bytes(pristine)
+        report = torn_write(path, seed)
+        modes.add(report["mode"])
+        assert report["padding"] > 0, report
+        records, torn = store.read_journal(gen)
+        assert torn, report
+        assert [r["seq"] for r in records] == list(range(1, 10)), report
+    assert modes == {"truncate", "bitflip"}
+
+
+def test_tear_safety_reads_a_padded_journals_last_record(tmp_path):
+    from repro.serve.crashtest import _journal_tear_is_safe
+
+    _, path = crashed_journal(tmp_path, pairs=2)  # ends in a deliver
+    assert _journal_tear_is_safe(path, acked=set())
