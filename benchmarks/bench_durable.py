@@ -7,12 +7,11 @@ What the durable layer costs, measured at four grains:
 * **handoff append** — the same records journalled the way a serving
   session does, a client thread's ``submit`` intent and a worker thread's
   ``deliver`` record through one :class:`SessionDurability` (µs per
-  pair).  ``--check`` holds it under an absolute ceiling,
-  ``HANDOFF_CEILING`` × the reading of the buffered-write journal this
-  replaced, on the host ``HANDOFF_HOST`` names: an append that goes back
-  to a system call inside the durability lock hands the GIL to the other
-  thread twice per pair and fails it (a reading over the ceiling is taken
-  again, up to twice, and the best kept: noise only adds);
+  pair).  Recorded beside the buffered-write journal's reading on the
+  host ``HANDOFF_HOST`` names, and not gated: the two overlap in that
+  host's slow timing mode, and an absolute ceiling does not carry to
+  another host.  That an append makes no system call is pinned by the
+  test suite instead (``tests/runtime/test_durable.py``);
 * **snapshot save / load** — one generation committed atomically
   (encode + tmp + fsync + rename) and decoded back (ms);
 * **durable checkpoint** — the full quiescence cycle of a live,
@@ -57,9 +56,8 @@ RATIO_BUDGET = 2.0
 #: ``handoff_append`` with the journal written by a buffered ``write`` +
 #: ``flush`` per record (each releasing the GIL inside the durability
 #: lock), µs per submit+deliver pair, median of five quick runs on
-#: HANDOFF_HOST.  ``--check`` fails above HANDOFF_CEILING × this figure.
+#: HANDOFF_HOST: the reference a reading is recorded beside.
 HANDOFF_PARENT_US = 22.32
-HANDOFF_CEILING = 0.7
 HANDOFF_HOST = "dev box: 2 cores, x86_64, CPython 3.11.7 (GIL)"
 
 #: Thread pinning needs ``sched_setaffinity`` (Linux); elsewhere the two
@@ -279,17 +277,10 @@ def run(quick: bool) -> dict:
                        "cycles": cycles, "values": values,
                        "ratio_budget": RATIO_BUDGET}}
     result["store"] = bench_store(appends, book_len, repeats)
-    ceiling = round(HANDOFF_CEILING * HANDOFF_PARENT_US, 2)
     handoff = bench_handoff_append(2_000, 5)
-    for _ in range(2):  # noise only adds: re-measure a reading over it
-        if handoff["us_per_pair"] <= ceiling:
-            break
-        handoff = min(handoff, bench_handoff_append(2_000, 5),
-                      key=lambda h: h["us_per_pair"])
     handoff.update({
         "host": HANDOFF_HOST,
         "parent_us_per_pair": HANDOFF_PARENT_US,
-        "ceiling_us_per_pair": ceiling,
     })
     result["handoff_append"] = handoff
     with tempfile.TemporaryDirectory() as td:
@@ -300,7 +291,7 @@ def run(quick: bool) -> dict:
     ratio = (result["durable_checkpoint"]["median_ms"]
              / max(result["inmem_checkpoint"]["median_ms"], 1e-9))
     result["ratio"] = round(ratio, 3)
-    result["ok"] = ratio <= RATIO_BUDGET and handoff["us_per_pair"] <= ceiling
+    result["ok"] = ratio <= RATIO_BUDGET
     return result
 
 
@@ -309,7 +300,7 @@ def _summary(result) -> str:
     return (
         f"journal append {s['journal_append_us']}us  "
         f"handoff append {h['us_per_pair']}us/pair "
-        f"(ceiling {h['ceiling_us_per_pair']}us on {HANDOFF_HOST})  "
+        f"(buffered write {h['parent_us_per_pair']}us on {HANDOFF_HOST})  "
         f"snapshot save {s['snapshot_save_ms']}ms / "
         f"load {s['snapshot_load_ms']}ms ({s['snapshot_bytes']}B)  "
         f"durable ckpt {result['durable_checkpoint']['median_ms']}ms vs "
@@ -325,8 +316,7 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="CI-sized sweep")
     ap.add_argument("--check", action="store_true",
-                    help="re-measure (quick) and gate on the ratio budget "
-                         "and the handoff_append ceiling")
+                    help="re-measure (quick) and gate on the ratio budget")
     args = ap.parse_args(argv)
 
     if args.check:

@@ -71,7 +71,9 @@ GIL release inside the durability lock.  A store into a shared mapping is
 in the page cache when the copy returns, so it survives ``SIGKILL`` (the
 failure model of the crash harness) exactly as a flushed ``write()`` does.
 The unwritten rest of the mapping reads as NUL bytes: a NUL-only suffix is
-the preallocation, not a tear, and ``close()`` truncates it away.
+the preallocation, not a tear, and ``close()`` truncates it away.  The
+preallocation reserves its blocks, so a full disk fails a growth with the
+typed :class:`~repro.util.errors.DurabilityError`, never with SIGBUS.
 ``fsync`` on every journal append is configurable (``fsync=True``) and off
 by default: it flushes the touched pages with ``msync`` (plus an ``fsync``
 when the file grew) and buys power-loss durability at ~10–100× the append
@@ -248,6 +250,18 @@ def strip_padding(data: bytes) -> bytes:
     so the logical end is the last non-NUL byte: after an intact record a
     newline, after a torn one part of a frame."""
     return data.rstrip(b"\0")
+
+
+def _extend(fd: int, size: int, new_size: int) -> None:
+    """Grow the file ``fd`` from ``size`` to ``new_size`` bytes with the new
+    blocks reserved (``posix_fallocate``), so a full disk fails the growth
+    with ``OSError`` rather than a later store into the mapping with SIGBUS.
+    Where the platform has no ``posix_fallocate`` (macOS) the growth is a
+    sparse ``ftruncate``."""
+    if hasattr(os, "posix_fallocate"):
+        os.posix_fallocate(fd, size, new_size - size)
+    else:
+        os.ftruncate(fd, new_size)
 
 
 def _read_framed(data: bytes) -> tuple[list[dict], bool]:
@@ -433,7 +447,13 @@ class SessionStore:
                 f"cannot write snapshot generation {gen} for session "
                 f"{self.name!r}: {exc}"
             ) from exc
-        self._open_journal(gen, seq)
+        try:
+            self._open_journal(gen, seq)
+        except OSError as exc:
+            raise DurabilityError(
+                f"cannot open journal generation {gen} for session "
+                f"{self.name!r}: {exc}"
+            ) from exc
         self._gc(gen)
         return gen, len(blob)
 
@@ -547,17 +567,21 @@ class SessionStore:
 
     def _open_journal(self, gen: int, snapshot_seq: int) -> None:
         self.close()
-        fh = open(self._journal_path(gen), "a+b")
+        # read-write, not append mode: glibc emulates posix_fallocate on a
+        # file system without fallocate, and refuses an O_APPEND descriptor
+        fd = os.open(self._journal_path(gen), os.O_RDWR | os.O_CREAT, 0o666)
+        fh = os.fdopen(fd, "r+b")
         try:
+            fh.seek(0, os.SEEK_END)
             fh.write(_frame({
                 "magic": MAGIC, "version": SCHEMA_VERSION, "kind": "journal",
                 "session": self.name, "generation": gen,
                 "snapshot_seq": snapshot_seq,
             }))
             fh.flush()
-            os.fsync(fh.fileno())
             end = fh.tell()
-            os.ftruncate(fh.fileno(), end + JOURNAL_CHUNK)
+            _extend(fh.fileno(), end, end + JOURNAL_CHUNK)
+            os.fsync(fh.fileno())  # the header and the new size, durably
             mm = mmap.mmap(fh.fileno(), end + JOURNAL_CHUNK)
         except OSError:
             fh.close()
@@ -571,12 +595,12 @@ class SessionStore:
         """Extend the journal file by whole chunks until ``need`` bytes fit
         and map it again (a new mapping, not ``mmap.resize``: that has no
         ``mremap`` to use on macOS).  The old mapping stays valid until the
-        new one exists."""
+        new one exists, so a failed growth (a full disk) loses nothing."""
         size = len(self._journal_mm)
         while size < need:
             size += JOURNAL_CHUNK
         fd = self._journal_fh.fileno()
-        os.ftruncate(fd, size)
+        _extend(fd, len(self._journal_mm), size)
         if self.fsync:
             os.fsync(fd)  # the new size, durably
         mm = mmap.mmap(fd, size)
@@ -962,4 +986,7 @@ class SessionDurability:
             return [v for _, v in self._book]
 
     def close(self) -> None:
-        self.store.close()
+        # under the lock: the store's close truncates the journal to its
+        # write cursor, which an append advances only after its copy
+        with self._lock:
+            self.store.close()

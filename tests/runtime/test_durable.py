@@ -8,11 +8,13 @@ families.  The process-level half — real ``SIGKILL`` at seeded points —
 lives in ``repro.serve.crashtest`` (CI's crash-recovery-smoke job).
 """
 
+import errno
 import mmap
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -424,6 +426,87 @@ def test_an_append_is_a_copy_and_fsync_flushes_once(tmp_path, monkeypatch,
     assert calls["write"] == 0 and calls["fsync"] == 0
     assert calls["flush"] == (50 if fsync else 0)
     assert len(records) == 50 and not torn
+
+
+def no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_full_disk_at_journal_open_is_a_typed_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+    store = SessionStore(tmp_path, "s0")
+    with pytest.raises(DurabilityError, match="cannot open journal"):
+        store.save_snapshot(make_checkpoint(), seq=0)
+    with pytest.raises(DurabilityError, match="no open journal"):
+        store.append("submit", 1, "v")
+    store.close()
+
+
+def test_a_full_disk_at_growth_is_a_typed_error_and_loses_nothing(
+        tmp_path, monkeypatch):
+    # the growth reserves its blocks, so ENOSPC surfaces there, as an
+    # error, and never as SIGBUS from a store into an unbacked page
+    monkeypatch.setattr(durable, "JOURNAL_CHUNK", 256)
+    store = SessionStore(tmp_path, "s0")
+    try:
+        gen, _ = store.save_snapshot(make_checkpoint(), seq=0)
+        monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+        written = 0
+        with pytest.raises(DurabilityError, match="cannot append"):
+            for written in range(100):
+                store.append("deliver", written + 1, f"v{written}")
+        assert written > 0
+        monkeypatch.undo()  # space freed: the same append goes through
+        store.append("deliver", written + 1, f"v{written}")
+        records, torn = store.read_journal(gen)
+    finally:
+        store.close()
+    assert not torn
+    assert [r["value"] for r in records] == [f"v{i}" for i in
+                                             range(written + 1)]
+
+
+def test_journal_open_fsyncs_the_header_and_the_size_at_once(tmp_path,
+                                                            monkeypatch):
+    calls = []
+    real_extend, real_fsync = durable._extend, os.fsync
+    monkeypatch.setattr(durable, "_extend",
+                        lambda *a: calls.append("extend") or real_extend(*a))
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: calls.append("fsync") or real_fsync(fd))
+    store = SessionStore(tmp_path, "s0")
+    store.save_snapshot(make_checkpoint(), seq=0)
+    store.close()
+    # the snapshot's own fsyncs come first; the journal's last
+    assert calls[-2:] == ["extend", "fsync"] and calls.count("extend") == 1
+
+
+def test_close_waits_for_an_append_in_flight(tmp_path):
+    """``close()`` truncates the journal to its write cursor, which an
+    append advances after its copy.  A close landing in between must wait:
+    it may not cut off a record whose append then returns normally."""
+    d = SessionDurability(SessionStore(tmp_path, "s0"))
+    d.commit(make_checkpoint())
+    closed = threading.Event()
+    closer = threading.Thread(target=lambda: (d.close(), closed.set()))
+
+    class CloseMidAppend(SessionStore):
+        @property
+        def fsync(self):
+            # read by append between its copy and its cursor advance
+            if not closer.is_alive() and not closed.is_set():
+                closer.start()
+                closed.wait(0.5)  # times out while close waits, as it must
+            return False
+
+    d.store.__class__ = CloseMidAppend
+    seq = d.on_submit("in-flight")
+    closer.join(10.0)
+    assert closed.is_set()
+    d.store.__class__ = SessionStore
+    records, torn = d.store.read_journal(d.store._journal_generations()[-1])
+    assert not torn
+    assert [(r["seq"], r["value"]) for r in records] == [(seq, "in-flight")]
 
 
 def test_journal_left_by_os_exit_recovers_every_record(tmp_path):
