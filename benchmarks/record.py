@@ -390,6 +390,130 @@ def _check_port_pair() -> int:
     return 1 if over() else 0
 
 
+#: Cold-expansion rows — µs per state the JIT product expands, on the four
+#: ``random_posted`` connectors: a fresh ``LazyProduct`` expands, in visit
+#: order, the states three seeded 200-post schedules visit (gc off, one
+#: core pinned, best over passes × rounds).  Two products take turns over
+#: the same states: ``flat``, over the connector's automata as compiled —
+#: what the parent commit 72168e5 expands, where every state walked each
+#: stateless member of a synchronous sub-chain — and ``merged``, over what
+#: the connected region holds since those sub-chains are composed once at
+#: connect (DECISIONS row 16).  ``--check`` holds each row's ``merged``
+#: under EXPANSION_CEILING × its ``flat``, read in the same rounds, so the
+#: dev box's speed modes (±40 % on these rows) cancel: the change reads
+#: 0.34–0.69, the parent (where both products are flat) 0.86–1.36.
+#: EXPANSION_PARENT_US is the parent's own figure on the dev box (best of 15
+#: passes in its fast mode), kept for reference; an absolute ceiling at
+#: 0.85 × it failed the change in the slow mode.
+EXPANSION_PARENT_US = {
+    "EarlyAsyncMerger/16": 48.34, "LateAsyncRouter/16": 83.08,
+    "LateAsyncReplicator/12": 17.07, "EarlyAsyncBarrierMerger/8": 37.32,
+}
+EXPANSION_CEILING = 0.85
+EXPANSION_HOST = REINSTANTIATE_HOST
+
+
+def _visited_states(name, n, schedule):
+    """The connector's automata, the JIT region's, and the states one
+    seeded schedule of 200 posts visits, in order."""
+    import random
+
+    from repro.connectors import library
+    from repro.runtime.ports import mkports
+
+    conn = library.connector(name, n)
+    conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
+    engine = conn.engine
+    heads = list(conn.head_vertices)
+    vertices = heads + list(conn.tail_vertices)
+    handles = dict.fromkeys(vertices)
+    rng = random.Random(f"expansion/{name}/{n}/{schedule}")
+    for i in range(200):
+        free = [v for v in vertices
+                if handles[v] is None or handles[v].done]
+        v = free[int(rng.random() * len(free))]
+        handles[v] = (engine.post_recv(v) if v in heads
+                      else engine.post_send(v, i))
+    region = engine.regions[0]
+    states = [state for state, _ in region.table.items()]
+    conn.close()
+    return conn.automata, region.lazy.automata, states
+
+
+def _expansion_pass(keys, best, rounds=5):
+    """``rounds`` timed expansions of every row in ``keys``, flat and
+    merged in turn; ``best`` keeps each (row, kind)'s least µs per state."""
+    from repro.automata.lazy import LazyProduct
+
+    cpu = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, cpu[:1])
+    try:
+        for key in keys:
+            name, n = key.split("/")
+            runs = [_visited_states(name, int(n), k) for k in range(3)]
+            expanded = sum(len(states) for _, _, states in runs)
+            for kind in ("flat", "merged") * rounds:
+                gc.disable()
+                t0 = time.perf_counter()
+                for flat, merged, states in runs:
+                    # the constructor expands the initial state
+                    lazy = LazyProduct(flat if kind == "flat" else merged)
+                    for state in states[1:]:
+                        lazy.expand(state)
+                us = (time.perf_counter() - t0) * 1e6 / expanded
+                gc.enable()
+                best[key, kind] = min(us, best.get((key, kind), us))
+    finally:
+        gc.enable()
+        os.sched_setaffinity(0, cpu)
+
+
+def record_expansion(passes):
+    """Best per row and kind over ``passes`` passes of all rows."""
+    best: dict = {}
+    for _ in range(passes):
+        _expansion_pass(EXPANSION_PARENT_US, best)
+    return {"host": EXPANSION_HOST, "ceiling": EXPANSION_CEILING, "rows": {
+        key: {
+            "us_per_expansion": round(best[key, "merged"], 2),
+            "flat_us_per_expansion": round(best[key, "flat"], 2),
+            "parent_us_per_expansion": parent_us,
+        }
+        for key, parent_us in EXPANSION_PARENT_US.items()
+    }}
+
+
+def _check_expansion() -> int:
+    """The merged-chain gate: every row's merged expansion under
+    EXPANSION_CEILING × the flat one of the same passes.  Rows over it are
+    measured again, up to three more passes: noise only adds."""
+    now = record_expansion(passes=5)["rows"]
+    best = {}
+    for key, row in now.items():
+        best[key, "merged"] = row["us_per_expansion"]
+        best[key, "flat"] = row["flat_us_per_expansion"]
+
+    def ratio(key):
+        return best[key, "merged"] / best[key, "flat"]
+
+    def over():
+        return [key for key in now if ratio(key) > EXPANSION_CEILING]
+
+    for _ in range(3):
+        if not over():
+            break
+        _expansion_pass(over(), best)
+    for key in now:
+        print(f"expansion: {key} {best[key, 'merged']:.1f} µs per state, "
+              f"flat {best[key, 'flat']:.1f} ({ratio(key):.2f}×, ceiling "
+              f"{EXPANSION_CEILING:.2f}×; the parent read "
+              f"{EXPANSION_PARENT_US[key]:.1f} on the {EXPANSION_HOST})")
+    for key in over():
+        print(f"FAIL: {key} expands at {ratio(key):.2f}× the flat product — "
+              "expanding stateless sub-chains per state again?")
+    return 1 if over() else 0
+
+
 def _fig13_secs(fn, repeats):
     secs = []
     gc.disable()
@@ -435,6 +559,7 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         "reinstantiate": record_reinstantiate(repeats=5 * repeats),
         "lockstep_scaling": record_lockstep_scaling(passes=repeats),
         "port_pair": record_port_pair(passes=repeats),
+        "expansion": record_expansion(passes=repeats),
     }
     if not quick:
         doc["fig13_npb"] = record_fig13(repeats=repeats)
@@ -480,6 +605,9 @@ def check(baseline_path: pathlib.Path) -> int:
     if rc:
         return rc
     rc = _check_port_pair()
+    if rc:
+        return rc
+    rc = _check_expansion()
     if rc:
         return rc
     rc = _check_fig13(baseline.get("fig13_npb"))

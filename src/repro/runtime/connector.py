@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import DEFAULT_REGISTRY, FunctionRegistry
 from repro.automata.lazy import LazyProduct
-from repro.automata.partition import partition_automata
+from repro.automata.partition import merge_stateless, partition_automata
 from repro.automata.product import merged_buffers, product
 from repro.runtime.buffers import BufferStore
 from repro.runtime.engine import CoordinatorEngine, EagerRegion, LazyRegion
@@ -250,6 +250,10 @@ class RuntimeConnector(Connector):
                 regions.append(EagerRegion(large))
             else:
                 cache = self.cache_factory() if self.cache_factory else None
+                if self.step_mode == "minimal":
+                    # Stateless sub-chains composed once, inner vertices
+                    # hidden (the AOT path above hides them after composing).
+                    group = merge_stateless(group, sources | sinks)
                 regions.append(
                     LazyRegion(LazyProduct(group, mode=self.step_mode, cache=cache))
                 )

@@ -80,3 +80,26 @@ def test_make_schedule_never_floods_channelable():
             assert point in script.flood_points
         if schedule.checkpoint_at is not None:
             assert 1 <= schedule.checkpoint_at < len(script.batches)
+
+
+def test_generator_reaches_merged_groups():
+    """The partitioned JIT modes compose stateless sub-chains at connect
+    (DECISIONS row 16) on a stated share of the default sweep's programs —
+    21 of seeds 0:50 — so every sweep holds the merged product against the
+    flat AOT one.  Unpartitioned, a generated program is one medium
+    automaton with nothing stateless left to merge."""
+    from repro.automata.partition import PLACEHOLDER
+    from repro.fuzz.harness import _protocol, connector_opts
+    from repro.runtime.ports import Inport, Outport
+
+    merged = 0
+    for seed in range(50):
+        program = generate(seed)
+        proto, tails, heads = _protocol(program)
+        conn = proto.instantiate_connector(
+            sizes=program.sizes, **connector_opts("regions-jit"))
+        conn.connect([Outport(v) for v in tails], [Inport(v) for v in heads])
+        merged += any(PLACEHOLDER in r.lazy.automata
+                      for r in conn.engine.regions)
+        conn.close()
+    assert merged >= 20, f"{merged} of 50 seeds merge a group"
