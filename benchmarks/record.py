@@ -392,30 +392,50 @@ def _check_port_pair() -> int:
 
 #: Cold-expansion rows — µs per state the JIT product expands, on the four
 #: ``random_posted`` connectors: a fresh ``LazyProduct`` expands, in visit
-#: order, the states three seeded 200-post schedules visit (gc off, one
-#: core pinned, best over passes × rounds).  Two products take turns over
-#: the same states: ``flat``, over the connector's automata as compiled —
-#: what the parent commit 72168e5 expands, where every state walked each
-#: stateless member of a synchronous sub-chain — and ``merged``, over what
-#: the connected region holds since those sub-chains are composed once at
-#: connect (DECISIONS row 16).  ``--check`` holds each row's ``merged``
-#: under EXPANSION_CEILING × its ``flat``, read in the same rounds, so the
-#: dev box's speed modes (±40 % on these rows) cancel: the change reads
-#: 0.34–0.69, the parent (where both products are flat) 0.86–1.36.
-#: EXPANSION_PARENT_US is the parent's own figure on the dev box (best of 15
-#: passes in its fast mode), kept for reference; an absolute ceiling at
-#: 0.85 × it failed the change in the slow mode.
+#: order, the states three seeded 200-post schedules reach (gc off, one
+#: core pinned, best over passes × rounds).  The initial state, which the
+#: constructor expands at ``connect``, is outside the timer, as it is
+#: outside the suite's timed passes.  Three kinds take turns over the same
+#: states:
+#:
+#: * ``flat`` — over the connector's automata as compiled, every state
+#:   expanded in full: what commit 72168e5 expands, where every state
+#:   walked each stateless member of a synchronous sub-chain;
+#: * ``merged`` — over what the connected region holds since those
+#:   sub-chains are composed once at connect (DECISIONS row 16), every state
+#:   expanded in full;
+#: * ``delta`` — the same product, each state expanded from the row of the
+#:   state it was first reached from, by the candidate that reached it, as
+#:   the engine's drain does (DECISIONS row 17): only the components that
+#:   firing moved, and those whose closures read one of them, are composed
+#:   again.
+#:
+#: Every kind lays its segments end to end into a ``StateRow`` (without
+#: step functions), as a compiled region's table keeps them.  ``--check``
+#: holds each row's ``merged`` under EXPANSION_CEILING × its ``flat``, and
+#: each row of DELTA_ROWS' ``delta`` under DELTA_CEILING × its ``merged``,
+#: read in the same rounds, so the dev box's speed modes (±40 % on these
+#: rows) cancel.  LateAsyncReplicator/12 — most of its states grow new
+#: closures — is recorded, not gated on ``delta``.  EXPANSION_PARENT_US is
+#: the figure of commit 72168e5 on the dev box (best of 15 passes in its
+#: fast mode, the constructor's expansion of the initial state timed too),
+#: kept for reference; an absolute ceiling at 0.85 × it failed the merged
+#: product in the slow mode.
 EXPANSION_PARENT_US = {
     "EarlyAsyncMerger/16": 48.34, "LateAsyncRouter/16": 83.08,
     "LateAsyncReplicator/12": 17.07, "EarlyAsyncBarrierMerger/8": 37.32,
 }
 EXPANSION_CEILING = 0.85
+DELTA_ROWS = ("EarlyAsyncMerger/16", "LateAsyncRouter/16",
+              "EarlyAsyncBarrierMerger/8")
+DELTA_CEILING = 0.75
 EXPANSION_HOST = REINSTANTIATE_HOST
 
 
 def _visited_states(name, n, schedule):
     """The connector's automata, the JIT region's, and the states one
-    seeded schedule of 200 posts visits, in order."""
+    seeded schedule of 200 posts makes the region expand, in order, each as
+    ``(state, the state it was reached from or None, the candidate)``."""
     import random
 
     from repro.connectors import library
@@ -424,6 +444,15 @@ def _visited_states(name, n, schedule):
     conn = library.connector(name, n)
     conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
     engine = conn.engine
+    lazy = engine.regions[0].lazy
+    edges = []
+    expand = lazy.expand
+
+    def recording(state, came=None, at=None):
+        edges.append((state, None if came is None else came.state, at))
+        return expand(state, came, at)
+
+    lazy.expand = recording
     heads = list(conn.head_vertices)
     vertices = heads + list(conn.tail_vertices)
     handles = dict.fromkeys(vertices)
@@ -434,32 +463,56 @@ def _visited_states(name, n, schedule):
         v = free[int(rng.random() * len(free))]
         handles[v] = (engine.post_recv(v) if v in heads
                       else engine.post_send(v, i))
-    region = engine.regions[0]
-    states = [state for state, _ in region.table.items()]
     conn.close()
-    return conn.automata, region.lazy.automata, states
+    return conn.automata, lazy.automata, edges
+
+
+def _product(automata):
+    """A fresh product of ``automata`` and the row of its initial state,
+    which its constructor expands in full (at ``connect``, outside the
+    suite's timed passes too)."""
+    from itertools import chain
+
+    from repro.automata.lazy import LazyProduct
+    from repro.compiler.steps import StateRow
+
+    lazy = LazyProduct(automata)
+    first = lazy.first
+    return lazy, {lazy.initial: StateRow(
+        lazy.initial, list(chain.from_iterable(first[1])), (), first)}
+
+
+def _expand_all(lazy, rows, edges, delta):
+    """Expand every state of ``edges``, in order: from its predecessor's
+    row where ``delta``, in full otherwise; each kept as a row."""
+    from itertools import chain
+
+    from repro.compiler.steps import StateRow
+
+    for state, came, at in edges:
+        expansion = (lazy.expand(state, rows.get(came), at) if delta
+                     else lazy.expand(state))
+        rows[state] = StateRow(
+            state, list(chain.from_iterable(expansion[1])), (), expansion)
 
 
 def _expansion_pass(keys, best, rounds=5):
-    """``rounds`` timed expansions of every row in ``keys``, flat and
-    merged in turn; ``best`` keeps each (row, kind)'s least µs per state."""
-    from repro.automata.lazy import LazyProduct
-
+    """``rounds`` timed expansions of every row in ``keys``, one of each
+    kind in turn; ``best`` keeps each (row, kind)'s least µs per state."""
     cpu = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, cpu[:1])
     try:
         for key in keys:
             name, n = key.split("/")
             runs = [_visited_states(name, int(n), k) for k in range(3)]
-            expanded = sum(len(states) for _, _, states in runs)
-            for kind in ("flat", "merged") * rounds:
+            expanded = sum(len(edges) for _, _, edges in runs)
+            for kind in ("flat", "merged", "delta") * rounds:
+                products = [_product(flat if kind == "flat" else merged)
+                            for flat, merged, _ in runs]
                 gc.disable()
                 t0 = time.perf_counter()
-                for flat, merged, states in runs:
-                    # the constructor expands the initial state
-                    lazy = LazyProduct(flat if kind == "flat" else merged)
-                    for state in states[1:]:
-                        lazy.expand(state)
+                for (lazy, rows), (_, _, edges) in zip(products, runs):
+                    _expand_all(lazy, rows, edges, kind == "delta")
                 us = (time.perf_counter() - t0) * 1e6 / expanded
                 gc.enable()
                 best[key, kind] = min(us, best.get((key, kind), us))
@@ -473,44 +526,61 @@ def record_expansion(passes):
     best: dict = {}
     for _ in range(passes):
         _expansion_pass(EXPANSION_PARENT_US, best)
-    return {"host": EXPANSION_HOST, "ceiling": EXPANSION_CEILING, "rows": {
-        key: {
-            "us_per_expansion": round(best[key, "merged"], 2),
-            "flat_us_per_expansion": round(best[key, "flat"], 2),
-            "parent_us_per_expansion": parent_us,
-        }
-        for key, parent_us in EXPANSION_PARENT_US.items()
-    }}
+    return {"host": EXPANSION_HOST, "ceiling": EXPANSION_CEILING,
+            "delta_ceiling": DELTA_CEILING, "rows": {
+                key: {
+                    "us_per_expansion": round(best[key, "merged"], 2),
+                    "flat_us_per_expansion": round(best[key, "flat"], 2),
+                    "delta_us_per_expansion": round(best[key, "delta"], 2),
+                    "parent_us_per_expansion": parent_us,
+                }
+                for key, parent_us in EXPANSION_PARENT_US.items()
+            }}
 
 
 def _check_expansion() -> int:
-    """The merged-chain gate: every row's merged expansion under
-    EXPANSION_CEILING × the flat one of the same passes.  Rows over it are
-    measured again, up to three more passes: noise only adds."""
+    """The expansion gates, each a ratio of two kinds read in the same
+    rounds: every row's merged expansion under EXPANSION_CEILING × the flat
+    one, and the delta expansion of DELTA_ROWS under DELTA_CEILING × the
+    merged one.  Rows over either are measured again, up to three more
+    passes: noise only adds."""
     now = record_expansion(passes=5)["rows"]
     best = {}
     for key, row in now.items():
         best[key, "merged"] = row["us_per_expansion"]
         best[key, "flat"] = row["flat_us_per_expansion"]
+        best[key, "delta"] = row["delta_us_per_expansion"]
 
-    def ratio(key):
-        return best[key, "merged"] / best[key, "flat"]
+    def ratio(key, kind="merged", base="flat"):
+        return best[key, kind] / best[key, base]
 
     def over():
-        return [key for key in now if ratio(key) > EXPANSION_CEILING]
+        return [key for key in now if ratio(key) > EXPANSION_CEILING
+                or key in DELTA_ROWS
+                and ratio(key, "delta", "merged") > DELTA_CEILING]
 
     for _ in range(3):
         if not over():
             break
         _expansion_pass(over(), best)
     for key in now:
+        gate = (f"ceiling {DELTA_CEILING:.2f}×" if key in DELTA_ROWS
+                else "not gated")
         print(f"expansion: {key} {best[key, 'merged']:.1f} µs per state, "
               f"flat {best[key, 'flat']:.1f} ({ratio(key):.2f}×, ceiling "
-              f"{EXPANSION_CEILING:.2f}×; the parent read "
-              f"{EXPANSION_PARENT_US[key]:.1f} on the {EXPANSION_HOST})")
+              f"{EXPANSION_CEILING:.2f}×; commit 72168e5 read "
+              f"{EXPANSION_PARENT_US[key]:.1f} on the {EXPANSION_HOST}), "
+              f"delta {best[key, 'delta']:.1f} "
+              f"({ratio(key, 'delta', 'merged'):.2f}× merged, {gate})")
     for key in over():
-        print(f"FAIL: {key} expands at {ratio(key):.2f}× the flat product — "
-              "expanding stateless sub-chains per state again?")
+        if ratio(key) > EXPANSION_CEILING:
+            print(f"FAIL: {key} expands at {ratio(key):.2f}× the flat "
+                  "product — expanding stateless sub-chains per state "
+                  "again?")
+        else:
+            print(f"FAIL: {key} delta-expands at "
+                  f"{ratio(key, 'delta', 'merged'):.2f}× a full expansion "
+                  "— recomposing components the firing did not change?")
     return 1 if over() else 0
 
 

@@ -18,15 +18,18 @@ optionally ``evicts``) that does not look at its values: a connector's
 compiled step tier keeps in it the step functions it specialised from a
 state's steps (:meth:`LazyProduct.expand`) instead of the steps.
 
-Recomputing a state is cheap: the product keeps what it learnt about local
+Computing a state is cheap: the product keeps what it learnt about local
 neighbourhoods in a :class:`~repro.automata.product.ComposeMemo`, which no
-eviction touches.
+eviction touches, and the compiled tier expands a state from the row of
+the state a firing left: only the components that firing moved, and those
+whose memoised closures read one, are composed again (DECISIONS.md row 17).
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from itertools import chain
 from typing import Sequence
 
 from repro.automata.automaton import BufferSpec, ConstraintAutomaton
@@ -34,6 +37,7 @@ from repro.automata.product import (
     ComposedStep,
     ComposeMemo,
     compose_outgoing,
+    compose_segments,
     merged_buffers,
 )
 from repro.util.errors import CompileError
@@ -160,8 +164,10 @@ class LazyProduct:
         self._memo = ComposeMemo(self.automata)
         self.expansions = 0
         self.initial: tuple[int, ...] = tuple(a.initial for a in self.automata)
-        # Expand the initial state up front, as §IV.D prescribes.
-        self.outgoing(self.initial)
+        # Expand the initial state up front, as §IV.D prescribes (its
+        # segments are the compiled tier's first row).
+        self.first = self.expand(self.initial)
+        self.cache.put(self.initial, list(chain.from_iterable(self.first[1])))
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -177,17 +183,24 @@ class LazyProduct:
     def outgoing(self, state: tuple[int, ...]) -> list[ComposedStep]:
         steps = self.cache.get(state)
         if steps is None:
-            steps = self.expand(state)
+            steps = list(chain.from_iterable(self.expand(state)[1]))
             self.cache.put(state, steps)
         return steps
 
-    def expand(self, state: tuple[int, ...]) -> list[ComposedStep]:
-        """Compose ``state``'s steps through the memo, past the cache: for
-        the engine's compiled tier, which stores what it derives from them."""
+    def expand(self, state: tuple[int, ...], came=None, at=None) -> tuple:
+        """Compose ``state``'s segments through the memo, past the cache:
+        for the compiled tier, which stores what it derives from them.
+        ``came`` is the row (``state``, ``steps``, ``segments``) whose
+        candidate ``at`` led here: only what that firing changed is
+        recomposed (:func:`~repro.automata.product.compose_segments`)."""
         self.expansions += 1
-        return compose_outgoing(
-            self.automata, state, mode=self.mode, memo=self._memo
-        )
+        if self.mode != "minimal":
+            return None, [compose_outgoing(self.automata, state, self.mode)], None
+        if came is None:
+            return compose_segments(self.automata, state, self._memo)
+        return compose_segments(
+            self.automata, state, self._memo, came.segments,
+            [i for i in came.steps[at].parts if state[i] != came.state[i]])
 
     def release(self) -> None:
         """Drop every expansion and memoised closure (the owning connector
@@ -195,9 +208,6 @@ class LazyProduct:
         demand — and ``expansions`` keeps its count."""
         self.cache.clear()
         self._memo.clear()
-
-    def successor(self, state: tuple[int, ...], step: ComposedStep) -> tuple[int, ...]:
-        return step.successor(state)
 
     def validate_state(self, state) -> tuple[int, ...]:
         """Check that ``state`` is a well-formed state of this product.

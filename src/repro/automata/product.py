@@ -28,6 +28,7 @@ product in :mod:`repro.automata.lazy` call it.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -78,7 +79,7 @@ class ComposeMemo:
 
     A global state of a wide product is a tuple over many small components,
     and its outgoing steps are the same few local transition sets met in
-    every other global state.  Three things are remembered, none of them
+    every other global state.  Four things are remembered, none of them
     keyed on a global state:
 
     * ``owners`` — vertex → owning components;
@@ -90,7 +91,10 @@ class ComposeMemo:
       so the same step met from different global states (or under
       different neighbourhoods) is the same object.  Steps are immutable
       and :meth:`ComposedStep.successor` takes the state as an argument;
-      the compiled tier emits one function per such object.
+      the compiled tier emits one function per such object;
+    * ``readers`` — per component, the segments (:func:`compose_segments`)
+      its local state can change: its own, and those whose memoised
+      closures consulted it.
 
     A memo belongs to the automata list it was built for — a
     :class:`~repro.automata.lazy.LazyProduct` owns one for its lifetime,
@@ -102,16 +106,20 @@ class ComposeMemo:
     rebuilt on demand; that is invisible apart from the time it costs.
     """
 
-    __slots__ = ("owners", "local", "seeds", "steps", "entries")
+    __slots__ = ("owners", "local", "active", "seeds", "steps", "entries",
+                 "readers", "epoch")
 
     def __init__(self, automata: Sequence[ConstraintAutomaton]):
         self.owners = _vertex_owners(automata)
+        #: the components with a transition, one segment (slot) each
+        self.active = tuple(i for i, a in enumerate(automata) if a.transitions)
         #: per component, local state → its outgoing transitions, equal
         #: ones dropped (so that no two enumerated steps are equal and the
         #: enumeration needs no duplicate filter of its own)
         self.local: list[dict[int, tuple[Transition, ...]]] = [
             {} for _ in automata
         ]
+        self.epoch = 0  # bumped by clear(): older segments are not reused
         self.clear()
 
     def clear(self) -> None:
@@ -123,6 +131,11 @@ class ComposeMemo:
         self.steps: dict[tuple, ComposedStep] = {}
         #: memoised closures: one per seed and neighbourhood met
         self.entries = 0
+        #: component → its slot and those whose closures consulted it
+        self.readers: list[set[int]] = [set() for _ in self.local]
+        for k, i in enumerate(self.active):
+            self.readers[i].add(k)
+        self.epoch += 1
 
 
 #: Bound on :class:`ComposeMemo` entries (closures, a few steps each).
@@ -141,10 +154,11 @@ def compose_outgoing(
     (see :class:`ComposeMemo`); it changes neither the steps nor their
     order.  ``mode="maximal"`` has no use for it."""
     if mode == "minimal":
-        return _compose_minimal(
+        _, segments, _ = compose_segments(
             automata, local_states,
             memo if memo is not None else ComposeMemo(automata),
         )
+        return list(chain.from_iterable(segments))
     if mode == "maximal":
         return _compose_maximal(automata, local_states)
     raise CompileError(f"unknown composition mode {mode!r}")
@@ -158,12 +172,17 @@ def _vertex_owners(automata: Sequence[ConstraintAutomaton]) -> dict[str, list[in
     return owners
 
 
-def _compose_minimal(
+def compose_segments(
     automata: Sequence[ConstraintAutomaton],
     local_states: Sequence[int],
     memo: ComposeMemo,
-) -> list[ComposedStep]:
-    """Minimal closed sets of compatible local transitions.
+    came: tuple | None = None,
+    changed=(),
+) -> tuple:
+    """Minimal closed sets of compatible local transitions, one *segment*
+    per component with a transition (:attr:`ComposeMemo.active`): the steps
+    grown from its seeds, in seed order.  Laid end to end, the segments are
+    :func:`compose_outgoing`'s list.
 
     Starting from each seed transition, components that own a vertex of the
     current union label are *forced* to participate; we branch over their
@@ -178,29 +197,51 @@ def _compose_minimal(
     component's own seeds already produced, and is cut.  Together with
     :attr:`ComposeMemo.local` this makes every enumerated step distinct,
     in the order the uncut enumeration first met them.
+
+    Returns ``(epoch, segments, redone)``.  ``came``, such a result for a
+    state differing at most at components ``changed``, is reused if of the
+    memo's epoch: a segment reads only the local states its closures
+    consulted, so only the changed components' :attr:`ComposeMemo.readers`
+    are recomposed (``redone``); else all are (``redone`` is ``None``).
     """
     if memo.entries > MEMO_CAP:
         memo.clear()
-    steps: list[ComposedStep] = []
-    for i, s in enumerate(local_states):
+    active = memo.active
+    if came is not None and came[0] == memo.epoch:
+        segments = came[1].copy()
+        redone = set()
+        for j in changed:
+            redone |= memo.readers[j]
+    else:
+        segments = [()] * len(active)
+        redone = None
+    for k in range(len(active)) if redone is None else redone:
+        i = active[k]
+        s = local_states[i]
         seeds = memo.seeds[i].get(s)
         if seeds is None:
             seeds = memo.seeds[i][s] = [
                 (t, {}) for t in _local_outgoing(automata, memo, i, s)
             ]
+        segment = ()
         for t, table in seeds:
-            for comps, (key_of, by_states) in table.items():
+            for key_of, by_states in table.values():
                 found = by_states.get(key_of(local_states))
                 if found is not None:
                     break
             else:
                 comps, found = _grow(automata, local_states, memo, i, t)
-                key_of, by_states = table.setdefault(
-                    comps, (_states_of(comps), {}))
-                by_states[key_of(local_states)] = found
+                entry = table.get(comps)
+                if entry is None:
+                    entry = table[comps] = (_states_of(comps), {})
+                    for j in comps:
+                        memo.readers[j].add(k)
+                entry[1][entry[0](local_states)] = found
                 memo.entries += 1
-            steps.extend(found)
-    return steps
+            # a memoised list is shared, never extended in place
+            segment = segment + found if segment else found
+        segments[k] = segment
+    return memo.epoch, segments, redone
 
 
 def _states_of(comps: tuple[int, ...]):
@@ -248,7 +289,7 @@ def _grow(
         if pending is None:
             # Closed: check full agreement (L ∩ V_i == label(t_i)).
             for i, ti in parts.items():
-                if (frozenset(label) & automata[i].vertices) != ti.label:
+                if (label & automata[i].vertices) != ti.label:
                     return
             key = tuple(sorted((i, id(ti)) for i, ti in parts.items()))
             step = memo.steps.get(key)
@@ -260,7 +301,7 @@ def _grow(
         if j < seed:
             return  # canonical seed: component j's own seeds grow this set
         consulted[j] = None
-        need = frozenset(label) & automata[j].vertices
+        need = label & automata[j].vertices
         for tj in _local_outgoing(automata, memo, j, local_states[j]):
             if tj.label >= need:
                 parts[j] = tj

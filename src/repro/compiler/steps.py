@@ -53,6 +53,7 @@ mutates its deques in place for precisely this reason.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import FunctionType
 
 from repro.automata.simplify import (
@@ -117,25 +118,29 @@ class StateRow:
     ``by_vertex`` — ``None`` until :meth:`index` — maps a boundary vertex to
     the least boundary width among the candidates naming it: a post on it
     enables none of them while fewer vertices than that are pending.
+    ``segments`` — ``(memo epoch, step segments, entry segments)``, laid end
+    to end in ``steps`` and ``entries`` — is what a successor's row reuses.
     """
 
     __slots__ = ("state", "steps", "entries", "links", "cursor", "by_vertex",
-                 "__weakref__")
+                 "segments", "__weakref__")
 
-    def __init__(self, state, steps, entries: tuple):
+    def __init__(self, state, steps, entries: tuple, segments):
         self.state = state
         self.steps = steps
         self.entries = entries
         self.links: list = [None] * len(entries)
         self.cursor = None
         self.by_vertex = None
+        self.segments = segments
 
     def index(self) -> None:
         least = self.by_vertex = {}
         for e in self.entries:
             width = len(e.boundary)
             for v in e.boundary:
-                least[v] = min(least.get(v, width), width)
+                if least.get(v, width) >= width:
+                    least[v] = width
 
 
 class StepCompiler:
@@ -184,24 +189,36 @@ class StepCompiler:
 
     # ------------------------------------------------------------------
 
-    def compile_state(self, steps, state) -> StateRow:
+    def compile_state(self, state, expansion, came=None) -> StateRow:
         """Compile one control state's candidate transitions, in candidate
         order (round-robin cursors index this list identically in both
-        tiers).  Raises :class:`CompileError` on the first refusal — the
-        caller demotes the whole region, per the module contract."""
-        return StateRow(
-            state, steps, tuple(map(self.compile_transition, steps)))
+        tiers), from ``expand``'s ``(epoch, segments, redone)``: just the
+        ``redone`` segments where ``came``, the row ``expand`` was given,
+        lends the others.  Raises :class:`CompileError` on the first
+        refusal — the caller demotes the whole region, per the module
+        contract."""
+        epoch, segments, redone = expansion
+        compile_transition = self.compile_transition
+        if redone is None:
+            entries = [tuple(map(compile_transition, seg)) for seg in segments]
+        else:
+            entries = came.segments[2].copy()
+            for k in redone:
+                entries[k] = tuple(map(compile_transition, segments[k]))
+        return StateRow(state, list(chain.from_iterable(segments)),
+                        tuple(chain.from_iterable(entries)),
+                        (epoch, segments, entries))
 
     def compile_automaton(self, automaton) -> dict:
         """Compile every state of an eager region's large automaton into a
-        ``{state: StateRow}`` table."""
+        ``{state: StateRow}`` table (one segment per state)."""
         if len(automaton.transitions) > TRANSITION_BUDGET:
             raise CompileError(
                 f"region has {len(automaton.transitions)} transitions, over "
                 f"the step-compile budget of {TRANSITION_BUDGET}"
             )
         return {
-            s: self.compile_state(automaton.outgoing(s), s)
+            s: self.compile_state(s, (None, [automaton.outgoing(s)], None))
             for s in range(automaton.n_states)
         }
 

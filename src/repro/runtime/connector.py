@@ -376,13 +376,17 @@ class RuntimeConnector(Connector):
         # baseline for drain accounting (migration overwrites it with
         # carried user data).
         fresh_occupancy = sum(store.occupancy(n) for n in store.names())
-        old_contents = engine.buffers.snapshot()
-        _, dropped = migrate_buffers(old_contents, store, name_map)
-        # The fresh regions sit in their initial control states, which for
-        # occupancy-tracking automata cannot see the migrated contents —
-        # move each region to the state the contents imply (values no
-        # control state can account for are dropped-and-reported).
-        dropped.update(reconcile_region_states(regions, store))
+        dropped: dict[str, tuple] = {}
+
+        def migrate() -> None:  # with the world stopped: no send lost
+            dropped.update(migrate_buffers(engine.buffers.snapshot(), store,
+                                           name_map)[1])
+            # The fresh regions sit in their initial control states, which
+            # for occupancy-tracking automata cannot see the migrated
+            # contents — move each region to the state the contents imply
+            # (values no control state can account for are
+            # dropped-and-reported).
+            dropped.update(reconcile_region_states(regions, store))
 
         # Detach the departing ports first: their party registration leaves
         # the registry before detection re-evaluates against the survivors.
@@ -397,6 +401,7 @@ class RuntimeConnector(Connector):
             vertex_map,
             expected_delta=max(len(owners), 1),
             initial_occupancy=fresh_occupancy,
+            prepare=migrate,
         )
         if self.composition == "aot":
             engine.precompile_plans()

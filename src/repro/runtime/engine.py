@@ -582,7 +582,10 @@ class CoordinatorEngine(EngineHost):
                     # Lazy regions specialize per visited state, starting
                     # with the current one — an up-front probe so obvious
                     # refusals demote before the first firing.
-                    row = compiler.compile_state(r.candidates(), r.state)
+                    lazy = r.lazy
+                    row = compiler.compile_state(
+                        r.state, lazy.first if r.state == lazy.initial
+                        else lazy.expand(r.state))
                     r.table.clear()  # the initial state's steps
                     r.table.put(r.state, row)
             except CompileError:
@@ -725,6 +728,7 @@ class CoordinatorEngine(EngineHost):
         vertex_map: dict[str, str],
         expected_delta: int = 0,
         initial_occupancy: int | None = None,
+        prepare=None,
     ) -> None:
         """Replace this engine's protocol wholesale — the re-parametrization
         primitive.
@@ -747,12 +751,15 @@ class CoordinatorEngine(EngineHost):
         lock is old and new at once) are additionally taken before the new
         bindings are published: a submitter resolving one parks on its lock
         until the swap, closing drain included, is over; one holding an old
-        binding then follows its ``successor``.
+        binding then follows its ``successor``.  ``prepare`` runs first,
+        once the world is stopped.
         """
         with self._lock:
             old_locks = self._freeze()
             new_acquired: tuple = ()
             try:
+                if prepare is not None:
+                    prepare()
                 self._steps_base = self.steps
                 self._scan_base = self.scan_total
                 old_send, old_recv = self._pending_send, self._pending_recv
@@ -1156,7 +1163,7 @@ class CoordinatorEngine(EngineHost):
         seen once pays for neither."""
         row = region.table.get(region.state)
         if row is None:
-            return self._compile_region_state(region)
+            return self._compile_region_state(region, came, at)
         if region.links:
             if row.by_vertex is None:
                 row.index()
@@ -1255,16 +1262,15 @@ class CoordinatorEngine(EngineHost):
                     again = True
                     self._drain_region(region, None)
 
-    def _compile_region_state(self, region):
+    def _compile_region_state(self, region, came, at):
         """Fill a compiled lazy region's table at its current control state
-        (discovered only now, or evicted since): compose once, specialize
-        once, store once.  Returns the new table entry, or ``None`` after
-        demoting the region — the caller then interprets."""
+        (new, or evicted since) from row ``came``, whose candidate ``at``
+        led here.  Returns the new table entry, or ``None`` after demoting
+        the region — the caller then interprets."""
         state = region.state
         try:
             row = self._step_compiler.compile_state(
-                region.lazy.expand(state), state
-            )
+                state, region.lazy.expand(state, came, at), came)
         except CompileError:
             if self._compiled == "require":
                 raise

@@ -224,11 +224,11 @@ def _occupancy_vectors(automaton) -> dict[int, dict[str, int]] | None:
 
     Walks the automaton from its initial state applying Push (+1) / Pop (−1)
     effects on its *own* buffers, seeded from each :class:`BufferSpec`'s
-    initial contents.  Paths that would overfill or underflow a buffer are
-    pruned (their guards could never hold).  Returns ``None`` when some
-    state is reachable with two different vectors — then occupancy is not
-    tracked in control state (data-dependent guards govern instead) and
-    reconciliation must not touch the state.
+    initial contents.  Returns ``None`` when some state is reachable with
+    two different vectors, or has a transition that would overfill or
+    underflow a buffer from its vector (a partitioned fifo's reader half)
+    — then occupancy is not tracked in control state (data-dependent
+    guards govern instead) and reconciliation must not touch the state.
     """
     from repro.automata.constraint import Pop, Push
 
@@ -244,7 +244,6 @@ def _occupancy_vectors(automaton) -> dict[int, dict[str, int]] | None:
         vec = vectors[state]
         for t in automaton.outgoing(state):
             nvec = dict(vec)
-            feasible = True
             for e in t.effects:
                 name = getattr(e, "buffer", None)
                 if name not in nvec:
@@ -253,15 +252,11 @@ def _occupancy_vectors(automaton) -> dict[int, dict[str, int]] | None:
                     nvec[name] += 1
                     cap = owned[name].capacity
                     if cap is not None and nvec[name] > cap:
-                        feasible = False
-                        break
+                        return None
                 elif isinstance(e, Pop):
                     nvec[name] -= 1
                     if nvec[name] < 0:
-                        feasible = False
-                        break
-            if not feasible:
-                continue
+                        return None
             prev = vectors.get(t.target)
             if prev is None:
                 vectors[t.target] = nvec

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.automata.lazy import FIFOCache, LRUCache, RandomCache
 from repro.connectors import library
 from repro.runtime.durable import checkpoint_to_data
 from repro.runtime.ports import mkports
@@ -179,3 +180,44 @@ def test_a_region_demoted_by_hand_carries_on(name, n):
     for run in (demoted, kept):
         run.posts(POSTS // 2, (100,))
     assert demoted.finish() == kept.finish()
+
+
+BOUNDED_CASES = [("EarlyAsyncMerger", 8), ("LateAsyncReplicator", 6)]
+CACHES = {"lru": LRUCache, "fifo": FIFOCache, "random": RandomCache}
+
+
+@pytest.mark.parametrize("name,n", BOUNDED_CASES)
+def test_bounded_tables_evict_the_rows_new_states_are_built_from(name, n):
+    """A bounded table of 2–4 rows evicts the row a new state was just
+    built from — storing the new row may push it out — while the drain
+    still holds it: completions, steps, cursors and checkpoint bytes are
+    those of an unbounded table and of the interpreter.  A random table
+    does evict it there; an LRU table never does (the drain has just read
+    or stored that row: it is the most recent one), nor does a FIFO table
+    on a schedule that never returns to an older state."""
+    reference = history(name, n, compiled="off")
+    assert history(name, n) == reference
+    evicted: dict = {kind: [] for kind in CACHES}
+    for kind, cache in CACHES.items():
+        for capacity in (2, 3, 4):
+            run = Posted(name, n, cache_factory=lambda: cache(capacity))
+            (region,) = run.conn.engine.regions
+            lazy, table = region.lazy, region.table
+            expand, put = lazy.expand, table.put
+            came_from = []
+
+            def expanding(state, came=None, at=None):
+                came_from.append(came)
+                return expand(state, came, at)
+
+            def putting(state, row):
+                put(state, row)
+                came = came_from[-1] if came_from else None
+                if came is not None:
+                    evicted[kind].append(all(s != came.state
+                                             for s, _ in table.items()))
+
+            lazy.expand, table.put = expanding, putting
+            run.posts(POSTS, CUTS)
+            assert run.finish() == reference, (kind, capacity)
+    assert any(evicted["random"])

@@ -1,6 +1,7 @@
 """Engine behaviour: reactivity, τ-steps, fairness, step counting, stats."""
 
 import threading
+import time
 
 import pytest
 
@@ -49,7 +50,13 @@ def test_stats_shape():
 
 
 def test_merger_fairness_round_robin():
-    """With both producers always ready, neither starves."""
+    """With both producers always ready, neither starves.
+
+    "Always ready" is made true before every receive: it waits until both
+    tails have a send pending.  Without that wait, about four receives in
+    five found only one send pending — the other producer's thread had not
+    run again yet — so the scheduler, not the round-robin, picked the
+    sender, and about one run in twenty counted ≤ 20 for one side."""
     conn = connector_from_graph(library.build_graph("Merger", 2))
     outs, ins = mkports(2, 1)
     conn.connect(outs, ins)
@@ -63,10 +70,18 @@ def test_merger_fairness_round_robin():
         except Exception:
             pass
 
+    def both_pending():
+        return all(depth for _, kind, depth in conn.engine.pending_depths()
+                   if kind == "send")
+
     with TaskGroup() as g:
         g.spawn(producer, 0)
         g.spawn(producer, 1)
         for _ in range(200):
+            deadline = time.monotonic() + 10.0
+            while not both_pending():
+                assert time.monotonic() < deadline, "a producer never sent"
+                time.sleep(0.0002)
             counts[ins[0].recv()] += 1
         stop.set()
         conn.close()

@@ -545,6 +545,50 @@ def test_arity_3_to_2_buffered_values_migrate():
     conn.close()
 
 
+def test_leave_carries_a_send_completed_before_the_world_stops():
+    """A send that completes into a survivor's fifo after ``leave()`` has
+    re-evaluated the protocol but before the engine stops the world is
+    migrated with the rest: the buffers are read with the world stopped.
+    The send is made deterministic by running it from a wrapper around
+    ``engine.reconfigure``, i.e. exactly in that window."""
+    conn = library.connector("EarlyAsyncMerger", 3, default_timeout=OP_TIMEOUT)
+    outs, ins = mkports(3, 1)
+    conn.connect(outs, ins)
+    outs[0].send("early")
+    engine = conn.engine
+    reconfigure = engine.reconfigure
+
+    def send_then_reconfigure(*args, **kwargs):
+        outs[2].send("late")  # completes at once: the fifo has room
+        return reconfigure(*args, **kwargs)
+
+    engine.reconfigure = send_then_reconfigure
+    report = conn.leave(outs[1], task="B")
+    assert not report.dropped_buffers
+    got = sorted(ins[0].recv(timeout=OP_TIMEOUT) for _ in range(2))
+    assert got == ["early", "late"]
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["regions", "global"])
+def test_partitioned_leave_keeps_buffered_values(concurrency):
+    """Partitioned, a fifo is a writer half and a reader half, one state
+    each, whose buffer guards — not control states — track occupancy:
+    reconciliation leaves them be instead of dropping what they hold."""
+    conn = library.connector("EarlyAsyncMerger", 3, use_partitioning=True,
+                             concurrency=concurrency,
+                             default_timeout=OP_TIMEOUT)
+    outs, ins = mkports(3, 1)
+    conn.connect(outs, ins)
+    outs[0].send("first")
+    outs[1].send("second")
+    report = conn.leave(outs[2], task="C")
+    assert not report.dropped_buffers
+    assert sorted(ins[0].recv(timeout=OP_TIMEOUT) for _ in range(2)) == [
+        "first", "second"]
+    conn.close()
+
+
 def test_arity_2_to_1_unaccountable_contents_dropped_and_reported():
     """2→1 where the departed party's protocol state cannot be carried: the
     alternator's turn-tracking token belongs to the removed index, so it is
