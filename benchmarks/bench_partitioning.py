@@ -7,22 +7,25 @@ such a state is reached, it is expanded, which requires computing its
 exponentially many transitions.  This problem can be overcome by extending
 the new compiler with another existing optimization technique [32]."
 
-Here: (a) the micro-phenomenon — per-state expansion cost in the textbook
-(maximal) product explodes with the number of independent enabled
-transitions, while partitioned regions expand independently; (b) the
-macro-result — the Reo-based CG gather connector at larger N, maximal mode,
-monolithic vs. partitioned.
+Both halves are measured on the textbook (maximal) product itself
+(``compose_outgoing(..., mode="maximal")``, ``product(..., mode=...)``); a
+connector only ever runs the minimal one.  Here: (a) the micro-phenomenon —
+per-state expansion cost in the maximal product explodes with the number
+of independent enabled transitions, while partitioned regions expand
+independently; (b) the macro-result — the automata of the Reo-based CG's
+connectors at larger N, maximal products, monolithic vs. per partitioned
+region.
 """
 
 import time
 
 import pytest
 
-from repro.automata.lazy import LazyProduct
 from repro.automata.partition import partition_automata
+from repro.automata.product import compose_outgoing, product
 from repro.connectors.graph import Arc
 from repro.connectors.primitives import build_automaton
-from repro.npb import cg
+from repro.npb.common import make_bcast, make_gather
 
 
 def independent_fifos(k):
@@ -32,18 +35,19 @@ def independent_fifos(k):
     ]
 
 
+def initial_expansion(automata) -> int:
+    """Transitions of the maximal product's initial state."""
+    return len(compose_outgoing(automata, [a.initial for a in automata],
+                                "maximal"))
+
+
 def expansion_cost_monolithic(k: int) -> int:
-    lp = LazyProduct(independent_fifos(k), mode="maximal")
-    return len(lp.outgoing(lp.initial))
+    return initial_expansion(independent_fifos(k))
 
 
 def expansion_cost_partitioned(k: int) -> int:
-    regions = partition_automata(independent_fifos(k))
-    total = 0
-    for region in regions:
-        lp = LazyProduct(region, mode="maximal")
-        total += len(lp.outgoing(lp.initial))
-    return total
+    return sum(map(initial_expansion,
+                   partition_automata(independent_fifos(k))))
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
@@ -63,29 +67,46 @@ def test_partitioned_expansion(benchmark, k):
 
 
 def test_partitioning_rescues_npb_at_larger_n(once):
-    """The macro-result: the CG gather at N=12 in textbook-maximal mode.
+    """The macro-result: the CG broadcast and gather connectors up to
+    N = 12, maximal products, per partitioned region.
 
-    Monolithic maximal expansion touches states with 2^12-ish joint
-    transitions; partitioned regions never co-enumerate independent fifos.
-    We run the full Reo-based CG (class S) both ways with a wall-clock
-    ceiling on the monolithic variant.
+    The gather's monolithic maximal product has 2^N − 1 transitions from
+    its initial state alone; partitioned, every region's whole maximal
+    product is counted — states, transitions and the widest state — and
+    all three grow linearly in N: the regions never co-enumerate
+    independent fifos.
     """
 
     def run():
-        n = 12
+        rows = {}
+        for n in (4, 8, 12):
+            for make in (make_bcast, make_gather):
+                regions = partition_automata(
+                    make(n, use_partitioning=True).automata)
+                larges = [product(r, mode="maximal") for r in regions]
+                rows[make.__name__, n] = (
+                    len(regions),
+                    sum(a.n_states for a in larges),
+                    sum(len(a.transitions) for a in larges),
+                    max(len(a.outgoing(s)) for a in larges
+                        for s in range(a.n_states)))
         t0 = time.perf_counter()
-        partitioned = cg.run_reo(
-            "S", n, use_partitioning=True, step_mode="maximal"
-        )
-        t_part = time.perf_counter() - t0
-        assert partitioned.verified
-        return {"partitioned_s": t_part, "n": n}
+        monolithic = initial_expansion(make_gather(12).automata)
+        return rows, monolithic, time.perf_counter() - t0
 
-    out = once(run)
-    print(f"\nCG S, N={out['n']}, maximal step mode, partitioned: "
-          f"{out['partitioned_s']:.2f}s (monolithic-maximal is infeasible: "
-          f"per-state expansion is exponential in N — see the micro-"
-          f"benchmarks above)")
+    rows, monolithic, secs = once(run)
+    print()
+    for (what, n), (regions, states, transitions, widest) in rows.items():
+        print(f"  CG {what}, N={n}: {regions} regions, {states} states, "
+              f"{transitions} transitions, widest state {widest}")
+        if what == "make_gather":
+            assert (regions, states, transitions, widest) == (
+                n + 1, n + 1, 2 * n, n)
+        else:
+            assert transitions == widest == 1
+    print(f"  CG make_gather, N=12, monolithic: {monolithic} transitions "
+          f"from the initial state alone ({secs:.2f}s)")
+    assert monolithic == 2**12 - 1
 
 
 def test_monolithic_maximal_blows_up_demonstrably(once):

@@ -52,9 +52,6 @@ class Buf:
 
     buffer: str
 
-    def rename_buffers(self, mapping: dict[str, str]) -> "Buf":
-        return Buf(mapping.get(self.buffer, self.buffer))
-
 
 @dataclass(frozen=True, slots=True)
 class Const:

@@ -36,7 +36,6 @@ from repro.automata.automaton import BufferSpec, ConstraintAutomaton
 from repro.automata.product import (
     ComposedStep,
     ComposeMemo,
-    compose_outgoing,
     compose_segments,
     merged_buffers,
 )
@@ -142,7 +141,9 @@ class LazyProduct:
     """The product automaton of Eq. 1, expanded state by state on demand.
 
     States are tuples of component states.  ``outgoing(state)`` returns the
-    composed steps from that state, consulting/filling the cache.
+    composed (minimal) steps from that state, consulting/filling the cache;
+    the textbook maximal steps of a state are
+    ``compose_outgoing(automata, state, "maximal")``.
 
     The cache is keyed on global states and may be bounded; beside it the
     product owns a :class:`~repro.automata.product.ComposeMemo`, keyed on
@@ -154,11 +155,9 @@ class LazyProduct:
     def __init__(
         self,
         automata: Sequence[ConstraintAutomaton],
-        mode: str = "minimal",
         cache=None,
     ):
         self.automata = list(automata)
-        self.mode = mode
         self.cache = cache if cache is not None else UnboundedCache()
         self._buffers = merged_buffers(self.automata)
         self._memo = ComposeMemo(self.automata)
@@ -194,8 +193,6 @@ class LazyProduct:
         candidate ``at`` led here: only what that firing changed is
         recomposed (:func:`~repro.automata.product.compose_segments`)."""
         self.expansions += 1
-        if self.mode != "minimal":
-            return None, [compose_outgoing(self.automata, state, self.mode)], None
         if came is None:
             return compose_segments(self.automata, state, self._memo)
         return compose_segments(

@@ -78,7 +78,6 @@ def verify_protocol(
     protocol,
     sizes=None,
     state_budget: int = 50_000,
-    step_mode: str = "minimal",
     registry: FunctionRegistry | None = None,
 ) -> VerificationReport:
     """Verify a :class:`~repro.compiler.plan.CompiledProtocol` at a size.
@@ -93,7 +92,7 @@ def verify_protocol(
 
     smalls = protocol.automata_for(bindings, granularity="small")
     try:
-        large = product(smalls, mode=step_mode, state_budget=state_budget)
+        large = product(smalls, state_budget=state_budget)
     except CompilationBudgetExceeded as exc:
         report.exhaustive = False
         report.findings.append(

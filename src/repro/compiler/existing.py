@@ -54,7 +54,6 @@ def compile_existing(
     name: str | None = None,
     sizes=None,
     state_budget: int | None = DEFAULT_STATE_BUDGET,
-    step_mode: str = "minimal",
     time_budget_s: float | None = None,
 ) -> ExistingCompilation:
     """Compile a definition for a *fixed* number of connectees.
@@ -72,7 +71,6 @@ def compile_existing(
     smalls = protocol.automata_for(bindings, granularity="small")
     large = product(
         smalls,
-        mode=step_mode,
         state_budget=state_budget,
         name=protocol.name,
         time_budget_s=time_budget_s,

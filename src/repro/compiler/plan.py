@@ -354,7 +354,7 @@ class CompiledProtocol:
         """Build a :class:`~repro.runtime.connector.RuntimeConnector`.
 
         ``options`` are forwarded to ``RuntimeConnector`` (``composition``,
-        ``step_mode``, ``use_partitioning``, ``cache_factory``, …).
+        ``use_partitioning``, ``cache_factory``, …).
         """
         from repro.runtime.connector import RuntimeConnector
 

@@ -25,24 +25,25 @@ the plan.  Semantics are identical by construction — the differential-fuzzing
 modes ``regions-compiled``/``global-compiled`` (:mod:`repro.fuzz.harness`)
 hold the two tiers to trace equivalence.
 
-Compile-or-fall-back contract
------------------------------
-Compilation is *best effort*: anything this module cannot specialize raises
-:class:`~repro.util.errors.CompileError`, and the engine demotes the
-affected region to the always-correct interpretive tier (nothing else
-catches that type — see docs/COMPILER.md "When compilation refuses").
-Genuine refusals:
+Refusals
+--------
+There is no fallback tier: under ``compiled="auto"`` a region stays
+compiled for its whole life.  A step is planned through the engine's plan
+cache, the very call the interpreter makes at *first fire*, and what that
+call raises propagates from where the state's row is built — at
+``connect`` for the state a region starts in, at its first visit for any
+other: ``KeyError`` for a function/predicate name not registered, or the
+:class:`~repro.util.errors.ConstraintError` of a constraint
+:func:`~repro.automata.simplify.commandify` rejects (e.g. a push of an
+undetermined value).  Nothing is remembered of a refusal: the row is
+built again, and raises again, on the next visit, and compiles once the
+name is registered.  Registering a name after ``connect`` for a state the
+region starts in needs ``compiled="off"``, which resolves names at first
+fire.
 
-* a constraint the engine cannot plan yet — the compiler asks the engine's
-  plan cache, the call the interpreter makes at *first fire*, and demotes
-  on what that call raises: ``KeyError`` for a function/predicate name not
-  registered (late registration must keep working), or the
-  :class:`~repro.util.errors.ConstraintError` of a constraint
-  :func:`~repro.automata.simplify.commandify` rejects (e.g. a push of an
-  undetermined value), which the interpreter then surfaces as before;
-* a region over the compile budget (:data:`TRANSITION_BUDGET`) — emitting
-  and ``exec``-ing tens of thousands of functions would cost more than it
-  saves.
+An eager region over :data:`TRANSITION_BUDGET` is not compiled up front —
+emitting and ``exec``-ing tens of thousands of functions would cost more
+than it saves — but per visited state, as a lazy region is.
 
 The generated closures bind deque/set **objects**, so every code path that
 replaces such an object must recompile or mutate in place:
@@ -64,12 +65,11 @@ from repro.automata.simplify import (
     FiringPlan,
 )
 from repro.runtime.host import wake
-from repro.util.errors import CompileError, ConstraintError
 
 #: Per-region bound on transitions compiled ahead of time.  An eager region
-#: beyond this is demoted wholesale (exec-ing that many functions would
-#: dwarf any firing speedup); lazy regions compile per *visited* state and
-#: are bounded by their state cache instead.
+#: beyond this compiles per *visited* state instead (exec-ing that many
+#: functions up front would dwarf any firing speedup), as lazy regions
+#: always do.
 TRANSITION_BUDGET = 20_000
 
 
@@ -194,9 +194,7 @@ class StepCompiler:
         order (round-robin cursors index this list identically in both
         tiers), from ``expand``'s ``(epoch, segments, redone)``: just the
         ``redone`` segments where ``came``, the row ``expand`` was given,
-        lends the others.  Raises :class:`CompileError` on the first
-        refusal — the caller demotes the whole region, per the module
-        contract."""
+        lends the others.  A refusal propagates (module docstring)."""
         epoch, segments, redone = expansion
         compile_transition = self.compile_transition
         if redone is None:
@@ -208,19 +206,6 @@ class StepCompiler:
         return StateRow(state, list(chain.from_iterable(segments)),
                         tuple(chain.from_iterable(entries)),
                         (epoch, segments, entries))
-
-    def compile_automaton(self, automaton) -> dict:
-        """Compile every state of an eager region's large automaton into a
-        ``{state: StateRow}`` table (one segment per state)."""
-        if len(automaton.transitions) > TRANSITION_BUDGET:
-            raise CompileError(
-                f"region has {len(automaton.transitions)} transitions, over "
-                f"the step-compile budget of {TRANSITION_BUDGET}"
-            )
-        return {
-            s: self.compile_state(s, (None, [automaton.outgoing(s)], None))
-            for s in range(automaton.n_states)
-        }
 
     # ------------------------------------------------------------------
 
@@ -252,7 +237,7 @@ class StepCompiler:
         key = (label, id(atoms), id(effects))
         hit = self._emitted.get(key)
         if hit is None:
-            fire, source, touched = self._emit(label, self._plan(step))
+            fire, source, touched = self._emit(label, self._plan_for(step))
             hit = self._emitted[key] = (
                 CompiledStep(
                     label, touched, fire, source,
@@ -261,18 +246,6 @@ class StepCompiler:
                 atoms, effects,  # kept alive so their ids stay theirs
             )
         return hit[0]
-
-    def _plan(self, step) -> FiringPlan:
-        """The step's plan, from the very call the interpreter would make
-        at first fire; what that call raises there is a refusal here."""
-        try:
-            return self._plan_for(step)
-        except KeyError as exc:
-            # A name not registered yet: demoting keeps a registration
-            # between connect and first fire working.
-            raise CompileError(f"{exc.args[0]} at compile time") from exc
-        except ConstraintError as exc:
-            raise CompileError(f"unplannable constraint: {exc}") from exc
 
     # ------------------------------------------------------------------
 
@@ -444,7 +417,7 @@ def region_sources(engine) -> list[tuple[int, object, str, str]]:
     rows: list[tuple[int, object, str, str]] = []
     for region in engine.regions:
         if not region.compiled:
-            continue  # its table, if any, holds steps, not compiled entries
+            continue  # compiled="off": its table, if any, holds steps
         for state, row in sorted(region.table.items(),
                                  key=lambda kv: repr(kv[0])):
             for entry in row.entries:

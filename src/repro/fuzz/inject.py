@@ -30,11 +30,12 @@ def rr_window(conn) -> None:
 
         # Instance attribute shadows the bound method for this region only.
         region.candidates = doctored
-        # Demote the region from the compiled step tier: compiled tables
-        # never consult candidates() at fire time, which would render the
+        # Take the region off the compiled step tier: compiled rows never
+        # consult candidates() at fire time, which would render the
         # injected bug invisible (and the oracle toothless) under a
         # compiled mode.
-        region.demote()
+        region.drop_rows()
+        region.compiled = False
 
 
 #: Registry used by the CLI's ``--inject`` flag and replay files.

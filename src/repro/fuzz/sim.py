@@ -95,7 +95,7 @@ class RefSim:
         self.heads = tuple(heads)
         self.sources = frozenset(tails)
         self.sinks = frozenset(heads)
-        self.lazy = LazyProduct(list(self.automata), mode="minimal")
+        self.lazy = LazyProduct(list(self.automata))
         self.buffers = BufferStore(merged_buffers(self.automata))
         self.state = self.lazy.initial
         self._plans: dict[int, object] = {}

@@ -216,8 +216,8 @@ def run_original(clazz: str, nprocs: int) -> BenchResult:
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
     """The Reo-based CG: broadcast = Replicator(N), gather =
     EarlyAsyncMerger(N).  ``options`` select the compilation/execution
-    strategy (``composition='aot'|'jit'``, ``use_partitioning=True``,
-    ``step_mode='maximal'`` …) and are forwarded to both connectors."""
+    strategy (``composition='aot'|'jit'``, ``use_partitioning=True`` …)
+    and are forwarded to both connectors."""
     p = CLASSES[clazz]
     a = make_matrix(clazz)
     blocks = block_ranges(p["na"], nprocs)

@@ -10,8 +10,6 @@ linked to outports/inports), and execution options:
   to implement; resources may be spent unnecessarily");
 * ``use_partitioning=True`` — apply the ref-[32] partitioning first, so each
   independent region composes (eagerly or lazily) on its own;
-* ``step_mode`` — ``"minimal"`` (default) or ``"maximal"`` global-step
-  enumeration, see :mod:`repro.automata.product`;
 * ``cache_factory`` — state-cache constructor for JIT regions (unbounded by
   default; pass e.g. ``lambda: LRUCache(1024)`` for the bounded-cache
   extension);
@@ -40,11 +38,15 @@ linked to outports/inports), and execution options:
   the checkpoint matrix, see docs/DECISIONS.md); see docs/INTERNALS.md
   §"Engine concurrency model";
 * ``compiled`` — the specialized step tier (docs/COMPILER.md): ``"auto"``
-  (default) emits a specialized Python step function per transition at
-  connect time and silently demotes anything uncompilable to the
-  interpretive engine; ``"off"`` interprets everything; ``"require"``
-  raises :class:`~repro.util.errors.CompileError` instead of demoting
-  (tests and tooling).
+  (default) emits a specialized Python step function per transition — at
+  connect time for an eager region, per visited state for a lazy one — and
+  fires only those; what the interpreter would raise at first fire (an
+  unregistered function name) is raised where a state's steps are
+  compiled.  ``"off"`` interprets everything, resolving names at first
+  fire: the reference the compiled tier is tested against.
+
+Global steps are always the *minimal* ones (:mod:`repro.automata.product`);
+the textbook maximal enumeration is a product-level mode only.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class RuntimeConnector(Connector):
         tail_vertices: Sequence[str],
         head_vertices: Sequence[str],
         composition: str = "jit",
-        step_mode: str = "minimal",
         use_partitioning: bool = False,
         cache_factory: Callable[[], object] | None = None,
         registry: FunctionRegistry | None = None,
@@ -105,15 +106,12 @@ class RuntimeConnector(Connector):
             raise ValueError(
                 f"concurrency must be 'regions' or 'global', not {concurrency!r}"
             )
-        if compiled not in ("auto", "off", "require"):
-            raise ValueError(
-                f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
-            )
+        if compiled not in ("auto", "off"):
+            raise ValueError(f"compiled must be 'auto' or 'off', not {compiled!r}")
         self.automata = list(automata)
         self.tail_vertices = list(tail_vertices)
         self.head_vertices = list(head_vertices)
         self.composition = composition
-        self.step_mode = step_mode
         self.use_partitioning = use_partitioning
         self.cache_factory = cache_factory
         self.registry = registry or DEFAULT_REGISTRY
@@ -238,11 +236,7 @@ class RuntimeConnector(Connector):
             all_buffers.extend(merged_buffers(group))
             if self.composition == "aot":
                 large = product(
-                    group,
-                    mode=self.step_mode,
-                    state_budget=self.state_budget,
-                    name=self.name,
-                )
+                    group, state_budget=self.state_budget, name=self.name)
                 # Hide internal vertices so the global index dispatches
                 # internal data movements as τ-steps (labels restricted to
                 # the boundary, as the existing compiler does).
@@ -250,13 +244,10 @@ class RuntimeConnector(Connector):
                 regions.append(EagerRegion(large))
             else:
                 cache = self.cache_factory() if self.cache_factory else None
-                if self.step_mode == "minimal":
-                    # Stateless sub-chains composed once, inner vertices
-                    # hidden (the AOT path above hides them after composing).
-                    group = merge_stateless(group, sources | sinks)
-                regions.append(
-                    LazyRegion(LazyProduct(group, mode=self.step_mode, cache=cache))
-                )
+                # Stateless sub-chains composed once, inner vertices hidden
+                # (the AOT path above hides them after composing).
+                group = merge_stateless(group, sources | sinks)
+                regions.append(LazyRegion(LazyProduct(group, cache=cache)))
         return regions, BufferStore(all_buffers)
 
     # ------------------------------------------------------- recovery layer

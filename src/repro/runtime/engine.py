@@ -102,14 +102,14 @@ from typing import Sequence
 
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import FunctionRegistry
-from repro.automata.lazy import LazyProduct
+from repro.automata.lazy import LazyProduct, UnboundedCache
 from repro.automata.simplify import FiringPlan, shared_plan
 from repro.runtime.buffers import BufferStore
 from repro.runtime.host import EngineHost, wake, wake_slot
 from repro.runtime.metrics import LATENCY_STRIDE
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.recovery import Checkpoint, RegionState
-from repro.util.errors import CompileError, OverloadError, PortClosedError
+from repro.util.errors import OverloadError, PortClosedError
 
 #: Bitmask for the sampled latency histogram (LATENCY_STRIDE is a power
 #: of two; ``steps & mask == 0`` is measurably cheaper than ``%``).
@@ -187,7 +187,8 @@ class _RegionRuntime:
         #: no candidate can answer.
         self.dirty = False
         #: The table's row for ``state``, or ``None`` — interpreted region,
-        #: evicting table, or a write outside the drain loop (``reseat``).
+        #: evicting table, a state whose row is not built yet, or a write
+        #: outside the drain loop (``reseat``).
         self.row = None
         #: False once a reconfigure replaced this region — a late chaser
         #: must not fire on discarded protocol structure.
@@ -197,10 +198,10 @@ class _RegionRuntime:
         #: Candidates examined before fired steps (metrics; advanced only
         #: when metered, like the pre-region ``_scan_count``).
         self.scanned = 0
-        #: Compiled step tier (repro.compiler.steps): True while the
-        #: region's ``table`` maps a control state to its StateRow of
-        #: specialized CompiledStep functions; False when the region runs on
-        #: the interpretive engine (compile refusal, or ``compiled="off"``).
+        #: Compiled step tier (repro.compiler.steps): True when the region's
+        #: ``table`` maps a control state to its StateRow of specialized
+        #: CompiledStep functions, for the region's whole life; False under
+        #: ``compiled="off"``, when the interpretive engine runs it.
         self.compiled = False
 
     def reseat(self) -> None:
@@ -219,12 +220,6 @@ class _RegionRuntime:
                 row.links.clear()
         self.table.clear()
 
-    def demote(self) -> None:
-        """Hand this region to the interpretive tier, which refills a
-        lazy region's ``table`` with steps and never reads an eager one's."""
-        self.drop_rows()
-        self.compiled = False
-
 
 class EagerRegion(_RegionRuntime):
     """Region backed by a fully composed automaton."""
@@ -233,10 +228,11 @@ class EagerRegion(_RegionRuntime):
 
     def __init__(self, automaton: ConstraintAutomaton):
         self.automaton = automaton
-        #: ``{state: StateRow}`` for every state, prefilled by the adopting
-        #: engine; empty while the region is interpreted.
-        self.table: dict = {}
-        self.links = True  # nothing evicts a dict: see LazyRegion
+        #: ``{state: StateRow}``, prefilled by the adopting engine for every
+        #: state — or, over ``TRANSITION_BUDGET``, for each as it is
+        #: visited; empty while the region is interpreted.
+        self.table = UnboundedCache()
+        self.links = True  # nothing evicts this table: see LazyRegion
         self.state: int = automaton.initial
         # Per-state round-robin cursors for fairness (see _drain_region): a
         # cursor is an index into one state's candidate list, so sharing a
@@ -268,6 +264,11 @@ class EagerRegion(_RegionRuntime):
 
     def advance(self, step) -> None:
         self.state = step.target
+
+    def expand(self, state, came=None, at=None) -> tuple:
+        """``state``'s transitions as one segment, for the step compiler
+        (what :meth:`LazyRegion.expand` computes, already composed)."""
+        return None, [self.automaton.outgoing(state)], None
 
     def validate_state(self, state) -> int:
         """``state`` as a control state of this region, or ValueError."""
@@ -312,6 +313,9 @@ class LazyRegion(_RegionRuntime):
 
     def advance(self, step) -> None:
         self.state = step.successor(self.state)
+
+    def expand(self, state, came=None, at=None) -> tuple:
+        return self.lazy.expand(state, came, at)
 
     def validate_state(self, state):
         return self.lazy.validate_state(state)
@@ -548,20 +552,21 @@ class CoordinatorEngine(EngineHost):
         return fresh
 
     def _compile_regions(self) -> None:
-        """Install specialized step tables on every region that compiles
-        (see :mod:`repro.compiler.steps`).  ``compiled="auto"`` demotes a
-        region whose transitions cannot be specialized — the interpretive
-        engine is the always-correct fallback; ``"require"`` raises the
-        :class:`~repro.util.errors.CompileError` instead."""
+        """Install specialized step tables on every region (see
+        :mod:`repro.compiler.steps`) unless ``compiled="off"``.  Each region
+        is compiled from here on; the row of the state it is in is built
+        now, so a refusal there raises from this call — with every region
+        already compiled and its table empty of that row, which a drain then
+        builds, and raises on, again."""
         self._step_compiler = None
         if self._compiled == "off":
             return
         # Imported here, not at module level: repro.compiler's package init
         # pulls in the textual-compilation stack, which transitively imports
         # runtime modules — a cycle at import time, but not at run time.
-        from repro.compiler.steps import StepCompiler
+        from repro.compiler.steps import TRANSITION_BUDGET, StepCompiler
 
-        compiler = StepCompiler(
+        compiler = self._step_compiler = StepCompiler(
             self._pending_send,
             self._pending_recv,
             self.buffers,
@@ -570,31 +575,27 @@ class CoordinatorEngine(EngineHost):
             self._closed_vertices,
             self._plan_for,
         )
-        self._step_compiler = compiler
         for r in self.regions:
-            try:
-                if isinstance(r, EagerRegion):
-                    # Eager regions are fully known: compile every state now
-                    # (the existing approach's compile-time share, like
-                    # precompile_plans).
-                    r.table.update(compiler.compile_automaton(r.automaton))
-                else:
-                    # Lazy regions specialize per visited state, starting
-                    # with the current one — an up-front probe so obvious
-                    # refusals demote before the first firing.
-                    lazy = r.lazy
-                    row = compiler.compile_state(
-                        r.state, lazy.first if r.state == lazy.initial
-                        else lazy.expand(r.state))
-                    r.table.clear()  # the initial state's steps
-                    r.table.put(r.state, row)
-            except CompileError:
-                if self._compiled == "require":
-                    raise
-                # "auto": stays interpreted; its table was not touched.
+            r.compiled = True
+            r.table.clear()  # a lazy region's: the initial state's steps
+        for r in self.regions:
+            if isinstance(r, EagerRegion):
+                # Fully known: every state now (the existing approach's
+                # compile-time share, like precompile_plans), unless that
+                # is over the budget — then each state as it is visited.
+                states = (range(r.automaton.n_states)
+                          if len(r.automaton.transitions) <= TRANSITION_BUDGET
+                          else (r.state,))
+                for s in states:
+                    r.table.put(s, compiler.compile_state(s, r.expand(s)))
             else:
-                r.compiled = True
-                r.reseat()  # an adopted region may come with cursors
+                # Lazy regions specialize per visited state, starting with
+                # the current one.
+                lazy = r.lazy
+                r.table.put(r.state, compiler.compile_state(
+                    r.state, lazy.first if r.state == lazy.initial
+                    else lazy.expand(r.state)))
+            r.reseat()  # an adopted region may come with cursors
 
     def _freeze(self) -> tuple:
         """Host hook (``_lock`` held): take every region lock."""
@@ -1075,8 +1076,8 @@ class CoordinatorEngine(EngineHost):
         :class:`~repro.compiler.steps.StateRow` — candidates, cursor and
         successor links, so a warm iteration hashes no control state — and
         asks :meth:`_row_of` where it holds none; a region that is not
-        compiled — ``compiled="off"``, or demoted, possibly by that very
-        call — is interpreted step by step with identical behaviour.
+        compiled (``compiled="off"``) is interpreted step by step with
+        identical behaviour.
         Cursors, fired counters, watcher spill and the observability
         epilogue are bit-for-bit the same in both tiers, so checkpoints and
         traces round-trip across them.
@@ -1113,12 +1114,11 @@ class CoordinatorEngine(EngineHost):
         try:
             while True:
                 if row is None:
-                    if region.compiled:
-                        row = self._row_of(region, came, at)
-                    if row is None:
+                    if not region.compiled:
                         if self._fire_one_interp(region, spill, obs):
                             continue
                         return
+                    row = self._row_of(region, came, at)
                 entries = row.entries
                 n = len(entries)
                 start = row.cursor or 0
@@ -1156,8 +1156,8 @@ class CoordinatorEngine(EngineHost):
 
     def _row_of(self, region, came, at):
         """The row of a compiled region's state, for a drain that holds
-        none.  A state the table lacks (new, or evicted) is compiled, which
-        may demote the region: ``None``.  One it has is being *revisited*:
+        none.  A state the table lacks (new, evicted, or refused before) is
+        compiled.  One it has is being *revisited*:
         where nothing evicts, that is when the row is indexed by vertex and
         memoised as where candidate ``at`` of row ``came`` leads — a state
         seen once pays for neither."""
@@ -1263,27 +1263,21 @@ class CoordinatorEngine(EngineHost):
                     self._drain_region(region, None)
 
     def _compile_region_state(self, region, came, at):
-        """Fill a compiled lazy region's table at its current control state
-        (new, or evicted since) from row ``came``, whose candidate ``at``
-        led here.  Returns the new table entry, or ``None`` after demoting
-        the region — the caller then interprets."""
+        """Fill a compiled region's table at its current control state
+        (new, evicted since, or not compiled ahead) from row ``came``, whose
+        candidate ``at`` led here, and return the new entry.  A refusal
+        propagates, the table untouched."""
         state = region.state
-        try:
-            row = self._step_compiler.compile_state(
-                state, region.lazy.expand(state, came, at), came)
-        except CompileError:
-            if self._compiled == "require":
-                raise
-            region.demote()
-            return None
+        row = self._step_compiler.compile_state(
+            state, region.expand(state, came, at), came)
         row.cursor = region.cursors.get(state)
         region.table.put(state, row)
         return row
 
     def _fire_one_interp(self, region, spill, obs) -> bool:
         """Try to fire one transition of ``region`` on the interpretive
-        firing engine — the always-correct tier every region can fall back
-        to (plan evaluation via
+        firing engine — the ``compiled="off"`` tier and the reference the
+        compiled one is held to (plan evaluation via
         :class:`~repro.automata.simplify.FiringPlan`).  Called from
         :meth:`_drain_region` only (region lock held; trace lock too when
         tracing); ``obs`` is its hoisted "anything observing" probe."""

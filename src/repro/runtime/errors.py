@@ -19,7 +19,7 @@ Hierarchy::
 
     ReproError                      (repro.util.errors — library root)
     └── ReproRuntimeError           ← catch-all for the serving layer
-        ├── CompileError            run-time compilation tier refusals
+        ├── CompileError            run-time compilation errors
         │                           (also a ValueError, for historic callers)
         └── RuntimeProtocolError    protocol misuse & failures
             ├── DeadlockError

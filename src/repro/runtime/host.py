@@ -89,10 +89,8 @@ class EngineHost:
                  sinks: frozenset[str], registry, expected_parties, tracer,
                  default_timeout, detection_grace: float, overload, metrics,
                  compiled: str, buffers):
-        if compiled not in ("auto", "off", "require"):
-            raise ValueError(
-                f"compiled must be 'auto', 'off' or 'require', not {compiled!r}"
-            )
+        if compiled not in ("auto", "off"):
+            raise ValueError(f"compiled must be 'auto' or 'off', not {compiled!r}")
         self.concurrency = concurrency
         self.sources = sources
         self.sinks = sinks
@@ -105,10 +103,8 @@ class EngineHost:
         self._metrics = metrics
         self.default_timeout = default_timeout
         self.detection_grace = detection_grace
-        # Compiled step tier (repro.compiler.steps): "auto" compiles what it
-        # can and demotes the rest to the interpretive engine, "off" forces
-        # interpretation everywhere, "require" raises CompileError instead
-        # of demoting (tests and tooling).
+        # Compiled step tier (repro.compiler.steps): "auto" compiles every
+        # region, "off" interprets everywhere.
         self._compiled = compiled
 
         self._lock = threading.Lock()

@@ -96,10 +96,8 @@ class CompileError(ReproRuntimeError, ValueError):
     Distinct from :class:`CompilationError`, which covers the front-end
     (text → AST → automata) pipeline: a :class:`CompileError` concerns the
     backend share that runs at connect/JIT time — an unknown composition
-    mode, an unplannable constraint handed to the step compiler, a region
-    over the step-compiler's budget.  The engine's compiled-tier fallback
-    catches exactly this type and demotes the affected region to the
-    interpretive engine (see docs/COMPILER.md).
+    mode or granularity, a bad cache capacity, a control state out of a
+    product's range, an expression codegen cannot emit.
 
     Also a :class:`ValueError`: these paths historically raised bare
     ``ValueError``s, and callers that caught those keep working.

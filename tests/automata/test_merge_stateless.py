@@ -183,7 +183,6 @@ def test_boundary_and_shared_vertices_stay_visible():
 @pytest.mark.parametrize("options,expect", [
     ({}, True),
     ({"composition": "aot"}, False),
-    ({"step_mode": "maximal"}, False),
 ])
 def test_only_the_jit_minimal_path_merges(options, expect):
     conn = library.connector("EarlyAsyncMerger", 8, **options)

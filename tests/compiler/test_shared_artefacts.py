@@ -28,7 +28,6 @@ from repro.compiler.steps import region_sources
 from repro.connectors import library
 from repro.npb.common import make_pipe
 from repro.runtime.durable import checkpoint_to_data
-from repro.runtime.errors import CompileError
 from repro.runtime.ports import mkports
 
 CASES = [(name, n) for name in library.names() for n in (2, 4)]
@@ -230,6 +229,12 @@ def fresh_registry(**functions):
     return reg
 
 
+def connect(conn, tier):
+    """Connect a 1→1 connector; under ``auto`` its one region compiles."""
+    conn.connect(*mkports(1, 1))
+    assert conn.stats()["compiled_regions"] == (tier == "auto")
+
+
 def through(conn, value):
     """One value through a connected 1→1 connector, by posts."""
     engine = conn.engine
@@ -239,7 +244,7 @@ def through(conn, value):
     return op.value
 
 
-@pytest.mark.parametrize("tier", ["off", "require"])
+@pytest.mark.parametrize("tier", ["off", "auto"])
 def test_two_registries_each_fire_their_own_function(tier):
     clear_shared()
     double = fresh_registry(scale=lambda x: 2 * x)
@@ -249,12 +254,12 @@ def test_two_registries_each_fire_their_own_function(tier):
         for reg, factor in ((double, 2), (triple, 3)):
             conn = program.instantiate_connector(
                 "T", registry=reg, compiled=tier)
-            conn.connect(*mkports(1, 1))
+            connect(conn, tier)
             assert through(conn, 7) == 7 * factor
             conn.close()
 
 
-@pytest.mark.parametrize("tier", ["off", "require"])
+@pytest.mark.parametrize("tier", ["off", "auto"])
 def test_two_registries_each_check_their_own_predicate(tier):
     clear_shared()
     evens, odds = fresh_registry(), fresh_registry()
@@ -265,23 +270,23 @@ def test_two_registries_each_check_their_own_predicate(tier):
         for reg, kept in ((evens, 4), (odds, 5)):
             conn = program.instantiate_connector(
                 "G", registry=reg, compiled=tier)
-            conn.connect(*mkports(1, 1))
+            connect(conn, tier)
             assert conn.engine.post_send(conn.tail_vertices[0], 9 - kept).done
             assert through(conn, kept) == kept  # the other one was lost
             conn.close()
 
 
-@pytest.mark.parametrize("tier", ["off", "require"])
+@pytest.mark.parametrize("tier", ["off", "auto"])
 def test_a_reregistered_name_reaches_the_next_instance(tier):
     clear_shared()
     reg = fresh_registry(scale=lambda x: 2 * x)
     program = compile_source(SCALE)
     first = program.instantiate_connector("T", registry=reg, compiled=tier)
-    first.connect(*mkports(1, 1))
+    connect(first, tier)
     assert through(first, 5) == 10
     reg.register_function("scale", lambda x: x + 100)
     second = program.instantiate_connector("T", registry=reg, compiled=tier)
-    second.connect(*mkports(1, 1))
+    connect(second, tier)
     assert through(second, 5) == 105
     assert through(first, 5) == 10  # planned before the re-registration
     first.close()
@@ -292,28 +297,22 @@ def test_a_refusal_is_not_remembered_across_instances():
     clear_shared()
     reg = fresh_registry()
     program = compile_source(SCALE)
-    first = program.instantiate_connector("T", registry=reg, compiled="auto")
-    first.connect(*mkports(1, 1))
-    assert first.stats()["compiled_regions"] == 0  # demoted: no 'scale' yet
-    with pytest.raises(CompileError, match="scale"):
-        program.instantiate_connector(
-            "T", registry=reg, compiled="require").connect(*mkports(1, 1))
+    with pytest.raises(KeyError, match="scale"):
+        program.instantiate_connector("T", registry=reg).connect(*mkports(1, 1))
     reg.register_function("scale", lambda x: -x)
-    second = program.instantiate_connector(
-        "T", registry=reg, compiled="require")
+    second = program.instantiate_connector("T", registry=reg)
     second.connect(*mkports(1, 1))  # does not raise
     assert second.stats()["compiled_regions"] == 1
     assert through(second, 3) == -3
-    assert through(first, 3) == -3  # the interpreter resolves at first fire
-    first.close()
     second.close()
 
 
 def test_resolved_plans_stay_out_of_the_shared_table():
     clear_shared()
     conn = compile_source(SCALE).instantiate_connector(
-        "T", registry=fresh_registry(scale=abs), compiled="require")
+        "T", registry=fresh_registry(scale=abs))
     conn.connect(*mkports(1, 1))
+    assert conn.stats()["compiled_regions"] == 1
     assert through(conn, -2) == 2
     mine = list(conn.engine._plans.values())
     assert any(p.resolved for p in mine)

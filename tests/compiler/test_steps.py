@@ -1,10 +1,11 @@
 """The compiled step tier (:mod:`repro.compiler.steps`, docs/COMPILER.md).
 
-Covers tier selection (``compiled="auto"``/``"off"``/``"require"``),
-compile-or-fall-back demotion, differential behaviour against the
-interpretive tier on the unobserved fast path, recompilation across
-``reconfigure``, and the closure-binding contract (compiled steps keep
-working after a checkpoint restore mutates the buffer store in place).
+Covers tier selection (``compiled="auto"``/``"off"``), the refusal
+contract (what the interpreter would raise at first fire is raised where a
+state's row is built), differential behaviour against the interpretive
+tier on the unobserved fast path, recompilation across ``reconfigure``,
+and the closure-binding contract (compiled steps keep working after a
+checkpoint restore mutates the buffer store in place).
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.automata.constraint import DEFAULT_REGISTRY
 from repro.compiler import compile_source
 from repro.connectors import library
+from repro.runtime.connector import RuntimeConnector
 from repro.runtime.errors import CompileError
 from repro.runtime.ports import mkports
 
@@ -70,8 +72,8 @@ def test_off_never_compiles():
     assert got[h0] == got[h1] and len(got[h0]) >= 3
 
 
-def test_require_accepts_compilable():
-    conn = library.connector("Sequencer", 3, compiled="require")
+def test_auto_compiles_every_region():
+    conn = library.connector("Sequencer", 3, use_partitioning=True)
     outs, ins = mkports(len(conn.tail_vertices), len(conn.head_vertices))
     conn.connect(outs, ins)
     assert conn.stats()["compiled_regions"] == len(conn.engine.regions)
@@ -79,52 +81,75 @@ def test_require_accepts_compilable():
 
 
 def test_invalid_tier_rejected():
-    with pytest.raises(ValueError, match="compiled"):
-        library.connector("Replicator", 2, compiled="sometimes")
+    for tier in ("sometimes", "require"):
+        with pytest.raises(ValueError, match="compiled"):
+            library.connector("Replicator", 2, compiled=tier)
+    with pytest.raises(TypeError, match="step_mode"):
+        RuntimeConnector([], [], [], step_mode="minimal")
 
 
-# -- compile-or-fall-back ---------------------------------------------------
+# -- refusals ----------------------------------------------------------------
 
 
-def test_unregistered_function_demotes_and_late_registration_works():
-    """An unregistered <name> demotes the region (the interpreter resolves
-    names at first fire, so late registration must keep working) instead of
-    failing the connect."""
+#: ``<late>`` refuses in the state the region starts in, or in the state a
+#: first firing leads to.
+LATE = {"initial": "T(a;b) = Transform<late>(a;b)",
+        "next": "T(a;b) = Fifo1(a;m) mult Transform<late>(m;b)"}
+
+
+@pytest.mark.parametrize("tier", ["auto", "off"])
+@pytest.mark.parametrize("where", list(LATE))
+def test_a_refusal_is_the_interpreters_error(where, tier):
+    """Under ``auto`` an unregistered name is the interpreter's
+    ``KeyError``, raised where the refusing state's row is built — at
+    ``connect``, or at the post that reaches the state — again on every
+    retry, and no more once the name is registered; nothing is remembered
+    of it.  Under ``off`` the name resolves at first fire, so a
+    registration after ``connect`` works."""
     reg = DEFAULT_REGISTRY.merged_with(None)
-    conn = compile_source("T(a;b) = Transform<late>(a;b)").instantiate_connector(
-        "T", registry=reg, compiled="auto"
-    )
-    outs, ins = mkports(1, 1)
-    conn.connect(outs, ins)
-    assert conn.stats()["compiled_regions"] == 0  # demoted, not failed
-    reg.register_function("late", lambda x: x * 10)  # after connect
-    got = drive_posted(conn, rounds=5)
+    conn = compile_source(LATE[where]).instantiate_connector(
+        "T", registry=reg, compiled=tier)
+    tail, head = conn.tail_vertices[0], conn.head_vertices[0]
+    if tier == "auto" and where == "initial":
+        for _ in range(2):
+            with pytest.raises(KeyError, match="late"):
+                conn.connect(*mkports(1, 1))
+        assert conn.engine is None
+        reg.register_function("late", lambda x: x * 10)
+        conn.connect(*mkports(1, 1))
+        conn.engine.post_send(tail, 4)
+    elif tier == "auto":
+        conn.connect(*mkports(1, 1))
+        # 4 fires into the refusing state; 5 and 6 retry there.
+        for value in (4, 5, 6):
+            with pytest.raises(KeyError, match="late"):
+                conn.engine.post_send(tail, value)
+        reg.register_function("late", lambda x: x * 10)
+    else:
+        conn.connect(*mkports(1, 1))
+        reg.register_function("late", lambda x: x * 10)  # after connect
+        conn.engine.post_send(tail, 4)
+    op = conn.engine.post_recv(head)
+    assert op.done and op.value == 40
+    assert conn.stats()["compiled_regions"] == (tier == "auto")
     conn.close()
-    head = conn.head_vertices[0]
-    assert got[head][:3] == [0, 10, 20]
 
 
-def test_unregistered_function_fails_require():
-    with pytest.raises(CompileError, match="late"):
-        compile_source("T(a;b) = Transform<late>(a;b)").instantiate_connector(
-            "T", compiled="require"
-        ).connect(*mkports(1, 1))
-
-
-def test_transition_budget_demotes(monkeypatch):
+def test_over_budget_still_compiles_and_runs(monkeypatch):
+    """An eager region over ``TRANSITION_BUDGET`` compiles per visited
+    state, as a lazy region does: only the current one at ``connect``."""
     from repro.compiler import steps
 
     monkeypatch.setattr(steps, "TRANSITION_BUDGET", 0)
-    conn = library.connector("Replicator", 2, composition="aot",
-                             compiled="auto")
-    outs, ins = mkports(1, 2)
-    conn.connect(outs, ins)
-    assert conn.stats()["compiled_regions"] == 0
-    # ...and the interpretive fallback still runs the protocol.
-    got = drive_posted(conn, rounds=5)
+    conn = library.connector("EarlyAsyncMerger", 2, composition="aot")
+    conn.connect(*mkports(2, 1))
+    (region,) = conn.engine.regions
+    assert conn.stats()["compiled_regions"] == 1
+    assert conn.stats()["compiled_states"] == 1
+    got = drive_posted(conn)
+    assert conn.stats()["compiled_states"] == region.automaton.n_states == 4
     conn.close()
-    h0, h1 = conn.head_vertices
-    assert got[h0] == got[h1] and len(got[h0]) >= 3
+    assert len(got[conn.head_vertices[0]]) >= 10
 
 
 def test_compile_error_is_value_error():
@@ -272,6 +297,7 @@ def random_posts(conn, posts=200, seed=0):
 def connected(name, n, **options):
     conn = library.connector(name, n, **options)
     conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
+    assert conn.stats()["compiled_regions"] == len(conn.engine.regions)
     return conn
 
 
@@ -285,7 +311,7 @@ def test_step_functions_are_shared_between_states():
     """The emitted function depends on the composed step, not on the state
     it leaves or reaches: states that share a step share its one
     ``CompiledStep``; where it leads from each is the row's to know."""
-    conn = connected("EarlyAsyncMerger", 16, compiled="require")
+    conn = connected("EarlyAsyncMerger", 16)
     random_posts(conn)
     entries = installed(conn.engine)
     stats = conn.stats()
@@ -310,7 +336,7 @@ def test_step_functions_are_shared_between_states():
 def test_region_sources_keep_one_row_per_state_and_transition():
     from repro.compiler.steps import region_sources
 
-    conn = connected("EarlyAsyncMerger", 8, compiled="require")
+    conn = connected("EarlyAsyncMerger", 8)
     random_posts(conn, posts=60)
     rows = region_sources(conn.engine)
     assert len(rows) == len(installed(conn.engine))
@@ -325,7 +351,7 @@ def test_region_sources_keep_one_row_per_state_and_transition():
 def test_leave_starts_a_fresh_compiler_and_fresh_functions():
     """``leave`` re-adopts regions over new queues: nothing emitted for the
     old ones may be reused, and the count starts again."""
-    conn = connected("EarlyAsyncMerger", 4, compiled="require")
+    conn = connected("EarlyAsyncMerger", 4)
     random_posts(conn, posts=40)
     old_compiler = conn.engine._step_compiler
     old = [e.fire for _s, e in installed(conn.engine)]  # kept alive: no id reuse
@@ -343,7 +369,7 @@ def test_leave_starts_a_fresh_compiler_and_fresh_functions():
 def test_restore_onto_a_warm_connector_keeps_its_functions():
     """``restore`` mutates buffers in place and keeps tables, so the
     memoised functions stay valid — and see the restored contents."""
-    conn = connected("EarlyAsyncMerger", 3, compiled="require")
+    conn = connected("EarlyAsyncMerger", 3)
     outs, ins = conn._outports, conn._inports
     outs[0].send("a")
     cp = conn.checkpoint()
@@ -358,46 +384,6 @@ def test_restore_onto_a_warm_connector_keeps_its_functions():
              for r in conn.engine.regions for s, row in r.table.items()}
     assert after == before and conn.stats()["emitted_steps"] == emitted
     assert ins[0].recv() == "a"  # the restored value, through a kept function
-    conn.close()
-
-
-LATE = "T(a;b) = Fifo1(a;m) mult Transform<late>(m;b)"
-
-
-def test_refusal_after_the_first_state_demotes_and_late_registration_works():
-    """The initial state compiles; the state holding the ``<late>`` step
-    refuses, the region is demoted, and the interpreter resolves the name
-    at first fire."""
-    reg = DEFAULT_REGISTRY.merged_with(None)
-    conn = compile_source(LATE).instantiate_connector(
-        "T", registry=reg, compiled="auto")
-    conn.connect(*mkports(1, 1))
-    assert conn.stats()["compiled_regions"] == 1
-    engine = conn.engine
-    engine.post_send(conn.tail_vertices[0], 4)
-    assert conn.stats()["compiled_regions"] == 0  # demoted on the new state
-    reg.register_function("late", lambda x: x * 10)
-    op = engine.post_recv(conn.head_vertices[0])
-    assert op.done and op.value == 40
-    conn.close()
-
-
-def test_refusal_is_not_memoised_under_require():
-    """A refusing step refuses every time it is compiled, not only on the
-    first miss — and compiles once the name is there."""
-    reg = DEFAULT_REGISTRY.merged_with(None)
-    conn = compile_source(LATE).instantiate_connector(
-        "T", registry=reg, compiled="require")
-    conn.connect(*mkports(1, 1))
-    engine = conn.engine
-    with pytest.raises(CompileError, match="late"):
-        engine.post_send(conn.tail_vertices[0], 4)
-    for _ in range(2):
-        with pytest.raises(CompileError, match="late"):
-            engine.post_recv(conn.head_vertices[0])
-    reg.register_function("late", lambda x: x * 10)
-    engine.post_recv(conn.head_vertices[0])
-    assert conn.stats()["compiled_regions"] == 1
     conn.close()
 
 
@@ -422,7 +408,7 @@ def test_two_regions_compile_concurrently_under_their_own_locks():
         graph = graph.add(Arc("seq", mids, (), ()))
     conn = connector_from_graph(
         BuiltConnector(graph, tuple(tails), ()), name="SeqLanes",
-        use_partitioning=True, compiled="require", default_timeout=10.0)
+        use_partitioning=True, default_timeout=10.0)
     outs, _ = mkports(lanes * k, 0)
     conn.connect(outs, [])
     assert len(conn.engine.regions) == lanes

@@ -44,6 +44,20 @@ def pump(conn, sends: dict[int, list], recv_counts: dict[int, int],
     return received
 
 
+def maximal_connector(name: str, n: int):
+    """Library connector ``name``/``n`` on its textbook maximal product
+    (every joint firing of independent transitions), composed at the
+    product level and handed to a connector as its one automaton."""
+    from repro.automata.product import product
+    from repro.connectors import library
+    from repro.runtime.connector import RuntimeConnector
+
+    conn = library.connector(name, n)
+    return RuntimeConnector(
+        [product(conn.automata, mode="maximal", name=conn.name)],
+        conn.tail_vertices, conn.head_vertices, name=conn.name)
+
+
 @pytest.fixture
 def fig9_source() -> str:
     """The paper's Fig. 9 program (running example, parametrized)."""

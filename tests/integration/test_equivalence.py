@@ -15,7 +15,7 @@ from repro.compiler import compile_existing, compile_source, generate_python
 from repro.compiler.fromgraph import connector_from_graph
 from repro.connectors import library
 
-from tests.conftest import pump
+from tests.conftest import maximal_connector, pump
 
 
 def strategies(name, n):
@@ -29,7 +29,7 @@ def strategies(name, n):
     yield "dsl-bounded-cache", lambda: library.connector(
         name, n, cache_factory=lambda: LRUCache(2)
     )
-    yield "dsl-maximal", lambda: library.connector(name, n, step_mode="maximal")
+    yield "dsl-maximal", lambda: maximal_connector(name, n)
 
     def existing():
         compiled = compile_existing(library.dsl_source(name, n), name, sizes=n)

@@ -6,7 +6,8 @@ posted-vertex hint) and ``compiled="off"`` (the interpretive tier: a table
 lookup, a cursor-table read and a full candidate scan per iteration — the
 reference).  Completion order, step counts, cursor tables and checkpoint
 bytes must be identical, also across the cold paths that write what the
-rows cache: ``restore``, ``leave`` and a demotion.
+rows cache (``restore``, ``leave``), and for an eager region over the
+compile budget, whose rows are built per visit.
 """
 
 import json
@@ -131,6 +132,18 @@ def test_aot_rows_fire_what_the_interpreter_fires(name, n):
     assert history(name, n, compiled="auto", composition="aot") == reference
 
 
+@pytest.mark.parametrize("name,n", AOT_CASES)
+def test_aot_rows_built_per_visit_fire_what_the_interpreter_fires(
+        name, n, monkeypatch):
+    """Over ``TRANSITION_BUDGET`` an eager region compiles each state as it
+    is visited, through the lazy regions' path."""
+    from repro.compiler import steps
+
+    reference = history(name, n, compiled="off", composition="aot")
+    monkeypatch.setattr(steps, "TRANSITION_BUDGET", 0)
+    assert history(name, n, compiled="auto", composition="aot") == reference
+
+
 @pytest.mark.parametrize("name,n", [(f, 8) for f in SUITE_FAMILIES]
                          + [("Merger", 3), ("LateAsyncRouter", 8)])
 @pytest.mark.parametrize("composition", ["jit", "aot"])
@@ -164,22 +177,6 @@ def test_leave_mid_run_matches_the_interpreter(name, n):
         run.posts(POSTS // 2, (100,))
         logs.append(run.finish())
     assert logs[0] == logs[1]
-
-
-@pytest.mark.parametrize("name,n", [(f, 8) for f in SUITE_FAMILIES])
-def test_a_region_demoted_by_hand_carries_on(name, n):
-    """``demote()`` between two posts: the interpreter picks up the state
-    and the cursor table the rows wrote through, and drops the rows."""
-    demoted, kept = Posted(name, n), Posted(name, n)
-    for run in (demoted, kept):
-        run.posts(POSTS // 2, (100,))
-    (region,) = demoted.conn.engine.regions
-    assert region.row is not None
-    region.demote()
-    assert region.row is None and not region.compiled
-    for run in (demoted, kept):
-        run.posts(POSTS // 2, (100,))
-    assert demoted.finish() == kept.finish()
 
 
 BOUNDED_CASES = [("EarlyAsyncMerger", 8), ("LateAsyncReplicator", 6)]

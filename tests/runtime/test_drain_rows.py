@@ -206,10 +206,10 @@ def guarded(concurrency, *, extra=(), registry=None, **options):
         1, 0, frozenset("abc"), (guard, *extra), name="guarded")
     conn = RuntimeConnector(
         [automaton], ["a", "c"] if extra else ["a"], ["b"],
-        registry=registry, concurrency=concurrency, compiled="require",
-        **options)
+        registry=registry, concurrency=concurrency, **options)
     outs, ins = mkports(len(conn.tail_vertices), 1, prefix="p")
     conn.connect(outs, ins)
+    assert conn.stats()["compiled_regions"] == 1
     return conn, outs, ins
 
 
@@ -271,9 +271,9 @@ def test_a_drain_left_by_exception_leaves_the_region_dirty(composition):
         [ConstraintAutomaton(
             1, 0, frozenset("abc"),
             (doubling, Transition(0, frozenset("c"), 0)), name="raising")],
-        ["a", "c"], ["b"], registry=registry, compiled="require",
-        composition=composition)
+        ["a", "c"], ["b"], registry=registry, composition=composition)
     conn.connect(*mkports(2, 1))
+    assert conn.stats()["compiled_regions"] == 1
     engine = conn.engine
     for i in range(3):  # revisit the state: indexed, hint in use
         assert engine.post_send("c", i).done
@@ -315,9 +315,10 @@ def test_a_signal_racing_the_hinted_scan_is_not_lost(concurrency):
         [build_automaton(Arc("fifo1", ("a1",), ("b1",), ()), "q1"),
          build_automaton(Arc("fifo1", ("a2",), ("b2",), ()), "q2"), free],
         ["a1", "a2"], ["b1", "b2"], use_partitioning=True,
-        concurrency=concurrency, default_timeout=10.0, compiled="require")
+        concurrency=concurrency, default_timeout=10.0)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
+    assert conn.stats()["compiled_regions"] == 3
     consumer = conn.engine._route["b1"]
     assert len(conn.engine.regions) == 3
     assert consumer is conn.engine._route["b2"]

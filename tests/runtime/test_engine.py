@@ -11,7 +11,7 @@ from repro.compiler.fromgraph import connector_from_graph
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import TaskGroup
 
-from tests.conftest import pump
+from tests.conftest import maximal_connector, pump
 
 
 def test_internal_tau_steps_fire_without_tasks():
@@ -147,7 +147,7 @@ def test_concurrent_senders_single_vertex_queue():
 
 
 def test_maximal_step_mode_runs():
-    conn = library.connector("Replicator", 2, step_mode="maximal")
+    conn = maximal_connector("Replicator", 2)
     got = pump(conn, {0: [1]}, {0: 1, 1: 1})
     assert got == {0: [1], 1: [1]}
 

@@ -22,8 +22,9 @@ def test_one_wake_primitive_and_no_event_per_operation():
     assert engine.wake_slot is host.wake_slot
     assert "Event" not in pathlib.Path(engine.__file__).read_text()
 
-    conn = library.connector("Merger", 2, compiled="require")
+    conn = library.connector("Merger", 2)
     conn.connect(*mkports(2, 1))
+    assert conn.stats()["compiled_regions"] == 1
     sources = [source for *_row, source in region_sources(conn.engine)]
     conn.close()
     assert sources and all("_wake(_e)" in source for source in sources)

@@ -83,10 +83,6 @@ def main(argv=None) -> int:
               f"region(s), {stats['compiled_states']} state(s), "
               f"{len(rows)} compiled transition(s) sharing "
               f"{stats['emitted_steps']} step function(s)")
-        if not rows:
-            print("# (no compiled steps — every region demoted; "
-                  "see docs/COMPILER.md §3)")
-            return 1
         print_rows(conn.engine)
         for idx, state, label, source in rows:
             print(f"\n# --- region {idx}  state {state!r}  label {label}")
