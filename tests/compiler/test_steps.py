@@ -135,6 +135,15 @@ def test_a_refusal_is_the_interpreters_error(where, tier):
     conn.close()
 
 
+def test_unregistered_function_fails_require():
+    """The compiled tier fails the connect on an unregistered name in the
+    initial state, with the interpreter's ``KeyError``."""
+    with pytest.raises(KeyError, match="late"):
+        compile_source(LATE["initial"]).instantiate_connector(
+            "T", compiled="auto"
+        ).connect(*mkports(1, 1))
+
+
 def test_over_budget_still_compiles_and_runs(monkeypatch):
     """An eager region over ``TRANSITION_BUDGET`` compiles per visited
     state, as a lazy region does: only the current one at ``connect``."""

@@ -4,6 +4,8 @@ These exercise the full path DSL → constraint atoms → firing plans →
 delivered values, with user-supplied functions and predicates.
 """
 
+import pytest
+
 from repro.automata.constraint import DEFAULT_REGISTRY, FunctionRegistry
 from repro.compiler import compile_source
 from repro.runtime.ports import mkports
@@ -65,6 +67,22 @@ def test_transform_through_fifo():
     conn = conn_for("T(a;b) = Transform<double>(a;m) mult Fifo1(m;b)")
     got = pump(conn, {0: [7]}, {0: 1})
     assert got[0] == [14]
+
+
+def test_missing_function_raises_at_fire_time():
+    conn = compile_source(
+        "T(a;b) = Transform<nosuch>(a;b)"
+    ).instantiate_connector("T", compiled="off")  # default registry lacks 'nosuch'
+    outs, ins = mkports(1, 1)
+    conn.connect(outs, ins)
+    from repro.runtime.tasks import spawn
+
+    h = spawn(ins[0].recv)
+    with pytest.raises(KeyError, match="nosuch"):
+        outs[0].send(1)
+    conn.close()
+    with pytest.raises(Exception):
+        h.join(5)
 
 
 def test_registry_isolated_per_connector():
