@@ -38,9 +38,11 @@ from repro.runtime.trace import TraceRecorder
 
 #: Connector execution modes: mode name -> RuntimeConnector options, plus
 #: the harness-level ``host`` key (not a connector option — strip it with
-#: :func:`connector_opts`).  ``host="serve"`` runs the same engine
-#: configuration inside a :class:`repro.serve.session.Session`: the
-#: lifecycle state machine owns build/checkpoint/restore/close, and the
+#: :func:`connector_opts`).  ``host="serve"`` runs serve's engine
+#: configuration (unpartitioned, as a ``FarmSession`` builds it; the
+#: ``regions-*`` modes keep the partitioned coverage) inside a
+#: :class:`repro.serve.session.Session`: the lifecycle state machine owns
+#: build/checkpoint/restore/close, and the
 #: oracle's exact-equality comparison is the proof that hosting adds no
 #: observable protocol behaviour.  ``host="durable"`` routes the schedule's
 #: checkpoint through the on-disk snapshot format of
@@ -58,9 +60,9 @@ MODES = {
     "regions-aot": dict(concurrency="regions", composition="aot",
                         use_partitioning=True, compiled="off"),
     "serve-jit": dict(concurrency="regions", composition="jit",
-                      use_partitioning=True, compiled="off", host="serve"),
+                      use_partitioning=False, compiled="off", host="serve"),
     "durable": dict(concurrency="regions", composition="jit",
-                    use_partitioning=True, compiled="off", host="durable"),
+                    use_partitioning=False, compiled="off", host="durable"),
     # The compiled step tier (repro.compiler.steps).  The six modes above
     # pin compiled="off" so they stay pure interpretive baselines — an
     # injected bug that doctors interpreter internals (e.g. the candidates

@@ -104,8 +104,9 @@ from repro.util.errors import (
 
 #: On-disk schema version written into every header record.  Bump on any
 #: incompatible layout change; readers refuse unknown versions with the
-#: typed :class:`SchemaVersionError` instead of guessing.
-SCHEMA_VERSION = 1
+#: typed :class:`SchemaVersionError` instead of guessing.  Version 2: a
+#: serve session's checkpoint has one region, where version 1's had two.
+SCHEMA_VERSION = 2
 
 #: Header magic — identifies a file as ours before any other check.
 MAGIC = "repro-durable"

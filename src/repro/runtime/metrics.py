@@ -87,6 +87,11 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
         "Candidate transitions examined before each fired step (divide by "
         "repro_engine_steps_total for mean rounds scanned per fire).",
     ),
+    "repro_engine_parks_total": (
+        "counter", ("connector",),
+        "Blocking submits that parked to wait for a step (divide by "
+        "repro_engine_steps_total for thread hand-offs per step).",
+    ),
     "repro_engine_pending_ops": (
         "gauge", ("connector", "vertex", "kind"),
         "Pending operations currently queued per boundary vertex "
@@ -449,9 +454,10 @@ class ConnectorMetrics:
         self.connector = connector or "connector"
         c = self.connector
         #: Engine-facing fast-path children (see class docstring).  The
-        #: step and scan totals are *pull-sampled* from counts the engine
-        #: keeps anyway (``engine.steps`` / ``engine.scan_total``), so a
-        #: fired step pays nothing for them; see :meth:`attach_engine`.
+        #: step, scan and park totals are *pull-sampled* from counts the
+        #: engine keeps anyway (``engine.steps`` / ``engine.scan_total`` /
+        #: ``engine._parks``), so a fired step or a park pays nothing for
+        #: them; see :meth:`attach_engine`.
         self.latency_child = registry.histogram(
             "repro_engine_step_latency_seconds").labels(c)
         self._fam_submitted = registry.counter("repro_ops_submitted_total")
@@ -510,11 +516,16 @@ class ConnectorMetrics:
         def scan_samples():
             return [((c,), float(engine.scan_total))]
 
+        def park_samples():
+            return [((c,), float(engine._parks))]
+
         self.registry.counter("repro_engine_steps_total").set_callback(
             self, step_samples)
         self.registry.counter(
             "repro_engine_scan_candidates_total").set_callback(
             self, scan_samples)
+        self.registry.counter("repro_engine_parks_total").set_callback(
+            self, park_samples)
         self.registry.gauge("repro_engine_pending_ops").set_callback(
             self, pending_samples)
         self.registry.gauge("repro_buffer_occupancy").set_callback(

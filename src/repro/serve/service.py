@@ -7,13 +7,12 @@ tenant's counters never pollute another's conservation books.  The service
 itself keeps a separate registry for the three ``repro_serve_*`` families
 (admissions, restarts, and the sampled session-state gauge).
 
-Sessions are **sharded across a worker pool keyed by the vertex→region
-routing table**: a session's shard is a stable digest of its name plus the
-``(vertex, region)`` assignment its engine's partitioner produced, so
-sessions whose protocols partition alike land on the same shard and
-admin operations (restart, quarantine, close) serialize per shard — never
-globally.  ``submit`` takes no shard lock at all; the session's own intake
-gate is the only synchronization on the hot path.
+Sessions are **sharded across a worker pool keyed by name**: a session's
+shard is a stable digest of its name, fixed for the session's life (a
+rolling restart does not move it), and admin operations (restart,
+quarantine, close) serialize per shard — never globally.  ``submit`` takes
+no shard lock at all; the session's own intake gate is the only
+synchronization on the hot path.
 
 With ``stall_after`` set, :meth:`start` runs one maintenance thread per
 shard: a progress-based stall detector that quarantines any RUNNING
@@ -111,7 +110,6 @@ class CoordinatorService:
         self._shards = [_Shard(i) for i in range(shards)]
         self._table_lock = threading.RLock()
         self._sessions: dict[str, FarmSession] = {}
-        self._shard_of_name: dict[str, _Shard] = {}
         self._admissions = self.metrics.counter("repro_serve_admissions_total")
         self._restarts = self.metrics.counter("repro_serve_restarts_total")
         self.metrics.gauge("repro_serve_sessions").set_callback(
@@ -122,19 +120,8 @@ class CoordinatorService:
 
     # -- sharding ------------------------------------------------------------
 
-    def _route_signature(self, session: FarmSession) -> tuple:
-        """The engine's vertex→region assignment as a hashable, stable
-        tuple (region identity by position in ``engine.regions``)."""
-        engine = session.connector.engine
-        index = {id(region): i for i, region in enumerate(engine.regions)}
-        return tuple(sorted(
-            (vertex, index[id(region)])
-            for vertex, region in engine._route.items()
-        ))
-
-    def _shard_for(self, session: FarmSession) -> _Shard:
-        key = repr((session.name, self._route_signature(session)))
-        digest = zlib.crc32(key.encode("utf-8"))
+    def _shard_for(self, name: str) -> _Shard:
+        digest = zlib.crc32(name.encode("utf-8"))
         return self._shards[digest % len(self._shards)]
 
     def _lookup(self, name: str) -> tuple[FarmSession, _Shard]:
@@ -142,7 +129,7 @@ class CoordinatorService:
             session = self._sessions.get(name)
             if session is None:
                 raise RuntimeProtocolError(f"unknown session {name!r}")
-            return session, self._shard_of_name[name]
+            return session, self._shard_for(name)
 
     # -- metrics -------------------------------------------------------------
 
@@ -208,9 +195,8 @@ class CoordinatorService:
                 auto_checkpoint=self.auto_checkpoint,
             )
             session.open()
-            shard = self._shard_for(session)
+            shard = self._shard_for(name)
             self._sessions[name] = session
-            self._shard_of_name[name] = shard
             with shard.lock:
                 shard.sessions[name] = session
                 shard.marks[name] = (0, time.monotonic())
@@ -275,29 +261,13 @@ class CoordinatorService:
     def rolling_restart(self, name: str, new_workers: int | None = None,
                         timeout: float = ADMIN_TIMEOUT):
         """Checkpoint/rebuild/restore one session under its shard's admin
-        lock; re-shards afterwards (a reduced arity changes the routing
-        table, which keys the shard)."""
+        lock (the shard is keyed by name, so the session stays on it)."""
         session, shard = self._lookup(name)
         with shard.lock:
             cp = session.rolling_restart(new_workers, timeout=timeout)
             self._restarts.labels(name).inc()
             shard.marks[name] = (len(session.delivered), time.monotonic())
-        self._reshard(name, session, shard)
         return cp
-
-    def _reshard(self, name: str, session: FarmSession, old: _Shard) -> None:
-        new = self._shard_for(session)
-        if new is old:
-            return
-        with self._table_lock:
-            first, second = sorted((old, new), key=lambda s: s.index)
-            with first.lock, second.lock:
-                mark = old.marks.pop(name, (len(session.delivered),
-                                            time.monotonic()))
-                old.sessions.pop(name, None)
-                new.sessions[name] = session
-                new.marks[name] = mark
-                self._shard_of_name[name] = new
 
     def quarantine(self, name: str, cause: BaseException | None = None) -> None:
         session, shard = self._lookup(name)
@@ -318,12 +288,11 @@ class CoordinatorService:
         stay in the table so their books remain auditable)."""
         with self._table_lock:
             items = list(self._sessions.items())
-            shards = dict(self._shard_of_name)
         return {
             name: {
                 "tenant": s.tenant,
                 "state": s.state.value,
-                "shard": shards[name].index,
+                "shard": self._shard_for(name).index,
                 "workers": s.workers,
                 "restarts": s.restarts,
                 "delivered": len(s.delivered),

@@ -304,7 +304,6 @@ class FarmSession(Session):
         conn = library.connector(
             "EarlyAsyncRouter",
             self.workers,
-            use_partitioning=True,
             overload=self.policy,
             default_timeout=self.default_timeout,
             metrics=self.registry,

@@ -20,6 +20,7 @@ Pins the PR's acceptance criteria:
 import json
 import pathlib
 import re
+import threading
 
 import pytest
 
@@ -153,6 +154,31 @@ def test_conservation_laws_under_shedding():
     # scan effort: every fired step examined >= 1 candidate
     assert sample_value(
         reg, "repro_engine_scan_candidates_total", (c,)) >= s["steps"]
+
+
+def test_parks_counter_is_the_engine_count():
+    """``repro_engine_parks_total`` reads the engine's own park count at
+    collect time: after a threaded rendezvous it equals ``stats()["parks"]``
+    and is not zero (every step of Merger/2 parks one side or the other)."""
+    reg = MetricsRegistry()
+    conn = library.connector("Merger", 2, metrics=reg)
+    outs, ins = mkports(2, 1)
+    conn.connect(outs, ins)
+
+    def produce():
+        for i in range(200):
+            outs[i % 2].send(i)
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    got = [ins[0].recv(timeout=10) for _ in range(200)]
+    producer.join(10)
+    assert not producer.is_alive()
+    assert got == list(range(200))
+    parks = conn.stats()["parks"]
+    assert parks > 0
+    assert sample_value(reg, "repro_engine_parks_total", ("Merger",)) == parks
+    conn.close()
 
 
 @pytest.mark.fault_stress

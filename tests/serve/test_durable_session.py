@@ -9,12 +9,15 @@ real ``SIGKILL`` is ``python -m repro serve --crash-test`` (exercised by
 the smoke test at the bottom and by CI's crash-recovery-smoke job).
 """
 
+import functools
 import json
 import time
 
 import pytest
 
-from repro.runtime.errors import RuntimeProtocolError
+from repro.connectors import library
+from repro.runtime import durable
+from repro.runtime.errors import RuntimeProtocolError, SchemaVersionError
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.daemon import handle
 from repro.serve.service import CoordinatorService
@@ -145,9 +148,9 @@ def test_state_dir_from_a_selectable_backend_cold_starts_on_the_default(
         tmp_path, monkeypatch):
     """A state directory written when a session could pick its engine
     backend carries that choice in the snapshot metadata.  The backend is
-    gone (docs/DECISIONS.md row 13), checkpoints were byte-compatible
-    across backends and serve always partitions, so recovery ignores the
-    two keys and rebuilds on the default engine with the book intact."""
+    gone (docs/DECISIONS.md row 13) and checkpoints were byte-compatible
+    across backends, so recovery ignores the two keys and rebuilds on the
+    default engine with the book intact."""
     old_meta = FarmSession._durable_meta
     # The metadata shape of that release, written by hand.  The process
     # count's key is spelled in two pieces so that a search of the tree for
@@ -183,6 +186,46 @@ def test_state_dir_from_a_selectable_backend_cold_starts_on_the_default(
     # exactly once: every acknowledged submit delivered, none twice
     assert sorted(s2.delivered) == sorted(f"v{i}" for i in range(12))
     assert not list(s2.dead_letters()) and not s2.dropped
+
+
+def test_version_1_state_dir_is_refused_and_left_in_place(
+        tmp_path, monkeypatch):
+    """A state directory from when a session's connector was partitioned:
+    version-1 headers over a two-region checkpoint.  A cold service
+    refuses it with the typed SchemaVersionError and renames nothing (no
+    ``*.corrupt``); a session it opens afresh is one region."""
+    monkeypatch.setattr(durable, "SCHEMA_VERSION", 1)
+    monkeypatch.setattr(library, "connector", functools.partial(
+        library.connector, use_partitioning=True))
+    svc1 = CoordinatorService(state_dir=tmp_path)
+    s = svc1.open_session("old", policy=BLOCK)
+    assert len(s.connector.engine.regions) == 2
+    for i in range(4):
+        assert s.submit(f"v{i}") == "ok"
+    wait_delivered(s, 4)
+    svc1.durable_checkpoint("old")
+    for i in range(4, 7):
+        assert s.submit(f"v{i}") == "ok"  # journaled past the snapshot
+    wait_delivered(s, 7)
+    svc1.quarantine("old")
+    svc1.close()
+    monkeypatch.undo()
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert any(p.name.startswith("journal-") for p in files)
+
+    svc2 = CoordinatorService(state_dir=tmp_path)
+    try:
+        with pytest.raises(SchemaVersionError) as exc:
+            svc2.recover_sessions()
+        assert (exc.value.version, exc.value.supported) == (1, 2)
+        with pytest.raises(SchemaVersionError):
+            svc2.durable.session("old").recover()
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
+        fresh = svc2.open_session("new", policy=BLOCK)
+        assert len(fresh.connector.engine.regions) == 1
+    finally:
+        svc2.close()
 
 
 def test_recovery_metric_counts_cold_starts(tmp_path):

@@ -1,4 +1,4 @@
-"""CoordinatorService: sharding keyed off the routing table, the serve
+"""CoordinatorService: sharding keyed off the session name, the serve
 metric families, admission accounting, restart bookkeeping, and the
 progress-based stall detector."""
 
@@ -53,20 +53,20 @@ def test_hosts_many_sessions_and_routes_submits():
     assert all(row["delivered"] == 5 for row in status.values())
 
 
-def test_shard_is_keyed_off_the_routing_table():
-    """The shard digest is a function of (session name, vertex->region
-    assignment): recomputing it for a live session is stable, and sessions
+def test_shard_is_keyed_off_the_session_name():
+    """A session's shard is a digest of its name alone: a rolling restart
+    that changes the worker count leaves it where it was, and sessions
     spread across more than one shard."""
     with CoordinatorService(_controller(), shards=4) as svc:
         for i in range(8):
-            svc.open_session(f"s{i}")
+            svc.open_session(f"s{i}", workers=3)
         shards = {name: row["shard"] for name, row in svc.status().items()}
-        for name, session in svc._sessions.items():
-            assert svc._shard_for(session).index == shards[name]
-            # the signature really reads the live engine routing table
-            engine = session.connector.engine
-            sig = svc._route_signature(session)
-            assert len(sig) == len(engine._route)
+        svc.rolling_restart("s0", new_workers=2)
+        after = svc.status()
+        assert after["s0"]["workers"] == 2
+        assert {name: row["shard"] for name, row in after.items()} == shards
+        assert svc._lookup("s0")[1].index == shards["s0"]
+        assert "s0" in svc._shards[shards["s0"]].sessions
     assert len(set(shards.values())) > 1
 
 
