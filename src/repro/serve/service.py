@@ -7,19 +7,22 @@ tenant's counters never pollute another's conservation books.  The service
 itself keeps a separate registry for the three ``repro_serve_*`` families
 (admissions, restarts, and the sampled session-state gauge).
 
-Sessions are **sharded across a worker pool keyed by name**: a session's
-shard is a stable digest of its name, fixed for the session's life (a
-rolling restart does not move it), and admin operations (restart,
-quarantine, close) serialize per shard — never globally.  ``submit`` takes
-no shard lock at all; the session's own intake gate is the only
+Admin operations (checkpoint, restart, quarantine, close) serialize on
+the session's own :attr:`~repro.serve.session.FarmSession.admin` lock —
+never globally, and the service adds no lock of its own.  ``submit`` takes
+no admin lock at all; the session's own intake gate is the only
 synchronization on the hot path.
 
-With ``stall_after`` set, :meth:`start` runs one maintenance thread per
-shard: a progress-based stall detector that quarantines any RUNNING
-session whose delivered count stops moving for ``stall_after`` seconds
-while it still has a backlog (in-flight submits, pending operations, or
-buffered values).  This is the service-level analogue of the task
-watchdog: it catches a *wedged session*, not a wedged task.
+With ``stall_after`` or ``auto_checkpoint`` set, one maintenance thread
+tends every session.  Each tick it visits every RUNNING session whose
+admin lock it can take without waiting (a busy lock is an admin operation
+in flight, which counts as progress) and either commits a due periodic
+snapshot through :meth:`CoordinatorService.durable_checkpoint` or runs
+the progress-based stall detector, which quarantines a session whose
+delivered count stops moving for ``stall_after`` seconds while it still
+has a backlog (in-flight submits, pending operations, or buffered values).
+The detector is the service-level analogue of the task watchdog: it
+catches a *wedged session*, not a wedged task.
 
 With ``state_dir`` set, every session is **durable**
 (:mod:`repro.runtime.durable`): admissions and deliveries are journaled
@@ -35,47 +38,36 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 
 from repro.runtime.durable import DurableStore, SessionDurability
-from repro.runtime.errors import RuntimeProtocolError, StallError
+from repro.runtime.errors import (
+    ReproRuntimeError,
+    RuntimeProtocolError,
+    StallError,
+)
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.admission import AdmissionController, AdmissionError, TenantSpec
 from repro.serve.session import ADMIN_TIMEOUT, FarmSession, SessionState
 
 
-class _Shard:
-    """One shard of the session table: an admin lock, its members, and the
-    progress marks its maintenance thread probes."""
-
-    __slots__ = ("index", "lock", "sessions", "marks")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.lock = threading.RLock()
-        self.sessions: dict[str, FarmSession] = {}
-        #: name -> (delivered count at last progress, monotonic timestamp)
-        self.marks: dict[str, tuple[int, float]] = {}
-
-
 class CoordinatorService:
-    """Host, admit, shard, supervise, and restart named sessions.
+    """Host, admit, supervise, checkpoint, and restart named sessions.
 
     * ``admission`` — an :class:`AdmissionController`; the default admits
       any tenant under a permissive open-tenancy spec.
     * ``metrics`` — the *service* registry for the ``repro_serve_*``
       families (sessions each get their own registry).
-    * ``shards`` — size of the admin worker pool.
-    * ``stall_after`` / ``probe_interval`` — arm the per-shard stall
-      detector (see :meth:`start`); ``stall_after=None`` leaves it off.
+    * ``stall_after`` — arms the maintenance thread's stall detector;
+      ``stall_after=None`` leaves it off.  ``probe_interval`` is the
+      thread's tick.
     * ``state_dir`` — root of the durable store; every session opened on
       this service becomes crash-consistent.  ``retention``/``fsync``
-      forward to the store; ``auto_checkpoint`` (seconds) arms each
-      session's periodic snapshot thread.
+      forward to the store; ``auto_checkpoint`` (seconds) arms the
+      maintenance thread's periodic snapshot of every durable session.
 
     Usable as a context manager: ``with CoordinatorService() as svc: ...``
-    starts the maintenance threads (when armed) and closes every session
+    starts the maintenance thread (when armed) and closes every session
     on exit.
     """
 
@@ -84,7 +76,6 @@ class CoordinatorService:
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
         *,
-        shards: int = 4,
         stall_after: float | None = None,
         probe_interval: float = 0.05,
         state_dir=None,
@@ -92,8 +83,6 @@ class CoordinatorService:
         fsync: bool = False,
         auto_checkpoint: float | None = None,
     ):
-        if shards < 1:
-            raise RuntimeProtocolError("service needs at least one shard")
         self.durable: DurableStore | None = None
         if state_dir is not None:
             kwargs = {"fsync": fsync}
@@ -107,7 +96,6 @@ class CoordinatorService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stall_after = stall_after
         self.probe_interval = probe_interval
-        self._shards = [_Shard(i) for i in range(shards)]
         self._table_lock = threading.RLock()
         self._sessions: dict[str, FarmSession] = {}
         self._admissions = self.metrics.counter("repro_serve_admissions_total")
@@ -115,21 +103,12 @@ class CoordinatorService:
         self.metrics.gauge("repro_serve_sessions").set_callback(
             self, self._sample_sessions
         )
-        self._probes: list[threading.Thread] = []
+        #: name -> (delivered count at last progress, monotonic timestamp)
+        self._marks: dict[str, tuple[int, float]] = {}
+        #: name -> monotonic time the next periodic snapshot is due
+        self._due: dict[str, float] = {}
+        self._maintainer: threading.Thread | None = None
         self._stop = threading.Event()
-
-    # -- sharding ------------------------------------------------------------
-
-    def _shard_for(self, name: str) -> _Shard:
-        digest = zlib.crc32(name.encode("utf-8"))
-        return self._shards[digest % len(self._shards)]
-
-    def _lookup(self, name: str) -> tuple[FarmSession, _Shard]:
-        with self._table_lock:
-            session = self._sessions.get(name)
-            if session is None:
-                raise RuntimeProtocolError(f"unknown session {name!r}")
-            return session, self._shard_for(name)
 
     # -- metrics -------------------------------------------------------------
 
@@ -192,14 +171,10 @@ class CoordinatorService:
                 service_time=service_time,
                 default_timeout=default_timeout,
                 durability=durability,
-                auto_checkpoint=self.auto_checkpoint,
             )
             session.open()
-            shard = self._shard_for(name)
             self._sessions[name] = session
-            with shard.lock:
-                shard.sessions[name] = session
-                shard.marks[name] = (0, time.monotonic())
+            self.start()
             return session
 
     def recover_sessions(self) -> list[str]:
@@ -241,47 +216,42 @@ class CoordinatorService:
         return sorted(recovered)
 
     def durable_checkpoint(self, name: str, timeout: float = ADMIN_TIMEOUT):
-        """Commit one durable snapshot generation for ``name`` under its
-        shard's admin lock; returns the checkpoint."""
-        session, shard = self._lookup(name)
-        with shard.lock:
-            cp = session.durable_checkpoint(timeout=timeout)
-            shard.marks[name] = (len(session.delivered), time.monotonic())
-        return cp
+        """Commit one durable snapshot generation for ``name``; returns the
+        checkpoint.  The periodic snapshot takes this same path."""
+        try:
+            return self.session(name).durable_checkpoint(timeout=timeout)
+        finally:
+            self._marks.pop(name, None)  # a lifecycle op is progress
 
     def session(self, name: str) -> FarmSession:
-        return self._lookup(name)[0]
+        with self._table_lock:
+            session = self._sessions.get(name)
+        if session is None:
+            raise RuntimeProtocolError(f"unknown session {name!r}")
+        return session
 
     def submit(self, name: str, value, timeout: float | None = None) -> str:
-        """Offer one value to a hosted session's intake (no shard lock —
+        """Offer one value to a hosted session's intake (no admin lock —
         the session's own gate is the only hot-path synchronization)."""
-        session, _ = self._lookup(name)
-        return session.submit(value, timeout=timeout)
+        return self.session(name).submit(value, timeout=timeout)
 
     def rolling_restart(self, name: str, new_workers: int | None = None,
                         timeout: float = ADMIN_TIMEOUT):
-        """Checkpoint/rebuild/restore one session under its shard's admin
-        lock (the shard is keyed by name, so the session stays on it)."""
-        session, shard = self._lookup(name)
-        with shard.lock:
-            cp = session.rolling_restart(new_workers, timeout=timeout)
-            self._restarts.labels(name).inc()
-            shard.marks[name] = (len(session.delivered), time.monotonic())
+        """Checkpoint/rebuild/restore one session under its admin lock."""
+        try:
+            cp = self.session(name).rolling_restart(new_workers,
+                                                    timeout=timeout)
+        finally:
+            self._marks.pop(name, None)
+        self._restarts.labels(name).inc()
         return cp
 
     def quarantine(self, name: str, cause: BaseException | None = None) -> None:
-        session, shard = self._lookup(name)
-        with shard.lock:
-            session.quarantine(cause)
-            shard.marks.pop(name, None)
+        self.session(name).quarantine(cause)
 
     def close_session(self, name: str,
                       drain_timeout: float = ADMIN_TIMEOUT) -> None:
-        session, shard = self._lookup(name)
-        with shard.lock:
-            session.close(drain_timeout)
-            shard.sessions.pop(name, None)
-            shard.marks.pop(name, None)
+        self.session(name).close(drain_timeout)
 
     def status(self) -> dict[str, dict]:
         """One row per session the service ever admitted (closed sessions
@@ -292,7 +262,6 @@ class CoordinatorService:
             name: {
                 "tenant": s.tenant,
                 "state": s.state.value,
-                "shard": self._shard_for(name).index,
                 "workers": s.workers,
                 "restarts": s.restarts,
                 "delivered": len(s.delivered),
@@ -304,59 +273,72 @@ class CoordinatorService:
             for name, s in items
         }
 
-    # -- the maintenance pool ------------------------------------------------
+    # -- the maintenance thread ----------------------------------------------
 
     def start(self) -> "CoordinatorService":
-        """Start one maintenance thread per shard (no-op unless
-        ``stall_after`` is set)."""
-        if self.stall_after is None or self._probes:
-            return self
-        self._stop.clear()
-        for shard in self._shards:
-            thread = threading.Thread(
-                target=self._probe_loop, args=(shard,),
-                name=f"serve-shard{shard.index}", daemon=True,
+        """Start the maintenance thread — a no-op unless ``stall_after`` or
+        ``auto_checkpoint`` is set, or when it already runs.
+        :meth:`open_session` calls this too, so periodic snapshots need no
+        explicit start."""
+        with self._table_lock:
+            if self._maintainer is not None or (
+                self.stall_after is None and not self.auto_checkpoint
+            ):
+                return self
+            self._stop.clear()
+            self._maintainer = threading.Thread(
+                target=self._maintain, name="serve-maintenance", daemon=True,
             )
-            thread.start()
-            self._probes.append(thread)
+            self._maintainer.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
-        for thread in self._probes:
-            thread.join(timeout=ADMIN_TIMEOUT)
-        self._probes.clear()
+        if self._maintainer is not None:
+            self._maintainer.join(timeout=ADMIN_TIMEOUT)
+            self._maintainer = None
 
-    def _probe_loop(self, shard: _Shard) -> None:
+    def _maintain(self) -> None:
         while not self._stop.wait(self.probe_interval):
-            with shard.lock:
-                for name, session in list(shard.sessions.items()):
-                    self._probe_one(shard, name, session)
+            with self._table_lock:
+                sessions = list(self._sessions.items())
+            for name, session in sessions:
+                if not session.admin.acquire(blocking=False):
+                    self._marks.pop(name, None)  # an admin op is progress
+                    continue
+                try:
+                    self._tend(name, session)
+                finally:
+                    session.admin.release()
 
-    def _probe_one(self, shard: _Shard, name: str,
-                   session: FarmSession) -> None:
-        if session.state is not SessionState.RUNNING:
-            # lifecycle operations in flight are progress, not a stall
-            shard.marks[name] = (len(session.delivered), time.monotonic())
-            return
-        delivered = len(session.delivered)
-        marked, since = shard.marks.get(name, (delivered, time.monotonic()))
+    def _tend(self, name: str, session: FarmSession) -> None:
+        """One tick for one session whose admin lock this thread holds."""
         now = time.monotonic()
-        if delivered != marked or session.backlog() == 0:
-            shard.marks[name] = (delivered, now)
-            return
-        if now - since >= self.stall_after:
-            session.quarantine(StallError(name, now - since,
-                                          "session made no progress with a "
-                                          "backlog; quarantined by the "
-                                          "service stall detector"))
-            shard.sessions.pop(name, None)
-            shard.marks.pop(name, None)
+        if session.state is not SessionState.RUNNING:
+            self._marks.pop(name, None)
+        elif self.auto_checkpoint and session.durability is not None and (
+            self._due.setdefault(name, now + self.auto_checkpoint) <= now
+        ):
+            self._due[name] = now + self.auto_checkpoint
+            try:
+                self.durable_checkpoint(name)
+            except ReproRuntimeError:
+                pass  # a transient disk failure: the next period retries
+        elif self.stall_after is not None:
+            delivered = len(session.delivered)
+            marked, since = self._marks.setdefault(name, (delivered, now))
+            if delivered != marked or session.backlog() == 0:
+                self._marks[name] = (delivered, now)
+            elif now - since >= self.stall_after:
+                session.quarantine(StallError(
+                    name, now - since, "session made no progress with a "
+                    "backlog; quarantined by the service stall detector"))
 
     # -- teardown ------------------------------------------------------------
 
     def close(self, drain_timeout: float = ADMIN_TIMEOUT) -> None:
-        """Stop the maintenance pool and close every non-closed session."""
+        """Stop the maintenance thread and close every non-closed
+        session."""
         self.stop()
         with self._table_lock:
             names = [

@@ -5,10 +5,11 @@ restarts: one connector instance plus whatever tasks serve it, owned by a
 tenant, moving through an explicit lifecycle::
 
     ADMITTED ──> RUNNING ──> DRAINING ──> CHECKPOINTED ──> RESTORING ──┐
-                    ^  │         │                                     │
-                    │  │         └──────────> (abort: back to RUNNING) │
-                    │  └──> QUARANTINED ──> CLOSED                     │
-                    └──────────────────────────────────────────────────┘
+                 ^ ^ ^ │         │              │                      │
+                 │ │ └─┼─────────┘ (abort)      │                      │
+                 │ └───┼────────────────────────┘ (engine kept)        │
+                 │     └──> QUARANTINED ──> CLOSED                     │
+                 └─────────────────────────────────────────────────────┘
 
 Every state except CLOSED can also transition to CLOSED.  Transitions are
 validated under a lock; an illegal one raises the typed
@@ -33,32 +34,33 @@ Two concrete shapes:
   either delivered to a worker or captured in the dead-letter buffer —
   never lost, never duplicated.
 
-The quiescence protocol behind :meth:`FarmSession.rolling_restart` is the
-part worth reading twice.  ``checkpoint()`` demands no pending operations
-and no blocked waiters, so the session (1) closes the intake gate and waits
-for in-flight submits to reach zero — submits reserve an in-flight slot
-*under the same lock* that re-checks the gate, so no submit can slip past a
-closed gate; (2) parks the workers — each worker polls with a short receive
-timeout, and a timed-out receive withdraws its pending operation (counted
-in ``repro_ops_withdrawn_total``), so a parked farm converges to a
-genuinely quiescent engine within one tick; (3) checkpoints, captures the
-dead letters of the dying generation, rebuilds with the *same* metrics
-registry (counters continue across generations, so the conservation law
-``submitted == completed + shed + rejected + withdrawn`` holds cumulatively
-over the session's whole life), restores, and lifts both gates.
+A :class:`FarmSession` serializes its own admin operations: checkpoint,
+restart, quarantine and close each hold its ``admin`` lock, so no lifecycle
+transition of a farm happens outside it.  The quiescence protocol behind
+the first two is the part worth reading twice.  ``checkpoint()`` demands no
+pending operations and no blocked waiters, so the session (1) closes the
+intake gate and waits for in-flight submits to reach zero — submits reserve
+an in-flight slot *under the same lock* that re-checks the gate, so no
+submit can slip past a closed gate; (2) parks the workers — each worker
+polls with a short receive timeout, and a timed-out receive withdraws its
+pending operation (counted in ``repro_ops_withdrawn_total``), so a parked
+farm converges to a genuinely quiescent engine within one tick; (3)
+snapshots through :meth:`Session.checkpoint` and, for a restart, rebuilds
+through :meth:`Session.reopen` with the *same* metrics registry (so the
+conservation law ``submitted == completed + shed + rejected + withdrawn``
+holds over the session's whole life); and lifts both gates on the way out.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from enum import Enum
 from typing import Callable
 
 from repro.connectors import library
 from repro.runtime.errors import (
-    CheckpointError,
-    DurabilityError,
     OverloadError,
     PortClosedError,
     ProtocolTimeoutError,
@@ -98,7 +100,9 @@ _TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
     SessionState.DRAINING: frozenset(
         {SessionState.CHECKPOINTED, SessionState.RUNNING}
     ),
-    SessionState.CHECKPOINTED: frozenset({SessionState.RESTORING}),
+    SessionState.CHECKPOINTED: frozenset(
+        {SessionState.RESTORING, SessionState.RUNNING}
+    ),
     SessionState.RESTORING: frozenset({SessionState.RUNNING}),
     SessionState.QUARANTINED: frozenset(),
     SessionState.CLOSED: frozenset(),
@@ -135,7 +139,7 @@ class Session:
         self._factory = factory
         self.state = SessionState.ADMITTED
         self.connector = None
-        self.checkpoints: list = []  # taken checkpoints, in order
+        self.last_checkpoint = None  # the newest checkpoint taken
         self.restarts = 0            # completed reopen round-trips
         self.quarantine_cause: BaseException | None = None
         self._state_lock = threading.RLock()
@@ -162,18 +166,18 @@ class Session:
     def checkpoint(self, name: str = ""):
         """RUNNING → DRAINING → CHECKPOINTED: snapshot at quiescence.
 
-        On a :class:`CheckpointError` (the engine was not quiescent, or is
-        draining toward close) the session transitions back to RUNNING and
-        the typed error propagates — a failed snapshot never wedges the
-        lifecycle."""
+        On a failure (a :class:`~repro.runtime.errors.CheckpointError`: the
+        engine was not quiescent, or is draining toward close) the session
+        transitions back to RUNNING and the error propagates — a failed
+        snapshot never wedges the lifecycle."""
         with self._state_lock:
             self._transition(SessionState.DRAINING)
             try:
                 cp = self.connector.checkpoint(name or self.name)
-            except CheckpointError:
+            except BaseException:
                 self._transition(SessionState.RUNNING)
                 raise
-            self.checkpoints.append(cp)
+            self.last_checkpoint = cp
             self._transition(SessionState.CHECKPOINTED)
             return cp
 
@@ -183,7 +187,7 @@ class Session:
         with self._state_lock:
             self._transition(SessionState.RESTORING)
             if cp is None:
-                cp = self.checkpoints[-1]
+                cp = self.last_checkpoint
             _quiet_close(self.connector)
             self.connector = self._factory()
             self.connector.restore(cp)
@@ -235,11 +239,6 @@ class FarmSession(Session):
       gate-and-park quiescent points the rolling restart uses, and
       :meth:`open` transparently performs cold-start recovery when the
       state directory holds a previous incarnation's state.
-    * ``auto_checkpoint`` — seconds between periodic durable checkpoints
-      (a background thread; needs ``durability``).  A tick that loses the
-      quiescence race (or hits a transient disk failure) is skipped, not
-      fatal — the journal still bounds the loss window at zero for
-      acknowledged work.
 
     Delivered values accumulate in :attr:`delivered` (order of delivery);
     dead letters survive generation swaps via :meth:`dead_letters`.
@@ -258,7 +257,6 @@ class FarmSession(Session):
         service_time: float = 0.0,
         default_timeout: float = ADMIN_TIMEOUT,
         durability=None,
-        auto_checkpoint: float | None = None,
     ):
         super().__init__(name, tenant, factory=self._build)
         if workers < 1:
@@ -273,9 +271,8 @@ class FarmSession(Session):
         self.service_time = service_time
         self.default_timeout = default_timeout
         self.durability = durability
-        self.auto_checkpoint = auto_checkpoint
-        self._auto_thread: threading.Thread | None = None
-        self._auto_stop = threading.Event()
+        #: Held by every admin operation (never by submit or the workers).
+        self.admin = threading.RLock()
 
         self.delivered: list = []
         self._delivered_lock = threading.Lock()
@@ -377,25 +374,7 @@ class FarmSession(Session):
             # already carries these in its resubmit set, so a crash here
             # just re-derives the same re-injections.
             self._intake.send(value, timeout=self.default_timeout)
-        if self.auto_checkpoint and self.durability is not None:
-            self._auto_stop.clear()
-            self._auto_thread = threading.Thread(
-                target=self._auto_checkpoint_loop,
-                name=f"{self.name}:auto-checkpoint", daemon=True,
-            )
-            self._auto_thread.start()
         return self
-
-    def _auto_checkpoint_loop(self) -> None:
-        while not self._auto_stop.wait(self.auto_checkpoint):
-            if self._closing:
-                return
-            try:
-                self.durable_checkpoint()
-            except ReproRuntimeError:
-                # Lost the quiescence race (admin op in flight, close under
-                # way) or a transient durability failure: skip this tick.
-                continue
 
     # -- the worker pool ----------------------------------------------------
 
@@ -534,29 +513,48 @@ class FarmSession(Session):
                                            kind="intake-pause")
             time.sleep(RECV_TICK / 4)
 
-    def _park_workers(self, deadline: float) -> None:
-        self._gate.clear()
-        for flag in self._idle[: self.workers]:
-            if not flag.wait(timeout=max(0.0, deadline - time.monotonic())):
-                raise ProtocolTimeoutError(self.name, ADMIN_TIMEOUT,
-                                           kind="worker-park")
+    @contextmanager
+    def _parked(self, timeout: float):
+        """Pause the intake and park the workers for the body; both gates
+        lift on exit, whether the body (or the parking) succeeded or not."""
+        deadline = time.monotonic() + timeout
+        try:
+            self._pause_intake(deadline)
+            self._gate.clear()
+            for flag in self._idle[: self.workers]:
+                if not flag.wait(timeout=max(0.0, deadline - time.monotonic())):
+                    raise ProtocolTimeoutError(self.name, ADMIN_TIMEOUT,
+                                               kind="worker-park")
+            yield
+        finally:
+            self._gate.set()
+            self._intake_open.set()
 
-    def _resume(self) -> None:
-        self._gate.set()
-        self._intake_open.set()
+    def _committed_checkpoint(self):
+        """RUNNING → CHECKPOINTED, committing the snapshot while parked.
 
-    # -- durable checkpoint --------------------------------------------------
+        Committing after the gates lift would let an interleaved delivery
+        advance the journal past the checkpoint's engine state — the
+        snapshot's book must be consistent with its checkpoint.  A failed
+        commit returns the session to RUNNING with its engine intact."""
+        cp = self.checkpoint()
+        if self.durability is not None:
+            try:
+                self.durability.commit(cp, self._durable_meta())
+            except BaseException:
+                self._transition(SessionState.RUNNING)
+                raise
+        return cp
+
+    # -- admin operations ----------------------------------------------------
 
     def durable_checkpoint(self, timeout: float = ADMIN_TIMEOUT):
         """Commit one durable snapshot generation at a quiescent point.
 
         Same gate-and-park protocol as :meth:`rolling_restart`, but the
-        engine survives: pause the intake, park the workers, checkpoint,
-        **commit while still parked** (committing after resume would let an
-        interleaved delivery advance the journal past the checkpoint's
-        engine state — the snapshot's book must be consistent with its
-        checkpoint), then resume.  A :class:`DurabilityError` from the
-        commit is re-raised *after* the session resumes serving — a full
+        engine survives, so the session goes CHECKPOINTED → RUNNING.  A
+        :class:`~repro.runtime.errors.DurabilityError` from the commit
+        reaches the caller only after the session serves again — a full
         disk degrades durability, it does not wedge the farm.
 
         Returns the committed checkpoint."""
@@ -565,31 +563,10 @@ class FarmSession(Session):
                 f"session {self.name!r} has no durability "
                 "(open the service with --state-dir)"
             )
-        deadline = time.monotonic() + timeout
-        self._transition(SessionState.DRAINING)
-        commit_error: DurabilityError | None = None
-        try:
-            self._pause_intake(deadline)
-            self._park_workers(deadline)
-            cp = self.connector.checkpoint(self.name)
-            try:
-                self.durability.commit(cp, self._durable_meta())
-            except DurabilityError as exc:
-                commit_error = exc
-        except BaseException:
+        with self.admin, self._parked(timeout):
+            cp = self._committed_checkpoint()
             self._transition(SessionState.RUNNING)
-            self._resume()
-            raise
-        self.checkpoints.append(cp)
-        self._transition(SessionState.CHECKPOINTED)
-        self._transition(SessionState.RESTORING)
-        self._transition(SessionState.RUNNING)
-        self._resume()
-        if commit_error is not None:
-            raise commit_error
         return cp
-
-    # -- rolling restart ----------------------------------------------------
 
     def rolling_restart(self, new_workers: int | None = None,
                         timeout: float = ADMIN_TIMEOUT):
@@ -614,11 +591,7 @@ class FarmSession(Session):
                 f"session {self.name!r}: cannot restart {self.workers} "
                 f"workers into {new_workers}"
             )
-        deadline = time.monotonic() + timeout
-        self._transition(SessionState.DRAINING)
-        try:
-            self._pause_intake(deadline)
-            self._park_workers(deadline)
+        with self.admin, self._parked(timeout):
             if new_workers is not None and new_workers < self.workers:
                 surplus = self._worker_ins[new_workers:]
                 report = self.connector.leave(
@@ -627,52 +600,31 @@ class FarmSession(Session):
                 self.workers = new_workers
                 for contents in report.dropped_buffers.values():
                     self.dropped.extend(contents)
-            cp = self.connector.checkpoint(self.name)
-            if self.durability is not None:
-                # Same rule as durable_checkpoint: commit while parked so
-                # the snapshot's delivery book matches the engine state the
-                # restore below will resurrect.
-                self.durability.commit(cp, self._durable_meta())
-        except BaseException:
-            self._transition(SessionState.RUNNING)
-            self._resume()
-            raise
-        self.checkpoints.append(cp)
-        self._transition(SessionState.CHECKPOINTED)
-        self._transition(SessionState.RESTORING)
-        old = self.connector
-        self._dead.extend(old.dead_letters())
-        _quiet_close(old)
-        self.connector = self._build()
-        self.connector.restore(cp)
-        self.restarts += 1
-        self._transition(SessionState.RUNNING)
-        self._resume()
+            cp = self._committed_checkpoint()
+            self._dead.extend(self.connector.dead_letters())
+            self.reopen(cp)
         return cp
 
     # -- teardown ------------------------------------------------------------
 
     def quarantine(self, cause: BaseException | None = None) -> None:
-        with self._state_lock:
-            self._transition(SessionState.QUARANTINED)
-            self.quarantine_cause = cause
-        self._shutdown(drain=False)
+        with self.admin:
+            with self._state_lock:
+                self._transition(SessionState.QUARANTINED)
+                self.quarantine_cause = cause
+            self._shutdown(drain=False)
 
     def close(self, drain_timeout: float = ADMIN_TIMEOUT) -> None:
-        with self._state_lock:
-            if self.state is SessionState.CLOSED:
-                return
-            was_quarantined = self.state is SessionState.QUARANTINED
-            self.state = SessionState.CLOSED
-        if not was_quarantined:
-            self._shutdown(drain=True, drain_timeout=drain_timeout)
+        with self.admin:
+            with self._state_lock:
+                if self.state is SessionState.CLOSED:
+                    return
+                was_quarantined = self.state is SessionState.QUARANTINED
+                self.state = SessionState.CLOSED
+            if not was_quarantined:
+                self._shutdown(drain=True, drain_timeout=drain_timeout)
 
     def _shutdown(self, drain: bool, drain_timeout: float = ADMIN_TIMEOUT):
-        self._auto_stop.set()
-        if self._auto_thread is not None:
-            self._auto_thread.join(timeout=drain_timeout)
-            self._auto_thread = None
-        self._intake_open.clear()
         deadline = time.monotonic() + drain_timeout
         try:
             self._pause_intake(deadline)

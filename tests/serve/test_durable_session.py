@@ -10,18 +10,24 @@ the smoke test at the bottom and by CI's crash-recovery-smoke job).
 """
 
 import functools
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
 from repro.connectors import library
 from repro.runtime import durable
-from repro.runtime.errors import RuntimeProtocolError, SchemaVersionError
+from repro.runtime.errors import (
+    DurabilityError,
+    RuntimeProtocolError,
+    SchemaVersionError,
+)
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.daemon import handle
 from repro.serve.service import CoordinatorService
-from repro.serve.session import FarmSession
+from repro.serve.session import FarmSession, SessionState
 
 BLOCK = OverloadPolicy("block")
 WAIT = 15.0
@@ -253,6 +259,46 @@ def test_auto_checkpoint_commits_in_the_background(tmp_path):
         assert time.monotonic() < deadline, store.generations()
         time.sleep(0.02)
     svc.close()
+
+
+def test_session_holds_only_its_newest_checkpoint(tmp_path):
+    """50 durable checkpoints leave exactly one snapshot alive in memory:
+    the session keeps the newest, not a history."""
+    with CoordinatorService(state_dir=tmp_path) as svc:
+        s = svc.open_session("one", policy=BLOCK)
+        refs = [weakref.ref(svc.durable_checkpoint("one")) for _ in range(50)]
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert alive == [s.last_checkpoint]
+
+
+@pytest.mark.parametrize("op", ["durable_checkpoint", "rolling_restart"])
+def test_failed_commit_does_not_wedge_the_farm(tmp_path, monkeypatch, op):
+    """A snapshot commit that fails (a full disk) surfaces to the caller of
+    either admin op, and the session serves again: RUNNING, and the next
+    submit is delivered."""
+    save = durable.SessionStore.save_snapshot
+    armed = []
+
+    def save_once_failing(self, *args, **kwargs):
+        if armed:
+            armed.clear()
+            raise DurabilityError("no space left on device")
+        return save(self, *args, **kwargs)
+
+    monkeypatch.setattr(durable.SessionStore, "save_snapshot",
+                        save_once_failing)
+    with CoordinatorService(state_dir=tmp_path) as svc:
+        s = svc.open_session("full", policy=BLOCK)
+        for round_ in range(2):
+            armed.append(True)
+            with pytest.raises(DurabilityError):
+                getattr(svc, op)("full")
+            assert not armed, "the commit was never attempted"
+            assert s.state is SessionState.RUNNING
+            assert s.submit(f"v{round_}", timeout=WAIT) == "ok"
+            wait_delivered(s, round_ + 1)
+        assert s.delivered == ["v0", "v1"]
 
 
 # -- the JSON-lines daemon dispatch ----------------------------------------

@@ -1,7 +1,8 @@
-"""CoordinatorService: sharding keyed off the session name, the serve
-metric families, admission accounting, restart bookkeeping, and the
-progress-based stall detector."""
+"""CoordinatorService: the serve metric families, admission accounting,
+restart bookkeeping, and the one maintenance thread (periodic snapshots
+and the progress-based stall detector)."""
 
+import threading
 import time
 
 import pytest
@@ -51,23 +52,6 @@ def test_hosts_many_sessions_and_routes_submits():
         status = svc.status()
     assert len(status) == 6
     assert all(row["delivered"] == 5 for row in status.values())
-
-
-def test_shard_is_keyed_off_the_session_name():
-    """A session's shard is a digest of its name alone: a rolling restart
-    that changes the worker count leaves it where it was, and sessions
-    spread across more than one shard."""
-    with CoordinatorService(_controller(), shards=4) as svc:
-        for i in range(8):
-            svc.open_session(f"s{i}", workers=3)
-        shards = {name: row["shard"] for name, row in svc.status().items()}
-        svc.rolling_restart("s0", new_workers=2)
-        after = svc.status()
-        assert after["s0"]["workers"] == 2
-        assert {name: row["shard"] for name, row in after.items()} == shards
-        assert svc._lookup("s0")[1].index == shards["s0"]
-        assert "s0" in svc._shards[shards["s0"]].sessions
-    assert len(set(shards.values())) > 1
 
 
 def test_admission_metrics_and_duplicate_names():
@@ -176,3 +160,68 @@ def test_stall_detector_quarantines_wedged_session():
         assert svc.session("healthy").state is SessionState.RUNNING
     finally:
         svc.close()
+
+
+def _maintenance_threads():
+    return [t for t in threading.enumerate() if t.name == "serve-maintenance"]
+
+
+@pytest.mark.fault_stress
+def test_stall_probe_waits_for_an_admin_op_in_flight():
+    """While an admin op holds the session's lock the probe leaves the
+    session alone, however long the op takes; once the lock is free the
+    same maintenance thread quarantines the wedge within a few ticks."""
+    before = len(_maintenance_threads())
+    svc = CoordinatorService(_controller(), stall_after=0.2,
+                             probe_interval=0.05).start()
+    try:
+        wedged = svc.open_session("wedged", service_time=0.0)
+        wedged._gate.clear()  # workers stop for good, as in a real wedge
+        time.sleep(0.1)
+        assert svc.submit("wedged", "w0", timeout=2.0) == "ok"
+        assert wedged.backlog() > 0
+        held, release = threading.Event(), threading.Event()
+
+        def admin_op():
+            with wedged.admin:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=admin_op)
+        holder.start()
+        assert held.wait(5.0)
+        end = time.monotonic() + 5 * svc.stall_after
+        while time.monotonic() < end:
+            assert wedged.state is SessionState.RUNNING
+            time.sleep(0.02)
+        release.set()
+        holder.join(5.0)
+        deadline = time.monotonic() + svc.stall_after + 40 * svc.probe_interval
+        while wedged.state is not SessionState.QUARANTINED:
+            assert time.monotonic() < deadline, wedged.state
+            time.sleep(0.02)
+        assert isinstance(wedged.quarantine_cause, StallError)
+        assert len(_maintenance_threads()) == before + 1
+    finally:
+        svc.close()
+
+
+def test_one_maintenance_thread_tends_every_session(tmp_path):
+    """Stall detection and periodic snapshots for three durable sessions
+    run on one thread, and every session gains a snapshot generation."""
+    before = len(_maintenance_threads())
+    svc = CoordinatorService(_controller(), stall_after=5.0,
+                             state_dir=tmp_path, auto_checkpoint=0.05)
+    try:
+        sessions = [svc.open_session(f"d{i}") for i in range(3)]
+        assert len(_maintenance_threads()) == before + 1
+        deadline = time.monotonic() + 15.0
+        for s in sessions:
+            # open() committed generation 1; the thread must add more
+            while max(s.durability.store.generations()) < 2:
+                assert time.monotonic() < deadline, s.name
+                time.sleep(0.02)
+        assert len(_maintenance_threads()) == before + 1
+    finally:
+        svc.close()
+    assert len(_maintenance_threads()) == before

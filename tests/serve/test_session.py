@@ -37,7 +37,7 @@ def test_lifecycle_happy_path():
     assert s.state is SessionState.RUNNING
     cp = s.checkpoint()
     assert s.state is SessionState.CHECKPOINTED
-    assert s.checkpoints == [cp]
+    assert s.last_checkpoint is cp
     s.reopen()
     assert s.state is SessionState.RUNNING
     assert s.restarts == 1
@@ -127,7 +127,7 @@ def test_rolling_restart_is_exactly_once_under_load():
     try:
         time.sleep(0.1)
         cp = s.rolling_restart()
-        assert cp is s.checkpoints[-1]
+        assert cp is s.last_checkpoint
         assert s.restarts == 1
         assert s.state is SessionState.RUNNING
         time.sleep(0.1)
