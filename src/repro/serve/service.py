@@ -17,10 +17,14 @@ With ``stall_after`` or ``auto_checkpoint`` set, one maintenance thread
 tends every session.  Each tick it visits every RUNNING session whose
 admin lock it can take without waiting (a busy lock is an admin operation
 in flight, which counts as progress) and either commits a due periodic
-snapshot through :meth:`CoordinatorService.durable_checkpoint` or runs
+snapshot through :meth:`CoordinatorService.durable_checkpoint` — giving
+up after ``PARK_TIMEOUT`` on a session that cannot park — or runs
 the progress-based stall detector, which quarantines a session whose
 delivered count stops moving for ``stall_after`` seconds while it still
 has a backlog (in-flight submits, pending operations, or buffered values).
+Snapshots of different sessions run one after another, so a session's
+period stretches once they take longer than ``auto_checkpoint`` together
+(docs/DECISIONS.md row 22).
 The detector is the service-level analogue of the task watchdog: it
 catches a *wedged session*, not a wedged task.
 
@@ -49,6 +53,11 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.admission import AdmissionController, AdmissionError, TenantSpec
 from repro.serve.session import ADMIN_TIMEOUT, FarmSession, SessionState
+
+#: Bound on the parking of a periodic snapshot (ten worker receive ticks).
+#: A session that cannot park in time — a submit wedged in ``send`` — is
+#: skipped until its next period instead of holding up the other sessions.
+PARK_TIMEOUT = 0.2
 
 
 class CoordinatorService:
@@ -218,10 +227,7 @@ class CoordinatorService:
     def durable_checkpoint(self, name: str, timeout: float = ADMIN_TIMEOUT):
         """Commit one durable snapshot generation for ``name``; returns the
         checkpoint.  The periodic snapshot takes this same path."""
-        try:
-            return self.session(name).durable_checkpoint(timeout=timeout)
-        finally:
-            self._marks.pop(name, None)  # a lifecycle op is progress
+        return self.session(name).durable_checkpoint(timeout=timeout)
 
     def session(self, name: str) -> FarmSession:
         with self._table_lock:
@@ -238,11 +244,7 @@ class CoordinatorService:
     def rolling_restart(self, name: str, new_workers: int | None = None,
                         timeout: float = ADMIN_TIMEOUT):
         """Checkpoint/rebuild/restore one session under its admin lock."""
-        try:
-            cp = self.session(name).rolling_restart(new_workers,
-                                                    timeout=timeout)
-        finally:
-            self._marks.pop(name, None)
+        cp = self.session(name).rolling_restart(new_workers, timeout=timeout)
         self._restarts.labels(name).inc()
         return cp
 
@@ -299,7 +301,13 @@ class CoordinatorService:
             self._maintainer = None
 
     def _maintain(self) -> None:
-        while not self._stop.wait(self.probe_interval):
+        # Ticks start every probe_interval; a sweep that overran (snapshots
+        # of many sessions) is followed by the next one at once.
+        tick = time.monotonic()
+        while not self._stop.wait(
+            max(0.0, tick + self.probe_interval - time.monotonic())
+        ):
+            tick = time.monotonic()
             with self._table_lock:
                 sessions = list(self._sessions.items())
             for name, session in sessions:
@@ -319,11 +327,11 @@ class CoordinatorService:
         elif self.auto_checkpoint and session.durability is not None and (
             self._due.setdefault(name, now + self.auto_checkpoint) <= now
         ):
-            self._due[name] = now + self.auto_checkpoint
             try:
-                self.durable_checkpoint(name)
+                self.durable_checkpoint(name, timeout=PARK_TIMEOUT)
             except ReproRuntimeError:
-                pass  # a transient disk failure: the next period retries
+                pass  # cannot park, or a disk failure: the next period retries
+            self._due[name] = time.monotonic() + self.auto_checkpoint
         elif self.stall_after is not None:
             delivered = len(session.delivered)
             marked, since = self._marks.setdefault(name, (delivered, now))

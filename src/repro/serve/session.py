@@ -380,18 +380,14 @@ class FarmSession(Session):
 
     def _worker(self, rank: int) -> None:
         while True:
-            if self._closing:
-                return
+            if self._closing or rank >= self.workers:
+                return  # closing, or shrunk away by a reduced-arity restart
             if not self._gate.is_set():
-                if rank >= self.workers:
-                    return  # shrunk away by a reduced-arity restart
                 self._idle[rank].set()
                 self._gate.wait(timeout=RECV_TICK)
                 if self._gate.is_set():
                     self._idle[rank].clear()
                 continue
-            if rank >= self.workers:
-                return
             try:
                 value = self._worker_ins[rank].recv(timeout=RECV_TICK)
             except ProtocolTimeoutError:
@@ -432,13 +428,9 @@ class FarmSession(Session):
                 if self._intake_open.is_set():
                     self._inflight += 1
                     break
-            if self._closing or self.state in (
+            if self._closing or time.monotonic() >= deadline or self.state in (
                 SessionState.CLOSED, SessionState.QUARANTINED
             ):
-                raise SessionStateError(
-                    self.name, self.state, SessionState.RUNNING
-                )
-            if time.monotonic() >= deadline:
                 raise SessionStateError(
                     self.name, self.state, SessionState.RUNNING
                 )
@@ -502,28 +494,34 @@ class FarmSession(Session):
 
     # -- quiescence plumbing -------------------------------------------------
 
-    def _pause_intake(self, deadline: float) -> None:
+    def _pause_intake(self, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
         self._intake_open.clear()
         while True:
             with self._inflight_lock:
                 if self._inflight == 0:
                     return
             if time.monotonic() >= deadline:
-                raise ProtocolTimeoutError(self.name, ADMIN_TIMEOUT,
+                raise ProtocolTimeoutError(self.name, timeout,
                                            kind="intake-pause")
             time.sleep(RECV_TICK / 4)
 
     @contextmanager
     def _parked(self, timeout: float):
         """Pause the intake and park the workers for the body; both gates
-        lift on exit, whether the body (or the parking) succeeded or not."""
+        lift on exit, whether the body (or the parking) succeeded or not.
+        A session that is not RUNNING is refused before either gate moves
+        (callers hold :attr:`admin`, so the state cannot change here)."""
+        if self.state is not SessionState.RUNNING:
+            raise SessionStateError(self.name, self.state,
+                                    SessionState.DRAINING)
         deadline = time.monotonic() + timeout
         try:
-            self._pause_intake(deadline)
+            self._pause_intake(timeout)
             self._gate.clear()
             for flag in self._idle[: self.workers]:
                 if not flag.wait(timeout=max(0.0, deadline - time.monotonic())):
-                    raise ProtocolTimeoutError(self.name, ADMIN_TIMEOUT,
+                    raise ProtocolTimeoutError(self.name, timeout,
                                                kind="worker-park")
             yield
         finally:
@@ -625,22 +623,20 @@ class FarmSession(Session):
                 self._shutdown(drain=True, drain_timeout=drain_timeout)
 
     def _shutdown(self, drain: bool, drain_timeout: float = ADMIN_TIMEOUT):
-        deadline = time.monotonic() + drain_timeout
         try:
-            self._pause_intake(deadline)
+            self._pause_intake(drain_timeout)
         except ProtocolTimeoutError:
             pass
         self._gate.set()  # workers must keep consuming through the drain
         conn = self.connector
         if conn is not None:
+            self._dead.extend(conn.dead_letters())
             if drain:
-                self._dead.extend(conn.dead_letters())
                 try:
                     conn.drain(timeout=drain_timeout)
                 except (ProtocolTimeoutError, RuntimeProtocolError):
                     _quiet_close(conn)
             else:
-                self._dead.extend(conn.dead_letters())
                 _quiet_close(conn)
         self._closing = True
         if self._group is not None:

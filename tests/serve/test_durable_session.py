@@ -27,7 +27,7 @@ from repro.runtime.errors import (
 from repro.runtime.overload import OverloadPolicy
 from repro.serve.daemon import handle
 from repro.serve.service import CoordinatorService
-from repro.serve.session import FarmSession, SessionState
+from repro.serve.session import FarmSession, SessionState, SessionStateError
 
 BLOCK = OverloadPolicy("block")
 WAIT = 15.0
@@ -301,6 +301,23 @@ def test_failed_commit_does_not_wedge_the_farm(tmp_path, monkeypatch, op):
         assert s.delivered == ["v0", "v1"]
 
 
+@pytest.mark.parametrize("end", ["close_session", "quarantine"])
+@pytest.mark.parametrize("op", ["durable_checkpoint", "rolling_restart"])
+def test_admin_ops_refuse_a_session_that_is_not_running(tmp_path, op, end):
+    """A snapshot op on a closed or quarantined session fails at once with
+    SessionStateError and leaves both gates shut: a later submit is still
+    refused with SessionStateError."""
+    with CoordinatorService(state_dir=tmp_path) as svc:
+        s = svc.open_session("gone", policy=BLOCK)
+        getattr(svc, end)("gone")
+        start = time.monotonic()
+        with pytest.raises(SessionStateError):
+            getattr(svc, op)("gone")
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(SessionStateError):
+            s.submit("late", timeout=0.1)
+
+
 # -- the JSON-lines daemon dispatch ----------------------------------------
 
 
@@ -325,6 +342,12 @@ def test_daemon_handle_roundtrip(tmp_path):
         assert resp["ok"] and "d" in resp["sessions"]
         resp, _ = handle(svc, {"op": "nonsense"})
         assert not resp["ok"] and resp["error"]
+        resp, _ = handle(svc, {"op": "close", "name": "d"})
+        assert resp["ok"]
+        start = time.monotonic()
+        resp, _ = handle(svc, {"op": "checkpoint", "name": "d"})
+        assert resp["error"] == "SessionStateError"
+        assert time.monotonic() - start < 1.0
         resp, alive = handle(svc, {"op": "shutdown"})
         assert resp["ok"] and not alive
     finally:

@@ -225,3 +225,35 @@ def test_one_maintenance_thread_tends_every_session(tmp_path):
     finally:
         svc.close()
     assert len(_maintenance_threads()) == before
+
+
+@pytest.mark.fault_stress
+def test_a_session_that_cannot_park_holds_up_no_other(tmp_path):
+    """A durable session with a submit wedged in ``send`` can never park.
+    The maintenance thread gives up on its periodic snapshot after
+    PARK_TIMEOUT instead of ADMIN_TIMEOUT, so a healthy session keeps being
+    snapshotted period after period.  The failed attempts do not reset the
+    stall clock either: the wedge is quarantined on schedule."""
+    svc = CoordinatorService(_controller(), stall_after=1.0,
+                             probe_interval=0.05, state_dir=tmp_path,
+                             auto_checkpoint=0.1)
+    try:
+        healthy = svc.open_session("healthy")
+        stuck = svc.open_session("stuck")
+        with stuck._inflight_lock:
+            stuck._inflight += 1  # what a submit blocked in send looks like
+        generations = healthy.durability.store.generations
+        start, first = time.monotonic(), max(generations())
+        while stuck.state is not SessionState.QUARANTINED:
+            assert time.monotonic() - start < svc.stall_after + 1.5
+            time.sleep(0.02)
+        with stuck._inflight_lock:
+            stuck._inflight -= 1  # the blocked submit gives up
+        assert isinstance(stuck.quarantine_cause, StallError)
+        # ~0.1 s period plus at most one 0.2 s give-up on the wedge per
+        # period: at least 3 generations in the stall_after window (none
+        # at all if each attempt on the wedge held the thread for 10 s)
+        assert max(generations()) - first >= 3
+        assert healthy.state is SessionState.RUNNING
+    finally:
+        svc.close()
