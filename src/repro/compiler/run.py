@@ -104,7 +104,6 @@ def run_main(
     registry,
     params: dict[str, int] | None = None,
     join_timeout: float | None = 60.0,
-    detect_deadlock: bool = False,
     **connector_options,
 ):
     """Run a compiled program's ``main``.
@@ -194,9 +193,6 @@ def run_main(
         else:
             bindings[formal.name] = ports.name
             inports.append(ports)
-
-    if detect_deadlock:
-        connector_options.setdefault("expected_parties", len(flat_tasks))
 
     connector = protocol.instantiate_connector(
         bindings=bindings, **connector_options

@@ -90,7 +90,6 @@ class RuntimeConnector(Connector):
         cache_factory: Callable[[], object] | None = None,
         registry: FunctionRegistry | None = None,
         state_budget: int | None = None,
-        expected_parties: int | None = None,
         tracer=None,
         default_timeout: float | None = None,
         detection_grace: float = 0.05,
@@ -116,7 +115,6 @@ class RuntimeConnector(Connector):
         self.cache_factory = cache_factory
         self.registry = registry or DEFAULT_REGISTRY
         self.state_budget = state_budget
-        self.expected_parties = expected_parties
         self.tracer = tracer
         self.default_timeout = default_timeout
         self.detection_grace = detection_grace
@@ -194,7 +192,6 @@ class RuntimeConnector(Connector):
             sources,
             sinks,
             registry=self.registry,
-            expected_parties=self.expected_parties,
             tracer=self.tracer,
             default_timeout=self.default_timeout,
             detection_grace=self.detection_grace,
@@ -381,7 +378,6 @@ class RuntimeConnector(Connector):
 
         # Detach the departing ports first: their party registration leaves
         # the registry before detection re-evaluates against the survivors.
-        owners = {p._owner for p in ports if p._owner is not None}
         for p in ports:
             p._detach()
         engine.reconfigure(
@@ -390,7 +386,6 @@ class RuntimeConnector(Connector):
             sources,
             sinks,
             vertex_map,
-            expected_delta=max(len(owners), 1),
             initial_occupancy=fresh_occupancy,
             prepare=migrate,
         )

@@ -64,9 +64,10 @@ Blocking operations take an optional ``timeout``; a timed-out operation is
 *withdrawn* from its queue before :class:`ProtocolTimeoutError` is raised,
 so it can never enable a transition on behalf of a task that gave up.
 Tasks (via their ports, see :meth:`repro.runtime.ports._Port.set_owner`)
-may register as *parties* of the engine; deadlock is then detected
-precisely — every registered party blocked on a committed operation, engine
-quiescent — without the caller having to pass ``expected_parties``.  When a
+register as *parties* of the engine, and deadlock is detected against them
+alone — every registered party blocked on a committed operation, engine
+quiescent.  The engine learns its parties only by registration; with none
+registered, blocked operations wait out their timeouts.  When a
 supervised peer crashed, the detection delivers :class:`PeerFailedError`
 (naming the dead task) instead of a bare :class:`DeadlockError`.
 
@@ -325,20 +326,13 @@ class CoordinatorEngine(EngineHost):
     """Reactive state machine driving one protocol instance.
 
     ``sources`` are boundary vertices bound to outports (tasks send there);
-    ``sinks`` are bound to inports.  Deadlock detection runs in one of two
-    modes:
-
-    * **declared** — ``expected_parties`` names the total party count (the
-      seed behaviour): when that many parties are simultaneously blocked on
-      committed operations and no transition is enabled, every blocked
-      operation fails with :class:`DeadlockError`;
-    * **registered** — parties register via :meth:`register_party` (ports do
-      this for their owning task, see
-      :class:`repro.runtime.tasks.SupervisedTaskGroup`): detection triggers
-      when *every currently registered* party is blocked, after a
-      ``detection_grace`` confirmation window that absorbs staggered task
-      start-up.  Registration takes precedence over ``expected_parties``
-      because it tracks party exits precisely.
+    ``sinks`` are bound to inports.  Parties register via
+    :meth:`register_party` (ports do this for their owning task, see
+    :class:`repro.runtime.tasks.SupervisedTaskGroup`); when *every currently
+    registered* party is blocked on a committed operation and no transition
+    is enabled, for a ``detection_grace`` confirmation window that absorbs
+    staggered task start-up, every blocked operation fails with
+    :class:`DeadlockError`.
 
     ``default_timeout`` bounds every blocking operation that does not pass
     its own ``timeout``.  ``concurrency`` selects ``"regions"`` (one lock
@@ -353,7 +347,6 @@ class CoordinatorEngine(EngineHost):
         sources: frozenset[str],
         sinks: frozenset[str],
         registry: FunctionRegistry | None = None,
-        expected_parties: int | None = None,
         tracer=None,
         default_timeout: float | None = None,
         detection_grace: float = 0.05,
@@ -367,9 +360,8 @@ class CoordinatorEngine(EngineHost):
                 f"concurrency must be 'regions' or 'global', not {concurrency!r}"
             )
         super().__init__(
-            concurrency, sources, sinks, registry, expected_parties, tracer,
-            default_timeout, detection_grace, overload, metrics, compiled,
-            buffers,
+            concurrency, sources, sinks, registry, tracer, default_timeout,
+            detection_grace, overload, metrics, compiled, buffers,
         )
         self.buffers = buffers
         # Timing stamps and liveness marks on the post path exist for the
@@ -727,7 +719,6 @@ class CoordinatorEngine(EngineHost):
         sources: frozenset[str],
         sinks: frozenset[str],
         vertex_map: dict[str, str],
-        expected_delta: int = 0,
         initial_occupancy: int | None = None,
         prepare=None,
     ) -> None:
@@ -789,7 +780,7 @@ class CoordinatorEngine(EngineHost):
                             op.vertex = nv
                         new_map[nv] = q  # reuse the deque: see docstring
                 self._remap_boundary(vertex_map, sources, sinks,
-                                     expected_delta, initial_occupancy)
+                                     initial_occupancy)
                 self._plans.clear()
                 # Fresh locks, unreachable until now: acquiring them under
                 # the old locks cannot deadlock.

@@ -86,16 +86,15 @@ class EngineHost:
     suspect."""
 
     def __init__(self, concurrency: str, sources: frozenset[str],
-                 sinks: frozenset[str], registry, expected_parties, tracer,
-                 default_timeout, detection_grace: float, overload, metrics,
-                 compiled: str, buffers):
+                 sinks: frozenset[str], registry, tracer, default_timeout,
+                 detection_grace: float, overload, metrics, compiled: str,
+                 buffers):
         if compiled not in ("auto", "off"):
             raise ValueError(f"compiled must be 'auto' or 'off', not {compiled!r}")
         self.concurrency = concurrency
         self.sources = sources
         self.sinks = sinks
         self.registry = registry or DEFAULT_REGISTRY
-        self.expected_parties = expected_parties
         self.tracer = tracer
         # ConnectorMetrics hook bundle (repro.runtime.metrics) or None.
         # Every hot-path use is guarded by one `is not None` check, so an
@@ -198,9 +197,9 @@ class EngineHost:
         """Declare a party (task) of this protocol instance.
 
         One registration per (party, port); re-registrations are refcounted.
-        While any parties are registered, precise deadlock detection is
-        armed: all registered parties blocked + quiescent engine (stable for
-        ``detection_grace`` seconds) fails every blocked operation.
+        Deadlock detection counts registered parties only: all of them
+        blocked + quiescent engine (stable for ``detection_grace`` seconds)
+        fails every blocked operation.  With none registered it is off.
         """
         with self._world_stopped():
             party = self._parties.get(key)
@@ -329,7 +328,7 @@ class EngineHost:
         with self._lock:
             self._blocked += 1
             self._parks += 1
-            threshold = len(self._parties) or self.expected_parties or 0
+            threshold = len(self._parties)
             # The detector's own two conditions, read without its freeze: a
             # woken peer still counts as blocked until it runs again, which
             # under a GIL is after its waker parks — but its operation has
@@ -363,16 +362,8 @@ class EngineHost:
         registry lock, then ``_freeze()``, for a consistent snapshot of
         pending operations and blocked waiters."""
         with self._lock:
-            if self._parties:
-                threshold, grace = len(self._parties), self.detection_grace
-            elif self.expected_parties is not None:
-                threshold, grace = self.expected_parties, 0.0
-            else:
-                return
-            if threshold <= 0:
-                # Zero declared parties (e.g. after reconfigure subtracted
-                # the last one) means nobody to wait for, not "everyone is
-                # blocked": leave lone waiters to their timeouts.
+            threshold = len(self._parties)
+            if not threshold:
                 return
             locks = self._freeze()
             try:
@@ -388,7 +379,7 @@ class EngineHost:
                 if stuck < threshold or self._blocked < threshold:
                     self._suspect = None
                     return
-                if grace > 0.0:
+                if self.detection_grace > 0.0:
                     # Confirmation window: a party that has not *registered*
                     # yet (e.g. a task the group is still spawning) must get
                     # a chance to appear before we conclude the registered
@@ -399,7 +390,7 @@ class EngineHost:
                     if self._suspect is None or self._suspect[0] != mark:
                         self._suspect = (mark, now)
                         return
-                    if now - self._suspect[1] < grace:
+                    if now - self._suspect[1] < self.detection_grace:
                         return
                 self._deliver_deadlock(self._stuck_error(threshold))
                 self._suspect = None
@@ -531,7 +522,7 @@ class EngineHost:
 
     def _remap_boundary(self, vertex_map: dict[str, str],
                         sources: frozenset[str], sinks: frozenset[str],
-                        expected_delta: int, initial_occupancy) -> None:
+                        initial_occupancy) -> None:
         """Re-key everything kept per boundary vertex across a
         re-parametrization (world stopped).  ``vertex_map`` names every
         *surviving* old vertex; one it does not name has departed, and
@@ -556,8 +547,6 @@ class EngineHost:
             }
             for v in party.vertices:
                 self._vertex_party[v] = party
-        if self.expected_parties is not None:
-            self.expected_parties = max(0, self.expected_parties - expected_delta)
         self.dead.remap(vertex_map)
         if initial_occupancy is not None:
             # The re-instantiated connector's token baseline (captured by

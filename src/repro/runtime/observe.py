@@ -213,17 +213,6 @@ def render_chrome_trace(events, t0: float = 0.0, vertex_parties=None) -> str:
     return json.dumps(chrome_trace(events, t0, vertex_parties))
 
 
-def connector_lanes(conn) -> dict[str, str]:
-    """Vertex → owning-party-name mapping read off a connected connector's
-    current registrations (for :func:`chrome_trace`'s lane titles).  Only
-    vertices whose tasks registered through supervision appear."""
-    engine = getattr(conn, "engine", None) or conn
-    with engine._lock:
-        return {
-            v: p.name for v, p in engine._vertex_party.items() if p.name
-        }
-
-
 # --------------------------------------------------------------------------
 # The CLI scenario: the overload farm, observed
 # --------------------------------------------------------------------------

@@ -254,8 +254,8 @@ class SupervisedTaskGroup(TaskGroup):
     Each spawned task declares the ports it owns (``ports=``).  The group:
 
     * registers the task as a *party* on every engine those ports are bound
-      to, arming precise deadlock detection (no ``expected_parties``
-      needed) — a genuine all-parties-blocked state raises
+      to — the engine learns its parties only this way, and a genuine
+      all-parties-blocked state raises
       :class:`~repro.util.errors.DeadlockError` with a diagnostic dump;
     * on **crash**, consults ``restart_policy``: while the retry budget
       lasts, the task is relaunched after a seeded exponential backoff with
@@ -271,13 +271,12 @@ class SupervisedTaskGroup(TaskGroup):
       failure is recorded in ``self.departures`` and ``join`` does *not*
       re-raise it (falling back to failing the ports when the connector
       cannot re-parametrize);
-    * on **normal exit**, unregisters the party (closing the ports too when
-      ``close_ports_on_exit=True``), so peers waiting forever on an exited
-      task are detected instead of hanging.
+    * on **normal exit**, unregisters the party, so peers waiting forever
+      on an exited task are detected instead of hanging.
 
-    All tasks sharing a connector should be spawned through supervision (or
-    declared via ``expected_parties``); an undeclared participant can make
-    the registered set look complete and trigger a premature detection.
+    Every task sharing a connector should be registered (spawned through
+    supervision); an unregistered participant can make the registered set
+    look complete and trigger a premature detection.
 
     >>> with SupervisedTaskGroup(restart_policy=RestartPolicy(max_retries=2)) as g:
     ...     g.spawn(producer, out, ports=[out])
@@ -287,7 +286,6 @@ class SupervisedTaskGroup(TaskGroup):
     def __init__(
         self,
         join_timeout: float | None = None,
-        close_ports_on_exit: bool = False,
         restart_policy: RestartPolicy | None = None,
         on_departure: str = "fail",
         metrics=None,
@@ -298,7 +296,6 @@ class SupervisedTaskGroup(TaskGroup):
                 f"on_departure must be 'fail' or 'reparametrize', "
                 f"not {on_departure!r}"
             )
-        self.close_ports_on_exit = close_ports_on_exit
         self.restart_policy = restart_policy
         self.on_departure = on_departure
         self.departures: list = []  # DepartureReports, in failure order
@@ -342,10 +339,7 @@ class SupervisedTaskGroup(TaskGroup):
         if exc is None:
             record.result = handle.result
             for p in record.ports:
-                if self.close_ports_on_exit:
-                    p.close()
-                else:
-                    p.release_owner()
+                p.release_owner()
             record._done.set()
             return
         if self._metrics is not None:

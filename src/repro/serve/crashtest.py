@@ -63,7 +63,7 @@ REQUEST_TIMEOUT = 15.0
 class DaemonClient:
     """One daemon subprocess incarnation: spawn, speak JSON-lines, kill."""
 
-    def __init__(self, state_dir: str, *, sessions_log=None):
+    def __init__(self, state_dir: str):
         src_root = pathlib.Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -19,6 +19,12 @@ from repro.util.errors import (
 pytestmark = pytest.mark.fault_stress
 
 
+def _register(conn, n):
+    """Register ``n`` parties by hand, as supervised tasks' ports would."""
+    for k in range(n):
+        conn.engine.register_party(f"party{k}")
+
+
 def test_close_connector_fails_all_blocked_parties(concurrency="regions"):
     conn = library.connector("Barrier", 2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
@@ -65,13 +71,14 @@ def test_send_after_connector_close():
 
 
 def test_deadlock_detection_two_receivers(concurrency="regions"):
-    """Two parties both receiving on an empty fifo = deadlock (when the
-    engine knows how many parties there are)."""
+    """Two parties both receiving on an empty fifo = deadlock (when both
+    are registered)."""
     conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", expected_parties=2, concurrency=concurrency
+        "P", concurrency=concurrency
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
+    _register(conn, 2)
 
     def recv_expect_deadlock():
         with pytest.raises(DeadlockError):
@@ -92,11 +99,10 @@ def test_deadlock_detection_two_receivers(concurrency="regions"):
 
 
 def test_no_false_deadlock_when_progress_possible():
-    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", expected_parties=2
-    )
+    conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector("P")
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
+    _register(conn, 2)
 
     def producer():
         for i in range(50):
@@ -113,10 +119,10 @@ def test_no_false_deadlock_when_progress_possible():
 
 def test_deadlock_in_barrier_wrong_usage(concurrency="regions"):
     """A Barrier(2) where only one pair participates deadlocks."""
-    conn = library.connector(
-        "Barrier", 2, expected_parties=2, concurrency=concurrency)
+    conn = library.connector("Barrier", 2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
+    _register(conn, 2)
 
     def send_only():
         with pytest.raises(DeadlockError):
@@ -137,13 +143,14 @@ def test_deadlock_in_barrier_wrong_usage(concurrency="regions"):
 def test_no_spurious_deadlock_from_nonblocking_probes(concurrency="regions"):
     """Detection counts *blocked parties*, not queued ops: probes from a
     non-blocking (or about-to-block) submitter transiently inflate a vertex
-    queue past ``expected_parties`` while only one party is truly blocked —
-    that must never be declared a deadlock."""
+    queue past the registered party count while only one party is truly
+    blocked — that must never be declared a deadlock."""
     conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", expected_parties=2, concurrency=concurrency
+        "P", concurrency=concurrency
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
+    _register(conn, 2)
     outs[0].send(0)  # fifo now full
 
     def blocked_sender():
@@ -153,8 +160,8 @@ def test_no_spurious_deadlock_from_nonblocking_probes(concurrency="regions"):
     h = spawn(blocked_sender)
     time.sleep(0.05)  # exactly one blocked party from here on
     for _ in range(300):
-        # each probe queues a second op at `a` (queue length 2 =
-        # expected_parties) before withdrawing it; only blocked-party
+        # each probe queues a second op at `a` (queue length 2 = the
+        # party count) before withdrawing it; only blocked-party
         # counting keeps this below the detection threshold
         assert not outs[0].try_send(2)
     assert ins[0].recv() == 0  # drain: unblocks the parked sender
@@ -165,13 +172,12 @@ def test_no_spurious_deadlock_from_nonblocking_probes(concurrency="regions"):
 
 @pytest.mark.parametrize("concurrency", ["regions", "global"])
 def test_zero_expected_parties_is_not_a_deadlock(concurrency):
-    """``expected_parties=0`` (what ``reconfigure`` leaves behind when the
-    last declared party departs) declares nobody to wait for — it must not
-    read as "all 0 parties blocked": a lone blocking recv waits out its
-    timeout on every backend."""
+    """Nobody registered (nor left registered once the last party
+    departs) means nobody to wait for — it must not read as "all 0 parties
+    blocked": a lone blocking recv waits out its timeout on every
+    backend."""
     conn = library.connector(
-        "FifoChain", 2, expected_parties=0, concurrency=concurrency,
-        use_partitioning=True,
+        "FifoChain", 2, concurrency=concurrency, use_partitioning=True,
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
@@ -187,10 +193,10 @@ def test_zero_expected_parties_is_not_a_deadlock(concurrency):
 
 
 def test_deadlock_error_carries_diagnostic_dump(concurrency="regions"):
-    conn = library.connector(
-        "Barrier", 2, expected_parties=2, concurrency=concurrency)
+    conn = library.connector("Barrier", 2, concurrency=concurrency)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
+    _register(conn, 2)
 
     def send_only():
         try:
@@ -279,13 +285,13 @@ def test_stuck_parties_blame_the_crashed_peer(concurrency):
 
 @pytest.mark.parametrize("concurrency", BACKENDS)
 def test_the_last_party_to_block_detects_on_entry(concurrency):
-    """Declared parties, no grace: the waiter that completes the blocked
+    """Registered parties, no grace: the waiter that completes the blocked
     set consults the detector before it parks, not a tick later."""
     conn = library.connector(
-        "Merger", 2, expected_parties=2, detection_grace=0.0,
-        concurrency=concurrency)
+        "Merger", 2, detection_grace=0.0, concurrency=concurrency)
     outs, ins = mkports(2, 1)
     conn.connect(outs, ins)
+    _register(conn, 2)
 
     def first():
         with pytest.raises(DeadlockError):

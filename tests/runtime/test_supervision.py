@@ -1,5 +1,5 @@
-"""Supervision: crash propagation, party registration, precise deadlock
-detection without ``expected_parties``."""
+"""Supervision: crash propagation, party registration, and deadlock
+detection against the registered parties — the engine's only detector."""
 
 import time
 
@@ -10,6 +10,8 @@ from repro.connectors import library
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup
 from repro.util.errors import DeadlockError, PeerFailedError
+
+pytestmark = pytest.mark.fault_stress
 
 
 def pipe(**options):
@@ -79,8 +81,8 @@ def test_crash_detected_within_bound():
 
 def test_cross_wait_deadlock_detected_without_expected_parties():
     """The classic 2-task cross-wait: each task receives what only the other
-    could send.  Registration-based detection must catch it with no
-    ``expected_parties`` hint."""
+    could send.  Registration-based detection must catch it with no party
+    count given up front."""
     conn = compile_source(
         "P(a,c;b,d) = Fifo1(a;b) mult Fifo1(c;d)"
     ).instantiate_connector("P")
@@ -165,15 +167,6 @@ def test_deadlock_diagnostic_names_parties_and_vertices():
     conn.close()
 
 
-def test_close_ports_on_exit():
-    conn, out, inp = pipe()
-    with SupervisedTaskGroup(join_timeout=30, close_ports_on_exit=True) as g:
-        g.spawn(lambda: out.send(1), ports=[out], name="producer")
-        g.spawn(lambda: inp.recv(), ports=[inp], name="consumer")
-    assert out.closed and inp.closed
-    conn.close()
-
-
 def test_body_exception_releases_blocked_tasks():
     """If the orchestrating body raises, supervised tasks blocked on the
     protocol are failed fast and the body's exception propagates."""
@@ -191,8 +184,8 @@ def test_body_exception_releases_blocked_tasks():
 
 
 def test_supervision_with_barrier_wrong_usage():
-    """Barrier(2) with only one sender and one receiver: detected without
-    expected_parties."""
+    """Barrier(2) with only one sender and one receiver: detected from the
+    registered parties alone."""
     conn = library.connector("Barrier", 2)
     outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
@@ -205,4 +198,39 @@ def test_supervision_with_barrier_wrong_usage():
     assert not h1.alive and not h2.alive
     assert isinstance(h1.exception, DeadlockError)
     assert isinstance(h2.exception, DeadlockError)
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["regions", "global"])
+def test_departed_party_leaves_the_detector(concurrency):
+    """A supervised party that departs through ``RuntimeConnector.leave``
+    takes its registration with it: the two survivors, both receiving on
+    the shrunk Barrier(2) with nobody left to send, are detected against
+    themselves alone — a phantom third party would leave them to time
+    out instead."""
+    conn = library.connector(
+        "Barrier", 3, default_timeout=10, concurrency=concurrency,
+        use_partitioning=True,
+    )
+    outs, ins = mkports(3, 3)
+    conn.connect(outs, ins)
+
+    def departs():
+        raise ValueError("party 0 gives up")
+
+    # The survivors' own deadlock must not reparametrize them away too.
+    g = SupervisedTaskGroup(on_departure="reparametrize")
+    stay = SupervisedTaskGroup()
+    survivors = [
+        stay.spawn(ins[k].recv, ports=[outs[k], ins[k]], name=f"survivor{k}")
+        for k in (1, 2)
+    ]
+    gone = g.spawn(departs, ports=[outs[0], ins[0]], name="departs")
+    gone.thread.join(10)
+    for h in survivors:
+        h.thread.join(10)
+    assert gone.departed and len(g.departures) == 1
+    assert len(conn.tail_vertices) == 2
+    for h in survivors:
+        assert not h.alive and isinstance(h.exception, DeadlockError)
     conn.close()
