@@ -1,7 +1,7 @@
 """Record the repo's benchmark baseline into BENCH_engine.json.
 
-Runs the engine-scaling sweep (E8), the Fig. 12 representative connector
-series (E1), and the Fig. 13 NPB panels (E2/E3), and writes one JSON
+Runs the engine-scaling sweep (E8), the firing-cost sweep over the Fig. 12
+connectors, and the Fig. 13 NPB panels (E2/E3), and writes one JSON
 document at the repo root with median ns/step and steps/second per
 connector × arity.  The committed file is the regression yardstick for
 CI's ``bench-smoke`` job (see .github/workflows/ci.yml), which re-measures
@@ -46,10 +46,6 @@ REGRESSION_BUDGET = 1.25
 #: compiled tier's reason to exist; see docs/COMPILER.md).
 STEP_SPEEDUP_FLOOR = 5.0
 
-FIG12_CONNECTORS = ("Replicator", "EarlyAsyncMerger", "Sequencer",
-                    "SequencedMerger")
-FIG12_NS = (2, 8)
-
 
 def _median_engine_row(k, values, repeats):
     samples = []
@@ -74,34 +70,6 @@ def record_engine_scaling(values, repeats):
     return {
         f"regions/{k}": _median_engine_row(k, values, repeats) for k in LANES
     }
-
-
-def record_fig12(window_s, repeats):
-    from repro.bench.harness import drive_connector
-    from repro.connectors import library
-
-    rows = {}
-    for name in FIG12_CONNECTORS:
-        for n in FIG12_NS:
-            rates, ns = [], []
-            gc.disable()
-            try:
-                for _ in range(repeats):
-                    sample = drive_connector(
-                        lambda: library.connector(name, n), window_s=window_s
-                    )
-                    if sample.failed or not sample.steps:
-                        continue
-                    rates.append(sample.rate)
-                    ns.append(sample.window_s / sample.steps * 1e9)
-            finally:
-                gc.enable()
-            if rates:
-                rows[f"{name}/{n}"] = {
-                    "ns_per_step": round(statistics.median(ns), 1),
-                    "steps_per_s": round(statistics.median(rates)),
-                }
-    return rows
 
 
 def record_fig12_steps(backlog, repeats):
@@ -620,9 +588,6 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         "engine_scaling": record_engine_scaling(
             values=100 if quick else 300, repeats=repeats
         ),
-        "fig12_connectors": record_fig12(
-            window_s=0.1 if quick else 0.25, repeats=repeats
-        ),
         "fig12_steps": record_fig12_steps(
             backlog=500 if quick else 2000, repeats=repeats
         ),
@@ -779,7 +744,7 @@ def main(argv=None) -> int:
               / scaling["regions/1"]["ns_per_step"])
     print(f"wrote {args.out} "
           f"({len(scaling)} engine rows, "
-          f"{len(doc['fig12_connectors'])} connector rows; "
+          f"{len(doc['fig12_steps'])} firing-cost rows; "
           f"ns/step grows {growth:.2f}x from 1 to {LANES[-1]} regions)")
     return 0
 

@@ -35,11 +35,9 @@ Subcommands::
         JSON-lines daemon, or the kill-9 recovery audit
         (docs/DURABILITY.md)
 
-    python -m repro fig12 / fig13 ...
-        the benchmark runners (same flags as python -m repro.bench.fig12/13)
-
-    python -m repro reproduce [--quick]
-        regenerate both evaluation figures in one go
+    python -m repro fig12 / fig13 [--check] ...
+        regenerate the paper's Fig. 12 / Fig. 13; --check fails the run on
+        each of the paper's claims the result breaks
 """
 
 from __future__ import annotations
@@ -112,26 +110,6 @@ def _cmd_verify(args) -> int:
     report = verify_protocol(protocol, sizes=args.sizes)
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _cmd_reproduce(args) -> int:
-    """Regenerate Fig. 12 and Fig. 13 with sensible defaults."""
-    from repro.bench.fig12 import run_fig12
-    from repro.bench.fig13 import render, run_fig13
-
-    window = 0.1 if args.quick else 0.25
-    ns = (2, 4, 8) if args.quick else (2, 4, 8, 16, 32, 64)
-    print(f"=== Fig. 12 (window {window}s, N in {ns}) "
-          "================================")
-    report = run_fig12(ns=ns, window_s=window, verbose=args.verbose)
-    print(report.render())
-    print()
-    classes = ("S",) if args.quick else ("S", "A")
-    print(f"=== Fig. 13 (classes {classes}) "
-          "=========================================")
-    results = run_fig13(programs=("cg", "lu"), classes=classes, ns=(2, 4, 8))
-    print(render(results))
-    return 0
 
 
 def _cmd_obs(args) -> int:
@@ -207,15 +185,10 @@ def main(argv=None) -> int:
     except (AttributeError, ValueError):  # pragma: no cover - non-posix
         pass
     argv = list(sys.argv[1:] if argv is None else argv)
-    # benchmark passthroughs
-    if argv and argv[0] == "fig12":
-        from repro.bench.fig12 import main as fig12_main
-
-        return fig12_main(argv[1:])
-    if argv and argv[0] == "fig13":
-        from repro.bench.fig13 import main as fig13_main
-
-        return fig13_main(argv[1:])
+    # the paper's figures, one driver each
+    if argv and argv[0] in ("fig12", "fig13"):
+        figure = importlib.import_module(f"repro.bench.{argv[0]}")
+        return figure.main(argv[1:])
 
     ap = argparse.ArgumentParser(
         prog="repro", description=__doc__.splitlines()[0]
@@ -273,13 +246,6 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--out",
                    help="output file (single format) or directory (all)")
     p.set_defaults(fn=_cmd_obs)
-
-    p = sub.add_parser("reproduce",
-                       help="regenerate both evaluation figures")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller windows / N sweep / classes")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=_cmd_reproduce)
 
     from repro.fuzz.cli import add_subparsers as _add_fuzz
     from repro.serve.cli import add_subparsers as _add_serve

@@ -12,8 +12,8 @@ This package provides:
   caches (paper §IV.D and the bounded-cache future work of §V.B);
 * :mod:`repro.automata.simplify` — transition-command compilation
   ("commandification", the transition-local optimization of §V.B);
-* :mod:`repro.automata.analysis` — reachability, deadlock detection,
-  statistics and the transition-global index (§V.B point 2);
+* :mod:`repro.automata.analysis` — reachability, deadlock detection and
+  statistics;
 * :mod:`repro.automata.partition` — the ref-[32] partitioning optimization
   that avoids exponential growth (§V.C point 3);
 * :mod:`repro.automata.verify` — compile-time protocol checks (stand-in for
@@ -48,7 +48,7 @@ from repro.automata.lazy import (
     RandomCache,
 )
 from repro.automata.simplify import commandify, FiringPlan
-from repro.automata.analysis import explore, stats, deadlock_states, GlobalIndex
+from repro.automata.analysis import explore, stats, deadlock_states
 from repro.automata.partition import partition_automata
 from repro.automata.verify import Finding, VerificationReport, verify_protocol
 from repro.automata.bisim import strongly_bisimilar, weakly_bisimilar
@@ -80,7 +80,6 @@ __all__ = [
     "explore",
     "stats",
     "deadlock_states",
-    "GlobalIndex",
     "partition_automata",
     "Finding",
     "VerificationReport",

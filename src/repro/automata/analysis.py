@@ -1,6 +1,6 @@
 """Analyses over constraint automata.
 
-Three groups of functionality:
+Two groups of functionality:
 
 * :func:`explore` / :func:`stats` — reachable-fragment exploration and
   size statistics, used by tests and by the benchmark harness to report
@@ -8,22 +8,14 @@ Three groups of functionality:
 * :func:`deadlock_states` — compile-time reachability check for states
   without outgoing transitions.  The paper relies on Reo's external model
   checkers for such properties (§II); this lightweight check stands in for
-  that toolchain;
-* :class:`GlobalIndex` — the *transition-global* optimization of §V.B
-  point 2 (ref [19]): analyzing "the large automaton as a whole" to
-  precompute, per state, which transitions each boundary vertex can
-  participate in, plus the set of internal (τ) transitions.  As the paper
-  notes, "this optimization is not applicable in the new approach, because
-  its application requires full knowledge of the large automaton" — our
-  runtime accordingly uses it only for the existing (fully composed)
-  approach.
+  that toolchain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.automaton import ConstraintAutomaton, Transition
+from repro.automata.automaton import ConstraintAutomaton
 
 
 def explore(automaton: ConstraintAutomaton) -> set[int]:
@@ -75,33 +67,3 @@ def deadlock_states(automaton: ConstraintAutomaton) -> set[int]:
     enabled until operations arrive.)
     """
     return {s for s in explore(automaton) if not automaton.outgoing(s)}
-
-
-class GlobalIndex:
-    """Per-state dispatch index over a fully known ("large") automaton.
-
-    For every state, maps each vertex to the tuple of outgoing transitions
-    whose label contains that vertex, and records the internal (empty-label)
-    transitions separately.  The engine consults ``by_vertex[state][v]``
-    when an operation arrives on ``v`` instead of scanning all outgoing
-    transitions — the firing-speed edge the existing approach has over the
-    new one at small N.
-    """
-
-    def __init__(self, automaton: ConstraintAutomaton):
-        self.automaton = automaton
-        self.by_vertex: list[dict[str, tuple[Transition, ...]]] = []
-        self.internal: list[tuple[Transition, ...]] = []
-        for s in range(automaton.n_states):
-            index: dict[str, list[Transition]] = {}
-            taus: list[Transition] = []
-            for t in automaton.outgoing(s):
-                if not t.label:
-                    taus.append(t)
-                for v in t.label:
-                    index.setdefault(v, []).append(t)
-            self.by_vertex.append({v: tuple(ts) for v, ts in index.items()})
-            self.internal.append(tuple(taus))
-
-    def candidates(self, state: int, vertex: str) -> tuple[Transition, ...]:
-        return self.by_vertex[state].get(vertex, ())

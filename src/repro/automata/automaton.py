@@ -168,7 +168,9 @@ class ConstraintAutomaton:
         synchronization checks); hidden vertices may still occur in data
         constraints, where they act as anonymous intermediate values.
         """
-        hidden = frozenset(vertices)
+        hidden = frozenset(vertices) & self.vertices
+        if not hidden:
+            return self
         return ConstraintAutomaton(
             self.n_states,
             self.initial,

@@ -8,18 +8,7 @@
   four bins (Fig. 12's pie + bar charts);
 * :mod:`repro.bench.fig13` — the NPB experiment series: original vs.
   Reo-based run times (Fig. 13's panels);
-* command line: ``python -m repro.bench.fig12`` / ``python -m
-  repro.bench.fig13``.
+* command line: ``python -m repro fig12`` / ``python -m repro fig13``, the
+  one driver of each figure; ``--check`` fails the run on each of the
+  paper's claims it breaks (CI ``bench-smoke`` runs both).
 """
-
-from repro.bench.harness import drive_connector, ThroughputSample
-from repro.bench.fig12 import run_fig12, Fig12Report
-from repro.bench.fig13 import run_fig13
-
-__all__ = [
-    "drive_connector",
-    "ThroughputSample",
-    "run_fig12",
-    "Fig12Report",
-    "run_fig13",
-]

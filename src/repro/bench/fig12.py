@@ -16,7 +16,8 @@ Each run is classified into the paper's four bins:
 * ``ex100``  (light gray)         — existing outperforms, up to 2 orders.
 
 The paper's overall pie is 8% / 42% / 42% / 8%; EXPERIMENTS.md records what
-this reproduction measures and why the shape holds.
+this reproduction measures and why the shape holds.  ``python -m repro fig12
+--check`` fails the run on each claim of :func:`violations` the sweep breaks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.connectors import library
 
 DEFAULT_NS = (2, 4, 8, 16, 32, 64)
 BINS = ("fail", "new", "ex10", "ex100")
+#: The existing approach must compile every connector up to this N.
+EXISTING_COMPILES_UP_TO = 8
 BIN_LEGEND = {
     "fail": "new compiles, existing fails (dotted dark gray)",
     "new": "new outperforms existing (dark gray)",
@@ -46,13 +49,6 @@ class Fig12Cell:
     new: ThroughputSample
     existing: ThroughputSample
     bin: str
-
-    @property
-    def ratio(self) -> float:
-        """new rate / existing rate (inf when existing failed)."""
-        if self.existing.failed or self.existing.rate == 0:
-            return float("inf")
-        return self.new.rate / self.existing.rate
 
 
 @dataclass
@@ -117,6 +113,35 @@ def classify(new: ThroughputSample, existing: ThroughputSample) -> str:
     if existing.rate <= 10.0 * max(new.rate, 1e-9):
         return "ex10"
     return "ex100"
+
+
+def violations(report: Fig12Report) -> list[str]:
+    """The paper's Fig. 12 claims that ``report`` breaks, one line each: the
+    new approach fails no cell, the existing one none at N <= 8, and no
+    fewer at the largest N than at the second; the new approach wins or the
+    existing one fails somewhere, and the existing one wins somewhere."""
+    out = []
+    for c in report.cells:
+        if c.new.failed:
+            out.append(f"new approach failed {c.connector}/{c.n}: "
+                       f"{c.new.failure}")
+        if c.existing.failed and c.n <= EXISTING_COMPILES_UP_TO:
+            out.append(f"existing approach failed {c.connector}/{c.n} "
+                       f"(N <= {EXISTING_COMPILES_UP_TO}): {c.existing.failure}")
+    ns = sorted(report.ns)
+    if len(ns) < 2:
+        out.append("comparing failures across N needs two N or more")
+    else:
+        fails = {n: k["fail"] for n, k in report.counts_by_n().items()}
+        if fails[ns[-1]] < fails[ns[1]]:
+            out.append(f"existing approach fails fewer cells at N = {ns[-1]} "
+                       f"({fails[ns[-1]]}) than at N = {ns[1]} ({fails[ns[1]]})")
+    bins = {c.bin for c in report.cells}
+    if not bins & {"new", "fail"}:
+        out.append("new approach wins no cell and existing fails none")
+    if not bins & {"ex10", "ex100"}:
+        out.append("existing approach wins no cell")
+    return out
 
 
 def run_fig12(
@@ -190,6 +215,8 @@ def main(argv=None) -> int:
                     help="measure the post-connect phase only")
     ap.add_argument("--detail", action="store_true")
     ap.add_argument("--verbose", action="store_true")
+    ap.add_argument("--check", action="store_true",
+                    help="exit 1 on each paper claim the sweep breaks")
     args = ap.parse_args(argv)
     report = run_fig12(
         names=tuple(args.connector) if args.connector else None,
@@ -201,8 +228,7 @@ def main(argv=None) -> int:
         verbose=args.verbose,
     )
     print(report.render(detail=args.detail))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    broken = violations(report) if args.check else []
+    for line in broken:
+        print(f"FAIL: {line}")
+    return 1 if broken else 0

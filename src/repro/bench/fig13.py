@@ -12,8 +12,9 @@ Reo-based variant.  The paper's findings to reproduce:
    partitioning (see ``benchmarks/bench_partitioning.py`` for the dedicated
    experiment) and work with it.
 
-``python -m repro.bench.fig13 --program cg --classes S,A --ns 2,4,8``
-prints a panel per (program, class), like Fig. 13's bar groups.
+``python -m repro fig13 --program cg --classes S,A --ns 2,4,8`` prints a
+panel per (program, class), like Fig. 13's bar groups; ``--check`` fails
+the run on each claim of :func:`violations` the panels break.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from repro.npb import cg, ep, ft, is_, lu, mg, sp
 PROGRAMS = {"cg": cg, "lu": lu, "ep": ep, "is": is_, "mg": mg, "ft": ft, "sp": sp}
 DEFAULT_CLASSES = ("S", "A")
 DEFAULT_NS = (2, 4, 8)
+#: cg's reo/original ratio at N = 4 on the last class stays under this
+#: multiple of its ratio on the first class (finding 2: amortization).
+AMORTIZATION = 1.5
 
 
 def run_fig13(
@@ -57,6 +61,28 @@ def run_fig13(
     return results
 
 
+def violations(results: dict) -> list[str]:
+    """The paper's Fig. 13 claims that ``results`` (as :func:`run_fig13`
+    returns them) break, one line each: every Reo-based run verifies, and
+    cg's reo/original ratio at N = 4 amortizes from the first class to the
+    last."""
+    out = [f"{prog} {clazz} N={n}: Reo-based run did not verify"
+           for (prog, clazz), rows in results.items()
+           for n, _, _, ok in rows if not ok]
+    ratios = {clazz: t_reo / t_orig
+              for (prog, clazz), rows in results.items() if prog == "cg"
+              for n, t_orig, t_reo, _ in rows if n == 4}
+    if len(ratios) < 2:
+        out.append("amortization needs cg at N = 4 on two classes or more")
+    else:
+        first, *_, last = ratios
+        if ratios[last] >= AMORTIZATION * ratios[first]:
+            out.append(f"cg N=4 reo/original does not amortize: "
+                       f"{last} {ratios[last]:.2f}x >= {AMORTIZATION} x "
+                       f"{first} {ratios[first]:.2f}x")
+    return out
+
+
 def render(results: dict) -> str:
     lines = ["Fig. 13 reproduction — NPB: original vs. Reo-based run time", ""]
     for (prog, clazz), rows in results.items():
@@ -85,6 +111,8 @@ def main(argv=None) -> int:
                          "partitioning optimization")
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--verbose", action="store_true")
+    ap.add_argument("--check", action="store_true",
+                    help="exit 1 on each paper claim the panels break")
     args = ap.parse_args(argv)
     results = run_fig13(
         programs=tuple(args.program) if args.program else ("cg", "lu"),
@@ -95,8 +123,7 @@ def main(argv=None) -> int:
         verbose=args.verbose,
     )
     print(render(results))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    broken = violations(results) if args.check else []
+    for line in broken:
+        print(f"FAIL: {line}")
+    return 1 if broken else 0

@@ -166,7 +166,9 @@ class MediumTemplate:
             for fp in self.fprims
         ]
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
+        if self.automaton is None:
+            return f"MediumTemplate(uncomposed, {len(self.fprims)} prims)"
         return (
             f"MediumTemplate({len(self.fprims)} prims, "
             f"{self.automaton.n_states} states)"

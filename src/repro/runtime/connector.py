@@ -234,9 +234,9 @@ class RuntimeConnector(Connector):
             if self.composition == "aot":
                 large = product(
                     group, state_budget=self.state_budget, name=self.name)
-                # Hide internal vertices so the global index dispatches
-                # internal data movements as τ-steps (labels restricted to
-                # the boundary, as the existing compiler does).
+                # Hide internal vertices so internal data movements fire
+                # as τ-steps (labels restricted to the boundary; a no-op on
+                # compile_existing's automaton, hidden already).
                 large = large.hide(large.vertices - sources - sinks)
                 regions.append(EagerRegion(large))
             else:

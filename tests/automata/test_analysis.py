@@ -1,10 +1,7 @@
-"""Reachability, deadlock detection, statistics, global index."""
+"""Reachability, deadlock detection, statistics."""
 
-from repro.automata.analysis import GlobalIndex, deadlock_states, explore, stats
+from repro.automata.analysis import deadlock_states, explore, stats
 from repro.automata.automaton import ConstraintAutomaton, Transition
-from repro.automata.product import product
-from repro.connectors.graph import Arc
-from repro.connectors.primitives import build_automaton
 
 
 def auto(n_states, transitions, initial=0, vertices=None):
@@ -55,25 +52,3 @@ def test_stats():
     assert s.n_transitions == 3
     assert s.max_out_degree == 2
     assert s.n_vertices == 2
-
-
-def test_global_index_by_vertex():
-    f1 = build_automaton(Arc("fifo1", ("a",), ("b",)), "q1")
-    f2 = build_automaton(Arc("fifo1", ("c",), ("d",)), "q2")
-    large = product([f1, f2])
-    idx = GlobalIndex(large)
-    init = large.initial
-    a_candidates = idx.candidates(init, "a")
-    assert all("a" in t.label for t in a_candidates)
-    assert len(a_candidates) == 1
-    assert idx.candidates(init, "b") == ()  # empty fifo: no pop available
-
-
-def test_global_index_internal_steps():
-    f1 = build_automaton(Arc("fifo1", ("a",), ("b",)), "q1")
-    f2 = build_automaton(Arc("fifo1", ("b",), ("c",)), "q2")
-    large = product([f1, f2]).hide({"b"})
-    idx = GlobalIndex(large)
-    # the state with (full, empty) has an internal move b: label hidden
-    has_internal = any(idx.internal[s] for s in range(large.n_states))
-    assert has_internal

@@ -1,6 +1,7 @@
 """Fig. 12 runner: classification logic and report rendering (tiny runs)."""
 
-from repro.bench.fig12 import BINS, Fig12Report, classify, run_fig12
+from repro.bench.fig12 import (BINS, Fig12Cell, Fig12Report, classify, main,
+                               run_fig12, violations)
 from repro.bench.harness import ThroughputSample
 
 
@@ -53,3 +54,57 @@ def test_existing_fails_at_large_n_for_exponential_connector():
 
 def test_bins_constant():
     assert BINS == ("fail", "new", "ex10", "ex100")
+
+
+# --- the --check claims, on hand-built reports ------------------------------
+
+def cell(n, new=100, existing=100, new_failed=False, existing_failed=False):
+    ne, ex = s(new, new_failed), s(existing, existing_failed)
+    return Fig12Cell("C", n, ne, ex, classify(ne, ex))
+
+
+def report(*cells, ns=(2, 4, 8, 16)):
+    return Fig12Report(list(cells), ns=ns)
+
+
+# existing wins at N = 2, new wins at N = 4, existing fails only at N = 16
+CONFORMING = (cell(2, existing=500), cell(4, new=200),
+              cell(16, existing_failed=True))
+
+
+def test_conforming_report_has_no_violations():
+    assert violations(report(*CONFORMING)) == []
+
+
+def test_existing_failure_at_small_n_is_a_violation():
+    (line,) = violations(report(*CONFORMING, cell(2, existing_failed=True)))
+    assert "existing approach failed C/2" in line
+
+
+def test_new_failure_is_a_violation():
+    (line,) = violations(report(*CONFORMING, cell(16, new_failed=True)))
+    assert "new approach failed C/16" in line
+
+
+def test_fewer_failures_at_largest_n_is_a_violation():
+    (line,) = violations(report(
+        cell(2, existing=500), cell(16, existing_failed=True), cell(32),
+        ns=(2, 16, 32)))
+    assert "fewer cells at N = 32 (0) than at N = 16 (1)" in line
+
+
+def test_no_existing_win_is_a_violation():
+    (line,) = violations(report(*CONFORMING[1:]))
+    assert line == "existing approach wins no cell"
+
+
+def test_no_new_win_or_existing_failure_is_a_violation():
+    (line,) = violations(report(cell(2, existing=500), cell(4, existing=500)))
+    assert line == "new approach wins no cell and existing fails none"
+
+
+def test_check_fails_the_run(capsys):
+    """A one-N sweep cannot compare failures across N: --check exits 1."""
+    assert main(["--connector", "Replicator", "--ns", "2",
+                 "--window", "0.05", "--check"]) == 1
+    assert "FAIL: comparing failures across N" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.compiler.existing import compile_existing
 from repro.connectors import library
+from repro.runtime.ports import mkports
 from repro.util.errors import CompilationBudgetExceeded
 
 from tests.conftest import pump
@@ -23,6 +24,21 @@ def test_labels_hidden_to_boundary(fig9_source):
     boundary = set(ex.tail_vertices) | set(ex.head_vertices)
     for t in ex.automaton.transitions:
         assert t.label <= boundary
+
+
+def test_connect_adopts_the_compiled_automaton():
+    """The large automaton is composed and hidden once: `connect` runs it
+    as it is, with no second (empty) hide rebuilding every transition."""
+    ex = compile_existing(
+        library.dsl_source("EarlyAsyncMerger", 3), "EarlyAsyncMerger",
+        sizes=3)
+    conn = ex.instantiate_connector()
+    conn.connect(*mkports(len(ex.tail_vertices), len(ex.head_vertices)))
+    try:
+        (region,) = conn.engine.regions
+        assert region.automaton is ex.automaton
+    finally:
+        conn.close()
 
 
 def test_behaviour_matches_new_approach(fig9_source):

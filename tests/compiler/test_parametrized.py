@@ -49,6 +49,17 @@ def test_templates_composed_at_compile_time(fig9_source):
     (template,) = prod_node.body.templates
     assert len(template.fprims) == 3
     assert template.automaton.n_states == 2  # fifo1 empty/full
+    assert repr(template) == "MediumTemplate(3 prims, 2 states)"
+
+
+def test_uncomposed_template_repr():
+    """A group over the template state budget is left uncomposed."""
+    from repro.connectors import library
+
+    plan = compile_source(library.dsl_source("FifoChain", 13)).protocol(
+        "FifoChain").plan
+    assert [repr(t) for t in plan.templates] == [
+        "MediumTemplate(uncomposed, 13 prims)"]
 
 
 def test_conditional_selects_branch(fig9_source):
