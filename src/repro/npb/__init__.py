@@ -12,6 +12,10 @@ variants —
 * ``run_reo`` — the same task code over compiler-generated connectors
   (the paper's "Reo-based variants").
 
+The two parallel variants share one body per program and differ only in
+the communication kit it runs over (``OriginalKit`` or ``ReoKit``,
+:mod:`repro.npb.common`).
+
 Problem classes follow NPB's S < W < A < B < C ladder with dimensions scaled
 for a pure-Python/numpy substrate (see EXPERIMENTS.md for the mapping).
 Implemented programs: the kernels CG (master–slaves), FT (all-to-all

@@ -15,7 +15,7 @@ Variants:
 * :func:`run_serial` — oracle;
 * :func:`run_original` — hand-written synchronization (a Foster–Chandy
   channel per slave plus a shared result queue);
-* :func:`run_reo` — the same tasks over generated connectors: a
+* :func:`run_reo` — the same body over generated connectors: a
   ``Replicator(N)`` for the broadcast and an ``EarlyAsyncMerger(N)`` for
   the gather.
 
@@ -31,14 +31,13 @@ import scipy.sparse as sp
 from repro.npb.common import (
     JOIN_TIMEOUT,
     BenchResult,
+    OriginalKit,
     ProblemClass,
+    ReoKit,
     Timer,
     block_ranges,
-    make_bcast,
-    make_gather,
 )
-from repro.npb.randlc import SEED_DEFAULT, lcg_advance, randlc_stream
-from repro.runtime.channels import channel
+from repro.npb.randlc import SEED_DEFAULT, randlc_stream
 from repro.runtime.tasks import TaskGroup
 
 CGITMAX = 25  # inner CG iterations, as in the NPB spec
@@ -171,90 +170,43 @@ def _run_slave(rank, a_block, recv, send):
 
 
 # --------------------------------------------------------------------------
-# Original variant: hand-written synchronization (basic channels)
+# The parallel run, over either variant's communication kit
 # --------------------------------------------------------------------------
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
     p = CLASSES[clazz]
     a = make_matrix(clazz)
     blocks = block_ranges(p["na"], nprocs)
-    import queue
-
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    to_slave = [channel() for _ in range(nprocs)]
-
-    def bcast_send(msg):
-        for out, _ in to_slave:
-            out.send(msg)
-
-    with Timer() as t:
+    with Timer() as t, kit:
+        bcast_send, slave_recvs = kit.bcast(nprocs)
+        slave_sends, gather_recv = kit.gather(nprocs)
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
             for rank, (lo, hi) in enumerate(blocks):
                 g.spawn(
                     _run_slave,
                     rank,
                     a[lo:hi],
-                    to_slave[rank][1].recv,
-                    results.put,
+                    slave_recvs[rank],
+                    slave_sends[rank],
                     name=f"cg-slave-{rank}",
                 )
             master = g.spawn(
-                _run_master, p, blocks, bcast_send, results.get, name="cg-master"
+                _run_master, p, blocks, bcast_send, gather_recv, name="cg-master"
             )
         zeta = master.result
     return BenchResult(
-        "cg", "original", clazz, nprocs, t.seconds, zeta, _verified(zeta, clazz)
+        "cg", kit.variant, clazz, nprocs, t.seconds, zeta, _verified(zeta, clazz),
+        kit.stats(),
     )
 
 
-# --------------------------------------------------------------------------
-# Reo-based variant: generated connectors
-# --------------------------------------------------------------------------
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    """The Reo-based CG: broadcast = Replicator(N), gather =
-    EarlyAsyncMerger(N).  ``options`` select the compilation/execution
-    strategy (``composition='aot'|'jit'``, ``use_partitioning=True`` …)
-    and are forwarded to both connectors."""
-    p = CLASSES[clazz]
-    a = make_matrix(clazz)
-    blocks = block_ranges(p["na"], nprocs)
-
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        bcast = make_bcast(nprocs, **options)
-        gather = make_gather(nprocs, **options)
-        b_out, b_in = mkports(1, nprocs)
-        g_out, g_in = mkports(nprocs, 1)
-        bcast.connect(b_out, b_in)
-        gather.connect(g_out, g_in)
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank, (lo, hi) in enumerate(blocks):
-                    g.spawn(
-                        _run_slave,
-                        rank,
-                        a[lo:hi],
-                        b_in[rank].recv,
-                        g_out[rank].send,
-                        name=f"cg-slave-{rank}",
-                    )
-                master = g.spawn(
-                    _run_master,
-                    p,
-                    blocks,
-                    b_out[0].send,
-                    g_in[0].recv,
-                    name="cg-master",
-                )
-            zeta = master.result
-        finally:
-            bcast.close()
-            gather.close()
-    extra = {"bcast": bcast.stats(), "gather": gather.stats()}
-    return BenchResult(
-        "cg", "reo", clazz, nprocs, t.seconds, zeta, _verified(zeta, clazz), extra
-    )
+    """``options`` select the compilation/execution strategy
+    (``composition='aot'|'jit'``, ``use_partitioning=True`` …) and are
+    forwarded to both connectors."""
+    return _run(ReoKit(**options), clazz, nprocs)

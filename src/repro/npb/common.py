@@ -1,4 +1,5 @@
-"""Shared NPB plumbing: problem classes, results, verification, connectors.
+"""Shared NPB plumbing: problem classes, results, verification, and the
+communication kits the two parallel variants run over.
 
 The class ladder S < W < A < B < C keeps NPB's ordering; dimensions are
 scaled where a pure-Python/numpy run of the genuine size would not fit a
@@ -10,7 +11,11 @@ must reproduce the serial oracle's figure of merit to within a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import queue
 import time
+
+from repro.runtime.channels import channel
+from repro.runtime.ports import mkports
 
 #: Join timeout for NPB task groups: a protocol bug surfaces as a
 #: TimeoutError instead of hanging the benchmark run.
@@ -73,7 +78,7 @@ def block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 
 
 # --------------------------------------------------------------------------
-# Connector kit for the Reo-based variants
+# Library connectors of the Reo-based variants
 # --------------------------------------------------------------------------
 
 
@@ -99,3 +104,101 @@ def make_pipe(**options):
 
     program = compile_source("Pipe(a;b) = Fifo1(a;b)\n")
     return program.instantiate_connector("Pipe", **options)
+
+
+# --------------------------------------------------------------------------
+# Communication kits: all that the original and Reo-based variants differ in
+# --------------------------------------------------------------------------
+
+
+class _Kit:
+    """The synchronization layer of one parallel run.  A program writes its
+    wiring and spawn loop once, inside ``with Timer(), kit:``, asking the
+    kit for every link; each link is plain callables (``send(msg)``,
+    ``recv()``), so the task code cannot tell the variants apart.  On exit
+    the kit closes every connector it built; :meth:`stats` then reports one
+    ``stats()`` dict per connector in build order, keyed by its role:
+    ``"gather"``, ``"bcast"`` or the ``role`` a pipe was given."""
+
+    variant: str
+
+    def __init__(self):
+        self.connectors: dict = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for conn in self.connectors.values():
+            conn.close()
+
+    def stats(self) -> dict:
+        return {role: conn.stats() for role, conn in self.connectors.items()}
+
+    def fabric(self, n: int) -> list:
+        """All-to-all (FT's and SP's transpose): a pipe per ordered pair
+        ``i -> j``; per rank a ``(send_to(j, msg), recv_from(j))`` pair."""
+        links = {(i, j): self.pipe(f"link{i}-{j}")
+                 for i in range(n) for j in range(n) if i != j}
+        return [(lambda j, msg, i=i: links[i, j][0](msg),
+                 lambda j, i=i: links[j, i][1]()) for i in range(n)]
+
+
+class OriginalKit(_Kit):
+    """Hand-written synchronization (the paper's "original programs"): a
+    ``queue.SimpleQueue`` per gather, a Foster–Chandy ``channel()`` per
+    pipe, and a broadcast that sends on one channel per receiver.  It
+    builds no connector, so it closes nothing and reports ``{}``."""
+
+    variant = "original"
+
+    def gather(self, n: int):
+        """Many to one: a ``send`` per sender, and the receiver's ``recv``."""
+        results = queue.SimpleQueue()
+        return [results.put] * n, results.get
+
+    def bcast(self, n: int):
+        """One to many: the sender's ``send``, and a ``recv`` per receiver."""
+        links = [channel() for _ in range(n)]
+
+        def send(msg):
+            for out, _ in links:
+                out.send(msg)
+
+        return send, [inp.recv for _, inp in links]
+
+    def pipe(self, role: str):
+        """A point-to-point link: ``(send, recv)``."""
+        out, inp = channel()
+        return out.send, inp.recv
+
+
+class ReoKit(_Kit):
+    """Generated connectors (the paper's "Reo-based variants"):
+    :func:`make_gather`, :func:`make_bcast` and :func:`make_pipe`, each
+    given the kit's ``options`` (``composition='aot'|'jit'``,
+    ``use_partitioning=True`` …)."""
+
+    variant = "reo"
+
+    def __init__(self, **options):
+        super().__init__()
+        self.options = options
+
+    def _connect(self, role: str, conn, n_out: int, n_in: int):
+        self.connectors[role] = conn
+        outs, ins = mkports(n_out, n_in)
+        conn.connect(outs, ins)
+        return outs, ins
+
+    def gather(self, n: int):
+        outs, ins = self._connect("gather", make_gather(n, **self.options), n, 1)
+        return [out.send for out in outs], ins[0].recv
+
+    def bcast(self, n: int):
+        outs, ins = self._connect("bcast", make_bcast(n, **self.options), 1, n)
+        return outs[0].send, [inp.recv for inp in ins]
+
+    def pipe(self, role: str):
+        outs, ins = self._connect(role, make_pipe(**self.options), 1, 1)
+        return outs[0].send, ins[0].recv

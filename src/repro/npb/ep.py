@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.npb.common import JOIN_TIMEOUT, BenchResult, ProblemClass, Timer, make_gather
+from repro.npb.common import (
+    JOIN_TIMEOUT,
+    BenchResult,
+    OriginalKit,
+    ProblemClass,
+    ReoKit,
+    Timer,
+)
 from repro.npb.randlc import SEED_DEFAULT, lcg_advance, randlc_stream
-from repro.runtime.channels import channel
 from repro.runtime.tasks import TaskGroup
 
 N_BATCHES = 64  # fixed batch count => results independent of task count
@@ -102,44 +108,27 @@ def _batches_for(rank: int, nprocs: int) -> list[int]:
     return list(range(rank, N_BATCHES, nprocs))
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
-    import queue
-
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    with Timer() as t:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
+    with Timer() as t, kit:
+        slave_sends, gather_recv = kit.gather(nprocs)
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
             for rank in range(nprocs):
                 g.spawn(
-                    _slave, clazz, _batches_for(rank, nprocs), results.put,
+                    _slave, clazz, _batches_for(rank, nprocs), slave_sends[rank],
                     name=f"ep-slave-{rank}",
                 )
-            parts = [results.get() for _ in range(nprocs)]
+            parts = [gather_recv() for _ in range(nprocs)]
         by_batch = {b: r for part in parts for b, r in part.items()}
         value = _combine(by_batch[b] for b in range(N_BATCHES))
     return BenchResult(
-        "ep", "original", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "ep", kit.variant, clazz, nprocs, t.seconds, value,
+        _verified(value, clazz), kit.stats(),
     )
+
+
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        gather = make_gather(nprocs, **options)
-        g_out, g_in = mkports(nprocs, 1)
-        gather.connect(g_out, g_in)
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank in range(nprocs):
-                    g.spawn(
-                        _slave, clazz, _batches_for(rank, nprocs),
-                        g_out[rank].send, name=f"ep-slave-{rank}",
-                    )
-                parts = [g_in[0].recv() for _ in range(nprocs)]
-        finally:
-            gather.close()
-        by_batch = {b: r for part in parts for b, r in part.items()}
-        value = _combine(by_batch[b] for b in range(N_BATCHES))
-    return BenchResult(
-        "ep", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz)
-    )
+    return _run(ReoKit(**options), clazz, nprocs)

@@ -25,14 +25,13 @@ import numpy as np
 from repro.npb.common import (
     JOIN_TIMEOUT,
     BenchResult,
+    OriginalKit,
     ProblemClass,
+    ReoKit,
     Timer,
     block_ranges,
-    make_gather,
-    make_pipe,
 )
 from repro.npb.randlc import randlc_stream
-from repro.runtime.channels import channel
 from repro.runtime.tasks import TaskGroup
 
 N_CHECK = 256  # strided checksum elements, as in NPB's spirit
@@ -185,78 +184,31 @@ def _master_ft(clazz, nprocs, gather_recv):
     return tuple(checksums)
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
     p = CLASSES[clazz]
     blocks = block_ranges(p["n"], nprocs)
-    import queue
-
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    # a queue per ordered pair (i -> j)
-    links = {
-        (i, j): channel()
-        for i in range(nprocs)
-        for j in range(nprocs)
-        if i != j
-    }
-
-    with Timer() as t:
+    with Timer() as t, kit:
+        slave_sends, gather_recv = kit.gather(nprocs)
+        fabric = kit.fabric(nprocs)
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-            for rank in range(nprocs):
-                send_to = lambda j, m, rank=rank: links[(rank, j)][0].send(m)
-                recv_from = lambda j, rank=rank: links[(j, rank)][1].recv()
+            for rank, (send_to, recv_from) in enumerate(fabric):
                 g.spawn(
                     _slave_ft, rank, clazz, blocks, send_to, recv_from,
-                    results.put, name=f"ft-slave-{rank}",
+                    slave_sends[rank], name=f"ft-slave-{rank}",
                 )
             master = g.spawn(
-                _master_ft, clazz, nprocs, results.get, name="ft-master"
+                _master_ft, clazz, nprocs, gather_recv, name="ft-master"
             )
         value = master.result
     return BenchResult(
-        "ft", "original", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "ft", kit.variant, clazz, nprocs, t.seconds, value,
+        _verified(value, clazz), kit.stats(),
     )
+
+
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    """Reo-based FT: a generated fifo pipe per ordered task pair (the
-    all-to-all fabric) plus an ``EarlyAsyncMerger`` checksum gather."""
-    p = CLASSES[clazz]
-    blocks = block_ranges(p["n"], nprocs)
-
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        gather = make_gather(nprocs, **options)
-        g_out, g_in = mkports(nprocs, 1)
-        gather.connect(g_out, g_in)
-        pipes = []
-        fabric = {}
-        for i in range(nprocs):
-            for j in range(nprocs):
-                if i == j:
-                    continue
-                pipe = make_pipe(**options)
-                outs, ins = mkports(1, 1)
-                pipe.connect(outs, ins)
-                pipes.append(pipe)
-                fabric[(i, j)] = (outs[0], ins[0])
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank in range(nprocs):
-                    send_to = lambda j, m, rank=rank: fabric[(rank, j)][0].send(m)
-                    recv_from = lambda j, rank=rank: fabric[(j, rank)][1].recv()
-                    g.spawn(
-                        _slave_ft, rank, clazz, blocks, send_to, recv_from,
-                        g_out[rank].send, name=f"ft-slave-{rank}",
-                    )
-                master = g.spawn(
-                    _master_ft, clazz, nprocs, g_in[0].recv, name="ft-master"
-                )
-            value = master.result
-        finally:
-            gather.close()
-            for pipe in pipes:
-                pipe.close()
-    return BenchResult(
-        "ft", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz)
-    )
+    return _run(ReoKit(**options), clazz, nprocs)

@@ -20,13 +20,13 @@ import numpy as np
 from repro.npb.common import (
     JOIN_TIMEOUT,
     BenchResult,
+    OriginalKit,
     ProblemClass,
+    ReoKit,
     Timer,
     block_ranges,
-    make_gather,
 )
 from repro.npb.randlc import randlc_stream
-from repro.runtime.channels import channel
 from repro.runtime.tasks import TaskGroup
 
 N_REPS = 5  # ranking repetitions (NPB IS does 10)
@@ -170,74 +170,38 @@ def _master(p, nprocs, gather_recv, scatter_send) -> tuple[int, int]:
     return (total, hist_sig)
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
+    """The offset scatter is a pipe per slave: offsets differ per slave, so
+    a broadcast does not fit."""
     p = CLASSES[clazz]
     keys = make_keys(clazz)
     blocks = block_ranges(p["n"], nprocs)
-    import queue
 
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    to_slave = [channel() for _ in range(nprocs)]
-
-    with Timer() as t:
+    with Timer() as t, kit:
+        slave_sends, gather_recv = kit.gather(nprocs)
+        scatter = [kit.pipe(f"scatter{rank}") for rank in range(nprocs)]
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
             for rank, (lo, hi) in enumerate(blocks):
                 g.spawn(
                     _slave, rank, keys[lo:hi], lo, p["bmax"],
-                    to_slave[rank][1].recv, results.put,
+                    scatter[rank][1], slave_sends[rank],
                     name=f"is-slave-{rank}",
                 )
             master = g.spawn(
-                _master, p, nprocs, results.get,
-                lambda rank, msg: to_slave[rank][0].send(msg),
+                _master, p, nprocs, gather_recv,
+                lambda rank, msg: scatter[rank][0](msg),
                 name="is-master",
             )
         value = master.result
     return BenchResult(
-        "is", "original", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "is", kit.variant, clazz, nprocs, t.seconds, value,
+        _verified(value, clazz), kit.stats(),
     )
+
+
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    """Reo-based IS: gather = EarlyAsyncMerger(N); the offset scatter uses
-    one generated fifo pipe per slave (offsets differ per slave, so a
-    broadcast does not fit)."""
-    p = CLASSES[clazz]
-    keys = make_keys(clazz)
-    blocks = block_ranges(p["n"], nprocs)
-
-    from repro.npb.common import make_pipe
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        gather = make_gather(nprocs, **options)
-        g_out, g_in = mkports(nprocs, 1)
-        gather.connect(g_out, g_in)
-        pipes, pipe_ports = [], []
-        for _ in range(nprocs):
-            pipe = make_pipe(**options)
-            outs, ins = mkports(1, 1)
-            pipe.connect(outs, ins)
-            pipes.append(pipe)
-            pipe_ports.append((outs[0], ins[0]))
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank, (lo, hi) in enumerate(blocks):
-                    g.spawn(
-                        _slave, rank, keys[lo:hi], lo, p["bmax"],
-                        pipe_ports[rank][1].recv, g_out[rank].send,
-                        name=f"is-slave-{rank}",
-                    )
-                master = g.spawn(
-                    _master, p, nprocs, g_in[0].recv,
-                    lambda rank, msg: pipe_ports[rank][0].send(msg),
-                    name="is-master",
-                )
-            value = master.result
-        finally:
-            gather.close()
-            for pipe in pipes:
-                pipe.close()
-    return BenchResult(
-        "is", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz)
-    )
+    return _run(ReoKit(**options), clazz, nprocs)

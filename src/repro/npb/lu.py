@@ -30,14 +30,13 @@ import numpy as np
 from repro.npb.common import (
     JOIN_TIMEOUT,
     BenchResult,
+    OriginalKit,
     ProblemClass,
+    ReoKit,
     Timer,
     block_ranges,
-    make_gather,
-    make_pipe,
 )
 from repro.npb.randlc import randlc_stream
-from repro.runtime.channels import channel
 from repro.runtime.tasks import TaskGroup
 
 OMEGA = 1.2  # over-relaxation factor, as in LU's SSOR
@@ -208,40 +207,35 @@ def _run_master(p, nprocs: int, gather_recv):
 
 
 # --------------------------------------------------------------------------
-# Original variant
+# The parallel run, over either variant's communication kit
 # --------------------------------------------------------------------------
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
     p = CLASSES[clazz]
     rhs = make_rhs(clazz)
     chunks = _chunk_slices(p["nx"], p["nchunks"])
     blocks = block_ranges(p["ny"], nprocs)
     zero_tops = _zeros_top(chunks)
 
-    import queue
-
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    links = [channel() for _ in range(nprocs - 1)]  # i -> i+1 (wavefront)
-    uplinks = [channel() for _ in range(nprocs - 1)]  # i+1 -> i (old rows)
-
-    with Timer() as t:
+    with Timer() as t, kit:
+        slave_sends, gather_recv = kit.gather(nprocs)
+        links = [kit.pipe(f"pipe{i}") for i in range(nprocs - 1)]  # i -> i+1
+        uplinks = [kit.pipe(f"up{i}") for i in range(nprocs - 1)]  # i+1 -> i
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
             for rank, (lo, hi) in enumerate(blocks):
                 if rank == 0:
                     recv_top = lambda c: zero_tops[c]
                 else:
-                    inp = links[rank - 1][1]
-                    recv_top = lambda c, inp=inp: inp.recv()
+                    recv = links[rank - 1][1]
+                    recv_top = lambda c, recv=recv: recv()
                 if rank == nprocs - 1:
                     send_bottom = lambda c, b: None
                 else:
-                    out = links[rank][0]
-                    send_bottom = lambda c, b, out=out: out.send(b)
-                send_up = uplinks[rank - 1][0].send if rank > 0 else None
-                recv_below = (
-                    uplinks[rank][1].recv if rank < nprocs - 1 else None
-                )
+                    send = links[rank][0]
+                    send_bottom = lambda c, b, send=send: send(b)
+                send_up = uplinks[rank - 1][0] if rank > 0 else None
+                recv_below = uplinks[rank][1] if rank < nprocs - 1 else None
                 g.spawn(
                     _run_block,
                     np.zeros((hi - lo, p["nx"])),
@@ -252,94 +246,21 @@ def run_original(clazz: str, nprocs: int) -> BenchResult:
                     send_bottom,
                     send_up,
                     recv_below,
-                    results.put,
+                    slave_sends[rank],
                     rank,
                     name=f"lu-slave-{rank}",
                 )
-            master = g.spawn(_run_master, p, nprocs, results.get, name="lu-master")
+            master = g.spawn(_run_master, p, nprocs, gather_recv, name="lu-master")
         value = master.result
     return BenchResult(
-        "lu", "original", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "lu", kit.variant, clazz, nprocs, t.seconds, value,
+        _verified(value, clazz), kit.stats(),
     )
 
 
-# --------------------------------------------------------------------------
-# Reo-based variant
-# --------------------------------------------------------------------------
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    """Reo-based LU: a generated fifo pipe per neighbour link (the pipeline)
-    plus an ``EarlyAsyncMerger(N)`` gather to the master."""
-    p = CLASSES[clazz]
-    rhs = make_rhs(clazz)
-    chunks = _chunk_slices(p["nx"], p["nchunks"])
-    blocks = block_ranges(p["ny"], nprocs)
-    zero_tops = _zeros_top(chunks)
-
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        gather = make_gather(nprocs, **options)
-        g_out, g_in = mkports(nprocs, 1)
-        gather.connect(g_out, g_in)
-        pipes, ups = [], []
-        pipe_ports = []
-        up_ports = []
-        for _ in range(nprocs - 1):
-            pipe = make_pipe(**options)
-            outs, ins = mkports(1, 1)
-            pipe.connect(outs, ins)
-            pipes.append(pipe)
-            pipe_ports.append((outs[0], ins[0]))
-            up = make_pipe(**options)
-            uouts, uins = mkports(1, 1)
-            up.connect(uouts, uins)
-            ups.append(up)
-            up_ports.append((uouts[0], uins[0]))
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank, (lo, hi) in enumerate(blocks):
-                    if rank == 0:
-                        recv_top = lambda c: zero_tops[c]
-                    else:
-                        inp = pipe_ports[rank - 1][1]
-                        recv_top = lambda c, inp=inp: inp.recv()
-                    if rank == nprocs - 1:
-                        send_bottom = lambda c, b: None
-                    else:
-                        out = pipe_ports[rank][0]
-                        send_bottom = lambda c, b, out=out: out.send(b)
-                    send_up = up_ports[rank - 1][0].send if rank > 0 else None
-                    recv_below = (
-                        up_ports[rank][1].recv if rank < nprocs - 1 else None
-                    )
-                    g.spawn(
-                        _run_block,
-                        np.zeros((hi - lo, p["nx"])),
-                        rhs[lo:hi],
-                        chunks,
-                        p["nsweeps"],
-                        recv_top,
-                        send_bottom,
-                        send_up,
-                        recv_below,
-                        g_out[rank].send,
-                        rank,
-                        name=f"lu-slave-{rank}",
-                    )
-                master = g.spawn(
-                    _run_master, p, nprocs, g_in[0].recv, name="lu-master"
-                )
-            value = master.result
-        finally:
-            gather.close()
-            for pipe in pipes + ups:
-                pipe.close()
-    extra = {"gather": gather.stats()}  # a stats() dict per connector
-    extra.update((f"pipe{i}", c.stats()) for i, c in enumerate(pipes))
-    extra.update((f"up{i}", c.stats()) for i, c in enumerate(ups))
-    return BenchResult(
-        "lu", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz),
-        extra,
-    )
+    return _run(ReoKit(**options), clazz, nprocs)

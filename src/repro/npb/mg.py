@@ -20,14 +20,13 @@ import numpy as np
 from repro.npb.common import (
     JOIN_TIMEOUT,
     BenchResult,
+    OriginalKit,
     ProblemClass,
+    ReoKit,
     Timer,
     block_ranges,
-    make_gather,
-    make_pipe,
 )
 from repro.npb.randlc import randlc_stream
-from repro.runtime.channels import channel
 from repro.runtime.tasks import TaskGroup
 
 OMEGA = 0.8  # Jacobi damping
@@ -234,93 +233,47 @@ def _make_exchange(rank, nprocs, send_up, recv_up, send_down, recv_down):
     return exchange
 
 
-def run_original(clazz: str, nprocs: int) -> BenchResult:
+def _run(kit, clazz: str, nprocs: int) -> BenchResult:
+    """Pipes for the halo exchange and the correction scatter, a gather for
+    residuals and blocks."""
     rhs = make_rhs(clazz)
     blocks = block_ranges(rhs.shape[0], nprocs)
-    import queue
 
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    to_slave = [channel() for _ in range(nprocs)]
-    up = [channel() for _ in range(nprocs - 1)]  # i -> i-1 carries i's first row
-    down = [channel() for _ in range(nprocs - 1)]  # i -> i+1 carries i's last row
-
-    with Timer() as t:
+    with Timer() as t, kit:
+        slave_sends, gather_recv = kit.gather(nprocs)
+        scatter = [kit.pipe(f"scatter{rank}") for rank in range(nprocs)]
+        up = [kit.pipe(f"up{i}") for i in range(nprocs - 1)]  # i+1's first row to i
+        down = [kit.pipe(f"down{i}") for i in range(nprocs - 1)]  # i's last row to i+1
         with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
             for rank, (lo, hi) in enumerate(blocks):
                 exchange = _make_exchange(
                     rank,
                     nprocs,
-                    send_up=up[rank - 1][0].send if rank > 0 else None,
-                    recv_up=down[rank - 1][1].recv if rank > 0 else None,
-                    send_down=down[rank][0].send if rank < nprocs - 1 else None,
-                    recv_down=up[rank][1].recv if rank < nprocs - 1 else None,
+                    send_up=up[rank - 1][0] if rank > 0 else None,
+                    recv_up=down[rank - 1][1] if rank > 0 else None,
+                    send_down=down[rank][0] if rank < nprocs - 1 else None,
+                    recv_down=up[rank][1] if rank < nprocs - 1 else None,
                 )
                 g.spawn(
                     _slave_mg, rank, rhs[lo:hi], exchange,
-                    results.put, to_slave[rank][1].recv,
+                    slave_sends[rank], scatter[rank][1],
                     name=f"mg-slave-{rank}",
                 )
             master = g.spawn(
-                _run_master, clazz, nprocs, results.get,
-                lambda rank, msg: to_slave[rank][0].send(msg),
+                _run_master, clazz, nprocs, gather_recv,
+                lambda rank, msg: scatter[rank][0](msg),
                 name="mg-master",
             )
         value = master.result
     return BenchResult(
-        "mg", "original", clazz, nprocs, t.seconds, value, _verified(value, clazz)
+        "mg", kit.variant, clazz, nprocs, t.seconds, value,
+        _verified(value, clazz), kit.stats(),
     )
+
+
+def run_original(clazz: str, nprocs: int) -> BenchResult:
+    return _run(OriginalKit(), clazz, nprocs)
 
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
-    """Reo-based MG: fifo pipes for the halo exchange and the correction
-    scatter, an ``EarlyAsyncMerger`` gather for residuals/blocks."""
-    rhs = make_rhs(clazz)
-    blocks = block_ranges(rhs.shape[0], nprocs)
-
-    from repro.runtime.ports import mkports
-
-    with Timer() as t:
-        gather = make_gather(nprocs, **options)
-        g_out, g_in = mkports(nprocs, 1)
-        gather.connect(g_out, g_in)
-        pipes = []
-
-        def pipe_pair():
-            conn = make_pipe(**options)
-            outs, ins = mkports(1, 1)
-            conn.connect(outs, ins)
-            pipes.append(conn)
-            return outs[0], ins[0]
-
-        scatter = [pipe_pair() for _ in range(nprocs)]
-        up = [pipe_pair() for _ in range(nprocs - 1)]
-        down = [pipe_pair() for _ in range(nprocs - 1)]
-        try:
-            with TaskGroup(join_timeout=JOIN_TIMEOUT) as g:
-                for rank, (lo, hi) in enumerate(blocks):
-                    exchange = _make_exchange(
-                        rank,
-                        nprocs,
-                        send_up=up[rank - 1][0].send if rank > 0 else None,
-                        recv_up=down[rank - 1][1].recv if rank > 0 else None,
-                        send_down=down[rank][0].send if rank < nprocs - 1 else None,
-                        recv_down=up[rank][1].recv if rank < nprocs - 1 else None,
-                    )
-                    g.spawn(
-                        _slave_mg, rank, rhs[lo:hi], exchange,
-                        g_out[rank].send, scatter[rank][1].recv,
-                        name=f"mg-slave-{rank}",
-                    )
-                master = g.spawn(
-                    _run_master, clazz, nprocs, g_in[0].recv,
-                    lambda rank, msg: scatter[rank][0].send(msg),
-                    name="mg-master",
-                )
-            value = master.result
-        finally:
-            gather.close()
-            for p in pipes:
-                p.close()
-    return BenchResult(
-        "mg", "reo", clazz, nprocs, t.seconds, value, _verified(value, clazz)
-    )
+    return _run(ReoKit(**options), clazz, nprocs)

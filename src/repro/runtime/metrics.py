@@ -257,9 +257,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-boundary histogram: ``observe`` is a bisect plus three ``+=``
