@@ -92,15 +92,16 @@ class Fig12Report:
         if detail:
             lines.append("")
             lines.append(
-                f"{'connector':<26}{'N':>4} {'new st/s':>12} "
-                f"{'exist st/s':>12} {'bin':>6}  note"
+                f"{'connector':<26}{'N':>4} {'new st/s':>12} {'setup s':>8} "
+                f"{'exist st/s':>12} {'setup s':>8} {'bin':>6}  note"
             )
             for c in self.cells:
                 note = c.existing.failure if c.existing.failed else ""
                 lines.append(
                     f"{c.connector:<26}{c.n:>4} {c.new.rate:>12.0f} "
+                    f"{c.new.setup_s:>8.3f} "
                     f"{(0 if c.existing.failed else c.existing.rate):>12.0f} "
-                    f"{c.bin:>6}  {note}"
+                    f"{c.existing.setup_s:>8.3f} {c.bin:>6}  {note}"
                 )
         return "\n".join(lines)
 

@@ -8,9 +8,11 @@ Reo-based variant.  The paper's findings to reproduce:
    clearly;
 2. larger classes: the overhead is amortized — comparable performance for
    N ∈ {2, 4, 8};
-3. N ∈ {16, 32, 64}: the Reo-based variants blow up without the ref-[32]
-   partitioning (see ``benchmarks/bench_partitioning.py`` for the dedicated
-   experiment) and work with it.
+3. N ∈ {16, 32, 64}: in the paper the Reo-based variants blow up without
+   the ref-[32] partitioning and work with it.  Here they do not blow up:
+   the default, unpartitioned connector composes just in time, and cg ran
+   and verified unpartitioned at N = 64 (ROADMAP's re-anchor probes);
+   ``benchmarks/bench_partitioning.py`` measures partitioning on its own.
 
 ``python -m repro fig13 --program cg --classes S,A --ns 2,4,8`` prints a
 panel per (program, class), like Fig. 13's bar groups; ``--check`` fails

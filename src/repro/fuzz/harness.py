@@ -59,15 +59,19 @@ MODES = {
                         use_partitioning=True, compiled="off"),
     "regions-aot": dict(concurrency="regions", composition="aot",
                         use_partitioning=True, compiled="off"),
+    # The library's default configuration (regions, jit, unpartitioned,
+    # compiled="auto"): the connector every FarmSession builds, NPB run and
+    # Fig. 12 cell measures.
     "serve-jit": dict(concurrency="regions", composition="jit",
-                      use_partitioning=False, compiled="off", host="serve"),
+                      use_partitioning=False, compiled="auto", host="serve"),
     "durable": dict(concurrency="regions", composition="jit",
-                    use_partitioning=False, compiled="off", host="durable"),
-    # The compiled step tier (repro.compiler.steps).  The six modes above
-    # pin compiled="off" so they stay pure interpretive baselines — an
-    # injected bug that doctors interpreter internals (e.g. the candidates
-    # list) must remain oracle-visible there — while these two exercise the
-    # generated step functions against every baseline simultaneously.
+                    use_partitioning=False, compiled="auto", host="durable"),
+    # The compiled step tier (repro.compiler.steps) on the partitioned and
+    # the global layouts.  The four modes above the serve pair pin
+    # compiled="off" so they stay pure interpretive baselines — an injected
+    # bug that doctors interpreter internals (e.g. the candidates list)
+    # must remain oracle-visible there — while the compiled modes exercise
+    # the generated step functions against every baseline simultaneously.
     "regions-compiled": dict(concurrency="regions", composition="jit",
                              use_partitioning=True, compiled="auto"),
     "global-compiled": dict(concurrency="global", composition="aot",

@@ -13,7 +13,7 @@ one contract (``tests/runtime/test_model_contract.py``):
 
 * ``recv(timeout=...)`` raises :class:`~repro.util.errors.ProtocolTimeoutError`
   instead of blocking forever (``send`` accepts ``timeout=`` for symmetry;
-  it only matters on a *bounded* channel under the ``block`` policy);
+  it only matters on a full *bounded* channel);
 * ``try_send``/``try_recv`` are the non-blocking forms, ``try_recv``
   returning the normalized ``(completed, value)`` pair;
 * ``close(error=...)``/``fail(error)`` close *with a cause*: a peer blocked
@@ -24,26 +24,20 @@ one contract (``tests/runtime/test_model_contract.py``):
   API parity with connector ports; the basic model has no engine to
   register parties on, so there is no deadlock detection here).
 
-Overload mirrors the connector model too (strictly opt-in): ``capacity``
-bounds the buffer, and an :class:`~repro.runtime.overload.OverloadPolicy`
-decides what a send does against a full buffer — ``block`` (wait for room,
-honouring ``timeout``), ``fail_fast`` (:class:`OverloadError`), or
-``shed_newest``/``shed_oldest`` with every shed value captured in the
-channel's dead-letter buffer (:meth:`Channel.dead_letters`).  The buffer
-bound plays the role the pending-op bound plays on connectors: it is the
-amount of traffic the channel absorbs before the policy kicks in.
+A ``capacity`` bounds the buffer: a send against a full bounded channel
+blocks until the receiver makes room (honouring ``timeout``), and
+``try_send`` reports ``False`` instead.  That is the whole overload story
+of the basic model — shedding, rejection and dead letters are connector
+policies (:class:`~repro.runtime.overload.OverloadPolicy`, DECISIONS row
+26), not properties of a pipe.
 
-Observability mirrors the connector model as well: pass ``metrics=`` (a
+Observability mirrors the connector model: pass ``metrics=`` (a
 :class:`~repro.runtime.metrics.MetricsRegistry`) to :class:`Channel` /
 :func:`channel` and the pipe emits the cross-model metric families
 (:data:`~repro.runtime.metrics.CONTRACT_FAMILIES` — submissions,
-completions, occupancy, sheds, rejections, retained dead letters) under
-the channel's ``name``, which doubles as both the ``connector`` and
-``vertex`` label (a channel *is* its single source/sink pair).  One
-shed-accounting divergence is inherent and documented (INTERNALS §7):
-``shed_oldest`` on a channel evicts an already-buffered — already counted
-completed — value, so ``submitted == completed`` there and the shed count
-is additional, whereas on a connector a shed send never counts completed.
+completions, occupancy) under the channel's ``name``, which doubles as
+both the ``connector`` and ``vertex`` label (a channel *is* its single
+source/sink pair).
 """
 
 from __future__ import annotations
@@ -53,9 +47,7 @@ import threading
 import time
 from collections import deque
 
-from repro.runtime.overload import DeadLetterBuffer, OverloadPolicy
 from repro.util.errors import (
-    OverloadError,
     PortClosedError,
     ProtocolTimeoutError,
     RuntimeProtocolError,
@@ -81,35 +73,22 @@ class _Pipe:
     """The shared buffer between the two ends of one channel.
 
     A deque under a condition variable (the stdlib ``SimpleQueue`` cannot
-    express a capacity bound, let alone a shed policy).  ``capacity=None``
-    is the classic unbounded channel; with a capacity, the overload
-    ``policy`` decides what a send does against a full buffer.  The close
-    sentinel always bypasses the bound — closing must never block or shed.
+    express a capacity bound).  ``capacity=None`` is the classic unbounded
+    channel; with a capacity, a send against a full buffer waits for room.
+    The close sentinel always bypasses the bound — closing must never
+    block.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        policy: OverloadPolicy | None = None,
-        metrics=None,
-    ):
+    def __init__(self, capacity: int | None = None, metrics=None):
         if capacity is not None and capacity < 1:
             raise RuntimeProtocolError("channel capacity must be >= 1")
-        if policy is not None and policy.kind != "block" and capacity is None:
-            raise RuntimeProtocolError(
-                f"policy {policy.kind!r} needs a bounded channel: pass "
-                "capacity= (an unbounded buffer can never overflow)"
-            )
         self.capacity = capacity
-        self.policy = policy
         # ChannelMetrics hook bundle (repro.runtime.metrics) or None; every
         # hot-path use sits behind one `is not None` check, mutation is
         # serialized by this pipe's condition lock.
         self.metrics = metrics
-        self.dead = DeadLetterBuffer()
         self._q: deque = deque()
         self._cond = threading.Condition()
-        self._ops = 0  # completed puts+gets: the channel's "step" count
 
     def occupancy(self) -> int:
         """Messages currently buffered (close sentinels excluded) — what
@@ -126,54 +105,19 @@ class _Pipe:
             if mx is not None:
                 mx.op_submitted(True)
             if self._full():
-                pol = self.policy
-                if pol is None or pol.kind == "block":
-                    deadline = (
-                        None if timeout is None else time.monotonic() + timeout
-                    )
-                    while self._full():
-                        remaining = None
-                        if deadline is not None:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                raise ProtocolTimeoutError(
-                                    vertex, timeout, kind="send"
-                                )
-                        self._cond.wait(remaining)
-                elif pol.kind == "fail_fast":
-                    if mx is not None:
-                        mx.rejected()
-                    raise OverloadError(
-                        vertex,
-                        self.capacity,
-                        message=(
-                            f"channel {vertex!r} overloaded: buffer full at "
-                            f"capacity {self.capacity} (fail_fast policy)"
-                        ),
-                    )
-                elif pol.kind == "shed_newest":
-                    self.dead.capture(
-                        vertex, value, pol.kind, self._ops,
-                        pol.dead_letter_capacity,
-                    )
-                    if mx is not None:
-                        mx.shed(vertex, pol.kind)
-                    return
-                else:  # shed_oldest
-                    victim = self._q.popleft()
-                    if isinstance(victim, _Closed):
-                        # Never shed the close sentinel; the append below
-                        # lands behind it and is unreachable anyway.
-                        self._q.appendleft(victim)
-                    else:
-                        self.dead.capture(
-                            vertex, victim, pol.kind, self._ops,
-                            pol.dead_letter_capacity,
-                        )
-                        if mx is not None:
-                            mx.shed(vertex, pol.kind)
+                deadline = (
+                    None if timeout is None else time.monotonic() + timeout
+                )
+                while self._full():
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise ProtocolTimeoutError(
+                                vertex, timeout, kind="send"
+                            )
+                    self._cond.wait(remaining)
             self._q.append(value)
-            self._ops += 1
             if mx is not None:
                 mx.op_completed(True)
             self._cond.notify_all()
@@ -200,10 +144,8 @@ class _Pipe:
             if isinstance(value, _Closed):
                 # Leave the sentinel for the next receiver too.
                 self._q.appendleft(value)
-            else:
-                self._ops += 1
-                if mx is not None:
-                    mx.op_completed(False)
+            elif mx is not None:
+                mx.op_completed(False)
             self._cond.notify_all()
             return value
 
@@ -217,10 +159,8 @@ class _Pipe:
             value = self._q.popleft()
             if isinstance(value, _Closed):
                 self._q.appendleft(value)
-            else:
-                self._ops += 1
-                if mx is not None:
-                    mx.op_completed(False)
+            elif mx is not None:
+                mx.op_completed(False)
             self._cond.notify_all()
             return value
 
@@ -260,17 +200,6 @@ class _ChannelPort:
         :class:`PortClosedError`."""
         self.close(error=error)
 
-    def dead_letters(self, vertex: str | None = None):
-        """Shed values captured by this channel's overload policy."""
-        if self._queue is None:
-            return ()
-        dead = self._queue.dead
-        return dead.of(vertex) if vertex is not None else dead.all()
-
-    def shed_count(self, vertex: str | None = None) -> int:
-        """Exact number of values this channel ever shed."""
-        return self._queue.dead.count(vertex) if self._queue is not None else 0
-
     @property
     def closed(self) -> bool:
         return self._closed
@@ -286,37 +215,25 @@ class _ChannelPort:
 
 class ChannelOutport(_ChannelPort):
     """Sending end of a basic channel: on the classic unbounded channel
-    ``send`` never blocks (§II); on a bounded one, the channel's overload
-    policy governs what happens against a full buffer."""
+    ``send`` never blocks (§II); on a bounded one it waits for room."""
 
-    def send(self, value, timeout: float | None = None, policy=None) -> None:
+    def send(self, value, timeout: float | None = None) -> None:
         """Send ``value``.  ``timeout`` only matters against a full bounded
-        buffer under the ``block`` policy; ``policy`` overrides the
-        channel's configured overload policy for this one operation."""
+        buffer."""
         if self._closed:
             self._raise_closed("outport")
         if self._queue is None:
             raise PortClosedError(f"outport {self.name!r} not connected")
-        pipe = self._queue
-        if policy is not None:
-            saved, pipe.policy = pipe.policy, policy
-            try:
-                pipe.put(value, self.name, timeout)
-            finally:
-                pipe.policy = saved
-        else:
-            pipe.put(value, self.name, timeout)
+        self._queue.put(value, self.name, timeout)
 
     def try_send(self, value) -> bool:
-        """Non-blocking send; ``False`` only when a bounded buffer is full
-        under the ``block`` policy (shed policies count the value as
-        handled — it was captured, exactly as a blocking send would)."""
+        """Non-blocking send; ``False`` only when a bounded buffer is
+        full."""
         if self._closed:
             self._raise_closed("outport")
         if self._queue is None:
             raise PortClosedError(f"outport {self.name!r} not connected")
-        pipe = self._queue
-        if pipe._full() and (pipe.policy is None or pipe.policy.kind == "block"):
+        if self._queue._full():
             return False
         self.send(value)
         return True
@@ -375,20 +292,13 @@ class ChannelInport(_ChannelPort):
 
 class Channel:
     """A point-to-point channel (paper Fig. 1, ``Channel``) — unbounded by
-    default; ``capacity``/``policy`` opt into the overload model, and
-    ``metrics`` (a :class:`~repro.runtime.metrics.MetricsRegistry`) into
-    the observability one (``name`` is the metric label; auto-generated
-    when omitted)."""
+    default; ``capacity`` bounds the buffer (a send against a full one
+    blocks), and ``metrics`` (a :class:`~repro.runtime.metrics.MetricsRegistry`)
+    opts into the observability model (``name`` is the metric label;
+    auto-generated when omitted)."""
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        policy: OverloadPolicy | None = None,
-        metrics=None,
-        name: str = "",
-    ):
+    def __init__(self, capacity: int | None = None, metrics=None, name: str = ""):
         self.capacity = capacity
-        self.policy = policy
         self.name = name or f"ch{next(_channel_ids)}"
         if metrics is not None:
             from repro.runtime.metrics import ChannelMetrics
@@ -401,31 +311,17 @@ class Channel:
     def connect(self, out: ChannelOutport, inp: ChannelInport) -> None:
         if out._queue is not None or inp._queue is not None:
             raise PortClosedError("channel port already connected")
-        self._pipe = _Pipe(self.capacity, self.policy, metrics=self._metrics)
+        self._pipe = _Pipe(self.capacity, metrics=self._metrics)
         if self._metrics is not None:
             self._metrics.attach_pipe(self._pipe)
         out._queue = self._pipe
         inp._queue = self._pipe
 
-    def dead_letters(self, vertex: str | None = None):
-        """Shed values captured by this channel's overload policy."""
-        if self._pipe is None:
-            return ()
-        dead = self._pipe.dead
-        return dead.of(vertex) if vertex is not None else dead.all()
-
-    def shed_count(self, vertex: str | None = None) -> int:
-        """Exact number of values this channel ever shed."""
-        return self._pipe.dead.count(vertex) if self._pipe is not None else 0
-
 
 def channel(
-    capacity: int | None = None,
-    policy: OverloadPolicy | None = None,
-    metrics=None,
-    name: str = "",
+    capacity: int | None = None, metrics=None, name: str = ""
 ) -> tuple[ChannelOutport, ChannelInport]:
     """Convenience: a connected (outport, inport) pair."""
     out, inp = ChannelOutport(), ChannelInport()
-    Channel(capacity, policy, metrics=metrics, name=name).connect(out, inp)
+    Channel(capacity, metrics=metrics, name=name).connect(out, inp)
     return out, inp

@@ -211,15 +211,14 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
 }
 
 #: The families both execution models (connector ports and basic channels)
-#: must emit for an overloaded workload — the cross-model metric contract
+#: emit — the cross-model metric contract
 #: (``tests/runtime/test_observe.py::test_cross_model_metric_contract``).
+#: Shed, rejected and dead-letter families are connector-only: overload
+#: policy lives on connectors (DECISIONS row 26).
 CONTRACT_FAMILIES = (
     "repro_ops_submitted_total",
     "repro_ops_completed_total",
     "repro_buffer_occupancy",
-    "repro_overload_shed_total",
-    "repro_overload_rejected_total",
-    "repro_overload_dead_letters",
 )
 
 
@@ -564,10 +563,6 @@ class ChannelMetrics:
         self._sub_recv = fam_sub.labels(c, c, "recv")
         self._done_send = fam_done.labels(c, c, "send")
         self._done_recv = fam_done.labels(c, c, "recv")
-        self._fam_shed = registry.counter("repro_overload_shed_total")
-        self._shed: dict[str, Counter] = {}
-        self._rejected = registry.counter(
-            "repro_overload_rejected_total").labels(c, c)
 
     def attach_pipe(self, pipe) -> None:
         c = self.channel
@@ -575,30 +570,14 @@ class ChannelMetrics:
         def occupancy_samples():
             return [((c,), float(pipe.occupancy()))]
 
-        def dead_letter_samples():
-            return [((c, v), float(n))
-                    for v, n in pipe.dead.retained().items()]
-
         self.registry.gauge("repro_buffer_occupancy").set_callback(
             self, occupancy_samples)
-        self.registry.gauge("repro_overload_dead_letters").set_callback(
-            self, dead_letter_samples)
 
     def op_submitted(self, is_send: bool) -> None:
         (self._sub_send if is_send else self._sub_recv).value += 1.0
 
     def op_completed(self, is_send: bool) -> None:
         (self._done_send if is_send else self._done_recv).value += 1.0
-
-    def shed(self, vertex: str, policy: str) -> None:
-        child = self._shed.get(policy)
-        if child is None:
-            child = self._shed[policy] = self._fam_shed.labels(
-                self.channel, self.channel, policy)
-        child.value += 1.0
-
-    def rejected(self) -> None:
-        self._rejected.value += 1.0
 
 
 class TaskMetrics:

@@ -1,4 +1,4 @@
-"""Shared utilities: error taxonomy, naming, timing, union-find.
+"""Shared utilities: error taxonomy, naming, union-find.
 
 These helpers are deliberately dependency-free; every other subpackage of
 :mod:`repro` may import from here, never the other way around.
@@ -17,7 +17,6 @@ from repro.util.errors import (
     PortClosedError,
 )
 from repro.util.naming import FreshNames, qualify
-from repro.util.timing import Stopwatch, ThroughputMeter
 from repro.util.unionfind import UnionFind
 
 __all__ = [
@@ -33,7 +32,5 @@ __all__ = [
     "PortClosedError",
     "FreshNames",
     "qualify",
-    "Stopwatch",
-    "ThroughputMeter",
     "UnionFind",
 ]

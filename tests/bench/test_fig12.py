@@ -108,3 +108,19 @@ def test_check_fails_the_run(capsys):
     assert main(["--connector", "Replicator", "--ns", "2",
                  "--window", "0.05", "--check"]) == 1
     assert "FAIL: comparing failures across N" in capsys.readouterr().out
+
+
+def test_detail_shows_each_approach_setup_beside_its_rate():
+    """A cell binned on set-up explains itself: ``--detail`` prints each
+    approach's ``setup_s`` next to its rate."""
+    new = ThroughputSample(steps=122, window_s=1.0, setup_s=0.120)
+    existing = ThroughputSample(steps=306_020, window_s=1.0, setup_s=0.004)
+    text = Fig12Report(
+        [Fig12Cell("FifoChain", 8, new, existing, classify(new, existing))],
+        ns=(8,),
+    ).render(detail=True)
+    header, row = text.splitlines()[-2:]
+    assert header.split() == ["connector", "N", "new", "st/s", "setup", "s",
+                              "exist", "st/s", "setup", "s", "bin", "note"]
+    assert row.split() == ["FifoChain", "8", "122", "0.120", "306020",
+                           "0.004", "ex100"]

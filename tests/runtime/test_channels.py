@@ -4,7 +4,7 @@ import pytest
 
 from repro.runtime.channels import Channel, ChannelInport, ChannelOutport, channel
 from repro.runtime.tasks import TaskGroup, spawn
-from repro.util.errors import PortClosedError
+from repro.util.errors import PortClosedError, RuntimeProtocolError
 
 
 def test_nonblocking_send_blocking_recv():
@@ -81,3 +81,21 @@ def test_send_after_close():
     out.close()
     with pytest.raises(PortClosedError):
         out.send(1)
+
+
+def test_bounded_send_waits_for_room():
+    """A ``capacity`` makes a send against a full buffer wait until the
+    receiver takes a value — the basic model's only overload behaviour."""
+    out, inp = channel(capacity=1)
+    out.send(0)
+    assert out.try_send(1) is False
+    h = spawn(out.send, 1)
+    import time
+
+    time.sleep(0.02)
+    assert h.alive  # parked on the full buffer
+    assert inp.recv() == 0
+    h.join(5)
+    assert inp.recv() == 1
+    with pytest.raises(RuntimeProtocolError):
+        channel(capacity=0)

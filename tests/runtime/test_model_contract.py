@@ -17,11 +17,9 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.runtime.channels import ChannelInport, ChannelOutport, channel
-from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup
 from repro.util.errors import (
-    OverloadError,
     PeerFailedError,
     PortClosedError,
     ProtocolTimeoutError,
@@ -152,94 +150,37 @@ def test_close_with_cause_delivers_that_cause(model):
 
 
 # --------------------------------------------------------------------------
-# Overload contract: the same policy means the same observable behavior
+# Bounded pipes: a full one makes a send wait, in both models
 # --------------------------------------------------------------------------
 
 
-def make_bounded_pipe(model, policy=None):
-    """A one-slot pipe with an overload policy in the given model, plus the
-    model's dead-letter accessors.
-
-    The bound plays the same role in both models: the connector model caps
-    the *pending-op queue* (``max_pending=0`` over a one-place Fifo1), the
-    basic model caps the *buffer* (``capacity=1``) — either way, one value
-    fits and the policy decides what happens to the next one.
-    """
+def make_bounded_pipe(model):
+    """A one-slot pipe in the given model: a one-place Fifo1 connector, or
+    a basic channel with ``capacity=1``.  Either way one value fits and the
+    next send waits (the connector's default ``block`` policy).  Shedding
+    and rejection are connector policies only (DECISIONS row 26;
+    ``tests/runtime/test_overload.py``)."""
     if model == "ports":
         conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-            "P", overload=policy, default_timeout=5.0
+            "P", default_timeout=5.0
         )
         outs, ins = mkports(1, 1)
         conn.connect(outs, ins)
-        return outs[0], ins[0], conn.close, conn.dead_letters, conn.shed_count
-    out, inp = channel(capacity=1, policy=policy)
-    return out, inp, out.close, out.dead_letters, out.shed_count
-
-
-def _pol(kind):
-    return OverloadPolicy(kind, max_pending=0) if kind != "block" else None
+        return outs[0], ins[0], conn.close
+    out, inp = channel(capacity=1)
+    return out, inp, out.close
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_overload_block_default_times_out_when_full(model):
-    out, inp, close, dead, shed = make_bounded_pipe(model)
+def test_full_bounded_pipe_send_times_out(model):
+    out, inp, close = make_bounded_pipe(model)
     out.send(1)
     with pytest.raises(ProtocolTimeoutError):
         out.send(2, timeout=0.05)
-    assert shed() == 0 and dead() == ()
-    assert inp.recv() == 1  # nothing was lost, nothing was captured
-    close()
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_overload_fail_fast_raises_and_pipe_recovers(model):
-    out, inp, close, dead, shed = make_bounded_pipe(model, _pol("fail_fast"))
-    out.send(1)
-    with pytest.raises(OverloadError):
-        out.send(2)
-    assert shed() == 0  # fail_fast rejects; it never captures
-    assert inp.recv() == 1
-    out.send(3)  # the rejected op was withdrawn — the pipe still works
+    assert out.try_send(2) is False
+    assert inp.recv() == 1  # nothing was lost
+    out.send(3)  # the timed-out op was withdrawn — the pipe still works
     assert inp.recv() == 3
-    close()
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_overload_shed_newest_same_values_both_models(model):
-    out, inp, close, dead, shed = make_bounded_pipe(model, _pol("shed_newest"))
-    out.send(1)
-    out.send(2)  # full: the incoming value is shed, the send "succeeds"
-    assert shed() == 1
-    assert [l.value for l in dead()] == [2]
-    assert {l.policy for l in dead()} == {"shed_newest"}
-    assert inp.recv() == 1
-    close()
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_overload_shed_oldest_conserves_values(model):
-    """``shed_oldest`` picks its victim from what the model can reach — the
-    buffered head in the basic model, the oldest *pending op* in the
-    connector model — so the shed value may differ.  The contract is
-    conservation: exactly one value delivered, exactly one dead-lettered,
-    and together they are exactly what was sent."""
-    out, inp, close, dead, shed = make_bounded_pipe(model, _pol("shed_oldest"))
-    out.send(1)
-    out.send(2)
-    assert shed() == 1
-    delivered = inp.recv()
-    shed_values = [l.value for l in dead()]
-    assert sorted([delivered] + shed_values) == [1, 2]
-    close()
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_overload_per_call_policy_override(model):
-    out, inp, close, dead, shed = make_bounded_pipe(model)  # default: block
-    out.send("keep")
-    out.send("spill", policy=OverloadPolicy("shed_newest", max_pending=0))
-    assert [l.value for l in dead()] == ["spill"]
-    assert inp.recv() == "keep"
     close()
 
 

@@ -11,8 +11,8 @@ Pins the PR's acceptance criteria:
 * **disabled by default** — an unmetered connector runs the
   pre-observability code path and writes nothing;
 * **cross-model contract** — the basic channel model emits the same
-  metric families (:data:`CONTRACT_FAMILIES`) as the connector model, so
-  a dashboard built for one reads the other;
+  submission, completion and occupancy families (:data:`CONTRACT_FAMILIES`)
+  as the connector model, so a dashboard built for one reads the other;
 * **catalogue completeness** — every name in :data:`CATALOGUE` appears in
   docs/OBSERVABILITY.md's table and vice versa (docs cannot drift).
 """
@@ -40,7 +40,6 @@ from repro.runtime.observe import (
     run_observed_farm,
     snapshot,
 )
-from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.trace import TraceEvent
 
@@ -247,15 +246,11 @@ def test_cross_model_metric_contract():
     from repro.runtime.channels import channel
 
     reg = MetricsRegistry()
-    out, inp = channel(
-        capacity=1, policy=OverloadPolicy("shed_newest", max_pending=1),
-        metrics=reg, name="jobs",
-    )
+    out, inp = channel(capacity=1, metrics=reg, name="jobs")
     out.send(0)                 # buffered: completes
-    out.send(1)                 # buffer full: shed
+    assert out.try_send(1) is False   # buffer full: refused, not counted
     got = [inp.recv()]
     out.send(2)                 # buffered again
-    out.send(3)                 # shed
     got.append(inp.recv())
     assert got == [0, 2]
 
@@ -266,19 +261,12 @@ def test_cross_model_metric_contract():
     for n in CONTRACT_FAMILIES:
         assert n in CATALOGUE
 
-    sub = sample_value(reg, "repro_ops_submitted_total",
-                       ("jobs", "jobs", "send"))
-    done = sample_value(reg, "repro_ops_completed_total",
-                        ("jobs", "jobs", "send"))
-    shed = sample_value(reg, "repro_overload_shed_total",
-                        ("jobs", "jobs", "shed_newest"))
-    # same ledger as the connector model: submitted == completed + shed
-    assert sub == 4
-    assert done == 2
-    assert shed == 2
-    recv_done = sample_value(reg, "repro_ops_completed_total",
-                             ("jobs", "jobs", "recv"))
-    assert recv_done == 2
+    for kind in ("send", "recv"):
+        labels = ("jobs", "jobs", kind)
+        # same ledger as the connector model: submitted == completed
+        assert sample_value(reg, "repro_ops_submitted_total", labels) == 2
+        assert sample_value(reg, "repro_ops_completed_total", labels) == 2
+    assert sample_value(reg, "repro_buffer_occupancy", ("jobs",)) == 0
 
     # a connector fills a superset of the channel surface
     reg2 = MetricsRegistry()

@@ -1,4 +1,4 @@
-"""The documentation gate: links resolve, examples run.
+"""The documentation gate: links resolve, examples run, dotted names import.
 
 Delegates to ``tools/check_docs.py`` (the same entry point CI's docs job
 uses) so local runs and CI cannot disagree about what "docs pass" means.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: links, anchors, and executable examples.
 
-Two passes over the living documentation (README.md, DESIGN.md,
+Three passes over the living documentation (README.md, DESIGN.md,
 EXPERIMENTS.md, docs/*.md):
 
 1. **Links and anchors** — every relative markdown link must point at an
@@ -16,6 +16,11 @@ EXPERIMENTS.md, docs/*.md):
    §10's "Running it" subsection (the ``python -m repro fuzz`` examples)
    run through ``bash -e`` the same way.  Docs that stop working stop
    merging.
+3. **Dotted names** — the leading dotted name of every backticked
+   ``repro.…`` span (``repro.fuzz.harness.MODES``,
+   ``repro.runtime.channels``) must resolve by import plus ``getattr``, so
+   deleting or renaming a module or attribute cannot leave a stale
+   reference behind.
 
 Exit status 0 when everything passes; each failure is printed with
 ``file:line``.  Run from the repository root (CI) or anywhere inside it::
@@ -25,6 +30,7 @@ Exit status 0 when everything passes; each failure is printed with
 
 from __future__ import annotations
 
+import importlib
 import os
 import pathlib
 import re
@@ -57,6 +63,7 @@ EXECUTE_SHELL = {
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*$", re.MULTILINE)
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
+DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def doc_paths() -> list[pathlib.Path]:
@@ -104,6 +111,35 @@ def check_links() -> list[str]:
                         f"{where}: anchor #{fragment} not found in "
                         f"{dest.relative_to(ROOT)}"
                     )
+    return errors
+
+
+def resolve(dotted: str) -> None:
+    """Import ``dotted``'s longest module prefix and ``getattr`` the rest;
+    raises ``ImportError`` / ``AttributeError`` when a part is missing."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            if not hasattr(obj, "__path__"):  # not a package: no submodule
+                raise
+            obj = importlib.import_module(".".join(parts[:i]))
+
+
+def check_dotted_names() -> list[str]:
+    errors: list[str] = []
+    sys.path.insert(0, str(ROOT / "src"))
+    for path in doc_paths():
+        text = path.read_text()
+        for m in DOTTED_RE.finditer(text):
+            try:
+                resolve(m.group(1))
+            except (ImportError, AttributeError) as exc:
+                line = text.count("\n", 0, m.start()) + 1
+                errors.append(f"{path.relative_to(ROOT)}:{line}: "
+                              f"{m.group(1)} does not resolve ({exc})")
     return errors
 
 
@@ -181,6 +217,9 @@ def main() -> int:
     errors = check_links()
     print(f"links: {len(doc_paths())} files checked, "
           f"{len(errors)} broken")
+    names = check_dotted_names()
+    print(f"dotted names: {len(names)} unresolved")
+    errors += names
     errors += run_blocks()
     for e in errors:
         print(f"FAIL {e}", file=sys.stderr)
