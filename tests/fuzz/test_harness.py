@@ -3,7 +3,12 @@
 import pytest
 
 from repro.fuzz.gen import from_library, generate
-from repro.fuzz.harness import run_all, run_connector_mode
+from repro.fuzz.harness import (
+    MODES,
+    connector_opts,
+    run_all,
+    run_connector_mode,
+)
 from repro.fuzz.inject import INJECTIONS
 from repro.fuzz.shrink import (
     load_replay,
@@ -12,6 +17,21 @@ from repro.fuzz.shrink import (
     to_replay,
 )
 from repro.fuzz.sim import Schedule, build_script, make_schedule
+
+
+@pytest.mark.parametrize("mode", ["serve-jit", "durable"])
+def test_hosted_modes_fuzz_the_library_default_configuration(mode):
+    """The hosted modes build their connector the way a ``FarmSession``
+    does — with every ``RuntimeConnector`` default — so the oracle covers
+    the configuration the library ships."""
+    import inspect
+
+    from repro.runtime.connector import RuntimeConnector
+
+    params = inspect.signature(RuntimeConnector.__init__).parameters
+    opts = connector_opts(mode)
+    assert MODES[mode]["host"]
+    assert opts == {k: params[k].default for k in opts}
 
 
 def test_small_seed_sweep_no_divergence():

@@ -99,3 +99,30 @@ def test_bounded_send_waits_for_room():
     assert inp.recv() == 1
     with pytest.raises(RuntimeProtocolError):
         channel(capacity=0)
+
+
+def test_close_on_full_bounded_channel_does_not_block():
+    """The close sentinel bypasses the bound: closing never waits for
+    room, and the buffered value is still delivered before the close."""
+    out, inp = channel(capacity=1)
+    out.send("last")
+    out.close()
+    assert inp.recv() == "last"
+    with pytest.raises(PortClosedError):
+        inp.recv(timeout=5.0)
+
+
+def test_channel_takes_capacity_metrics_and_name_only():
+    """The basic model carries no overload policy: shedding, rejection and
+    dead letters are connector policies."""
+    import inspect
+
+    import repro.runtime.channels as channels
+
+    for fn in (Channel.__init__, channel):
+        params = [p for p in inspect.signature(fn).parameters if p != "self"]
+        assert params == ["capacity", "metrics", "name"]
+    with pytest.raises(TypeError):
+        channel(capacity=1, policy="shed_newest")
+    assert not hasattr(channels, "OverloadPolicy")
+    assert not hasattr(channels, "DeadLetterBuffer")

@@ -185,6 +185,52 @@ def test_full_bounded_pipe_send_times_out(model):
 
 
 @pytest.mark.parametrize("model", MODELS)
+def test_full_bounded_pipe_send_resumes_when_receiver_takes(model):
+    import threading
+
+    out, inp, close = make_bounded_pipe(model)
+    out.send(1)
+    t = threading.Thread(target=out.send, args=(2,))
+    t.start()
+    time.sleep(0.05)
+    assert t.is_alive()  # parked on the full pipe
+    assert inp.recv(timeout=5.0) == 1
+    t.join(5.0)
+    assert not t.is_alive()  # room was made: the parked send completed
+    assert inp.recv(timeout=5.0) == 2
+    close()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_full_bounded_pipe_try_send_refuses_until_room(model):
+    out, inp, close = make_bounded_pipe(model)
+    assert out.try_send(1) is True
+    assert out.try_send(2) is False  # refused, not queued
+    assert inp.recv() == 1
+    assert inp.try_recv() == (False, None)  # the refused value is gone
+    assert out.try_send(2) is True
+    assert inp.recv() == 2
+    close()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_bounded_pipe_keeps_order_under_backpressure(model):
+    """A producer far ahead of its consumer is paced by the bound; every
+    value arrives once, in order."""
+    import threading
+
+    out, inp, close = make_bounded_pipe(model)
+    values = list(range(40))
+    t = threading.Thread(target=lambda: [out.send(v) for v in values])
+    t.start()
+    got = [inp.recv(timeout=5.0) for _ in values]
+    t.join(5.0)
+    assert not t.is_alive()
+    assert got == values
+    close()
+
+
+@pytest.mark.parametrize("model", MODELS)
 def test_supervised_crash_propagates_as_peer_failure(model):
     """The same supervised program observes the same error type in both
     models when a peer task dies: PeerFailedError naming the dead task."""

@@ -280,6 +280,23 @@ def test_cross_model_metric_contract():
     assert set(CONTRACT_FAMILIES) <= reg2.family_names()
 
 
+def test_channel_occupancy_gauge_tracks_bounded_buffer():
+    """The sampled occupancy gauge reads what a bounded channel buffers:
+    full at its capacity, and down again as the receiver drains it."""
+    from repro.runtime.channels import channel
+
+    reg = MetricsRegistry()
+    out, inp = channel(capacity=2, metrics=reg, name="q")
+    out.send("a")
+    out.send("b")
+    assert out.try_send("c") is False
+    assert sample_value(reg, "repro_buffer_occupancy", ("q",)) == 2
+    assert inp.recv() == "a"
+    assert sample_value(reg, "repro_buffer_occupancy", ("q",)) == 1
+    out.close()  # the close sentinel is not a buffered message
+    assert sample_value(reg, "repro_buffer_occupancy", ("q",)) == 1
+
+
 # --------------------------------------------------------------------------
 # Exporter goldens (hand-built inputs: no live timestamps anywhere)
 # --------------------------------------------------------------------------

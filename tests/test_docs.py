@@ -27,3 +27,41 @@ def test_docs_links_and_examples():
     assert proc.returncode == 0, (
         f"docs check failed:\n{proc.stdout}\n{proc.stderr}"
     )
+
+
+def _check_docs_module():
+    """``tools/check_docs.py`` loaded as a module (``tools`` is no package)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", ROOT / "tools" / "check_docs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dotted", [
+    "repro.runtime.channels",                 # a module
+    "repro.connectors.library.connector",     # a function
+    "repro.fuzz.harness.MODES",               # a module attribute
+    "repro.runtime.channels.Channel.connect", # an attribute of a class
+])
+def test_dotted_name_pass_resolves_live_names(dotted):
+    _check_docs_module().resolve(dotted)
+
+
+def test_dotted_name_pass_flags_a_missing_attribute():
+    with pytest.raises(AttributeError):
+        _check_docs_module().resolve("repro.connectors.library.get")
+
+
+def test_dotted_name_pass_flags_a_deleted_module():
+    with pytest.raises(ImportError):
+        _check_docs_module().resolve("repro.util.timing")
+
+
+def test_dotted_name_pass_reads_the_leading_dotted_name():
+    pattern = _check_docs_module().DOTTED_RE
+    text = ("`repro.runtime.channels.channel(capacity=1)` and "
+            "`python -m repro fig12` and `reprox.foo` and `repro`")
+    assert pattern.findall(text) == ["repro.runtime.channels.channel"]
