@@ -281,8 +281,8 @@ def revalidate(program, batches) -> Script | None:
 def make_schedule(program, script, seed: int) -> Schedule:
     """The seeded perturbation schedule for one run: maybe a mid-run
     checkpoint/restore split, maybe flood injections (never on channelable
-    programs — the channel model sheds on occupancy, not enabledness, so
-    only enabledness-safe points proven for *this* model stay comparable)."""
+    programs — the channel model takes no overload policy, so it cannot
+    shed a flood and the two models' runs would not be comparable)."""
     rng = random.Random(f"fuzzsched:{seed}")
     checkpoint_at = None
     if len(script.batches) >= 2 and rng.random() < 0.5:

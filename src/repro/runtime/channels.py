@@ -26,10 +26,12 @@ one contract (``tests/runtime/test_model_contract.py``):
 
 A ``capacity`` bounds the buffer: a send against a full bounded channel
 blocks until the receiver makes room (honouring ``timeout``), and
-``try_send`` reports ``False`` instead.  That is the whole overload story
-of the basic model — shedding, rejection and dead letters are connector
-policies (:class:`~repro.runtime.overload.OverloadPolicy`, DECISIONS row
-26), not properties of a pipe.
+``try_send`` reports ``False`` instead.  If the receiving end closes
+meanwhile, the parked send raises the close's cause (or
+:class:`PortClosedError` when there is none).  That is the whole
+overload story of the basic model — shedding, rejection and dead letters
+are connector policies (:class:`~repro.runtime.overload.OverloadPolicy`,
+DECISIONS row 26), not properties of a pipe.
 
 Observability mirrors the connector model: pass ``metrics=`` (a
 :class:`~repro.runtime.metrics.MetricsRegistry`) to :class:`Channel` /
@@ -89,6 +91,9 @@ class _Pipe:
         self.metrics = metrics
         self._q: deque = deque()
         self._cond = threading.Condition()
+        # Set when the receiving end closes: senders parked on a full
+        # buffer must not wait for room that will never be made.
+        self._reader_closed: _Closed | None = None
 
     def occupancy(self) -> int:
         """Messages currently buffered (close sentinels excluded) — what
@@ -109,6 +114,13 @@ class _Pipe:
                     None if timeout is None else time.monotonic() + timeout
                 )
                 while self._full():
+                    if self._reader_closed is not None:
+                        if self._reader_closed.error is not None:
+                            raise self._reader_closed.error
+                        raise PortClosedError(
+                            f"channel from outport {vertex!r} closed by "
+                            f"its receiver"
+                        )
                     remaining = None
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
@@ -125,6 +137,11 @@ class _Pipe:
     def put_sentinel(self, sentinel: _Closed) -> None:
         with self._cond:
             self._q.append(sentinel)
+            self._cond.notify_all()
+
+    def close_reader(self, sentinel: _Closed) -> None:
+        with self._cond:
+            self._reader_closed = sentinel
             self._cond.notify_all()
 
     def get(self, timeout: float | None = None):
@@ -288,6 +305,8 @@ class ChannelInport(_ChannelPort):
         if not self._closed:
             self._closed = True
             self._error = error
+            if self._queue is not None:
+                self._queue.close_reader(_Closed(error))
 
 
 class Channel:

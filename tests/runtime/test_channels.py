@@ -83,22 +83,28 @@ def test_send_after_close():
         out.send(1)
 
 
-def test_bounded_send_waits_for_room():
-    """A ``capacity`` makes a send against a full buffer wait until the
-    receiver takes a value — the basic model's only overload behaviour."""
+def test_capacity_must_be_positive():
+    with pytest.raises(RuntimeProtocolError):
+        channel(capacity=0)
+
+
+def test_receiver_close_wakes_parked_sender():
+    """Closing the receiving end without a cause ends a send parked on a
+    full bounded channel with PortClosedError."""
     out, inp = channel(capacity=1)
     out.send(0)
-    assert out.try_send(1) is False
-    h = spawn(out.send, 1)
+
+    def parked():
+        with pytest.raises(PortClosedError):
+            out.send(1, timeout=10.0)
+        return True
+
+    h = spawn(parked)
     import time
 
     time.sleep(0.02)
-    assert h.alive  # parked on the full buffer
-    assert inp.recv() == 0
-    h.join(5)
-    assert inp.recv() == 1
-    with pytest.raises(RuntimeProtocolError):
-        channel(capacity=0)
+    inp.close()
+    assert h.join(5)
 
 
 def test_close_on_full_bounded_channel_does_not_block():

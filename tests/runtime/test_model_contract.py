@@ -154,7 +154,7 @@ def test_close_with_cause_delivers_that_cause(model):
 # --------------------------------------------------------------------------
 
 
-def make_bounded_pipe(model):
+def make_bounded_pipe(model, **options):
     """A one-slot pipe in the given model: a one-place Fifo1 connector, or
     a basic channel with ``capacity=1``.  Either way one value fits and the
     next send waits (the connector's default ``block`` policy).  Shedding
@@ -162,7 +162,7 @@ def make_bounded_pipe(model):
     ``tests/runtime/test_overload.py``)."""
     if model == "ports":
         conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-            "P", default_timeout=5.0
+            "P", default_timeout=5.0, **options
         )
         outs, ins = mkports(1, 1)
         conn.connect(outs, ins)
@@ -177,8 +177,9 @@ def test_full_bounded_pipe_send_times_out(model):
     out.send(1)
     with pytest.raises(ProtocolTimeoutError):
         out.send(2, timeout=0.05)
-    assert out.try_send(2) is False
+    assert out.try_send(2) is False  # refused, not queued
     assert inp.recv() == 1  # nothing was lost
+    assert inp.try_recv() == (False, None)  # the refused value is gone
     out.send(3)  # the timed-out op was withdrawn — the pipe still works
     assert inp.recv() == 3
     close()
@@ -202,14 +203,31 @@ def test_full_bounded_pipe_send_resumes_when_receiver_takes(model):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_full_bounded_pipe_try_send_refuses_until_room(model):
-    out, inp, close = make_bounded_pipe(model)
-    assert out.try_send(1) is True
-    assert out.try_send(2) is False  # refused, not queued
-    assert inp.recv() == 1
-    assert inp.try_recv() == (False, None)  # the refused value is gone
-    assert out.try_send(2) is True
-    assert inp.recv() == 2
+def test_failed_receiver_wakes_parked_sender_with_its_cause(model):
+    """A send parked on a full pipe observes the receiver's failure cause
+    instead of waiting for room that will never be made."""
+    import threading
+
+    out, inp, close = make_bounded_pipe(model, detection_grace=0.01)
+    out.set_owner(object(), name="sender")
+    inp.set_owner(object(), name="receiver")
+    out.send(1)
+    observed = []
+
+    def send():
+        try:
+            out.send(2, timeout=10.0)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            observed.append(exc)
+
+    t = threading.Thread(target=send)
+    t.start()
+    time.sleep(0.05)
+    inp.fail(PeerFailedError("receiver", RuntimeError("boom")))
+    t.join(15.0)
+    assert not t.is_alive()
+    assert len(observed) == 1 and isinstance(observed[0], PeerFailedError)
+    assert observed[0].task == "receiver"
     close()
 
 
