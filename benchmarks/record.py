@@ -1,12 +1,27 @@
-"""Record the repo's benchmark baseline into BENCH_engine.json.
+"""Record the repo's benchmark baseline into BENCH_engine.json, and gate on it.
 
 Runs the engine-scaling sweep (E8), the firing-cost sweep over the Fig. 12
-connectors, and the Fig. 13 NPB panels (E2/E3), and writes one JSON
-document at the repo root with median ns/step and steps/second per
-connector × arity.  The committed file is the regression yardstick for
-CI's ``bench-smoke`` job (see .github/workflows/ci.yml), which re-measures
-the single-region hot path at tiny sizes and fails on a >25% ns/step
-regression via ``--check``.
+connectors, the engineering rows of E13–E18 and the Fig. 13 NPB panels
+(E2/E3), and writes one JSON document at the repo root.  ``--check`` is
+CI's engine regression gate (``bench-smoke`` in .github/workflows/ci.yml).
+Each of its gates is a ratio of two paths timed in the same process and
+rounds, so the host's speed, and which of its speed modes a run meets,
+cancel:
+
+* ``single_region`` — E8's one-lane pump, ns/step in units of
+  :func:`reference_us`, the median over interleaved rounds;
+* ``fig12_steps`` — compiled ÷ interpreted firing cost;
+* ``reinstantiate`` — a second instance's cycle ÷ the same cycle with the
+  per-process compile tables cleared;
+* ``lockstep_scaling`` — each family's N = 16 ÷ N = 2 kernel row, and the
+  N = 2 rows and Merger/2 in reference units;
+* ``port_pair`` — a port ``send`` + ``recv`` ÷ the same work through
+  ``post_*``;
+* ``expansion`` — merged ÷ flat and delta ÷ merged expansion;
+* ``fig13`` — reo ÷ original.
+
+``fig12_steps`` and ``fig13`` bound their ratio's drift from the one
+recorded in BENCH_engine.json; the others bound it by a constant below.
 
 Usage::
 
@@ -14,9 +29,10 @@ Usage::
     python benchmarks/record.py --quick            # small windows, no NPB
     python benchmarks/record.py --check            # regression gate (CI)
 
-Medians of ``--repeats`` independent runs are recorded, with the garbage
-collector disabled around each timed section (the same discipline as
-``pytest --benchmark-disable-gc``).
+The engine-scaling, firing-cost and Fig. 13 rows are medians of
+``--repeats`` independent runs; a gate records its ratios as ``--check``
+reads them.  The garbage collector is disabled around each timed section
+(the same discipline as ``pytest --benchmark-disable-gc``).
 """
 
 import argparse
@@ -27,7 +43,10 @@ import pathlib
 import platform
 import statistics
 import sys
+import threading
 import time
+from collections import deque, namedtuple
+from contextlib import contextmanager
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
@@ -38,7 +57,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 DEFAULT_OUT = ROOT / "BENCH_engine.json"
 
-#: bench-smoke fails when single-region ns/step exceeds baseline × this.
+#: bench-smoke fails when the compiled-over-interpreter ratio, or Fig. 13's
+#: reo ÷ original, drifts beyond this × the recorded one.
 REGRESSION_BUDGET = 1.25
 
 #: bench-smoke fails when the compiled step tier's geomean speedup over the
@@ -57,8 +77,6 @@ def _median_engine_row(k, values, repeats):
     finally:
         gc.enable()
     ns = statistics.median(samples)
-    # The min is the regression-gate statistic: on a loaded box the median
-    # absorbs scheduler noise, the fastest run is the engine's real cost.
     return {
         "ns_per_step": round(ns, 1),
         "ns_per_step_min": round(min(samples), 1),
@@ -83,279 +101,275 @@ def record_fig12_steps(backlog, repeats):
             "geomean_speedup": round(geomean_speedup(rows), 2)}
 
 
-#: Second-instance cycles, µs on the dev box (2 cores, CPython 3.11.7, GIL,
-#: one core pinned, min of 25) at the parent commit 485293a, where every
-#: instance re-derived automata, plans and step code.  ISSUE 22 shares them
-#: per process; ``--check`` holds each row under REINSTANTIATE_CEILING of
-#: these absolute figures (the change reads 0.16–0.29 of them), so a path
-#: that derives per instance again fails on any host not 2× slower.
-REINSTANTIATE_PARENT_US = {
-    "Replicator/2": 465.1, "Replicator/4": 783.2, "Replicator/8": 1261.4,
-    "Replicator/16": 2383.4, "EarlyAsyncMerger/2": 1114.2,
-    "EarlyAsyncMerger/4": 2329.4, "EarlyAsyncMerger/8": 5091.8,
-    "EarlyAsyncMerger/16": 11984.3, "Pipe/1": 671.1,
-}
-REINSTANTIATE_CEILING = 0.6
-REINSTANTIATE_HOST = "dev box: 2 cores, x86_64, CPython 3.11.7 (GIL)"
+# --------------------------------------------------------------------------
+# The same-run gates
+# --------------------------------------------------------------------------
+
+#: One gated ratio: ``value`` of ``row`` (what the gate measures again when
+#: it is over ``bound``), what it divides, and what a failure suggests.
+Ratio = namedtuple("Ratio", "row what value bound hint")
 
 
-def record_reinstantiate(repeats):
-    """build → connect → two lock-step rounds → close of a definition this
-    process has instantiated before (``tools/fig13_gap.py``'s cycle): what
-    each further instance costs."""
-    from fig13_gap import best_ms, cycle  # tools/; pulls in numpy
+def reference_us(k: int = 5000, clock=time.perf_counter) -> float:
+    """µs per round of the bare hand-off the gates count in: a locked append
+    to a deque, then a locked drain of it — a posted operation and the drain
+    that serves it, with no protocol in between."""
+    lock, queue = threading.Lock(), deque()
+    append, popleft = queue.append, queue.popleft
+    t0 = clock()
+    for j in range(k):
+        with lock:
+            append(j)
+        with lock:
+            while queue:
+                popleft()
+    return (clock() - t0) / k * 1e6
 
-    from repro.connectors import library
-    from repro.npb.common import make_pipe
 
-    rows = {}
+def _rounds(samplers: dict, n: int) -> dict:
+    """``n`` rounds, each taking one sample of every sampler back to back,
+    in reverse order every other round: a change of host speed lands inside
+    a round, not between the sides of every round.  ``{name: samples}``"""
+    order = list(samplers.items())
+    out: dict = {name: [] for name in samplers}
+    for i in range(n):
+        for name, sample in order if i % 2 == 0 else order[::-1]:
+            out[name].append(sample())
+    return out
+
+
+def _ratios(samples: dict, a, b) -> list:
+    """Each round's sample of ``a`` ÷ its sample of ``b``."""
+    return [x / y for x, y in zip(samples[a], samples[b])]
+
+
+@contextmanager
+def _pinned():
+    """One core, gc off: how every gated row is timed."""
     cpu = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, cpu[:1])
     gc.disable()
     try:
-        for key, parent_us in REINSTANTIATE_PARENT_US.items():
-            name, n = key.split("/")
-            make = make_pipe if name == "Pipe" else (
-                lambda name=name, n=int(n): library.connector(name, n))
-            cycle([make])  # the first instance
-            rows[key] = {
-                "us": round(1e3 * best_ms(lambda: cycle([make]), repeats), 1),
-                "parent_us": parent_us,
-                "ceiling_us": round(REINSTANTIATE_CEILING * parent_us, 1),
-            }
+        yield
     finally:
         gc.enable()
         os.sched_setaffinity(0, cpu)
-    return {"host": REINSTANTIATE_HOST, "rows": rows}
 
 
-def _check_reinstantiate() -> int:
-    """The compile-once gate: every second-instance cycle under its
-    absolute ceiling (µs, measured on the host the message names)."""
-    now = record_reinstantiate(repeats=15)["rows"]
-    over = {k: r for k, r in now.items() if r["us"] > r["ceiling_us"]}
-    worst = max(now.values(), key=lambda r: r["us"] / r["ceiling_us"])
-    print(f"reinstantiate: {len(now)} second-instance cycles, worst at "
-          f"{worst['us']:.0f} µs of a {worst['ceiling_us']:.0f} µs ceiling "
-          f"({REINSTANTIATE_CEILING:.1f} × the parent on the "
-          f"{REINSTANTIATE_HOST})")
-    for key, row in over.items():
-        print(f"FAIL: {key} second instance {row['us']:.0f} µs over "
-              f"{row['ceiling_us']:.0f} µs — derived per instance again?")
-    return 1 if over else 0
+def _add(best: dict, key, ratios: list) -> None:
+    """Add a pass's per-round ratios of ``key``: a gate reads the median
+    over every round of every pass, so more rounds settle a median that a
+    burst of interference moved."""
+    best.setdefault(key, []).extend(ratios)
+
+
+#: Figures below are ten runs on the 2-core dev box (x86_64, CPython 3.11.7
+#: with the GIL), each read as ``--check`` reads it.
+#:
+#: Single-region ns/step ÷ reference_us(), median of three passes of 45
+#: rounds: 4.80–5.58, and 6.03–6.40 with a spin that makes every fired
+#: step 14–26 % slower (the size of regression the old 1.25 × budget on
+#: absolute ns caught).
+SINGLE_REGION_BOUND = 5.8
+
+
+def _single_region_pass(rows, best):
+    """45 rounds of E8's one-lane pump (300 values, the size
+    ``record_engine_scaling`` records) and the reference loop."""
+    def pump():
+        steps, dt = pump_once(1, values=300)
+        return dt / steps * 1e6
+
+    with _pinned():
+        samples = _rounds({"pump": pump, "ref": reference_us}, 45)
+    _add(best, ("regions/1", "ref_units"), _ratios(samples, "pump", "ref"))
+
+
+def single_region_ratios(best):
+    return [Ratio("regions/1", "ns/step in reference units",
+                  statistics.median(best["regions/1", "ref_units"]),
+                  SINGLE_REGION_BOUND,
+                  "the single-region hot path is slower")]
+
+
+#: Second-instance cycle ÷ first-instance cycle (the per-process compile
+#: tables cleared, as every instance paid before DECISIONS row 11), median
+#: of 15 rounds: 0.10–0.14, Pipe/1 0.19–0.22; an instance that derives its
+#: automata, plans and step code again reads 1.0.
+REINSTANTIATE_BOUND = 0.3
+REINSTANTIATE_ROWS = (
+    "Replicator/2", "Replicator/4", "Replicator/8", "Replicator/16",
+    "EarlyAsyncMerger/2", "EarlyAsyncMerger/4", "EarlyAsyncMerger/8",
+    "EarlyAsyncMerger/16", "Pipe/1",
+)
+
+
+def _reinstantiate_pass(rows, best):
+    """build → connect → two lock-step rounds → close
+    (``tools/fig13_gap.py``'s cycle), 15 rounds per row: a cold one on
+    cleared tables, then a warm one, which finds what the cold one derived
+    — what each further instance of a definition costs."""
+    from fig13_gap import cycle  # tools/; pulls in numpy
+
+    from repro.automata import partition, simplify
+    from repro.compiler import parametrized
+    from repro.connectors import library
+    from repro.npb.common import make_pipe
+
+    def timed(make):
+        t0 = time.perf_counter()
+        cycle([make])
+        return time.perf_counter() - t0
+
+    with _pinned():
+        for key in rows:
+            name, n = key.split("/")
+            make = make_pipe if name == "Pipe" else (
+                lambda name=name, n=int(n): library.connector(name, n))
+            ratios = []
+            for _ in range(15):
+                parametrized._programs.clear()
+                simplify._shared_plans.clear()
+                partition._composites.clear()
+                cold = timed(make)
+                ratios.append(timed(make) / cold)
+            _add(best, (key, "warm_over_cold"), ratios)
+
+
+def reinstantiate_ratios(best):
+    return [Ratio(key, "second ÷ first instance",
+                  statistics.median(best[key, "warm_over_cold"]),
+                  REINSTANTIATE_BOUND,
+                  "derived per instance again?")
+            for key in REINSTANTIATE_ROWS]
 
 
 #: Lock-step kernel rows — µs per step through ``post_recv``/``post_send``,
-#: the suite's ``lockstep_posted`` driver, best sample — on the dev box at
-#: the parent commit dd05988, where every drain iteration hashed the
-#: control-state tuple two or three times (``region.lookup``,
-#: ``cursors.get``, the cursor store).  ISSUE 23 keeps the candidates, the
-#: cursor and the successor links in a per-state row; ``--check`` holds each
-#: row under an absolute ceiling, LOCKSTEP_CEILING × these figures: 0.92 at
-#: N = 16, where the change reads 0.57–0.72, and 1.3 at N = 2, where it
-#: reads 0.84–1.03 — so a loop that hashes wide states again fails on any
-#: host not 1.1× faster, and the dev box's ±15 % speed modes fail nothing.
-LOCKSTEP_PARENT_US = {
-    "Sequencer/2": 2.73, "Sequencer/16": 3.39,
-    "SequencedMerger/2": 2.59, "SequencedMerger/16": 3.14,
-    "EarlyAsyncMerger/2": 3.10, "EarlyAsyncMerger/16": 7.07,
-    "Barrier/2": 8.64, "Barrier/16": 79.5,
-    "Replicator/2": 6.30, "Replicator/16": 34.3,
-    "Merger/2": 5.14,
+#: the suite's ``lockstep_posted`` driver — at these arities per family.
+LOCKSTEP_NS = {
+    "Sequencer": (2, 16), "SequencedMerger": (2, 16),
+    "EarlyAsyncMerger": (2, 16), "Barrier": (2, 16), "Replicator": (2, 16),
+    "Merger": (2,),
 }
-LOCKSTEP_CEILING = {2: 1.3, 16: 0.92}
-LOCKSTEP_HOST = REINSTANTIATE_HOST
+#: Each family's N = 16 row ÷ its N = 2 row, median of 24 rounds: the first
+#: figure; commit dd05988, where every drain iteration hashed the
+#: control-state tuple two or three times, read the second (E14).
+LOCKSTEP_GROWTH_BOUND = {
+    "Sequencer": 1.05,         # 0.89–0.93; 1.24
+    "SequencedMerger": 1.10,   # 0.92–1.02; 1.21
+    "EarlyAsyncMerger": 2.1,   # 1.83–1.97; 2.28
+    "Barrier": 7.0,            # 6.13–6.56; 9.20
+    "Replicator": 4.7,         # 4.03–4.37; 5.44
+}
+#: Each family's N = 2 row in reference units, median of 24 rounds: 1.07 ×
+#: the highest reading, so a row 1.2–1.3 × slower than its lowest fails.
+LOCKSTEP_REFERENCE_BOUND = {
+    "Sequencer": 5.3,          # 4.37–4.95
+    "SequencedMerger": 4.7,    # 3.91–4.40
+    "EarlyAsyncMerger": 5.5,   # 4.49–5.15
+    "Barrier": 14.5,           # 10.84–13.57
+    "Replicator": 11.0,        # 9.13–10.26
+    "Merger": 10.5,            # 8.86–9.82
+}
 
 
-def _lockstep_pass(keys, best):
-    """Four timed samples of 500 steps per row in ``keys``, after the suite
-    driver's 32 warm-up rounds, one core pinned; ``best`` keeps each row's
-    least."""
+def _lockstep_pass(families, best):
+    """Per family, every row built and given the suite driver's 32 warm-up
+    rounds, then 8 rounds of a 500-step sample of each row and a reference
+    sample."""
     import harness  # benchmarks/suite: the rows are its rows, so is the driver
 
     ctx = harness.Ctx(seed=0, seconds=0.0, trace=False,
                       work_dir=ROOT / ".bench_work", host=harness.host_info())
-    with harness.main_pinned(ctx.host):
-        for key in keys:
-            name, n = key.split("/")
-            row = harness.PostedRow(ctx, 0, name, int(n))
-            us = min(row.sample(0, 500) for _ in range(4))
-            _, failed = row.finish(0)
-            assert not failed, key
-            best[key] = min(us, best.get(key, us))
+    with _pinned():
+        for family in families:
+            rows = {n: harness.PostedRow(ctx, 0, family, n)
+                    for n in LOCKSTEP_NS[family]}
+            samplers = {n: (lambda row=row: row.sample(0, 500))
+                        for n, row in rows.items()}
+            samples = _rounds({**samplers, "ref": reference_us}, 8)
+            for n, row in rows.items():
+                _, failed = row.finish(0)
+                assert not failed, (family, n)
+            _add(best, (family, "ref_units"), _ratios(samples, 2, "ref"))
+            if 16 in rows:
+                _add(best, (family, "growth"), _ratios(samples, 16, 2))
 
 
-def record_lockstep_scaling(passes):
-    """Best sample per row over ``passes`` passes of all rows: the host is
-    slow for tenths of a second at a time, longer than one row takes, so a
-    row's samples are spread over passes (the suite's discipline)."""
-    best: dict = {}
-    for _ in range(passes):
-        _lockstep_pass(LOCKSTEP_PARENT_US, best)
-    return {"host": LOCKSTEP_HOST, "rows": {
-        key: {
-            "us_per_step": round(best[key], 3),
-            "parent_us_per_step": parent_us,
-            "ceiling_us_per_step": round(
-                LOCKSTEP_CEILING[int(key.split("/")[1])] * parent_us, 3),
-        }
-        for key, parent_us in LOCKSTEP_PARENT_US.items()
-    }}
+def lockstep_ratios(best):
+    return [
+        Ratio(family, "N = 16 ÷ N = 2",
+              statistics.median(best[family, "growth"]), bound,
+              "hashing the control state per drain iteration again?")
+        for family, bound in LOCKSTEP_GROWTH_BOUND.items()
+    ] + [
+        Ratio(family, "N = 2 µs/step in reference units",
+              statistics.median(best[family, "ref_units"]), bound,
+              "a slower kernel step?")
+        for family, bound in LOCKSTEP_REFERENCE_BOUND.items()
+    ]
 
 
-def _check_lockstep_scaling() -> int:
-    """The row-driven-drain gate: every lock-step row under its absolute
-    ceiling (µs per step, measured on the host the message names).  Rows
-    over it are measured again, up to three more passes: noise only adds."""
-    now = record_lockstep_scaling(passes=3)["rows"]
-    best = {key: row["us_per_step"] for key, row in now.items()}
-
-    def over():
-        return [key for key, row in now.items()
-                if best[key] > row["ceiling_us_per_step"]]
-
-    for _ in range(3):
-        if not over():
-            break
-        _lockstep_pass(over(), best)
-    worst = max(now, key=lambda k: best[k] / now[k]["ceiling_us_per_step"])
-    print(f"lockstep_scaling: {len(now)} rows, worst {worst} at "
-          f"{best[worst]:.2f} µs/step of a "
-          f"{now[worst]['ceiling_us_per_step']:.2f} µs ceiling (absolute, "
-          f"from the parent on the {LOCKSTEP_HOST})")
-    for key in over():
-        print(f"FAIL: {key} {best[key]:.2f} µs/step over "
-              f"{now[key]['ceiling_us_per_step']:.2f} — hashing the control "
-              "state per drain iteration again?")
-    return 1 if over() else 0
+#: Port-operation rows — an un-parked ``send`` + ``recv`` through ports ÷
+#: the same work through ``post_*``, one thread, one core pinned, median of
+#: 30 rounds: 0.99–1.05, and 1.08–1.13 when each port operation looks its
+#: binding up and reads the clock again; commit bd82934,
+#: where every port operation resolved its vertex per call (route lookup,
+#: owner lock and re-check, open, policy and party lookups, and a clock
+#: read), read 1.28 (EXPERIMENTS.md E15).
+PORT_PAIR_BOUND = 1.06
+PORT_PAIR_ROWS = ("EarlyAsyncMerger/2", "FifoChain/1")
 
 
-#: Port-operation rows — µs per un-parked ``send`` + ``recv`` through ports
-#: (EarlyAsyncMerger/2, FifoChain/1), or per Replicator/2 round (a posted
-#: receive on each head, then the port ``send`` that fires them), one
-#: thread, one core pinned, best sample — each beside the same work through
-#: ``post_*``.  PORT_PAIR_PARENT_US holds (port, post) on the dev box at the
-#: parent commit bd82934, where every port operation resolved its vertex
-#: per call: route lookup, owner lock and re-check, open, policy and party
-#: lookups, and a clock read.  A port now binds its vertex at connect;
-#: ``--check`` holds the two pair rows under PORT_PAIR_CEILING × the
-#: parent's port figure (the change reads 0.69–0.73 of it), so a port path
-#: that goes back to per-call resolution fails on any host not 1.2× faster.
-#: The Replicator round is two posts and one port operation — reference
-#: only, not gated.
-PORT_PAIR_PARENT_US = {
-    "EarlyAsyncMerger/2": (5.737, 4.488),
-    "FifoChain/1": (5.019, 3.914),
-    "Replicator/2": (4.743, 4.198),
-}
-PORT_PAIR_CEILING = 0.85
-PORT_PAIR_GATED = ("EarlyAsyncMerger/2", "FifoChain/1")
-PORT_PAIR_HOST = REINSTANTIATE_HOST
-
-
-def _port_sample(conn, outs, ins, path, k=2000) -> float:
+def _port_round(conn, outs, ins, path, k=2000) -> float:
     """µs per round of ``k`` through ``path`` (``"port"`` or ``"post"``)."""
     engine = conn.engine
-    tail, heads = conn.tail_vertices[0], conn.head_vertices
+    tail, head = conn.tail_vertices[0], conn.head_vertices[0]
     post_send, post_recv = engine.post_send, engine.post_recv
     send, recv = outs[0].send, ins[0].recv
     t0 = time.perf_counter()
-    if len(heads) > 1:  # every receive posted, then the send that fires
-        if path == "port":
-            for j in range(k):
-                for h in heads:
-                    post_recv(h)
-                send(j)
-        else:
-            for j in range(k):
-                for h in heads:
-                    post_recv(h)
-                post_send(tail, j)
-    elif path == "port":
+    if path == "port":
         for j in range(k):
             send(j)
             recv()
     else:
         for j in range(k):
             post_send(tail, j)
-            post_recv(heads[0])
+            post_recv(head)
     return (time.perf_counter() - t0) / k * 1e6
 
 
-def _port_pair_pass(keys, best):
-    """Four timed samples per row in ``keys`` and path, on a fresh connector
-    each after 200 warm-up rounds, gc off, one core pinned; ``best`` keeps
-    each (row, path)'s least."""
+def _port_pair_pass(rows, best):
+    """Per row, a connector per path given 200 warm-up rounds, then 10
+    rounds of a sample through each."""
     from repro.connectors import library
     from repro.runtime.ports import mkports
 
-    cpu = sorted(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, cpu[:1])
-    gc.disable()
-    try:
-        for key in keys:
+    with _pinned():
+        for key in rows:
             name, n = key.split("/")
+            samplers, conns = {}, []
             for path in ("port", "post"):
                 conn = library.connector(name, int(n))
                 outs, ins = mkports(len(conn.tail_vertices),
                                     len(conn.head_vertices))
                 conn.connect(outs, ins)
-                _port_sample(conn, outs, ins, path, 200)
-                us = min(_port_sample(conn, outs, ins, path)
-                         for _ in range(4))
+                _port_round(conn, outs, ins, path, 200)
+                samplers[path] = (lambda c=conn, o=outs, i=ins, p=path:
+                                  _port_round(c, o, i, p))
+                conns.append(conn)
+            samples = _rounds(samplers, 10)
+            for conn in conns:
                 conn.close()
-                best[key, path] = min(us, best.get((key, path), us))
-    finally:
-        gc.enable()
-        os.sched_setaffinity(0, cpu)
+            _add(best, (key, "port_over_post"),
+                 _ratios(samples, "port", "post"))
 
 
-def record_port_pair(passes):
-    """Best sample per row and path over ``passes`` passes of all rows: the
-    samples of a row are spread over passes, as in
-    :func:`record_lockstep_scaling`."""
-    best: dict = {}
-    for _ in range(passes):
-        _port_pair_pass(PORT_PAIR_PARENT_US, best)
-    return {"host": PORT_PAIR_HOST, "rows": {
-        key: {
-            "port_us": round(best[key, "port"], 3),
-            "post_us": round(best[key, "post"], 3),
-            "parent_port_us": port, "parent_post_us": post,
-            "ceiling_us": (round(PORT_PAIR_CEILING * port, 3)
-                           if key in PORT_PAIR_GATED else None),
-        }
-        for key, (port, post) in PORT_PAIR_PARENT_US.items()
-    }}
-
-
-def _check_port_pair() -> int:
-    """The bound-port gate: every port row under its absolute ceiling (µs,
-    measured on the host the message names).  Rows over it are measured
-    again, up to three more passes: noise only adds."""
-    now = record_port_pair(passes=3)["rows"]
-    best = {(key, "port"): row["port_us"] for key, row in now.items()}
-
-    def over():
-        return [key for key in PORT_PAIR_GATED
-                if best[key, "port"] > now[key]["ceiling_us"]]
-
-    for _ in range(3):
-        if not over():
-            break
-        _port_pair_pass(over(), best)
-    for key, row in now.items():
-        ceiling = (f"a {row['ceiling_us']:.2f} µs ceiling, "
-                   f"{PORT_PAIR_CEILING:.2f} × the parent's port figure on "
-                   f"the {PORT_PAIR_HOST}" if row["ceiling_us"]
-                   else "reference only")
-        print(f"port_pair: {key} port {best[key, 'port']:.2f} µs, post "
-              f"{row['post_us']:.2f} ({ceiling})")
-    for key in over():
-        print(f"FAIL: {key} port {best[key, 'port']:.2f} µs over "
-              f"{now[key]['ceiling_us']:.2f} — resolving the vertex per "
-              "call again?")
-    return 1 if over() else 0
+def port_pair_ratios(best):
+    return [Ratio(key, "port ÷ post",
+                  statistics.median(best[key, "port_over_post"]),
+                  PORT_PAIR_BOUND, "resolving the vertex per call again?")
+            for key in PORT_PAIR_ROWS]
 
 
 #: Cold-expansion rows — µs per state the JIT product expands, on the four
@@ -379,25 +393,17 @@ def _check_port_pair() -> int:
 #:   again.
 #:
 #: Every kind lays its segments end to end into a ``StateRow`` (without
-#: step functions), as a compiled region's table keeps them.  ``--check``
-#: holds each row's ``merged`` under EXPANSION_CEILING × its ``flat``, and
-#: each row of DELTA_ROWS' ``delta`` under DELTA_CEILING × its ``merged``,
-#: read in the same rounds, so the dev box's speed modes (±40 % on these
-#: rows) cancel.  LateAsyncReplicator/12 — most of its states grow new
-#: closures — is recorded, not gated on ``delta``.  EXPANSION_PARENT_US is
-#: the figure of commit 72168e5 on the dev box (best of 15 passes in its
-#: fast mode, the constructor's expansion of the initial state timed too),
-#: kept for reference; an absolute ceiling at 0.85 × it failed the merged
-#: product in the slow mode.
-EXPANSION_PARENT_US = {
-    "EarlyAsyncMerger/16": 48.34, "LateAsyncRouter/16": 83.08,
-    "LateAsyncReplicator/12": 17.07, "EarlyAsyncBarrierMerger/8": 37.32,
-}
-EXPANSION_CEILING = 0.85
+#: step functions), as a compiled region's table keeps them.  Each row's
+#: ``merged`` is held under EXPANSION_BOUND × its ``flat``, and each row of
+#: DELTA_ROWS' ``delta`` under DELTA_BOUND × its ``merged``, read in the
+#: same rounds.  LateAsyncReplicator/12 — most of its states grow new
+#: closures — is not gated on ``delta``.
+EXPANSION_BOUND = 0.85
+DELTA_BOUND = 0.75
+EXPANSION_ROWS = ("EarlyAsyncMerger/16", "LateAsyncRouter/16",
+                  "LateAsyncReplicator/12", "EarlyAsyncBarrierMerger/8")
 DELTA_ROWS = ("EarlyAsyncMerger/16", "LateAsyncRouter/16",
               "EarlyAsyncBarrierMerger/8")
-DELTA_CEILING = 0.75
-EXPANSION_HOST = REINSTANTIATE_HOST
 
 
 def _visited_states(name, n, schedule):
@@ -464,92 +470,88 @@ def _expand_all(lazy, rows, edges, delta):
             state, list(chain.from_iterable(expansion[1])), (), expansion)
 
 
-def _expansion_pass(keys, best, rounds=5):
-    """``rounds`` timed expansions of every row in ``keys``, one of each
-    kind in turn; ``best`` keeps each (row, kind)'s least µs per state."""
-    cpu = sorted(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, cpu[:1])
-    try:
-        for key in keys:
+def _expansion_pass(rows, best, rounds=5):
+    """``rounds`` timed expansions of every row, one of each kind in turn;
+    ``best`` keeps each (row, kind)'s least µs per state."""
+    with _pinned():
+        for key in rows:
             name, n = key.split("/")
             runs = [_visited_states(name, int(n), k) for k in range(3)]
             expanded = sum(len(edges) for _, _, edges in runs)
             for kind in ("flat", "merged", "delta") * rounds:
+                gc.enable()  # earlier rounds' garbage goes outside the timer
                 products = [_product(flat if kind == "flat" else merged)
                             for flat, merged, _ in runs]
                 gc.disable()
                 t0 = time.perf_counter()
-                for (lazy, rows), (_, _, edges) in zip(products, runs):
-                    _expand_all(lazy, rows, edges, kind == "delta")
+                for (lazy, rows_), (_, _, edges) in zip(products, runs):
+                    _expand_all(lazy, rows_, edges, kind == "delta")
                 us = (time.perf_counter() - t0) * 1e6 / expanded
-                gc.enable()
-                best[key, kind] = min(us, best.get((key, kind), us))
-    finally:
-        gc.enable()
-        os.sched_setaffinity(0, cpu)
+                slot = key, f"{kind}_us"
+                best[slot] = min(us, best.get(slot, us))
 
 
-def record_expansion(passes):
-    """Best per row and kind over ``passes`` passes of all rows."""
+def expansion_ratios(best):
+    return [
+        Ratio(key, "merged ÷ flat",
+              best[key, "merged_us"] / best[key, "flat_us"], EXPANSION_BOUND,
+              "expanding stateless sub-chains per state again?")
+        for key in EXPANSION_ROWS
+    ] + [
+        Ratio(key, "delta ÷ merged",
+              best[key, "delta_us"] / best[key, "merged_us"], DELTA_BOUND,
+              "recomposing components the firing did not change?")
+        for key in DELTA_ROWS
+    ]
+
+
+#: gate → (one pass over some of its rows, its ratios, its rows, passes).
+GATES = {
+    "single_region": (_single_region_pass, single_region_ratios,
+                      ("regions/1",), 3),
+    "reinstantiate": (_reinstantiate_pass, reinstantiate_ratios,
+                      REINSTANTIATE_ROWS, 1),
+    "lockstep_scaling": (_lockstep_pass, lockstep_ratios,
+                         tuple(LOCKSTEP_NS), 3),
+    "port_pair": (_port_pair_pass, port_pair_ratios, PORT_PAIR_ROWS, 3),
+    "expansion": (_expansion_pass, expansion_ratios, EXPANSION_ROWS, 5),
+}
+
+
+def _measure(gate: str) -> dict:
+    """The gate's passes over its rows, then the rows of every ratio over
+    its bound again, up to three more passes whose rounds join the ones
+    already read."""
+    measure, ratios, rows, passes = GATES[gate]
     best: dict = {}
     for _ in range(passes):
-        _expansion_pass(EXPANSION_PARENT_US, best)
-    return {"host": EXPANSION_HOST, "ceiling": EXPANSION_CEILING,
-            "delta_ceiling": DELTA_CEILING, "rows": {
-                key: {
-                    "us_per_expansion": round(best[key, "merged"], 2),
-                    "flat_us_per_expansion": round(best[key, "flat"], 2),
-                    "delta_us_per_expansion": round(best[key, "delta"], 2),
-                    "parent_us_per_expansion": parent_us,
-                }
-                for key, parent_us in EXPANSION_PARENT_US.items()
-            }}
-
-
-def _check_expansion() -> int:
-    """The expansion gates, each a ratio of two kinds read in the same
-    rounds: every row's merged expansion under EXPANSION_CEILING × the flat
-    one, and the delta expansion of DELTA_ROWS under DELTA_CEILING × the
-    merged one.  Rows over either are measured again, up to three more
-    passes: noise only adds."""
-    now = record_expansion(passes=5)["rows"]
-    best = {}
-    for key, row in now.items():
-        best[key, "merged"] = row["us_per_expansion"]
-        best[key, "flat"] = row["flat_us_per_expansion"]
-        best[key, "delta"] = row["delta_us_per_expansion"]
-
-    def ratio(key, kind="merged", base="flat"):
-        return best[key, kind] / best[key, base]
-
-    def over():
-        return [key for key in now if ratio(key) > EXPANSION_CEILING
-                or key in DELTA_ROWS
-                and ratio(key, "delta", "merged") > DELTA_CEILING]
-
+        measure(rows, best)
     for _ in range(3):
-        if not over():
+        over = {r.row for r in ratios(best) if r.value > r.bound}
+        if not over:
             break
-        _expansion_pass(over(), best)
-    for key in now:
-        gate = (f"ceiling {DELTA_CEILING:.2f}×" if key in DELTA_ROWS
-                else "not gated")
-        print(f"expansion: {key} {best[key, 'merged']:.1f} µs per state, "
-              f"flat {best[key, 'flat']:.1f} ({ratio(key):.2f}×, ceiling "
-              f"{EXPANSION_CEILING:.2f}×; commit 72168e5 read "
-              f"{EXPANSION_PARENT_US[key]:.1f} on the {EXPANSION_HOST}), "
-              f"delta {best[key, 'delta']:.1f} "
-              f"({ratio(key, 'delta', 'merged'):.2f}× merged, {gate})")
-    for key in over():
-        if ratio(key) > EXPANSION_CEILING:
-            print(f"FAIL: {key} expands at {ratio(key):.2f}× the flat "
-                  "product — expanding stateless sub-chains per state "
-                  "again?")
-        else:
-            print(f"FAIL: {key} delta-expands at "
-                  f"{ratio(key, 'delta', 'merged'):.2f}× a full expansion "
-                  "— recomposing components the firing did not change?")
-    return 1 if over() else 0
+        measure([row for row in rows if row in over], best)
+    return best
+
+
+def record_gate(gate: str) -> dict:
+    """The gate's ratios, as ``--check`` reads them."""
+    ratios = GATES[gate][1](_measure(gate))
+    return {f"{r.row} {r.what}": round(r.value, 3) for r in ratios}
+
+
+def check_gate(gate: str) -> int:
+    """Print the gate's worst ratio and a ``FAIL:`` line per ratio over its
+    bound; 1 if there is one."""
+    ratios = GATES[gate][1](_measure(gate))
+    worst = max(ratios, key=lambda r: r.value / r.bound)
+    print(f"{gate}: {len(ratios)} ratios, worst {worst.row} {worst.what} "
+          f"{worst.value:.2f} (bound {worst.bound:.2f})")
+    over = [r for r in ratios if r.value > r.bound]
+    for r in over:
+        print(f"FAIL: {gate}: {r.row} {r.what} {r.value:.2f} over "
+              f"{r.bound:.2f} — {r.hint}")
+    return 1 if over else 0
 
 
 def _fig13_secs(fn, repeats):
@@ -591,11 +593,9 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         "fig12_steps": record_fig12_steps(
             backlog=500 if quick else 2000, repeats=repeats
         ),
-        "reinstantiate": record_reinstantiate(repeats=5 * repeats),
-        "lockstep_scaling": record_lockstep_scaling(passes=repeats),
-        "port_pair": record_port_pair(passes=repeats),
-        "expansion": record_expansion(passes=repeats),
     }
+    for gate in GATES:
+        doc[gate] = record_gate(gate)
     if not quick:
         doc["fig13_npb"] = record_fig13(repeats=repeats)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -603,51 +603,14 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
 
 
 def check(baseline_path: pathlib.Path) -> int:
-    """The CI regression gate: re-measure the single-region hot path at a
-    tiny size and compare ns/step against the committed baseline."""
+    """The CI regression gate: every gate, each printing its verdict; 1 if
+    any failed."""
     baseline = json.loads(baseline_path.read_text())
-    row = baseline["engine_scaling"]["regions/1"]
-    pinned = row.get("ns_per_step_min", row["ns_per_step"])
-    # Same per-run size as the recorded baseline (ns/step includes the
-    # first-op plan warmup, so a smaller run would read systematically
-    # slow), and min-of-N on both sides: fastest run vs fastest run.
-    # Thread-wakeup noise in this lane is one-sided (slow outliers only),
-    # so on an over-budget reading re-measure up to twice and keep the
-    # overall min before declaring a regression.
-    best = None
-    for _attempt in range(3):
-        now = _median_engine_row(1, values=300, repeats=5)
-        best = (now["ns_per_step_min"] if best is None
-                else min(best, now["ns_per_step_min"]))
-        if best / pinned <= REGRESSION_BUDGET:
-            break
-    ratio = best / pinned
-    print(
-        f"single-region ns/step (min of 5): baseline {pinned:.0f}, "
-        f"now {best:.0f} ({ratio:.2f}x, "
-        f"budget {REGRESSION_BUDGET:.2f}x)"
-    )
-    if ratio > REGRESSION_BUDGET:
-        print("FAIL: single-region hot path regressed beyond budget")
+    failed = [check_gate(gate) for gate in GATES]
+    failed.append(_check_steps(baseline.get("fig12_steps")))
+    failed.append(_check_fig13(baseline.get("fig13_npb")))
+    if any(failed):
         return 1
-    rc = _check_steps(baseline.get("fig12_steps"))
-    if rc:
-        return rc
-    rc = _check_reinstantiate()
-    if rc:
-        return rc
-    rc = _check_lockstep_scaling()
-    if rc:
-        return rc
-    rc = _check_port_pair()
-    if rc:
-        return rc
-    rc = _check_expansion()
-    if rc:
-        return rc
-    rc = _check_fig13(baseline.get("fig13_npb"))
-    if rc:
-        return rc
     print("OK")
     return 0
 

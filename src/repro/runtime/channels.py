@@ -37,9 +37,12 @@ Observability mirrors the connector model: pass ``metrics=`` (a
 :class:`~repro.runtime.metrics.MetricsRegistry`) to :class:`Channel` /
 :func:`channel` and the pipe emits the cross-model metric families
 (:data:`~repro.runtime.metrics.CONTRACT_FAMILIES` — submissions,
-completions, occupancy) under the channel's ``name``, which doubles as
-both the ``connector`` and ``vertex`` label (a channel *is* its single
-source/sink pair).
+completions, withdrawals, occupancy) under the channel's ``name``, which
+doubles as both the ``connector`` and ``vertex`` label (a channel *is* its
+single source/sink pair).  As on a connector, every submitted operation
+ends completed or withdrawn (a timeout, an empty ``try_recv``, a send
+refused by the receiver's close, a receive that meets the close), so
+``submitted == completed + withdrawn`` holds at every instant.
 """
 
 from __future__ import annotations
@@ -110,29 +113,34 @@ class _Pipe:
             if mx is not None:
                 mx.op_submitted(True)
             if self._full():
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while self._full():
-                    if self._reader_closed is not None:
-                        if self._reader_closed.error is not None:
-                            raise self._reader_closed.error
-                        raise PortClosedError(
-                            f"channel from outport {vertex!r} closed by "
-                            f"its receiver"
-                        )
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise ProtocolTimeoutError(
-                                vertex, timeout, kind="send"
-                            )
-                    self._cond.wait(remaining)
+                try:
+                    self._wait_for_room(vertex, timeout)
+                except Exception:
+                    if mx is not None:
+                        mx.op_withdrawn(True)
+                    raise
             self._q.append(value)
             if mx is not None:
                 mx.op_completed(True)
             self._cond.notify_all()
+
+    def _wait_for_room(self, vertex: str, timeout: float | None) -> None:
+        """Wait, under the condition, until the full buffer has room;
+        raise the receiver's close cause or a timeout instead."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self._full():
+            if self._reader_closed is not None:
+                if self._reader_closed.error is not None:
+                    raise self._reader_closed.error
+                raise PortClosedError(
+                    f"channel from outport {vertex!r} closed by its receiver"
+                )
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ProtocolTimeoutError(vertex, timeout, kind="send")
+            self._cond.wait(remaining)
 
     def put_sentinel(self, sentinel: _Closed) -> None:
         with self._cond:
@@ -155,12 +163,16 @@ class _Pipe:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
+                        if mx is not None:
+                            mx.op_withdrawn(False)
                         raise _Empty
                 self._cond.wait(remaining)
             value = self._q.popleft()
             if isinstance(value, _Closed):
                 # Leave the sentinel for the next receiver too.
                 self._q.appendleft(value)
+                if mx is not None:
+                    mx.op_withdrawn(False)
             elif mx is not None:
                 mx.op_completed(False)
             self._cond.notify_all()
@@ -172,10 +184,14 @@ class _Pipe:
             if mx is not None:
                 mx.op_submitted(False)
             if not self._q:
+                if mx is not None:
+                    mx.op_withdrawn(False)
                 raise _Empty
             value = self._q.popleft()
             if isinstance(value, _Closed):
                 self._q.appendleft(value)
+                if mx is not None:
+                    mx.op_withdrawn(False)
             elif mx is not None:
                 mx.op_completed(False)
             self._cond.notify_all()

@@ -17,9 +17,9 @@ linked to outports/inports), and execution options:
   fired step (the animation-engine analogue);
 * ``default_timeout`` — default bound (seconds) on every blocking send/recv
   through this connector (:class:`~repro.util.errors.ProtocolTimeoutError`
-  on expiry); per-call ``timeout=`` arguments override it;
-* ``detection_grace`` — confirmation window for registration-based deadlock
-  detection (see :class:`repro.runtime.engine.CoordinatorEngine`);
+  on expiry); per-call ``timeout=`` arguments override it.  How long a
+  deadlock sighting must stand is not an option: it is
+  :data:`repro.runtime.host.DETECTION_GRACE`;
 * ``overload`` — a bare :class:`~repro.runtime.overload.OverloadPolicy`
   (applied to every source vertex) or a per-vertex dict; the default is the
   pre-overload ``block`` behaviour.  Shed values are queryable through
@@ -92,7 +92,6 @@ class RuntimeConnector(Connector):
         state_budget: int | None = None,
         tracer=None,
         default_timeout: float | None = None,
-        detection_grace: float = 0.05,
         overload: OverloadPolicy | dict[str, OverloadPolicy] | None = None,
         metrics: MetricsRegistry | None = None,
         name: str = "",
@@ -117,7 +116,6 @@ class RuntimeConnector(Connector):
         self.state_budget = state_budget
         self.tracer = tracer
         self.default_timeout = default_timeout
-        self.detection_grace = detection_grace
         self.overload = overload
         self.concurrency = concurrency
         self.compiled = compiled
@@ -194,7 +192,6 @@ class RuntimeConnector(Connector):
             registry=self.registry,
             tracer=self.tracer,
             default_timeout=self.default_timeout,
-            detection_grace=self.detection_grace,
             overload=self.overload,
             metrics=self._metrics,
             concurrency=self.concurrency,

@@ -330,9 +330,9 @@ class CoordinatorEngine(EngineHost):
     :meth:`register_party` (ports do this for their owning task, see
     :class:`repro.runtime.tasks.SupervisedTaskGroup`); when *every currently
     registered* party is blocked on a committed operation and no transition
-    is enabled, for a ``detection_grace`` confirmation window that absorbs
-    staggered task start-up, every blocked operation fails with
-    :class:`DeadlockError`.
+    is enabled, for a :data:`~repro.runtime.host.DETECTION_GRACE`
+    confirmation window that absorbs staggered task start-up, every blocked
+    operation fails with :class:`DeadlockError`.
 
     ``default_timeout`` bounds every blocking operation that does not pass
     its own ``timeout``.  ``concurrency`` selects ``"regions"`` (one lock
@@ -349,7 +349,6 @@ class CoordinatorEngine(EngineHost):
         registry: FunctionRegistry | None = None,
         tracer=None,
         default_timeout: float | None = None,
-        detection_grace: float = 0.05,
         overload: "OverloadPolicy | dict[str, OverloadPolicy] | None" = None,
         metrics=None,
         concurrency: str = "regions",
@@ -361,7 +360,7 @@ class CoordinatorEngine(EngineHost):
             )
         super().__init__(
             concurrency, sources, sinks, registry, tracer, default_timeout,
-            detection_grace, overload, metrics, compiled, buffers,
+            overload, metrics, compiled, buffers,
         )
         self.buffers = buffers
         # Timing stamps and liveness marks on the post path exist for the

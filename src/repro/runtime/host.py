@@ -36,6 +36,12 @@ from repro.util.errors import (
 #: How long a blocked operation waits between deadlock/timeout re-checks.
 _WAIT_TICK = 0.1
 
+#: Seconds a deadlock sighting (every registered party blocked, nothing
+#: enabled) must stand before the detector delivers it: a task the group
+#: is still spawning gets a chance to register first.  Read at each
+#: sighting, so a test that needs another window patches this name.
+DETECTION_GRACE = 0.05
+
 
 def wake_slot():
     """A one-shot wake slot, armed: a raw lock created held.  The waiter
@@ -87,8 +93,7 @@ class EngineHost:
 
     def __init__(self, concurrency: str, sources: frozenset[str],
                  sinks: frozenset[str], registry, tracer, default_timeout,
-                 detection_grace: float, overload, metrics, compiled: str,
-                 buffers):
+                 overload, metrics, compiled: str, buffers):
         if compiled not in ("auto", "off"):
             raise ValueError(f"compiled must be 'auto' or 'off', not {compiled!r}")
         self.concurrency = concurrency
@@ -101,7 +106,6 @@ class EngineHost:
         # unobserved engine runs the pre-observability code path.
         self._metrics = metrics
         self.default_timeout = default_timeout
-        self.detection_grace = detection_grace
         # Compiled step tier (repro.compiler.steps): "auto" compiles every
         # region, "off" interprets everywhere.
         self._compiled = compiled
@@ -198,8 +202,9 @@ class EngineHost:
 
         One registration per (party, port); re-registrations are refcounted.
         Deadlock detection counts registered parties only: all of them
-        blocked + quiescent engine (stable for ``detection_grace`` seconds)
-        fails every blocked operation.  With none registered it is off.
+        blocked + quiescent engine (stable for :data:`DETECTION_GRACE`
+        seconds) fails every blocked operation.  With none registered it is
+        off.
         """
         with self._world_stopped():
             party = self._parties.get(key)
@@ -379,7 +384,7 @@ class EngineHost:
                 if stuck < threshold or self._blocked < threshold:
                     self._suspect = None
                     return
-                if self.detection_grace > 0.0:
+                if DETECTION_GRACE > 0.0:
                     # Confirmation window: a party that has not *registered*
                     # yet (e.g. a task the group is still spawning) must get
                     # a chance to appear before we conclude the registered
@@ -390,7 +395,7 @@ class EngineHost:
                     if self._suspect is None or self._suspect[0] != mark:
                         self._suspect = (mark, now)
                         return
-                    if now - self._suspect[1] < self.detection_grace:
+                    if now - self._suspect[1] < DETECTION_GRACE:
                         return
                 self._deliver_deadlock(self._stuck_error(threshold))
                 self._suspect = None

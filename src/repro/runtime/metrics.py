@@ -218,6 +218,7 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
 CONTRACT_FAMILIES = (
     "repro_ops_submitted_total",
     "repro_ops_completed_total",
+    "repro_ops_withdrawn_total",
     "repro_buffer_occupancy",
 )
 
@@ -559,10 +560,13 @@ class ChannelMetrics:
         c = channel
         fam_sub = registry.counter("repro_ops_submitted_total")
         fam_done = registry.counter("repro_ops_completed_total")
+        fam_wd = registry.counter("repro_ops_withdrawn_total")
         self._sub_send = fam_sub.labels(c, c, "send")
         self._sub_recv = fam_sub.labels(c, c, "recv")
         self._done_send = fam_done.labels(c, c, "send")
         self._done_recv = fam_done.labels(c, c, "recv")
+        self._wd_send = fam_wd.labels(c, c, "send")
+        self._wd_recv = fam_wd.labels(c, c, "recv")
 
     def attach_pipe(self, pipe) -> None:
         c = self.channel
@@ -578,6 +582,9 @@ class ChannelMetrics:
 
     def op_completed(self, is_send: bool) -> None:
         (self._done_send if is_send else self._done_recv).value += 1.0
+
+    def op_withdrawn(self, is_send: bool) -> None:
+        (self._wd_send if is_send else self._wd_recv).value += 1.0
 
 
 class TaskMetrics:

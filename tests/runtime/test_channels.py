@@ -118,6 +118,25 @@ def test_close_on_full_bounded_channel_does_not_block():
         inp.recv(timeout=5.0)
 
 
+def test_closes_count_as_withdrawals():
+    """A send refused by the receiver's close and a receive that meets the
+    sender's close are withdrawn: the metered ledger still balances."""
+    from repro.fuzz.oracle import conservation_violations
+    from repro.runtime.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    out, inp = channel(capacity=1, metrics=reg, name="full")
+    out.send(0)
+    inp.close()
+    with pytest.raises(PortClosedError):
+        out.send(1, timeout=5.0)
+    out, inp = channel(metrics=reg, name="closed")
+    out.close()
+    with pytest.raises(PortClosedError):
+        inp.recv(timeout=5.0)
+    assert conservation_violations(reg) == []
+
+
 def test_channel_takes_capacity_metrics_and_name_only():
     """The basic model carries no overload policy: shedding, rejection and
     dead letters are connector policies."""

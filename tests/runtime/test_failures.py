@@ -6,6 +6,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.connectors import library
+from repro.runtime import host
 from repro.runtime.host import _WAIT_TICK
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup, spawn
@@ -240,12 +241,14 @@ def test_failure_scenarios_on_every_backend(scenario, concurrency):
 
 
 @pytest.mark.parametrize("concurrency", BACKENDS)
-def test_detection_grace_is_waited_out_then_delivered(concurrency):
-    """Registered parties: a sighting must stand for ``detection_grace``
+def test_detection_grace_is_waited_out_then_delivered(concurrency,
+                                                      monkeypatch):
+    """Registered parties: a sighting must stand for ``DETECTION_GRACE``
     before it is believed, and is then delivered within a few ticks."""
     grace = 0.3
+    monkeypatch.setattr(host, "DETECTION_GRACE", grace)
     conn = compile_source("P(a;b) = Fifo1(a;b)").instantiate_connector(
-        "P", detection_grace=grace, concurrency=concurrency
+        "P", concurrency=concurrency
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)
@@ -284,11 +287,11 @@ def test_stuck_parties_blame_the_crashed_peer(concurrency):
 
 
 @pytest.mark.parametrize("concurrency", BACKENDS)
-def test_the_last_party_to_block_detects_on_entry(concurrency):
+def test_the_last_party_to_block_detects_on_entry(concurrency, monkeypatch):
     """Registered parties, no grace: the waiter that completes the blocked
     set consults the detector before it parks, not a tick later."""
-    conn = library.connector(
-        "Merger", 2, detection_grace=0.0, concurrency=concurrency)
+    monkeypatch.setattr(host, "DETECTION_GRACE", 0.0)
+    conn = library.connector("Merger", 2, concurrency=concurrency)
     outs, ins = mkports(2, 1)
     conn.connect(outs, ins)
     _register(conn, 2)

@@ -16,7 +16,10 @@ import time
 import pytest
 
 from repro.compiler import compile_source
+from repro.fuzz.oracle import conservation_violations
+from repro.runtime import host
 from repro.runtime.channels import ChannelInport, ChannelOutport, channel
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup
 from repro.util.errors import (
@@ -29,6 +32,13 @@ from repro.util.errors import (
 pytestmark = pytest.mark.fault_stress
 
 MODELS = ("ports", "channels")
+
+
+@pytest.fixture
+def short_grace(monkeypatch):
+    """A 10 ms deadlock confirmation window, for the cases a connector
+    resolves through its deadlock detector."""
+    monkeypatch.setattr(host, "DETECTION_GRACE", 0.01)
 
 
 def make_pipe(model, **options):
@@ -120,6 +130,7 @@ def test_closed_pipe_surfaces_to_receiver(model):
     close()
 
 
+@pytest.mark.usefixtures("short_grace")
 @pytest.mark.parametrize("model", MODELS)
 def test_close_with_cause_delivers_that_cause(model):
     """A port failed *with a cause* delivers that cause to the blocked
@@ -127,7 +138,7 @@ def test_close_with_cause_delivers_that_cause(model):
     through the channel itself in the basic model."""
     import threading
 
-    out, inp, close = make_pipe(model, detection_grace=0.01)
+    out, inp, close = make_pipe(model)
     out.set_owner(object(), name="sender")
     inp.set_owner(object(), name="receiver")
     observed = []
@@ -167,7 +178,7 @@ def make_bounded_pipe(model, **options):
         outs, ins = mkports(1, 1)
         conn.connect(outs, ins)
         return outs[0], ins[0], conn.close
-    out, inp = channel(capacity=1)
+    out, inp = channel(capacity=1, **options)
     return out, inp, out.close
 
 
@@ -182,6 +193,25 @@ def test_full_bounded_pipe_send_times_out(model):
     assert inp.try_recv() == (False, None)  # the refused value is gone
     out.send(3)  # the timed-out op was withdrawn — the pipe still works
     assert inp.recv() == 3
+    close()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_metered_pipe_counts_what_does_not_complete(model):
+    """Every submitted operation ends completed or withdrawn, so the
+    conservation law holds after an empty probe, a send that times out on
+    the full pipe and a receive that times out."""
+    reg = MetricsRegistry()
+    out, inp, close = make_bounded_pipe(model, metrics=reg)
+    assert inp.try_recv() == (False, None)
+    out.send(1)
+    with pytest.raises(ProtocolTimeoutError):
+        out.send(2, timeout=0.05)
+    assert conservation_violations(reg) == []
+    assert inp.recv(timeout=5.0) == 1
+    with pytest.raises(ProtocolTimeoutError):
+        inp.recv(timeout=0.05)
+    assert conservation_violations(reg) == []
     close()
 
 
@@ -202,13 +232,14 @@ def test_full_bounded_pipe_send_resumes_when_receiver_takes(model):
     close()
 
 
+@pytest.mark.usefixtures("short_grace")
 @pytest.mark.parametrize("model", MODELS)
 def test_failed_receiver_wakes_parked_sender_with_its_cause(model):
     """A send parked on a full pipe observes the receiver's failure cause
     instead of waiting for room that will never be made."""
     import threading
 
-    out, inp, close = make_bounded_pipe(model, detection_grace=0.01)
+    out, inp, close = make_bounded_pipe(model)
     out.set_owner(object(), name="sender")
     inp.set_owner(object(), name="receiver")
     out.send(1)
@@ -248,11 +279,12 @@ def test_bounded_pipe_keeps_order_under_backpressure(model):
     close()
 
 
+@pytest.mark.usefixtures("short_grace")
 @pytest.mark.parametrize("model", MODELS)
 def test_supervised_crash_propagates_as_peer_failure(model):
     """The same supervised program observes the same error type in both
     models when a peer task dies: PeerFailedError naming the dead task."""
-    out, inp, close = make_pipe(model, detection_grace=0.01)
+    out, inp, close = make_pipe(model)
     observed = []
 
     def consumer():

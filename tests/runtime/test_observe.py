@@ -11,7 +11,8 @@ Pins the PR's acceptance criteria:
 * **disabled by default** — an unmetered connector runs the
   pre-observability code path and writes nothing;
 * **cross-model contract** — the basic channel model emits the same
-  submission, completion and occupancy families (:data:`CONTRACT_FAMILIES`)
+  submission, completion, withdrawal and occupancy families
+  (:data:`CONTRACT_FAMILIES`)
   as the connector model, so a dashboard built for one reads the other;
 * **catalogue completeness** — every name in :data:`CATALOGUE` appears in
   docs/OBSERVABILITY.md's table and vice versa (docs cannot drift).

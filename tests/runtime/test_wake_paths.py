@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.connectors import library
+from repro.runtime import host
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
@@ -143,26 +144,28 @@ def test_timeout_racing_a_firing_delivers_the_value(concurrency="regions"):
 def test_spurious_wakes_then_the_real_resolution(concurrency="regions"):
     """Wake-alls that resolve nothing — back to back, so the second finds
     the slot already released, and again after the waiter re-armed it —
-    then the firing.  ``detection_grace`` outlasts the test: unregistering
+    then the firing.  ``DETECTION_GRACE`` outlasts the test: unregistering
     leaves one party, and it is blocked."""
-    conn, outs, inp = merger(concurrency, detection_grace=60.0)
-    engine = conn.engine
-    h = spawn(inp.recv)
-    parked(conn)
-    with engine._world_stopped():
-        engine._wake_all_locked()
-        engine._wake_all_locked()
-    time.sleep(0.02)
-    engine.register_party("a", name="a")
-    engine.register_party("b", name="b")
-    engine.unregister_party("b")
-    time.sleep(0.02)
-    engine.unregister_party("a")
-    assert h.alive
-    outs[0].send("real")
-    assert h.join(JOIN) == "real"
-    assert conn.stats()["parks"] == 1 and conn.stats()["blocked"] == 0
-    conn.close()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(host, "DETECTION_GRACE", 60.0)
+        conn, outs, inp = merger(concurrency)
+        engine = conn.engine
+        h = spawn(inp.recv)
+        parked(conn)
+        with engine._world_stopped():
+            engine._wake_all_locked()
+            engine._wake_all_locked()
+        time.sleep(0.02)
+        engine.register_party("a", name="a")
+        engine.register_party("b", name="b")
+        engine.unregister_party("b")
+        time.sleep(0.02)
+        engine.unregister_party("a")
+        assert h.alive
+        outs[0].send("real")
+        assert h.join(JOIN) == "real"
+        assert conn.stats()["parks"] == 1 and conn.stats()["blocked"] == 0
+        conn.close()
 
 
 def total(registry, family):
