@@ -23,9 +23,9 @@ Normalization contract (see also the ordering contract in
   buffers differently than the global "medium" composition) while the
   retained *values* are semantics.
 * **Conservation** — per boundary vertex and kind, from the metrics
-  registry: ``submitted == completed + shed + rejected`` (sends) and
-  ``submitted == completed`` (recvs).  Checked per run (per checkpoint
-  segment — each segment gets a fresh registry), not across modes.
+  registry: ``submitted == completed + shed + withdrawn`` (only sends
+  shed).  Checked per run (per checkpoint segment — each segment gets a
+  fresh registry), not across modes.
 
 Two runs are equivalent iff their normalized forms are equal; the harness
 additionally treats any in-run anomaly (operation left incomplete, missing
@@ -74,7 +74,7 @@ def normalize_events(events, boundary) -> dict[str, list]:
 
 
 def conservation_violations(registry, *, label: str = "") -> list[str]:
-    """Check ``submitted == completed + shed + rejected + withdrawn`` per
+    """Check ``submitted == completed + shed + withdrawn`` per
     (vertex, kind) over one metrics registry.  Returns human-readable
     violations.
 
@@ -94,7 +94,6 @@ def conservation_violations(registry, *, label: str = "") -> list[str]:
     completed = samples("repro_ops_completed_total")
     withdrawn = samples("repro_ops_withdrawn_total")
     shed = samples("repro_overload_shed_total")
-    rejected = samples("repro_overload_rejected_total")
     shed_by_vertex: dict[tuple[str, str], float] = {}
     for (conn, vertex, _policy), val in shed.items():
         key = (conn, vertex)
@@ -105,11 +104,10 @@ def conservation_violations(registry, *, label: str = "") -> list[str]:
         lost = withdrawn.get((conn, vertex, kind), 0.0)
         if kind == "send":
             lost += shed_by_vertex.get((conn, vertex), 0.0)
-            lost += rejected.get((conn, vertex), 0.0)
         if sub != done + lost:
             out.append(
                 f"{label}{conn}/{vertex}/{kind}: submitted {sub:g} != "
-                f"completed {done:g} + shed/rejected/withdrawn {lost:g}"
+                f"completed {done:g} + shed/withdrawn {lost:g}"
             )
     return out
 

@@ -29,8 +29,8 @@ blocks until the receiver makes room (honouring ``timeout``), and
 ``try_send`` reports ``False`` instead.  If the receiving end closes
 meanwhile, the parked send raises the close's cause (or
 :class:`PortClosedError` when there is none).  That is the whole
-overload story of the basic model — shedding, rejection and dead letters
-are connector policies (:class:`~repro.runtime.overload.OverloadPolicy`,
+overload story of the basic model — shedding and dead letters are
+connector policies (:class:`~repro.runtime.overload.OverloadPolicy`,
 DECISIONS row 26), not properties of a pipe.
 
 Observability mirrors the connector model: pass ``metrics=`` (a

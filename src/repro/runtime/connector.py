@@ -20,9 +20,9 @@ linked to outports/inports), and execution options:
   on expiry); per-call ``timeout=`` arguments override it.  How long a
   deadlock sighting must stand is not an option: it is
   :data:`repro.runtime.host.DETECTION_GRACE`;
-* ``overload`` — a bare :class:`~repro.runtime.overload.OverloadPolicy`
-  (applied to every source vertex) or a per-vertex dict; the default is the
-  pre-overload ``block`` behaviour.  Shed values are queryable through
+* ``overload`` — one :class:`~repro.runtime.overload.OverloadPolicy`,
+  applied to every source vertex; the default is the pre-overload
+  ``block`` behaviour.  Shed values are queryable through
   :meth:`RuntimeConnector.dead_letters` / :meth:`~RuntimeConnector.shed_count`,
   and :meth:`RuntimeConnector.drain` shuts the instance down gracefully —
   refuse new sends, flush buffered values, close ports in dependency order;
@@ -92,7 +92,7 @@ class RuntimeConnector(Connector):
         state_budget: int | None = None,
         tracer=None,
         default_timeout: float | None = None,
-        overload: OverloadPolicy | dict[str, OverloadPolicy] | None = None,
+        overload: OverloadPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         name: str = "",
         concurrency: str = "regions",

@@ -36,7 +36,7 @@ Three layers, bottom up:
   journal between snapshots.  Three record kinds, all stamped with one
   per-session monotone sequence number: ``submit`` (an admission *intent*,
   appended before the engine sees the value), ``abort`` (the intent's
-  compensation when the engine rejected/timed out the submit), and
+  compensation when the engine timed out the submit), and
   ``deliver`` (appended before the delivery is acknowledged — the
   write-ahead discipline).  A torn *tail* on the newest journal is the
   normal signature of a crash mid-append and is silently dropped: by the
@@ -944,8 +944,8 @@ class SessionDurability:
         return seq
 
     def on_abort(self, seq: int, value) -> None:
-        """Compensate a failed admission intent (the engine rejected or
-        timed out the offer, so the value never entered protocol state)."""
+        """Compensate a failed admission intent (the engine timed out the
+        offer, so the value never entered protocol state)."""
         with self._lock:
             self.store.append("abort", seq, value)
             self._journal_since_commit += 1

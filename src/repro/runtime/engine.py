@@ -73,11 +73,10 @@ supervised peer crashed, the detection delivers :class:`PeerFailedError`
 
 Overload protection
 -------------------
-Per-vertex :class:`~repro.runtime.overload.OverloadPolicy` objects bound
-the pending-op deques: ``fail_fast`` rejects an operation that would exceed
-``max_pending`` with :class:`OverloadError`; ``shed_newest``/``shed_oldest``
-drop the newest/oldest queued *send* value into a bounded dead-letter
-buffer (:meth:`dead_letters`) and report success to the submitter.  The
+One :class:`~repro.runtime.overload.OverloadPolicy` bounds every source
+vertex's pending-send deque: under ``shed_newest`` a send that would exceed
+``max_pending`` is dropped into a bounded dead-letter buffer
+(:meth:`dead_letters`) and reported as a success to the submitter.  The
 default (no policy, or kind ``"block"``) is exactly the pre-overload
 behaviour.  :meth:`begin_drain` flips the engine into *draining* mode —
 new sends are refused with :class:`PortClosedError` while receives keep
@@ -88,8 +87,8 @@ Observability
 -------------
 When constructed with ``metrics=`` (a
 :class:`~repro.runtime.metrics.ConnectorMetrics` hook bundle), the engine
-counts submissions, firings, completion latencies, scan effort, sheds, and
-rejections, and exposes queue depths / buffer occupancy as sampled gauges —
+counts submissions, firings, completion latencies, scan effort and sheds,
+and exposes queue depths / buffer occupancy as sampled gauges —
 all behind single ``if self._metrics is not None`` guards so the
 unobserved hot path is unchanged (design notes: docs/INTERNALS.md §8).
 """
@@ -110,7 +109,7 @@ from repro.runtime.host import EngineHost, wake, wake_slot
 from repro.runtime.metrics import LATENCY_STRIDE
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.recovery import Checkpoint, RegionState
-from repro.util.errors import OverloadError, PortClosedError
+from repro.util.errors import PortClosedError
 
 #: Bitmask for the sampled latency histogram (LATENCY_STRIDE is a power
 #: of two; ``steps & mask == 0`` is measurably cheaper than ``%``).
@@ -349,7 +348,7 @@ class CoordinatorEngine(EngineHost):
         registry: FunctionRegistry | None = None,
         tracer=None,
         default_timeout: float | None = None,
-        overload: "OverloadPolicy | dict[str, OverloadPolicy] | None" = None,
+        overload: OverloadPolicy | None = None,
         metrics=None,
         concurrency: str = "regions",
         compiled: str = "auto",
@@ -428,9 +427,9 @@ class CoordinatorEngine(EngineHost):
         every operation of the step in a fixed order, and the final post's
         drain fires the transition synchronously in the posting thread.
 
-        A non-``block`` ``policy`` (or configured vertex policy) is applied
-        exactly as in the blocking path: a posted send that cannot complete
-        in the submission drain is shed or rejected immediately.
+        ``policy`` (default: the connector's) is applied exactly as in the
+        blocking path: under ``shed_newest`` a posted send past the bound
+        that cannot complete in the submission drain is shed immediately.
         """
         return self._enqueue(self._sending[vertex], value, policy, None,
                              _LEAVE)
@@ -535,10 +534,10 @@ class CoordinatorEngine(EngineHost):
             lock for lock in ordered if lock not in held)
         self._acquire(fresh)
         self._epoch = epoch = self._epoch + 1
-        pol = self._policies.get
-        self._sending = {v: _Binding(v, True, q, route[v], pol(v), epoch)
+        pol = self._overload
+        self._sending = {v: _Binding(v, True, q, route[v], pol, epoch)
                          for v, q in self._pending_send.items()}
-        self._receiving = {v: _Binding(v, False, q, route[v], pol(v), epoch)
+        self._receiving = {v: _Binding(v, False, q, route[v], None, epoch)
                            for v, q in self._pending_recv.items()}
         return fresh
 
@@ -894,10 +893,18 @@ class CoordinatorEngine(EngineHost):
                     and pol.kind != "block"
                     and len(queue) > pol.max_pending
                 ):
-                    self._overflow(queue, op, pol, region)
-                    if region.dirty:  # shed_oldest: see _overflow
-                        self._drain_region(region, spill)
-                if unresolved == _PARK and not op.done:
+                    # shed_newest: capture the value and complete the op as
+                    # if sent — the protocol never sees it, the submitter is
+                    # released rather than parked.  ``op`` is the tail: only
+                    # a submitter holding this lock appends.
+                    queue.pop()
+                    if not queue:
+                        region.pend.pop(vertex, None)
+                    self._record_shed(vertex, value, pol.kind,
+                                      pol.dead_letter_capacity)
+                    op.done = True
+                    return op
+                if unresolved == _PARK:
                     # Install the op's private wake slot while still under
                     # the region lock, and stamp an op nothing stamped yet:
                     # a party registered while it waits must see a real
@@ -952,37 +959,6 @@ class CoordinatorEngine(EngineHost):
         finally:
             region.lock.release()
             self._chase(spill)
-
-    def _overflow(self, queue: deque, op: _Op, pol: OverloadPolicy,
-                  region) -> None:
-        """Apply a non-``block`` policy to an over-bound queue (owner lock
-        held), keeping ``region.pend`` in step.
-
-        ``fail_fast`` withdraws ``op`` and raises; the shed kinds capture a
-        value into the dead-letter buffer and complete its operation as if
-        sent — ``op`` under ``shed_newest``, the head under ``shed_oldest``
-        (``op`` takes the freed slot) — so the protocol never sees a shed
-        value, but the submitter is released rather than parked (degrade
-        predictably, don't fall over).  ``shed_oldest`` leaves the region
-        *dirty* for the caller to drain: the head it exposes may pass a data
-        guard the shed one failed.
-        """
-        if pol.kind == "shed_oldest":
-            victim = queue.popleft()
-            region.dirty = True
-        else:
-            queue.remove(op)
-            victim = op if pol.kind == "shed_newest" else None
-        if not queue:
-            region.pend.pop(op.vertex, None)
-        if victim is None:
-            self._record_rejected(op.vertex)
-            raise OverloadError(op.vertex, pol.max_pending)
-        self._record_shed(victim.vertex, victim.value, pol.kind,
-                          pol.dead_letter_capacity)
-        victim.done = True
-        if victim is not op and victim.event is not None:
-            wake(victim.event)
 
     # ------------------------------------------------------ overload layer
 

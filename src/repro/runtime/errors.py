@@ -4,7 +4,7 @@ Everything the *runtime* raises deliberately derives from
 :class:`ReproRuntimeError` (itself a :class:`~repro.util.errors.ReproError`),
 so a serving layer can wrap an entire session in one ``except
 ReproRuntimeError`` and know it caught every protocol-level failure —
-timeouts, dead peers, deadlocks, overload rejections, stale checkpoints,
+timeouts, dead peers, deadlocks, stalls, stale checkpoints,
 closed ports — without also catching programming errors.
 
 Until PR 7 these classes were flat siblings of the compile-time taxonomy
@@ -29,7 +29,6 @@ Hierarchy::
             │   ├── SnapshotCorruptError
             │   └── SchemaVersionError
             ├── ProtocolTimeoutError  (also a TimeoutError)
-            ├── OverloadError
             ├── StallError
             └── PeerFailedError
 
@@ -45,7 +44,6 @@ from repro.util.errors import (
     CompileError,
     DeadlockError,
     DurabilityError,
-    OverloadError,
     PeerFailedError,
     PortClosedError,
     ProtocolTimeoutError,
@@ -67,7 +65,6 @@ __all__ = [
     "SnapshotCorruptError",
     "SchemaVersionError",
     "ProtocolTimeoutError",
-    "OverloadError",
     "StallError",
     "PeerFailedError",
 ]

@@ -33,7 +33,7 @@ Fault kinds (``FaultSpec.kind``):
   :class:`~repro.runtime.watchdog.Watchdog` is what should notice);
 * ``"flood"`` — on an outport, send ``factor`` extra copies of the value
   before the real send (models an overloading producer; with an overload
-  policy installed the surplus must be shed/rejected, without one it must
+  policy installed the surplus must be shed, without one it must
   only slow things down, never corrupt them).  A no-op on inports.
 * ``"latency_spike"`` — from the ``at_op``-th operation onward, sleep a
   *seeded random* duration in ``[0, delay]`` before every operation on the
@@ -284,17 +284,17 @@ class _FaultyPort:
 
 
 class FaultyOutport(_FaultyPort):
-    def send(self, value, timeout: float | None = None, policy=None) -> None:
+    def send(self, value, timeout: float | None = None) -> None:
         spec = self._next_fault()
         kind = self._pre(spec)
         if kind == "drop":
             return  # the value silently never reaches the connector
         if kind == "flood":
             # Surplus copies first; whatever overload handling is installed
-            # must absorb them (shed/fail) — the real send follows.
+            # must absorb them (shed) — the real send follows.
             for _ in range(spec.factor):
-                self._port.send(value, timeout=timeout, policy=policy)
-        self._port.send(value, timeout=timeout, policy=policy)
+                self._port.send(value, timeout=timeout)
+        self._port.send(value, timeout=timeout)
 
     def try_send(self, value) -> bool:
         spec = self._next_fault()

@@ -30,7 +30,6 @@ from repro.util.errors import (
     PeerFailedError,
     PortClosedError,
     ProtocolTimeoutError,
-    RuntimeProtocolError,
 )
 
 #: How long a blocked operation waits between deadlock/timeout re-checks.
@@ -111,8 +110,8 @@ class EngineHost:
         self._compiled = compiled
 
         self._lock = threading.Lock()
-        # Leaf lock: shared metric structures (latency histogram, shed /
-        # rejected memo dicts).
+        # Leaf lock: shared metric structures (latency histogram, shed memo
+        # dict).
         self._stat_lock = threading.Lock()
 
         self._closed_vertices: set[str] = set()
@@ -121,7 +120,13 @@ class EngineHost:
         self._blocked = 0
         self._parks = 0  # blocking waits ever entered: stats()["parks"]
 
-        self._policies = self._normalize_policies(overload, sources, sinks)
+        if overload is not None and not isinstance(overload, OverloadPolicy):
+            raise TypeError(
+                f"overload takes one OverloadPolicy, not {overload!r}")
+        # Every source vertex binds this policy; a ``block`` one binds as
+        # none (receives never take one: there is no value to shed).
+        self._overload = (overload if overload is not None
+                          and overload.kind != "block" else None)
         self.dead = DeadLetterBuffer()
         self._draining = False
         # Baseline buffered-value count: token-ring connectors permanently
@@ -142,35 +147,6 @@ class EngineHost:
         # carried across restore/reconfigure.
         self._steps_base = 0
         self._scan_base = 0
-
-    @staticmethod
-    def _normalize_policies(
-        overload, sources: frozenset[str], sinks: frozenset[str]
-    ) -> dict[str, OverloadPolicy]:
-        """Expand the ``overload`` option into a per-vertex policy map.
-
-        A bare :class:`OverloadPolicy` applies to every *source* vertex
-        (shedding a receive is meaningless — there is no value to capture);
-        a dict maps vertex names explicitly and may put ``block`` or
-        ``fail_fast`` on sinks too.
-        """
-        if overload is None:
-            return {}
-        if isinstance(overload, OverloadPolicy):
-            return {v: overload for v in sources}
-        policies: dict[str, OverloadPolicy] = {}
-        for vertex, pol in overload.items():
-            if vertex not in sources and vertex not in sinks:
-                raise RuntimeProtocolError(
-                    f"overload policy for unknown boundary vertex {vertex!r}"
-                )
-            if pol.sheds and vertex in sinks:
-                raise RuntimeProtocolError(
-                    f"policy {pol.kind!r} on sink vertex {vertex!r}: shedding "
-                    "applies to sends only (a receive has no value to capture)"
-                )
-            policies[vertex] = pol
-        return policies
 
     # ------------------------------------------------------- stopping the world
 
@@ -302,11 +278,6 @@ class EngineHost:
         if self._metrics is not None:
             with self._stat_lock:
                 self._metrics.shed(vertex, kind)
-
-    def _record_rejected(self, vertex: str) -> None:
-        if self._metrics is not None:
-            with self._stat_lock:
-                self._metrics.rejected(vertex)
 
     def dead_letters(self, vertex: str | None = None):
         """Shed values retained per vertex (or all, in shed order)."""
@@ -532,18 +503,15 @@ class EngineHost:
         re-parametrization (world stopped).  ``vertex_map`` names every
         *surviving* old vertex; one it does not name has departed, and
         what was recorded about it goes with it — a survivor renamed onto
-        a departed vertex's name must not inherit that vertex's closure.
-        Recorded peer failures are cleared: the departure *is* the
-        recovery."""
-        def renamed(table: dict) -> dict:
-            return {vertex_map[v]: x for v, x in table.items() if v in vertex_map}
-
+        a departed vertex's name must not inherit that vertex's closure or
+        dead letters.  Recorded peer failures are cleared: the departure
+        *is* the recovery."""
         self.sources, self.sinks = sources, sinks
         self._closed_vertices = {
             vertex_map[v] for v in self._closed_vertices if v in vertex_map
         }
-        self._vertex_errors = renamed(self._vertex_errors)
-        self._policies = renamed(self._policies)
+        self._vertex_errors = {vertex_map[v]: e for v, e
+                               in self._vertex_errors.items() if v in vertex_map}
         self._peer_failures.clear()
         self._vertex_party = {}
         for party in self._parties.values():

@@ -114,7 +114,7 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
         "completing: a blocking operation that timed out, a try_* probe "
         "that could not fire immediately, or a pending operation failed "
         "by close/crash/deadlock delivery.  Closes the conservation law "
-        "submitted == completed + shed + rejected + withdrawn at every "
+        "submitted == completed + shed + withdrawn at every "
         "instant, not only at quiescence.",
     ),
     "repro_buffer_occupancy": (
@@ -127,10 +127,6 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
         "counter", ("connector", "vertex", "policy"),
         "Values shed into the dead-letter buffer, by vertex and policy "
         "kind (exact — eviction does not uncount).",
-    ),
-    "repro_overload_rejected_total": (
-        "counter", ("connector", "vertex"),
-        "Operations rejected with OverloadError by a fail_fast policy.",
     ),
     "repro_overload_dead_letters": (
         "gauge", ("connector", "vertex"),
@@ -213,7 +209,7 @@ CATALOGUE: dict[str, tuple[str, tuple[str, ...], str]] = {
 #: The families both execution models (connector ports and basic channels)
 #: emit — the cross-model metric contract
 #: (``tests/runtime/test_observe.py::test_cross_model_metric_contract``).
-#: Shed, rejected and dead-letter families are connector-only: overload
+#: Shed and dead-letter families are connector-only: overload
 #: policy lives on connectors (DECISIONS row 26).
 CONTRACT_FAMILIES = (
     "repro_ops_submitted_total",
@@ -440,10 +436,10 @@ class ConnectorMetrics:
     measurable tax (``benchmarks/bench_observe.py`` pins the budget).  The
     per-vertex children are mutated only under the owning region's lock
     (every vertex belongs to exactly one region); children shared across
-    regions (the latency histogram, the shed/rejected memos) are serialized
-    by the engine's stat lock.  The sampled-gauge callbacks take the region
-    locks themselves at collect time.  The cold-path events (:meth:`shed`,
-    :meth:`rejected`) stay methods.
+    regions (the latency histogram, the shed memo) are serialized by the
+    engine's stat lock.  The sampled-gauge callbacks take the region locks
+    themselves at collect time.  The cold-path event (:meth:`shed`) stays a
+    method.
     """
 
     def __init__(self, registry: MetricsRegistry, connector: str):
@@ -461,7 +457,6 @@ class ConnectorMetrics:
         self._fam_completed = registry.counter("repro_ops_completed_total")
         self._fam_withdrawn = registry.counter("repro_ops_withdrawn_total")
         self._fam_shed = registry.counter("repro_overload_shed_total")
-        self._fam_rejected = registry.counter("repro_overload_rejected_total")
         #: vertex -> Counter, rebuilt by :meth:`attach_engine`.
         self.sub_send: dict[str, Counter] = {}
         self.sub_recv: dict[str, Counter] = {}
@@ -469,7 +464,6 @@ class ConnectorMetrics:
         self.wd_send: dict[str, Counter] = {}
         self.wd_recv: dict[str, Counter] = {}
         self._shed: dict[tuple[str, str], Counter] = {}
-        self._rej: dict[str, Counter] = {}
 
     # -- wiring (cold path) -------------------------------------------------
 
@@ -537,13 +531,6 @@ class ConnectorMetrics:
         if child is None:
             child = self._shed[(vertex, policy)] = self._fam_shed.labels(
                 self.connector, vertex, policy)
-        child.value += 1.0
-
-    def rejected(self, vertex: str) -> None:
-        child = self._rej.get(vertex)
-        if child is None:
-            child = self._rej[vertex] = self._fam_rejected.labels(
-                self.connector, vertex)
         child.value += 1.0
 
 

@@ -158,13 +158,11 @@ class Outport(_Port):
     """A task's sending interface: ``send`` offers a message to the linked
     vertex and blocks until the connector is ready to handle it (§III.A)."""
 
-    def send(self, value, timeout: float | None = None, policy=None) -> None:
-        """Blocking send.  ``policy`` (an
-        :class:`~repro.runtime.overload.OverloadPolicy`) overrides the
-        vertex's configured overload policy for this one operation — e.g.
-        shed a low-priority message that would otherwise queue."""
+    def send(self, value, timeout: float | None = None) -> None:
+        """Blocking send (under a ``shed_newest`` connector policy, a send
+        past the bound is shed and returns at once)."""
         b = self._bound or self._unusable()
-        self._engine.submit(b, value, policy, timeout)
+        self._engine.submit(b, value, None, timeout)
 
     def try_send(self, value) -> bool:
         """Non-blocking send: complete the operation only if a transition

@@ -7,11 +7,11 @@ Admission happens at two levels, and this module is the *session* level:
   :class:`AdmissionError` (recorded as ``outcome="rejected"`` in
   ``repro_serve_admissions_total``).
 * **Operation budgets** — every admitted session inherits the tenant's
-  :class:`~repro.runtime.overload.OverloadPolicy` (the per-vertex
-  ``max_pending`` budget and shed/reject discipline of PR 3) on its intake
-  vertex, plus the tenant's dead-letter capacity, so overload never makes
-  accounting lie: shed values are captured per session and the conservation
-  law stays exact.
+  :class:`~repro.runtime.overload.OverloadPolicy` (the ``max_pending``
+  budget and ``block``/``shed_newest`` discipline) on its intake vertex,
+  plus the tenant's dead-letter capacity, so overload never makes
+  accounting lie: shed values are captured per session and the
+  conservation law stays exact.
 
 The controller itself is deliberately dumb data: a name → spec table with
 an optional default for unknown tenants.  The service owns the metrics and

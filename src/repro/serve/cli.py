@@ -57,7 +57,7 @@ def _summarize(report) -> None:
     print(
         f"sessions={len(report.sessions)} submitted={t['submitted']} "
         f"delivered={t['delivered']} dead_letters={t['dead_letters']} "
-        f"rejected={t['rejected']} timeout={t['timeout']}",
+        f"timeout={t['timeout']}",
         file=sys.stderr,
     )
     print(

@@ -20,7 +20,7 @@ Operations (``{"op": ..., ...}`` → ``{"ok": true, ...}`` or
   and ``policy`` (an :class:`~repro.runtime.overload.OverloadPolicy`
   kwargs object, e.g. ``{"kind": "block"}``).
 * ``submit`` — ``name``, ``value``; responds with the admission
-  ``result`` (``ok`` | ``rejected`` | ``timeout``).  The response is the
+  ``result`` (``ok`` | ``timeout``).  The response is the
   *acknowledgement*: once a client reads ``result: ok``, the value is
   journaled and must survive any crash (the exactly-once contract the
   crash harness audits).

@@ -12,7 +12,7 @@ rejection path.
 After the run drains, the harness audits the books:
 
 * **conservation** — per session, over that session's own registry:
-  ``submitted == completed + shed + rejected + withdrawn`` per vertex and
+  ``submitted == completed + shed + withdrawn`` per vertex and
   kind (:func:`repro.fuzz.oracle.conservation_violations`);
 * **exactly-once** — on flood-free sessions every submit that returned
   ``"ok"`` appears exactly once in ``delivered + dead_letters`` — across
@@ -161,7 +161,7 @@ class _Producer(threading.Thread):
         self.spec = spec
         self.deadline = deadline
         self.ok_ids: list[str] = []
-        self.counts = {"submitted": 0, "ok": 0, "rejected": 0, "timeout": 0}
+        self.counts = {"submitted": 0, "ok": 0, "timeout": 0}
         self.latencies: list[float] = []
         self.error: BaseException | None = None
 
@@ -277,7 +277,7 @@ def run_load(spec: LoadSpec = LoadSpec()) -> LoadReport:
         )
 
     latencies: list[float] = []
-    totals = {"submitted": 0, "ok": 0, "rejected": 0, "timeout": 0,
+    totals = {"submitted": 0, "ok": 0, "timeout": 0,
               "delivered": 0, "dead_letters": 0}
     for producer in producers:
         if producer.is_alive():
@@ -294,7 +294,7 @@ def run_load(spec: LoadSpec = LoadSpec()) -> LoadReport:
         delivered = list(session.delivered)
         dead = list(session.dead_letters())
         row = {key: sum(p.counts[key] for p in mine)
-               for key in ("submitted", "ok", "rejected", "timeout")}
+               for key in ("submitted", "ok", "timeout")}
         row.update(
             chaos=chaos_of[name],
             delivered=len(delivered),
@@ -305,7 +305,7 @@ def run_load(spec: LoadSpec = LoadSpec()) -> LoadReport:
             if plans[name] is not None else [],
         )
         report.sessions[name] = row
-        for key in ("submitted", "ok", "rejected", "timeout"):
+        for key in ("submitted", "ok", "timeout"):
             totals[key] += row[key]
         totals["delivered"] += len(delivered)
         totals["dead_letters"] += len(dead)

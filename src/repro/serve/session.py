@@ -47,7 +47,7 @@ pending operation (counted in ``repro_ops_withdrawn_total``), so a parked
 farm converges to a genuinely quiescent engine within one tick; (3)
 snapshots through :meth:`Session.checkpoint` and, for a restart, rebuilds
 through :meth:`Session.reopen` with the *same* metrics registry (so the
-conservation law ``submitted == completed + shed + rejected + withdrawn``
+conservation law ``submitted == completed + shed + withdrawn``
 holds over the session's whole life); and lifts both gates on the way out.
 """
 
@@ -61,7 +61,6 @@ from typing import Callable
 
 from repro.connectors import library
 from repro.runtime.errors import (
-    OverloadError,
     PortClosedError,
     ProtocolTimeoutError,
     ReproRuntimeError,
@@ -414,9 +413,8 @@ class FarmSession(Session):
         """Offer one value to the session's intake.
 
         Returns ``"ok"`` (completed or shed per the tenant policy — the
-        engine sheds transparently), ``"rejected"`` (``fail_fast`` policy at
-        its bound), or ``"timeout"`` (blocking policy and the bound
-        expired; the operation was withdrawn).  Raises
+        engine sheds transparently) or ``"timeout"`` (blocking policy and
+        the bound expired; the operation was withdrawn).  Raises
         :class:`SessionStateError` when the session is not serving and the
         intake does not reopen within the timeout (e.g. a rolling restart
         in progress resolves within ``ADMIN_TIMEOUT``)."""
@@ -438,7 +436,7 @@ class FarmSession(Session):
         try:
             # Write-ahead: the admission intent hits the journal before the
             # engine sees the value, so an acknowledged "ok" always has a
-            # durable record.  A rejected/timed-out offer never entered
+            # durable record.  A timed-out offer never entered
             # protocol state, so its intent is compensated with an abort.
             seq = None
             if self.durability is not None:
@@ -446,10 +444,6 @@ class FarmSession(Session):
             try:
                 self._intake.send(value, timeout=timeout)
                 return "ok"
-            except OverloadError:
-                if seq is not None:
-                    self.durability.on_abort(seq, value)
-                return "rejected"
             except ProtocolTimeoutError:
                 if seq is not None:
                     self.durability.on_abort(seq, value)

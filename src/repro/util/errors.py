@@ -192,26 +192,6 @@ class ProtocolTimeoutError(RuntimeProtocolError, TimeoutError):
         )
 
 
-class OverloadError(RuntimeProtocolError):
-    """Raised by a ``fail_fast`` overload policy when a vertex's pending-op
-    queue is at its ``max_pending`` bound and the operation cannot complete
-    immediately.
-
-    Carries the vertex and the bound so callers can implement their own
-    retry/shed strategy on top.  Never raised under the default ``block``
-    policy — admission control is strictly opt-in.
-    """
-
-    def __init__(self, vertex: str, max_pending: int, message: str = ""):
-        self.vertex = vertex
-        self.max_pending = max_pending
-        super().__init__(
-            message
-            or f"vertex {vertex!r} overloaded: {max_pending} pending "
-            f"operation(s) already queued (fail_fast policy)"
-        )
-
-
 class StallError(RuntimeProtocolError):
     """The cause recorded when a watchdog quarantines a stalled or
     pathologically slow task: carries the task name and how long it failed

@@ -18,7 +18,6 @@ from repro.automata.constraint import App, Eq, FunctionRegistry, Pred, V
 from repro.automata.lazy import LRUCache
 from repro.connectors import library
 from repro.runtime.connector import RuntimeConnector
-from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
 from repro.util.errors import ProtocolTimeoutError
@@ -211,20 +210,6 @@ def guarded(concurrency, *, extra=(), registry=None, **options):
     conn.connect(outs, ins)
     assert conn.stats()["compiled_regions"] == 1
     return conn, outs, ins
-
-
-@pytest.mark.parametrize("concurrency", ["regions", "global"])
-def test_shedding_the_head_lets_the_value_behind_it_fire(concurrency):
-    conn, _, _ = guarded(
-        concurrency, overload={"a": OverloadPolicy("shed_oldest", 1)})
-    engine = conn.engine
-    bad = engine.post_send("a", "bad")
-    got = engine.post_recv("b")
-    assert not bad.done and not got.done
-    good = engine.post_send("a", "good")  # over the bound: ``bad`` is shed
-    assert [d.value for d in conn.dead_letters()] == ["bad"]
-    assert good.done and got.done and got.value == "good"
-    conn.close()
 
 
 @pytest.mark.parametrize("concurrency", ["regions", "global"])

@@ -229,7 +229,7 @@ def test_latency_spike_is_seeded_deterministic():
     class _FakePort:
         name = "p"
 
-        def send(self, value, timeout=None, policy=None):
+        def send(self, value, timeout=None):
             pass
 
     wrapped = other.wrap(_FakePort())

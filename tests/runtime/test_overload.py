@@ -18,16 +18,16 @@ import time
 import pytest
 
 from repro.connectors import library
+from repro.fuzz.oracle import conservation_violations
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.overload import DeadLetterBuffer, OverloadPolicy
+from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.overload import POLICY_KINDS, DeadLetterBuffer, OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import SupervisedTaskGroup
 from repro.runtime.watchdog import Watchdog
 from repro.util.errors import (
-    OverloadError,
     PortClosedError,
     ProtocolTimeoutError,
-    RuntimeProtocolError,
     StallError,
 )
 
@@ -51,17 +51,17 @@ def fifo_chain(n=1, **options):
 
 
 def test_policy_validation():
+    assert POLICY_KINDS == ("block", "shed_newest")
     assert OverloadPolicy().kind == "block"
-    with pytest.raises(ValueError, match="unknown overload policy"):
-        OverloadPolicy("explode")
+    for kind in ("explode", "fail_fast", "shed_oldest"):
+        with pytest.raises(ValueError, match=f"unknown overload policy {kind!r}"):
+            OverloadPolicy(kind, max_pending=0)
     with pytest.raises(ValueError, match="max_pending"):
-        OverloadPolicy("fail_fast")  # non-block kinds need the bound
+        OverloadPolicy("shed_newest")  # shedding needs the bound
     with pytest.raises(ValueError, match=">= 0"):
         OverloadPolicy("shed_newest", max_pending=-1)
     with pytest.raises(ValueError, match="dead_letter_capacity"):
         OverloadPolicy("shed_newest", max_pending=1, dead_letter_capacity=0)
-    assert OverloadPolicy("shed_oldest", max_pending=0).sheds
-    assert not OverloadPolicy("fail_fast", max_pending=0).sheds
 
 
 def test_dead_letter_buffer_exact_counts_past_eviction():
@@ -76,22 +76,19 @@ def test_dead_letter_buffer_exact_counts_past_eviction():
     assert seqs == sorted(seqs)
 
 
-def test_policy_on_unknown_vertex_rejected():
-    conn = library.connector(
-        "FifoChain", 1, overload={"nope": OverloadPolicy("fail_fast", max_pending=0)}
-    )
-    outs, ins = mkports(1, 1)
-    with pytest.raises(RuntimeProtocolError, match="unknown boundary vertex"):
-        conn.connect(outs, ins)
-
-
-def test_shed_policy_on_sink_rejected():
-    conn = library.connector("FifoChain", 1)
-    sink = conn.head_vertices[0]
-    conn.overload = {sink: OverloadPolicy("shed_newest", max_pending=0)}
-    outs, ins = mkports(1, 1)
-    with pytest.raises(RuntimeProtocolError, match="sends only"):
-        conn.connect(outs, ins)
+def test_overload_takes_one_policy_and_block_binds_as_none():
+    shed = OverloadPolicy("shed_newest", max_pending=0)
+    conn, _, _ = fifo_chain(overload=shed)
+    (source,), (sink,) = conn.tail_vertices, conn.head_vertices
+    assert conn.engine.binding(source).policy is shed
+    assert conn.engine.binding(sink).policy is None  # receives never shed
+    conn.close()
+    conn, _, _ = fifo_chain(overload=OverloadPolicy("block"))
+    assert conn.engine.binding(source).policy is None
+    conn.close()
+    conn = library.connector("FifoChain", 1, overload={source: shed})
+    with pytest.raises(TypeError, match="one OverloadPolicy"):
+        conn.connect(*mkports(1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -108,19 +105,6 @@ def test_block_is_the_default_and_still_blocks():
     conn.close()
 
 
-def test_fail_fast_raises_and_withdraws():
-    conn, out, inp = fifo_chain(overload=OverloadPolicy("fail_fast", max_pending=0))
-    out.send(1)
-    with pytest.raises(OverloadError) as err:
-        out.send(2)
-    assert err.value.max_pending == 0
-    # The rejected op was withdrawn: the buffered value flows untouched.
-    assert inp.recv() == 1
-    out.send(3)
-    assert inp.recv() == 3
-    conn.close()
-
-
 def test_shed_newest_drops_incoming_and_reports_success():
     conn, out, inp = fifo_chain(overload=OverloadPolicy("shed_newest", max_pending=0))
     out.send(1)
@@ -133,36 +117,6 @@ def test_shed_newest_drops_incoming_and_reports_success():
     conn.close()
 
 
-def test_shed_oldest_releases_the_displaced_waiter():
-    conn, out, inp = fifo_chain(overload=OverloadPolicy("shed_oldest", max_pending=1))
-    out.send(1)  # in the fifo
-    order: list = []
-    t2 = threading.Thread(target=lambda: (out.send(2), order.append(2)))
-    t2.start()
-    time.sleep(0.1)  # 2 is queued (fifo full) and its sender parked
-    t3 = threading.Thread(target=lambda: (out.send(3), order.append(3)))
-    t3.start()
-    # 3 overflows the bound: the *oldest* queued value (2) is shed and its
-    # blocked sender completes as if sent; 3 takes the freed slot.
-    t2.join(JOIN_TIMEOUT)
-    assert order == [2]
-    assert [l.value for l in conn.dead_letters()] == [2]
-    assert inp.recv() == 1
-    assert inp.recv() == 3
-    t3.join(JOIN_TIMEOUT)
-    conn.close()
-
-
-def test_per_operation_policy_override():
-    conn, out, inp = fifo_chain()  # default: block
-    out.send("important")
-    # A low-priority message opts into shedding for this one call.
-    out.send("optional", policy=OverloadPolicy("shed_newest", max_pending=0))
-    assert [l.value for l in conn.dead_letters()] == ["optional"]
-    assert inp.recv() == "important"
-    conn.close()
-
-
 def test_dead_letters_record_vertex_and_step():
     conn, out, inp = fifo_chain(overload=OverloadPolicy("shed_newest", max_pending=0))
     out.send(1)
@@ -171,6 +125,34 @@ def test_dead_letters_record_vertex_and_step():
     assert letter.vertex == conn.tail_vertices[0]
     assert letter.seq == 0 and letter.step >= 1
     assert conn.dead_letters(letter.vertex) == (letter,)
+    conn.close()
+
+
+def test_leave_keeps_every_dead_letter_and_the_exact_count():
+    """A departed vertex's letters and count survive ``leave()``, also when
+    a survivor is renamed onto the departed name (t@3 → t@2 here)."""
+    registry = MetricsRegistry()
+    conn = library.connector(
+        "EarlyAsyncMerger", 3, default_timeout=OP_TIMEOUT, metrics=registry,
+        overload=OverloadPolicy("shed_newest", max_pending=0))
+    outs, ins = mkports(3, 1)
+    conn.connect(outs, ins)
+    for i, out in enumerate(outs):
+        out.send(f"fill{i}")  # each tail's fifo takes one
+    for i, out in enumerate(outs):
+        out.send(f"shed{i}")  # full: shed
+    before = conn.dead_letters()
+    assert conn.shed_count() == 3
+    assert [(l.vertex, l.value) for l in before] == [
+        ("t@1", "shed0"), ("t@2", "shed1"), ("t@3", "shed2")]
+    conn.leave(outs[1])
+    assert conn.tail_vertices == ["t@1", "t@2"]
+    assert conn.shed_count() == 3
+    assert conn.dead_letters() == before
+    assert [l.value for l in conn.dead_letters("t@2")] == ["shed2"]
+    assert conn.shed_count("t@2") == 1
+    assert len(conn.engine.dead) == 3
+    assert conservation_violations(registry) == []
     conn.close()
 
 
@@ -239,33 +221,6 @@ def test_work_farm_4x_overload_shed_newest_accounts_exactly():
     assert done, "shedding must not starve the farm"
     # Forward progress: the producer never waited on a slow worker.
     assert producer_elapsed < OP_TIMEOUT
-
-
-def test_work_farm_fail_fast_keeps_producer_responsive():
-    route = library.connector(
-        "EarlyAsyncRouter",
-        2,
-        overload=OverloadPolicy("fail_fast", max_pending=0),
-        default_timeout=OP_TIMEOUT,
-    )
-    (job_out,), _ = mkports(1, 0)
-    _, worker_ins = mkports(0, 2)
-    route.connect([job_out], worker_ins)
-
-    accepted = rejected = 0
-    for job in range(40):
-        try:
-            job_out.send(job)
-            accepted += 1
-        except OverloadError:
-            rejected += 1
-        if job % 5 == 4:  # periodic consumer keeps some capacity free
-            for inp in worker_ins:
-                ok, _ = inp.try_recv()
-    assert accepted and rejected
-    assert accepted + rejected == 40
-    assert route.shed_count() == 0  # fail_fast rejects, it never sheds
-    route.close()
 
 
 # --------------------------------------------------------------------------

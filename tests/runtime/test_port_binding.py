@@ -25,7 +25,6 @@ from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
 from repro.util.errors import (
     CheckpointError,
-    OverloadError,
     PortClosedError,
     RuntimeProtocolError,
 )
@@ -335,32 +334,29 @@ def test_the_op_has_no_step_stamp():
 
 
 @pytest.mark.parametrize("concurrency", BACKENDS)
-def test_timed_and_policy_sends_share_the_prologue(concurrency):
-    """``shed_newest`` and ``fail_fast`` per call, each with and without a
-    timeout, and a timeout racing a firing: every one enters ``_enqueue``
+def test_timed_and_shed_sends_share_the_prologue(concurrency):
+    """Sends a ``shed_newest`` connector sheds, with and without a timeout,
+    and a timeout racing a firing: every one enters ``_enqueue``
     (``submit`` is the prologue itself) with the binding the port resolved
     at connect."""
     assert CoordinatorEngine.submit is CoordinatorEngine._enqueue
+    shedding, souts, _ = wired(
+        "Merger", 2, concurrency=concurrency,
+        overload=OverloadPolicy("shed_newest", max_pending=0))
     conn, outs, (inp,) = wired("Merger", 2, concurrency=concurrency)
     engine = conn.engine
     entered = []
-    prologue = engine._enqueue
+    for e in (shedding.engine, engine):
+        def spy(b, *args, prologue=e._enqueue):
+            entered.append(b)
+            return prologue(b, *args)
 
-    def spy(b, *args):
-        entered.append(b)
-        return prologue(b, *args)
-
-    engine.submit = spy
-    shed = OverloadPolicy("shed_newest", max_pending=0)
-    fail = OverloadPolicy("fail_fast", max_pending=0)
-    outs[0].send("shed", policy=shed)
-    outs[0].send("shed-timed", timeout=5.0, policy=shed)
-    with pytest.raises(OverloadError):
-        outs[1].send("fail", policy=fail)
-    with pytest.raises(OverloadError):
-        outs[1].send("fail-timed", timeout=5.0, policy=fail)
-    assert [d.value for d in conn.dead_letters()] == ["shed", "shed-timed"]
-    assert conn.stats()["parks"] == 0 and engine._pending_count() == 0
+        e.submit = spy
+    souts[0].send("shed")
+    souts[1].send("shed-timed", timeout=5.0)
+    assert [d.value for d in shedding.dead_letters()] == ["shed", "shed-timed"]
+    assert shedding.stats()["parks"] == 0
+    assert shedding.engine._pending_count() == 0
 
     withdraw, answers = engine._withdraw_expired, []
 
@@ -373,6 +369,6 @@ def test_timed_and_policy_sends_share_the_prologue(concurrency):
     engine._withdraw_expired = fire_first
     outs[0].send("just in time", timeout=0.05)
     assert answers == [False] and conn.steps == 1
-    assert entered == [outs[0]._bound, outs[0]._bound, outs[1]._bound,
-                       outs[1]._bound, outs[0]._bound]
+    assert entered == [souts[0]._bound, souts[1]._bound, outs[0]._bound]
     conn.close()
+    shedding.close()

@@ -73,7 +73,7 @@ def test_checkpoint_drain_hammer_conservation(seed, concurrency="regions"):
         k,
         default_timeout=OP_TIMEOUT,
         metrics=registry,
-        overload=OverloadPolicy(kind="shed_oldest", max_pending=4),
+        overload=OverloadPolicy(kind="shed_newest", max_pending=4),
         concurrency=concurrency,
     )
     outs, ins = mkports(k, k)

@@ -3,8 +3,8 @@
 A blocking submit that its own drain cannot complete installs a wake slot
 (``runtime/host.py``: a raw lock, created held) and parks in
 ``EngineHost._wait_blocked``.  Everything that can resolve the operation —
-a firing in either step tier, a closed or failed vertex, an overload shed,
-a timeout racing a firing — has to wake that slot, and a wake-all that
+a firing in either step tier, a closed or failed vertex, a timeout racing a
+firing — has to wake that slot, and a wake-all that
 resolves nothing has to leave it usable for the resolution that follows.
 Each scenario runs on every backend.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.connectors import library
 from repro.runtime import host
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
 from repro.util.errors import (
@@ -97,22 +96,6 @@ def test_park_failed_by_port_fail(concurrency="regions"):
     parked(conn)
     inp.fail(PeerFailedError("consumer", ValueError("boom")))
     assert h.join(JOIN) == "consumer"
-    conn.close()
-
-
-def test_shed_victim_is_woken(concurrency="regions"):
-    """``shed_oldest`` over the bound: the parked sender of the displaced
-    value returns as if it had sent."""
-    conn, outs, inp = merger(
-        concurrency, overload=OverloadPolicy("shed_oldest", max_pending=1))
-    old = spawn(outs[0].send, "old")
-    parked(conn)
-    new = spawn(outs[0].send, "new")
-    old.join(JOIN)
-    assert not old.alive and old.exception is None
-    assert [letter.value for letter in conn.dead_letters()] == ["old"]
-    assert inp.recv() == "new"
-    new.join(JOIN)
     conn.close()
 
 
@@ -265,7 +248,6 @@ def test_more_waiters_than_cores_under_a_short_switch_interval(concurrency):
     test_park_resolved_by_an_interpreted_firing,
     test_park_failed_by_close,
     test_park_failed_by_port_fail,
-    test_shed_victim_is_woken,
     test_timeout_racing_a_firing_delivers_the_value,
     test_spurious_wakes_then_the_real_resolution,
     test_rendezvous_with_a_racing_timeout_conserves,

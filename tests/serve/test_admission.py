@@ -40,8 +40,8 @@ def test_default_spec_serves_unknown_tenants():
 def test_tenant_policy_mapping_reaches_sessions():
     """The spec carries the per-tenant OverloadPolicy (max_pending budget,
     dead-letter capacity) that open_session installs on the intake."""
-    strict = OverloadPolicy("fail_fast", max_pending=1,
-                           dead_letter_capacity=8)
+    strict = OverloadPolicy("shed_newest", max_pending=1,
+                            dead_letter_capacity=8)
     lax = OverloadPolicy("shed_newest", max_pending=64,
                          dead_letter_capacity=1024)
     ctrl = AdmissionController(tenants=(

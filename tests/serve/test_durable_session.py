@@ -194,6 +194,37 @@ def test_state_dir_from_a_selectable_backend_cold_starts_on_the_default(
     assert not list(s2.dead_letters()) and not s2.dropped
 
 
+def test_state_dir_naming_a_removed_policy_kind_is_refused(
+        tmp_path, monkeypatch):
+    """Metadata written when a session could pick ``shed_oldest``: cold
+    recovery raises the ``ValueError`` naming the kind, opens nothing under
+    another policy, and leaves the state directory as it was."""
+    old_meta = FarmSession._durable_meta
+    legacy = {"policy": {"kind": "shed_oldest", "max_pending": 1,
+                         "dead_letter_capacity": 256}}
+    monkeypatch.setattr(FarmSession, "_durable_meta",
+                        lambda self: {**old_meta(self), **legacy})
+    svc1 = CoordinatorService(state_dir=tmp_path)
+    svc1.open_session("old", policy=BLOCK)
+    svc1.durable_checkpoint("old")
+    svc1.quarantine("old")
+    svc1.close()
+    monkeypatch.undo()
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    svc2 = CoordinatorService(state_dir=tmp_path)
+    try:
+        with pytest.raises(ValueError, match="'shed_oldest'"):
+            svc2.recover_sessions()
+        assert svc2.status() == {}
+        with pytest.raises(RuntimeProtocolError, match="unknown session"):
+            svc2.session("old")
+    finally:
+        svc2.close()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == files
+
+
 def test_version_1_state_dir_is_refused_and_left_in_place(
         tmp_path, monkeypatch):
     """A state directory from when a session's connector was partitioned:
@@ -353,6 +384,24 @@ def test_daemon_handle_roundtrip(tmp_path):
     finally:
         svc.close()
     assert json.dumps(resp)  # every response is JSON-serializable
+
+
+def test_daemon_refuses_a_removed_policy_kind_and_keeps_serving():
+    svc = CoordinatorService()
+    try:
+        resp, alive = handle(svc, {
+            "op": "open", "name": "d",
+            "policy": {"kind": "fail_fast", "max_pending": 0}})
+        assert alive and resp["ok"] is False
+        assert resp["error"] == "ValueError"
+        assert "'fail_fast'" in resp["message"]
+        resp, alive = handle(svc, {"op": "status"})
+        assert alive and resp == {"ok": True, "sessions": {}}
+        resp, _ = handle(svc, {"op": "open", "name": "d",
+                               "policy": {"kind": "block"}})
+        assert resp["ok"]
+    finally:
+        svc.close()
 
 
 # -- the real thing: SIGKILL in a subprocess --------------------------------
