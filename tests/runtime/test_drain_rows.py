@@ -18,6 +18,7 @@ from repro.automata.constraint import App, Eq, FunctionRegistry, Pred, V
 from repro.automata.lazy import LRUCache
 from repro.connectors import library
 from repro.runtime.connector import RuntimeConnector
+from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
 from repro.util.errors import ProtocolTimeoutError
@@ -229,6 +230,32 @@ def test_withdrawing_the_head_lets_the_value_behind_it_fire(concurrency):
     got = engine.post_recv("b")
     assert not good.done and not got.done  # ``bad`` is the head
     assert sender.join(20.0)  # … until its sender times out: no post since
+    assert good.done and got.done and got.value == "good"
+    conn.close()
+
+
+@pytest.mark.parametrize("concurrency", ["regions", "global"])
+def test_shedding_the_newest_leaves_the_head_in_place(concurrency):
+    """A shed pops the queue's tail: the head that blocks the region and
+    the value queued behind it stay, and fire once the head withdraws."""
+    conn, outs, _ = guarded(
+        concurrency, overload=OverloadPolicy("shed_newest", max_pending=2))
+    engine = conn.engine
+
+    def gives_up():
+        with pytest.raises(ProtocolTimeoutError):
+            outs[0].send("bad", timeout=0.3)
+        return True
+
+    sender = spawn(gives_up)
+    while not conn.stats()["blocked"]:
+        pass
+    good = engine.post_send("a", "good")
+    late = engine.post_send("a", "late")  # over the bound: ``late`` is shed
+    got = engine.post_recv("b")
+    assert late.done and [d.value for d in conn.dead_letters()] == ["late"]
+    assert not good.done and not got.done  # ``bad`` is still the head
+    assert sender.join(20.0)
     assert good.done and got.done and got.value == "good"
     conn.close()
 

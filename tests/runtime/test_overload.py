@@ -117,6 +117,23 @@ def test_shed_newest_drops_incoming_and_reports_success():
     conn.close()
 
 
+def test_post_send_policy_sheds_one_post_on_a_blocking_connector():
+    """``engine.post_send(policy=)`` (the fuzz flood's path) sheds only the
+    post that carries the policy; the connector's own ``block`` stays."""
+    conn, out, inp = fifo_chain()  # default: block
+    (source,) = conn.tail_vertices
+    out.send("important")  # fills the single fifo
+    shed = conn.engine.post_send(
+        source, "optional", policy=OverloadPolicy("shed_newest", max_pending=0))
+    assert shed.done and shed.error is None
+    assert [l.value for l in conn.dead_letters()] == ["optional"]
+    kept = conn.engine.post_send(source, "kept")  # no policy: it waits
+    assert not kept.done and conn.shed_count() == 1
+    assert inp.recv() == "important"
+    assert kept.done and inp.recv() == "kept"
+    conn.close()
+
+
 def test_dead_letters_record_vertex_and_step():
     conn, out, inp = fifo_chain(overload=OverloadPolicy("shed_newest", max_pending=0))
     out.send(1)

@@ -4,8 +4,8 @@ A blocking submit that its own drain cannot complete installs a wake slot
 (``runtime/host.py``: a raw lock, created held) and parks in
 ``EngineHost._wait_blocked``.  Everything that can resolve the operation —
 a firing in either step tier, a closed or failed vertex, a timeout racing a
-firing — has to wake that slot, and a wake-all that
-resolves nothing has to leave it usable for the resolution that follows.
+firing — has to wake that slot, a shed has to wake no one, and a wake-all
+that resolves nothing has to leave it usable for the resolution that follows.
 Each scenario runs on every backend.
 """
 
@@ -17,6 +17,7 @@ import pytest
 from repro.connectors import library
 from repro.runtime import host
 from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import mkports
 from repro.runtime.tasks import spawn
 from repro.util.errors import (
@@ -96,6 +97,24 @@ def test_park_failed_by_port_fail(concurrency="regions"):
     parked(conn)
     inp.fail(PeerFailedError("consumer", ValueError("boom")))
     assert h.join(JOIN) == "consumer"
+    conn.close()
+
+
+def test_a_shed_wakes_no_parked_sender(concurrency="regions"):
+    """``shed_newest`` over the bound: the new send is dead-lettered and
+    returns without parking, and the parked sender ahead of it stays parked
+    until a firing takes its value."""
+    conn, outs, inp = merger(
+        concurrency, overload=OverloadPolicy("shed_newest", max_pending=1))
+    old = spawn(outs[0].send, "old")
+    parked(conn)
+    outs[0].send("new")
+    assert [letter.value for letter in conn.dead_letters()] == ["new"]
+    assert old.alive and conn.stats()["blocked"] == 1
+    assert inp.recv() == "old"
+    old.join(JOIN)
+    assert not old.alive and old.exception is None
+    assert conn.stats()["parks"] == 1 and conn.stats()["blocked"] == 0
     conn.close()
 
 
@@ -248,6 +267,7 @@ def test_more_waiters_than_cores_under_a_short_switch_interval(concurrency):
     test_park_resolved_by_an_interpreted_firing,
     test_park_failed_by_close,
     test_park_failed_by_port_fail,
+    test_a_shed_wakes_no_parked_sender,
     test_timeout_racing_a_firing_delivers_the_value,
     test_spurious_wakes_then_the_real_resolution,
     test_rendezvous_with_a_racing_timeout_conserves,
