@@ -1,9 +1,14 @@
 """Record / check the durability-layer baseline, BENCH_durable.json.
 
-What the durable layer costs, measured at four grains:
+What the durable layer costs, measured at five grains:
 
 * **journal append** — the per-submit/per-delivery write-ahead record
   (µs; a frame copied into the mapped journal, one thread);
+* **append ÷ frame** — µs per ``SessionStore.append`` ÷ µs to ``_frame``
+  the same record's dict, timed in alternating rounds of one run: an
+  append formats its record's bytes directly (DECISIONS row 29), and the
+  gate is that it stays under ``APPEND_BOUND`` of what framing the dict
+  alone costs;
 * **handoff append** — the same records journalled the way a serving
   session does, a client thread's ``submit`` intent and a worker thread's
   ``deliver`` record through one :class:`SessionDurability` (µs per
@@ -33,6 +38,9 @@ Usage::
     python benchmarks/bench_durable.py           # full run, rewrite JSON
     python benchmarks/bench_durable.py --quick   # CI-sized run
     python benchmarks/bench_durable.py --check   # regression gate (CI)
+
+``--check`` fails when either gate does: the checkpoint ratio over
+``RATIO_BUDGET``, or append ÷ frame over ``APPEND_BOUND``.
 """
 
 import argparse
@@ -52,6 +60,15 @@ DEFAULT_OUT = ROOT / "BENCH_durable.json"
 #: Durable checkpoint may cost at most this multiple of the identical
 #: gate-and-park cycle without persistence (the ISSUE's acceptance bar).
 RATIO_BUDGET = 2.0
+
+#: µs per ``SessionStore.append`` ÷ µs to ``_frame`` the record's dict,
+#: median of APPEND_ROUNDS alternating rounds of APPEND_K records each.
+#: Twelve ``--check`` runs on HANDOFF_HOST read 0.39–0.42; an append that
+#: frames its record's dict again, as before DECISIONS row 29, reads
+#: 1.13–1.15 (3/3 fail).
+APPEND_BOUND = 0.6
+APPEND_ROUNDS = 30
+APPEND_K = 1000
 
 #: ``handoff_append`` with the journal written by a buffered ``write`` +
 #: ``flush`` per record (each releasing the GIL inside the durability
@@ -109,6 +126,50 @@ def bench_store(appends, book_len, repeats):
         out["journal_appends"] = appends
         out["book_len"] = book_len
     return out
+
+
+def append_over_frame(rounds=APPEND_ROUNDS, k=APPEND_K):
+    """µs per ``SessionStore.append`` ÷ µs to ``_frame`` the same record's
+    dict, one sample of each per round, back to back in alternating order;
+    the median over rounds, and the rounds' range."""
+    import gc
+
+    from repro.runtime.durable import SessionStore, _frame, encode
+
+    values = [f"append-{i}" for i in range(k)]
+    ratios = []
+    with tempfile.TemporaryDirectory() as td:
+        store = SessionStore(td, "gate")
+        store.save_snapshot(_mk_checkpoint(0)[0], seq=0)
+
+        def appends(seq):
+            t0 = time.perf_counter()
+            for i, value in enumerate(values, seq):
+                store.append("deliver", i, value)
+            return time.perf_counter() - t0
+
+        def frames(seq):
+            t0 = time.perf_counter()
+            for i, value in enumerate(values, seq):
+                _frame({"kind": "deliver", "seq": i, "value": encode(value)})
+            return time.perf_counter() - t0
+
+        gc.disable()
+        try:
+            for r in range(rounds):
+                seq = 1 + r * k
+                if r % 2:
+                    append_s, frame_s = appends(seq), frames(seq)
+                else:
+                    frame_s, append_s = frames(seq), appends(seq)
+                ratios.append(append_s / frame_s)
+        finally:
+            gc.enable()
+            store.close()
+    return {"rounds": rounds, "k": k,
+            "ratio": round(statistics.median(ratios), 3),
+            "min": round(min(ratios), 3), "max": round(max(ratios), 3),
+            "bound": APPEND_BOUND}
 
 
 def bench_handoff_append(pairs, repeats):
@@ -277,6 +338,7 @@ def run(quick: bool) -> dict:
                        "cycles": cycles, "values": values,
                        "ratio_budget": RATIO_BUDGET}}
     result["store"] = bench_store(appends, book_len, repeats)
+    result["append_over_frame"] = append_over_frame()
     handoff = bench_handoff_append(2_000, 5)
     handoff.update({
         "host": HANDOFF_HOST,
@@ -291,14 +353,17 @@ def run(quick: bool) -> dict:
     ratio = (result["durable_checkpoint"]["median_ms"]
              / max(result["inmem_checkpoint"]["median_ms"], 1e-9))
     result["ratio"] = round(ratio, 3)
-    result["ok"] = ratio <= RATIO_BUDGET
+    result["ok"] = (ratio <= RATIO_BUDGET and
+                    result["append_over_frame"]["ratio"] <= APPEND_BOUND)
     return result
 
 
 def _summary(result) -> str:
     s, h = result["store"], result["handoff_append"]
+    a = result["append_over_frame"]
     return (
         f"journal append {s['journal_append_us']}us  "
+        f"append / frame {a['ratio']} (bound {APPEND_BOUND})  "
         f"handoff append {h['us_per_pair']}us/pair "
         f"(buffered write {h['parent_us_per_pair']}us on {HANDOFF_HOST})  "
         f"snapshot save {s['snapshot_save_ms']}ms / "
@@ -316,7 +381,7 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="CI-sized sweep")
     ap.add_argument("--check", action="store_true",
-                    help="re-measure (quick) and gate on the ratio budget")
+                    help="re-measure (quick) and gate on both bounds")
     args = ap.parse_args(argv)
 
     if args.check:

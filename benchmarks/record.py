@@ -1,10 +1,9 @@
 """Record the repo's benchmark baseline into BENCH_engine.json, and gate on it.
 
 Runs the engine-scaling sweep (E8), the firing-cost sweep over the Fig. 12
-connectors, the engineering rows of E13–E18 and the Fig. 13 NPB panels
-(E2/E3), and writes one JSON document at the repo root.  ``--check`` is
-CI's engine regression gate (``bench-smoke`` in .github/workflows/ci.yml).
-Each of its gates is a ratio of two paths timed in the same process and
+connectors and the engineering rows of E13–E18, and writes one JSON
+document at the repo root.  ``--check`` is CI's engine regression gate
+(``bench-smoke`` in .github/workflows/ci.yml).  Each of its gates is a ratio of two paths timed in the same process and
 rounds, so the host's speed, and which of its speed modes a run meets,
 cancel:
 
@@ -17,19 +16,19 @@ cancel:
   N = 2 rows and Merger/2 in reference units;
 * ``port_pair`` — a port ``send`` + ``recv`` ÷ the same work through
   ``post_*``;
-* ``expansion`` — merged ÷ flat and delta ÷ merged expansion;
-* ``fig13`` — reo ÷ original.
+* ``expansion`` — merged ÷ flat and delta ÷ merged expansion.
 
-``fig12_steps`` and ``fig13`` bound their ratio's drift from the one
-recorded in BENCH_engine.json; the others bound it by a constant below.
+``fig12_steps`` bounds its ratio's drift from the one recorded in
+BENCH_engine.json; the others bound it by a constant below.  Fig. 13's
+reo ÷ original is ``python -m repro fig13 --check``'s, in the same CI job.
 
 Usage::
 
     python benchmarks/record.py                    # full run, rewrite JSON
-    python benchmarks/record.py --quick            # small windows, no NPB
+    python benchmarks/record.py --quick            # small windows
     python benchmarks/record.py --check            # regression gate (CI)
 
-The engine-scaling, firing-cost and Fig. 13 rows are medians of
+The engine-scaling and firing-cost rows are medians of
 ``--repeats`` independent runs; a gate records its ratios as ``--check``
 reads them.  The garbage collector is disabled around each timed section
 (the same discipline as ``pytest --benchmark-disable-gc``).
@@ -57,8 +56,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 DEFAULT_OUT = ROOT / "BENCH_engine.json"
 
-#: bench-smoke fails when the compiled-over-interpreter ratio, or Fig. 13's
-#: reo ÷ original, drifts beyond this × the recorded one.
+#: bench-smoke fails when the compiled-over-interpreter ratio drifts beyond
+#: this × the recorded one.
 REGRESSION_BUDGET = 1.25
 
 #: bench-smoke fails when the compiled step tier's geomean speedup over the
@@ -554,32 +553,6 @@ def check_gate(gate: str) -> int:
     return 1 if over else 0
 
 
-def _fig13_secs(fn, repeats):
-    secs = []
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            result = fn()
-            assert result.verified
-            secs.append(result.seconds)
-    finally:
-        gc.enable()
-    return secs
-
-
-def record_fig13(repeats):
-    from repro.npb import cg, lu
-
-    rows = {}
-    for prog_name, mod in (("cg", cg), ("lu", lu)):
-        for label, fn in (("original", mod.run_original), ("reo", mod.run_reo)):
-            secs = _fig13_secs(lambda: fn("S", 4), repeats)
-            rows[f"{prog_name}/S/4/{label}"] = {
-                "seconds": round(statistics.median(secs), 4)
-            }
-    return rows
-
-
 def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
     doc = {
         "schema": 1,
@@ -596,8 +569,6 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
     }
     for gate in GATES:
         doc[gate] = record_gate(gate)
-    if not quick:
-        doc["fig13_npb"] = record_fig13(repeats=repeats)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
@@ -608,7 +579,6 @@ def check(baseline_path: pathlib.Path) -> int:
     baseline = json.loads(baseline_path.read_text())
     failed = [check_gate(gate) for gate in GATES]
     failed.append(_check_steps(baseline.get("fig12_steps")))
-    failed.append(_check_fig13(baseline.get("fig13_npb")))
     if any(failed):
         return 1
     print("OK")
@@ -656,43 +626,11 @@ def _check_steps(baseline_steps) -> int:
     return 0
 
 
-def _check_fig13(baseline_rows) -> int:
-    """The fig13 gate: re-measure the NPB panels and gate the reo/original
-    *ratio* against the committed baseline's ratio with the standard
-    budget.  Gating the ratio makes the check immune to host-speed drift
-    (both variants run on the same box), while still tripping when the
-    protocol layer's overhead grows relative to the hand-threaded original
-    — the figure the paper is about."""
-    if not baseline_rows:
-        print("fig13: no baseline rows recorded — skipping gate")
-        return 0
-    from repro.npb import cg, lu
-
-    for prog_name, mod in (("cg", cg), ("lu", lu)):
-        base_orig = baseline_rows.get(f"{prog_name}/S/4/original")
-        base_reo = baseline_rows.get(f"{prog_name}/S/4/reo")
-        if not (base_orig and base_reo):
-            continue
-        base_ratio = base_reo["seconds"] / base_orig["seconds"]
-        # min-of-2: NPB runs are seconds-scale and one-sided noisy.
-        orig = min(_fig13_secs(lambda: mod.run_original("S", 4), 2))
-        reo = min(_fig13_secs(lambda: mod.run_reo("S", 4), 2))
-        ratio = reo / orig
-        print(f"fig13 {prog_name}/S/4 reo/original ratio: {ratio:.2f}x "
-              f"(baseline {base_ratio:.2f}x, "
-              f"budget {REGRESSION_BUDGET:.2f}x drift)")
-        if ratio / base_ratio > REGRESSION_BUDGET:
-            print(f"FAIL: {prog_name} protocol overhead regressed beyond "
-                  "budget")
-            return 1
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     ap.add_argument("--quick", action="store_true",
-                    help="small windows, skip the NPB panels")
+                    help="small windows")
     ap.add_argument("--repeats", type=int, default=5,
                     help="runs per configuration (median recorded)")
     ap.add_argument("--check", action="store_true",

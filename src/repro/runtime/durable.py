@@ -93,6 +93,7 @@ import urllib.parse
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.runtime.recovery import Checkpoint, RegionState
@@ -173,12 +174,18 @@ def decode(data):
     return data
 
 
+#: The encoders every frame and canonical key go through, built once
+#: (``json.dumps`` with ``separators=`` builds one per call).
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_dumps_sorted = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def canon(value) -> str:
     """The canonical string form of a value — the multiset key the suppress
     and resubmit books are counted under.  Equal values of JSON-friendly
     types always agree; pickle-fallback values agree when their pickles do
     (the common case for the immutable values protocols carry)."""
-    return json.dumps(encode(value), sort_keys=True, separators=(",", ":"))
+    return _dumps_sorted(encode(value))
 
 
 def checkpoint_to_data(cp: Checkpoint) -> dict:
@@ -219,9 +226,30 @@ def checkpoint_from_data(data: dict) -> Checkpoint:
 
 
 def _frame(record: dict) -> bytes:
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return b"%08x " % crc + payload + b"\n"
+    """The format: one line, ``<crc32 hex> <compact JSON of record>``."""
+    payload = _dumps(record).encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(payload), payload)
+
+
+#: What :func:`_frame` writes of a ``{"kind", "seq", "value"}`` record
+#: before its sequence number, per kind.
+_SEQ_PREFIX = {kind: b'{"kind":"%s","seq":' % kind.encode()
+               for kind in (*JOURNAL_KINDS, "delivered")}
+
+
+def _frame_seq(kind: str, seq: int, value) -> bytes:
+    """``_frame({"kind": kind, "seq": seq, "value": encode(value)})`` byte
+    for byte, without building the dict or walking the record: an exact
+    ``int`` or ``str`` value is formatted as JSON writes it (a ``bool`` or
+    an ``int`` or ``str`` subclass takes the encoder)."""
+    if type(value) is int:
+        body = b"%d" % value
+    elif type(value) is str:
+        body = encode_basestring_ascii(value).encode("ascii")
+    else:
+        body = _dumps(encode(value)).encode("ascii")
+    payload = b'%s%d,"value":%s}' % (_SEQ_PREFIX[kind], seq, body)
+    return b"%08x %s\n" % (zlib.crc32(payload), payload)
 
 
 def _unframe(line: bytes) -> dict | None:
@@ -424,23 +452,20 @@ class SessionStore:
         garbage-collected.
         """
         gen = self._next_generation()
-        records = [{
+        frames = [_frame({
             "magic": MAGIC, "version": SCHEMA_VERSION, "kind": "snapshot",
             "session": self.name, "generation": gen, "seq": seq,
             "created": time.time(),
-        }]
-        records.append({"kind": "checkpoint",
-                        "data": checkpoint_to_data(checkpoint)})
-        for dseq, value in delivered:
-            records.append({"kind": "delivered", "seq": dseq,
-                            "value": encode(value)})
-        for value in suppress:
-            records.append({"kind": "suppress", "value": encode(value)})
-        for value in resubmit:
-            records.append({"kind": "resubmit", "value": encode(value)})
+        }), _frame({"kind": "checkpoint",
+                    "data": checkpoint_to_data(checkpoint)})]
+        frames.extend(_frame_seq("delivered", dseq, value)
+                      for dseq, value in delivered)
+        records = [{"kind": "suppress", "value": encode(v)} for v in suppress]
+        records += [{"kind": "resubmit", "value": encode(v)} for v in resubmit]
         records.append({"kind": "meta", "data": encode(dict(meta or {}))})
-        records.append({"kind": "end", "records": len(records)})
-        blob = b"".join(_frame(r) for r in records)
+        frames.extend(_frame(r) for r in records)
+        frames.append(_frame({"kind": "end", "records": len(frames)}))
+        blob = b"".join(frames)
         try:
             _atomic_write(self._snapshot_path(gen), blob)
         except OSError as exc:
@@ -621,7 +646,7 @@ class SessionStore:
                 f"session {self.name!r} has no open journal "
                 "(save_snapshot first)"
             )
-        frame = _frame({"kind": kind, "seq": seq, "value": encode(value)})
+        frame = _frame_seq(kind, seq, value)
         start = self._journal_end
         end = start + len(frame)
         try:

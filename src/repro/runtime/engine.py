@@ -869,7 +869,8 @@ class CoordinatorEngine(EngineHost):
                     now = time.monotonic()
                     if unresolved != _WITHDRAW:
                         op.t_enq = now
-                    self._mark_active(vertex, now)
+                    if self._vertex_party:  # no call when nobody registered
+                        self._mark_active(vertex, now)
                     mx = self._metrics
                     if mx is not None:
                         child = (mx.sub_send if owner.is_send

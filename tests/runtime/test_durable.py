@@ -8,7 +8,9 @@ families.  The process-level half — real ``SIGKILL`` at seeded points —
 lives in ``repro.serve.crashtest`` (CI's crash-recovery-smoke job).
 """
 
+import enum
 import errno
+import math
 import mmap
 import os
 import pathlib
@@ -28,6 +30,7 @@ from repro.runtime.durable import (
     SessionDurability,
     SessionStore,
     _frame,
+    _frame_seq,
     canon,
     checkpoint_to_data,
     decode,
@@ -88,6 +91,70 @@ def test_canon_distinguishes_tuple_from_list():
     assert canon((1, 2)) != canon([1, 2])
     assert canon((1, 2)) == canon((1, 2))
     assert canon({"a": 1, "b": 2}) == canon({"b": 2, "a": 1})
+
+
+# -- record framing ---------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+#: Values whose frame ``_frame_seq`` could get wrong: ``bool`` and an
+#: ``IntEnum`` (``int`` subclasses), ints past 64 bits, floats JSON spells
+#: its own way, strings it escapes, and every tagged and pickled shape.
+FRAMED_VALUES = [
+    0, 7, -3, 2**63, 2**64 + 1, -(2**70), True, False, Level.LOW,
+    1.5, -0.0, math.nan, math.inf, -math.inf,
+    "", "plain", "é ☃ 🙂", 'say "hi"', "back\\slash", "ctl\x00\x1f\n\t",
+    "\ud800", None, (), (1, "a"), [1, (2, None)], [],
+    {"a": 1, "b": (2,)}, {1: "int-key", (2, 3): "tuple-key"},
+    {"%t": [1, 2]}, b"\x00\xff", frozenset({1, 2}),
+]
+
+
+@pytest.mark.parametrize("kind", [*durable.JOURNAL_KINDS, "delivered"])
+@pytest.mark.parametrize("value", FRAMED_VALUES, ids=repr)
+def test_frame_seq_is_the_frame_of_its_record(kind, value):
+    for seq in (0, 1, 2**40):
+        assert _frame_seq(kind, seq, value) == _frame(
+            {"kind": kind, "seq": seq, "value": encode(value)})
+
+
+def test_snapshot_and_journal_are_their_records_framed(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(durable.time, "time", lambda: 1234.5)
+    cp = make_checkpoint()
+    delivered = list(enumerate(FRAMED_VALUES, 1))
+    meta = {"tenant": "t0", "workers": 2}
+    store = SessionStore(tmp_path, "s0")
+    gen, nbytes = store.save_snapshot(
+        cp, seq=len(delivered), delivered=delivered, suppress=["x", (1,)],
+        resubmit=[("r", 0)], meta=meta)
+    appends = [(kind, len(delivered) + i, value)
+               for i, value in enumerate(FRAMED_VALUES, 1)
+               for kind in durable.JOURNAL_KINDS]
+    for record in appends:
+        store.append(*record)
+    store.close()
+    records = [
+        {"magic": MAGIC, "version": SCHEMA_VERSION, "kind": "snapshot",
+         "session": "s0", "generation": gen, "seq": len(delivered),
+         "created": 1234.5},
+        {"kind": "checkpoint", "data": checkpoint_to_data(cp)},
+        *({"kind": "delivered", "seq": s, "value": encode(v)}
+          for s, v in delivered),
+        {"kind": "suppress", "value": encode("x")},
+        {"kind": "suppress", "value": encode((1,))},
+        {"kind": "resubmit", "value": encode(("r", 0))},
+        {"kind": "meta", "data": encode(meta)},
+    ]
+    records.append({"kind": "end", "records": len(records)})
+    snapshot = b"".join(_frame(r) for r in records)
+    assert store._snapshot_path(gen).read_bytes() == snapshot
+    assert nbytes == len(snapshot)
+    assert store._journal_path(gen).read_bytes() == journal_bytes(
+        store, gen, len(delivered), appends)
 
 
 # -- snapshots --------------------------------------------------------------
