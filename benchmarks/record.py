@@ -16,7 +16,9 @@ cancel:
   N = 2 rows and Merger/2 in reference units;
 * ``port_pair`` — a port ``send`` + ``recv`` ÷ the same work through
   ``post_*``;
-* ``expansion`` — merged ÷ flat and delta ÷ merged expansion.
+* ``expansion`` — merged ÷ flat and delta ÷ merged expansion;
+* ``template_build`` — FifoChain/8's compile + instantiate ÷
+  EarlyAsyncMerger/8's.
 
 ``fig12_steps`` bounds its ratio's drift from the one recorded in
 BENCH_engine.json; the others bound it by a constant below.  Fig. 13's
@@ -504,6 +506,51 @@ def expansion_ratios(best):
     ]
 
 
+#: A medium template's build — ``compile_program`` + ``instantiate_connector``
+#: from source text, the suite's ``compiler.*`` set-up spans — ÷
+#: EarlyAsyncMerger/8's, median of the pass's rounds.  FifoChain/8's template
+#: has 256 states and 1 714 transitions; EarlyAsyncMerger/8's groups are a
+#: few primitives each.  Thirty three-pass readings: 13.2–14.5; with the
+#: maximal enumeration doctored back to checking every decided and idle
+#: component (DECISIONS row 30), 23.7–25.5.
+TEMPLATE_BUILD_BOUND = 18.0
+TEMPLATE_BUILD_ROWS = ("FifoChain/8",)
+TEMPLATE_BUILD_REFERENCE = "EarlyAsyncMerger/8"
+
+
+def _template_build_pass(rows, best):
+    """15 rounds of each row's build and the reference's."""
+    import repro
+    from repro.connectors import library
+
+    def build(key):
+        name, n = key.split("/")
+        source = library.dsl_source(name, int(n))
+
+        def sample():
+            t0 = time.perf_counter()
+            program = repro.compile_program(repro.parse(source))
+            conn = program.instantiate_connector(name=name, sizes=int(n))
+            dt = time.perf_counter() - t0
+            conn.close()
+            return dt
+        return sample
+
+    with _pinned():
+        for key in rows:
+            samples = _rounds(
+                {key: build(key), "ref": build(TEMPLATE_BUILD_REFERENCE)}, 15)
+            _add(best, (key, "over_reference"), _ratios(samples, key, "ref"))
+
+
+def template_build_ratios(best):
+    return [Ratio(key, f"build ÷ {TEMPLATE_BUILD_REFERENCE}'s",
+                  statistics.median(best[key, "over_reference"]),
+                  TEMPLATE_BUILD_BOUND,
+                  "composing a template in more than the time it keeps?")
+            for key in TEMPLATE_BUILD_ROWS]
+
+
 #: gate → (one pass over some of its rows, its ratios, its rows, passes).
 GATES = {
     "single_region": (_single_region_pass, single_region_ratios,
@@ -514,6 +561,8 @@ GATES = {
                          tuple(LOCKSTEP_NS), 3),
     "port_pair": (_port_pair_pass, port_pair_ratios, PORT_PAIR_ROWS, 3),
     "expansion": (_expansion_pass, expansion_ratios, EXPANSION_ROWS, 5),
+    "template_build": (_template_build_pass, template_build_ratios,
+                       TEMPLATE_BUILD_ROWS, 3),
 }
 
 

@@ -20,12 +20,15 @@ from dataclasses import dataclass, field, replace
 from repro.automata.constraint import (
     Atom,
     Effect,
+    Eq,
     NotEmpty,
     NotFull,
     Pop,
+    Pred,
     Push,
     rename_atom,
     rename_effect,
+    term_buffers,
 )
 from repro.util.errors import WellFormednessError
 
@@ -62,15 +65,6 @@ class Transition:
     target: int
     atoms: tuple[Atom, ...] = ()
     effects: tuple[Effect, ...] = ()
-
-    def renamed(self, vmap: dict[str, str], bmap: dict[str, str]) -> "Transition":
-        return Transition(
-            self.source,
-            frozenset(vmap.get(v, v) for v in self.label),
-            self.target,
-            tuple(rename_atom(a, vmap, bmap) for a in self.atoms),
-            tuple(rename_effect(e, vmap, bmap) for e in self.effects),
-        )
 
     def hidden(self, vertices: frozenset[str]) -> "Transition":
         """Drop ``vertices`` from the label (data constraints keep them as
@@ -116,11 +110,14 @@ class ConstraintAutomaton:
                     f"transition label {set(t.label)} not within declared "
                     f"vertices {set(self.vertices)}"
                 )
-            for referenced in _referenced_buffers(t):
-                if referenced not in buffer_names:
-                    raise WellFormednessError(
-                        f"transition references undeclared buffer {referenced!r}"
-                    )
+        # a product's transitions share their atom and effect objects: check
+        # each distinct one once
+        distinct = {id(x): x for t in self.transitions for x in t.atoms + t.effects}
+        for referenced in _referenced_buffers(distinct.values()):
+            if referenced not in buffer_names:
+                raise WellFormednessError(
+                    f"transition references undeclared buffer {referenced!r}"
+                )
 
     # -- queries ----------------------------------------------------------
 
@@ -151,11 +148,29 @@ class ConstraintAutomaton:
         instantiation and flattening)."""
         vmap = vmap or {}
         bmap = bmap or {}
+        # a product's transitions combine a few local ones, so the same
+        # label, atom and effect objects recur: rename each once
+        done: dict = {}
+
+        def each(xs, rename):
+            for x in xs:
+                if id(x) not in done:
+                    done[id(x)] = rename(x, vmap, bmap)
+            return tuple(done[id(x)] for x in xs)
+
+        labels: dict[frozenset, frozenset] = {}
+        transitions = []
+        for t in self.transitions:
+            if t.label not in labels:
+                labels[t.label] = frozenset(vmap.get(v, v) for v in t.label)
+            transitions.append(Transition(
+                t.source, labels[t.label], t.target,
+                each(t.atoms, rename_atom), each(t.effects, rename_effect)))
         return ConstraintAutomaton(
             self.n_states,
             self.initial,
             frozenset(vmap.get(v, v) for v in self.vertices),
-            tuple(t.renamed(vmap, bmap) for t in self.transitions),
+            tuple(transitions),
             tuple(b.renamed(bmap) for b in self.buffers),
             name if name is not None else self.name,
             dict(self.meta),
@@ -188,21 +203,16 @@ class ConstraintAutomaton:
         )
 
 
-def _referenced_buffers(t: Transition):
-    from repro.automata.constraint import term_buffers, Eq, Pred
-
-    for a in t.atoms:
-        if isinstance(a, (NotFull, NotEmpty)):
-            yield a.buffer
-        elif isinstance(a, Eq):
-            yield from term_buffers(a.left)
-            yield from term_buffers(a.right)
-        elif isinstance(a, Pred):
-            yield from term_buffers(a.arg)
-    for e in t.effects:
-        if isinstance(e, (Push, Pop)):
-            yield e.buffer
-        if isinstance(e, Push):
-            from repro.automata.constraint import term_buffers as tb
-
-            yield from tb(e.term)
+def _referenced_buffers(items):
+    """The buffers the atoms and effects ``items`` refer to."""
+    for x in items:
+        if isinstance(x, (NotFull, NotEmpty, Pop)):
+            yield x.buffer
+        elif isinstance(x, Eq):
+            yield from term_buffers(x.left)
+            yield from term_buffers(x.right)
+        elif isinstance(x, Pred):
+            yield from term_buffers(x.arg)
+        elif isinstance(x, Push):
+            yield x.buffer
+            yield from term_buffers(x.term)

@@ -160,7 +160,8 @@ def compose_outgoing(
         )
         return list(chain.from_iterable(segments))
     if mode == "maximal":
-        return _compose_maximal(automata, local_states)
+        return _compose_maximal(
+            automata, local_states, _earlier_neighbours(automata), {})
     raise CompileError(f"unknown composition mode {mode!r}")
 
 
@@ -312,43 +313,62 @@ def _grow(
     return tuple(consulted), found
 
 
+_IDLE: frozenset = frozenset()
+
+
+def _earlier_neighbours(automata: Sequence[ConstraintAutomaton]) -> list[tuple[int, ...]]:
+    """Per component, the earlier components sharing a vertex with it: the
+    only ones whose choice its own can disagree with."""
+    return [tuple(i for i in range(k) if automata[i].vertices & a.vertices)
+            for k, a in enumerate(automata)]
+
+
 def _compose_maximal(
     automata: Sequence[ConstraintAutomaton],
     local_states: Sequence[int],
+    near: list[tuple[int, ...]],
+    made: dict,
 ) -> list[ComposedStep]:
     """The textbook product: every compatible combination, joint firings of
     independent parts included.  Worst case exponential in the number of
-    independent enabled transitions — deliberately so (see module docs)."""
+    independent enabled transitions — deliberately so (see module docs).
+
+    Components are decided in order, each idling or firing one of its
+    transitions.  A choice agrees with an earlier one iff both label the
+    vertices they share alike (an idle component's label is empty), so it
+    is checked against ``near`` (:func:`_earlier_neighbours`) only.
+    ``made`` maps the chosen transitions to their step, so one product's
+    states share the steps they have in common."""
     n = len(automata)
+    vertices = [a.vertices for a in automata]
+    chosen: list[Transition | None] = [None] * n
+    labels: list[frozenset] = [_IDLE] * n
     steps: list[ComposedStep] = []
 
-    def ok_pair(i: int, ti: Transition, j: int, tj: Transition) -> bool:
-        return (ti.label & automata[j].vertices) == (tj.label & automata[i].vertices)
-
-    def ok_idle(i: int, ti: Transition, j: int) -> bool:
-        return not (ti.label & automata[j].vertices)
-
-    def rec(k: int, parts: dict[int, Transition], idles: list[int]) -> None:
+    def rec(k: int) -> None:
         if k == n:
-            if parts:
-                steps.append(ComposedStep(dict(parts)))
+            key = tuple(map(id, chosen))
+            step = made.get(key)
+            if step is None:
+                parts = {i: t for i, t in enumerate(chosen) if t is not None}
+                if not parts:
+                    return
+                step = made[key] = ComposedStep(parts)
+            steps.append(step)
             return
-        # option: component k idles — no decided transition may touch V_k
-        if all(ok_idle(i, t, k) for i, t in parts.items()):
-            idles.append(k)
-            rec(k + 1, parts, idles)
-            idles.pop()
-        # option: component k fires one of its transitions — it must agree
-        # with every decided transition and avoid every idle component
-        for t in automata[k].outgoing(local_states[k]):
-            if all(ok_pair(k, t, i, ti) for i, ti in parts.items()) and all(
-                ok_idle(k, t, j) for j in idles
-            ):
-                parts[k] = t
-                rec(k + 1, parts, idles)
-                del parts[k]
+        vk = vertices[k]
+        theirs = [(vertices[i], labels[i] & vk) for i in near[k]]
+        for t in (None, *automata[k].outgoing(local_states[k])):
+            label = _IDLE if t is None else t.label
+            for vi, shared in theirs:
+                if label & vi != shared:
+                    break
+            else:
+                chosen[k] = t
+                labels[k] = label
+                rec(k + 1)
 
-    rec(0, {}, [])
+    rec(0)
     return steps
 
 
@@ -401,6 +421,7 @@ def product(
     transitions: list[Transition] = []
     frontier = [init]
     memo = ComposeMemo(automata)
+    near, made = _earlier_neighbours(automata), {}
     while frontier:
         src = frontier.pop()
         sid = ids[src]
@@ -411,7 +432,8 @@ def product(
                 f"composition exceeded the {time_budget_s}s time budget "
                 f"after {len(order)} states",
             )
-        for step in compose_outgoing(automata, src, mode=mode, memo=memo):
+        for step in (_compose_maximal(automata, src, near, made) if mode == "maximal"
+                     else compose_outgoing(automata, src, mode, memo)):
             tgt = step.successor(src)
             tid = ids.get(tgt)
             if tid is None:

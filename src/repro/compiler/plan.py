@@ -16,6 +16,7 @@ connected group of primitives), then iteration nodes, then conditionals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.product import product
@@ -27,9 +28,10 @@ from repro.lang.interp import Env, eval_aexpr, eval_bexpr
 from repro.util.errors import CompilationError, CompileError, ScopeError
 from repro.util.unionfind import UnionFind
 
-#: State budget for composing one template's primitive group at compile time.
-#: Groups are connected clusters within one section of one definition body —
-#: a handful of primitives — so this is generous.
+#: State budget for composing one template's primitive group at compile time,
+#: held against the product of the members' state counts.  Groups are
+#: connected clusters within one section of one definition body — a handful
+#: of primitives — so this is generous.
 TEMPLATE_STATE_BUDGET = 4096
 
 #: Bound on one protocol's memo of instantiated automata (distinct bindings
@@ -78,8 +80,9 @@ class MediumTemplate:
     enumeration — loses no joint behaviour).
 
     "Compose as many of them as possible" (§IV.C): a group whose product
-    exceeds the compile-time state budget (e.g. a long fifo chain written
-    without iteration, 2^n states) is kept *uncomposed* — ``automaton`` is
+    could exceed the compile-time state budget — the product of its
+    members' state counts is over it (e.g. a long fifo chain written
+    without iteration, 2^n states) — is kept *uncomposed* — ``automaton`` is
     ``None`` and instantiation yields the small automata, which the run-time
     (just-in-time) composition handles instead.
     """
@@ -97,15 +100,13 @@ class MediumTemplate:
                 self.buffer_exprs.setdefault(fp.buffer.canonical(), fp.buffer)
             smalls.append(self._small_automaton(fp, symbolic=True))
         self.symbolic_smalls = tuple(smalls)
-        try:
-            self.automaton: ConstraintAutomaton | None = product(
-                smalls,
-                mode="maximal",
-                state_budget=TEMPLATE_STATE_BUDGET,
-                name=name,
-            )
-        except CompilationError:
-            self.automaton = None
+        # The members' state counts bound the product's: refusing on that
+        # bound costs nothing, where finding the overflow by composing costs
+        # an exponential enumeration per state.
+        self.automaton: ConstraintAutomaton | None = None
+        if prod(a.n_states for a in smalls) <= TEMPLATE_STATE_BUDGET:
+            self.automaton = product(
+                smalls, mode="maximal", state_budget=None, name=name)
 
     @staticmethod
     def _small_automaton(fp: FPrim, symbolic: bool, env: Env | None = None,

@@ -64,6 +64,10 @@ class DaemonClient:
     """One daemon subprocess incarnation: spawn, speak JSON-lines, kill."""
 
     def __init__(self, state_dir: str):
+        # A write to a daemon just killed must raise BrokenPipeError here
+        # (``request`` returns None), not end the harness: ``python -m repro``
+        # restores SIGPIPE's default action for ``| head``.
+        signal.signal(signal.SIGPIPE, signal.SIG_IGN)
         src_root = pathlib.Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -6,7 +6,9 @@ Includes the example automata of the paper's Fig. 7, built by hand.
 import pytest
 
 from repro.automata.automaton import BufferSpec, ConstraintAutomaton, Transition
-from repro.automata.constraint import Buf, Eq, Pop, Push, V
+from repro.automata.constraint import (
+    Buf, Eq, NotEmpty, Pop, Push, V, rename_atom, rename_effect,
+)
 from repro.util.errors import WellFormednessError
 
 
@@ -102,6 +104,44 @@ def test_renamed_vertices_and_buffers():
     assert r.buffers[0].name == "p"
     # original untouched
     assert a.vertices == frozenset({"v1", "v2"})
+
+
+def test_renamed_equals_a_transition_by_transition_rename():
+    """``renamed`` renames each distinct label, atom and effect object once
+    and reuses it; the result is the plain per-transition rename."""
+    from repro.compiler.parametrized import compile_source
+    from repro.connectors import library
+
+    template, = compile_source(library.dsl_source("FifoChain", 6)).protocol(
+        "FifoChain").plan.templates
+    a = template.automaton
+    vmap = {v: f"x{i}" for i, v in enumerate(sorted(a.vertices))}
+    bmap = {b.name: f"p{i}" for i, b in enumerate(a.buffers)}
+    r = a.renamed(vmap, bmap)
+    assert r.transitions == tuple(
+        Transition(
+            t.source,
+            frozenset(vmap[v] for v in t.label),
+            t.target,
+            tuple(rename_atom(x, vmap, bmap) for x in t.atoms),
+            tuple(rename_effect(x, vmap, bmap) for x in t.effects),
+        )
+        for t in a.transitions
+    )
+    assert r.vertices == frozenset(vmap.values())
+    assert [b.name for b in r.buffers] == [bmap[b.name] for b in a.buffers]
+
+
+def test_undeclared_buffer_in_the_last_of_many_transitions_is_rejected():
+    """Validation checks each distinct atom and effect once — and every one:
+    a reference made only by the last of a thousand transitions counts."""
+    push, pop = Push("q", V("a")), Pop("q")
+    shared = tuple(Transition(0, frozenset({"a"}), 0, (), (push, pop)) for _ in range(999))
+    last = Transition(0, frozenset({"a"}), 0, (NotEmpty("ghost"),), (push,))
+    with pytest.raises(WellFormednessError, match="ghost"):
+        ConstraintAutomaton(
+            1, 0, frozenset({"a"}), shared + (last,), buffers=(BufferSpec("q"),))
+    ConstraintAutomaton(1, 0, frozenset({"a"}), shared, buffers=(BufferSpec("q"),))
 
 
 def test_hide_removes_from_labels_not_constraints():

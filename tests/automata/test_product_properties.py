@@ -326,3 +326,110 @@ def test_compose_memo_is_bounded(monkeypatch):
         assert keys(lp.outgoing(s)) == keys(reference_outgoing(autos, s))
         sizes.append(lp._memo.entries)
     assert max(sizes) <= 8 + per_call  # left alone it reaches 65 > 8 + 45
+
+
+# -- the maximal enumeration is pinned the same way --------------------------
+#
+# Medium templates are maximal products, and their transition order is the
+# candidate order of every connector built from them.  ``_compose_maximal``
+# checks a choice against the earlier components sharing a vertex with it
+# and shares one step object per set of local transitions; the plain
+# all-pairs enumeration it replaced is kept here, verbatim, as the reference.
+
+
+def reference_maximal(automata, local_states):
+    n = len(automata)
+    steps = []
+
+    def ok_pair(i, ti, j, tj):
+        return (ti.label & automata[j].vertices) == (tj.label & automata[i].vertices)
+
+    def ok_idle(i, ti, j):
+        return not (ti.label & automata[j].vertices)
+
+    def rec(k, parts, idles):
+        if k == n:
+            if parts:
+                steps.append(ComposedStep(dict(parts)))
+            return
+        if all(ok_idle(i, t, k) for i, t in parts.items()):
+            idles.append(k)
+            rec(k + 1, parts, idles)
+            idles.pop()
+        for t in automata[k].outgoing(local_states[k]):
+            if all(ok_pair(k, t, i, ti) for i, ti in parts.items()) and all(
+                ok_idle(k, t, j) for j in idles
+            ):
+                parts[k] = t
+                rec(k + 1, parts, idles)
+                del parts[k]
+
+    rec(0, {}, [])
+    return steps
+
+
+def parts_of(steps):
+    """The parts of each step, in order, transitions by identity (an
+    automaton may list equal transitions: each is a step of its own)."""
+    return [[(i, id(t)) for i, t in step.parts.items()] for step in steps]
+
+
+def check_maximal(automata_list):
+    """Every state the reference product reaches: the same parts in the same
+    order, and ``product`` builds the reference's transitions."""
+    init = tuple(a.initial for a in automata_list)
+    ids, frontier, expected = {init: 0}, [init], []
+    while frontier:
+        src = frontier.pop()
+        steps = reference_maximal(automata_list, src)
+        assert parts_of(compose_outgoing(automata_list, src, "maximal")) == parts_of(steps)
+        for step in steps:
+            tgt = step.successor(src)
+            if tgt not in ids:
+                ids[tgt] = len(ids)
+                frontier.append(tgt)
+            expected.append(
+                Transition(ids[src], step.label, ids[tgt], step.atoms, step.effects))
+    if len(automata_list) > 1:
+        made = product(automata_list, mode="maximal", state_budget=None)
+        assert made.n_states == len(ids)
+        assert made.transitions == tuple(expected)
+
+
+def library_templates():
+    from repro.compiler.parametrized import compile_source
+
+    def walk(node):
+        yield from node.templates
+        for p in node.prods:
+            yield from walk(p.body)
+        for c in node.conds:
+            yield from walk(c.then)
+            if c.els is not None:
+                yield from walk(c.els)
+
+    for name in library.names():
+        program = compile_source(library.dsl_source(name, 3))
+        for proto in program.protocols.values():
+            for template in walk(proto.plan):
+                yield pytest.param(template.symbolic_smalls, id=f"{name}:{template.name}")
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_maximal_matches_reference_on_fifo_chains(depth):
+    from repro.compiler.parametrized import compile_source
+
+    template, = compile_source(library.dsl_source("FifoChain", depth)).protocol(
+        "FifoChain").plan.templates
+    check_maximal(list(template.symbolic_smalls))
+
+
+@pytest.mark.parametrize("smalls", library_templates())
+def test_maximal_matches_reference_on_library_templates(smalls):
+    check_maximal(list(smalls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(automata(), min_size=2, max_size=4))
+def test_maximal_matches_reference_on_arbitrary_automata(autos):
+    check_maximal(autos)

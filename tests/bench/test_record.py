@@ -118,6 +118,15 @@ def test_expansion(record):
         ("EarlyAsyncMerger/16", "delta ÷ merged")}
 
 
+def test_template_build(record):
+    ok = {("FifoChain/8", "over_reference"): [13.2, 14.5, 13.9]}
+    assert over(record.template_build_ratios(ok)) == set()
+    # the maximal enumeration checking every decided and idle component
+    all_pairs = {("FifoChain/8", "over_reference"): [23.7, 25.5, 24.1]}
+    assert over(record.template_build_ratios(all_pairs)) == {
+        ("FifoChain/8", "build ÷ EarlyAsyncMerger/8's")}
+
+
 def fake_gate(record, monkeypatch, readings):
     """A gate ``fake`` with rows a and b whose passes hand out
     ``readings[row]`` one per pass; ratios bound at 1.0."""

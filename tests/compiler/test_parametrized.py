@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.parametrized import compile_source
+from repro.compiler.parametrized import compile_program, compile_source
 from repro.compiler.plan import group_prims, resolve_name
 from repro.lang import ast
 from repro.lang.flatten import NameExpr, flatten
@@ -60,6 +60,26 @@ def test_uncomposed_template_repr():
         "FifoChain").plan
     assert [repr(t) for t in plan.templates] == [
         "MediumTemplate(uncomposed, 13 prims)"]
+
+
+def test_over_budget_group_is_refused_before_composing(monkeypatch):
+    """The members' state counts bound a group's product: a group whose
+    bound is over the budget is never composed, one at the budget is."""
+    from repro.compiler import plan
+    from repro.connectors import library
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("composed a group over the budget")
+
+    monkeypatch.setattr(plan, "TEMPLATE_STATE_BUDGET", 16)
+    four = parse(library.dsl_source("FifoChain", 4))
+    composed, = compile_program(four).protocol("FifoChain").plan.templates
+    assert repr(composed) == "MediumTemplate(4 prims, 16 states)"
+    monkeypatch.setattr(plan, "product", refuse)
+    monkeypatch.setattr(plan, "TEMPLATE_STATE_BUDGET", 15)
+    for program in (four, parse(library.dsl_source("FifoChain", 64))):
+        template, = compile_program(program).protocol("FifoChain").plan.templates
+        assert template.automaton is None
 
 
 def test_conditional_selects_branch(fig9_source):

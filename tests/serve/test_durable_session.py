@@ -12,6 +12,10 @@ the smoke test at the bottom and by CI's crash-recovery-smoke job).
 import functools
 import gc
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import weakref
 
@@ -419,3 +423,28 @@ def test_crash_harness_smoke(tmp_path):
     assert report["acked_total"] > 0
     for audit in report["session_reports"].values():
         assert audit["delivered"] >= audit["acked"] - audit["unacked"]
+
+
+_REQUEST_AFTER_KILL = """
+import signal, sys
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # as `python -m repro` sets it
+from repro.serve.crashtest import DaemonClient
+client = DaemonClient(sys.argv[1])
+assert client.wait_ready() is not None
+client.kill()
+print(client.request({"op": "list"}))
+"""
+
+
+def test_request_to_a_killed_daemon_returns_none(tmp_path):
+    """The harness writes to daemons it kills: under the default SIGPIPE
+    action that `python -m repro` installs, the write must still come back
+    as ``None`` instead of killing the harness (exit 141 in a shell)."""
+    src = str(pathlib.Path(durable.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REQUEST_AFTER_KILL, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.strip() == "None"
