@@ -88,20 +88,18 @@ def _stage(conn, k: int) -> None:
 
 
 def _drain(conn) -> tuple[int, float]:
-    """Drain every dirty region to quiescence the way ``_post`` would —
-    region lock held, spill chased after — and time it."""
+    """Drain every dirty region to quiescence the way ``_enqueue`` would —
+    region lock held — and time it."""
     engine = conn.engine
     start = engine.steps
     t0 = time.perf_counter()
-    spill: list = []
     for region in engine.regions:
-        if region.dirty and region.live:
+        if region.dirty:
             region.lock.acquire()
             try:
-                engine._drain_region(region, spill)
+                engine._drain_region(region)
             finally:
                 region.lock.release()
-    engine._chase(spill)
     dt = time.perf_counter() - t0
     return engine.steps - start, dt
 

@@ -13,7 +13,7 @@ one shared lock, so it is no longer a different row (docs/DECISIONS.md).
 
 The workload is the canonical multi-region shape from
 ``tests/runtime/test_engine_regions.py``: k disjoint fifo chains in one
-connector, partitioned into (at least) k independent regions.  The driver
+connector, one region per chain (its connected components).  The driver
 is single-threaded and deterministic, so the numbers are engine
 bookkeeping, not scheduling luck — and not concurrency either: with one
 driver thread nothing ever fires in parallel.  Chain depth 4 makes every
@@ -53,9 +53,7 @@ def lanes_connector(k: int, depth: int = DEPTH):
         tails.append(f"l{lane}x0")
         heads.append(f"l{lane}x{depth}")
     built = BuiltConnector(graph, tuple(tails), tuple(heads))
-    return connector_from_graph(
-        built, name=f"Lanes{k}", use_partitioning=True
-    )
+    return connector_from_graph(built, name=f"Lanes{k}")
 
 
 def pump_once(k: int, values: int = VALUES):
@@ -117,6 +115,16 @@ def render(rows) -> str:
             f" {r['steps_per_s']:>12.0f} {ratio:>9.2f}x"
         )
     return "\n".join(lines)
+
+
+@pytest.mark.parametrize("k", LANES)
+def test_lanes_are_k_regions(k):
+    conn = lanes_connector(k)
+    conn.connect(*mkports(k, k))
+    try:
+        assert len(conn.engine.regions) == k
+    finally:
+        conn.close()
 
 
 def test_engine_scaling_sweep(benchmark):

@@ -23,9 +23,11 @@ import pytest
 
 from repro.automata.partition import partition_automata
 from repro.automata.product import compose_outgoing, product
+from repro.compiler import compile_source
 from repro.connectors.graph import Arc
+from repro.connectors.library import dsl_source
 from repro.connectors.primitives import build_automaton
-from repro.npb.common import make_bcast, make_gather
+from repro.npb.common import make_gather
 
 
 def independent_fifos(k):
@@ -33,6 +35,13 @@ def independent_fifos(k):
         build_automaton(Arc("fifo1", (f"a{i}",), (f"b{i}",)), f"q{i}")
         for i in range(k)
     ]
+
+
+def small_automata(name: str, n: int):
+    """Library connector ``name``'s primitives at ``n`` parties, each its
+    own small automaton — what ref [32]'s analysis partitions."""
+    proto = compile_source(dsl_source(name, n)).protocol(name)
+    return proto.automata_for(proto.default_bindings(n), granularity="small")
 
 
 def initial_expansion(automata) -> int:
@@ -80,11 +89,10 @@ def test_partitioning_rescues_npb_at_larger_n(once):
     def run():
         rows = {}
         for n in (4, 8, 12):
-            for make in (make_bcast, make_gather):
-                regions = partition_automata(
-                    make(n, use_partitioning=True).automata)
+            for what in ("Replicator", "EarlyAsyncMerger"):
+                regions = partition_automata(small_automata(what, n))
                 larges = [product(r, mode="maximal") for r in regions]
-                rows[make.__name__, n] = (
+                rows[what, n] = (
                     len(regions),
                     sum(a.n_states for a in larges),
                     sum(len(a.transitions) for a in larges),
@@ -99,7 +107,7 @@ def test_partitioning_rescues_npb_at_larger_n(once):
     for (what, n), (regions, states, transitions, widest) in rows.items():
         print(f"  CG {what}, N={n}: {regions} regions, {states} states, "
               f"{transitions} transitions, widest state {widest}")
-        if what == "make_gather":
+        if what == "EarlyAsyncMerger":
             assert (regions, states, transitions, widest) == (
                 n + 1, n + 1, 2 * n, n)
         else:

@@ -5,7 +5,7 @@ Subcommands::
     python -m repro compile FILE [--protocol NAME] [-o OUT.py]
         text-to-Python compilation (the paper's text-to-Java analogue)
 
-    python -m repro run FILE --tasks MODULE [--param N=8] [--aot] [--partition]
+    python -m repro run FILE --tasks MODULE [--param N=8] [--aot]
         execute a program's main definition; tasks resolved from MODULE
 
     python -m repro dot {graph|automaton} CONNECTOR N
@@ -75,8 +75,6 @@ def _cmd_run(args) -> int:
     options = {}
     if args.aot:
         options["composition"] = "aot"
-    if args.partition:
-        options["use_partitioning"] = True
     results = run_main(program, registry, params=params, **options)
     for i, r in enumerate(results):
         if r is not None:
@@ -207,7 +205,6 @@ def main(argv=None) -> int:
                    help="module providing the task callables")
     p.add_argument("--param", action="append", metavar="NAME=INT")
     p.add_argument("--aot", action="store_true")
-    p.add_argument("--partition", action="store_true")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("dot", help="render a library connector as DOT")

@@ -79,7 +79,6 @@ class FiringPlan:
         "deliveries",
         "never",
         "n_slots",
-        "touched",
         "template",
     )
 
@@ -94,11 +93,6 @@ class FiringPlan:
         self.deliveries: list[tuple[str, int]] = []
         self.never = False
         self.n_slots = 0
-        # Buffers whose *contents* a commit mutates (pop or push targets,
-        # deduplicated, in effect order).  The engine uses this to signal
-        # regions coupled through a shared decoupled-fifo buffer; guard
-        # probes and peeks don't change contents and don't appear here.
-        self.touched: tuple[str, ...] = ()
         # The step compiler's source text and code object emitted from this
         # plan (repro.compiler.steps): shared wherever the plan is.
         self.template: tuple | None = None
@@ -360,9 +354,6 @@ def commandify(
             slot_of_class[root] = slot
         plan.deliveries.append((v, slot))
 
-    plan.touched = tuple(
-        dict.fromkeys(plan.pops + [b for b, _ in plan.pushes])
-    )
     # Frozen from here on: engines share plans (see shared_plan).
     for name in ("guards", "assigns", "checks", "pops", "pushes", "deliveries"):
         setattr(plan, name, tuple(getattr(plan, name)))

@@ -10,9 +10,10 @@ Reo-based variant.  The paper's findings to reproduce:
    N ∈ {2, 4, 8};
 3. N ∈ {16, 32, 64}: in the paper the Reo-based variants blow up without
    the ref-[32] partitioning and work with it.  Here they do not blow up:
-   the default, unpartitioned connector composes just in time, and cg ran
-   and verified unpartitioned at N = 64 (ROADMAP's re-anchor probes);
-   ``benchmarks/bench_partitioning.py`` measures partitioning on its own.
+   the connector composes just in time, one region per connected component,
+   and cg ran and verified at N = 64 (ROADMAP's re-anchor probes);
+   ``benchmarks/bench_partitioning.py`` measures partitioning at the
+   product level.
 
 ``python -m repro fig13 --program cg --classes S,A --ns 2,4,8`` prints a
 panel per (program, class), like Fig. 13's bar groups; ``--check`` fails
@@ -37,13 +38,11 @@ def run_fig13(
     programs: tuple[str, ...] = ("cg", "lu"),
     classes: tuple[str, ...] = DEFAULT_CLASSES,
     ns: tuple[int, ...] = DEFAULT_NS,
-    use_partitioning: bool = False,
     repeats: int = 1,
     verbose: bool = False,
 ) -> dict:
     """Run the panels; returns {(program, clazz): [(n, t_orig, t_reo, ok)]}."""
     results: dict = {}
-    options = {"use_partitioning": True} if use_partitioning else {}
     for prog in programs:
         mod = PROGRAMS[prog]
         for clazz in classes:
@@ -52,7 +51,7 @@ def run_fig13(
                 t_orig = min(
                     mod.run_original(clazz, n).seconds for _ in range(repeats)
                 )
-                reo_runs = [mod.run_reo(clazz, n, **options) for _ in range(repeats)]
+                reo_runs = [mod.run_reo(clazz, n) for _ in range(repeats)]
                 t_reo = min(r.seconds for r in reo_runs)
                 ok = all(r.verified for r in reo_runs)
                 rows.append((n, t_orig, t_reo, ok))
@@ -108,9 +107,6 @@ def main(argv=None) -> int:
                     help="programs to run (default: cg and lu)")
     ap.add_argument("--classes", default=",".join(DEFAULT_CLASSES))
     ap.add_argument("--ns", default=",".join(map(str, DEFAULT_NS)))
-    ap.add_argument("--partitioning", action="store_true",
-                    help="run the Reo-based variants with the ref-[32] "
-                         "partitioning optimization")
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--verbose", action="store_true")
     ap.add_argument("--check", action="store_true",
@@ -120,7 +116,6 @@ def main(argv=None) -> int:
         programs=tuple(args.program) if args.program else ("cg", "lu"),
         classes=tuple(args.classes.split(",")),
         ns=tuple(int(x) for x in args.ns.split(",")),
-        use_partitioning=args.partitioning,
         repeats=args.repeats,
         verbose=args.verbose,
     )

@@ -351,28 +351,26 @@ class CompiledProtocol:
         self,
         sizes=None,
         bindings: dict[str, str | list[str]] | None = None,
-        granularity: str | None = None,
         **options,
     ):
-        """Build a :class:`~repro.runtime.connector.RuntimeConnector`.
+        """Build a :class:`~repro.runtime.connector.RuntimeConnector` over
+        the medium automata at ``bindings``.
 
         ``options`` are forwarded to ``RuntimeConnector`` (``composition``,
-        ``use_partitioning``, ``cache_factory``, …).
+        ``cache_factory``, …).
         """
         from repro.runtime.connector import RuntimeConnector
 
         if bindings is None:
             bindings = self.default_bindings(sizes if sizes is not None else {})
-        if granularity is None:
-            granularity = "small" if options.get("use_partitioning") else "medium"
-        automata = self.automata_for(bindings, granularity)
+        automata = self.automata_for(bindings)
         tails, heads = self.boundary_vertices(bindings)
         options.setdefault("name", self.name)
         conn = RuntimeConnector(automata, tails, heads, **options)
         # Remember the compiled protocol behind this instance: run-time
         # re-parametrization (RuntimeConnector.leave) re-evaluates the plan
         # at the reduced arity.
-        conn.bind_protocol(self, bindings, granularity)
+        conn.bind_protocol(self, bindings)
         return conn
 
 

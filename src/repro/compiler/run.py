@@ -115,7 +115,7 @@ def run_main(
     iteration order).
 
     ``connector_options`` are forwarded to the connector instantiation
-    (``composition=...``, ``use_partitioning=...``, …).
+    (``composition=...``, ``compiled=...``, …).
     """
     main = compiled.main
     if main is None:

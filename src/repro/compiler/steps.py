@@ -86,18 +86,16 @@ class CompiledStep:
       fired with ``obs`` truthy; the engine drives the observability
       epilogue (metrics, liveness stamps, tracer record) from it.
 
-    ``touched`` are the buffers a firing mutates (for cross-region
-    signalling); ``boundary`` the label's vertices whose queues ``fire``
+    ``boundary`` are the label's vertices whose queues ``fire``
     probes; ``source`` the emitted Python text (artifact uploads, docs,
     ``tools/dump_compiled_steps.py``).  Where the step leads depends on
     the state it fires from: the :class:`StateRow` knows.
     """
 
-    __slots__ = ("label", "touched", "fire", "source", "boundary")
+    __slots__ = ("label", "fire", "source", "boundary")
 
-    def __init__(self, label, touched, fire, source, boundary):
+    def __init__(self, label, fire, source, boundary):
         self.label = label
-        self.touched = touched
         self.fire = fire
         self.source = source
         self.boundary = boundary
@@ -237,10 +235,10 @@ class StepCompiler:
         key = (label, id(atoms), id(effects))
         hit = self._emitted.get(key)
         if hit is None:
-            fire, source, touched = self._emit(label, self._plan_for(step))
+            fire, source = self._emit(label, self._plan_for(step))
             hit = self._emitted[key] = (
                 CompiledStep(
-                    label, touched, fire, source,
+                    label, fire, source,
                     tuple(v for v in label
                           if v in self._sources or v in self._sinks)),
                 atoms, effects,  # kept alive so their ids stay theirs
@@ -250,7 +248,7 @@ class StepCompiler:
     # ------------------------------------------------------------------
 
     def _emit(self, label, plan: FiringPlan) -> tuple:
-        """Bind one step function: ``(fire, source, touched)``.
+        """Bind one step function: ``(fire, source)``.
 
         Source text, code object and what each emitted name stands for are
         the plan's *template*: instance-independent, derived once, kept on
@@ -276,7 +274,7 @@ class StepCompiler:
         # caches (``LOAD_GLOBAL``'s) in its code, and instances firing in
         # turn through one code object would evict each other's.  ``ns``
         # does not name the function, so the two are no reference cycle.
-        return FunctionType(code.replace(), ns), source, plan.touched
+        return FunctionType(code.replace(), ns), source
 
     def _template(self, label, plan: FiringPlan) -> tuple:
         """Emit and compile one step function: ``(its code object, source,

@@ -1,10 +1,10 @@
 """Multi-mode execution harness — one script, every execution mode.
 
 Runs a (program, script, schedule) triple under each entry of :data:`MODES`
-— the cross product of engine concurrency (``global`` = one lock and, with
-partitioning off, one globally composed automaton vs ``regions`` =
-per-region locks over partitioned granularity-"small" automata) and
-composition strategy (``jit`` lazy product vs ``aot`` precomposed + hidden
+— the cross product of engine concurrency (``global`` = one lock shared by
+every region vs ``regions`` = one lock per region; either way a program's
+regions are its connected components, so a two-chain program runs as two)
+and composition strategy (``jit`` lazy product vs ``aot`` precomposed + hidden
 + precompiled plans) — plus, for channelable programs, the
 :mod:`repro.runtime.channels` model, which shares none of the engine code.
 
@@ -39,8 +39,7 @@ from repro.runtime.trace import TraceRecorder
 #: Connector execution modes: mode name -> RuntimeConnector options, plus
 #: the harness-level ``host`` key (not a connector option — strip it with
 #: :func:`connector_opts`).  ``host="serve"`` runs serve's engine
-#: configuration (unpartitioned, as a ``FarmSession`` builds it; the
-#: ``regions-*`` modes keep the partitioned coverage) inside a
+#: configuration (as a ``FarmSession`` builds it) inside a
 #: :class:`repro.serve.session.Session`: the lifecycle state machine owns
 #: build/checkpoint/restore/close, and the
 #: oracle's exact-equality comparison is the proof that hosting adds no
@@ -52,30 +51,30 @@ from repro.runtime.trace import TraceRecorder
 #: round-trip too.
 MODES = {
     "global-jit": dict(concurrency="global", composition="jit",
-                       use_partitioning=False, compiled="off"),
+                       compiled="off"),
     "global-aot": dict(concurrency="global", composition="aot",
-                       use_partitioning=False, compiled="off"),
+                       compiled="off"),
     "regions-jit": dict(concurrency="regions", composition="jit",
-                        use_partitioning=True, compiled="off"),
+                        compiled="off"),
     "regions-aot": dict(concurrency="regions", composition="aot",
-                        use_partitioning=True, compiled="off"),
-    # The library's default configuration (regions, jit, unpartitioned,
-    # compiled="auto"): the connector every FarmSession builds, NPB run and
-    # Fig. 12 cell measures.
+                        compiled="off"),
+    # The library's default configuration (regions, jit, compiled="auto"):
+    # the connector every FarmSession builds, NPB run and Fig. 12 cell
+    # measures.
     "serve-jit": dict(concurrency="regions", composition="jit",
-                      use_partitioning=False, compiled="auto", host="serve"),
+                      compiled="auto", host="serve"),
     "durable": dict(concurrency="regions", composition="jit",
-                    use_partitioning=False, compiled="auto", host="durable"),
-    # The compiled step tier (repro.compiler.steps) on the partitioned and
-    # the global layouts.  The four modes above the serve pair pin
+                    compiled="auto", host="durable"),
+    # The compiled step tier (repro.compiler.steps) on the per-region and
+    # the global locking.  The four modes above the serve pair pin
     # compiled="off" so they stay pure interpretive baselines — an injected
     # bug that doctors interpreter internals (e.g. the candidates list)
     # must remain oracle-visible there — while the compiled modes exercise
     # the generated step functions against every baseline simultaneously.
     "regions-compiled": dict(concurrency="regions", composition="jit",
-                             use_partitioning=True, compiled="auto"),
+                             compiled="auto"),
     "global-compiled": dict(concurrency="global", composition="aot",
-                            use_partitioning=False, compiled="auto"),
+                            compiled="auto"),
 }
 
 

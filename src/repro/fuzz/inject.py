@@ -14,19 +14,22 @@ from __future__ import annotations
 
 
 def rr_window(conn) -> None:
-    """Blind every region to the last entry of its candidate list.
+    """Blind every region to the first entry of its candidate list.
 
     This models the classic round-robin window bug — an off-by-one in the
-    cursor arithmetic that makes the scan stop one candidate short.  A step
-    that happens to sit last in its state's candidate list is never
+    cursor arithmetic that makes the scan start one candidate late.  A step
+    that happens to sit first in its state's candidate list is never
     considered: the operations that needed it stay pending forever, which
     the oracle reports as incomplete operations (and, downstream, as
-    truncated per-port streams) in the injected mode only."""
+    truncated per-port streams) in the injected mode only.  (Not the last
+    entry: a medium automaton is a maximal product, whose last step at a
+    state is often the joint step of members that may as well fire one
+    after the other, so blinding it shows nowhere.)"""
     for region in conn.engine.regions:
         orig = region.candidates
 
         def doctored(_orig=orig):
-            return _orig()[:-1]
+            return _orig()[1:]
 
         # Instance attribute shadows the bound method for this region only.
         region.candidates = doctored

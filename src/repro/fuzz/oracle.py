@@ -18,10 +18,9 @@ Normalization contract (see also the ordering contract in
   vertices in labels while AOT composition hides them; events whose
   projection is empty (pure internal data movement) are dropped.
 * **Residual buffer multiset** — the sorted multiset of all values still
-  buffered at the end of the run.  Compared as a multiset because buffer
-  *names* are a composition artifact (granularity-"small" partitions name
-  buffers differently than the global "medium" composition) while the
-  retained *values* are semantics.
+  buffered at the end of the run.  Compared as a multiset because the
+  retained *values* are the semantics, not which buffer of which mode's
+  composition holds them.
 * **Conservation** — per boundary vertex and kind, from the metrics
   registry: ``submitted == completed + shed + withdrawn`` (only sends
   shed).  Checked per run (per checkpoint segment — each segment gets a

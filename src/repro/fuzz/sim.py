@@ -19,7 +19,7 @@ offers/recvs, internal τ-steps under their buffer guards).  Uniqueness under
 the *full* batch implies uniqueness under every submission prefix — a step's
 enabledness only reads its own label's vertices — so the engine fires the
 same step sequence no matter how its drain interleaves with the submission
-of the batch, how regions are partitioned, or which round-robin cursor
+of the batch, how the connector splits into regions, or which round-robin cursor
 position a region happens to hold.  That is what entitles the oracle
 (:mod:`repro.fuzz.oracle`) to demand *exact* equality across execution modes
 with zero tolerance; programs that would behave nondeterministically are not

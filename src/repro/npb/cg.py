@@ -207,6 +207,6 @@ def run_original(clazz: str, nprocs: int) -> BenchResult:
 
 def run_reo(clazz: str, nprocs: int, **options) -> BenchResult:
     """``options`` select the compilation/execution strategy
-    (``composition='aot'|'jit'``, ``use_partitioning=True`` …) and are
+    (``composition='aot'|'jit'``, ``compiled='off'`` …) and are
     forwarded to both connectors."""
     return _run(ReoKit(**options), clazz, nprocs)

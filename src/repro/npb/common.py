@@ -177,7 +177,7 @@ class ReoKit(_Kit):
     """Generated connectors (the paper's "Reo-based variants"):
     :func:`make_gather`, :func:`make_bcast` and :func:`make_pipe`, each
     given the kit's ``options`` (``composition='aot'|'jit'``,
-    ``use_partitioning=True`` …)."""
+    ``compiled='off'`` …)."""
 
     variant = "reo"
 

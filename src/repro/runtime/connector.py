@@ -2,14 +2,17 @@
 
 A :class:`RuntimeConnector` owns a list of concrete medium automata (produced
 by either compilation approach), a boundary signature (which vertices are
-linked to outports/inports), and execution options:
+linked to outports/inports), and execution options.  At ``connect`` its
+automata become engine *regions*, one per connected component of the
+shared-vertex graph (:func:`~repro.automata.partition.partition_automata`
+without decoupling): regions share no vertex and no buffer, so each composes
+and fires on its own.  That rule is fixed, not an option (docs/DECISIONS.md
+row 31).  The options:
 
 * ``composition="jit"`` — just-in-time composition (§IV.D), the default;
 * ``composition="aot"`` — ahead-of-time composition: the medium automata
   are eagerly composed into one large automaton at ``connect`` time ("easy
   to implement; resources may be spent unnecessarily");
-* ``use_partitioning=True`` — apply the ref-[32] partitioning first, so each
-  independent region composes (eagerly or lazily) on its own;
 * ``cache_factory`` — state-cache constructor for JIT regions (unbounded by
   default; pass e.g. ``lambda: LRUCache(1024)`` for the bounded-cache
   extension);
@@ -31,12 +34,11 @@ linked to outports/inports), and execution options:
   docs/OBSERVABILITY.md (steps, latencies, queue depths, sheds, …) under
   its ``name`` as the ``connector`` label.  Off by default, and free when
   off (single-branch hot-path guards, see docs/INTERNALS.md §8);
-* ``concurrency`` — ``"regions"`` (default: per-region locking, so the
-  independent regions a partitioned connector compiles to fire on multiple
-  OS threads concurrently), ``"global"`` (the same scheduler with every
-  region sharing one lock — the reference schedule of the fuzz oracle and
-  the checkpoint matrix, see docs/DECISIONS.md); see docs/INTERNALS.md
-  §"Engine concurrency model";
+* ``concurrency`` — ``"regions"`` (default: per-region locking, so
+  independent regions fire on multiple OS threads concurrently),
+  ``"global"`` (the same scheduler with every region sharing one lock —
+  the reference schedule of the fuzz oracle and the checkpoint matrix, see
+  docs/DECISIONS.md); see docs/INTERNALS.md §"Engine concurrency model";
 * ``compiled`` — the specialized step tier (docs/COMPILER.md): ``"auto"``
   (default) emits a specialized Python step function per transition — at
   connect time for an eager region, per visited state for a lazy one — and
@@ -86,7 +88,6 @@ class RuntimeConnector(Connector):
         tail_vertices: Sequence[str],
         head_vertices: Sequence[str],
         composition: str = "jit",
-        use_partitioning: bool = False,
         cache_factory: Callable[[], object] | None = None,
         registry: FunctionRegistry | None = None,
         state_budget: int | None = None,
@@ -110,7 +111,6 @@ class RuntimeConnector(Connector):
         self.tail_vertices = list(tail_vertices)
         self.head_vertices = list(head_vertices)
         self.composition = composition
-        self.use_partitioning = use_partitioning
         self.cache_factory = cache_factory
         self.registry = registry or DEFAULT_REGISTRY
         self.state_budget = state_budget
@@ -133,7 +133,6 @@ class RuntimeConnector(Connector):
         # required for leave()) and the connected ports (set by connect).
         self._protocol = None
         self._bindings: dict | None = None
-        self._granularity: str | None = None
         self._outports: list[Outport] = []
         self._inports: list[Inport] = []
         self.departures: list = []  # DepartureReports, in order
@@ -153,13 +152,12 @@ class RuntimeConnector(Connector):
                 f"vertices {sorted(overlap)} appear on both sides of the signature"
             )
 
-    def bind_protocol(self, protocol, bindings: dict, granularity: str) -> None:
+    def bind_protocol(self, protocol, bindings: dict) -> None:
         """Attach the compiled protocol this connector was instantiated
         from (called by ``CompiledProtocol.instantiate_connector``), which
         is what makes run-time re-parametrization possible."""
         self._protocol = protocol
         self._bindings = dict(bindings)
-        self._granularity = granularity
 
     # ------------------------------------------------------------------
 
@@ -217,13 +215,9 @@ class RuntimeConnector(Connector):
         sources: frozenset[str],
         sinks: frozenset[str],
     ) -> tuple[list[EagerRegion | LazyRegion], BufferStore]:
-        """Compose ``automata`` into engine regions per this connector's
-        options — used both at ``connect`` time and when re-parametrizing."""
-        groups = (
-            partition_automata(list(automata))
-            if self.use_partitioning
-            else [list(automata)]
-        )
+        """Compose ``automata`` into engine regions, one per connected
+        component — used both at ``connect`` time and when re-parametrizing."""
+        groups = partition_automata(automata, decouple=False)
         regions: list[EagerRegion | LazyRegion] = []
         all_buffers = []
         for group in groups:
@@ -338,7 +332,7 @@ class RuntimeConnector(Connector):
         new_bindings, vertex_map, index_map = shrink_bindings(
             self._protocol, self._bindings, departing
         )
-        automata = self._protocol.automata_for(new_bindings, self._granularity)
+        automata = self._protocol.automata_for(new_bindings)
         new_tails, new_heads = self._protocol.boundary_vertices(new_bindings)
         sources, sinks = frozenset(new_tails), frozenset(new_heads)
         regions, store = self._build_regions(automata, sources, sinks)

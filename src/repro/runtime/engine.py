@@ -18,18 +18,18 @@ loop also fires).
 
 Concurrency model (docs/INTERNALS.md §"Engine concurrency model")
 -----------------------------------------------------------------
-Regions are the unit of concurrency.  The partitioning optimization (paper
-§V.C point 3) guarantees that distinct regions share no vertices — they
-interact only through the buffers of decoupled fifo halves, and each such
-buffer has exactly one pushing and one popping region.  The engine exploits
-that independence:
+Regions are the unit of concurrency.  A connector's regions are the
+connected components of its medium automata
+(:meth:`~repro.runtime.connector.RuntimeConnector._build_regions`): they
+share no vertex and no buffer, so a firing in one region can neither
+enable nor disable anything in another.  The engine exploits that
+independence:
 
 * a **binding** per boundary vertex (built at construction, rebuilt on
   reconfigure) sends every submission straight to its queue and region;
-* **per-region locks**: a submission takes only its region's lock, drains
-  only its region, and signals regions coupled through a shared buffer by
-  marking them *dirty* and chasing them afterwards (one lock at a time) —
-  independent regions fire concurrently on separate OS threads;
+* **per-region locks**: a submission takes only its region's lock and
+  drains only its region — independent regions fire concurrently on
+  separate OS threads;
 * **incremental candidate scanning**: each region maintains its
   pending-vertex set (``region.pend``) as ops enqueue/dequeue, so a
   firing attempt never rebuilds a global pending list, and a region whose
@@ -50,8 +50,8 @@ deadlocking against the hot path.
 
 ``concurrency="global"`` is the same scheduler with a one-lock *region
 group*: every region is handed the same lock, so all firing is mutually
-exclusive while routing, incremental scanning, the chase and the wakeup
-slots are exactly the code above.  It is kept as the oracle-reference
+exclusive while routing, incremental scanning and the wakeup slots are
+exactly the code above.  It is kept as the oracle-reference
 value (fuzz ``global-*`` modes, the cross-backend checkpoint matrix), not
 as a second implementation — see docs/DECISIONS.md.
 
@@ -182,17 +182,15 @@ class _RegionRuntime:
         self.pend: dict[str, None] = {}
         #: Set when this region may have a newly enabled transition for a
         #: reason other than the post being submitted (docs/INTERNALS.md §4
-        #: lists them); cleared by the drain that scans it.  A clean region
-        #: has nothing enabled: a chaser skips it, and so does a post that
-        #: no candidate can answer.
+        #: lists them); cleared by the drain that scans it, and written only
+        #: under this region's lock (or with the world stopped).  A clean
+        #: region has nothing enabled: a post that no candidate can answer
+        #: skips the scan.
         self.dirty = False
         #: The table's row for ``state``, or ``None`` — interpreted region,
         #: evicting table, a state whose row is not built yet, or a write
         #: outside the drain loop (``reseat``).
         self.row = None
-        #: False once a reconfigure replaced this region — a late chaser
-        #: must not fire on discarded protocol structure.
-        self.live = True
         #: Steps fired by this region (``engine.steps`` sums these).
         self.fired = 0
         #: Candidates examined before fired steps (metrics; advanced only
@@ -246,9 +244,6 @@ class EagerRegion(_RegionRuntime):
     def vertices(self) -> frozenset[str]:
         return self.automaton.vertices
 
-    def buffer_names(self) -> frozenset[str]:
-        return frozenset(b.name for b in self.automaton.buffers)
-
     def candidates(self):
         """The state's outgoing transitions, in automaton order.
 
@@ -301,12 +296,6 @@ class LazyRegion(_RegionRuntime):
     @property
     def vertices(self) -> frozenset[str]:
         return self.lazy.vertices
-
-    def buffer_names(self) -> frozenset[str]:
-        names: set[str] = set()
-        for a in self.lazy.automata:
-            names.update(b.name for b in a.buffers)
-        return frozenset(names)
 
     def candidates(self):
         return self.lazy.outgoing(self.state)
@@ -373,8 +362,6 @@ class CoordinatorEngine(EngineHost):
         # outlives reconfigure, so the group stays one group).  None means
         # a fresh lock per region.
         self._group_lock = threading.Lock() if concurrency == "global" else None
-        # Leaf lock for cross-region trace causality.
-        self._trace_lock = threading.Lock()
 
         self._pending_send: dict[str, deque[_Op]] = {v: deque() for v in sources}
         self._pending_recv: dict[str, deque[_Op]] = {v: deque() for v in sinks}
@@ -466,7 +453,7 @@ class CoordinatorEngine(EngineHost):
         by reference count here instead of leaving tens of thousands of
         objects to whichever later allocation trips the cyclic collector.
         Nothing fires after ``close()``, but the regions stay well-formed:
-        a late chaser would find empty tables and fill them on demand."""
+        a late drain would find empty tables and fill them on demand."""
         with self._world_stopped():
             self._closed = True
             for q in self._pending_send.values():
@@ -487,22 +474,19 @@ class CoordinatorEngine(EngineHost):
     def _adopt_regions(self, regions: Sequence[EagerRegion | LazyRegion],
                        held: tuple | None = None) -> tuple:
         """Stamp runtime fields onto ``regions`` and rebuild the routing
-        table, the shared-buffer watcher map, the ordered lock list and,
+        table, the ordered lock list and,
         under a new epoch, the bindings.  Callers other than ``__init__``
         hold ``_lock`` plus every *old* region lock, passed as ``held``: the
         new locks not among them are taken before any binding is published,
         and returned."""
         self.regions = list(regions)
         route: dict[str, EagerRegion | LazyRegion] = {}
-        watchers: dict[str, list] = {}
         for i, r in enumerate(self.regions):
             r._init_runtime()
             r.idx = i
             r.lock = self._group_lock or threading.Lock()
             for v in r.vertices:
                 route[v] = r
-            for b in r.buffer_names():
-                watchers.setdefault(b, []).append(r)
         if self.regions:
             # Boundary vertices can drop out of eager region vertex sets
             # (hide() keeps only label-visible ones); route them to the
@@ -513,12 +497,6 @@ class CoordinatorEngine(EngineHost):
             for v in self.sinks:
                 route.setdefault(v, fallback)
         self._route = route
-        # Only buffers visible to >1 region need cross-region signalling;
-        # single-region connectors keep an empty map and skip the whole
-        # watcher walk after every firing.
-        self._watchers: dict[str, tuple] = {
-            b: tuple(rs) for b, rs in watchers.items() if len(rs) > 1
-        }
         seen: set[int] = set()
         ordered = []
         for r in self.regions:
@@ -754,8 +732,6 @@ class CoordinatorEngine(EngineHost):
                 self._scan_base = self.scan_total
                 old_send, old_recv = self._pending_send, self._pending_recv
                 old_bound = {**self._sending, **self._receiving}
-                for r in self.regions:
-                    r.live = False
                 self.buffers = buffers
                 self._pending_send = {v: deque() for v in sources}
                 self._pending_recv = {v: deque() for v in sinks}
@@ -776,6 +752,9 @@ class CoordinatorEngine(EngineHost):
                             continue
                         for op in q:
                             op.vertex = nv
+                        if self._metrics is not None and q and nv != v:
+                            self._metrics.move_submitted(v, nv, len(q),
+                                                         was_send)
                         new_map[nv] = q  # reuse the deque: see docstring
                 self._remap_boundary(vertex_map, sources, sinks,
                                      initial_occupancy)
@@ -831,10 +810,10 @@ class CoordinatorEngine(EngineHost):
                  timeout: float | None = None, unresolved: int = _PARK) -> _Op:
         """The submission prologue of every entry point, through binding
         ``b`` (a port's own, a post's looked up): lock the owner region,
-        admit, enqueue and return the op, drain the region, release, chase
-        the regions that drain signalled.  Unobserved, no clock is read but
-        for a park.  ``unresolved`` (``_LEAVE``/``_WITHDRAW``/``_PARK``) says
-        what becomes of an op the drain neither completed nor failed —
+        admit, enqueue and return the op, drain the region, release.
+        Unobserved, no clock is read but for a park.  ``unresolved``
+        (``_LEAVE``/``_WITHDRAW``/``_PARK``) says what becomes of an op the
+        drain neither completed nor failed —
         decided under the owner lock, so a later firing or failure is sure
         to see it.  A probe and a blocking submit raise the op's error; the
         latter parks until the op is resolved or ``timeout`` (else
@@ -851,74 +830,69 @@ class CoordinatorEngine(EngineHost):
             region = owner.region
         queue, vertex = owner.queue, owner.vertex
         op = _Op(vertex, value)
-        spill = [] if self._watchers else None
         try:
-            try:
-                if self._closed or vertex in self._closed_vertices:
-                    raise self._vertex_errors.get(vertex) or PortClosedError(
-                        f"vertex {vertex!r} closed")
-                if owner.is_send and self._draining:
-                    raise PortClosedError(
-                        f"vertex {vertex!r} rejected: connector draining"
-                    )
-                if self._observing or self._parties:
-                    # Timing stamps and liveness marks feed metrics, the
-                    # tracer's wait spans, and the watchdog.  A ``try_*``
-                    # probe stays unstamped (it never waits, and the
-                    # latency histogram reads 0.0 for it).
-                    now = time.monotonic()
-                    if unresolved != _WITHDRAW:
-                        op.t_enq = now
-                    if self._vertex_party:  # no call when nobody registered
-                        self._mark_active(vertex, now)
-                    mx = self._metrics
-                    if mx is not None:
-                        child = (mx.sub_send if owner.is_send
-                                 else mx.sub_recv).get(vertex)
-                        if child is not None:  # unknown only mid-reconfigure
-                            child.value += 1.0
-                queue.append(op)
-                region.pend[vertex] = None
-                self._drain_region(region, spill, vertex)
-                if op.done:
-                    return op
-                if unresolved == _WITHDRAW:
-                    queue.remove(op)
-                    if not queue:
-                        region.pend.pop(vertex, None)
-                    self._count_withdrawn(vertex, owner.is_send)
-                    return op
-                pol = policy if policy is not None else owner.policy
-                if (
-                    pol is not None
-                    and pol.kind != "block"
-                    and len(queue) > pol.max_pending
-                ):
-                    # shed_newest: capture the value and complete the op as
-                    # if sent — the protocol never sees it, the submitter is
-                    # released rather than parked.  ``op`` is the tail: only
-                    # a submitter holding this lock appends.
-                    queue.pop()
-                    if not queue:
-                        region.pend.pop(vertex, None)
-                    self._record_shed(vertex, value, pol.kind,
-                                      pol.dead_letter_capacity)
-                    op.done = True
-                    return op
-                if unresolved == _PARK:
-                    # Install the op's private wake slot while still under
-                    # the region lock, and stamp an op nothing stamped yet:
-                    # a party registered while it waits must see a real
-                    # ``waited``.  A post handle is polled, never waited
-                    # on, and gets neither.
-                    op.event = wake_slot()
-                    if not op.t_enq:
-                        op.t_enq = time.monotonic()
-            finally:
-                region.lock.release()
+            if self._closed or vertex in self._closed_vertices:
+                raise self._vertex_errors.get(vertex) or PortClosedError(
+                    f"vertex {vertex!r} closed")
+            if owner.is_send and self._draining:
+                raise PortClosedError(
+                    f"vertex {vertex!r} rejected: connector draining"
+                )
+            if self._observing or self._parties:
+                # Timing stamps and liveness marks feed metrics, the
+                # tracer's wait spans, and the watchdog.  A ``try_*``
+                # probe stays unstamped (it never waits, and the
+                # latency histogram reads 0.0 for it).
+                now = time.monotonic()
+                if unresolved != _WITHDRAW:
+                    op.t_enq = now
+                if self._vertex_party:  # no call when nobody registered
+                    self._mark_active(vertex, now)
+                mx = self._metrics
+                if mx is not None:
+                    child = (mx.sub_send if owner.is_send
+                             else mx.sub_recv).get(vertex)
+                    if child is not None:  # unknown only mid-reconfigure
+                        child.value += 1.0
+            queue.append(op)
+            region.pend[vertex] = None
+            self._drain_region(region, vertex)
+            if op.done:
+                return op
+            if unresolved == _WITHDRAW:
+                queue.remove(op)
+                if not queue:
+                    region.pend.pop(vertex, None)
+                self._count_withdrawn(vertex, owner.is_send)
+                return op
+            pol = policy if policy is not None else owner.policy
+            if (
+                pol is not None
+                and pol.kind != "block"
+                and len(queue) > pol.max_pending
+            ):
+                # shed_newest: capture the value and complete the op as
+                # if sent — the protocol never sees it, the submitter is
+                # released rather than parked.  ``op`` is the tail: only
+                # a submitter holding this lock appends.
+                queue.pop()
+                if not queue:
+                    region.pend.pop(vertex, None)
+                self._record_shed(vertex, value, pol.kind,
+                                  pol.dead_letter_capacity)
+                op.done = True
+                return op
+            if unresolved == _PARK:
+                # Install the op's private wake slot while still under
+                # the region lock, and stamp an op nothing stamped yet:
+                # a party registered while it waits must see a real
+                # ``waited``.  A post handle is polled, never waited
+                # on, and gets neither.
+                op.event = wake_slot()
+                if not op.t_enq:
+                    op.t_enq = time.monotonic()
         finally:
-            if spill:
-                self._chase(spill)
+            region.lock.release()
         if op.done or unresolved == _LEAVE:
             return op
         if op.error is not None:
@@ -940,7 +914,6 @@ class CoordinatorEngine(EngineHost):
             # The vertex left the signature; reconfigure failed the op.
             return op.error is None and not op.done
         region, queue = b.region, b.queue
-        spill: list = []
         try:
             if op.done or op.error is not None:
                 return False
@@ -953,13 +926,12 @@ class CoordinatorEngine(EngineHost):
             if not queue:
                 region.pend.pop(op.vertex, None)
             elif was_head:
-                # The new head may pass a data guard this one failed.
-                region.dirty = True
-                spill.append(region)
+                # The new head may pass a data guard this one failed: drain
+                # here, under the lock already held, as its submitter would.
+                self._drain_region(region)
             return True
         finally:
             region.lock.release()
-            self._chase(spill)
 
     # ------------------------------------------------------ overload layer
 
@@ -995,13 +967,9 @@ class CoordinatorEngine(EngineHost):
 
     def _stuck_count(self) -> int:
         """Host hook (all locks held): the detector's pending count."""
-        # Self-heal: finish any signalled-but-unchased cross-region work
-        # first (a chaser that died mid-exception leaves dirty flags
-        # behind; draining them here keeps detection sound).
-        for r in self.regions:
-            if r.dirty:
-                self._drain_all_locked()
-                break
+        # Self-heal: a drain that raised left its region dirty, with
+        # something maybe enabled; draining it here keeps detection sound.
+        self._drain_all_locked()
         return self._pending_count()
 
     def _stuck_state(self) -> dict:
@@ -1028,33 +996,26 @@ class CoordinatorEngine(EngineHost):
 
     # ------------------------------------------------------- firing engine
 
-    def _drain_region(self, region, spill: list | None, posted=None) -> None:
+    def _drain_region(self, region, posted=None) -> None:
         """Fire ``region`` until quiescent (its lock held) — the one drain
-        loop.  Regions whose shared buffers changed are marked dirty and
-        appended to ``spill`` for the caller to chase after releasing this
-        lock; ``None`` means no buffer is watched across regions, or the
-        caller holds every region lock and consults the dirty flags itself.
+        loop.
 
         The loop is fused around the compiled step tier
         (:mod:`repro.compiler.steps`, docs/COMPILER.md): the per-fire
-        invariants (observability probes, trace lock, watcher map) are
-        hoisted so they are paid once per drain, not once per step.  A
-        compiled region fires from its state's
-        :class:`~repro.compiler.steps.StateRow` — candidates, cursor and
-        successor links, so a warm iteration hashes no control state — and
-        asks :meth:`_row_of` where it holds none; a region that is not
+        invariant (the observability probe) is hoisted so it is paid once
+        per drain, not once per step.  A compiled region fires from its
+        state's :class:`~repro.compiler.steps.StateRow` — candidates, cursor
+        and successor links, so a warm iteration hashes no control state —
+        and asks :meth:`_row_of` where it holds none; a region that is not
         compiled (``compiled="off"``) is interpreted step by step with
-        identical behaviour.
-        Cursors, fired counters, watcher spill and the observability
+        identical behaviour.  Cursors, fired counters and the observability
         epilogue are bit-for-bit the same in both tiers, so checkpoints and
         traces round-trip across them.
 
         ``posted`` is the vertex whose post this drain serves.  On a *clean*
         region only that post has happened since a scan found nothing
         enabled: no scan if no candidate names the vertex, or the narrowest
-        that does needs more pending vertices than there are.  ``dirty`` is
-        then left alone — a watcher signal landing meanwhile is about
-        candidates nobody looked at, and must stay set for its chaser."""
+        that does needs more pending vertices than there are."""
         row = region.row
         pend = region.pend
         if posted is not None and row is not None and not region.dirty:
@@ -1065,24 +1026,13 @@ class CoordinatorEngine(EngineHost):
                     return
         region.dirty = False
         cursors = region.cursors
-        watchers = self._watchers
         obs = self._observing or self._vertex_party
-        # Cross-region trace causality: holding the trace lock from probe to
-        # record means a consumer region can only observe (and record) a
-        # value strictly after its producer's record — the tracer's sequence
-        # numbers then respect buffer causality even across OS threads.
-        # Held across the whole drain: coarser than it need be, but the
-        # untraced path then pays two ``is None`` tests per drain, not per
-        # step.
-        trace_lock = self._trace_lock if self.tracer is not None else None
-        if trace_lock is not None:
-            trace_lock.acquire()
         came = at = None  # row and candidate that led to ``region.state``
         try:
             while True:
                 if row is None:
                     if not region.compiled:
-                        if self._fire_one_interp(region, spill, obs):
+                        if self._fire_one_interp(region, obs):
                             continue
                         return
                     row = self._row_of(region, came, at)
@@ -1105,8 +1055,6 @@ class CoordinatorEngine(EngineHost):
                         region.state = row.state
                     region.fired += 1
                     self._steps_approx += 1
-                    if watchers:
-                        self._signal_watchers(region, e.touched, spill)
                     if r is not True:
                         self._observe_firing(region, e.label, k, *r)
                     break
@@ -1118,8 +1066,6 @@ class CoordinatorEngine(EngineHost):
         finally:
             if region.links:
                 region.row = row
-            if trace_lock is not None:
-                trace_lock.release()
 
     def _row_of(self, region, came, at):
         """The row of a compiled region's state, for a drain that holds
@@ -1138,25 +1084,10 @@ class CoordinatorEngine(EngineHost):
                 came.links[at] = row
         return row
 
-    def _signal_watchers(self, region, touched, spill) -> None:
-        """Mark the other regions watching a buffer this firing mutated
-        dirty (pushes/pops only — guard probes don't change contents) and
-        hand them to the caller's chase list.  Callers skip the call when
-        ``_watchers`` is empty, i.e. on every single-region connector."""
-        watchers = self._watchers
-        for b in touched:
-            ws = watchers.get(b)
-            if ws:
-                for w in ws:
-                    if w is not region and not w.dirty:
-                        w.dirty = True
-                        if spill is not None:
-                            spill.append(w)
-
     def _observe_firing(self, region, label, k, completed_sends,
                         completed_recvs, deliveries, enq) -> None:
         """Post-firing observability epilogue of both step tiers (region
-        lock held; trace lock too when tracing).  ``k`` is the fired
+        lock held).  ``k`` is the fired
         candidate's scan position, ``enq`` the ``(vertex, t_enq)`` of every
         operation the firing completed.  One clock read per fired step,
         shared by liveness stamping, the latency histogram, and the
@@ -1200,34 +1131,13 @@ class CoordinatorEngine(EngineHost):
                 waits=[(v, t - te if te else 0.0) for v, te in enq],
             )
 
-    def _chase(self, spill: list) -> None:
-        """Drain the regions a firing signalled, one lock at a time (no
-        other locks held).  Newly signalled regions are appended to
-        ``spill`` while iterating; already-clean entries are skipped, so the
-        loop terminates when the signal cascade dies out."""
-        i = 0
-        while i < len(spill):
-            region = spill[i]
-            i += 1
-            if not region.dirty or not region.live:
-                continue
-            region.lock.acquire()
-            try:
-                if region.dirty and region.live:
-                    self._drain_region(region, spill)
-            finally:
-                region.lock.release()
-
     def _drain_all_locked(self) -> None:
         """Drain every dirty region to quiescence (all region locks held —
-        construction, restore, reconfigure, and detection self-heal)."""
-        again = True
-        while again:
-            again = False
-            for region in self.regions:
-                if region.dirty:
-                    again = True
-                    self._drain_region(region, None)
+        construction, restore, reconfigure, and detection self-heal).
+        Regions share nothing, so one pass leaves every region quiescent."""
+        for region in self.regions:
+            if region.dirty:
+                self._drain_region(region)
 
     def _compile_region_state(self, region, came, at):
         """Fill a compiled region's table at its current control state
@@ -1241,13 +1151,13 @@ class CoordinatorEngine(EngineHost):
         region.table.put(state, row)
         return row
 
-    def _fire_one_interp(self, region, spill, obs) -> bool:
+    def _fire_one_interp(self, region, obs) -> bool:
         """Try to fire one transition of ``region`` on the interpretive
         firing engine — the ``compiled="off"`` tier and the reference the
         compiled one is held to (plan evaluation via
         :class:`~repro.automata.simplify.FiringPlan`).  Called from
-        :meth:`_drain_region` only (region lock held; trace lock too when
-        tracing); ``obs`` is its hoisted "anything observing" probe."""
+        :meth:`_drain_region` only (region lock held); ``obs`` is its
+        hoisted "anything observing" probe."""
         steps = region.candidates()
         n = len(steps)
         if n == 0:
@@ -1319,8 +1229,6 @@ class CoordinatorEngine(EngineHost):
             region.cursors[state0] = (start + k + 1) % n
             region.fired += 1
             self._steps_approx += 1
-            if self._watchers:
-                self._signal_watchers(region, plan.touched, spill)
             if obs:
                 self._observe_firing(
                     region, label, k, completed_sends, completed_recvs,

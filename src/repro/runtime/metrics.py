@@ -467,6 +467,15 @@ class ConnectorMetrics:
 
     # -- wiring (cold path) -------------------------------------------------
 
+    def move_submitted(self, old: str, new: str, n: int, is_send: bool) -> None:
+        """Move the submit count of ``n`` pending ops a re-parametrization
+        re-labels from vertex ``old`` to ``new``: they complete, or are
+        withdrawn, under ``new``, and each vertex's books must balance —
+        the one place a submit counter goes down."""
+        c, kind = self.connector, "send" if is_send else "recv"
+        self._fam_submitted.labels(c, old, kind).value -= n
+        self._fam_submitted.labels(c, new, kind).value += n
+
     def attach_engine(self, engine) -> None:
         """(Re)bind per-vertex children and sampled gauges to ``engine``'s
         current boundary signature.  Called at engine construction and

@@ -226,7 +226,7 @@ def _occupancy_vectors(automaton) -> dict[int, dict[str, int]] | None:
     effects on its *own* buffers, seeded from each :class:`BufferSpec`'s
     initial contents.  Returns ``None`` when some state is reachable with
     two different vectors, or has a transition that would overfill or
-    underflow a buffer from its vector (a partitioned fifo's reader half)
+    underflow a buffer from its vector (an unbounded fifo's one state)
     — then occupancy is not tracked in control state (data-dependent
     guards govern instead) and reconciliation must not touch the state.
     """

@@ -22,13 +22,6 @@ def test_render():
     assert "OK" in text
 
 
-def test_partitioned_variant():
-    results = run_fig13(
-        programs=("cg",), classes=("S",), ns=(2,), use_partitioning=True
-    )
-    assert results[("cg", "S")][0][3]  # verified
-
-
 # --- the --check claims, on hand-built results -------------------------------
 
 def results(s_ratio=3.0, a_ratio=2.0, ok=True):

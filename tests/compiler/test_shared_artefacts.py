@@ -324,7 +324,7 @@ def test_resolved_plans_stay_out_of_the_shared_table():
 
 def frozen(plan):
     return (plan.guards, plan.assigns, plan.checks, plan.pops, plan.pushes,
-            plan.deliveries, plan.never, plan.n_slots, plan.touched)
+            plan.deliveries, plan.never, plan.n_slots)
 
 
 @pytest.mark.parametrize("tier", ["off", "auto"])

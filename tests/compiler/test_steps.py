@@ -73,7 +73,7 @@ def test_off_never_compiles():
 
 
 def test_auto_compiles_every_region():
-    conn = library.connector("Sequencer", 3, use_partitioning=True)
+    conn = library.connector("Sequencer", 3)
     outs, ins = mkports(len(conn.tail_vertices), len(conn.head_vertices))
     conn.connect(outs, ins)
     assert conn.stats()["compiled_regions"] == len(conn.engine.regions)
@@ -417,7 +417,7 @@ def test_two_regions_compile_concurrently_under_their_own_locks():
         graph = graph.add(Arc("seq", mids, (), ()))
     conn = connector_from_graph(
         BuiltConnector(graph, tuple(tails), ()), name="SeqLanes",
-        use_partitioning=True, default_timeout=10.0)
+        default_timeout=10.0)
     outs, _ = mkports(lanes * k, 0)
     conn.connect(outs, [])
     assert len(conn.engine.regions) == lanes

@@ -26,7 +26,7 @@ def test_dsl_compiles_and_matches_arity(name, n):
 @pytest.mark.parametrize("options", [
     {},  # new approach, JIT (default)
     {"composition": "aot"},  # new approach, ahead-of-time
-    {"use_partitioning": True},  # ref-[32] partitioning
+    {"concurrency": "global"},  # every region under one group lock
 ])
 def test_merger_equivalence(options):
     c = library.connector("Merger", 3, **options)
@@ -37,7 +37,7 @@ def test_merger_equivalence(options):
 @pytest.mark.parametrize("options", [
     {},
     {"composition": "aot"},
-    {"use_partitioning": True},
+    {"concurrency": "global"},
 ])
 def test_replicator_equivalence(options):
     c = library.connector("Replicator", 3, **options)

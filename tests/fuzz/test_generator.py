@@ -82,24 +82,23 @@ def test_make_schedule_never_floods_channelable():
             assert 1 <= schedule.checkpoint_at < len(script.batches)
 
 
-def test_generator_reaches_merged_groups():
-    """The partitioned JIT modes compose stateless sub-chains at connect
-    (DECISIONS row 16) on a stated share of the default sweep's programs —
-    21 of seeds 0:50 — so every sweep holds the merged product against the
-    flat AOT one.  Unpartitioned, a generated program is one medium
-    automaton with nothing stateless left to merge."""
-    from repro.automata.partition import PLACEHOLDER
+def test_generator_reaches_two_chains():
+    """A generated program of two chains is two connected components, so
+    the ``regions-*`` modes run it as two regions: a stated share of the
+    default sweep's programs — 19 of seeds 0:50 — keeps every sweep
+    holding more than one region against the reference simulator."""
     from repro.fuzz.harness import _protocol, connector_opts
     from repro.runtime.ports import Inport, Outport
 
-    merged = 0
+    split = 0
     for seed in range(50):
         program = generate(seed)
         proto, tails, heads = _protocol(program)
         conn = proto.instantiate_connector(
             sizes=program.sizes, **connector_opts("regions-jit"))
         conn.connect([Outport(v) for v in tails], [Inport(v) for v in heads])
-        merged += any(PLACEHOLDER in r.lazy.automata
-                      for r in conn.engine.regions)
+        regions = len(conn.engine.regions)
         conn.close()
-    assert merged >= 20, f"{merged} of 50 seeds merge a group"
+        assert regions == len(program.chains), seed
+        split += regions >= 2
+    assert split >= 18, f"{split} of 50 seeds run as several regions"

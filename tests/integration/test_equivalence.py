@@ -2,8 +2,8 @@
 
 For a sample of library connectors, the observable protocol must be
 identical across: direct graph vs. DSL; existing vs. new approach; JIT vs.
-AOT; monolithic vs. partitioned; unbounded vs. bounded state cache; and
-interpreter vs. generated code.
+AOT; compiled steps vs. the interpreted drain; unbounded vs. bounded state
+cache; and interpreter vs. generated code.
 """
 
 import types
@@ -23,9 +23,7 @@ def strategies(name, n):
     yield "graph-jit", lambda: connector_from_graph(library.build_graph(name, n))
     yield "dsl-jit", lambda: library.connector(name, n)
     yield "dsl-aot", lambda: library.connector(name, n, composition="aot")
-    yield "dsl-partitioned", lambda: library.connector(
-        name, n, use_partitioning=True
-    )
+    yield "dsl-uncompiled", lambda: library.connector(name, n, compiled="off")
     yield "dsl-bounded-cache", lambda: library.connector(
         name, n, cache_factory=lambda: LRUCache(2)
     )

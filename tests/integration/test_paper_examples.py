@@ -115,7 +115,7 @@ def test_ex1_no_auxiliary_needed():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("approach", ["new-jit", "new-aot", "existing",
-                                      "partitioned"])
+                                      "uncompiled"])
 def test_ex8_fig9_all_approaches(fig9_source, n, approach):
     """Ex. 8: the parametrized running example under every strategy."""
     if approach == "existing":
@@ -126,7 +126,7 @@ def test_ex8_fig9_all_approaches(fig9_source, n, approach):
         options = {
             "new-jit": {},
             "new-aot": {"composition": "aot"},
-            "partitioned": {"use_partitioning": True},
+            "uncompiled": {"compiled": "off"},
         }[approach]
         conn = compile_source(fig9_source).instantiate_connector(
             "ConnectorEx11N", sizes=n, **options

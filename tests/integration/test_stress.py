@@ -131,7 +131,7 @@ def test_sequenced_merger_order_under_contention():
     assert order == expect
 
 
-@pytest.mark.parametrize("options", [{}, {"use_partitioning": True}])
+@pytest.mark.parametrize("options", [{}, {"composition": "aot"}])
 def test_long_fifo_chain_throughput_integrity(options):
     conn = library.connector("FifoChain", 8, **options)
     outs, ins = mkports(1, 1)

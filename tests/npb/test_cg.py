@@ -41,7 +41,7 @@ def test_reo_matches_oracle(nprocs):
 
 def test_reo_aot_and_partitioned():
     assert cg.run_reo("S", 2, composition="aot").verified
-    assert cg.run_reo("S", 3, use_partitioning=True).verified
+    assert cg.run_reo("S", 3).verified
 
 
 def test_result_rows_render():

@@ -74,5 +74,5 @@ def test_reo_matches_serial(nprocs):
 
 
 def test_reo_partitioned_and_aot():
-    assert ft.run_reo("S", 3, use_partitioning=True).verified
+    assert ft.run_reo("S", 3).verified
     assert ft.run_reo("S", 2, composition="aot").verified

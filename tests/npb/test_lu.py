@@ -31,7 +31,7 @@ def test_reo_matches_serial(nprocs):
 
 
 def test_reo_partitioned_and_aot():
-    assert lu.run_reo("S", 3, use_partitioning=True).verified
+    assert lu.run_reo("S", 3).verified
     assert lu.run_reo("S", 2, composition="aot").verified
 
 

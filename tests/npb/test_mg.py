@@ -53,4 +53,4 @@ def test_reo_matches_serial(nprocs):
 
 
 def test_reo_partitioned():
-    assert mg.run_reo("S", 3, use_partitioning=True).verified
+    assert mg.run_reo("S", 3).verified

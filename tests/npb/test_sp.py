@@ -48,5 +48,5 @@ def test_reo_matches_serial(nprocs):
 
 
 def test_reo_partitioned_and_aot():
-    assert sp.run_reo("S", 3, use_partitioning=True).verified
+    assert sp.run_reo("S", 3).verified
     assert sp.run_reo("S", 2, composition="aot").verified

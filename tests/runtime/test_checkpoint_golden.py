@@ -25,6 +25,7 @@ import pytest
 from repro.connectors import library
 from repro.runtime.durable import checkpoint_from_data, checkpoint_to_data
 from repro.runtime.ports import mkports
+from repro.util.errors import CheckpointError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROWS = (("EarlyAsyncMerger", 16), ("Sequencer", 8))
@@ -112,6 +113,26 @@ def test_golden_restores_and_continues(name, n):
     after = _run(conn, _schedule(name, n, conn)[BEFORE:])
     conn.close()
     assert after == json.loads(after_path.read_text())
+
+
+def test_a_partitioned_checkpoint_is_refused_before_anything_is_touched():
+    """``golden/checkpoint-partitioned-EarlyAsyncMerger-3.json`` was written
+    by the last release that could partition a connector: four regions
+    (the merger, and a writer half per tail's fifo), one value in each
+    fifo.  EarlyAsyncMerger/3 is one region now; restoring it is refused on
+    the region count, and the connector is left as it was."""
+    cp = checkpoint_from_data(json.loads(
+        (GOLDEN / "checkpoint-partitioned-EarlyAsyncMerger-3.json").read_text()))
+    assert len(cp.regions) == 4 and all(cp.buffers.values())
+    conn = _connected("EarlyAsyncMerger", 3)
+    engine = conn.engine
+    assert engine.try_submit(engine.binding("t@2"), "mine")[0]
+    before = _encoded(conn.checkpoint())
+    with pytest.raises(CheckpointError, match="4 regions, engine has 1"):
+        conn.restore(cp)
+    assert _encoded(conn.checkpoint()) == before
+    assert engine.try_submit(engine.binding("h"))[1] == "mine"
+    conn.close()
 
 
 def main() -> None:

@@ -253,13 +253,13 @@ def test_checkpoint_roundtrip(name, n, tiers, tmp_path):
     assert end1.regions == end2.regions, (name, n)
 
 
-# Both lock layouts get the same partitioned region structure — a
-# checkpoint's region tuple is indexed by global region position, so the
-# source and target must agree on the decomposition (they do in practice:
-# partitioning is a property of the compiled protocol, not the layout).
+# Both lock layouts get the same region structure — a checkpoint's region
+# tuple is indexed by global region position, so the source and target
+# must agree on the decomposition (they do: a connector's regions are its
+# connected components, whatever the layout).
 BACKENDS = {
-    "regions": dict(concurrency="regions", use_partitioning=True),
-    "global": dict(concurrency="global", use_partitioning=True),
+    "regions": dict(concurrency="regions"),
+    "global": dict(concurrency="global"),
 }
 
 # Representative slice of the connector families: synchronous fan-in,

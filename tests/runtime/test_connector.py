@@ -1,4 +1,4 @@
-"""RuntimeConnector: composition strategies, partitioning, caches."""
+"""RuntimeConnector: composition strategies, regions, caches."""
 
 import pytest
 
@@ -37,26 +37,55 @@ def test_aot_respects_state_budget():
         conn.connect(outs, ins)
 
 
-def test_partitioning_regions():
-    prog = compile_source(CHAIN)
-    conn = prog.instantiate_connector("P", use_partitioning=True)
-    outs, ins = mkports(1, 1)
-    conn.connect(outs, ins)
-    assert conn.stats()["regions"] == 4  # writer | r+w | r+w | reader
-    outs[0].send(1)
-    assert ins[0].recv() == 1
-    conn.close()
+TWO_CHAINS = ("P(a1,a2;b1,b2) = Fifo1(a1;v) mult Fifo1(v;b1) "
+              "mult Fifo1(a2;w) mult Fifo1(w;b2)")
+
+
+def region_buffers(region):
+    automata = ([region.automaton] if region.kind == "eager"
+                else region.lazy.automata)
+    return {b.name for a in automata for b in a.buffers}
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_regions_are_connected_components(n):
+    """A connector's regions are the connected components of its medium
+    automata, whatever the caller asks: every library connector is one, and
+    a program of two chains is two regions sharing no vertex and no
+    buffer, each firing on its own."""
+    for name in library.names():
+        conn = library.connector(name, n)
+        conn.connect(*mkports(len(conn.tail_vertices),
+                              len(conn.head_vertices)))
+        assert len(conn.engine.regions) == 1, name
+        conn.close()
+    for composition in ("jit", "aot"):
+        conn = compile_source(TWO_CHAINS).instantiate_connector(
+            "P", composition=composition)
+        outs, ins = mkports(2, 2)
+        conn.connect(outs, ins)
+        first, second = conn.engine.regions
+        assert first.vertices.isdisjoint(second.vertices)
+        mine, theirs = region_buffers(first), region_buffers(second)
+        assert mine and theirs and mine.isdisjoint(theirs)
+        assert mine | theirs == set(conn.engine.buffers.names())
+        assert conn.engine._route["a1"] is conn.engine._route["b1"] is first
+        assert conn.engine._route["a2"] is conn.engine._route["b2"] is second
+        outs[1].send("y")
+        assert ins[1].recv() == "y" and first.fired == 0
+        conn.close()
 
 
 def test_partitioning_same_behaviour_as_monolithic():
-    for options in ({}, {"use_partitioning": True}):
-        conn = library.connector("SequencedMerger", 3, **options)
-        got = pump(
-            conn,
-            {0: ["a0", "a1"], 1: ["b0", "b1"], 2: ["c0", "c1"]},
-            {0: 2, 1: 2, 2: 2},
-        )
-        assert got == {0: ["a0", "a1"], 1: ["b0", "b1"], 2: ["c0", "c1"]}
+    """SequencedMerger delivers every party's values in order (once run
+    partitioned and not; a connector is now always its components)."""
+    conn = library.connector("SequencedMerger", 3)
+    got = pump(
+        conn,
+        {0: ["a0", "a1"], 1: ["b0", "b1"], 2: ["c0", "c1"]},
+        {0: 2, 1: 2, 2: 2},
+    )
+    assert got == {0: ["a0", "a1"], 1: ["b0", "b1"], 2: ["c0", "c1"]}
 
 
 def test_bounded_cache_connector_still_correct():

@@ -8,7 +8,6 @@ the schedule of ``benchmarks/suite/lockstep_posted.py``.
 """
 
 import gc
-import threading
 import weakref
 
 import pytest
@@ -297,76 +296,4 @@ def test_a_drain_left_by_exception_leaves_the_region_dirty(composition):
     assert region.dirty and not got.done
     assert engine.post_send("c", 3).done
     assert got.done and got.value == 42 and not region.dirty
-    conn.close()
-
-
-# -- a watcher signal racing the hinted scan ---------------------------------
-
-
-@pytest.mark.fault_stress
-@pytest.mark.parametrize("concurrency", ["regions", "global"])
-def test_a_signal_racing_the_hinted_scan_is_not_lost(concurrency):
-    """Two fifos into one consumer region with two heads.  The producer
-    side of the first signals that region by setting its ``dirty`` without
-    its lock; a receive tried meanwhile on the *other* head scans only the
-    candidates naming that head — which do not look at the fifo just filled
-    — and must leave the flag as it finds it, or the chaser skips the region
-    and the value sits in its fifo with a receiver parked in front of it.
-    Nothing ever fires through the second head, so no later full scan would
-    heal a lost signal.  Four threads on two cores, switching every 10 µs."""
-    import sys
-
-    from repro.connectors.graph import Arc
-    from repro.connectors.primitives import build_automaton
-
-    rounds = 3_000
-    free = ConstraintAutomaton(  # puts b1 and b2 in one region, no more
-        1, 0, frozenset(("b1", "b2")),
-        tuple(Transition(0, frozenset((b,)), 0) for b in ("b1", "b2")))
-    conn = RuntimeConnector(
-        [build_automaton(Arc("fifo1", ("a1",), ("b1",), ()), "q1"),
-         build_automaton(Arc("fifo1", ("a2",), ("b2",), ()), "q2"), free],
-        ["a1", "a2"], ["b1", "b2"], use_partitioning=True,
-        concurrency=concurrency, default_timeout=10.0)
-    outs, ins = mkports(2, 2)
-    conn.connect(outs, ins)
-    assert conn.stats()["compiled_regions"] == 3
-    consumer = conn.engine._route["b1"]
-    assert len(conn.engine.regions) == 3
-    assert consumer is conn.engine._route["b2"]
-    assert set(conn.engine._watchers) == {"q1", "q2"}
-    got, polls, stop = [], [0, 0], threading.Event()
-
-    def produce():
-        for i in range(rounds):
-            outs[0].send(i)
-
-    def consume():
-        for _ in range(rounds):
-            got.append(ins[0].recv())
-
-    def poll(k):
-        while not stop.is_set():
-            assert ins[1].try_recv() == (False, None)
-            polls[k] += 1
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        pollers = [spawn(poll, 0), spawn(poll, 1)]
-        tasks = [spawn(produce), spawn(consume)]
-        for task in tasks:
-            task.join(60)
-        stop.set()
-        for task in pollers:
-            task.join(20)
-    finally:
-        stop.set()
-        sys.setswitchinterval(interval)
-    tasks += pollers
-    assert not any(task.alive for task in tasks)
-    assert [task.exception for task in tasks] == [None] * 4
-    assert got == list(range(rounds)) and all(polls)
-    assert consumer.row.by_vertex == {"b1": 1, "b2": 1}  # the hint was in use
-    assert conn.stats()["blocked"] == 0
     conn.close()

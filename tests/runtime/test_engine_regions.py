@@ -1,5 +1,5 @@
-"""Region-parallel engine: routing, dirty-region signalling, wakeup slots,
-and the recovery/overload cold paths under per-region locking — and under
+"""Region-parallel engine: routing, one region per connected component,
+wakeup slots, and the recovery/overload cold paths under per-region locking — and under
 ``concurrency="global"``, the same scheduler with every region sharing one
 lock (docs/INTERNALS.md §"Engine concurrency model")."""
 
@@ -29,8 +29,8 @@ def assert_lock_layout(engine, concurrency):
 
 def lanes_connector(k: int, depth: int = 2, **options):
     """One connector holding ``k`` disjoint fifo chains — the canonical
-    multi-region workload: partitioning yields (at least) one independent
-    region per lane, with no shared buffers between lanes at all."""
+    multi-region workload: one region per lane, its connected component,
+    with no shared buffers between lanes at all."""
     graph = ConnectorGraph()
     tails, heads = [], []
     for lane in range(k):
@@ -41,7 +41,6 @@ def lanes_connector(k: int, depth: int = 2, **options):
         tails.append(f"l{lane}x0")
         heads.append(f"l{lane}x{depth}")
     built = BuiltConnector(graph, tuple(tails), tuple(heads))
-    options.setdefault("use_partitioning", True)
     return connector_from_graph(built, name=f"Lanes{k}", **options)
 
 
@@ -50,20 +49,12 @@ def test_lanes_partition_into_independent_regions():
     outs, ins = mkports(4, 4)
     conn.connect(outs, ins)
     eng = conn.engine
-    assert len(eng.regions) >= 4
-    # Routing table: each lane's boundary vertices resolve to regions, and
-    # distinct lanes never share one.
-    lane_regions = []
-    for lane in range(4):
-        r = eng._route[f"l{lane}x0"]
-        assert r is not None
-        lane_regions.append(r)
-    assert len({id(r) for r in lane_regions}) == 4
-    # Disjoint lanes share no buffers, so no cross-region watchers exist
-    # between them.
-    for buf, watchers in eng._watchers.items():
-        lanes = {w.idx for w in watchers}
-        assert len(lanes) >= 2  # only genuinely shared buffers are kept
+    assert len(eng.regions) == 4
+    # Routing table: each lane's boundary vertices resolve to its region,
+    # and distinct lanes never share one.
+    for lane, r in enumerate(eng.regions):
+        assert eng._route[f"l{lane}x0"] is r
+        assert eng._route[f"l{lane}x2"] is r
     conn.close()
 
 
@@ -93,28 +84,6 @@ def test_lanes_pump_concurrently(concurrency):
     conn.close()
     for i in range(k):
         assert got[i] == [(i, j) for j in range(m)]
-
-
-def test_cross_region_dirty_signalling_tau_flow(concurrency="regions"):
-    """A partitioned chain couples its regions only through decoupled-fifo
-    buffers: a send into the first region must propagate to the last via
-    the dirty-region chase (internal τ-steps), with no task at the far end
-    driving it."""
-    conn = library.connector(
-        "FifoChain", 3, use_partitioning=True, concurrency=concurrency
-    )
-    outs, ins = mkports(1, 1)
-    conn.connect(outs, ins)
-    assert len(conn.engine.regions) >= 2
-    assert_lock_layout(conn.engine, concurrency)
-    assert conn.engine._watchers  # chain pieces share decoupled buffers
-    # Capacity 3 is only reachable if values shift to the tail buffers
-    # across region boundaries as soon as they are pushed.
-    outs[0].send(1)
-    outs[0].send(2)
-    outs[0].send(3)
-    assert [ins[0].recv() for _ in range(3)] == [1, 2, 3]
-    conn.close()
 
 
 def test_unknown_vertex_rejected_in_region_mode():
@@ -252,13 +221,11 @@ def test_wakeup_slots_complete_blocked_parties(concurrency="regions"):
 
 
 def test_leave_reparametrizes_under_region_locking(concurrency="regions"):
-    """Re-parametrization swaps the region set; survivors keep working and
-    late chasers cannot fire replaced (dead) regions.  The new region set
-    keeps the lock layout it was built with — under ``"global"`` the one
-    group lock is old and new at once."""
+    """Re-parametrization swaps the region set; survivors keep working.
+    The new region set keeps the lock layout it was built with — under
+    ``"global"`` the one group lock is old and new at once."""
     conn = library.connector(
-        "Merger", 3, default_timeout=OP_TIMEOUT, use_partitioning=True,
-        concurrency=concurrency,
+        "Merger", 3, default_timeout=OP_TIMEOUT, concurrency=concurrency,
     )
     outs, ins = mkports(3, 1)
     conn.connect(outs, ins)
@@ -270,8 +237,7 @@ def test_leave_reparametrizes_under_region_locking(concurrency="regions"):
     t.join(OP_TIMEOUT)
     old_regions = list(conn.engine.regions)
     conn.leave(outs[2], task="C")
-    assert all(not r.live for r in old_regions)
-    assert all(r.live for r in conn.engine.regions)
+    assert not any(r in old_regions for r in conn.engine.regions)
     assert_lock_layout(conn.engine, concurrency)
     t = threading.Thread(target=lambda: got.append(ins[0].recv()))
     t.start()
@@ -282,7 +248,6 @@ def test_leave_reparametrizes_under_region_locking(concurrency="regions"):
 
 
 @pytest.mark.parametrize("scenario", [
-    test_cross_region_dirty_signalling_tau_flow,
     test_timeout_withdraws_and_protocol_survives,
     test_deadlock_detection_aggregates_across_regions,
     test_wakeup_slots_complete_blocked_parties,
@@ -290,9 +255,9 @@ def test_leave_reparametrizes_under_region_locking(concurrency="regions"):
 ])
 def test_threaded_scenarios_with_one_group_lock(scenario):
     """The multi-region threaded scenarios above, re-run with every region
-    sharing one lock: the group lock surviving ``reconfigure`` and
-    ``_chase`` re-taking it only show with real threads and more than one
-    region (the fuzz ``global-*`` modes are unpartitioned).  Kept as one
+    sharing one lock: the group lock surviving ``reconfigure`` only shows
+    with real threads and more than one region (the fuzz ``global-*`` modes
+    drive one thread).  Kept as one
     extra test rather than a ``concurrency`` parameter on each scenario so
     the scenarios keep their established test ids."""
     scenario(concurrency="global")

@@ -178,7 +178,7 @@ def test_zero_expected_parties_is_not_a_deadlock(concurrency):
     blocked": a lone blocking recv waits out its timeout on every
     backend."""
     conn = library.connector(
-        "FifoChain", 2, concurrency=concurrency, use_partitioning=True,
+        "FifoChain", 2, concurrency=concurrency,
     )
     outs, ins = mkports(1, 1)
     conn.connect(outs, ins)

@@ -173,6 +173,27 @@ def test_leave_keeps_every_dead_letter_and_the_exact_count():
     conn.close()
 
 
+def test_leave_moves_a_pending_send_s_books_with_it():
+    """A send still pending on ``t@3`` when ``t@2`` departs completes as
+    ``t@2``'s: its submit is counted there too, so every vertex's books
+    balance, not just the totals."""
+    registry = MetricsRegistry()
+    conn = library.connector("EarlyAsyncMerger", 3, metrics=registry,
+                             default_timeout=OP_TIMEOUT)
+    outs, ins = mkports(3, 1)
+    conn.connect(outs, ins)
+    engine = conn.engine
+    for i, v in enumerate(("t@1", "t@2", "t@3")):
+        assert engine.post_send(v, f"v{i}").done  # each tail's fifo takes one
+    pending = engine.post_send("t@3", "late")
+    assert not pending.done
+    conn.leave(outs[1])
+    got = [ins[0].recv() for _ in range(3)]
+    assert pending.done and "late" in got
+    assert conservation_violations(registry) == []
+    conn.close()
+
+
 def test_stats_report_shed_and_draining():
     conn, out, inp = fifo_chain(overload=OverloadPolicy("shed_newest", max_pending=0))
     out.send(1)

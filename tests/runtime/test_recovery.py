@@ -295,7 +295,6 @@ def test_exhausted_retries_reparametrize_merger(concurrency="regions"):
     n, k = 3, 4
     conn = library.connector(
         "Merger", n, default_timeout=OP_TIMEOUT, concurrency=concurrency,
-        use_partitioning=True,
     )
     outs, ins = mkports(n, 1)
     conn.connect(outs, ins)
@@ -343,7 +342,6 @@ def test_leave_after_close_vertex_spares_the_renamed_survivor(
     the survivor must not inherit its closure or its error."""
     conn = library.connector(
         "Merger", 3, default_timeout=OP_TIMEOUT, concurrency=concurrency,
-        use_partitioning=True,
     )
     outs, ins = mkports(3, 1)
     conn.connect(outs, ins)
@@ -571,12 +569,10 @@ def test_leave_carries_a_send_completed_before_the_world_stops():
 
 
 @pytest.mark.parametrize("concurrency", ["regions", "global"])
-def test_partitioned_leave_keeps_buffered_values(concurrency):
-    """Partitioned, a fifo is a writer half and a reader half, one state
-    each, whose buffer guards — not control states — track occupancy:
-    reconciliation leaves them be instead of dropping what they hold."""
-    conn = library.connector("EarlyAsyncMerger", 3, use_partitioning=True,
-                             concurrency=concurrency,
+def test_leave_keeps_buffered_values(concurrency):
+    """The last party leaves while both survivors' fifos hold a value:
+    reconciliation under either lock layout carries both across."""
+    conn = library.connector("EarlyAsyncMerger", 3, concurrency=concurrency,
                              default_timeout=OP_TIMEOUT)
     outs, ins = mkports(3, 1)
     conn.connect(outs, ins)
@@ -666,7 +662,6 @@ def test_checkpoint_structural_mismatch_rejected(
     ``arity``, or one buffer holding more values than its ``capacity``."""
     a = library.connector(
         "FifoChain", 2 if bad == "arity" else 3, default_timeout=OP_TIMEOUT,
-        use_partitioning=True,
     )
     outs_a, ins_a = mkports(1, 1)
     a.connect(outs_a, ins_a)
@@ -679,7 +674,6 @@ def test_checkpoint_structural_mismatch_rejected(
 
     b = library.connector(
         "FifoChain", 3, default_timeout=OP_TIMEOUT, concurrency=concurrency,
-        use_partitioning=True,
     )
     outs_b, ins_b = mkports(1, 1)
     b.connect(outs_b, ins_b)

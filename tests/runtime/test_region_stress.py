@@ -49,7 +49,6 @@ def lanes_connector(k: int, depth: int = 2, **options):
         tails.append(f"l{lane}x0")
         heads.append(f"l{lane}x{depth}")
     built = BuiltConnector(graph, tuple(tails), tuple(heads))
-    options.setdefault("use_partitioning", True)
     return connector_from_graph(built, name=f"Lanes{k}", **options)
 
 
@@ -151,19 +150,17 @@ def test_checkpoint_drain_hammer_conservation(seed, concurrency="regions"):
 
 @pytest.mark.parametrize("seed", [7])
 def test_leave_quarantine_concurrent_with_firing(seed, concurrency="regions"):
-    """A supervised farm on a partitioned merger: one producer stalls (the
-    watchdog quarantines it → leave() re-parametrizes mid-traffic), the
-    rest keep firing region-parallel; every surviving value arrives."""
+    """A supervised farm on a merger: one producer stalls (the watchdog
+    quarantines it → leave() re-parametrizes mid-traffic), the rest keep
+    firing; every surviving value arrives."""
     n, m = 3, 200
     conn = library.connector(
         "EarlyAsyncMerger", n,
         default_timeout=OP_TIMEOUT,
-        use_partitioning=True,
         concurrency=concurrency,
     )
     outs, (result_in,) = mkports(n, 1)
     conn.connect(outs, [result_in])
-    assert len(conn.engine.regions) >= 2  # fifo halves decouple
 
     plan = FaultPlan(
         [FaultSpec("slow_task", outs[n - 1].name, at_op=2, delay=5.0)]

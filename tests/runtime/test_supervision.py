@@ -210,7 +210,6 @@ def test_departed_party_leaves_the_detector(concurrency):
     out instead."""
     conn = library.connector(
         "Barrier", 3, default_timeout=10, concurrency=concurrency,
-        use_partitioning=True,
     )
     outs, ins = mkports(3, 3)
     conn.connect(outs, ins)

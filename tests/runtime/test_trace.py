@@ -111,21 +111,22 @@ def test_rseq_is_per_region_monotonic():
 
 
 def test_rseq_contiguous_under_regions_engine():
-    """Same contract on a real partitioned run: each region's events carry
-    rseq 0..k-1 in recording order."""
+    """Same contract on a real two-region run (two chains, two connected
+    components): each region's events carry rseq 0..k-1 in recording
+    order."""
     tracer = TraceRecorder()
-    conn = library.connector(
-        "FifoChain", 3, tracer=tracer,
-        concurrency="regions", use_partitioning=True,
-    )
-    outs, ins = mkports(1, 1)
+    conn = compile_source(
+        "P(a1,a2;b1,b2) = Fifo1(a1;v) mult Fifo1(v;b1) "
+        "mult Fifo1(a2;w) mult Fifo1(w;b2)"
+    ).instantiate_connector("P", tracer=tracer, concurrency="regions")
+    outs, ins = mkports(2, 2)
     conn.connect(outs, ins)
     for i in range(3):
-        outs[0].send(i)
+        outs[i % 2].send(i)
     for i in range(3):
-        assert ins[0].recv() == i
+        assert ins[i % 2].recv() == i
     conn.close()
-    assert tracer.events
+    assert {ev.region for ev in tracer.events} == {0, 1}
     by_region = {}
     for ev in tracer.events:
         by_region.setdefault(ev.region, []).append(ev.rseq)

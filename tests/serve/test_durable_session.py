@@ -9,7 +9,6 @@ real ``SIGKILL`` is ``python -m repro serve --crash-test`` (exercised by
 the smoke test at the bottom and by CI's crash-recovery-smoke job).
 """
 
-import functools
 import gc
 import json
 import os
@@ -21,7 +20,6 @@ import weakref
 
 import pytest
 
-from repro.connectors import library
 from repro.runtime import durable
 from repro.runtime.errors import (
     DurabilityError,
@@ -232,15 +230,12 @@ def test_state_dir_naming_a_removed_policy_kind_is_refused(
 def test_version_1_state_dir_is_refused_and_left_in_place(
         tmp_path, monkeypatch):
     """A state directory from when a session's connector was partitioned:
-    version-1 headers over a two-region checkpoint.  A cold service
-    refuses it with the typed SchemaVersionError and renames nothing (no
-    ``*.corrupt``); a session it opens afresh is one region."""
+    version-1 headers.  A cold service refuses it with the typed
+    SchemaVersionError and renames nothing (no ``*.corrupt``); a session
+    it opens afresh is one region."""
     monkeypatch.setattr(durable, "SCHEMA_VERSION", 1)
-    monkeypatch.setattr(library, "connector", functools.partial(
-        library.connector, use_partitioning=True))
     svc1 = CoordinatorService(state_dir=tmp_path)
     s = svc1.open_session("old", policy=BLOCK)
-    assert len(s.connector.engine.regions) == 2
     for i in range(4):
         assert s.submit(f"v{i}") == "ok"
     wait_delivered(s, 4)
