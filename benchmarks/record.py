@@ -17,6 +17,8 @@ cancel:
 * ``port_pair`` — a port ``send`` + ``recv`` ÷ the same work through
   ``post_*``;
 * ``expansion`` — merged ÷ flat and delta ÷ merged expansion;
+* ``row_build`` — a new compiled row built as the engine finds plans ÷
+  the same row with every plan at hand;
 * ``template_build`` — FifoChain/8's compile + instantiate ÷
   EarlyAsyncMerger/8's.
 
@@ -39,6 +41,7 @@ reads them.  The garbage collector is disabled around each timed section
 import argparse
 import gc
 import json
+import math
 import os
 import pathlib
 import platform
@@ -506,6 +509,103 @@ def expansion_ratios(best):
     ]
 
 
+#: Row-building rows — µs per new compiled row, on the states the
+#: ``expansion`` rows expand (three seeded schedules per connector): each
+#: state's ``StepCompiler.compile_state`` from the row of the state it was
+#: first reached from, over the delta expansion the drain hands it.  Every
+#: round compiles each connector from its text again, as the suite's cold
+#: passes do, so its atoms are new objects and each step a row meets first
+#: is planned and emitted there; the expansions are made on that connector
+#: outside the timer.  Two such connectors take turns: ``cold`` finds each
+#: new step's plan as the engine does, ``at_hand`` is handed it from a
+#: table built outside the timer.  gc off, one core pinned.  Each row's
+#: cold ÷ at-hand, median over the rounds, is what finding plans adds to a
+#: new row.  Ten three-pass readings: EarlyAsyncMerger/16 1.25–1.33 and
+#: EarlyAsyncBarrierMerger/8 1.15–1.19; with the engine's plan cache keyed
+#: by value again 1.37–1.42 and 1.18–1.22 (``check_gate`` failed three runs
+#: of three); with the parent's plan finding (by value, no hash kept;
+#: commit 56ea0d3) 1.95–1.97 and 1.38–1.42.  LateAsyncRouter/16 (1.29–1.38)
+#: and LateAsyncReplicator/12 (1.07–1.10), whose readings overlap the
+#: by-value ones, are recorded and not gated.
+ROW_BUILD_BOUND = {"EarlyAsyncMerger/16": 1.35, "LateAsyncRouter/16": math.inf,
+                   "LateAsyncReplicator/12": math.inf,
+                   "EarlyAsyncBarrierMerger/8": 1.30}
+ROW_BUILD_ROWS = EXPANSION_ROWS
+
+
+def _row_build_pass(rows, best, rounds=16):
+    """``rounds`` of every row, cold and at-hand in turn."""
+    from itertools import chain
+
+    import repro
+    from repro.compiler.steps import StateRow
+    from repro.connectors import library
+
+    def prepared(at_hand):
+        """A connector per schedule, compiled from text, with the rows'
+        expansions; ``at_hand``: its compiler reads plans from a table."""
+        out = []
+        for edges in runs:
+            program = repro.compile_program(repro.parse(source))
+            conn = program.instantiate_connector(name=name, sizes=int(n))
+            conn.connect(*repro.mkports(len(conn.tail_vertices),
+                                        len(conn.head_vertices)))
+            lazy = conn.engine.regions[0].lazy
+            rows_ = {lazy.initial: StateRow(
+                lazy.initial, list(chain.from_iterable(lazy.first[1])), (),
+                lazy.first)}
+            expansions = {}
+            for state, came, at in edges:
+                e = expansions[state] = lazy.expand(state, rows_.get(came), at)
+                rows_[state] = StateRow(
+                    state, list(chain.from_iterable(e[1])), (), e)
+            compiler = conn.engine._step_compiler
+            if at_hand:
+                plans = {s: conn.engine._plan_for(s)
+                         for e in (lazy.first, *expansions.values())
+                         for segment in e[1] for s in segment}
+                compiler._plan_for = plans.__getitem__
+            out.append((conn, compiler, lazy, edges, expansions))
+        return out
+
+    def build(prepared_):
+        t0 = time.perf_counter()
+        for _, compiler, lazy, edges, expansions in prepared_:
+            compile_state = compiler.compile_state
+            made = {lazy.initial: compile_state(lazy.initial, lazy.first)}
+            for state, came, at in edges:
+                came = made.get(came)
+                made[state] = compile_state(state, expansions[state], came)
+        return (time.perf_counter() - t0) * 1e6 / built
+
+    with _pinned():
+        for key in rows:
+            name, n = key.split("/")
+            source = library.dsl_source(name, int(n))
+            runs = [_visited_states(name, int(n), k)[2] for k in range(3)]
+            built = sum(map(len, runs))
+            for i in range(rounds):
+                gc.enable()
+                sides = {"cold": prepared(False), "at_hand": prepared(True)}
+                gc.disable()
+                us = {kind: build(sides[kind])
+                      for kind in ("cold", "at_hand")[::1 - 2 * (i % 2)]}
+                for side in sides.values():
+                    for conn, *_ in side:
+                        conn.close()
+                _add(best, (key, "cold_over_at_hand"),
+                     [us["cold"] / us["at_hand"]])
+                _add(best, (key, "cold_us"), [us["cold"]])
+
+
+def row_build_ratios(best):
+    return [Ratio(key, "cold ÷ plans-at-hand row",
+                  statistics.median(best[key, "cold_over_at_hand"]),
+                  ROW_BUILD_BOUND[key],
+                  "finding a new step's plan by value again?")
+            for key in ROW_BUILD_ROWS]
+
+
 #: A medium template's build — ``compile_program`` + ``instantiate_connector``
 #: from source text, the suite's ``compiler.*`` set-up spans — ÷
 #: EarlyAsyncMerger/8's, median of the pass's rounds.  FifoChain/8's template
@@ -561,6 +661,7 @@ GATES = {
                          tuple(LOCKSTEP_NS), 3),
     "port_pair": (_port_pair_pass, port_pair_ratios, PORT_PAIR_ROWS, 3),
     "expansion": (_expansion_pass, expansion_ratios, EXPANSION_ROWS, 5),
+    "row_build": (_row_build_pass, row_build_ratios, ROW_BUILD_ROWS, 3),
     "template_build": (_template_build_pass, template_build_ratios,
                        TEMPLATE_BUILD_ROWS, 3),
 }

@@ -16,6 +16,7 @@ emit and keeps state spaces independent of the data domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import eq
 
 from repro.automata.constraint import (
     Atom,
@@ -145,9 +146,12 @@ class ConstraintAutomaton:
         name: str | None = None,
     ) -> "ConstraintAutomaton":
         """A copy with vertices/buffers renamed (used for template
-        instantiation and flattening)."""
+        instantiation and flattening); ``self`` if no name changes."""
         vmap = vmap or {}
         bmap = bmap or {}
+        if name in (None, self.name) and all(map(eq, vmap, vmap.values())) \
+                and all(map(eq, bmap, bmap.values())):
+            return self
         # a product's transitions combine a few local ones, so the same
         # label, atom and effect objects recur: rename each once
         done: dict = {}

@@ -27,8 +27,27 @@ concatenates atom/effect tuples of the composed transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
+
+
+class _HashOnce:
+    """Base of the classes holding a term: their hash, kept from construction
+    on for plan lookups; ``None`` while holding an unhashable ``Const``."""
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "_hash", self._value_hash())
+        except TypeError:
+            object.__setattr__(self, "_hash", None)
+
+    def __hash__(self):
+        return self._value_hash() if self._hash is None else self._hash
+
+    def __reduce__(self):  # the fields, not the hash: it depends on the seed
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # --------------------------------------------------------------------------
@@ -41,9 +60,6 @@ class V:
     """The datum flowing through vertex ``vertex`` in this execution step."""
 
     vertex: str
-
-    def rename(self, mapping: dict[str, str]) -> "V":
-        return V(mapping.get(self.vertex, self.vertex))
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +77,7 @@ class Const:
 
 
 @dataclass(frozen=True, slots=True)
-class App:
+class App(_HashOnce):
     """Application of the registered unary function ``func`` to ``arg``."""
 
     func: str
@@ -77,7 +93,7 @@ Term = V | Buf | Const | App
 
 
 @dataclass(frozen=True, slots=True)
-class Eq:
+class Eq(_HashOnce):
     """Both terms denote the same datum in this execution step."""
 
     left: Term
@@ -85,7 +101,7 @@ class Eq:
 
 
 @dataclass(frozen=True, slots=True)
-class Pred:
+class Pred(_HashOnce):
     """The registered predicate ``pred`` holds (or, if ``negate``, fails)
     for the datum denoted by ``arg``."""
 
@@ -117,7 +133,7 @@ Atom = Eq | Pred | NotFull | NotEmpty
 
 
 @dataclass(frozen=True, slots=True)
-class Push:
+class Push(_HashOnce):
     """Append the datum denoted by ``term`` to the back of ``buffer``."""
 
     buffer: str
@@ -132,6 +148,9 @@ class Pop:
 
 
 Effect = Push | Pop
+
+for _cls in (App, Eq, Pred, Push):
+    _cls._value_hash, _cls.__hash__ = _cls.__hash__, _HashOnce.__hash__
 
 
 # --------------------------------------------------------------------------

@@ -192,15 +192,18 @@ class StepCompiler:
         order (round-robin cursors index this list identically in both
         tiers), from ``expand``'s ``(epoch, segments, redone)``: just the
         ``redone`` segments where ``came``, the row ``expand`` was given,
-        lends the others.  A refusal propagates (module docstring)."""
+        lends the others — and of those, the ones not back as ``came``'s
+        very tuple.  A refusal propagates (module docstring)."""
         epoch, segments, redone = expansion
         compile_transition = self.compile_transition
         if redone is None:
             entries = [tuple(map(compile_transition, seg)) for seg in segments]
         else:
-            entries = came.segments[2].copy()
+            _, had, entries = came.segments
+            entries = entries.copy()
             for k in redone:
-                entries[k] = tuple(map(compile_transition, segments[k]))
+                if segments[k] is not had[k]:
+                    entries[k] = tuple(map(compile_transition, segments[k]))
         return StateRow(state, list(chain.from_iterable(segments)),
                         tuple(chain.from_iterable(entries)),
                         (epoch, segments, entries))
@@ -259,12 +262,11 @@ class StepCompiler:
         not-full guards, and is replaced should those differ.  Racing
         threads each use the template they read or made: interchangeable.
         """
-        caps = tuple(
-            self._buffers.capacity(g.buffer) for g in plan.guards if g.not_full
-        )
         template = plan.template
-        if template is None or template[0] != caps:
-            template = plan.template = (caps, *self._template(label, plan))
+        # no capacities to compare where the plan has no not-full guard
+        if template is None or template[0] and template[0] != self._caps(plan):
+            template = plan.template = (self._caps(plan),
+                                        *self._template(label, plan))
         _, code, source, binds = template
         resolve = self._resolve
         ns = {"_wake": wake, "_closed": self._closed}
@@ -275,6 +277,10 @@ class StepCompiler:
         # turn through one code object would evict each other's.  ``ns``
         # does not name the function, so the two are no reference cycle.
         return FunctionType(code.replace(), ns), source
+
+    def _caps(self, plan: FiringPlan) -> tuple:
+        return tuple(self._buffers.capacity(g.buffer)
+                     for g in plan.guards if g.not_full)
 
     def _template(self, label, plan: FiringPlan) -> tuple:
         """Emit and compile one step function: ``(its code object, source,

@@ -170,8 +170,8 @@ def add_subparsers(sub) -> None:
                    help="directory for shrunk failure replays")
     r.add_argument("--inject", default="",
                    help="intentional bug to inject (e.g. rr_window)")
-    r.add_argument("--inject-mode", default="regions-jit",
-                   help="mode the injection applies to")
+    r.add_argument("--inject-mode", default="",
+                   help="mode the injection applies to (default: its own)")
     r.add_argument("--chaos-every", type=int, default=4, metavar="K",
                    help="run a threaded chaos scenario every K seeds "
                         "(0 = never)")
@@ -185,5 +185,5 @@ def add_subparsers(sub) -> None:
     sh = fsub.add_parser("shrink", help="minimize a failure replay")
     sh.add_argument("file")
     sh.add_argument("-o", "--output", default="")
-    sh.add_argument("--inject-mode", default="regions-jit")
+    sh.add_argument("--inject-mode", default="")
     sh.set_defaults(fn=cmd_shrink)

@@ -320,13 +320,15 @@ def run_channels(program, script, schedule) -> RunResult:
 
 
 def run_all(program, script, schedule, *, inject=None,
-            inject_mode: str = "regions-jit"):
+            inject_mode: str = ""):
     """Run every applicable mode; returns ``(results, divergences)``.
 
     ``inject`` (a callable taking the connector, see
-    :mod:`repro.fuzz.inject`) is applied only in ``inject_mode`` — the
+    :mod:`repro.fuzz.inject`) is applied only in ``inject_mode`` — by
+    default the injection's own ``mode``, else ``regions-jit`` — the
     other modes stay clean, so an injected bug *must* surface as a
     cross-mode divergence if the oracle has the power to see it."""
+    inject_mode = inject_mode or getattr(inject, "mode", "regions-jit")
     results = []
     for mode in MODES:
         results.append(run_connector_mode(

@@ -41,5 +41,24 @@ def rr_window(conn) -> None:
         region.compiled = False
 
 
+def misplaced_segment(conn) -> None:
+    """An off-by-one in building a row from its predecessor's: the first redone
+    segment's step functions land one slot late.  Compiled rows only."""
+    compiler = conn.engine._step_compiler
+    compile_state = compiler.compile_state
+
+    def doctored(state, expansion, came=None):
+        row = compile_state(state, expansion, came)
+        if expansion[2]:
+            k, entries = min(expansion[2]), row.segments[2]  # the row's own
+            entries[k] = entries[k][-1:] + entries[k][:-1]
+            row.entries = sum(entries, ())
+        return row
+
+    compiler.compile_state = doctored
+
+
+misplaced_segment.mode = "regions-compiled"
+
 #: Registry used by the CLI's ``--inject`` flag and replay files.
-INJECTIONS = {"rr_window": rr_window}
+INJECTIONS = {"rr_window": rr_window, "misplaced_segment": misplaced_segment}

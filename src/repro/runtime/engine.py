@@ -368,7 +368,7 @@ class CoordinatorEngine(EngineHost):
 
         #: Both tiers' plan cache: the interpreter evaluates the plans, the
         #: step compiler emits from them (see :meth:`_plan_for`).
-        self._plans: dict[tuple, FiringPlan] = {}
+        self._plans: dict[tuple, tuple] = {}
         # _steps_approx is a racily maintained shortcut to ``steps`` for
         # hot-path liveness stamps.
         self._steps_approx = 0
@@ -1238,14 +1238,16 @@ class CoordinatorEngine(EngineHost):
         return False
 
     def _plan_for(self, step) -> FiringPlan:
-        key = (step.label, step.atoms, step.effects)
-        plan = self._plans.get(key)
-        if plan is None:
+        """``(label, id(atoms), id(effects))`` → ``(plan, atoms, effects)``:
+        by identity, as a step's function is found; the tuples kept alive."""
+        label, atoms, effects = step.label, step.atoms, step.effects
+        hit = self._plans.get((label, id(atoms), id(effects)))
+        if hit is None:
             # Not met by this engine yet: by the process, usually.
-            plan = self._plans[key] = shared_plan(
-                *key, self.sources, self.sinks, self.registry
-            )
-        return plan
+            hit = self._plans[label, id(atoms), id(effects)] = (
+                shared_plan(label, atoms, effects, self.sources, self.sinks,
+                            self.registry), atoms, effects)
+        return hit[0]
 
     def precompile_plans(self) -> int:
         """Plan every transition of every eager region the interpretive

@@ -106,6 +106,46 @@ def test_renamed_vertices_and_buffers():
     assert a.vertices == frozenset({"v1", "v2"})
 
 
+def test_a_rename_that_changes_no_name_is_the_automaton_itself():
+    """As ``hide`` hiding nothing is: maps that send every name to itself,
+    empty maps and the automaton's own name all give ``self``; any name
+    that changes gives a new automaton, the original untouched."""
+    a = fifo1_automaton()
+    assert a.renamed() is a
+    assert a.renamed({"v1": "v1", "v2": "v2"}, {"q": "q"}) is a
+    assert a.renamed({"v1": "v1"}, name=a.name) is a
+    named = a.renamed(name="other")
+    assert named is not a and named.name == "other"
+    assert named.transitions == a.transitions
+    moved = a.renamed({"v1": "v1", "v2": "y"}, {"q": "q"})
+    assert moved is not a and moved.vertices == frozenset({"v1", "y"})
+    assert a.vertices == frozenset({"v1", "v2"})
+
+
+def test_an_instance_that_renames_nothing_is_its_template():
+    """FifoChain/8's one template (256 states) names the chain's own
+    vertices and buffers, so its instance is the template object; an
+    instance whose names differ is the renamed copy it always was."""
+    from repro.compiler.parametrized import compile_source
+    from repro.connectors import library
+
+    proto = compile_source(library.dsl_source("FifoChain", 8)).protocol(
+        "FifoChain")
+    template, = proto.plan.templates
+    conn = proto.instantiate_connector()
+    assert conn.automata == [template.automaton]
+    assert conn.automata[0] is template.automaton
+    conn.close()
+
+    a = template.automaton
+    vmap = {v: v + "'" for v in a.vertices}
+    r = a.renamed(vmap, {})
+    assert r is not a and r.vertices == frozenset(vmap.values())
+    assert r.n_states == a.n_states == 256
+    assert [(t.source, t.target) for t in r.transitions] == [
+        (t.source, t.target) for t in a.transitions]
+
+
 def test_renamed_equals_a_transition_by_transition_rename():
     """``renamed`` renames each distinct label, atom and effect object once
     and reuses it; the result is the plain per-transition rename."""

@@ -118,6 +118,29 @@ def test_expansion(record):
         ("EarlyAsyncMerger/16", "delta ÷ merged")}
 
 
+def test_row_build(record):
+    """Dev-box medians: the change, by-value ``_plans`` put back, and the
+    parent's plan finding (by value, no kept hash)."""
+    def readings(eam, eabm):
+        return {(key, "cold_over_at_hand"): [
+            {"EarlyAsyncMerger/16": eam,
+             "EarlyAsyncBarrierMerger/8": eabm}.get(key, 1.3)]
+            for key in record.ROW_BUILD_ROWS}
+
+    assert over(record.row_build_ratios(readings(1.28, 1.16))) == set()
+    assert over(record.row_build_ratios(readings(1.39, 1.20))) == {
+        ("EarlyAsyncMerger/16", "cold ÷ plans-at-hand row")}
+    assert over(record.row_build_ratios(readings(1.95, 1.40))) == {
+        (key, "cold ÷ plans-at-hand row")
+        for key in ("EarlyAsyncMerger/16", "EarlyAsyncBarrierMerger/8")}
+    # the other two rows are recorded, not gated
+    assert over(record.row_build_ratios(
+        {(key, "cold_over_at_hand"): [9.0]
+         for key in record.ROW_BUILD_ROWS})) == {
+        (key, "cold ÷ plans-at-hand row")
+        for key in ("EarlyAsyncMerger/16", "EarlyAsyncBarrierMerger/8")}
+
+
 def test_template_build(record):
     ok = {("FifoChain/8", "over_reference"): [13.2, 14.5, 13.9]}
     assert over(record.template_build_ratios(ok)) == set()

@@ -314,7 +314,7 @@ def test_resolved_plans_stay_out_of_the_shared_table():
     conn.connect(*mkports(1, 1))
     assert conn.stats()["compiled_regions"] == 1
     assert through(conn, -2) == 2
-    mine = list(conn.engine._plans.values())
+    mine = [plan for plan, _atoms, _effects in conn.engine._plans.values()]
     assert any(p.resolved for p in mine)
     shared = list(simplify._shared_plans.values())
     assert shared and not any(p.resolved for p in shared)

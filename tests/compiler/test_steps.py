@@ -547,3 +547,42 @@ def test_the_compiled_tier_has_no_state_cliff():
             == stats["expansions"])
     assert not hasattr(engine_module, "_STATE_TABLE_CAP")
     conn.close()
+
+
+def test_a_redone_segment_that_comes_back_unchanged_is_not_compiled_again():
+    """``compile_state`` from a predecessor's row compiles a redone segment
+    only if it is not the very tuple the predecessor holds: on
+    LateAsyncReplicator/12 most new states recompose a segment that comes
+    back so, and that segment's entries are the predecessor's, with no
+    ``compile_transition`` call."""
+    conn = library.connector("LateAsyncReplicator", 12)
+    conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
+    region = conn.engine.regions[0]
+    lazy, compiler = region.lazy, conn.engine._step_compiler
+    calls = []
+    compile_transition = compiler.compile_transition
+    compiler.compile_transition = (
+        lambda step: calls.append(step) or compile_transition(step))
+    first = region.table.get(lazy.initial)
+    frontier, seen, kept_total = [first], {first.state}, 0
+    while frontier and len(seen) < 200:
+        came = frontier.pop(0)
+        for at, step in enumerate(came.steps):
+            state = step.successor(came.state)
+            if state in seen:
+                continue
+            seen.add(state)
+            expansion = lazy.expand(state, came, at)
+            _, segments, redone = expansion
+            calls.clear()
+            row = compiler.compile_state(state, expansion, came)
+            frontier.append(row)
+            assert redone is not None
+            kept = [k for k in redone if segments[k] is came.segments[1][k]]
+            assert len(calls) == sum(len(segments[k]) for k in redone
+                                     if k not in kept)
+            for k in kept:
+                assert row.segments[2][k] is came.segments[2][k]
+            kept_total += len(kept)
+    assert kept_total > 0
+    conn.close()

@@ -1,5 +1,7 @@
 """Differential harness end-to-end: sweeps, floods, injection, chaos."""
 
+import pathlib
+
 import pytest
 
 from repro.fuzz.gen import from_library, generate
@@ -17,6 +19,8 @@ from repro.fuzz.shrink import (
     to_replay,
 )
 from repro.fuzz.sim import Schedule, build_script, make_schedule
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 @pytest.mark.parametrize("mode", ["serve-jit", "durable"])
@@ -113,6 +117,32 @@ def test_clean_modes_unaffected_by_injection_elsewhere():
     # hold is that an *uninjected* run is clean.
     _, clean = run_all(program, script, Schedule())
     assert not clean
+
+
+def test_a_misplaced_delta_segment_is_caught_by_the_compiled_mode_only():
+    """``misplaced_segment`` doctors the rows a compiled region builds from
+    a held one: the oracle sees operations left incomplete under
+    ``regions-compiled`` that every other mode completes, and no clean
+    mode disagrees with another."""
+    program, script, schedule, meta = load_replay(
+        CORPUS / "misplaced-segment-divergence.json")
+    inject = INJECTIONS[meta["inject"]]
+    _, diffs = run_all(program, script, schedule, inject=inject,
+                       inject_mode="regions-compiled")
+    assert any("left incomplete" in d for d in diffs)
+    assert diffs and all("regions-compiled]" in d for d in diffs)
+    _, clean = run_all(program, script, schedule)
+    assert not clean
+
+
+def test_an_injection_applies_in_its_own_mode_by_default():
+    program, script, schedule, _ = load_replay(
+        CORPUS / "misplaced-segment-divergence.json")
+    inject = INJECTIONS["misplaced_segment"]
+    assert inject.mode == "regions-compiled"
+    _, diffs = run_all(program, script, schedule, inject=inject)
+    assert diffs and all("regions-compiled]" in d for d in diffs)
+    assert not hasattr(INJECTIONS["rr_window"], "mode")  # regions-jit
 
 
 def test_run_connector_mode_never_raises_on_bad_schedule():
