@@ -15,7 +15,7 @@ isolates the firing engine.
   nanosecond is spent in the step-firing loop — candidate scan, guard
   evaluation, data movement, completion — which is exactly the code the
   step compiler replaces.  This is the number ``benchmarks/record.py``
-  records and CI gates on (geomean compiled speedup ≥ 5×).
+  records and CI gates on (geomean compiled speedup ≥ 4.4×).
 
 * ``sweep_posted()`` — the *end-to-end cost* over the public
   ``post_send``/``post_recv`` API, single-threaded and self-pacing (at

@@ -67,8 +67,10 @@ REGRESSION_BUDGET = 1.25
 
 #: bench-smoke fails when the compiled step tier's geomean speedup over the
 #: interpreter on the Fig. 12 firing-cost sweep drops below this (the
-#: compiled tier's reason to exist; see docs/COMPILER.md).
-STEP_SPEEDUP_FLOOR = 5.0
+#: compiled tier's reason to exist; see docs/COMPILER.md).  Thirty readings
+#: of ``sweep(2000, 3)``: 4.62–6.26; with every emitted step planning again
+#: on each fire (the interpreter's ``_plan_for`` lookup), ten: 3.50–4.11.
+STEP_SPEEDUP_FLOOR = 4.4
 
 
 def _median_engine_row(k, values, repeats):
@@ -401,9 +403,11 @@ def port_pair_ratios(best):
 #: ``merged`` is held under EXPANSION_BOUND × its ``flat``, and each row of
 #: DELTA_ROWS' ``delta`` under DELTA_BOUND × its ``merged``, read in the
 #: same rounds.  LateAsyncReplicator/12 — most of its states grow new
-#: closures — is not gated on ``delta``.
+#: closures — is not gated on ``delta``.  Thirty readings: delta ÷ merged
+#: 0.46–0.72 (EarlyAsyncBarrierMerger/8 0.64–0.72); with ``compose_segments``
+#: ignoring ``came`` and composing every segment anew, ten: 0.99–1.69.
 EXPANSION_BOUND = 0.85
-DELTA_BOUND = 0.75
+DELTA_BOUND = 0.85
 EXPANSION_ROWS = ("EarlyAsyncMerger/16", "LateAsyncRouter/16",
                   "LateAsyncReplicator/12", "EarlyAsyncBarrierMerger/8")
 DELTA_ROWS = ("EarlyAsyncMerger/16", "LateAsyncRouter/16",
@@ -610,10 +614,10 @@ def row_build_ratios(best):
 #: from source text, the suite's ``compiler.*`` set-up spans — ÷
 #: EarlyAsyncMerger/8's, median of the pass's rounds.  FifoChain/8's template
 #: has 256 states and 1 714 transitions; EarlyAsyncMerger/8's groups are a
-#: few primitives each.  Thirty three-pass readings: 13.2–14.5; with the
-#: maximal enumeration doctored back to checking every decided and idle
-#: component (DECISIONS row 30), 23.7–25.5.
-TEMPLATE_BUILD_BOUND = 18.0
+#: few primitives each.  Thirty three-pass readings: 3.87–4.07; with the
+#: maximal enumeration doctored back to walking every state's whole choice
+#: tree (DECISIONS row 33), ten readings 8.91–9.52.
+TEMPLATE_BUILD_BOUND = 6.0
 TEMPLATE_BUILD_ROWS = ("FifoChain/8",)
 TEMPLATE_BUILD_REFERENCE = "EarlyAsyncMerger/8"
 

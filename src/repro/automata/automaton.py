@@ -111,9 +111,10 @@ class ConstraintAutomaton:
                     f"transition label {set(t.label)} not within declared "
                     f"vertices {set(self.vertices)}"
                 )
-        # a product's transitions share their atom and effect objects: check
-        # each distinct one once
-        distinct = {id(x): x for t in self.transitions for x in t.atoms + t.effects}
+        # a product's transitions share their step's atom and effect tuples,
+        # and the tuples their objects: check each distinct one once
+        tuples = {id(xs): xs for t in self.transitions for xs in (t.atoms, t.effects)}
+        distinct = {id(x): x for xs in tuples.values() for x in xs}
         for referenced in _referenced_buffers(distinct.values()):
             if referenced not in buffer_names:
                 raise WellFormednessError(

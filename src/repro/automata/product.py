@@ -28,7 +28,7 @@ product in :mod:`repro.automata.lazy` call it.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -160,8 +160,8 @@ def compose_outgoing(
         )
         return list(chain.from_iterable(segments))
     if mode == "maximal":
-        return _compose_maximal(
-            automata, local_states, _earlier_neighbours(automata), {})
+        return [step for step, _ in _compose_maximal(
+            automata, tuple(local_states), _maximal_plan(automata), {}, {})]
     raise CompileError(f"unknown composition mode {mode!r}")
 
 
@@ -316,60 +316,83 @@ def _grow(
 _IDLE: frozenset = frozenset()
 
 
-def _earlier_neighbours(automata: Sequence[ConstraintAutomaton]) -> list[tuple[int, ...]]:
-    """Per component, the earlier components sharing a vertex with it: the
-    only ones whose choice its own can disagree with."""
-    return [tuple(i for i in range(k) if automata[i].vertices & a.vertices)
-            for k, a in enumerate(automata)]
+def _maximal_plan(automata: Sequence[ConstraintAutomaton]) -> list[tuple]:
+    """Per component k: its vertices shared with an earlier component, its
+    vertices, and the vertices of the components after it."""
+    vertices = [a.vertices for a in automata]
+    return [(v & _IDLE.union(*vertices[:k]), v, _IDLE.union(*vertices[k + 1:]))
+            for k, v in enumerate(vertices)]
 
 
 def _compose_maximal(
     automata: Sequence[ConstraintAutomaton],
-    local_states: Sequence[int],
-    near: list[tuple[int, ...]],
+    local_states: tuple[int, ...],
+    plan: list[tuple],
     made: dict,
-) -> list[ComposedStep]:
+    memo: dict,
+) -> list[tuple[ComposedStep, tuple[int, ...]]]:
     """The textbook product: every compatible combination, joint firings of
-    independent parts included.  Worst case exponential in the number of
-    independent enabled transitions — deliberately so (see module docs).
+    independent parts included, each step with its successor.  Worst case
+    exponential in the number of independent enabled transitions —
+    deliberately so (see module docs).
 
     Components are decided in order, each idling or firing one of its
-    transitions.  A choice agrees with an earlier one iff both label the
-    vertices they share alike (an idle component's label is empty), so it
-    is checked against ``near`` (:func:`_earlier_neighbours`) only.
-    ``made`` maps the chosen transitions to their step, so one product's
-    states share the steps they have in common."""
+    transitions.  A choice agrees with the earlier ones iff it labels the
+    vertices it shares with them as they do (an idle component's label is
+    empty); as the decided owners of a vertex agree on it, that is the set
+    ``fired`` of shared vertices they fired (:func:`_maximal_plan`).  So the
+    choices for components k… follow from k, their local states and
+    ``fired``: ``memo`` maps those to the choices, as the chosen
+    transitions' ids (``id(None)`` for idle) with the successor states of
+    components k…, and one product's states enumerate each suffix once.
+    ``made`` maps a full choice's ids to its step, so the states share the
+    steps they have in common."""
     n = len(automata)
-    vertices = [a.vertices for a in automata]
-    chosen: list[Transition | None] = [None] * n
-    labels: list[frozenset] = [_IDLE] * n
-    steps: list[ComposedStep] = []
 
-    def rec(k: int) -> None:
+    def suffixes(k: int, fired: frozenset) -> list[tuple]:
         if k == n:
-            key = tuple(map(id, chosen))
-            step = made.get(key)
-            if step is None:
-                parts = {i: t for i, t in enumerate(chosen) if t is not None}
-                if not parts:
-                    return
-                step = made[key] = ComposedStep(parts)
-            steps.append(step)
-            return
-        vk = vertices[k]
-        theirs = [(vertices[i], labels[i] & vk) for i in near[k]]
-        for t in (None, *automata[k].outgoing(local_states[k])):
+            return _END
+        key = (k, local_states[k:], fired)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = memo[key] = []
+        s = local_states[k]
+        shared, vertices, later = plan[k]
+        own = fired & vertices
+        for t in (None, *automata[k].outgoing(s)):
             label = _IDLE if t is None else t.label
-            for vi, shared in theirs:
-                if label & vi != shared:
-                    break
-            else:
-                chosen[k] = t
-                labels[k] = label
-                rec(k + 1)
+            if label & shared == own:
+                ids, tgt = (id(t),), (s if t is None else t.target,)
+                out.extend([(ids + i, tgt + r) for i, r in suffixes(
+                    k + 1, (fired | label) & later)])
+        return out
 
-    rec(0)
+    # the first component's choices are a state's own: built into steps
+    # and successors, not kept
+    steps = []
+    s = local_states[0]
+    later = plan[0][2]
+    for t in (None, *automata[0].outgoing(s)):
+        label = _IDLE if t is None else t.label
+        ids, tgt = (id(t),), (s if t is None else t.target,)
+        records = suffixes(1, label & later)
+        # idle first throughout: the first record after an idle first
+        # component is the all-idle choice, which is no step
+        for i, r in records[1:] if t is None else records:
+            key = ids + i
+            step = made.get(key)
+            if step is None:  # new: find the chosen transitions by their ids
+                step = made[key] = ComposedStep({
+                    j: next(x for x in automata[j].outgoing(local_states[j])
+                            if id(x) == x_id)
+                    for j, x_id in enumerate(key) if x_id != _NO_CHOICE})
+            steps.append((step, tgt + r))
     return steps
+
+
+_NO_CHOICE = id(None)
+_END: list = [((), ())]
 
 
 def merged_buffers(automata: Sequence[ConstraintAutomaton]) -> tuple[BufferSpec, ...]:
@@ -420,8 +443,10 @@ def product(
     order: list[tuple[int, ...]] = [init]
     transitions: list[Transition] = []
     frontier = [init]
-    memo = ComposeMemo(automata)
-    near, made = _earlier_neighbours(automata), {}
+    if mode == "maximal":
+        plan, made, memo = _maximal_plan(automata), {}, {}
+    else:
+        memo = ComposeMemo(automata)
     while frontier:
         src = frontier.pop()
         sid = ids[src]
@@ -432,9 +457,12 @@ def product(
                 f"composition exceeded the {time_budget_s}s time budget "
                 f"after {len(order)} states",
             )
-        for step in (_compose_maximal(automata, src, near, made) if mode == "maximal"
-                     else compose_outgoing(automata, src, mode, memo)):
-            tgt = step.successor(src)
+        if mode == "maximal":
+            outgoing = _compose_maximal(automata, src, plan, made, memo)
+        else:
+            steps = compose_outgoing(automata, src, mode, memo)
+            outgoing = zip(steps, map(ComposedStep.successor, steps, repeat(src)))
+        for step, tgt in outgoing:
             tid = ids.get(tgt)
             if tid is None:
                 tid = len(order)

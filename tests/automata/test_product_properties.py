@@ -433,3 +433,78 @@ def test_maximal_matches_reference_on_library_templates(smalls):
 @given(st.lists(automata(), min_size=2, max_size=4))
 def test_maximal_matches_reference_on_arbitrary_automata(autos):
     check_maximal(autos)
+
+
+# -- the suffix memo's key ---------------------------------------------------
+#
+# ``product`` enumerates the choices of components k… once per k, their
+# local states and the shared vertices the earlier components fired, and
+# hands the result to every state that meets the same three.  Each group
+# below is shaped so that a key missing the local states or the fired
+# vertices merges suffixes that differ.
+
+
+def _fifo(a, b, full=False):
+    return ConstraintAutomaton(2, int(full), frozenset({a, b}), (
+        Transition(0, frozenset({a}), 1), Transition(1, frozenset({b}), 0)))
+
+
+def _branching(vertices, labels):
+    """One state, a self-loop per label, in order — equal labels included."""
+    return ConstraintAutomaton(1, 0, frozenset(vertices), tuple(
+        Transition(0, frozenset(label), 0) for label in labels))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_maximal_memo_ring_closing_on_the_first_component(n):
+    """The last fifo feeds the first: component 0's choice constrains the
+    last component across every level in between."""
+    check_maximal([_fifo(f"x{i}", f"x{(i + 1) % n}", full=i % 2 == 0)
+                   for i in range(n)])
+
+
+def test_maximal_memo_component_joining_two_unrelated_earlier_ones():
+    """Components 0 and 1 share nothing; component 2 owns a vertex of each,
+    so what it may do depends on both earlier choices at once."""
+    join = ConstraintAutomaton(2, 0, frozenset({"b", "d", "e"}), (
+        Transition(0, frozenset({"b", "d"}), 1),
+        Transition(0, frozenset({"b"}), 0),
+        Transition(1, frozenset({"e"}), 0)))
+    check_maximal([_fifo("a", "b", full=True), _fifo("c", "d"), join,
+                   _fifo("e", "f"), _fifo("f", "a", full=True)])
+
+
+def test_maximal_memo_several_transitions_in_one_state():
+    """Components choosing among several transitions in one state, equal
+    ones included (each is a step of its own)."""
+    check_maximal([
+        _branching("ab", ["a", "b", "ab"]),
+        _fifo("b", "c"),
+        _branching("cd", ["c", "d", "cd", "d"]),
+        _fifo("d", "e", full=True),
+        _branching("ea", ["e", "a", "ea"]),
+    ])
+
+
+def test_maximal_memo_index_aliasing_recompose(monkeypatch):
+    """``MediumTemplate.instantiate_medium`` recomposes a group whose
+    indices collide at this arity (t[1] is t[#t] for one tail) from its
+    concrete members, closing a ring through the collided vertex."""
+    import repro.compiler.plan as plan
+    from repro.compiler.parametrized import compile_source
+
+    src = ("R(t[];h) = Fifo1(t[1];m) mult Fifo1Full(m;t[#t]) mult "
+           "Router(m;n,k) mult Fifo1(n;h) mult Fifo1Full(k;h)")
+    protocol = compile_source(src).protocol("R")
+    recomposed = []
+    real = plan.product
+
+    def spy(automata, **kw):
+        recomposed.append(list(automata))
+        return real(automata, **kw)
+
+    monkeypatch.setattr(plan, "product", spy)
+    (made,) = protocol.automata_for(protocol.default_bindings(1))
+    (members,) = recomposed
+    assert made.n_states == 8 and len(made.transitions) == 11
+    check_maximal(members)

@@ -116,6 +116,14 @@ def test_expansion(record):
     full["EarlyAsyncMerger/16", "delta_us"] = 14.0
     assert over(record.expansion_ratios(full)) == {
         ("EarlyAsyncMerger/16", "delta ÷ merged")}
+    # EarlyAsyncBarrierMerger/8's worst reading, and every segment
+    # composed anew (``came`` ignored)
+    worst = dict(ok)
+    worst["EarlyAsyncBarrierMerger/8", "delta_us"] = 15.0 * 0.72
+    assert over(record.expansion_ratios(worst)) == set()
+    worst["EarlyAsyncBarrierMerger/8", "delta_us"] = 15.0 * 0.99
+    assert over(record.expansion_ratios(worst)) == {
+        ("EarlyAsyncBarrierMerger/8", "delta ÷ merged")}
 
 
 def test_row_build(record):
@@ -142,11 +150,11 @@ def test_row_build(record):
 
 
 def test_template_build(record):
-    ok = {("FifoChain/8", "over_reference"): [13.2, 14.5, 13.9]}
+    ok = {("FifoChain/8", "over_reference"): [3.87, 4.07, 3.96]}
     assert over(record.template_build_ratios(ok)) == set()
-    # the maximal enumeration checking every decided and idle component
-    all_pairs = {("FifoChain/8", "over_reference"): [23.7, 25.5, 24.1]}
-    assert over(record.template_build_ratios(all_pairs)) == {
+    # the maximal enumeration walking every state's whole choice tree
+    per_state = {("FifoChain/8", "over_reference"): [8.91, 9.52, 9.05]}
+    assert over(record.template_build_ratios(per_state)) == {
         ("FifoChain/8", "build ÷ EarlyAsyncMerger/8's")}
 
 
