@@ -1,15 +1,16 @@
 """Record the repo's benchmark baseline into BENCH_engine.json, and gate on it.
 
-Runs the engine-scaling sweep (E8), the firing-cost sweep over the Fig. 12
-connectors and the engineering rows of E13–E18, and writes one JSON
-document at the repo root.  ``--check`` is CI's engine regression gate
-(``bench-smoke`` in .github/workflows/ci.yml).  Each of its gates is a ratio of two paths timed in the same process and
-rounds, so the host's speed, and which of its speed modes a run meets,
-cancel:
+Runs the engine-scaling sweep (E8) and every gate below, and writes one
+JSON document at the repo root.  ``--check`` is CI's engine regression
+gate (``bench-smoke`` in .github/workflows/ci.yml); it reads no file.
+Each of its gates is a ratio of two paths timed in the same process and
+rounds, held under a constant below, so the host's speed, and which of
+its speed modes a run meets, cancel:
 
 * ``single_region`` — E8's one-lane pump, ns/step in units of
   :func:`reference_us`, the median over interleaved rounds;
-* ``fig12_steps`` — compiled ÷ interpreted firing cost;
+* ``fig12_steps`` — the Fig. 12 connectors' compiled firing cost in
+  reference units, geomean over the rows;
 * ``reinstantiate`` — a second instance's cycle ÷ the same cycle with the
   per-process compile tables cleared;
 * ``lockstep_scaling`` — each family's N = 16 ÷ N = 2 kernel row, and the
@@ -22,9 +23,8 @@ cancel:
 * ``template_build`` — FifoChain/8's compile + instantiate ÷
   EarlyAsyncMerger/8's.
 
-``fig12_steps`` bounds its ratio's drift from the one recorded in
-BENCH_engine.json; the others bound it by a constant below.  Fig. 13's
-reo ÷ original is ``python -m repro fig13 --check``'s, in the same CI job.
+Fig. 13's reo ÷ original is ``python -m repro fig13 --check``'s, in the
+same CI job.
 
 Usage::
 
@@ -32,10 +32,10 @@ Usage::
     python benchmarks/record.py --quick            # small windows
     python benchmarks/record.py --check            # regression gate (CI)
 
-The engine-scaling and firing-cost rows are medians of
-``--repeats`` independent runs; a gate records its ratios as ``--check``
-reads them.  The garbage collector is disabled around each timed section
-(the same discipline as ``pytest --benchmark-disable-gc``).
+The engine-scaling rows are medians of ``--repeats`` independent runs; a
+gate records its ratios as ``--check`` reads them.  The garbage collector
+is disabled around each timed section (the same discipline as
+``pytest --benchmark-disable-gc``).
 """
 
 import argparse
@@ -61,17 +61,6 @@ sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 DEFAULT_OUT = ROOT / "BENCH_engine.json"
 
-#: bench-smoke fails when the compiled-over-interpreter ratio drifts beyond
-#: this × the recorded one.
-REGRESSION_BUDGET = 1.25
-
-#: bench-smoke fails when the compiled step tier's geomean speedup over the
-#: interpreter on the Fig. 12 firing-cost sweep drops below this (the
-#: compiled tier's reason to exist; see docs/COMPILER.md).  Thirty readings
-#: of ``sweep(2000, 3)``: 4.62–6.26; with every emitted step planning again
-#: on each fire (the interpreter's ``_plan_for`` lookup), ten: 3.50–4.11.
-STEP_SPEEDUP_FLOOR = 4.4
-
 
 def _median_engine_row(k, values, repeats):
     samples = []
@@ -94,17 +83,6 @@ def record_engine_scaling(values, repeats):
     return {
         f"regions/{k}": _median_engine_row(k, values, repeats) for k in LANES
     }
-
-
-def record_fig12_steps(backlog, repeats):
-    """Two-tier firing-cost sweep (interpretive vs compiled step functions)
-    over the Fig. 12 connectors; see benchmarks/bench_compiled_steps.py for
-    the staged-drain methodology."""
-    from bench_compiled_steps import geomean_speedup, sweep
-
-    rows = sweep(backlog=backlog, repeats=repeats)
-    return {"rows": rows,
-            "geomean_speedup": round(geomean_speedup(rows), 2)}
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +174,89 @@ def single_region_ratios(best):
                   statistics.median(best["regions/1", "ref_units"]),
                   SINGLE_REGION_BOUND,
                   "the single-region hot path is slower")]
+
+
+#: Fig. 12's firing cost — ns per step of one drain of a staged backlog on a
+#: warm ``compiled="auto"`` connector, in units of :func:`reference_us`:
+#: every timed nanosecond is in the step-firing loop (candidate scan,
+#: guards, data movement, completion), the code the step compiler emits.
+#: The gated ratio is the geometric mean over FIG12_STEPS_ROWS of each
+#: row's median over 15 rounds.  Thirty readings: 1.35–1.41; with every
+#: emitted step calling ``_plan_for`` on each fire, as the interpreter
+#: does, ten: 2.10–2.13.  The interpreter is not timed.
+FIG12_STEPS_BOUND = 1.75
+FIG12_STEPS_ROWS = tuple(f"{name}/{n}" for name in (
+    "Replicator", "EarlyAsyncMerger", "Sequencer", "SequencedMerger")
+    for n in (2, 8))
+
+
+def _stage(conn, k: int) -> None:
+    """Queue ``k`` sends per tail and ``k × tails`` receives per head
+    straight into the idle engine's queues; the surplus receives keep a
+    head from being the bottleneck, and what is left stays pending."""
+    from repro.runtime.engine import _Op
+
+    engine = conn.engine
+    for v in conn.tail_vertices:
+        engine._pending_send[v].extend(_Op(v, i) for i in range(k))
+    surplus = k * max(1, len(conn.tail_vertices))
+    for v in conn.head_vertices:
+        engine._pending_recv[v].extend(_Op(v) for _ in range(surplus))
+    for v in (*conn.tail_vertices, *conn.head_vertices):
+        region = engine._route[v]
+        region.pend[v] = None
+        region.dirty = True
+
+
+def _drain(conn) -> float:
+    """µs per step of draining every dirty region to quiescence, region
+    lock held, as a post does."""
+    engine = conn.engine
+    start = engine.steps
+    t0 = time.perf_counter()
+    for region in engine.regions:
+        if region.dirty:
+            with region.lock:
+                engine._drain_region(region)
+    return (time.perf_counter() - t0) * 1e6 / (engine.steps - start)
+
+
+def _fig12_steps_pass(rows, best):
+    """Every row built, connected and given one drain of a 200-op backlog
+    (its states compiled outside the timer), then 15 rounds of a 500-op
+    backlog's drain per row and a reference sample."""
+    from repro.connectors import library
+    from repro.runtime.ports import mkports
+
+    conns = {}
+    for key in FIG12_STEPS_ROWS:
+        name, n = key.split("/")
+        conn = conns[key] = library.connector(name, int(n), compiled="auto")
+        conn.connect(*mkports(len(conn.tail_vertices),
+                              len(conn.head_vertices)))
+        _stage(conn, 200)
+        _drain(conn)
+
+    def sample(conn):
+        _stage(conn, 500)
+        return _drain(conn)
+
+    with _pinned():
+        samples = _rounds({**{key: (lambda c=conn: sample(c))
+                              for key, conn in conns.items()},
+                           "ref": reference_us}, 15)
+    for key, conn in conns.items():
+        conn.close()
+        _add(best, (key, "ref_units"), _ratios(samples, key, "ref"))
+
+
+def fig12_steps_ratios(best):
+    return [Ratio("fig12", "firing ns/step in reference units, geomean",
+                  statistics.geometric_mean(
+                      statistics.median(best[key, "ref_units"])
+                      for key in FIG12_STEPS_ROWS),
+                  FIG12_STEPS_BOUND,
+                  "compiled steps doing per-fire work again?")]
 
 
 #: Second-instance cycle ÷ first-instance cycle (the per-process compile
@@ -659,6 +720,7 @@ def template_build_ratios(best):
 GATES = {
     "single_region": (_single_region_pass, single_region_ratios,
                       ("regions/1",), 3),
+    "fig12_steps": (_fig12_steps_pass, fig12_steps_ratios, ("fig12",), 1),
     "reinstantiate": (_reinstantiate_pass, reinstantiate_ratios,
                       REINSTANTIATE_ROWS, 1),
     "lockstep_scaling": (_lockstep_pass, lockstep_ratios,
@@ -717,9 +779,6 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
         "engine_scaling": record_engine_scaling(
             values=100 if quick else 300, repeats=repeats
         ),
-        "fig12_steps": record_fig12_steps(
-            backlog=500 if quick else 2000, repeats=repeats
-        ),
     }
     for gate in GATES:
         doc[gate] = record_gate(gate)
@@ -727,56 +786,13 @@ def record(out: pathlib.Path, quick: bool, repeats: int) -> dict:
     return doc
 
 
-def check(baseline_path: pathlib.Path) -> int:
+def check() -> int:
     """The CI regression gate: every gate, each printing its verdict; 1 if
-    any failed."""
-    baseline = json.loads(baseline_path.read_text())
+    any failed.  Nothing is read from another run."""
     failed = [check_gate(gate) for gate in GATES]
-    failed.append(_check_steps(baseline.get("fig12_steps")))
     if any(failed):
         return 1
     print("OK")
-    return 0
-
-
-def _check_steps(baseline_steps) -> int:
-    """The compiled-tier gate: re-measure the two-tier Fig. 12 firing-cost
-    sweep and enforce (a) geomean compiled speedup ≥ STEP_SPEEDUP_FLOOR and
-    (b) no >REGRESSION_BUDGET geomean regression of the per-row
-    compiled-over-interpreter *ratio* against the committed baseline.
-    Gating the ratio rather than raw compiled ns/step makes the comparison
-    immune to host-speed drift (both tiers run in the same window, so a
-    slow box cancels out) while still tripping when the compiled tier
-    itself loses ground; geomean-over-rows because per-row comparisons at
-    the compiled tier's ~1 µs/step scale would trip on scheduler noise
-    alone."""
-    from bench_compiled_steps import geomean_speedup, sweep
-
-    now = sweep(backlog=2000, repeats=3)
-    speedup = geomean_speedup(now)
-    print(f"fig12 firing-cost geomean speedup (compiled over interpreter): "
-          f"{speedup:.2f}x (floor {STEP_SPEEDUP_FLOOR:.1f}x)")
-    if speedup < STEP_SPEEDUP_FLOOR:
-        print("FAIL: compiled step tier speedup below floor")
-        return 1
-    if baseline_steps:
-        base_rows = baseline_steps["rows"]
-        prod, count = 1.0, 0
-        for key, row in now.items():
-            base = base_rows.get(key)
-            if base is None:
-                continue
-            now_ratio = row["compiled_ns"] / row["interp_ns"]
-            base_ratio = base["compiled_ns"] / base["interp_ns"]
-            prod *= now_ratio / base_ratio
-            count += 1
-        if count:
-            ratio = prod ** (1.0 / count)
-            print(f"compiled/interp ratio vs baseline (geomean over {count} "
-                  f"rows): {ratio:.2f}x (budget {REGRESSION_BUDGET:.2f}x)")
-            if ratio > REGRESSION_BUDGET:
-                print("FAIL: compiled step tier regressed beyond budget")
-                return 1
     return 0
 
 
@@ -788,18 +804,17 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5,
                     help="runs per configuration (median recorded)")
     ap.add_argument("--check", action="store_true",
-                    help="compare against the committed baseline instead "
-                         "of rewriting it (exit 1 on regression)")
+                    help="run the same-run gates instead of rewriting "
+                         "the JSON (exit 1 on regression)")
     args = ap.parse_args(argv)
     if args.check:
-        return check(args.out)
+        return check()
     doc = record(args.out, quick=args.quick, repeats=args.repeats)
     scaling = doc["engine_scaling"]
     growth = (scaling[f"regions/{LANES[-1]}"]["ns_per_step"]
               / scaling["regions/1"]["ns_per_step"])
     print(f"wrote {args.out} "
-          f"({len(scaling)} engine rows, "
-          f"{len(doc['fig12_steps'])} firing-cost rows; "
+          f"({len(scaling)} engine rows, {len(GATES)} gates; "
           f"ns/step grows {growth:.2f}x from 1 to {LANES[-1]} regions)")
     return 0
 

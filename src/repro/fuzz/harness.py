@@ -4,8 +4,8 @@ Runs a (program, script, schedule) triple under each entry of :data:`MODES`
 — the cross product of engine concurrency (``global`` = one lock shared by
 every region vs ``regions`` = one lock per region; either way a program's
 regions are its connected components, so a two-chain program runs as two)
-and composition strategy (``jit`` lazy product vs ``aot`` precomposed + hidden
-+ precompiled plans) — plus, for channelable programs, the
+and composition strategy (``jit`` lazy product vs ``aot`` precomposed +
+hidden) — plus, for channelable programs, the
 :mod:`repro.runtime.channels` model, which shares none of the engine code.
 
 **Single-threaded driving.**  Batches are submitted through the engine's

@@ -195,11 +195,6 @@ class RuntimeConnector(Connector):
             concurrency=self.concurrency,
             compiled=self.compiled,
         )
-        if self.composition == "aot":
-            # The existing approach compiles every transition's firing plan
-            # ahead of time (§V.B point 1).
-            self.engine.precompile_plans()
-
         self._outports = list(outports)
         self._inports = list(inports)
         for port, vertex in zip(outports, self.tail_vertices):
@@ -380,9 +375,6 @@ class RuntimeConnector(Connector):
             initial_occupancy=fresh_occupancy,
             prepare=migrate,
         )
-        if self.composition == "aot":
-            engine.precompile_plans()
-
         # Rebind surviving ports and update the connector's own signature.
         # Filter by vertex, not port identity: callers may hand in delegating
         # proxies (e.g. fault-injection wrappers) around the bound ports.

@@ -549,8 +549,8 @@ class CoordinatorEngine(EngineHost):
         for r in self.regions:
             if isinstance(r, EagerRegion):
                 # Fully known: every state now (the existing approach's
-                # compile-time share, like precompile_plans), unless that
-                # is over the budget — then each state as it is visited.
+                # compile-time share), unless that is over the budget —
+                # then each state as it is visited.
                 states = (range(r.automaton.n_states)
                           if len(r.automaton.transitions) <= TRANSITION_BUDGET
                           else (r.state,))
@@ -1248,19 +1248,6 @@ class CoordinatorEngine(EngineHost):
                 shared_plan(label, atoms, effects, self.sources, self.sinks,
                             self.registry), atoms, effects)
         return hit[0]
-
-    def precompile_plans(self) -> int:
-        """Plan every transition of every eager region the interpretive
-        tier will run, now (the existing approach's compile-time share; a
-        compiled region's transitions were planned when its table was
-        emitted).  Returns the number of transitions visited."""
-        count = 0
-        for region in self.regions:
-            if isinstance(region, EagerRegion) and not region.compiled:
-                for t in region.automaton.transitions:
-                    self._plan_for(t)
-                    count += 1
-        return count
 
     # ------------------------------------------------------------- sampling
 

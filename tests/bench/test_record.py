@@ -36,6 +36,20 @@ def test_single_region(record):
         ("regions/1", "ns/step in reference units")}
 
 
+def test_fig12_steps(record):
+    """Dev-box medians per row, in reference units: the code as it is, and
+    every emitted step calling ``_plan_for`` on each fire."""
+    now = dict(zip(record.FIG12_STEPS_ROWS,
+                   (1.35, 2.39, 1.25, 1.47, 1.22, 1.22, 1.17, 1.18)))
+    planning = dict(zip(record.FIG12_STEPS_ROWS,
+                        (2.10, 3.15, 2.05, 2.25, 1.97, 1.99, 1.90, 1.97)))
+    for readings, failing in ((now, set()), (planning, {
+            ("fig12", "firing ns/step in reference units, geomean")})):
+        best = {(key, "ref_units"): [0.97 * x, x, 1.02 * x]
+                for key, x in readings.items()}
+        assert over(record.fig12_steps_ratios(best)) == failing
+
+
 def test_reinstantiate(record):
     ok = {(key, "warm_over_cold"): [0.2 if key == "Pipe/1" else 0.13]
           for key in record.REINSTANTIATE_ROWS}
@@ -195,6 +209,25 @@ def test_a_gate_gives_up_after_three_more_passes(record, monkeypatch, capsys):
         "FAIL: fake: b x 1.10 over 1.00 — hint")
 
 
-def test_no_gate_carries_a_figure_from_another_run(record):
+def test_no_gate_carries_a_figure_from_another_run(
+        record, monkeypatch, capsys):
+    """``--check`` runs every gate and reads no file: with each gate faked
+    it passes while BENCH_engine.json cannot be read."""
     names = set(vars(record))
     assert not {n for n in names if n.endswith(("_PARENT_US", "_HOST"))}
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no file may be read")
+
+    for name in ("open", "read_text", "read_bytes"):
+        monkeypatch.setattr(pathlib.Path, name, unreadable)
+    monkeypatch.setattr("builtins.open", unreadable)
+    ran = []
+    for gate in list(record.GATES):
+        monkeypatch.setitem(record.GATES, gate, (
+            lambda rows, best, gate=gate: ran.append(gate),
+            lambda best: [record.Ratio("r", "x", 0.5, 1.0, "hint")],
+            ("r",), 1))
+    assert record.main(["--check"]) == 0
+    assert ran == list(record.GATES)
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"

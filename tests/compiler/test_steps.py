@@ -97,7 +97,7 @@ LATE = {"initial": "T(a;b) = Transform<late>(a;b)",
         "next": "T(a;b) = Fifo1(a;m) mult Transform<late>(m;b)"}
 
 
-@pytest.mark.parametrize("tier", ["auto", "off"])
+@pytest.mark.parametrize("tier", ["auto", "off", "off-aot"])
 @pytest.mark.parametrize("where", list(LATE))
 def test_a_refusal_is_the_interpreters_error(where, tier):
     """Under ``auto`` an unregistered name is the interpreter's
@@ -105,10 +105,11 @@ def test_a_refusal_is_the_interpreters_error(where, tier):
     ``connect``, or at the post that reaches the state — again on every
     retry, and no more once the name is registered; nothing is remembered
     of it.  Under ``off`` the name resolves at first fire, so a
-    registration after ``connect`` works."""
+    registration after ``connect`` works, composed ahead of time too."""
     reg = DEFAULT_REGISTRY.merged_with(None)
+    tier, _, composition = tier.partition("-")
     conn = compile_source(LATE[where]).instantiate_connector(
-        "T", registry=reg, compiled=tier)
+        "T", registry=reg, compiled=tier, composition=composition or "jit")
     tail, head = conn.tail_vertices[0], conn.head_vertices[0]
     if tier == "auto" and where == "initial":
         for _ in range(2):
