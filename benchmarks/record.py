@@ -151,10 +151,10 @@ def _add(best: dict, key, ratios: list) -> None:
 #: with the GIL), each read as ``--check`` reads it.
 #:
 #: Single-region ns/step ÷ reference_us(), median of three passes of 45
-#: rounds: 4.80–5.58, and 6.03–6.40 with a spin that makes every fired
-#: step 14–26 % slower (the size of regression the old 1.25 × budget on
-#: absolute ns caught).
-SINGLE_REGION_BOUND = 5.8
+#: rounds: 2.45–2.80 over forty readings, and 3.31–3.53 with a spin of 40
+#: iterations per fired step (the size of regression the old 1.25 ×
+#: budget on absolute ns caught).  The bound sits between the two.
+SINGLE_REGION_BOUND = 3.05
 
 
 def _single_region_pass(rows, best):

@@ -171,6 +171,12 @@ class ConstraintAutomaton:
             transitions.append(Transition(
                 t.source, labels[t.label], t.target,
                 each(t.atoms, rename_atom), each(t.effects, rename_effect)))
+        meta = dict(self.meta)
+        halves = meta.get("decoupled")  # partition.DECOUPLED_KEY
+        if halves is not None:  # the instance's halves, renamed when read
+            meta["decoupled"] = lambda: tuple(
+                h.renamed(vmap, bmap)
+                for h in (halves() if callable(halves) else halves))
         return ConstraintAutomaton(
             self.n_states,
             self.initial,
@@ -178,7 +184,7 @@ class ConstraintAutomaton:
             tuple(transitions),
             tuple(b.renamed(bmap) for b in self.buffers),
             name if name is not None else self.name,
-            dict(self.meta),
+            meta,
         )
 
     def hide(self, vertices: frozenset[str] | set[str]) -> "ConstraintAutomaton":

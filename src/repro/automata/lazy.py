@@ -216,6 +216,8 @@ class LazyProduct:
         :class:`~repro.util.errors.CompileError` (a ``ValueError``)
         otherwise.
         """
+        if not isinstance(state, (tuple, list)):
+            raise CompileError(f"state {state!r} is not a tuple of states")
         state = tuple(state)
         if len(state) != len(self.automata):
             raise CompileError(

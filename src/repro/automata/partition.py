@@ -44,8 +44,10 @@ DECOUPLED_KEY = "decoupled"
 
 
 def decoupled_form(automaton: ConstraintAutomaton):
-    """The decoupled halves of ``automaton``, or ``None`` if not decouplable."""
-    return automaton.meta.get(DECOUPLED_KEY)
+    """The decoupled halves of ``automaton``, or ``None`` if not decouplable.
+    A renamed instance's are its template's, renamed by this call."""
+    halves = automaton.meta.get(DECOUPLED_KEY)
+    return halves() if callable(halves) else halves
 
 
 def partition_automata(

@@ -45,12 +45,20 @@ DEFAULT_STATE_BUDGET = 200_000
 
 
 class ComposedStep:
-    """One global step: the participating local transitions, per component."""
+    """One global step: the participating local transitions, per component.
+
+    A step of one part carries that transition's own ``label``, ``atoms``
+    and ``effects`` objects, so it is the same step wherever its transition
+    is (step functions and plans are found by the tuples' identity)."""
 
     __slots__ = ("parts", "label", "atoms", "effects")
 
     def __init__(self, parts: dict[int, Transition]):
         self.parts = parts
+        if len(parts) == 1:
+            (t,) = parts.values()
+            self.label, self.atoms, self.effects = t.label, t.atoms, t.effects
+            return
         label: set[str] = set()
         atoms: list = []
         effects: list = []

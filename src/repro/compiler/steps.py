@@ -41,10 +41,6 @@ name is registered.  Registering a name after ``connect`` for a state the
 region starts in needs ``compiled="off"``, which resolves names at first
 fire.
 
-An eager region over :data:`TRANSITION_BUDGET` is not compiled up front —
-emitting and ``exec``-ing tens of thousands of functions would cost more
-than it saves — but per visited state, as a lazy region is.
-
 The generated closures bind deque/set **objects**, so every code path that
 replaces such an object must recompile or mutate in place:
 ``reconfigure`` swaps queues and the closed-vertex set, and recompiles via
@@ -65,12 +61,6 @@ from repro.automata.simplify import (
     FiringPlan,
 )
 from repro.runtime.host import wake
-
-#: Per-region bound on transitions compiled ahead of time.  An eager region
-#: beyond this compiles per *visited* state instead (exec-ing that many
-#: functions up front would dwarf any firing speedup), as lazy regions
-#: always do.
-TRANSITION_BUDGET = 20_000
 
 
 class CompiledStep:
@@ -224,7 +214,8 @@ class StepCompiler:
         :class:`~repro.automata.product.ComposedStep` per set of local
         transitions however many global states share it, an eager product's
         transitions carry that step's tuples on (``hide`` rewrites only the
-        label), and identity costs no walk over frozen dataclasses per
+        label), and so does the one-part step an ahead-of-time region wraps
+        each of them in; identity costs no walk over frozen dataclasses per
         lookup.  Equal-but-not-identical constraints are merely emitted
         twice.
 

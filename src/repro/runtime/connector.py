@@ -12,7 +12,8 @@ row 31).  The options:
 * ``composition="jit"`` — just-in-time composition (§IV.D), the default;
 * ``composition="aot"`` — ahead-of-time composition: the medium automata
   are eagerly composed into one large automaton at ``connect`` time ("easy
-  to implement; resources may be spent unnecessarily");
+  to implement; resources may be spent unnecessarily"), which its region
+  runs as a product of one member;
 * ``cache_factory`` — state-cache constructor for JIT regions (unbounded by
   default; pass e.g. ``lambda: LRUCache(1024)`` for the bounded-cache
   extension);
@@ -40,12 +41,12 @@ row 31).  The options:
   the reference schedule of the fuzz oracle and the checkpoint matrix, see
   docs/DECISIONS.md); see docs/INTERNALS.md §"Engine concurrency model";
 * ``compiled`` — the specialized step tier (docs/COMPILER.md): ``"auto"``
-  (default) emits a specialized Python step function per transition — at
-  connect time for an eager region, per visited state for a lazy one — and
-  fires only those; what the interpreter would raise at first fire (an
-  unregistered function name) is raised where a state's steps are
-  compiled.  ``"off"`` interprets everything, resolving names at first
-  fire: the reference the compiled tier is tested against.
+  (default) emits a specialized Python step function per distinct step of
+  each state a run visits, and fires only those; what the interpreter
+  would raise at first fire (an unregistered function name) is raised
+  where a state's steps are compiled.  ``"off"`` interprets everything,
+  resolving names at first fire: the reference the compiled tier is
+  tested against.
 
 Global steps are always the *minimal* ones (:mod:`repro.automata.product`);
 the textbook maximal enumeration is a product-level mode only.
@@ -64,7 +65,7 @@ from repro.automata.lazy import LazyProduct
 from repro.automata.partition import merge_stateless, partition_automata
 from repro.automata.product import merged_buffers, product
 from repro.runtime.buffers import BufferStore
-from repro.runtime.engine import CoordinatorEngine, EagerRegion, LazyRegion
+from repro.runtime.engine import CoordinatorEngine, LazyRegion
 from repro.runtime.metrics import ConnectorMetrics, MetricsRegistry
 from repro.runtime.overload import OverloadPolicy
 from repro.runtime.ports import Inport, Outport
@@ -209,11 +210,11 @@ class RuntimeConnector(Connector):
         automata: Sequence[ConstraintAutomaton],
         sources: frozenset[str],
         sinks: frozenset[str],
-    ) -> tuple[list[EagerRegion | LazyRegion], BufferStore]:
+    ) -> tuple[list[LazyRegion], BufferStore]:
         """Compose ``automata`` into engine regions, one per connected
         component — used both at ``connect`` time and when re-parametrizing."""
         groups = partition_automata(automata, decouple=False)
-        regions: list[EagerRegion | LazyRegion] = []
+        regions: list[LazyRegion] = []
         all_buffers = []
         for group in groups:
             all_buffers.extend(merged_buffers(group))
@@ -224,7 +225,7 @@ class RuntimeConnector(Connector):
                 # as τ-steps (labels restricted to the boundary; a no-op on
                 # compile_existing's automaton, hidden already).
                 large = large.hide(large.vertices - sources - sinks)
-                regions.append(EagerRegion(large))
+                regions.append(LazyRegion(LazyProduct([large]), "eager"))
             else:
                 cache = self.cache_factory() if self.cache_factory else None
                 # Stateless sub-chains composed once, inner vertices hidden

@@ -2,12 +2,11 @@
 
 One :class:`CoordinatorEngine` drives one connected protocol instance.  It
 holds one or more *regions* (see :mod:`repro.automata.partition`); each
-region is either
-
-* an :class:`EagerRegion` — a fully composed "large automaton" (the
-  existing compilation approach, ahead-of-time composition), or
-* a :class:`LazyRegion` — a :class:`~repro.automata.lazy.LazyProduct`
-  expanded just-in-time (the new approach, §IV.D).
+is a :class:`LazyRegion`, a :class:`~repro.automata.lazy.LazyProduct`
+expanded state by state as a run reaches them (the new approach, §IV.D).
+Ahead-of-time composition (the existing approach) differs only in *when*
+the product is composed: its region is a product of one member, the large
+automaton, where expanding a state looks up its transitions.
 
 Execution model (caller-driven, as in compiled Reo): a task's send/recv
 registers a pending operation and then *drains* — repeatedly firing enabled
@@ -100,9 +99,8 @@ import time
 from collections import deque
 from typing import Sequence
 
-from repro.automata.automaton import ConstraintAutomaton
 from repro.automata.constraint import FunctionRegistry
-from repro.automata.lazy import LazyProduct, UnboundedCache
+from repro.automata.lazy import LazyProduct
 from repro.automata.simplify import FiringPlan, shared_plan
 from repro.runtime.buffers import BufferStore
 from repro.runtime.host import EngineHost, wake, wake_slot
@@ -162,12 +160,34 @@ class _Binding:
         self.successor = None
 
 
-class _RegionRuntime:
-    """Runtime fields the engine stamps onto every region it adopts.
+class LazyRegion:
+    """Region backed by a just-in-time product — of the medium automata
+    (``composition="jit"``), or of the one large automaton composed ahead
+    of time (``"aot"``), whose expansion of a state is its transition list.
 
-    Kept in a mixin so regions built directly (tests, tools) still carry
-    sane defaults before an engine adopts them.
-    """
+    ``table`` is the product's state cache and the region's only store of
+    expanded states: composed steps while interpreted, a ``StateRow`` of
+    ``CompiledStep`` while compiled — what the cache evicts is gone whole.
+    ``kind`` names the composition, ``"lazy"`` or ``"eager"``: a checkpoint
+    restores only into a region of its own kind.  The runtime fields are
+    stamped again by every engine that adopts the region."""
+
+    def __init__(self, lazy: LazyProduct, kind: str = "lazy"):
+        self.lazy = lazy
+        self.kind = kind
+        self.table = lazy.cache
+        #: Whether rows may be referenced outside the table (``row``,
+        #: ``StateRow.links``): memos of ``table.get``, sound where nothing
+        #: evicts — a bounded cache must see every visit, its evictions die.
+        self.links = not getattr(self.table, "evicts", True)
+        self.state = lazy.initial
+        # Per-state round-robin cursors for fairness (see _drain_region): a
+        # cursor is an index into one state's candidate list, so sharing a
+        # single cursor across states aliases lists of different length and
+        # order — which is exactly what starved a competing sender behind a
+        # resonating pair (the pre-region engine's rr drift bug).
+        self.cursors: dict = {}
+        self._init_runtime()
 
     def _init_runtime(self) -> None:
         #: Position in ``engine.regions`` — stable identity for the tracer
@@ -202,6 +222,19 @@ class _RegionRuntime:
         #: ``compiled="off"``, when the interpretive engine runs it.
         self.compiled = False
 
+    @property
+    def vertices(self) -> frozenset[str]:
+        return self.lazy.vertices
+
+    def candidates(self):
+        """The state's steps, in the order its compiled row lists them:
+        round-robin cursors, and the checkpoints that carry them, index
+        this list by position in either tier."""
+        return self.lazy.outgoing(self.state)
+
+    def advance(self, step) -> None:
+        self.state = step.successor(self.state)
+
     def reseat(self) -> None:
         """``state`` or ``cursors`` was written outside the drain loop:
         forget the current row; every row takes its cursor again."""
@@ -217,97 +250,6 @@ class _RegionRuntime:
             for _, row in self.table.items():
                 row.links.clear()
         self.table.clear()
-
-
-class EagerRegion(_RegionRuntime):
-    """Region backed by a fully composed automaton."""
-
-    kind = "eager"  # RegionState.kind of this region's checkpoints
-
-    def __init__(self, automaton: ConstraintAutomaton):
-        self.automaton = automaton
-        #: ``{state: StateRow}``, prefilled by the adopting engine for every
-        #: state — or, over ``TRANSITION_BUDGET``, for each as it is
-        #: visited; empty while the region is interpreted.
-        self.table = UnboundedCache()
-        self.links = True  # nothing evicts this table: see LazyRegion
-        self.state: int = automaton.initial
-        # Per-state round-robin cursors for fairness (see _drain_region): a
-        # cursor is an index into one state's candidate list, so sharing a
-        # single cursor across states aliases lists of different length and
-        # order — which is exactly what starved a competing sender behind a
-        # resonating pair (the pre-region engine's rr drift bug).
-        self.cursors: dict = {}
-        self._init_runtime()
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return self.automaton.vertices
-
-    def candidates(self):
-        """The state's outgoing transitions, in automaton order.
-
-        Dense enumeration deliberately matches the compiled step tier's
-        per-state tables item for item: the round-robin fairness cursors
-        (and the checkpoints that carry them, see ``rr`` in
-        :class:`~repro.runtime.recovery.RegionState`) index a candidate
-        list by position, so a checkpoint written under one tier restores
-        the same fairness choices under the other only if both tiers
-        enumerate identically.
-        """
-        return self.automaton.outgoing(self.state)
-
-    def advance(self, step) -> None:
-        self.state = step.target
-
-    def expand(self, state, came=None, at=None) -> tuple:
-        """``state``'s transitions as one segment, for the step compiler
-        (what :meth:`LazyRegion.expand` computes, already composed)."""
-        return None, [self.automaton.outgoing(state)], None
-
-    def validate_state(self, state) -> int:
-        """``state`` as a control state of this region, or ValueError."""
-        n = self.automaton.n_states
-        if not isinstance(state, int) or not (0 <= state < n):
-            raise ValueError(f"state {state!r} out of range for {n}-state region")
-        return state
-
-
-class LazyRegion(_RegionRuntime):
-    """Region backed by a just-in-time product.
-
-    ``table`` is the product's state cache and the region's only store of
-    expanded states: composed steps while interpreted, a ``StateRow`` of
-    ``CompiledStep`` while compiled — what the cache evicts is gone whole."""
-
-    kind = "lazy"
-
-    def __init__(self, lazy: LazyProduct):
-        self.lazy = lazy
-        self.table = lazy.cache
-        #: Whether rows may be referenced outside the table (``row``,
-        #: ``StateRow.links``): memos of ``table.get``, sound where nothing
-        #: evicts — a bounded cache must see every visit, its evictions die.
-        self.links = not getattr(self.table, "evicts", True)
-        self.state = lazy.initial
-        self.cursors: dict = {}  # per-state fairness cursors (see EagerRegion)
-        self._init_runtime()
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return self.lazy.vertices
-
-    def candidates(self):
-        return self.lazy.outgoing(self.state)
-
-    def advance(self, step) -> None:
-        self.state = step.successor(self.state)
-
-    def expand(self, state, came=None, at=None) -> tuple:
-        return self.lazy.expand(state, came, at)
-
-    def validate_state(self, state):
-        return self.lazy.validate_state(state)
 
 
 class CoordinatorEngine(EngineHost):
@@ -330,7 +272,7 @@ class CoordinatorEngine(EngineHost):
 
     def __init__(
         self,
-        regions: Sequence[EagerRegion | LazyRegion],
+        regions: Sequence[LazyRegion],
         buffers: BufferStore,
         sources: frozenset[str],
         sinks: frozenset[str],
@@ -463,15 +405,14 @@ class CoordinatorEngine(EngineHost):
             for r in self.regions:
                 r.pend.clear()
                 r.drop_rows()
-                if isinstance(r, LazyRegion):
-                    r.lazy.release()  # the compose memo
+                r.lazy.release()  # the compose memo
             if self._step_compiler is not None:
                 self._step_compiler.release()
             self._wake_all_locked()
 
     # --------------------------------------------------- region plumbing
 
-    def _adopt_regions(self, regions: Sequence[EagerRegion | LazyRegion],
+    def _adopt_regions(self, regions: Sequence[LazyRegion],
                        held: tuple | None = None) -> tuple:
         """Stamp runtime fields onto ``regions`` and rebuild the routing
         table, the ordered lock list and,
@@ -480,7 +421,7 @@ class CoordinatorEngine(EngineHost):
         new locks not among them are taken before any binding is published,
         and returned."""
         self.regions = list(regions)
-        route: dict[str, EagerRegion | LazyRegion] = {}
+        route: dict[str, LazyRegion] = {}
         for i, r in enumerate(self.regions):
             r._init_runtime()
             r.idx = i
@@ -488,7 +429,7 @@ class CoordinatorEngine(EngineHost):
             for v in r.vertices:
                 route[v] = r
         if self.regions:
-            # Boundary vertices can drop out of eager region vertex sets
+            # Boundary vertices can drop out of an aot region's vertex set
             # (hide() keeps only label-visible ones); route them to the
             # first region so submissions never dangle.
             fallback = self.regions[0]
@@ -532,7 +473,7 @@ class CoordinatorEngine(EngineHost):
         # Imported here, not at module level: repro.compiler's package init
         # pulls in the textual-compilation stack, which transitively imports
         # runtime modules — a cycle at import time, but not at run time.
-        from repro.compiler.steps import TRANSITION_BUDGET, StepCompiler
+        from repro.compiler.steps import StepCompiler
 
         compiler = self._step_compiler = StepCompiler(
             self._pending_send,
@@ -545,24 +486,13 @@ class CoordinatorEngine(EngineHost):
         )
         for r in self.regions:
             r.compiled = True
-            r.table.clear()  # a lazy region's: the initial state's steps
+            r.table.clear()  # the initial state's steps
         for r in self.regions:
-            if isinstance(r, EagerRegion):
-                # Fully known: every state now (the existing approach's
-                # compile-time share), unless that is over the budget —
-                # then each state as it is visited.
-                states = (range(r.automaton.n_states)
-                          if len(r.automaton.transitions) <= TRANSITION_BUDGET
-                          else (r.state,))
-                for s in states:
-                    r.table.put(s, compiler.compile_state(s, r.expand(s)))
-            else:
-                # Lazy regions specialize per visited state, starting with
-                # the current one.
-                lazy = r.lazy
-                r.table.put(r.state, compiler.compile_state(
-                    r.state, lazy.first if r.state == lazy.initial
-                    else lazy.expand(r.state)))
+            # Specialize per visited state, starting with the current one.
+            lazy = r.lazy
+            r.table.put(r.state, compiler.compile_state(
+                r.state, lazy.first if r.state == lazy.initial
+                else lazy.expand(r.state)))
             r.reseat()  # an adopted region may come with cursors
 
     def _freeze(self) -> tuple:
@@ -652,11 +582,7 @@ class CoordinatorEngine(EngineHost):
             # run makes the same nondeterministic choices the original
             # would have.
             regions = [
-                RegionState(
-                    r.kind,
-                    r.state if isinstance(r, EagerRegion) else tuple(r.state),
-                    tuple(sorted(r.cursors.items())),
-                )
+                RegionState(r.kind, r.state, tuple(sorted(r.cursors.items())))
                 for r in self.regions
             ]
             return self._checkpoint_of(name, regions, self.buffers.snapshot())
@@ -690,7 +616,7 @@ class CoordinatorEngine(EngineHost):
 
     def reconfigure(
         self,
-        regions: Sequence["EagerRegion | LazyRegion"],
+        regions: Sequence[LazyRegion],
         buffers: BufferStore,
         sources: frozenset[str],
         sinks: frozenset[str],
@@ -1141,12 +1067,12 @@ class CoordinatorEngine(EngineHost):
 
     def _compile_region_state(self, region, came, at):
         """Fill a compiled region's table at its current control state
-        (new, evicted since, or not compiled ahead) from row ``came``, whose
+        (new, or evicted since) from row ``came``, whose
         candidate ``at`` led here, and return the new entry.  A refusal
         propagates, the table untouched."""
         state = region.state
         row = self._step_compiler.compile_state(
-            state, region.expand(state, came, at), came)
+            state, region.lazy.expand(state, came, at), came)
         row.cursor = region.cursors.get(state)
         region.table.put(state, row)
         return row
@@ -1280,13 +1206,14 @@ class CoordinatorEngine(EngineHost):
         """Counters and sizes, readable at any time, ``close()`` included.
 
         ``steps``, ``parks`` (blocking submits that had to wait on their
-        wake slot) and ``expansions`` (global states expanded by the lazy
-        products, however cheaply) only ever count up.  ``cached_states``
-        (states resident in the lazy regions' tables), ``compiled_states``
-        (states whose table entry is compiled — the same states again on a
-        compiled lazy region) and ``emitted_steps`` (distinct step
-        functions behind those entries — one per distinct composed step,
-        not one per state and transition) describe what is installed now:
+        wake slot) and ``expansions`` (global states expanded by the
+        regions' products, however cheaply) only ever count up.
+        ``cached_states`` (states resident in the regions' tables),
+        ``compiled_states`` (states whose table entry is compiled — the
+        same states again on a compiled region) and ``emitted_steps``
+        (distinct step functions behind those entries — one per distinct
+        composed step, not one per state and transition) describe what is
+        installed now:
         they restart with ``reconfigure`` and read 0 after ``close()``,
         which frees all three."""
         out = {
@@ -1301,21 +1228,11 @@ class CoordinatorEngine(EngineHost):
             "concurrency": self.concurrency,
             "step_tier": self._compiled,
         }
-        expansions = 0
-        cache_len = 0
-        compiled_regions = 0
-        compiled_states = 0
-        for r in self.regions:
-            if isinstance(r, LazyRegion):
-                expansions += r.lazy.expansions
-                cache_len += len(r.table)
-            if r.compiled:
-                compiled_regions += 1
-                compiled_states += len(r.table)
-        out["expansions"] = expansions
-        out["cached_states"] = cache_len
-        out["compiled_regions"] = compiled_regions
-        out["compiled_states"] = compiled_states
+        compiled = [r for r in self.regions if r.compiled]
+        out["expansions"] = sum(r.lazy.expansions for r in self.regions)
+        out["cached_states"] = sum(len(r.table) for r in self.regions)
+        out["compiled_regions"] = len(compiled)
+        out["compiled_states"] = sum(len(r.table) for r in compiled)
         compiler = self._step_compiler
         out["emitted_steps"] = compiler.emitted_steps if compiler else 0
         return out

@@ -469,7 +469,7 @@ class EngineHost:
                     f"engine {region.kind!r} (same composition mode required)"
                 )
             try:
-                validated.append(region.validate_state(rs.state))
+                validated.append(region.lazy.validate_state(rs.state))
             except ValueError as exc:
                 raise CheckpointError(str(exc)) from None
         names = set(store.names())

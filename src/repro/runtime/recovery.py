@@ -57,11 +57,12 @@ _SINGLE_INDEX = re.compile(r"^(?P<base>.*)@(?P<index>\d+)$")
 class RegionState:
     """One region's restorable control state.
 
-    ``kind`` is ``"eager"`` (``state`` is an int of the composed automaton)
-    or ``"lazy"`` (``state`` is the tuple of component states); ``rr`` is
-    the region's round-robin fairness cursor table — ``(state, index)``
-    pairs, one per visited control state — captured so a restored run makes
-    the same nondeterministic choices as the original would have.
+    ``kind`` is the composition, ``"eager"`` (ahead of time: one
+    component, the composed automaton) or ``"lazy"``; ``state`` is the
+    tuple of component states; ``rr`` is the region's round-robin fairness
+    cursor table — ``(state, index)`` pairs, one per visited control state
+    — captured so a restored run makes the same nondeterministic choices
+    as the original would have.
     """
 
     kind: str
@@ -306,25 +307,19 @@ def reconcile_region_states(regions, store) -> dict[str, tuple]:
     control states — which, for automata that track buffer occupancy in
     control state (every fifo-built connector), do not enable any transition
     that could ever deliver the migrated values.  This pass computes each
-    automaton's state↔occupancy correspondence and moves each region (each
-    component, for lazy regions) to the state matching the store.  Returns
+    automaton's state↔occupancy correspondence and moves each component of
+    each region's product to the state matching the store.  Returns
     buffer contents that had to be dropped because no control state could
     account for them (merged into the departure report by the caller).
     """
     dropped: dict[str, tuple] = {}
     for region in regions:
-        automaton = getattr(region, "automaton", None)
-        if automaton is not None:  # EagerRegion: one composed automaton
-            state = _reconcile_one(automaton, region.state, store, dropped)
+        new_state = list(region.state)
+        for i, comp in enumerate(region.lazy.automata):
+            state = _reconcile_one(comp, new_state[i], store, dropped)
             if state is not None:
-                region.state = state
-        else:  # LazyRegion: reconcile each component of the state tuple
-            new_state = list(region.state)
-            for i, comp in enumerate(region.lazy.automata):
-                state = _reconcile_one(comp, new_state[i], store, dropped)
-                if state is not None:
-                    new_state[i] = state
-            region.state = tuple(new_state)
+                new_state[i] = state
+        region.state = tuple(new_state)
     return dropped
 
 

@@ -172,6 +172,26 @@ def test_renamed_equals_a_transition_by_transition_rename():
     assert [b.name for b in r.buffers] == [bmap[b.name] for b in a.buffers]
 
 
+def test_a_renamed_instance_carries_its_own_decoupled_halves():
+    """A medium instance's decoupled form is renamed with it: every half
+    names the instance's vertices and buffers (EarlyAsyncMerger/3's
+    ``t@1``, ``q$0@1``), not the template's (``t[i$0]``, ``q$0[i$0]``)."""
+    from repro.automata.partition import decoupled_form
+    from repro.connectors import library
+
+    seen = 0
+    for name in library.names():
+        for n in (2, 3):
+            conn = library.connector(name, n)
+            for a in conn.automata:
+                buffers = {b.name for b in a.buffers}
+                for half in decoupled_form(a) or ():
+                    seen += 1
+                    assert half.vertices <= a.vertices, (name, n, a.name)
+                    assert {b.name for b in half.buffers} <= buffers
+    assert seen > 0
+
+
 def test_undeclared_buffer_in_the_last_of_many_transitions_is_rejected():
     """Validation checks each distinct atom and effect once — and every one:
     a reference made only by the last of a thousand transitions counts."""

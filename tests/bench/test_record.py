@@ -29,9 +29,11 @@ def over(ratios):
 
 
 def test_single_region(record):
-    ok = {("regions/1", "ref_units"): [5.1, 5.3, 5.2]}
+    """Dev-box readings: the code as it is, and a drain loop spinning 40
+    iterations per fired step."""
+    ok = {("regions/1", "ref_units"): [2.45, 2.8, 2.65]}
     assert over(record.single_region_ratios(ok)) == set()
-    slower = {("regions/1", "ref_units"): [1.25 * 5.1, 1.25 * 5.3, 5.2]}
+    slower = {("regions/1", "ref_units"): [3.31, 3.53, 3.4]}
     assert over(record.single_region_ratios(slower)) == {
         ("regions/1", "ns/step in reference units")}
 

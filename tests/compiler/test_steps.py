@@ -145,23 +145,6 @@ def test_unregistered_function_fails_require():
         ).connect(*mkports(1, 1))
 
 
-def test_over_budget_still_compiles_and_runs(monkeypatch):
-    """An eager region over ``TRANSITION_BUDGET`` compiles per visited
-    state, as a lazy region does: only the current one at ``connect``."""
-    from repro.compiler import steps
-
-    monkeypatch.setattr(steps, "TRANSITION_BUDGET", 0)
-    conn = library.connector("EarlyAsyncMerger", 2, composition="aot")
-    conn.connect(*mkports(2, 1))
-    (region,) = conn.engine.regions
-    assert conn.stats()["compiled_regions"] == 1
-    assert conn.stats()["compiled_states"] == 1
-    got = drive_posted(conn)
-    assert conn.stats()["compiled_states"] == region.automaton.n_states == 4
-    conn.close()
-    assert len(got[conn.head_vertices[0]]) >= 10
-
-
 def test_compile_error_is_value_error():
     """CompileError subclasses ValueError so legacy call sites that caught
     ValueError around codegen/simplify keep working."""

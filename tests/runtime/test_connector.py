@@ -42,9 +42,7 @@ TWO_CHAINS = ("P(a1,a2;b1,b2) = Fifo1(a1;v) mult Fifo1(v;b1) "
 
 
 def region_buffers(region):
-    automata = ([region.automaton] if region.kind == "eager"
-                else region.lazy.automata)
-    return {b.name for a in automata for b in a.buffers}
+    return {b.name for a in region.lazy.automata for b in a.buffers}
 
 
 @pytest.mark.parametrize("n", [2, 8, 16])

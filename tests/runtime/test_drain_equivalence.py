@@ -6,8 +6,7 @@ posted-vertex hint) and ``compiled="off"`` (the interpretive tier: a table
 lookup, a cursor-table read and a full candidate scan per iteration — the
 reference).  Completion order, step counts, cursor tables and checkpoint
 bytes must be identical, also across the cold paths that write what the
-rows cache (``restore``, ``leave``), and for an eager region over the
-compile budget, whose rows are built per visit.
+rows cache (``restore``, ``leave``), composed just in time or ahead of time.
 """
 
 import json
@@ -129,18 +128,6 @@ def test_jit_rows_fire_what_the_interpreter_fires(name, n):
 @pytest.mark.parametrize("name,n", AOT_CASES)
 def test_aot_rows_fire_what_the_interpreter_fires(name, n):
     reference = history(name, n, compiled="off", composition="aot")
-    assert history(name, n, compiled="auto", composition="aot") == reference
-
-
-@pytest.mark.parametrize("name,n", AOT_CASES)
-def test_aot_rows_built_per_visit_fire_what_the_interpreter_fires(
-        name, n, monkeypatch):
-    """Over ``TRANSITION_BUDGET`` an eager region compiles each state as it
-    is visited, through the lazy regions' path."""
-    from repro.compiler import steps
-
-    reference = history(name, n, compiled="off", composition="aot")
-    monkeypatch.setattr(steps, "TRANSITION_BUDGET", 0)
     assert history(name, n, compiled="auto", composition="aot") == reference
 
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Dump the compiled step tier's emitted source for a library connector.
 
-Builds the named connector, connects it (AOT composition so every state is
-compiled up front, not just the states a run happens to visit), and prints
-each generated step function with its region/state/label header — the
-exact code the engine executes on the hot path (docs/COMPILER.md §4).
+Builds the named connector composed ahead of time, connects it, compiles
+the row of every state of its large automaton (a run compiles only the
+states it visits), and prints each generated step function with its
+region/state/label header — the exact code the engine executes on the hot
+path (docs/COMPILER.md §4).
 Before that it drives a few lock-step rounds and prints, per state the
 drain loop came back to, what it follows there: the row's by-vertex index
 (vertex → how many pending vertices a post on it must find before a scan
@@ -31,6 +32,18 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 
 WARMUP_ROUNDS = 4
+
+
+def compile_every_state(engine) -> None:
+    """Build the row of each state not built yet, of every region's one
+    member — the large automaton."""
+    compiler = engine._step_compiler
+    for region in engine.regions:
+        (large,) = region.lazy.automata
+        for state in ((s,) for s in range(large.n_states)):
+            if region.table.get(state) is None:
+                region.table.put(state, compiler.compile_state(
+                    state, region.lazy.expand(state)))
 
 
 def warm_up(conn) -> None:
@@ -76,6 +89,7 @@ def main(argv=None) -> int:
     conn = library.connector(name, n, composition="aot", compiled="auto")
     conn.connect(*mkports(len(conn.tail_vertices), len(conn.head_vertices)))
     try:
+        compile_every_state(conn.engine)
         warm_up(conn)
         rows = region_sources(conn.engine)
         stats = conn.stats()
